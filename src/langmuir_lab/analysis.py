@@ -4,15 +4,15 @@ existence argument for the periodic orbit.
 Each check integrates something and reduces it to a single worst-case
 violation number; a check passes iff that number is at or below its
 tolerance.  Sign checks use tolerance 0 with the convention that negative
-worst_violation means "safely on the right side".
+worst_violation means "safely on the right side".  A check with nothing to
+compare (an empty input, or no run that reaches the compared event) reports
+worst_violation = inf and fails.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -55,7 +55,7 @@ def check_initial_acceleration(
     if h_samples is None:
         rng = random.Random(20210703)
         h_samples = [rng.uniform(1e-3, 100.0) for _ in range(1000)]
-    worst = 0.0
+    worst = 0.0 if h_samples else math.inf
     worst_h = None
     for h in h_samples:
         _, ay = dynamics.acceleration(0.0, h)
@@ -88,6 +88,8 @@ def check_tmax_bound(
             continue
         times[h] = res.t_h
         worst = max(worst, res.t_h - T_MAX)
+    if not times:
+        worst = math.inf
     margin = min((T_MAX - t) / T_MAX for t in times.values()) if times else None
     return CheckReport.from_violation(
         "tmax_bound",
@@ -132,6 +134,8 @@ def check_magical_prefix(
         for s in traj.samples:
             if 0.0 < s.t <= cross.t:
                 worst = max(worst, s.vy)
+    if not checked:
+        worst = math.inf
     return CheckReport.from_violation(
         "magical_prefix",
         worst,
@@ -261,9 +265,7 @@ def check_tau_growth(
         if traj.termination is not EventKind.X_VELOCITY_ZERO:
             raise NoRest(1, traj.termination.value)
         taus.append(traj.first_event(EventKind.X_VELOCITY_ZERO).t)
-    worst = max(
-        (a - b for a, b in zip(taus, taus[1:])), default=-math.inf
-    )
+    worst = max((a - b for a, b in zip(taus, taus[1:])), default=math.inf)
     return CheckReport.from_violation(
         "tau_growth",
         worst,
@@ -277,7 +279,7 @@ def check_energy_drift(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> CheckReport:
     """Relative energy drift of E=-1 shooting runs stays within 1e-8."""
-    worst = 0.0
+    worst = 0.0 if h_grid else math.inf
     drifts = {}
     for h in h_grid:
         res = shoot(-1.0, h, settings)
@@ -301,20 +303,10 @@ _ALL_CHECKS = (
 
 def run_all_checks(
     settings: IntegratorSettings = IntegratorSettings(),
-    max_workers: Optional[int] = None,
 ) -> list[CheckReport]:
-    """Execute the whole suite concurrently; reports sorted by name."""
-
-    def call(fn):
-        if fn is check_initial_acceleration:
-            return fn()
-        return fn(settings=settings)
-
-    cap = os.environ.get("LANGMUIR_LAB_THREADS")
-    workers = max_workers or (int(cap) if cap else (os.cpu_count() or 1))
-    if workers <= 1:
-        reports = [call(fn) for fn in _ALL_CHECKS]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(call, _ALL_CHECKS))
+    """Execute the whole suite; reports sorted by name."""
+    reports = [
+        fn() if fn is check_initial_acceleration else fn(settings=settings)
+        for fn in _ALL_CHECKS
+    ]
     return sorted(reports, key=lambda r: r.name)

@@ -3,12 +3,15 @@
 Subcommands: simulate, find-orbit, scan, verify, zero-energy.
 Configuration precedence: CLI flags > config file (flat key=value lines) >
 built-in defaults.  Exit codes: 0 success, 1 verification failure, 2 input
-validation, 3 bad bracket, 4 no convergence, 5 integration failure.
+validation (including an unreadable config file), 3 bad bracket, 4 no
+convergence, 5 integration failure (including an orbit that fails its
+retrace check).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -17,6 +20,7 @@ from . import analysis, dynamics, output, shooting
 from .dynamics import ProblemSpec
 from .errors import (
     BadBracket,
+    ClosureFailure,
     DomainError,
     NoConvergence,
     NoRest,
@@ -32,24 +36,19 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_INTEGRATION_FAILED = 5
 
 _SETTINGS_KEYS = {
-    "rel_tol": float,
-    "abs_tol": float,
-    "h_min": float,
-    "h_max": float,
-    "y_collision": float,
-    "r_collision": float,
-    "t_limit": float,
-    "event_tol": float,
-    "brake_speed2": float,
-    "substeps": int,
+    f.name: type(f.default) for f in dataclasses.fields(IntegratorSettings)
 }
 
 
 def _read_config(path: Optional[str]) -> dict:
     if not path:
         return {}
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise DomainError(f"cannot read config file: {exc}") from exc
     values = {}
-    with open(path) as fh:
+    with fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -89,20 +88,7 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _check_height(E: float, h: float) -> None:
-    if E < 0.0:
-        h_max = -3.5 / E
-        if not (0.0 < h < h_max):
-            raise DomainError(
-                f"height {h} is not admissible at E={E}; "
-                f"admissible range is (0, {h_max})"
-            )
-    elif h <= 0.0:
-        raise DomainError(f"height must be positive, got {h}")
-
-
 def cmd_simulate(args) -> int:
-    _check_height(args.energy, args.height)
     settings = _settings(args, _read_config(args.config))
     s0 = dynamics.initial_state(ProblemSpec(E=args.energy, h=args.height))
     traj = integrate(
@@ -128,20 +114,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_find_orbit(args) -> int:
-    bracket = args.bracket
-    if bracket is None:
-        bracket = (
-            shooting.DEFAULT_BRAKE_BRACKET
-            if args.kind == "brake"
-            else shooting.DEFAULT_BRACKET
-        )
     settings = _settings(args, _read_config(args.config))
     if args.kind == "brake":
         rec = shooting.find_brake_orbit(
-            args.energy, bracket, k=args.k, settings=settings
+            args.energy, args.bracket, k=args.k, settings=settings
         )
     else:
-        rec = shooting.find_langmuir_orbit(args.energy, bracket, settings)
+        rec = shooting.find_langmuir_orbit(args.energy, args.bracket, settings)
     orbit = shooting.assemble_periodic_orbit(rec, settings)
     rec_json = output.orbit_record_json(rec)
     if args.out:
@@ -161,10 +140,7 @@ def cmd_scan(args) -> int:
     if not (0.0 < lo < hi and n >= 1):
         raise DomainError(f"invalid grid {args.grid}")
     settings = _settings(args, _read_config(args.config))
-    if n == 1:
-        grid = [lo]
-    else:
-        grid = [lo + (hi - lo) * i / (n - 1) for i in range(int(n))]
+    grid = [lo] if n == 1 else shooting.default_grid(lo, hi, n)
     results = shooting.scan_alpha(args.energy, grid, settings)
     text = output.scan_csv(results)
     if args.out:
@@ -291,7 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (StepUnderflow, NoRest) as exc:
+    except (StepUnderflow, NoRest, ClosureFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION_FAILED
 

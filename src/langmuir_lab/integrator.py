@@ -27,16 +27,12 @@ Rhs = Callable[[float, Vec], Vec]
 
 class EventKind(str, enum.Enum):
     X_VELOCITY_ZERO = "XVelocityZero"
-    Y_VELOCITY_ZERO = "YVelocityZero"
     MAGICAL_LINE_CROSS = "MagicalLineCross"
     BRAKE_POINT = "BrakePoint"
     COLLISION_PROXIMITY = "CollisionProximity"
-    HILL_BOUNDARY_TOUCH = "HillBoundaryTouch"
     TIME_LIMIT = "TimeLimit"
 
 
-# A brake point is numerically the same thing as a touch of the Hill
-# boundary (speed-zero point); the integrator emits BRAKE_POINT.
 _ALWAYS_STOP = (EventKind.COLLISION_PROXIMITY, EventKind.TIME_LIMIT)
 
 
@@ -130,6 +126,25 @@ def _advance(rhs: Rhs, t: float, y: Vec, h: float, k1: Vec) -> Vec:
     return y5
 
 
+def _bisect(
+    rhs: Rhs, f, t0: float, y0: Vec, k1: Vec, span: float, r_lo: float,
+    event_tol: float,
+) -> tuple[float, Vec]:
+    """Bisect the sign change of residual f over (t0, t0 + span); states at
+    interior times are single fifth-order steps from (t0, y0)."""
+    lo, hi = 0.0, span
+    sign_lo = r_lo > 0.0
+    while hi - lo > event_tol:
+        mid = 0.5 * (lo + hi)
+        r_mid = f(t0 + mid, _advance(rhs, t0, y0, mid, k1))
+        if (r_mid > 0.0) == sign_lo and r_mid != 0.0:
+            lo = mid
+        else:
+            hi = mid
+    tau = 0.5 * (lo + hi)
+    return t0 + tau, _advance(rhs, t0, y0, tau, k1)
+
+
 def _error_ratio(y: Vec, y5: Vec, ks, h: float, st: IntegratorSettings) -> float:
     worst = 0.0
     for j in range(len(y)):
@@ -185,20 +200,6 @@ class _Run:
             return self.counts.get(kind, 0) >= self.stop_after[1]
         return False
 
-    def _localize(self, f, t0, y0, k1, h_acc, r_lo) -> tuple[float, Vec]:
-        """Bisect the residual sign change inside the accepted step."""
-        lo, hi = 0.0, h_acc
-        sign_lo = r_lo > 0.0
-        while hi - lo > self.st.event_tol:
-            mid = 0.5 * (lo + hi)
-            r_mid = f(t0 + mid, _advance(self.rhs, t0, y0, mid, k1))
-            if (r_mid > 0.0) == sign_lo and r_mid != 0.0:
-                lo = mid
-            else:
-                hi = mid
-        tau = 0.5 * (lo + hi)
-        return t0 + tau, _advance(self.rhs, t0, y0, tau, k1)
-
     def _scan_events(self, t0, y0, k1, h_acc, y_new, res_prev) -> list:
         t_new = t0 + h_acc
         found = []
@@ -211,7 +212,8 @@ class _Run:
             if r1 == 0.0:
                 t_ev, y_ev = t_new, y_new
             else:
-                t_ev, y_ev = self._localize(f, t0, y0, k1, h_acc, r0)
+                t_ev, y_ev = _bisect(self.rhs, f, t0, y0, k1, h_acc, r0,
+                                     self.st.event_tol)
             if kind is EventKind.BRAKE_POINT:
                 # residual is d(speed^2)/dt; only minima below the
                 # threshold count as actual boundary touches
@@ -333,7 +335,6 @@ def _residual_map(settings: IntegratorSettings, rhs: Rhs):
 
     return {
         EventKind.X_VELOCITY_ZERO: lambda t, y: y[2],
-        EventKind.Y_VELOCITY_ZERO: lambda t, y: y[3],
         EventKind.MAGICAL_LINE_CROSS:
             lambda t, y: dynamics.SQRT3 * y[1] - abs(y[0]),
         EventKind.BRAKE_POINT: brake,
@@ -452,15 +453,6 @@ def locate_event(
             f"residual does not change sign over the bracket "
             f"({r_lo} .. {r_hi})"
         )
-    lo, hi = 0.0, span
-    sign_lo = r_lo > 0.0
-    while hi - lo > settings.event_tol:
-        mid = 0.5 * (lo + hi)
-        r_mid = f_vec(s_lo.t + mid, _advance(rhs, s_lo.t, y0, mid, k1))
-        if (r_mid > 0.0) == sign_lo and r_mid != 0.0:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    y_ev = _advance(rhs, s_lo.t, y0, tau, k1)
-    return Event(kind=kind, t=s_lo.t + tau, state=_vec_to_state(s_lo.t + tau, y_ev))
+    t_ev, y_ev = _bisect(rhs, f_vec, s_lo.t, y0, k1, span, r_lo,
+                         settings.event_tol)
+    return Event(kind=kind, t=t_ev, state=_vec_to_state(t_ev, y_ev))

@@ -11,8 +11,6 @@ second, multi-reflection orbit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +27,7 @@ from .integrator import (
 
 ALPHA_TOL = 1e-8
 TOUCH_SPEED_TOL = 1e-6
+# Tuned at E = -1; h* scales as 1/(-E), so _bracket_at rescales them.
 DEFAULT_BRACKET = (0.5, 3.0)
 DEFAULT_BRAKE_BRACKET = (0.3, 0.8)
 DEFAULT_GRID_RANGE = (0.05, 3.45)
@@ -62,11 +61,16 @@ class OrbitRecord:
         return int(self.kind.split("-", 1)[1])
 
 
-def _worker_count() -> int:
-    cap = os.environ.get("LANGMUIR_LAB_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return os.cpu_count() or 1
+def _bracket_at(
+    E: float,
+    bracket: Optional[tuple[float, float]],
+    default: tuple[float, float],
+) -> tuple[float, float]:
+    """The given bracket, or the E = -1 default rescaled to energy E."""
+    if bracket is not None:
+        return bracket
+    a = -1.0 / E
+    return default[0] * a, default[1] * a
 
 
 def shoot(
@@ -204,40 +208,52 @@ def _find_orbit(
 
 def find_langmuir_orbit(
     E: float,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
+    bracket: Optional[tuple[float, float]] = None,
     settings: IntegratorSettings = IntegratorSettings(),
     max_iter: int = 200,
 ) -> OrbitRecord:
-    """Root of alpha on the bracket: the simple back-and-forth orbit."""
+    """Root of alpha on the bracket: the simple back-and-forth orbit.  The
+    default bracket is DEFAULT_BRACKET rescaled to energy E."""
     if not (E < 0.0):
         raise ValueError(f"orbit search requires E < 0, got {E}")
+    bracket = _bracket_at(E, bracket, DEFAULT_BRACKET)
     return _find_orbit(E, bracket, 1, "Langmuir", settings, max_iter)
 
 
 def find_brake_orbit(
     E: float,
-    bracket: tuple[float, float] = DEFAULT_BRAKE_BRACKET,
+    bracket: Optional[tuple[float, float]] = None,
     k: Optional[int] = None,
     settings: IntegratorSettings = IntegratorSettings(),
     max_iter: int = 200,
 ) -> OrbitRecord:
-    """Root of alpha_k on the bracket: the multi-reflection orbit.  When k
-    is not given it is chosen by classify_reflection_count."""
+    """Root of alpha_k on the bracket: the multi-reflection orbit.  The
+    default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E.  When k
+    is not given it is chosen by classify_reflection_count; a bracket
+    classified as k = 1 holds the simple orbit and raises BadBracket."""
     if not (E < 0.0):
         raise ValueError(f"orbit search requires E < 0, got {E}")
+    bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
     if k is None:
         k = classify_reflection_count(E, bracket, settings)
+        if k == 1:
+            raise BadBracket(
+                f"the bracket {bracket} holds the simple orbit, "
+                f"not a brake orbit"
+            )
     return _find_orbit(E, bracket, k, f"Brake-{k}", settings, max_iter)
 
 
 def classify_reflection_count(
     E: float,
-    bracket: tuple[float, float] = DEFAULT_BRAKE_BRACKET,
+    bracket: Optional[tuple[float, float]] = None,
     settings: IntegratorSettings = IntegratorSettings(),
     k_max: int = 8,
 ) -> int:
     """Smallest rest count k at which alpha_k differs in sign between the
-    bracket endpoints (the trajectory end is reflected on opposite sides)."""
+    bracket endpoints (the trajectory end is reflected on opposite sides).
+    The default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E."""
+    bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
     for k in range(1, k_max + 1):
         try:
             a = alpha_k(E, bracket[0], k, settings)
@@ -255,11 +271,9 @@ def scan_alpha(
     E: float,
     h_grid: Sequence[float],
     settings: IntegratorSettings = IntegratorSettings(),
-    max_workers: Optional[int] = None,
 ) -> list[ShootResult]:
-    """shoot() over a grid; failures become status='NoRest' placeholders.
-    Runs are independent and execute on a worker pool, results in grid
-    order."""
+    """shoot() over a grid, results in grid order; failures become
+    status='NoRest' placeholders."""
 
     def one(h: float) -> ShootResult:
         try:
@@ -275,11 +289,7 @@ def scan_alpha(
                 status=f"NoRest({exc.termination})",
             )
 
-    workers = max_workers or _worker_count()
-    if workers <= 1 or len(h_grid) <= 1:
-        return [one(h) for h in h_grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, h_grid))
+    return [one(h) for h in h_grid]
 
 
 def default_grid(
@@ -313,7 +323,7 @@ def assemble_periodic_orbit(
 
     Before assembling, the quarter is re-integrated backwards from the
     touch point with negated velocities and must retrace the forward arc
-    within closure_tol, else ClosureFailure.
+    within closure_tol at every forward sample, else ClosureFailure.
     """
     k = rec.reflection_count()
     s0 = dynamics.initial_state(ProblemSpec(E=rec.E, h=rec.h_star))
@@ -338,9 +348,11 @@ def assemble_periodic_orbit(
     )
     by_time = {round(s.t, 12): s for s in back.samples}
     worst = 0.0
+    unmatched = 0
     for s in fwd[:-1]:
         mirror = by_time.get(round(T - s.t, 12))
         if mirror is None:
+            unmatched += 1
             continue
         worst = max(
             worst,
@@ -348,6 +360,11 @@ def assemble_periodic_orbit(
             abs(mirror.y - s.y),
             abs(mirror.vx + s.vx),
             abs(mirror.vy + s.vy),
+        )
+    if unmatched:
+        raise ClosureFailure(
+            f"reversed arc has no sample mirroring {unmatched} of "
+            f"{len(fwd) - 1} forward samples"
         )
     if worst > closure_tol:
         raise ClosureFailure(

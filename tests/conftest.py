@@ -62,3 +62,18 @@ def rng():
     import random
 
     return random.Random(987654321)
+
+
+@pytest.fixture
+def retrace_without_samples(monkeypatch):
+    """Make every integration in `shooting` drop its requested sample
+    times, so the backward retrace run yields no sample mirroring the
+    forward arc."""
+    from langmuir_lab import shooting
+
+    real = shooting.integrate
+
+    def integrate(*args, sample_times=(), **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", integrate)

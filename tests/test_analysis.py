@@ -65,6 +65,27 @@ class TestIndividualChecks:
         assert rep.worst_violation <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        pytest.param(analysis.check_initial_acceleration, {"h_samples": []},
+                     id="initial_acceleration"),
+        pytest.param(analysis.check_tmax_bound, {"h_grid": []},
+                     id="tmax_bound"),
+        pytest.param(analysis.check_magical_prefix, {"h_grid": []},
+                     id="magical_prefix"),
+        pytest.param(analysis.check_tau_growth, {"h_sequence": (0.5,)},
+                     id="tau_growth"),
+        pytest.param(analysis.check_energy_drift, {"h_grid": ()},
+                     id="energy_drift"),
+    ],
+)
+def test_check_with_nothing_to_compare_fails(check, kwargs):
+    rep = check(**kwargs)
+    assert not rep.passed
+    assert rep.worst_violation == math.inf
+
+
 class TestTauValues:
     # first rest times of the height-1 launch at shrinking |E|, frozen
     # from converged adaptive runs
@@ -120,7 +141,7 @@ class TestSuite:
 
     def test_suite_is_deterministic(self):
         a = analysis.run_all_checks()
-        b = analysis.run_all_checks(max_workers=1)
+        b = analysis.run_all_checks()
         for ra, rb in zip(a, b):
             assert ra.name == rb.name
             assert ra.worst_violation == rb.worst_violation

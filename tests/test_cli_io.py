@@ -110,6 +110,25 @@ class TestFindOrbit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "Brake-3"
 
+    def test_brake_default_bracket_follows_energy(self, capsys):
+        rc = main(["find-orbit", "--energy", "-2.0", "--kind", "brake"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "Brake-3"
+
+    def test_brake_bracket_holding_simple_orbit(self, capsys):
+        rc = main(
+            ["find-orbit", "--energy", "-1.0", "--kind", "brake",
+             "--bracket", "1.0,2.0"]
+        )
+        assert rc == 3
+        assert "simple orbit" in capsys.readouterr().err
+
+    def test_retrace_failure_exit_code(self, retrace_without_samples, capsys):
+        rc = main(["find-orbit", "--energy", "-1.0"])
+        assert rc == 5
+        assert "mirroring" in capsys.readouterr().err
+
 
 class TestScan:
     def test_scan_table(self, tmp_path):
@@ -194,6 +213,18 @@ class TestConfig:
         assert rc == 0
         rows = output.parse_trajectory_csv(out.read_text())
         assert rows[-1][0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        rc = main(
+            [
+                "simulate",
+                "--energy", "-1.0",
+                "--height", "1.0",
+                "--config", str(tmp_path / "missing.cfg"),
+            ]
+        )
+        assert rc == 2
+        assert "config file" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "settings.cfg"

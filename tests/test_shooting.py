@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langmuir_lab import dynamics as dyn
 from langmuir_lab import shooting
@@ -111,6 +113,36 @@ class TestBrakeOrbit:
         rec = shooting.find_brake_orbit(-1.0, k=3)
         assert abs(rec.h_star - H_STAR_BRAKE) <= 1e-8
 
+    def test_bracket_holding_simple_orbit_rejected(self):
+        with pytest.raises(BadBracket, match="simple orbit"):
+            shooting.find_brake_orbit(-1.0, bracket=(1.0, 2.0))
+
+
+FINDERS = {
+    "langmuir": shooting.find_langmuir_orbit,
+    "brake": shooting.find_brake_orbit,
+}
+
+
+@pytest.fixture(scope="module")
+def orbits_at_e1():
+    return {kind: find(-1.0) for kind, find in FINDERS.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(FINDERS))
+@settings(max_examples=5, deadline=None)
+@given(E=st.floats(min_value=-2.0, max_value=-0.5))
+def test_default_brackets_follow_energy_scaling(orbits_at_e1, kind, E):
+    # positions scale by a = -1/E and times by a^(3/2), so the default
+    # search at E must find the E = -1 orbit rescaled
+    ref = orbits_at_e1[kind]
+    rec = FINDERS[kind](E)
+    assert rec.kind == ref.kind
+    assert abs(rec.h_star * -E / ref.h_star - 1.0) <= 1e-8
+    assert abs(
+        rec.quarter_period * (-E) ** 1.5 / ref.quarter_period - 1.0
+    ) <= 1e-6
+
 
 class TestBrackets:
     def test_bad_bracket_same_sign(self):
@@ -145,14 +177,6 @@ class TestScan:
         results = shooting.scan_alpha(-1.0, grid)
         assert [r.h for r in results] == grid
 
-    def test_serial_and_parallel_agree(self):
-        grid = [0.5, 1.2, 2.5]
-        serial = shooting.scan_alpha(-1.0, grid, max_workers=1)
-        parallel = shooting.scan_alpha(-1.0, grid, max_workers=4)
-        for a, b in zip(serial, parallel):
-            assert a.alpha == b.alpha
-            assert a.t_h == b.t_h
-
 
 class TestAssembly:
     def setup_method(self):
@@ -185,6 +209,10 @@ class TestAssembly:
     def test_retrace_guard(self):
         with pytest.raises(ClosureFailure):
             shooting.assemble_periodic_orbit(self.rec, closure_tol=0.0)
+
+    def test_unmatched_retrace_samples_fail(self, retrace_without_samples):
+        with pytest.raises(ClosureFailure, match=r"mirroring \d+ of"):
+            shooting.assemble_periodic_orbit(self.rec)
 
     def test_samples_stay_in_upper_half_plane(self):
         assert all(s.y > 0.0 for s in self.orbit.samples)
