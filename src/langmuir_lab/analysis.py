@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import dynamics
-from .dynamics import ProblemSpec, State
-from .errors import NoRest
+from .dynamics import ProblemSpec
 from .integrator import EventKind, IntegratorSettings, integrate, integrate_inverted
-from .shooting import default_grid, shoot
+from .shooting import default_grid, scan_alpha, shoot
 
 # Deceleration bound: inside the Hill region at E=-1 both |x| and y are at
 # most 7/2, so x'' <= -8*gamma*x with gamma = (49/4 + 49/4)^(-3/2); a
@@ -77,19 +76,10 @@ def check_tmax_bound(
     """Every first x-rest at E=-1 happens no later than T_MAX."""
     if h_grid is None:
         h_grid = default_grid()
-    worst = -math.inf
-    times = {}
-    failures = []
-    for h in h_grid:
-        try:
-            res = shoot(-1.0, h, settings)
-        except NoRest as exc:
-            failures.append((h, str(exc)))
-            continue
-        times[h] = res.t_h
-        worst = max(worst, res.t_h - T_MAX)
-    if not times:
-        worst = math.inf
+    results = scan_alpha(-1.0, h_grid, settings)
+    times = {r.h: r.t_h for r in results if r.status == "ok"}
+    failures = [(r.h, r.status) for r in results if r.status != "ok"]
+    worst = max((t - T_MAX for t in times.values()), default=math.inf)
     margin = min((T_MAX - t) / T_MAX for t in times.values()) if times else None
     return CheckReport.from_violation(
         "tmax_bound",
@@ -110,7 +100,9 @@ def check_magical_prefix(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> CheckReport:
     """Until its first crossing of the vanishing-vertical-force line the
-    trajectory keeps moving downward (vy < 0 on (0, first crossing])."""
+    trajectory keeps moving downward (vy < 0 on (0, first crossing]).
+    Each run stops at its first crossing or its first x-rest, whichever
+    comes first; a run that rests before crossing checks nothing."""
     if h_grid is None:
         h_grid = default_grid()
     settings = replace(settings, substeps=10)
@@ -123,17 +115,14 @@ def check_magical_prefix(
             s0,
             settings,
             watch={EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO},
-            stop_on={EventKind.X_VELOCITY_ZERO},
+            stop_on={EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO},
         )
-        cross = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
-        if cross is None:
+        if traj.termination is not EventKind.MAGICAL_LINE_CROSS:
             vacuous.append(h)
             continue
         checked += 1
-        worst = max(worst, cross.state.vy)
-        for s in traj.samples:
-            if 0.0 < s.t <= cross.t:
-                worst = max(worst, s.vy)
+        # the last sample is the crossing itself
+        worst = max(worst, max(s.vy for s in traj.samples[1:]))
     if not checked:
         worst = math.inf
     return CheckReport.from_violation(
@@ -255,16 +244,7 @@ def check_tau_growth(
         if not (h > 0.0):
             raise ValueError("h_sequence must be positive")
         st = replace(settings, t_limit=max(settings.t_limit, 20.0 * h**-1.5))
-        s0 = dynamics.initial_state(ProblemSpec(E=-h, h=1.0))
-        traj = integrate(
-            s0,
-            st,
-            watch={EventKind.X_VELOCITY_ZERO},
-            stop_on={EventKind.X_VELOCITY_ZERO},
-        )
-        if traj.termination is not EventKind.X_VELOCITY_ZERO:
-            raise NoRest(1, traj.termination.value)
-        taus.append(traj.first_event(EventKind.X_VELOCITY_ZERO).t)
+        taus.append(shoot(-h, 1.0, st).t_h)
     worst = max((a - b for a, b in zip(taus, taus[1:])), default=math.inf)
     return CheckReport.from_violation(
         "tau_growth",

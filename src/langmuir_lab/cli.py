@@ -83,7 +83,11 @@ def _config_comment(args) -> str:
     return json.dumps(items, default=str)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: Optional[str], text: str) -> None:
+    """Write text to the file at path, or to stdout when path is empty."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -106,10 +110,7 @@ def cmd_simulate(args) -> int:
         text = output.trajectory_json(traj)
     else:
         text = output.trajectory_svg(traj, args.energy, _config_comment(args))
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, text)
     return EXIT_OK
 
 
@@ -143,10 +144,7 @@ def cmd_scan(args) -> int:
     grid = [lo] if n == 1 else shooting.default_grid(lo, hi, n)
     results = shooting.scan_alpha(args.energy, grid, settings)
     text = output.scan_csv(results)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, text)
     if not any(r.status == "ok" for r in results):
         raise NoRest(1, "every grid point")
     return EXIT_OK
@@ -156,10 +154,7 @@ def cmd_verify(args) -> int:
     settings = _settings(args, _read_config(args.config))
     reports = analysis.run_all_checks(settings)
     text = output.verdict_json(reports)
-    if args.report:
-        _write(args.report, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.report, text)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(
@@ -181,10 +176,7 @@ def cmd_zero_energy(args) -> int:
         ),
     ]
     text = output.verdict_json(reports)
-    if args.report:
-        _write(args.report, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.report, text)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 

@@ -18,7 +18,6 @@ from . import dynamics
 from .dynamics import ProblemSpec, State
 from .errors import BadBracket, ClosureFailure, NoConvergence, NoRest
 from .integrator import (
-    Event,
     EventKind,
     IntegratorSettings,
     Trajectory,
@@ -73,49 +72,48 @@ def _bracket_at(
     return default[0] * a, default[1] * a
 
 
+def _quarter(
+    E: float,
+    h: float,
+    k: int,
+    settings: IntegratorSettings,
+    watch: frozenset[EventKind] = frozenset(),
+) -> Trajectory:
+    """Launch horizontally from (0, h) at energy E and integrate to the k-th
+    x-rest, also recording the `watch` events; the last sample is that rest.
+    Raises NoRest if the run ends any other way."""
+    if k < 1:
+        raise ValueError(f"rest count must be >= 1, got {k}")
+    s0 = dynamics.initial_state(ProblemSpec(E=E, h=h))
+    traj = integrate(
+        s0, settings, watch=watch, stop_after=(EventKind.X_VELOCITY_ZERO, k)
+    )
+    if traj.termination is not EventKind.X_VELOCITY_ZERO:
+        raise NoRest(k, traj.termination.value)
+    return traj
+
+
 def shoot(
     E: float,
     h: float,
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> ShootResult:
     """Integrate the horizontal-launch problem to its first x-rest."""
-    s0 = dynamics.initial_state(ProblemSpec(E=E, h=h))
-    traj = integrate(
-        s0,
-        settings,
-        watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
-        stop_on={EventKind.X_VELOCITY_ZERO},
+    traj = _quarter(
+        E, h, 1, settings, frozenset({EventKind.MAGICAL_LINE_CROSS})
     )
-    if traj.termination is not EventKind.X_VELOCITY_ZERO:
-        raise NoRest(1, traj.termination.value)
-    ev = traj.first_event(EventKind.X_VELOCITY_ZERO)
+    rest = traj.samples[-1]
     crossings = sum(
         1 for e in traj.events if e.kind is EventKind.MAGICAL_LINE_CROSS
     )
     return ShootResult(
         h=h,
-        t_h=ev.t,
-        alpha=ev.state.vy,
-        state_at_th=ev.state,
+        t_h=rest.t,
+        alpha=rest.vy,
+        state_at_th=rest,
         n_magical_crossings=crossings,
         energy_drift=traj.max_energy_drift,
     )
-
-
-def _rest_event(
-    E: float, h: float, k: int, settings: IntegratorSettings
-) -> Event:
-    s0 = dynamics.initial_state(ProblemSpec(E=E, h=h))
-    traj = integrate(
-        s0,
-        settings,
-        watch={EventKind.X_VELOCITY_ZERO},
-        stop_after=(EventKind.X_VELOCITY_ZERO, k),
-    )
-    rests = [e for e in traj.events if e.kind is EventKind.X_VELOCITY_ZERO]
-    if len(rests) < k:
-        raise NoRest(k, traj.termination.value)
-    return rests[k - 1]
 
 
 def alpha_k(
@@ -125,9 +123,7 @@ def alpha_k(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> float:
     """Vertical velocity at the k-th x-rest; alpha_1 is shoot(...).alpha."""
-    if k < 1:
-        raise ValueError(f"rest count must be >= 1, got {k}")
-    return _rest_event(E, h, k, settings).state.vy
+    return _quarter(E, h, k, settings).samples[-1].vy
 
 
 def _solve_bracketed(
@@ -182,15 +178,17 @@ def _find_orbit(
     max_iter: int,
 ) -> OrbitRecord:
     trace: list[tuple[float, float]] = []
+    rests: dict[float, State] = {}
 
     def f(h: float) -> float:
-        return _rest_event(E, h, k, settings).state.vy
+        rests[h] = _quarter(E, h, k, settings).samples[-1]
+        return rests[h].vy
 
     h_star, residual = _solve_bracketed(
         f, bracket[0], bracket[1], ALPHA_TOL, max_iter, trace
     )
-    touch = _rest_event(E, h_star, k, settings)
-    speed = math.sqrt(touch.state.speed2())
+    touch = rests[h_star]
+    speed = math.sqrt(touch.speed2())
     if speed > TOUCH_SPEED_TOL:
         raise NoConvergence(
             f"touch speed {speed} exceeds {TOUCH_SPEED_TOL} at h={h_star}"
@@ -199,7 +197,7 @@ def _find_orbit(
         E=E,
         h_star=h_star,
         quarter_period=touch.t,
-        touch_state=touch.state,
+        touch_state=touch,
         alpha_residual=residual,
         kind=kind,
         solver_trace=tuple(trace),
@@ -325,21 +323,15 @@ def assemble_periodic_orbit(
     touch point with negated velocities and must retrace the forward arc
     within closure_tol at every forward sample, else ClosureFailure.
     """
-    k = rec.reflection_count()
-    s0 = dynamics.initial_state(ProblemSpec(E=rec.E, h=rec.h_star))
-    quarter = integrate(
-        s0,
-        settings,
-        watch={EventKind.X_VELOCITY_ZERO},
-        stop_after=(EventKind.X_VELOCITY_ZERO, k),
-    )
-    if quarter.termination is not EventKind.X_VELOCITY_ZERO:
+    try:
+        quarter = _quarter(rec.E, rec.h_star, rec.reflection_count(), settings)
+    except NoRest as exc:
         raise ClosureFailure(
-            f"quarter arc terminated by {quarter.termination.value}"
-        )
-    T = quarter.samples[-1].t
-
+            f"quarter arc terminated by {exc.termination}"
+        ) from exc
     touch = quarter.samples[-1]
+    T = touch.t
+
     back_start = State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx, vy=-touch.vy)
     fwd = quarter.samples
     back_times = [T - s.t for s in reversed(fwd[:-1])]

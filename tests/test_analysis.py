@@ -86,6 +86,25 @@ def test_check_with_nothing_to_compare_fails(check, kwargs):
     assert rep.worst_violation == math.inf
 
 
+def test_magical_prefix_stops_at_the_first_crossing(monkeypatch):
+    # the check reads nothing past the first crossing, so no run that
+    # crosses may integrate beyond it
+    real = analysis.integrate
+    runs = []
+
+    def integrate(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(analysis, "integrate", integrate)
+    rep = analysis.check_magical_prefix(h_grid=[0.3, 1.0, 1.398, 2.7])
+    crossed = [
+        t for t in runs if t.first_event(EventKind.MAGICAL_LINE_CROSS)
+    ]
+    assert len(crossed) == rep.details["n_checked"] > 0
+    assert all(t.termination is EventKind.MAGICAL_LINE_CROSS for t in crossed)
+
+
 class TestTauValues:
     # first rest times of the height-1 launch at shrinking |E|, frozen
     # from converged adaptive runs

@@ -124,6 +124,13 @@ class TestFindOrbit:
         assert rc == 3
         assert "simple orbit" in capsys.readouterr().err
 
+    def test_brake_rest_count_below_one(self, capsys):
+        rc = main(
+            ["find-orbit", "--energy", "-1.0", "--kind", "brake", "--k", "0"]
+        )
+        assert rc == 2
+        assert "rest count" in capsys.readouterr().err
+
     def test_retrace_failure_exit_code(self, retrace_without_samples, capsys):
         rc = main(["find-orbit", "--energy", "-1.0"])
         assert rc == 5
@@ -147,6 +154,16 @@ class TestScan:
         assert len(lines) == 7
         hs = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert hs == [0.5 + 2.5 * i / 5 for i in range(6)]
+
+    def test_scan_without_out_writes_the_same_table_to_stdout(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--energy", "-1.0", "--grid", "0.5,3.0,3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_scan_invalid_grid(self):
         assert main(["scan", "--energy", "-1.0", "--grid", "3.0,0.5,6"]) == 2

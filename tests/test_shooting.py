@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,79 @@ def test_default_brackets_follow_energy_scaling(orbits_at_e1, kind, E):
     assert abs(
         rec.quarter_period * (-E) ** 1.5 / ref.quarter_period - 1.0
     ) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", sorted(FINDERS))
+def test_each_solver_evaluation_integrates_once(monkeypatch, kind):
+    # the touch state is the last solver evaluation's rest, not a second
+    # integration of h*; the brake rest count is given so that no
+    # classification runs are counted
+    real = shooting.integrate
+    calls = []
+
+    def integrate(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", integrate)
+    kwargs = {"k": 3} if kind == "brake" else {}
+    rec = FINDERS[kind](-1.0, **kwargs)
+    assert len(calls) == len(rec.solver_trace)
+
+
+# Closed-form laws of the exact flow, checked on random admissible launches:
+# heights h = u * a with a = -1/E span the default grid rescaled to E.
+launches = dict(
+    E=st.floats(min_value=-2.0, max_value=-0.5),
+    u=st.floats(min_value=0.05, max_value=3.45),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(**launches)
+def test_first_rest_lies_on_the_energy_shell(E, u):
+    rest = shooting.shoot(E, u / -E).state_at_th
+    assert abs(dyn.energy(rest) - E) <= 1e-8 * -E
+
+
+@settings(max_examples=10, deadline=None)
+@given(**launches)
+def test_time_reversal_returns_to_the_launch(E, u):
+    h = u / -E
+    s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=h))
+    res = shooting.shoot(E, h)
+    rest = res.state_at_th
+    back = integrate(
+        dyn.State(t=0.0, x=rest.x, y=rest.y, vx=-rest.vx, vy=-rest.vy),
+        replace(IntegratorSettings(), t_limit=res.t_h),
+    )
+    end = back.samples[-1]
+    assert back.termination is EventKind.TIME_LIMIT
+    assert end.t == pytest.approx(res.t_h, abs=1e-12)
+    for got, want in zip(
+        (end.x, end.y, end.vx, end.vy), (0.0, h, -s0.vx, 0.0)
+    ):
+        assert abs(got - want) <= 1e-7
+
+
+@settings(max_examples=10, deadline=None)
+@given(**launches)
+def test_mirrored_launch_rests_at_the_mirrored_state(E, u):
+    h = u / -E
+    s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=h))
+    res = shooting.shoot(E, h)
+    traj = integrate(
+        dyn.State(t=0.0, x=0.0, y=h, vx=-s0.vx, vy=0.0),
+        watch={EventKind.X_VELOCITY_ZERO},
+        stop_on={EventKind.X_VELOCITY_ZERO},
+    )
+    assert traj.termination is EventKind.X_VELOCITY_ZERO
+    rest, ref = traj.samples[-1], res.state_at_th
+    assert abs(rest.t - res.t_h) <= 1e-12
+    for got, want in zip(
+        (rest.x, rest.y, rest.vx, rest.vy), (-ref.x, ref.y, -ref.vx, ref.vy)
+    ):
+        assert abs(got - want) <= 1e-12
 
 
 class TestBrackets:
