@@ -109,14 +109,10 @@ def check_magical_prefix(
     worst = -math.inf
     vacuous = []
     checked = 0
+    stop = {EventKind.MAGICAL_LINE_CROSS: 1, EventKind.X_VELOCITY_ZERO: 1}
     for h in h_grid:
         s0 = dynamics.initial_state(ProblemSpec(E=-1.0, h=h))
-        traj = integrate(
-            s0,
-            settings,
-            watch={EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO},
-            stop_on={EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO},
-        )
+        traj = integrate(s0, settings, stop=stop)
         if traj.termination is not EventKind.MAGICAL_LINE_CROSS:
             vacuous.append(h)
             continue

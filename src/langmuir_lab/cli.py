@@ -115,6 +115,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_find_orbit(args) -> int:
+    if args.k is not None and args.kind != "brake":
+        raise DomainError("--k applies only to --kind brake")
     settings = _settings(args, _read_config(args.config))
     if args.kind == "brake":
         rec = shooting.find_brake_orbit(

@@ -15,14 +15,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import dynamics
 from .dynamics import State
 from .errors import DomainError, NoSignChange, StepUnderflow
 
 Vec = tuple[float, float, float, float]
-Rhs = Callable[[float, Vec], Vec]
+Rhs = Callable[[Vec], Vec]
 
 
 class EventKind(str, enum.Enum):
@@ -31,9 +31,6 @@ class EventKind(str, enum.Enum):
     BRAKE_POINT = "BrakePoint"
     COLLISION_PROXIMITY = "CollisionProximity"
     TIME_LIMIT = "TimeLimit"
-
-
-_ALWAYS_STOP = (EventKind.COLLISION_PROXIMITY, EventKind.TIME_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -96,13 +93,12 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), _B4))
 
 
-def _stages(rhs: Rhs, t: float, y: Vec, h: float, k1: Vec):
+def _stages(rhs: Rhs, y: Vec, h: float, k1: Vec):
     """All seven stages; returns (y5, ks)."""
     n = len(y)
     ks = [k1]
@@ -113,16 +109,16 @@ def _stages(rhs: Rhs, t: float, y: Vec, h: float, k1: Vec):
             y[j] + h * sum(ai[m] * ks[m][j] for m in range(i))
             for j in range(n)
         )
-        ks.append(rhs(t + _C[i] * h, yi))
+        ks.append(rhs(yi))
     return yi, ks  # yi after the loop is the 5th-order solution
 
 
-def _advance(rhs: Rhs, t: float, y: Vec, h: float, k1: Vec) -> Vec:
+def _advance(rhs: Rhs, y: Vec, h: float, k1: Vec) -> Vec:
     """Single fifth-order step of size h (used for event localization and
     forced sub-samples)."""
     if h == 0.0:
         return y
-    y5, _ = _stages(rhs, t, y, h, k1)
+    y5, _ = _stages(rhs, y, h, k1)
     return y5
 
 
@@ -136,13 +132,13 @@ def _bisect(
     sign_lo = r_lo > 0.0
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
-        r_mid = f(t0 + mid, _advance(rhs, t0, y0, mid, k1))
+        r_mid = f(t0 + mid, _advance(rhs, y0, mid, k1))
         if (r_mid > 0.0) == sign_lo and r_mid != 0.0:
             lo = mid
         else:
             hi = mid
     tau = 0.5 * (lo + hi)
-    return t0 + tau, _advance(rhs, t0, y0, tau, k1)
+    return t0 + tau, _advance(rhs, y0, tau, k1)
 
 
 def _error_ratio(y: Vec, y5: Vec, ks, h: float, st: IntegratorSettings) -> float:
@@ -165,21 +161,18 @@ class _Run:
         t0: float,
         settings: IntegratorSettings,
         residuals: dict[EventKind, Callable[[float, Vec], float]],
-        stop_kinds: frozenset[EventKind],
-        stop_after: Optional[tuple[EventKind, int]],
+        stop: dict[EventKind, int],
         sample_times: Sequence[float],
     ):
         self.rhs = rhs
         self.energy_fn = energy_fn
         self.st = settings
         self.residuals = residuals
-        self.stop_kinds = stop_kinds
-        self.stop_after = stop_after
+        self.stop_left = stop  # events of each stop kind still to come
         self.t = t0
         self.y = y0
         self.samples: list[tuple[float, Vec]] = [(t0, y0)]
         self.events: list[tuple[EventKind, float, Vec]] = []
-        self.counts: dict[EventKind, int] = {}
         self.e0 = energy_fn(y0)
         self.drift = 0.0
         self.sample_times = [s for s in sorted(sample_times) if s > t0]
@@ -193,19 +186,14 @@ class _Run:
         if d > self.drift:
             self.drift = d
 
-    def _is_stop(self, kind: EventKind) -> bool:
-        if kind in _ALWAYS_STOP or kind in self.stop_kinds:
-            return True
-        if self.stop_after is not None and kind is self.stop_after[0]:
-            return self.counts.get(kind, 0) >= self.stop_after[1]
-        return False
-
-    def _scan_events(self, t0, y0, k1, h_acc, y_new, res_prev) -> list:
+    def _scan_events(self, t0, y0, k1, h_acc, y_new, res) -> list:
+        """Events in (t0, t0 + h_acc], in time order; refreshes `res` to
+        the residuals at the step's end."""
         t_new = t0 + h_acc
         found = []
         for kind, f in self.residuals.items():
-            r0 = res_prev[kind]
-            r1 = f(t_new, y_new)
+            r0 = res[kind]
+            r1 = res[kind] = f(t_new, y_new)
             crossed = (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0)
             if not crossed:
                 continue
@@ -228,8 +216,8 @@ class _Run:
     def run(self):
         st = self.st
         rhs = self.rhs
-        k1 = rhs(self.t, self.y)
-        res_prev = {k: f(self.t, self.y) for k, f in self.residuals.items()}
+        k1 = rhs(self.y)
+        res = {k: f(self.t, self.y) for k, f in self.residuals.items()}
         h = min(st.h_max, 1e-3)
         err_old = 1.0
         while True:
@@ -246,7 +234,7 @@ class _Run:
             if h < st.h_min:
                 raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
 
-            y5, ks = _stages(rhs, self.t, self.y, h, k1)
+            y5, ks = _stages(rhs, self.y, h, k1)
             ratio = _error_ratio(self.y, y5, ks, h, st)
             if not math.isfinite(ratio) or ratio > 1.0:
                 if not math.isfinite(ratio):
@@ -260,26 +248,22 @@ class _Run:
             # accepted
             t0, y0, h_acc = self.t, self.y, h
             t_new, y_new = t0 + h, y5
-            stepped = self._scan_events(t0, y0, k1, h_acc, y_new, res_prev)
-            stopped = False
-            for t_ev, kind, y_ev in stepped:
-                self.counts[kind] = self.counts.get(kind, 0) + 1
+            for t_ev, kind, y_ev in self._scan_events(
+                t0, y0, k1, h_acc, y_new, res
+            ):
                 self.events.append((kind, t_ev, y_ev))
-                if self._is_stop(kind):
-                    self._append_substeps(t0, y0, k1, t_ev - t0)
-                    self.samples.append((t_ev, y_ev))
-                    self._record_drift(y_ev)
-                    self.termination = kind
-                    stopped = True
-                    break
-            if stopped:
-                return
+                if kind in self.stop_left:
+                    self.stop_left[kind] -= 1
+                    if self.stop_left[kind] == 0:
+                        self._append_substeps(t0, y0, k1, t_ev - t0)
+                        self.samples.append((t_ev, y_ev))
+                        self._record_drift(y_ev)
+                        self.termination = kind
+                        return
 
             self._append_substeps(t0, y0, k1, h_acc)
             self.samples.append((t_new, y_new))
             self._record_drift(y_new)
-            for kind, f in self.residuals.items():
-                res_prev[kind] = f(t_new, y_new)
             self.t, self.y, k1 = t_new, y_new, ks[6]
 
             # PI controller (accepted step)
@@ -294,7 +278,7 @@ class _Run:
             return
         for j in range(1, n + 1):
             tau = h_span * j / (n + 1)
-            y_sub = _advance(self.rhs, t0, y0, tau, k1)
+            y_sub = _advance(self.rhs, y0, tau, k1)
             self.samples.append((t0 + tau, y_sub))
             self._record_drift(y_sub)
 
@@ -308,12 +292,12 @@ def _vec_to_state(t: float, y: Vec) -> State:
     return State(t=t, x=y[0], y=y[1], vx=y[2], vy=y[3])
 
 
-def _langmuir_rhs(t: float, y: Vec) -> Vec:
+def _langmuir_rhs(y: Vec) -> Vec:
     ax, ay = dynamics.acceleration(y[0], y[1])
     return (y[2], y[3], ax, ay)
 
 
-def _inverted_rhs(t: float, y: Vec) -> Vec:
+def _inverted_rhs(y: Vec) -> Vec:
     ax, ay = dynamics.inverted_acceleration(y[0], y[1])
     return (y[2], y[3], ax, ay)
 
@@ -330,13 +314,14 @@ def _residual_map(settings: IntegratorSettings, rhs: Rhs):
     """Defining residuals for each locatable event kind."""
 
     def brake(t, y):
-        k = rhs(t, y)
+        k = rhs(y)
         return 2.0 * (y[2] * k[2] + y[3] * k[3])
 
     return {
         EventKind.X_VELOCITY_ZERO: lambda t, y: y[2],
+        # y > 0 holds: the field was already evaluated at every such state
         EventKind.MAGICAL_LINE_CROSS:
-            lambda t, y: dynamics.SQRT3 * y[1] - abs(y[0]),
+            lambda t, y: dynamics.magical_line_residual(y[0], y[1]),
         EventKind.BRAKE_POINT: brake,
         EventKind.COLLISION_PROXIMITY:
             lambda t, y: min(y[1] - settings.y_collision,
@@ -364,26 +349,21 @@ def _integrate_chart(
     s0: State,
     settings: IntegratorSettings,
     watch: Iterable[EventKind],
-    stop_on: Iterable[EventKind],
-    stop_after: Optional[tuple[EventKind, int]],
+    stop: Mapping[EventKind, int],
     sample_times: Sequence[float],
 ) -> Trajectory:
     if s0.y <= 0.0:
         raise DomainError(f"initial state must have y > 0, got y={s0.y}")
-    watch = set(watch)
-    stop_on = frozenset(stop_on)
-    if not stop_on <= (watch | set(_ALWAYS_STOP)):
-        raise DomainError("stop_on must be a subset of watch plus the "
-                          "collision/time-limit stops")
-    if stop_after is not None:
-        watch.add(stop_after[0])
-    all_res = _residual_map(settings, rhs)
-    residuals = {k: all_res[k] for k in watch if k in all_res}
-    residuals[EventKind.COLLISION_PROXIMITY] = \
-        all_res[EventKind.COLLISION_PROXIMITY]
+    if any(n < 1 for n in stop.values()):
+        raise DomainError("every stop count must be >= 1")
+    stop = {**stop, EventKind.COLLISION_PROXIMITY: 1}
+    watched = set(watch) | stop.keys()
+    residuals = {
+        k: f for k, f in _residual_map(settings, rhs).items() if k in watched
+    }
     run = _Run(
         rhs, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,
-        residuals, stop_on, stop_after, sample_times,
+        residuals, stop, sample_times,
     )
     run.run()
     return _build_trajectory(run)
@@ -393,17 +373,16 @@ def integrate(
     s0: State,
     settings: IntegratorSettings = IntegratorSettings(),
     watch: Iterable[EventKind] = (),
-    stop_on: Iterable[EventKind] = (),
-    stop_after: Optional[tuple[EventKind, int]] = None,
+    stop: Mapping[EventKind, int] = {},
     sample_times: Sequence[float] = (),
 ) -> Trajectory:
-    """Integrate the planar two-electron field forward from s0 until the
-    first stopping event (or the n-th occurrence given by stop_after),
-    recording all watched events.  Collision proximity and the time limit
-    always stop the run."""
+    """Integrate the planar two-electron field forward from s0, recording
+    the events of every kind in `watch` or `stop`.  The run ends at the n-th
+    event of any kind that `stop` maps to n.  Collision proximity always
+    ends it at its first event, and the time limit always ends it."""
     return _integrate_chart(
-        _langmuir_rhs, _langmuir_energy, s0, settings, watch, stop_on,
-        stop_after, sample_times,
+        _langmuir_rhs, _langmuir_energy, s0, settings, watch, stop,
+        sample_times,
     )
 
 
@@ -415,8 +394,7 @@ def integrate_inverted(
     """Integrate the circle-inverted chart (used for zero-energy runs);
     s0 must already live in that chart, e.g. invert_state(initial_state(...))."""
     return _integrate_chart(
-        _inverted_rhs, _inverted_energy, s0, settings, (), (), None,
-        sample_times,
+        _inverted_rhs, _inverted_energy, s0, settings, (), {}, sample_times,
     )
 
 
@@ -443,7 +421,7 @@ def locate_event(
     if span <= 0.0:
         raise NoSignChange("bracket must have increasing time")
     y0 = (s_lo.x, s_lo.y, s_lo.vx, s_lo.vy)
-    k1 = rhs(s_lo.t, y0)
+    k1 = rhs(y0)
     r_lo = f_vec(s_lo.t, y0)
     r_hi = f_vec(s_hi.t, (s_hi.x, s_hi.y, s_hi.vx, s_hi.vy))
     if r_lo == 0.0:

@@ -79,14 +79,14 @@ def _quarter(
     settings: IntegratorSettings,
     watch: frozenset[EventKind] = frozenset(),
 ) -> Trajectory:
-    """Launch horizontally from (0, h) at energy E and integrate to the k-th
-    x-rest, also recording the `watch` events; the last sample is that rest.
-    Raises NoRest if the run ends any other way."""
+    """Launch horizontally from (0, h) at energy E and integrate with
+    stop={X_VELOCITY_ZERO: k}, also recording the `watch` events; the last
+    sample is the k-th x-rest.  Raises NoRest if the run ends any other way."""
     if k < 1:
         raise ValueError(f"rest count must be >= 1, got {k}")
     s0 = dynamics.initial_state(ProblemSpec(E=E, h=h))
     traj = integrate(
-        s0, settings, watch=watch, stop_after=(EventKind.X_VELOCITY_ZERO, k)
+        s0, settings, watch=watch, stop={EventKind.X_VELOCITY_ZERO: k}
     )
     if traj.termination is not EventKind.X_VELOCITY_ZERO:
         raise NoRest(k, traj.termination.value)

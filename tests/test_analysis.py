@@ -123,8 +123,7 @@ class TestTauValues:
             traj = integrate(
                 s0,
                 IntegratorSettings(t_limit=100.0),
-                watch={EventKind.X_VELOCITY_ZERO},
-                stop_on={EventKind.X_VELOCITY_ZERO},
+                stop={EventKind.X_VELOCITY_ZERO: 1},
             )
             tau = traj.first_event(EventKind.X_VELOCITY_ZERO).t
 
@@ -132,8 +131,7 @@ class TestTauValues:
             ref = integrate(
                 s1,
                 IntegratorSettings(),
-                watch={EventKind.X_VELOCITY_ZERO},
-                stop_on={EventKind.X_VELOCITY_ZERO},
+                stop={EventKind.X_VELOCITY_ZERO: 1},
             ).first_event(EventKind.X_VELOCITY_ZERO).t
             assert abs(tau - h**-1.5 * ref) <= 1e-6
 

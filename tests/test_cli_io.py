@@ -131,6 +131,13 @@ class TestFindOrbit:
         assert rc == 2
         assert "rest count" in capsys.readouterr().err
 
+    def test_rest_count_without_brake_kind(self, capsys):
+        rc = main(["find-orbit", "--energy", "-1.0", "--k", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--k" in captured.err
+        assert captured.out == ""
+
     def test_retrace_failure_exit_code(self, retrace_without_samples, capsys):
         rc = main(["find-orbit", "--energy", "-1.0"])
         assert rc == 5

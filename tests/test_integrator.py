@@ -21,8 +21,7 @@ def shoot_raw(E, h, settings=None, **kw):
     return integrate(
         s0,
         settings or IntegratorSettings(),
-        watch={EventKind.X_VELOCITY_ZERO},
-        stop_on={EventKind.X_VELOCITY_ZERO},
+        stop={EventKind.X_VELOCITY_ZERO: 1},
         **kw,
     )
 
@@ -45,11 +44,6 @@ class TestBasicRuns:
     def test_rejects_lower_half_plane_start(self):
         with pytest.raises(DomainError):
             integrate(State(t=0.0, x=0.0, y=-1.0, vx=0.0, vy=0.0))
-
-    def test_stop_on_must_be_watched(self):
-        s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
-        with pytest.raises(DomainError):
-            integrate(s0, stop_on={EventKind.X_VELOCITY_ZERO})
 
     def test_time_limit_termination(self):
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
@@ -127,8 +121,7 @@ class TestEvents:
         traj = integrate(
             s0,
             IntegratorSettings(),
-            watch={EventKind.MAGICAL_LINE_CROSS},
-            stop_on={EventKind.MAGICAL_LINE_CROSS},
+            stop={EventKind.MAGICAL_LINE_CROSS: 1},
         )
         ev = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
         assert abs(math.sqrt(3.0) * ev.state.y - abs(ev.state.x)) <= 1e-9
@@ -160,6 +153,68 @@ class TestEvents:
                 EventKind.COLLISION_PROXIMITY,
                 EventKind.TIME_LIMIT,
             )
+
+
+class TestStopRule:
+    def test_stops_at_the_nth_event(self):
+        s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.398))
+        traj = integrate(s0, stop={EventKind.X_VELOCITY_ZERO: 3})
+        assert traj.termination is EventKind.X_VELOCITY_ZERO
+        rests = [e for e in traj.events if e.kind is EventKind.X_VELOCITY_ZERO]
+        assert len(rests) == 3
+        assert traj.samples[-1] == rests[2].state
+        # the same launch run past its third rest, watching only
+        free = integrate(
+            s0,
+            IntegratorSettings(t_limit=rests[2].t + 0.5),
+            watch={EventKind.X_VELOCITY_ZERO},
+        )
+        assert [e.t for e in free.events[:3]] == [e.t for e in rests]
+
+    @pytest.mark.parametrize(
+        "h, first",
+        [(1.0, EventKind.MAGICAL_LINE_CROSS), (3.0, EventKind.X_VELOCITY_ZERO)],
+    )
+    def test_first_of_two_stop_kinds_ends_the_run(self, h, first):
+        s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=h))
+        kinds = (EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO)
+        free = integrate(s0, watch=kinds, stop={EventKind.X_VELOCITY_ZERO: 1})
+        assert free.events[0].kind is first
+        traj = integrate(s0, stop={kind: 1 for kind in kinds})
+        assert traj.termination is first
+        assert traj.events == free.events[:1]
+        assert traj.samples[-1] == free.events[0].state
+
+    def test_collision_stops_at_its_first_event(self):
+        s0 = State(t=0.0, x=0.0, y=2.0, vx=0.0, vy=0.0)
+        traj = integrate(s0, stop={EventKind.COLLISION_PROXIMITY: 5})
+        assert traj.termination is EventKind.COLLISION_PROXIMITY
+        assert [e.kind for e in traj.events] == [EventKind.COLLISION_PROXIMITY]
+        assert traj.samples[-1] == traj.events[0].state
+
+    def test_rejects_stop_count_below_one(self):
+        s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
+        with pytest.raises(DomainError):
+            integrate(s0, stop={EventKind.X_VELOCITY_ZERO: 0})
+
+    def test_watched_residual_is_evaluated_once_per_step(self, monkeypatch):
+        # the brake-point residual costs one field evaluation; it must be
+        # paid once per sample (the launch and each accepted step)
+        calls = [0]
+        real = dyn.acceleration
+
+        def counting(x, y):
+            calls[0] += 1
+            return real(x, y)
+
+        monkeypatch.setattr(dyn, "acceleration", counting)
+        s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
+        st = IntegratorSettings(t_limit=0.1)
+        watched = integrate(s0, st, watch={EventKind.BRAKE_POINT})
+        n_watched = calls[0]
+        calls[0] = 0
+        integrate(s0, st)
+        assert n_watched - calls[0] == len(watched.samples)
 
 
 class TestLocateEvent:

@@ -206,8 +206,7 @@ def test_mirrored_launch_rests_at_the_mirrored_state(E, u):
     res = shooting.shoot(E, h)
     traj = integrate(
         dyn.State(t=0.0, x=0.0, y=h, vx=-s0.vx, vy=0.0),
-        watch={EventKind.X_VELOCITY_ZERO},
-        stop_on={EventKind.X_VELOCITY_ZERO},
+        stop={EventKind.X_VELOCITY_ZERO: 1},
     )
     assert traj.termination is EventKind.X_VELOCITY_ZERO
     rest, ref = traj.samples[-1], res.state_at_th
@@ -299,8 +298,7 @@ class TestQuarterArcInvariants:
             traj = integrate(
                 s0,
                 IntegratorSettings(substeps=8),
-                watch={EventKind.MAGICAL_LINE_CROSS},
-                stop_on={EventKind.MAGICAL_LINE_CROSS},
+                stop={EventKind.MAGICAL_LINE_CROSS: 1},
             )
             for s in traj.samples:
                 if s.t > 0.0:
@@ -312,8 +310,7 @@ class TestQuarterArcInvariants:
         traj = integrate(
             s0,
             IntegratorSettings(substeps=4),
-            watch={EventKind.X_VELOCITY_ZERO},
-            stop_on={EventKind.X_VELOCITY_ZERO},
+            stop={EventKind.X_VELOCITY_ZERO: 1},
         )
         speeds = [s.speed2() for s in traj.samples]
         for a, b in zip(speeds, speeds[1:]):
