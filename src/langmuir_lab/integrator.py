@@ -1,9 +1,11 @@
 """Adaptive embedded Runge-Kutta integration with event detection.
 
-The stepper is a Dormand-Prince 5(4) pair with PI step-size control.  Events
-are localized by bisecting the sign of a residual in time; the candidate
-state at an interior time is produced by a single fifth-order step from the
-accepted step's start state (a re-integration, not a low-order interpolant).
+The stepper is a Dormand-Prince 5(4) pair with PI step-size control, written
+out by hand for the 4-component state (x, y, vx, vy).  Events are localized
+by bisecting the sign of a residual in time, and forced substeps are sampled
+at fixed fractions of a step; the state at any such interior time is
+produced by a single fifth-order step from the accepted step's start state
+(a re-integration, not a low-order interpolant).
 
 Two vector fields are integrated with the same machinery: the planar
 two-electron field (second-order form, state (x, y, vx, vy)) and its
@@ -96,21 +98,73 @@ _A = (
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), _B4))
+# the same entries by name, for the unrolled step
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _A[1:]
 
 
-def _stages(rhs: Rhs, y: Vec, h: float, k1: Vec):
-    """All seven stages; returns (y5, ks)."""
-    n = len(y)
-    ks = [k1]
-    yi = y
-    for i in range(1, 7):
-        ai = _A[i]
-        yi = tuple(
-            y[j] + h * sum(ai[m] * ks[m][j] for m in range(i))
-            for j in range(n)
-        )
-        ks.append(rhs(yi))
-    return yi, ks  # yi after the loop is the 5th-order solution
+def _dp5_step(rhs: Rhs, y: Vec, h: float, k1: Vec):
+    """One Dormand-Prince 5(4) step of size h from y, whose first stage k1
+    is already known; returns (y5, (k1, ..., k7)).
+
+    Each stage input is y[j] + h * (0.0 + a_i1*k1[j] + ...): the row's
+    products added left to right onto 0.0, as a running sum adds them, so
+    every bit, signed zeros included, equals that of the generic loop over
+    `_A` that the tests keep as the reference.
+    """
+    y0, y1, y2, y3 = y
+    k1_0, k1_1, k1_2, k1_3 = k1
+    k2_0, k2_1, k2_2, k2_3 = k2 = rhs((
+        y0 + h * (0.0 + _A21 * k1_0),
+        y1 + h * (0.0 + _A21 * k1_1),
+        y2 + h * (0.0 + _A21 * k1_2),
+        y3 + h * (0.0 + _A21 * k1_3),
+    ))
+    k3_0, k3_1, k3_2, k3_3 = k3 = rhs((
+        y0 + h * (0.0 + _A31 * k1_0 + _A32 * k2_0),
+        y1 + h * (0.0 + _A31 * k1_1 + _A32 * k2_1),
+        y2 + h * (0.0 + _A31 * k1_2 + _A32 * k2_2),
+        y3 + h * (0.0 + _A31 * k1_3 + _A32 * k2_3),
+    ))
+    k4_0, k4_1, k4_2, k4_3 = k4 = rhs((
+        y0 + h * (0.0 + _A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0),
+        y1 + h * (0.0 + _A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
+        y2 + h * (0.0 + _A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2),
+        y3 + h * (0.0 + _A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3),
+    ))
+    k5_0, k5_1, k5_2, k5_3 = k5 = rhs((
+        y0 + h * (0.0 + _A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0),
+        y1 + h * (0.0 + _A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
+        y2 + h * (0.0 + _A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2),
+        y3 + h * (0.0 + _A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3),
+    ))
+    k6_0, k6_1, k6_2, k6_3 = k6 = rhs((
+        y0 + h * (0.0 + _A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0
+                  + _A64 * k4_0 + _A65 * k5_0),
+        y1 + h * (0.0 + _A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1
+                  + _A64 * k4_1 + _A65 * k5_1),
+        y2 + h * (0.0 + _A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2
+                  + _A64 * k4_2 + _A65 * k5_2),
+        y3 + h * (0.0 + _A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3
+                  + _A64 * k4_3 + _A65 * k5_3),
+    ))
+    y5 = (
+        y0 + h * (0.0 + _A71 * k1_0 + _A72 * k2_0 + _A73 * k3_0
+                  + _A74 * k4_0 + _A75 * k5_0 + _A76 * k6_0),
+        y1 + h * (0.0 + _A71 * k1_1 + _A72 * k2_1 + _A73 * k3_1
+                  + _A74 * k4_1 + _A75 * k5_1 + _A76 * k6_1),
+        y2 + h * (0.0 + _A71 * k1_2 + _A72 * k2_2 + _A73 * k3_2
+                  + _A74 * k4_2 + _A75 * k5_2 + _A76 * k6_2),
+        y3 + h * (0.0 + _A71 * k1_3 + _A72 * k2_3 + _A73 * k3_3
+                  + _A74 * k4_3 + _A75 * k5_3 + _A76 * k6_3),
+    )
+    return y5, (k1, k2, k3, k4, k5, k6, rhs(y5))
 
 
 def _advance(rhs: Rhs, y: Vec, h: float, k1: Vec) -> Vec:
@@ -118,8 +172,7 @@ def _advance(rhs: Rhs, y: Vec, h: float, k1: Vec) -> Vec:
     forced sub-samples)."""
     if h == 0.0:
         return y
-    y5, _ = _stages(rhs, y, h, k1)
-    return y5
+    return _dp5_step(rhs, y, h, k1)[0]
 
 
 def _bisect(
@@ -234,7 +287,7 @@ class _Run:
             if h < st.h_min:
                 raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
 
-            y5, ks = _stages(rhs, self.y, h, k1)
+            y5, ks = _dp5_step(rhs, self.y, h, k1)
             ratio = _error_ratio(self.y, y5, ks, h, st)
             if not math.isfinite(ratio) or ratio > 1.0:
                 if not math.isfinite(ratio):

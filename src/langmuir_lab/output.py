@@ -39,6 +39,8 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 def parse_trajectory_csv(text: str) -> list[tuple[float, ...]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty trajectory CSV")
     if lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {lines[0]!r}")
     return [tuple(float(c) for c in ln.split(",")) for ln in lines[1:]]

@@ -9,6 +9,8 @@ cross-check, not a tautology.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -48,6 +50,30 @@ def rk4_fixed(x, y, vx, vy, t_end, dt):
         vy += dt * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
         t += dt
     return x, y, vx, vy
+
+
+def dp5_reference_step(rhs, y, h, k1):
+    """One Dormand-Prince 5(4) step by the generic tableau loop over the
+    package's `_A`; returns (y5, [k1, ..., k7]).
+
+    Each stage input is y[j] + h * (running total of a_im * k_m[j] from 0,
+    left to right): the arithmetic of the loop the package stepped with
+    before its step was unrolled.  That loop used sum(), which adds the
+    same way up to Python 3.11; 3.12 made float sum() compensated, so the
+    total is written out with reduce().
+    """
+    from langmuir_lab.integrator import _A
+
+    ks = [k1]
+    yi = y
+    for i in range(1, 7):
+        ai = _A[i]
+        yi = tuple(
+            y[j] + h * reduce(add, (ai[m] * ks[m][j] for m in range(i)), 0)
+            for j in range(len(y))
+        )
+        ks.append(rhs(yi))
+    return yi, ks  # yi after the loop is the fifth-order solution
 
 
 def ulps(a: float, b: float) -> float:

@@ -270,8 +270,9 @@ class TestSerializationHelpers:
             assert float(output.fmt(v)) == v
 
     def test_csv_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            output.parse_trajectory_csv("a,b,c\n1,2,3\n")
+        for text in ("a,b,c\n1,2,3\n", ""):
+            with pytest.raises(ValueError):
+                output.parse_trajectory_csv(text)
 
     def test_verdict_json_is_sorted(self):
         from langmuir_lab.analysis import CheckReport

@@ -1,19 +1,25 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from langmuir_lab import analysis, shooting
 from langmuir_lab import dynamics as dyn
 from langmuir_lab.dynamics import ProblemSpec, State
 from langmuir_lab.errors import DomainError, NoSignChange
 from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
+    _dp5_step,
+    _inverted_rhs,
+    _langmuir_rhs,
     integrate,
     integrate_inverted,
     locate_event,
 )
 
-from conftest import rk4_fixed
+from conftest import dp5_reference_step, rk4_fixed
 
 
 def shoot_raw(E, h, settings=None, **kw):
@@ -24,6 +30,20 @@ def shoot_raw(E, h, settings=None, **kw):
         stop={EventKind.X_VELOCITY_ZERO: 1},
         **kw,
     )
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """Count calls to dynamics.acceleration; the count is field_calls[0]."""
+    calls = [0]
+    real = dyn.acceleration
+
+    def counting(x, y):
+        calls[0] += 1
+        return real(x, y)
+
+    monkeypatch.setattr(dyn, "acceleration", counting)
+    return calls
 
 
 class TestBasicRuns:
@@ -197,24 +217,60 @@ class TestStopRule:
         with pytest.raises(DomainError):
             integrate(s0, stop={EventKind.X_VELOCITY_ZERO: 0})
 
-    def test_watched_residual_is_evaluated_once_per_step(self, monkeypatch):
+    def test_watched_residual_is_evaluated_once_per_step(self, field_calls):
         # the brake-point residual costs one field evaluation; it must be
         # paid once per sample (the launch and each accepted step)
-        calls = [0]
-        real = dyn.acceleration
-
-        def counting(x, y):
-            calls[0] += 1
-            return real(x, y)
-
-        monkeypatch.setattr(dyn, "acceleration", counting)
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
         st = IntegratorSettings(t_limit=0.1)
         watched = integrate(s0, st, watch={EventKind.BRAKE_POINT})
-        n_watched = calls[0]
-        calls[0] = 0
+        n_watched = field_calls[0]
+        field_calls[0] = 0
         integrate(s0, st)
-        assert n_watched - calls[0] == len(watched.samples)
+        assert n_watched - field_calls[0] == len(watched.samples)
+
+
+def _step_bits(step, rhs, y, h):
+    """The fifth-order state and the seven stages of one step, as
+    float.hex strings (so signed zeros count), or the error it raised."""
+    try:
+        y5, ks = step(rhs, y, h, rhs(y))
+    except (ArithmeticError, DomainError) as exc:
+        return repr(exc)
+    return [v.hex() for v in y5] + [v.hex() for k in ks for v in k]
+
+
+@pytest.mark.parametrize("rhs", [_langmuir_rhs, _inverted_rhs],
+                         ids=["langmuir", "inverted"])
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(min_value=-4.0, max_value=4.0),
+    y=st.floats(min_value=0.0, max_value=4.0, exclude_min=True),
+    vx=st.floats(min_value=-10.0, max_value=10.0),
+    vy=st.floats(min_value=-10.0, max_value=10.0),
+    h=st.floats(min_value=1e-14, max_value=0.1),
+)
+# a -0.0 component whose stage increments are all -0.0: the running sum
+# from 0 makes the stage input +0.0
+@example(x=-0.0, y=1.0, vx=-0.0, vy=1.0, h=0.1)
+@example(x=0.0, y=2.0, vx=-0.0, vy=-0.0, h=0.1)
+def test_unrolled_step_matches_the_tableau_loop(rhs, x, y, vx, vy, h):
+    state = (x, y, vx, vy)
+    assert (_step_bits(_dp5_step, rhs, state, h)
+            == _step_bits(dp5_reference_step, rhs, state, h))
+
+
+# Field evaluations at E = -1, measured before the step was unrolled.
+# They are deterministic, so they gate regressions in the amount of work.
+@pytest.mark.parametrize("run, limit", [
+    (lambda: shooting.shoot(-1.0, 1.398), 1_231),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 58_448),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 9_063),
+    (lambda: analysis.check_zero_energy_monotone(), 49_963),
+], ids=["shoot", "scan_alpha", "find_langmuir_orbit",
+        "check_zero_energy_monotone"])
+def test_field_evaluations_do_not_grow(field_calls, run, limit):
+    run()
+    assert field_calls[0] <= limit
 
 
 class TestLocateEvent:
