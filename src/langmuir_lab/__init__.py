@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     NoConvergence,
     NoRest,
-    NoSignChange,
     StepUnderflow,
 )
 from .integrator import (
@@ -35,7 +34,6 @@ from .integrator import (
     Trajectory,
     integrate,
     integrate_inverted,
-    locate_event,
 )
 from .shooting import (
     OrbitRecord,

@@ -18,10 +18,6 @@ class StepUnderflow(RuntimeError):
         self.state = state
 
 
-class NoSignChange(ValueError):
-    """Event bracket does not straddle a sign change of the residual."""
-
-
 class NoRest(RuntimeError):
     """Trajectory hit a collision cutoff or the time limit before the
     requested number of x-velocity zeros occurred."""

@@ -1,11 +1,14 @@
 """Adaptive embedded Runge-Kutta integration with event detection.
 
 The stepper is a Dormand-Prince 5(4) pair with PI step-size control, written
-out by hand for the 4-component state (x, y, vx, vy).  Events are localized
-by bisecting the sign of a residual in time, and forced substeps are sampled
-at fixed fractions of a step; the state at any such interior time is
-produced by a single fifth-order step from the accepted step's start state
-(a re-integration, not a low-order interpolant).
+out by hand for the 4-component state (x, y, vx, vy).  Inside an accepted
+step, states come from the step's continuous extension (Dormand & Prince
+1980; the CONTD5 of `dopri5` in Hairer, Norsett & Wanner, Solving ODEs I,
+II.6), a fourth-order interpolant built from the seven stages the step
+already has, at no extra field evaluation.  Forced substeps are read from
+it, and events are localized by bisecting the sign of a residual on it; the
+state of a located event is then one fifth-order step from the accepted
+step's start to the located time.
 
 Two vector fields are integrated with the same machinery: the planar
 two-electron field (second-order form, state (x, y, vx, vy)) and its
@@ -21,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import dynamics
 from .dynamics import State
-from .errors import DomainError, NoSignChange, StepUnderflow
+from .errors import DomainError, StepUnderflow
 
 Vec = tuple[float, float, float, float]
 Rhs = Callable[[Vec], Vec]
@@ -107,11 +110,27 @@ _E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), _B4))
     (_A61, _A62, _A63, _A64, _A65),
     (_A71, _A72, _A73, _A74, _A75, _A76),
 ) = _A[1:]
+# dense output: the weights of the stages in the interpolant's last
+# coefficient (the weight of k2 is zero)
+_D1 = -12715105075 / 11282082432
+_D3 = 87487479700 / 32700410799
+_D4 = -10690763975 / 1880347072
+_D5 = 701980252875 / 199316789632
+_D6 = -1453857185 / 822651844
+_D7 = 69997945 / 29380423
 
 
 def _dp5_step(rhs: Rhs, y: Vec, h: float, k1: Vec):
     """One Dormand-Prince 5(4) step of size h from y, whose first stage k1
-    is already known; returns (y5, (k1, ..., k7)).
+    is already known; returns (y5, (k1, ..., k7)), k7 = rhs(y5) being the
+    FSAL stage."""
+    y5, k2, k3, k4, k5, k6 = _dp5_stages(rhs, y, h, k1)
+    return y5, (k1, k2, k3, k4, k5, k6, rhs(y5))
+
+
+def _dp5_stages(rhs: Rhs, y: Vec, h: float, k1: Vec):
+    """The fifth-order state and stages 2 to 6 of one step of size h from
+    y: (y5, k2, k3, k4, k5, k6).
 
     Each stage input is y[j] + h * (0.0 + a_i1*k1[j] + ...): the row's
     products added left to right onto 0.0, as a running sum adds them, so
@@ -164,28 +183,60 @@ def _dp5_step(rhs: Rhs, y: Vec, h: float, k1: Vec):
         y3 + h * (0.0 + _A71 * k1_3 + _A72 * k2_3 + _A73 * k3_3
                   + _A74 * k4_3 + _A75 * k5_3 + _A76 * k6_3),
     )
-    return y5, (k1, k2, k3, k4, k5, k6, rhs(y5))
+    return y5, k2, k3, k4, k5, k6
 
 
 def _advance(rhs: Rhs, y: Vec, h: float, k1: Vec) -> Vec:
-    """Single fifth-order step of size h (used for event localization and
-    forced sub-samples)."""
-    if h == 0.0:
-        return y
-    return _dp5_step(rhs, y, h, k1)[0]
+    """The fifth-order state one step of size h > 0 from y: the state of a
+    located event.  Nothing steps on from it, so its FSAL stage is not
+    evaluated; the guard stands in for the y > 0 check that evaluation
+    would make."""
+    y5 = _dp5_stages(rhs, y, h, k1)[0]
+    dynamics._check_upper(y5[0], y5[1])
+    return y5
+
+
+def _dense_output(y: Vec, y5: Vec, ks, h: float) -> Callable[[float], Vec]:
+    """The continuous extension of the step of size h from y to y5 with
+    stages ks: tau in [0, h] -> the fourth-order state at the step's start
+    time + tau, y + s*(dy + (1-s)*(b + s*(c + (1-s)*d))) with s = tau/h."""
+    k1, _, k3, k4, k5, k6, k7 = ks
+    coeffs = []
+    for j in range(4):
+        dy = y5[j] - y[j]
+        b = h * k1[j] - dy
+        c = dy - h * k7[j] - b
+        d = h * (_D1 * k1[j] + _D3 * k3[j] + _D4 * k4[j] + _D5 * k5[j]
+                 + _D6 * k6[j] + _D7 * k7[j])
+        coeffs.append((y[j], dy, b, c, d))
+    ((y_0, dy_0, b_0, c_0, d_0), (y_1, dy_1, b_1, c_1, d_1),
+     (y_2, dy_2, b_2, c_2, d_2), (y_3, dy_3, b_3, c_3, d_3)) = coeffs
+
+    def at(tau: float) -> Vec:
+        s = tau / h
+        s1 = 1.0 - s
+        return (
+            y_0 + s * (dy_0 + s1 * (b_0 + s * (c_0 + s1 * d_0))),
+            y_1 + s * (dy_1 + s1 * (b_1 + s * (c_1 + s1 * d_1))),
+            y_2 + s * (dy_2 + s1 * (b_2 + s * (c_2 + s1 * d_2))),
+            y_3 + s * (dy_3 + s1 * (b_3 + s * (c_3 + s1 * d_3))),
+        )
+
+    return at
 
 
 def _bisect(
-    rhs: Rhs, f, t0: float, y0: Vec, k1: Vec, span: float, r_lo: float,
+    rhs: Rhs, f, at, t0: float, y0: Vec, k1: Vec, span: float, r_lo: float,
     event_tol: float,
 ) -> tuple[float, Vec]:
-    """Bisect the sign change of residual f over (t0, t0 + span); states at
-    interior times are single fifth-order steps from (t0, y0)."""
+    """Bisect the sign change of residual f over (t0, t0 + span), probing
+    the states of the step's interpolant `at`; the located state is one
+    fifth-order step from (t0, y0)."""
     lo, hi = 0.0, span
     sign_lo = r_lo > 0.0
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
-        r_mid = f(t0 + mid, _advance(rhs, y0, mid, k1))
+        r_mid = f(t0 + mid, at(mid))
         if (r_mid > 0.0) == sign_lo and r_mid != 0.0:
             lo = mid
         else:
@@ -239,9 +290,10 @@ class _Run:
         if d > self.drift:
             self.drift = d
 
-    def _scan_events(self, t0, y0, k1, h_acc, y_new, res) -> list:
+    def _scan_events(self, t0, y0, k1, ks, h_acc, y_new, res, at) -> list:
         """Events in (t0, t0 + h_acc], in time order; refreshes `res` to
-        the residuals at the step's end."""
+        the residuals at the step's end.  `at` is the step's interpolant,
+        or None if it is not built yet."""
         t_new = t0 + h_acc
         found = []
         for kind, f in self.residuals.items():
@@ -253,7 +305,9 @@ class _Run:
             if r1 == 0.0:
                 t_ev, y_ev = t_new, y_new
             else:
-                t_ev, y_ev = _bisect(self.rhs, f, t0, y0, k1, h_acc, r0,
+                if at is None:
+                    at = _dense_output(y0, y_new, ks, h_acc)
+                t_ev, y_ev = _bisect(self.rhs, f, at, t0, y0, k1, h_acc, r0,
                                      self.st.event_tol)
             if kind is EventKind.BRAKE_POINT:
                 # residual is d(speed^2)/dt; only minima below the
@@ -301,20 +355,22 @@ class _Run:
             # accepted
             t0, y0, h_acc = self.t, self.y, h
             t_new, y_new = t0 + h, y5
+            # the interpolant is built only for a step that reads from it
+            at = _dense_output(y0, y5, ks, h) if st.substeps else None
             for t_ev, kind, y_ev in self._scan_events(
-                t0, y0, k1, h_acc, y_new, res
+                t0, y0, k1, ks, h_acc, y_new, res, at
             ):
                 self.events.append((kind, t_ev, y_ev))
                 if kind in self.stop_left:
                     self.stop_left[kind] -= 1
                     if self.stop_left[kind] == 0:
-                        self._append_substeps(t0, y0, k1, t_ev - t0)
+                        self._append_substeps(t0, at, t_ev - t0)
                         self.samples.append((t_ev, y_ev))
                         self._record_drift(y_ev)
                         self.termination = kind
                         return
 
-            self._append_substeps(t0, y0, k1, h_acc)
+            self._append_substeps(t0, at, h_acc)
             self.samples.append((t_new, y_new))
             self._record_drift(y_new)
             self.t, self.y, k1 = t_new, y_new, ks[6]
@@ -325,13 +381,15 @@ class _Run:
             err_old = e
             h = h_acc * min(5.0, max(0.2, fac))
 
-    def _append_substeps(self, t0, y0, k1, h_span):
+    def _append_substeps(self, t0, at, h_span):
+        """Sample `substeps` equally spaced interior times of (t0, t0 +
+        h_span) from the step's interpolant `at`."""
         n = self.st.substeps
         if n <= 0 or h_span <= 0.0:
             return
         for j in range(1, n + 1):
             tau = h_span * j / (n + 1)
-            y_sub = _advance(self.rhs, y0, tau, k1)
+            y_sub = at(tau)
             self.samples.append((t0 + tau, y_sub))
             self._record_drift(y_sub)
 
@@ -355,12 +413,20 @@ def _inverted_rhs(y: Vec) -> Vec:
     return (y[2], y[3], ax, ay)
 
 
-def _langmuir_energy(y: Vec) -> float:
-    return dynamics.energy(_vec_to_state(0.0, y))
+# The two energies below are dynamics.energy and dynamics.inverted_energy,
+# operation for operation (so bit for bit), on the state tuple.
+
+def _langmuir_energy(v: Vec) -> float:
+    x, y, vx, vy = v
+    dynamics._check_upper(x, y)
+    return 0.25 * (vx * vx + vy * vy) + (-4.0 / math.hypot(x, y) + 0.5 / y)
 
 
-def _inverted_energy(y: Vec) -> float:
-    return dynamics.inverted_energy(_vec_to_state(0.0, y))
+def _inverted_energy(v: Vec) -> float:
+    x, y, vx, vy = v
+    dynamics._check_upper(x, y)
+    r = math.hypot(x, y)
+    return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
 
 
 def _residual_map(settings: IntegratorSettings, rhs: Rhs):
@@ -372,7 +438,8 @@ def _residual_map(settings: IntegratorSettings, rhs: Rhs):
 
     return {
         EventKind.X_VELOCITY_ZERO: lambda t, y: y[2],
-        # y > 0 holds: the field was already evaluated at every such state
+        # bisection probes are interpolated states, which nothing has
+        # checked; magical_line_residual raises DomainError itself on y <= 0
         EventKind.MAGICAL_LINE_CROSS:
             lambda t, y: dynamics.magical_line_residual(y[0], y[1]),
         EventKind.BRAKE_POINT: brake,
@@ -449,41 +516,3 @@ def integrate_inverted(
     return _integrate_chart(
         _inverted_rhs, _inverted_energy, s0, settings, (), {}, sample_times,
     )
-
-
-def locate_event(
-    bracket: tuple[State, State],
-    residual,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> Event:
-    """Bisect an event inside a bracket of two states on the same solution.
-
-    `residual` is an EventKind (its defining residual is used) or a callable
-    State -> float.  The bracket endpoints must straddle a sign change.
-    The returned state is produced by re-integration from the left endpoint.
-    """
-    s_lo, s_hi = bracket
-    rhs = _langmuir_rhs
-    if isinstance(residual, EventKind):
-        f_vec = _residual_map(settings, rhs)[residual]
-        kind = residual
-    else:
-        f_vec = lambda t, y: residual(_vec_to_state(t, y))  # noqa: E731
-        kind = None
-    span = s_hi.t - s_lo.t
-    if span <= 0.0:
-        raise NoSignChange("bracket must have increasing time")
-    y0 = (s_lo.x, s_lo.y, s_lo.vx, s_lo.vy)
-    k1 = rhs(y0)
-    r_lo = f_vec(s_lo.t, y0)
-    r_hi = f_vec(s_hi.t, (s_hi.x, s_hi.y, s_hi.vx, s_hi.vy))
-    if r_lo == 0.0:
-        return Event(kind=kind, t=s_lo.t, state=s_lo)
-    if not ((r_lo > 0.0) != (r_hi > 0.0) or r_hi == 0.0):
-        raise NoSignChange(
-            f"residual does not change sign over the bracket "
-            f"({r_lo} .. {r_hi})"
-        )
-    t_ev, y_ev = _bisect(rhs, f_vec, s_lo.t, y0, k1, span, r_lo,
-                         settings.event_tol)
-    return Event(kind=kind, t=t_ev, state=_vec_to_state(t_ev, y_ev))

@@ -13,6 +13,7 @@ from functools import reduce
 from operator import add
 
 import pytest
+from hypothesis import strategies as st
 
 
 def rk4_fixed(x, y, vx, vy, t_end, dt):
@@ -74,6 +75,14 @@ def dp5_reference_step(rhs, y, h, k1):
         )
         ks.append(rhs(yi))
     return yi, ks  # yi after the loop is the fifth-order solution
+
+
+# Random admissible launches for Hypothesis: heights h = u * a with
+# a = -1/E span the default grid rescaled to E.
+launches = dict(
+    E=st.floats(min_value=-2.0, max_value=-0.5),
+    u=st.floats(min_value=0.05, max_value=3.45),
+)
 
 
 def ulps(a: float, b: float) -> float:

@@ -4,22 +4,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from langmuir_lab import analysis, shooting
+from langmuir_lab import analysis, integrator, shooting
 from langmuir_lab import dynamics as dyn
 from langmuir_lab.dynamics import ProblemSpec, State
-from langmuir_lab.errors import DomainError, NoSignChange
+from langmuir_lab.errors import DomainError
 from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
+    _advance,
     _dp5_step,
+    _inverted_energy,
     _inverted_rhs,
+    _langmuir_energy,
     _langmuir_rhs,
     integrate,
     integrate_inverted,
-    locate_event,
 )
 
-from conftest import dp5_reference_step, rk4_fixed
+from conftest import dp5_reference_step, launches, rk4_fixed
 
 
 def shoot_raw(E, h, settings=None, **kw):
@@ -259,42 +261,129 @@ def test_unrolled_step_matches_the_tableau_loop(rhs, x, y, vx, vy, h):
             == _step_bits(dp5_reference_step, rhs, state, h))
 
 
-# Field evaluations at E = -1, measured before the step was unrolled.
-# They are deterministic, so they gate regressions in the amount of work.
+def _bits_or_error(f, *args):
+    try:
+        return f(*args).hex()
+    except (ArithmeticError, DomainError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(min_value=-4.0, max_value=4.0),
+    y=st.floats(min_value=-1.0, max_value=4.0),
+    vx=st.floats(min_value=-10.0, max_value=10.0),
+    vy=st.floats(min_value=-10.0, max_value=10.0),
+)
+@example(x=0.0, y=0.0, vx=1.0, vy=1.0)
+def test_tuple_energies_match_the_state_energies(x, y, vx, vy):
+    # bit for bit, or the same error (a state off the half plane raises
+    # DomainError)
+    s = State(t=0.0, x=x, y=y, vx=vx, vy=vy)
+    v = (x, y, vx, vy)
+    assert _bits_or_error(_langmuir_energy, v) == _bits_or_error(dyn.energy, s)
+    assert (_bits_or_error(_inverted_energy, v)
+            == _bits_or_error(dyn.inverted_energy, s))
+
+
+def _vec(s):
+    return (s.x, s.y, s.vx, s.vy)
+
+
+def _hexes(v):
+    return tuple(c.hex() for c in v)
+
+
+@settings(max_examples=10, deadline=None)
+@given(**launches)
+def test_substeps_agree_with_a_fifth_order_step(E, u):
+    # every forced substep, read from the step's interpolant, against one
+    # fifth-order step from the step's start to the same time, relative to
+    # the step's largest component
+    st_ = IntegratorSettings(substeps=10)
+    s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
+    traj = integrate(s0, st_, stop={EventKind.X_VELOCITY_ZERO: 1})
+    group = st_.substeps + 1  # a step's start and its substeps
+    samples = traj.samples
+    assert len(samples) % group == 1
+    for m in range(0, len(samples) - 1, group):
+        start = _vec(samples[m])
+        k1 = _langmuir_rhs(start)
+        for s in samples[m + 1:m + group]:
+            want = _advance(_langmuir_rhs, start, s.t - samples[m].t, k1)
+            err = max(abs(a - b) for a, b in zip(_vec(s), want))
+            assert err <= 100 * st_.rel_tol * max(map(abs, want))
+
+
+@settings(max_examples=10, deadline=None)
+@given(**launches)
+@example(E=-1.0, u=0.5)  # a magical-line crossing after the rest, same step
+def test_event_state_is_one_fifth_order_step(E, u):
+    # each event state is the output of one _advance, from the start of its
+    # step to the event time, and the tableau loop of the reference step
+    # reproduces it bit for bit (events located past the stop event in the
+    # last step make calls that no event keeps)
+    calls = {}
+
+    def recording(rhs, y, h, k1):
+        out = _advance(rhs, y, h, k1)
+        calls.setdefault(_hexes(out), []).append((y, h))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_advance", recording)
+        s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
+        traj = integrate(s0, watch={EventKind.MAGICAL_LINE_CROSS},
+                         stop={EventKind.X_VELOCITY_ZERO: 1})
+    assert traj.termination is EventKind.X_VELOCITY_ZERO
+    for ev in traj.events:
+        [(y, tau)] = calls[_hexes(_vec(ev.state))]
+        start = [s for s in traj.samples if s.t < ev.t][-1]
+        assert _hexes(y) == _hexes(_vec(start))
+        assert start.t + tau == ev.t
+        ref = dp5_reference_step(_langmuir_rhs, y, tau, _langmuir_rhs(y))[0]
+        assert _hexes(ref) == _hexes(_vec(ev.state))
+
+
+def test_event_state_off_the_half_plane_raises():
+    # _advance skips the FSAL field evaluation that would have rejected a
+    # state with y <= 0, so it checks that itself
+    def falling(v):
+        return (0.0, -1.0, 0.0, 0.0)
+
+    with pytest.raises(DomainError):
+        _advance(falling, (0.0, 0.5, 0.0, -1.0), 1.0, falling(None))
+
+
+def test_substeps_agree_with_fixed_step_rk4():
+    # the fixed-step RK4 of conftest, chained from sample to sample with
+    # steps of at most 1e-4, against every sample of a run with substeps
+    s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=0.5))
+    traj = integrate(s0, IntegratorSettings(t_limit=1.0, substeps=10))
+    assert len(traj.samples) > 1000
+    oracle, t = _vec(s0), 0.0
+    for s in traj.samples[1:]:
+        n = math.ceil((s.t - t) / 1e-4)
+        oracle = rk4_fixed(*oracle, s.t - t, (s.t - t) / n)
+        t = s.t
+        assert max(abs(a - b) for a, b in zip(_vec(s), oracle)) <= 1e-8
+
+
+# Field evaluations at E = -1 with dense output (events and substeps read
+# from the step's interpolant).  They are deterministic, so they gate
+# regressions in the amount of work.
 @pytest.mark.parametrize("run, limit", [
-    (lambda: shooting.shoot(-1.0, 1.398), 1_231),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 58_448),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 9_063),
-    (lambda: analysis.check_zero_energy_monotone(), 49_963),
-], ids=["shoot", "scan_alpha", "find_langmuir_orbit",
-        "check_zero_energy_monotone"])
+    (lambda: shooting.shoot(-1.0, 1.398), 833),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 40_260),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 7_302),
+    (lambda: shooting.find_brake_orbit(-1.0), 62_486),
+    (lambda: analysis.check_zero_energy_monotone(), 4_543),
+    (lambda: analysis.check_magical_prefix(), 19_685),
+], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
+        "check_zero_energy_monotone", "check_magical_prefix"])
 def test_field_evaluations_do_not_grow(field_calls, run, limit):
     run()
     assert field_calls[0] <= limit
-
-
-class TestLocateEvent:
-    def _bracket(self, h):
-        traj = shoot_raw(-1.0, h)
-        ev = traj.first_event(EventKind.X_VELOCITY_ZERO)
-        before = [s for s in traj.samples if s.vx > 0.0]
-        return before[-1], ev.state
-
-    def test_x_rest_bracket(self):
-        lo, hi = self._bracket(1.0)
-        ev = locate_event((lo, hi), EventKind.X_VELOCITY_ZERO)
-        assert abs(ev.state.vx) <= 1e-10
-
-    def test_synthetic_linear_residual(self):
-        lo, hi = self._bracket(1.0)
-        t_root = 0.5 * (lo.t + hi.t)
-        ev = locate_event((lo, hi), lambda s: s.t - t_root)
-        assert abs(ev.t - t_root) <= 1e-12
-
-    def test_no_sign_change(self):
-        lo, hi = self._bracket(1.0)
-        with pytest.raises(NoSignChange):
-            locate_event((lo, hi), lambda s: 1.0 + s.t * 0.0)
 
 
 class TestInvertedChart:

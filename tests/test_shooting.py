@@ -10,6 +10,8 @@ from langmuir_lab import shooting
 from langmuir_lab.errors import BadBracket, ClosureFailure
 from langmuir_lab.integrator import EventKind, IntegratorSettings, integrate
 
+from conftest import launches
+
 # zeros of the shooting functional, frozen from converged bisection runs
 H_STAR_E1 = 1.4070602237
 T_QUARTER_E1 = 1.0619636445
@@ -163,12 +165,7 @@ def test_each_solver_evaluation_integrates_once(monkeypatch, kind):
     assert len(calls) == len(rec.solver_trace)
 
 
-# Closed-form laws of the exact flow, checked on random admissible launches:
-# heights h = u * a with a = -1/E span the default grid rescaled to E.
-launches = dict(
-    E=st.floats(min_value=-2.0, max_value=-0.5),
-    u=st.floats(min_value=0.05, max_value=3.45),
-)
+# Closed-form laws of the exact flow, checked on random admissible launches.
 
 
 @settings(max_examples=10, deadline=None)
