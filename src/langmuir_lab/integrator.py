@@ -1,7 +1,10 @@
 """Adaptive embedded Runge-Kutta integration with event detection.
 
 The stepper is a Dormand-Prince 5(4) pair with PI step-size control, written
-out by hand for the 4-component state (x, y, vx, vy).  Inside an accepted
+out by hand for the 4-component state (x, y, vx, vy).  One trial-step kernel
+computes the stages, the FSAL stage and the scaled error norm that accepts
+or rejects the step; a step whose error or state is not finite is rejected,
+so the step size shrinks until it underflows.  Inside an accepted
 step, states come from the step's continuous extension (Dormand & Prince
 1980; the CONTD5 of `dopri5` in Hairer, Norsett & Wanner, Solving ODEs I,
 II.6), a fourth-order interpolant built from the seven stages the step
@@ -110,6 +113,7 @@ _E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), _B4))
     (_A61, _A62, _A63, _A64, _A65),
     (_A71, _A72, _A73, _A74, _A75, _A76),
 ) = _A[1:]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 # dense output: the weights of the stages in the interpolant's last
 # coefficient (the weight of k2 is zero)
 _D1 = -12715105075 / 11282082432
@@ -118,14 +122,6 @@ _D4 = -10690763975 / 1880347072
 _D5 = 701980252875 / 199316789632
 _D6 = -1453857185 / 822651844
 _D7 = 69997945 / 29380423
-
-
-def _dp5_step(rhs: Rhs, y: Vec, h: float, k1: Vec):
-    """One Dormand-Prince 5(4) step of size h from y, whose first stage k1
-    is already known; returns (y5, (k1, ..., k7)), k7 = rhs(y5) being the
-    FSAL stage."""
-    y5, k2, k3, k4, k5, k6 = _dp5_stages(rhs, y, h, k1)
-    return y5, (k1, k2, k3, k4, k5, k6, rhs(y5))
 
 
 def _dp5_stages(rhs: Rhs, y: Vec, h: float, k1: Vec):
@@ -184,6 +180,47 @@ def _dp5_stages(rhs: Rhs, y: Vec, h: float, k1: Vec):
                   + _A74 * k4_3 + _A75 * k5_3 + _A76 * k6_3),
     )
     return y5, k2, k3, k4, k5, k6
+
+
+def _dp5_trial(rhs: Rhs, y: Vec, h: float, k1: Vec, abs_tol: float,
+               rel_tol: float):
+    """One trial step of size h from y, whose first stage k1 is already
+    known: (y5, (k1, ..., k7), ratio), k7 = rhs(y5) being the FSAL stage and
+    ratio the largest |error| / (abs_tol + rel_tol * max(|y|, |y5|)) over
+    the components.
+
+    Each component's error is h * fsum of all seven e_m * k_m terms, the
+    zero-weighted k2 term included, so that every bit equals that of the
+    generic loop over `_E` that the tests keep as the reference.  A step
+    with a non-finite error or y5 component has ratio inf.
+    """
+    y5, k2, k3, k4, k5, k6 = _dp5_stages(rhs, y, h, k1)
+    k7 = rhs(y5)
+    ks = (k1, k2, k3, k4, k5, k6, k7)
+    fsum, isfinite = math.fsum, math.isfinite
+    try:
+        e0 = h * fsum((_E1 * k1[0], _E2 * k2[0], _E3 * k3[0], _E4 * k4[0],
+                       _E5 * k5[0], _E6 * k6[0], _E7 * k7[0]))
+        e1 = h * fsum((_E1 * k1[1], _E2 * k2[1], _E3 * k3[1], _E4 * k4[1],
+                       _E5 * k5[1], _E6 * k6[1], _E7 * k7[1]))
+        e2 = h * fsum((_E1 * k1[2], _E2 * k2[2], _E3 * k3[2], _E4 * k4[2],
+                       _E5 * k5[2], _E6 * k6[2], _E7 * k7[2]))
+        e3 = h * fsum((_E1 * k1[3], _E2 * k2[3], _E3 * k3[3], _E4 * k4[3],
+                       _E5 * k5[3], _E6 * k6[3], _E7 * k7[3]))
+    except (ValueError, OverflowError):  # -inf + inf, or a sum past max
+        return y5, ks, math.inf
+    z0, z1, z2, z3 = y5
+    if not (isfinite(e0) and isfinite(e1) and isfinite(e2) and isfinite(e3)
+            and isfinite(z0) and isfinite(z1) and isfinite(z2)
+            and isfinite(z3)):
+        return y5, ks, math.inf
+    y0, y1, y2, y3 = y
+    return y5, ks, max(
+        abs(e0) / (abs_tol + rel_tol * max(abs(y0), abs(z0))),
+        abs(e1) / (abs_tol + rel_tol * max(abs(y1), abs(z1))),
+        abs(e2) / (abs_tol + rel_tol * max(abs(y2), abs(z2))),
+        abs(e3) / (abs_tol + rel_tol * max(abs(y3), abs(z3))),
+    )
 
 
 def _advance(rhs: Rhs, y: Vec, h: float, k1: Vec) -> Vec:
@@ -245,15 +282,6 @@ def _bisect(
     return t0 + tau, _advance(rhs, y0, tau, k1)
 
 
-def _error_ratio(y: Vec, y5: Vec, ks, h: float, st: IntegratorSettings) -> float:
-    worst = 0.0
-    for j in range(len(y)):
-        err = h * math.fsum(_E[m] * ks[m][j] for m in range(7))
-        scale = st.abs_tol + st.rel_tol * max(abs(y[j]), abs(y5[j]))
-        worst = max(worst, abs(err) / scale)
-    return worst
-
-
 class _Run:
     """One adaptive integration; collects samples and events."""
 
@@ -299,7 +327,13 @@ class _Run:
         for kind, f in self.residuals.items():
             r0 = res[kind]
             r1 = res[kind] = f(t_new, y_new)
-            crossed = (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0)
+            if kind is EventKind.BRAKE_POINT:
+                # residual is d(speed^2)/dt: a brake point is a speed
+                # minimum, where it rises through zero; maxima are not
+                # located
+                crossed = r0 < 0.0 <= r1
+            else:
+                crossed = (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0)
             if not crossed:
                 continue
             if r1 == 0.0:
@@ -309,13 +343,11 @@ class _Run:
                     at = _dense_output(y0, y_new, ks, h_acc)
                 t_ev, y_ev = _bisect(self.rhs, f, at, t0, y0, k1, h_acc, r0,
                                      self.st.event_tol)
-            if kind is EventKind.BRAKE_POINT:
-                # residual is d(speed^2)/dt; only minima below the
-                # threshold count as actual boundary touches
-                if not (r0 < 0.0 <= r1):
-                    continue
-                if y_ev[2] ** 2 + y_ev[3] ** 2 > self.st.brake_speed2:
-                    continue
+            if (kind is EventKind.BRAKE_POINT
+                    and y_ev[2] ** 2 + y_ev[3] ** 2 > self.st.brake_speed2):
+                # only minima below the threshold count as actual
+                # boundary touches
+                continue
             found.append((t_ev, kind, y_ev))
         found.sort(key=lambda item: item[0])
         return found
@@ -341,8 +373,8 @@ class _Run:
             if h < st.h_min:
                 raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
 
-            y5, ks = _dp5_step(rhs, self.y, h, k1)
-            ratio = _error_ratio(self.y, y5, ks, h, st)
+            y5, ks, ratio = _dp5_trial(rhs, self.y, h, k1, st.abs_tol,
+                                       st.rel_tol)
             if not math.isfinite(ratio) or ratio > 1.0:
                 if not math.isfinite(ratio):
                     h *= 0.2

@@ -77,6 +77,28 @@ def dp5_reference_step(rhs, y, h, k1):
     return yi, ks  # yi after the loop is the fifth-order solution
 
 
+def dp5_reference_error_ratio(y, y5, ks, h, abs_tol, rel_tol):
+    """The scaled error norm of a step by the generic loop over the
+    package's `_E`: the largest h * |sum_m e_m * k_m[j]| / (abs_tol +
+    rel_tol * max(|y[j]|, |y5[j]|)), the arithmetic the package's step
+    control used before its norm was unrolled.  A step with a non-finite
+    error or y5 component, or whose sum fsum cannot form, has norm inf.
+    """
+    from langmuir_lab.integrator import _E
+
+    worst = 0.0
+    for j in range(len(y)):
+        try:
+            err = h * math.fsum(_E[m] * ks[m][j] for m in range(7))
+        except (ValueError, OverflowError):
+            return math.inf
+        if not (math.isfinite(err) and math.isfinite(y5[j])):
+            return math.inf
+        scale = abs_tol + rel_tol * max(abs(y[j]), abs(y5[j]))
+        worst = max(worst, abs(err) / scale)
+    return worst
+
+
 # Random admissible launches for Hypothesis: heights h = u * a with
 # a = -1/E span the default grid rescaled to E.
 launches = dict(

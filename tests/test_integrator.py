@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from langmuir_lab import analysis, integrator, shooting
 from langmuir_lab import dynamics as dyn
 from langmuir_lab.dynamics import ProblemSpec, State
-from langmuir_lab.errors import DomainError
+from langmuir_lab.errors import DomainError, StepUnderflow
 from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
     _advance,
-    _dp5_step,
+    _dp5_trial,
+    _integrate_chart,
     _inverted_energy,
     _inverted_rhs,
     _langmuir_energy,
@@ -21,7 +22,12 @@ from langmuir_lab.integrator import (
     integrate_inverted,
 )
 
-from conftest import dp5_reference_step, launches, rk4_fixed
+from conftest import (
+    dp5_reference_error_ratio,
+    dp5_reference_step,
+    launches,
+    rk4_fixed,
+)
 
 
 def shoot_raw(E, h, settings=None, **kw):
@@ -176,6 +182,26 @@ class TestEvents:
                 EventKind.TIME_LIMIT,
             )
 
+    def test_brake_point_bisects_only_speed_minima(self, monkeypatch):
+        # the brake residual is d(speed^2)/dt, and a brake point is a speed
+        # minimum, where it rises through zero: a maximum (a fall through
+        # zero) is never located
+        starts = []
+        real = integrator._bisect
+
+        def recording(rhs, f, at, t0, y0, k1, span, r_lo, event_tol):
+            starts.append(r_lo)
+            return real(rhs, f, at, t0, y0, k1, span, r_lo, event_tol)
+
+        monkeypatch.setattr(integrator, "_bisect", recording)
+        s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.398))
+        traj = integrate(s0, IntegratorSettings(t_limit=8.0),
+                         watch={EventKind.BRAKE_POINT})
+        # no collision proximity event, so every bisection is a brake one
+        assert traj.termination is EventKind.TIME_LIMIT
+        assert starts
+        assert all(r_lo < 0.0 for r_lo in starts)
+
 
 class TestStopRule:
     def test_stops_at_the_nth_event(self):
@@ -231,14 +257,22 @@ class TestStopRule:
         assert n_watched - field_calls[0] == len(watched.samples)
 
 
-def _step_bits(step, rhs, y, h):
-    """The fifth-order state and the seven stages of one step, as
-    float.hex strings (so signed zeros count), or the error it raised."""
+def _reference_trial(rhs, y, h, k1, abs_tol, rel_tol):
+    y5, ks = dp5_reference_step(rhs, y, h, k1)
+    return y5, ks, dp5_reference_error_ratio(y, y5, ks, h, abs_tol, rel_tol)
+
+
+def _trial_bits(trial, rhs, y, h):
+    """The fifth-order state, the seven stages and the error norm of one
+    trial step at the default tolerances, as float.hex strings (so signed
+    zeros count), or the error it raised."""
+    st_ = IntegratorSettings()
     try:
-        y5, ks = step(rhs, y, h, rhs(y))
+        y5, ks, ratio = trial(rhs, y, h, rhs(y), st_.abs_tol, st_.rel_tol)
     except (ArithmeticError, DomainError) as exc:
         return repr(exc)
-    return [v.hex() for v in y5] + [v.hex() for k in ks for v in k]
+    return ([v.hex() for v in y5] + [v.hex() for k in ks for v in k]
+            + [ratio.hex()])
 
 
 @pytest.mark.parametrize("rhs", [_langmuir_rhs, _inverted_rhs],
@@ -257,8 +291,32 @@ def _step_bits(step, rhs, y, h):
 @example(x=0.0, y=2.0, vx=-0.0, vy=-0.0, h=0.1)
 def test_unrolled_step_matches_the_tableau_loop(rhs, x, y, vx, vy, h):
     state = (x, y, vx, vy)
-    assert (_step_bits(_dp5_step, rhs, state, h)
-            == _step_bits(dp5_reference_step, rhs, state, h))
+    assert (_trial_bits(_dp5_trial, rhs, state, h)
+            == _trial_bits(_reference_trial, rhs, state, h))
+
+
+@pytest.mark.parametrize("bad", [
+    (math.nan,) * 4,
+    (math.inf, -math.inf, math.inf, -math.inf),
+], ids=["nan", "inf"])
+def test_non_finite_steps_are_rejected_until_underflow(bad):
+    # a field that turns non-finite past x = 0.5: every trial step that
+    # reaches there is rejected, the step size shrinks until it underflows,
+    # and no non-finite state is ever sampled
+    def rhs(v):
+        return bad if v[0] > 0.5 else (1.0, 0.0, 0.0, 0.0)
+
+    sampled = []
+
+    def energy(v):
+        sampled.append(v)
+        return 1.0
+
+    s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
+    with pytest.raises(StepUnderflow):
+        _integrate_chart(rhs, energy, s0, IntegratorSettings(), (), {}, ())
+    assert len(sampled) > 1
+    assert all(math.isfinite(c) for v in sampled for c in v)
 
 
 def _bits_or_error(f, *args):
@@ -379,8 +437,15 @@ def test_substeps_agree_with_fixed_step_rk4():
     (lambda: shooting.find_brake_orbit(-1.0), 62_486),
     (lambda: analysis.check_zero_energy_monotone(), 4_543),
     (lambda: analysis.check_magical_prefix(), 19_685),
+    # the run `simulate` makes, which watches every kind it can emit
+    (lambda: integrate(
+        dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
+        IntegratorSettings(t_limit=8.0),
+        watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS,
+               EventKind.BRAKE_POINT},
+    ), 7_476),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
-        "check_zero_energy_monotone", "check_magical_prefix"])
+        "check_zero_energy_monotone", "check_magical_prefix", "simulate"])
 def test_field_evaluations_do_not_grow(field_calls, run, limit):
     run()
     assert field_calls[0] <= limit
