@@ -140,41 +140,14 @@ def hill_contains(E: float, x: float, y: float) -> bool:
     return potential(x, y) <= E
 
 
-def _boundary_radius(E: float, phi: float) -> float:
-    """Radius of the zero-velocity curve along the ray at angle phi,
-    found by bracketed bisection on V = E (V is monotone in r on rays)."""
-    s = math.sin(phi)
-    if s <= _HILL_SIN_MIN:
-        raise DomainError(f"no boundary point on the ray phi={phi}")
-    c, sn = math.cos(phi), s
-
-    def v_of_r(r: float) -> float:
-        return potential(r * c, r * sn)
-
-    # V increases along the ray from -inf towards 0^-, so bracket by
-    # doubling/halving around r = 1.
-    lo = hi = 1.0
-    if v_of_r(1.0) < E:
-        while v_of_r(hi) < E:
-            hi *= 2.0
-        lo = hi / 2.0
-    else:
-        while v_of_r(lo) >= E:
-            lo /= 2.0
-        hi = lo * 2.0
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if v_of_r(mid) < E:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def hill_boundary_sample(E: float, n: int) -> list[tuple[float, float]]:
     """n points on the zero-velocity curve {V = E} in the half-plane y > 0,
     ordered by polar angle (left to right: angle decreasing means x
-    increasing; we return increasing angle)."""
+    increasing; we return increasing angle).
+
+    V is homogeneous of degree -1 in r: on the ray at angle phi it is
+    (-4 + 1/(2 sin phi)) / r, so the curve is the closed form
+    r(phi) = (4 - 1/(2 sin phi)) / (-E), positive where sin phi > 1/8."""
     if not (E < 0.0):
         raise DomainError(f"bounded Hill boundary requires E < 0, got {E}")
     if n < 2:
@@ -186,7 +159,7 @@ def hill_boundary_sample(E: float, n: int) -> list[tuple[float, float]]:
     pts = []
     for i in range(n):
         phi = a + (b - a) * i / (n - 1)
-        r = _boundary_radius(E, phi)
+        r = (4.0 - 0.5 / math.sin(phi)) / -E
         pts.append((r * math.cos(phi), r * math.sin(phi)))
     return pts
 

@@ -11,7 +11,7 @@ second, multi-reflection orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from . import dynamics
@@ -53,6 +53,12 @@ class OrbitRecord:
     alpha_residual: float
     kind: str  # "Langmuir" or "Brake-<k>"
     solver_trace: tuple[tuple[float, float], ...]
+    # The search's quarter arc at h_star and the settings that made it, for
+    # assemble_periodic_orbit; never serialized, compared or copied by
+    # dataclasses.replace, so any other record integrates its own quarter.
+    _quarter_arc: Optional[tuple[IntegratorSettings, Trajectory]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def reflection_count(self) -> int:
         if self.kind == "Langmuir":
@@ -176,24 +182,32 @@ def _find_orbit(
     kind: str,
     settings: IntegratorSettings,
     max_iter: int,
+    ends: tuple[Trajectory, ...] = (),
 ) -> OrbitRecord:
+    """Root of alpha_k on the bracket.  `ends` are the quarter arcs of the
+    two bracket ends when they are already known."""
     trace: list[tuple[float, float]] = []
-    rests: dict[float, State] = {}
+    # the bracket ends and the latest evaluation: the root is one of them
+    arcs: dict[float, Trajectory] = dict(zip(bracket, ends))
 
     def f(h: float) -> float:
-        rests[h] = _quarter(E, h, k, settings).samples[-1]
-        return rests[h].vy
+        if h not in arcs:
+            for old in [x for x in arcs if x not in bracket]:
+                del arcs[old]
+            arcs[h] = _quarter(E, h, k, settings)
+        return arcs[h].samples[-1].vy
 
     h_star, residual = _solve_bracketed(
         f, bracket[0], bracket[1], ALPHA_TOL, max_iter, trace
     )
-    touch = rests[h_star]
+    arc = arcs[h_star]
+    touch = arc.samples[-1]
     speed = math.sqrt(touch.speed2())
     if speed > TOUCH_SPEED_TOL:
         raise NoConvergence(
             f"touch speed {speed} exceeds {TOUCH_SPEED_TOL} at h={h_star}"
         )
-    return OrbitRecord(
+    rec = OrbitRecord(
         E=E,
         h_star=h_star,
         quarter_period=touch.t,
@@ -202,6 +216,8 @@ def _find_orbit(
         kind=kind,
         solver_trace=tuple(trace),
     )
+    object.__setattr__(rec, "_quarter_arc", (settings, arc))
+    return rec
 
 
 def find_langmuir_orbit(
@@ -232,14 +248,15 @@ def find_brake_orbit(
     if not (E < 0.0):
         raise ValueError(f"orbit search requires E < 0, got {E}")
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
+    ends: tuple[Trajectory, ...] = ()
     if k is None:
-        k = classify_reflection_count(E, bracket, settings)
+        k, ends = _classify(E, bracket, settings)
         if k == 1:
             raise BadBracket(
                 f"the bracket {bracket} holds the simple orbit, "
                 f"not a brake orbit"
             )
-    return _find_orbit(E, bracket, k, f"Brake-{k}", settings, max_iter)
+    return _find_orbit(E, bracket, k, f"Brake-{k}", settings, max_iter, ends)
 
 
 def classify_reflection_count(
@@ -252,14 +269,27 @@ def classify_reflection_count(
     bracket endpoints (the trajectory end is reflected on opposite sides).
     The default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
+    return _classify(E, bracket, settings, k_max)[0]
+
+
+def _classify(
+    E: float,
+    bracket: tuple[float, float],
+    settings: IntegratorSettings,
+    k_max: int = 8,
+) -> tuple[int, tuple[Trajectory, Trajectory]]:
+    """classify_reflection_count, also returning the quarter arcs of the
+    two bracket ends at the rest count found."""
     for k in range(1, k_max + 1):
         try:
-            a = alpha_k(E, bracket[0], k, settings)
-            b = alpha_k(E, bracket[1], k, settings)
+            ends = (
+                _quarter(E, bracket[0], k, settings),
+                _quarter(E, bracket[1], k, settings),
+            )
         except NoRest:
             continue
-        if (a > 0.0) != (b > 0.0):
-            return k
+        if (ends[0].samples[-1].vy > 0.0) != (ends[1].samples[-1].vy > 0.0):
+            return k, ends
     raise BadBracket(
         f"no rest count up to {k_max} separates the bracket {bracket}"
     )
@@ -315,20 +345,32 @@ def assemble_periodic_orbit(
 ) -> Trajectory:
     """Close the quarter arc into the full period-4T orbit.
 
-    [0, T]   the integrated quarter arc,
+    [0, T]   the quarter arc,
     [T, 2T]  its time reversal (velocities negated),
     [2T, 4T] the x-reflection of the first half.
 
-    Before assembling, the quarter is re-integrated backwards from the
-    touch point with negated velocities and must retrace the forward arc
-    within closure_tol at every forward sample, else ClosureFailure.
+    The quarter arc is the one the orbit search integrated at h_star, when
+    `rec` comes straight from find_langmuir_orbit or find_brake_orbit and
+    `settings` equal the search's; any other record (a parsed one, say)
+    integrates its own.  Before assembling, the quarter is re-integrated
+    backwards from the touch point with negated velocities and must
+    retrace the forward arc within closure_tol at every forward sample,
+    else ClosureFailure.  The deviation is measured in E = -1 units
+    (positions times -E, velocities over sqrt(-E)), in which every energy
+    level's orbit is the same rescaled curve.
     """
-    try:
-        quarter = _quarter(rec.E, rec.h_star, rec.reflection_count(), settings)
-    except NoRest as exc:
-        raise ClosureFailure(
-            f"quarter arc terminated by {exc.termination}"
-        ) from exc
+    arc = rec._quarter_arc
+    if arc is not None and arc[0] == settings:
+        quarter = arc[1]
+    else:
+        try:
+            quarter = _quarter(
+                rec.E, rec.h_star, rec.reflection_count(), settings
+            )
+        except NoRest as exc:
+            raise ClosureFailure(
+                f"quarter arc terminated by {exc.termination}"
+            ) from exc
     touch = quarter.samples[-1]
     T = touch.t
 
@@ -339,6 +381,7 @@ def assemble_periodic_orbit(
         back_start, replace(settings, t_limit=T), sample_times=back_times
     )
     by_time = {round(s.t, 12): s for s in back.samples}
+    q_unit, v_unit = -rec.E, math.sqrt(-rec.E)
     worst = 0.0
     unmatched = 0
     for s in fwd[:-1]:
@@ -348,10 +391,10 @@ def assemble_periodic_orbit(
             continue
         worst = max(
             worst,
-            abs(mirror.x - s.x),
-            abs(mirror.y - s.y),
-            abs(mirror.vx + s.vx),
-            abs(mirror.vy + s.vy),
+            q_unit * abs(mirror.x - s.x),
+            q_unit * abs(mirror.y - s.y),
+            abs(mirror.vx + s.vx) / v_unit,
+            abs(mirror.vy + s.vy) / v_unit,
         )
     if unmatched:
         raise ClosureFailure(
@@ -360,7 +403,8 @@ def assemble_periodic_orbit(
         )
     if worst > closure_tol:
         raise ClosureFailure(
-            f"reversed arc deviates from the forward arc by {worst}"
+            f"reversed arc deviates from the forward arc by {worst} "
+            f"in E = -1 units"
         )
 
     samples: list[State] = list(fwd)

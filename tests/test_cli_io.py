@@ -116,6 +116,14 @@ class TestFindOrbit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "Brake-3"
 
+    @pytest.mark.parametrize("energy", ["-3.0", "-4.0"])
+    def test_brake_kind_at_low_energy(self, energy, capsys):
+        # rescaled copies of the E = -1 orbit: the retrace deviation,
+        # measured in E = -1 units, does not grow as the orbit shrinks
+        rc = main(["find-orbit", "--energy", energy, "--kind", "brake"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "Brake-3"
+
     def test_brake_bracket_holding_simple_orbit(self, capsys):
         rc = main(
             ["find-orbit", "--energy", "-1.0", "--kind", "brake",

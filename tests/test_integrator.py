@@ -1,10 +1,12 @@
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from langmuir_lab import analysis, integrator, shooting
+from langmuir_lab import analysis, cli, integrator, shooting
 from langmuir_lab import dynamics as dyn
 from langmuir_lab.dynamics import ProblemSpec, State
 from langmuir_lab.errors import DomainError, StepUnderflow
@@ -427,6 +429,13 @@ def test_substeps_agree_with_fixed_step_rk4():
         assert max(abs(a - b) for a, b in zip(_vec(s), oracle)) <= 1e-8
 
 
+def _find_orbit_command(kind):
+    with tempfile.TemporaryDirectory() as out:
+        rc = cli.main(["find-orbit", "--energy", "-1.0", "--kind", kind,
+                       "--out", os.path.join(out, kind)])
+    assert rc == 0
+
+
 # Field evaluations at E = -1 with dense output (events and substeps read
 # from the step's interpolant).  They are deterministic, so they gate
 # regressions in the amount of work.
@@ -434,7 +443,7 @@ def test_substeps_agree_with_fixed_step_rk4():
     (lambda: shooting.shoot(-1.0, 1.398), 833),
     (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 40_260),
     (lambda: shooting.find_langmuir_orbit(-1.0), 7_302),
-    (lambda: shooting.find_brake_orbit(-1.0), 62_486),
+    (lambda: shooting.find_brake_orbit(-1.0), 53_994),
     (lambda: analysis.check_zero_energy_monotone(), 4_543),
     (lambda: analysis.check_magical_prefix(), 19_685),
     # the run `simulate` makes, which watches every kind it can emit
@@ -444,8 +453,11 @@ def test_substeps_agree_with_fixed_step_rk4():
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS,
                EventKind.BRAKE_POINT},
     ), 7_476),
+    (lambda: _find_orbit_command("langmuir"), 8_905),
+    (lambda: _find_orbit_command("brake"), 65_209),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
-        "check_zero_energy_monotone", "check_magical_prefix", "simulate"])
+        "check_zero_energy_monotone", "check_magical_prefix", "simulate",
+        "find_orbit_langmuir_command", "find_orbit_brake_command"])
 def test_field_evaluations_do_not_grow(field_calls, run, limit):
     run()
     assert field_calls[0] <= limit

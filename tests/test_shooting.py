@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langmuir_lab import dynamics as dyn
-from langmuir_lab import shooting
+from langmuir_lab import output, shooting
+from langmuir_lab.cli import main
 from langmuir_lab.errors import BadBracket, ClosureFailure
 from langmuir_lab.integrator import EventKind, IntegratorSettings, integrate
 
@@ -147,11 +149,9 @@ def test_default_brackets_follow_energy_scaling(orbits_at_e1, kind, E):
     ) <= 1e-6
 
 
-@pytest.mark.parametrize("kind", sorted(FINDERS))
-def test_each_solver_evaluation_integrates_once(monkeypatch, kind):
-    # the touch state is the last solver evaluation's rest, not a second
-    # integration of h*; the brake rest count is given so that no
-    # classification runs are counted
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """Record the start state of every integration made in `shooting`."""
     real = shooting.integrate
     calls = []
 
@@ -160,9 +160,32 @@ def test_each_solver_evaluation_integrates_once(monkeypatch, kind):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate", integrate)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(FINDERS))
+def test_each_solver_evaluation_integrates_once(integrate_calls, kind):
+    # the touch state is the last solver evaluation's rest, not a second
+    # integration of h*; the brake rest count is given so that no
+    # classification runs are counted
     kwargs = {"k": 3} if kind == "brake" else {}
     rec = FINDERS[kind](-1.0, **kwargs)
-    assert len(calls) == len(rec.solver_trace)
+    assert len(integrate_calls) == len(rec.solver_trace)
+
+
+@pytest.mark.parametrize("kind", sorted(FINDERS))
+def test_find_orbit_integrates_each_launch_once(integrate_calls, tmp_path, kind):
+    # classification integrates both bracket ends at rest counts 1..k; the
+    # solver starts from its k-th-rest arcs, and assembly from the h* arc,
+    # so beyond the retrace nothing is integrated twice
+    prefix = tmp_path / kind
+    argv = ["find-orbit", "--energy", "-1.0", "--kind", kind]
+    assert main(argv + ["--out", str(prefix)]) == 0
+    rec = output.parse_orbit_record(
+        (tmp_path / f"{kind}.orbit.json").read_text()
+    )
+    classify = 2 * (rec.reflection_count() - 1)
+    assert len(integrate_calls) == classify + len(rec.solver_trace) + 1
 
 
 # Closed-form laws of the exact flow, checked on random admissible launches.
@@ -286,6 +309,64 @@ class TestAssembly:
 
     def test_samples_stay_in_upper_half_plane(self):
         assert all(s.y > 0.0 for s in self.orbit.samples)
+
+
+def _launch(rec):
+    return dyn.initial_state(dyn.ProblemSpec(E=rec.E, h=rec.h_star))
+
+
+class TestAssemblyArc:
+    """Which quarter arc assemble_periodic_orbit closes into the orbit."""
+
+    @pytest.mark.parametrize("kind", sorted(FINDERS))
+    def test_search_arc_is_reused(self, orbits_at_e1, integrate_calls, kind):
+        rec = orbits_at_e1[kind]
+        shooting.assemble_periodic_orbit(rec)
+        # only the backward retrace, which starts at the touch point
+        assert len(integrate_calls) == 1
+        assert integrate_calls[0].x == rec.touch_state.x
+
+    def test_other_settings_integrate_their_own_quarter(
+        self, orbits_at_e1, integrate_calls
+    ):
+        rec = orbits_at_e1["langmuir"]
+        finer = IntegratorSettings(rel_tol=1e-9)
+        orbit = shooting.assemble_periodic_orbit(rec, finer)
+        assert len(integrate_calls) == 2
+        assert integrate_calls[0] == _launch(rec)
+        # the quarter is the one these settings integrate
+        quarter = shooting._quarter(rec.E, rec.h_star, 1, finer)
+        n = len(quarter.samples)
+        assert orbit.samples[:n] == quarter.samples
+
+    @pytest.mark.parametrize("kind", sorted(FINDERS))
+    def test_parsed_record_assembles_to_the_same_bytes(
+        self, orbits_at_e1, integrate_calls, kind
+    ):
+        rec = orbits_at_e1[kind]
+        parsed = output.parse_orbit_record(output.orbit_record_json(rec))
+        own = output.trajectory_csv(shooting.assemble_periodic_orbit(parsed))
+        assert integrate_calls[0] == _launch(rec)
+        assert len(integrate_calls) == 2
+        reused = output.trajectory_csv(shooting.assemble_periodic_orbit(rec))
+        assert own == reused
+
+
+def _retrace_worst(rec):
+    """The retrace deviation, in E = -1 units, that assemble_periodic_orbit
+    reports when every deviation exceeds its tolerance."""
+    with pytest.raises(ClosureFailure) as info:
+        shooting.assemble_periodic_orbit(rec, closure_tol=0.0)
+    return float(re.search(r"by (\S+) in E = -1 units", str(info.value))[1])
+
+
+def test_brake_retrace_deviation_follows_the_scaling_law(orbits_at_e1):
+    # the E = -4 brake orbit is the E = -1 one with positions scaled by 1/4
+    # and velocities by 2; in E = -1 units only integration error differs
+    ref = _retrace_worst(orbits_at_e1["brake"])
+    worst = _retrace_worst(shooting.find_brake_orbit(-4.0))
+    assert ref <= 1e-6
+    assert abs(worst / ref - 1.0) <= 0.1
 
 
 class TestQuarterArcInvariants:
