@@ -28,7 +28,7 @@ SQRT3 = math.sqrt(3.0)
 _HILL_SIN_MIN = 1.0 / 8.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """Phase-space point (position, velocity) plus time."""
 

@@ -8,10 +8,11 @@ so the step size shrinks until it underflows.  Inside an accepted
 step, states come from the step's continuous extension (Dormand & Prince
 1980; the CONTD5 of `dopri5` in Hairer, Norsett & Wanner, Solving ODEs I,
 II.6), a fourth-order interpolant built from the seven stages the step
-already has, at no extra field evaluation.  Forced substeps are read from
-it, and events are localized by bisecting the sign of a residual on it; the
-state of a located event is then one fifth-order step from the accepted
-step's start to the located time.
+already has, at no extra field evaluation.  Forced substeps and requested
+`sample_times` are read from it, so requests never change the step
+sequence, and events are localized by bisecting the sign of a residual on
+it; the state of a located event is then one fifth-order step from the
+accepted step's start to the located time.
 
 Two vector fields are integrated with the same machinery: the planar
 two-electron field (second-order form, state (x, y, vx, vy)) and its
@@ -307,7 +308,9 @@ class _Run:
         self.events: list[tuple[EventKind, float, Vec]] = []
         self.e0 = energy_fn(y0)
         self.drift = 0.0
-        self.sample_times = [s for s in sorted(sample_times) if s > t0]
+        # requested times still to come, latest first, so pop() is the next
+        self.requests = sorted({s for s in sample_times if s > t0},
+                               reverse=True)
         self.termination: Optional[EventKind] = None
 
     def _record_drift(self, y: Vec):
@@ -364,12 +367,6 @@ class _Run:
                 self._finish_time_limit()
                 return
             h = min(h, st.h_max, st.t_limit - self.t)
-            while self.sample_times and self.sample_times[0] <= self.t:
-                self.sample_times.pop(0)
-            if self.sample_times:
-                gap = self.sample_times[0] - self.t
-                if gap < h:
-                    h = gap
             if h < st.h_min:
                 raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
 
@@ -387,8 +384,14 @@ class _Run:
             # accepted
             t0, y0, h_acc = self.t, self.y, h
             t_new, y_new = t0 + h, y5
+            # the latest requested time this step answers: its end, or the
+            # time limit when the run ends after it
+            t_last = st.t_limit if st.t_limit - t_new < st.h_min else t_new
             # the interpolant is built only for a step that reads from it
-            at = _dense_output(y0, y5, ks, h) if st.substeps else None
+            if st.substeps or (self.requests and self.requests[-1] <= t_last):
+                at = _dense_output(y0, y5, ks, h)
+            else:
+                at = None
             for t_ev, kind, y_ev in self._scan_events(
                 t0, y0, k1, ks, h_acc, y_new, res, at
             ):
@@ -396,15 +399,17 @@ class _Run:
                 if kind in self.stop_left:
                     self.stop_left[kind] -= 1
                     if self.stop_left[kind] == 0:
-                        self._append_substeps(t0, at, t_ev - t0)
+                        self._append_interior(t0, at, t_ev - t0, t_ev)
                         self.samples.append((t_ev, y_ev))
                         self._record_drift(y_ev)
                         self.termination = kind
                         return
 
-            self._append_substeps(t0, at, h_acc)
+            self._append_interior(t0, at, h_acc, t_new)
             self.samples.append((t_new, y_new))
             self._record_drift(y_new)
+            if t_last != t_new:
+                self._append_requests(t0, at, t_last, end_sample=False)
             self.t, self.y, k1 = t_new, y_new, ks[6]
 
             # PI controller (accepted step)
@@ -412,6 +417,33 @@ class _Run:
             fac = 0.9 * e ** -0.14 * err_old ** 0.08
             err_old = e
             h = h_acc * min(5.0, max(0.2, fac))
+
+    def _append_interior(self, t0, at, h_span, t_end):
+        """Samples inside the span (t0, t_end), t_end = t0 + h_span, read
+        from the step's interpolant `at`: `substeps` equally spaced times
+        and each requested time, in time order."""
+        start = len(self.samples)
+        self._append_substeps(t0, at, h_span)
+        requests = self.requests
+        if requests and requests[-1] <= t_end:
+            self._append_requests(t0, at, t_end, end_sample=True)
+            if self.st.substeps:
+                # a request at a substep's time is that substep
+                interior = dict(reversed(self.samples[start:]))
+                self.samples[start:] = sorted(interior.items())
+
+    def _append_requests(self, t0, at, t_last, end_sample):
+        """Sample each requested time up to t_last from the interpolant `at`
+        of the step from t0; when `end_sample`, the sample at t_last that
+        ends the span answers a request at that time."""
+        requests = self.requests
+        while requests and requests[-1] <= t_last:
+            t = requests.pop()
+            if end_sample and t == t_last:
+                return
+            y = at(t - t0)
+            self.samples.append((t, y))
+            self._record_drift(y)
 
     def _append_substeps(self, t0, at, h_span):
         """Sample `substeps` equally spaced interior times of (t0, t0 +
@@ -431,8 +463,23 @@ class _Run:
         self.termination = kind
 
 
+# State's slot setters: _vec_to_state fills a new instance through them,
+# which skips the frozen dataclass __init__ (one object.__setattr__ per field)
+_new_state = State.__new__
+_set_t, _set_x, _set_y, _set_vx, _set_vy = (
+    State.__dict__[name].__set__ for name in ("t", "x", "y", "vx", "vy")
+)
+
+
 def _vec_to_state(t: float, y: Vec) -> State:
-    return State(t=t, x=y[0], y=y[1], vx=y[2], vy=y[3])
+    """State(t=t, x=y[0], y=y[1], vx=y[2], vy=y[3])."""
+    s = _new_state(State)
+    _set_t(s, t)
+    _set_x(s, y[0])
+    _set_y(s, y[1])
+    _set_vx(s, y[2])
+    _set_vy(s, y[3])
+    return s
 
 
 def _langmuir_rhs(y: Vec) -> Vec:
@@ -531,7 +578,14 @@ def integrate(
     """Integrate the planar two-electron field forward from s0, recording
     the events of every kind in `watch` or `stop`.  The run ends at the n-th
     event of any kind that `stop` maps to n.  Collision proximity always
-    ends it at its first event, and the time limit always ends it."""
+    ends it at its first event, and the time limit always ends it.
+
+    Each of the `sample_times` that the run reaches (the time limit
+    included) adds one sample at exactly that time, read from the dense
+    output of the step that holds it; a sample already at that very time
+    (a step's end, a substep or the final event) stands for it.  The steps,
+    their end samples and the events are the same with or without
+    requests."""
     return _integrate_chart(
         _langmuir_rhs, _langmuir_energy, s0, settings, watch, stop,
         sample_times,

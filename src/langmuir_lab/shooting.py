@@ -11,6 +11,7 @@ second, multi-reflection orbit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -140,8 +141,11 @@ def _solve_bracketed(
     max_iter: int,
     trace: list[tuple[float, float]],
 ) -> tuple[float, float]:
-    """Bisection with secant acceleration; secant steps leaving the bracket
-    fall back to the midpoint."""
+    """Brent-Dekker root finding (Brent 1973, Algorithms for Minimization
+    without Derivatives, ch. 4): inverse quadratic interpolation or secant
+    steps, with bisection whenever they would not shrink the bracket fast
+    enough.  It stops at the first point where |f| <= tol_f, so the result
+    is a bracket end or the latest evaluation."""
     fa, fb = f(lo), f(hi)
     trace += [(lo, fa), (hi, fb)]
     if abs(fa) <= tol_f:
@@ -152,24 +156,50 @@ def _solve_bracketed(
         raise BadBracket(
             f"no sign change on [{lo}, {hi}]: f(lo)={fa}, f(hi)={fb}"
         )
+    # b: the latest point; c: the bracket's other end, f(c) of opposite
+    # sign; a: the point before b
     a, b = lo, hi
-    x_prev, f_prev, x, fx = a, fa, b, fb
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(max_iter):
-        if fx != f_prev:
-            cand = x - fx * (x - x_prev) / (fx - f_prev)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        # the smallest step that moves b; the floor keeps it nonzero at 0
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + sys.float_info.min
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            raise NoConvergence(
+                f"|residual| > {tol_f} on [{lo}, {hi}]: the bracket has "
+                f"shrunk to [{min(b, c)}, {max(b, c)}]"
+            )
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m  # bisection
         else:
-            cand = 0.5 * (a + b)
-        if not (a < cand < b):
-            cand = 0.5 * (a + b)
-        fc = f(cand)
-        trace.append((cand, fc))
-        if abs(fc) <= tol_f:
-            return cand, fc
-        if (fc > 0.0) == (fa > 0.0):
-            a, fa = cand, fc
-        else:
-            b, fb = cand, fc
-        x_prev, f_prev, x, fx = x, fx, cand, fc
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        trace.append((b, fb))
+        if abs(fb) <= tol_f:
+            return b, fb
     raise NoConvergence(
         f"|residual| > {tol_f} after {max_iter} iterations on [{lo}, {hi}]"
     )
@@ -353,11 +383,15 @@ def assemble_periodic_orbit(
     `rec` comes straight from find_langmuir_orbit or find_brake_orbit and
     `settings` equal the search's; any other record (a parsed one, say)
     integrates its own.  Before assembling, the quarter is re-integrated
-    backwards from the touch point with negated velocities and must
-    retrace the forward arc within closure_tol at every forward sample,
-    else ClosureFailure.  The deviation is measured in E = -1 units
-    (positions times -E, velocities over sqrt(-E)), in which every energy
-    level's orbit is the same rescaled curve.
+    backwards from the touch point with negated velocities, over [0, T]
+    with its own steps, requesting the mirror time T - t of every forward
+    sample; the integrator reads each from its dense output.  Each forward
+    sample is paired with the backward sample at exactly its mirror time
+    (the launch's mirror is the sample at the time limit T).  An unpaired
+    forward sample, or a pair further apart than closure_tol, raises
+    ClosureFailure.  The deviation is measured in E = -1 units (positions
+    times -E, velocities over sqrt(-E)), in which every energy level's
+    orbit is the same rescaled curve.
     """
     arc = rec._quarter_arc
     if arc is not None and arc[0] == settings:
@@ -375,20 +409,22 @@ def assemble_periodic_orbit(
     T = touch.t
 
     back_start = State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx, vy=-touch.vy)
-    fwd = quarter.samples
-    back_times = [T - s.t for s in reversed(fwd[:-1])]
+    fwd = quarter.samples[:-1]
     back = integrate(
-        back_start, replace(settings, t_limit=T), sample_times=back_times
+        back_start, replace(settings, t_limit=T),
+        sample_times=[T - s.t for s in fwd],
     )
-    by_time = {round(s.t, 12): s for s in back.samples}
+    # each request yields one sample at exactly its time, the launch's (at
+    # T, the time limit) included
+    by_time = {s.t: s for s in back.samples}
     q_unit, v_unit = -rec.E, math.sqrt(-rec.E)
     worst = 0.0
-    unmatched = 0
-    for s in fwd[:-1]:
-        mirror = by_time.get(round(T - s.t, 12))
+    matched = 0
+    for s in fwd:
+        mirror = by_time.get(T - s.t)
         if mirror is None:
-            unmatched += 1
             continue
+        matched += 1
         worst = max(
             worst,
             q_unit * abs(mirror.x - s.x),
@@ -396,10 +432,10 @@ def assemble_periodic_orbit(
             abs(mirror.vx + s.vx) / v_unit,
             abs(mirror.vy + s.vy) / v_unit,
         )
-    if unmatched:
+    if matched < len(fwd):
         raise ClosureFailure(
-            f"reversed arc has no sample mirroring {unmatched} of "
-            f"{len(fwd) - 1} forward samples"
+            f"reversed arc matched {matched} of {len(fwd)} forward samples: "
+            f"no sample mirroring {len(fwd) - matched} of them"
         )
     if worst > closure_tol:
         raise ClosureFailure(
@@ -407,9 +443,9 @@ def assemble_periodic_orbit(
             f"in E = -1 units"
         )
 
-    samples: list[State] = list(fwd)
+    samples: list[State] = list(quarter.samples)
     # time reversal: t in (T, 2T]
-    for s in reversed(fwd[:-1]):
+    for s in reversed(fwd):
         samples.append(
             State(t=2.0 * T - s.t, x=s.x, y=s.y, vx=-s.vx, vy=-s.vy)
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from langmuir_lab import dynamics as dyn
 from langmuir_lab.dynamics import ProblemSpec, State
 from langmuir_lab.errors import DomainError
+from langmuir_lab.integrator import _vec_to_state
 
 from conftest import ulps
 
@@ -16,6 +18,29 @@ SQRT3 = math.sqrt(3.0)
 pos_y = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 any_x = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 vel = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+class TestState:
+    @given(st.floats(allow_nan=False), any_x, pos_y, vel, vel)
+    @settings(max_examples=100)
+    def test_integrator_builds_the_same_state(self, t, x, y, vx, vy):
+        # _vec_to_state fills the slots directly, skipping __init__
+        got = _vec_to_state(t, (x, y, vx, vy))
+        want = State(t=t, x=x, y=y, vx=vx, vy=vy)
+        assert type(got) is State
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0),
+        lambda: _vec_to_state(0.0, (0.0, 1.0, 1.0, 0.0)),
+    ], ids=["constructor", "integrator"])
+    def test_frozen(self, make):
+        s = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.x = 2.0
+        assert not hasattr(s, "__dict__")
 
 
 class TestPotential:

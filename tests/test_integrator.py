@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -429,6 +430,93 @@ def test_substeps_agree_with_fixed_step_rk4():
         assert max(abs(a - b) for a, b in zip(_vec(s), oracle)) <= 1e-8
 
 
+def _state_bits(s):
+    return _hexes((s.t, *_vec(s)))
+
+
+def _event_bits(ev):
+    return ev.kind, ev.t.hex(), _state_bits(ev.state)
+
+
+@settings(max_examples=10, deadline=None)
+@given(**launches, fractions=st.lists(
+    st.floats(min_value=0.0, max_value=1.2, exclude_min=True), max_size=30
+))
+def test_sample_times_do_not_change_the_steps(E, u, fractions):
+    # requested times are read from the interpolant of the step holding
+    # them: every other sample and every event are those of the same run
+    # without requests, bit for bit
+    s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
+    kw = dict(watch={EventKind.MAGICAL_LINE_CROSS},
+              stop={EventKind.X_VELOCITY_ZERO: 1})
+    free = integrate(s0, **kw)
+    times = {f * free.samples[-1].t for f in fractions}
+    asked = integrate(s0, sample_times=sorted(times), **kw)
+
+    def steps(traj):
+        return [_state_bits(s) for s in traj.samples if s.t not in times]
+
+    assert steps(asked) == steps(free)
+    assert ([_event_bits(ev) for ev in asked.events]
+            == [_event_bits(ev) for ev in free.events])
+
+
+@settings(max_examples=10, deadline=None)
+@given(**launches, fractions=st.lists(
+    st.floats(min_value=0.0, max_value=1.2, exclude_min=True), max_size=30
+), substeps=st.sampled_from([0, 3]), with_step_ends=st.booleans())
+def test_each_requested_time_is_sampled_once(
+    E, u, fractions, substeps, with_step_ends
+):
+    # a run to the time limit: requests up to it (the limit itself among
+    # them, and step ends if drawn) each give exactly one sample at exactly
+    # that time; later ones give none
+    t_limit = 1.0 / (-E) ** 1.5
+    st_ = IntegratorSettings(t_limit=t_limit, substeps=substeps)
+    s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
+    times = {f * t_limit for f in fractions} | {t_limit}
+    if with_step_ends:
+        times |= {s.t for s in integrate(s0, st_).samples[1::5]}
+    traj = integrate(s0, st_, sample_times=sorted(times))
+    assert traj.termination is EventKind.TIME_LIMIT
+    ts = [s.t for s in traj.samples]
+    assert all(b > a for a, b in zip(ts, ts[1:]))
+    for t in times:
+        assert ts.count(t) == (1 if t <= t_limit else 0)
+
+
+def test_request_at_the_time_limit_is_sampled_when_the_run_stops_short():
+    # a step that ends within h_min of the time limit ends the run there;
+    # a request at the limit is read from that last step's interpolant
+    st_ = IntegratorSettings(h_min=1e-3)
+    s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
+    last = integrate(s0, replace(st_, t_limit=0.5)).samples[-2]
+    t_limit = last.t + 0.5 * st_.h_min
+    traj = integrate(s0, replace(st_, t_limit=t_limit),
+                     sample_times=[t_limit])
+    end, asked = traj.samples[-2:]
+    assert _state_bits(end) == _state_bits(last)
+    assert asked.t == t_limit
+    want = rk4_fixed(*_vec(s0), t_limit, t_limit / math.ceil(t_limit / 1e-4))
+    assert max(abs(a - b) for a, b in zip(_vec(asked), want)) <= 1e-8
+
+
+def test_requested_samples_agree_with_fixed_step_rk4():
+    # the fixed-step RK4 of conftest, chained from request to request with
+    # steps of at most 1e-4, against every requested sample
+    s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=0.5))
+    times = [0.0137 * i for i in range(1, 73)] + [1.0]
+    traj = integrate(s0, IntegratorSettings(t_limit=1.0), sample_times=times)
+    by_t = {s.t: s for s in traj.samples}
+    oracle, t = _vec(s0), 0.0
+    for t_req in times:
+        n = math.ceil((t_req - t) / 1e-4)
+        oracle = rk4_fixed(*oracle, t_req - t, (t_req - t) / n)
+        t = t_req
+        err = max(abs(a - b) for a, b in zip(_vec(by_t[t_req]), oracle))
+        assert err <= 1e-8
+
+
 def _find_orbit_command(kind):
     with tempfile.TemporaryDirectory() as out:
         rc = cli.main(["find-orbit", "--energy", "-1.0", "--kind", kind,
@@ -443,7 +531,7 @@ def _find_orbit_command(kind):
     (lambda: shooting.shoot(-1.0, 1.398), 833),
     (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 40_260),
     (lambda: shooting.find_langmuir_orbit(-1.0), 7_302),
-    (lambda: shooting.find_brake_orbit(-1.0), 53_994),
+    (lambda: shooting.find_brake_orbit(-1.0), 45_550),
     (lambda: analysis.check_zero_energy_monotone(), 4_543),
     (lambda: analysis.check_magical_prefix(), 19_685),
     # the run `simulate` makes, which watches every kind it can emit
@@ -453,8 +541,8 @@ def _find_orbit_command(kind):
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS,
                EventKind.BRAKE_POINT},
     ), 7_476),
-    (lambda: _find_orbit_command("langmuir"), 8_905),
-    (lambda: _find_orbit_command("brake"), 65_209),
+    (lambda: _find_orbit_command("langmuir"), 8_149),
+    (lambda: _find_orbit_command("brake"), 49_889),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
         "check_zero_energy_monotone", "check_magical_prefix", "simulate",
         "find_orbit_langmuir_command", "find_orbit_brake_command"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from langmuir_lab import dynamics as dyn
 from langmuir_lab import output, shooting
 from langmuir_lab.cli import main
-from langmuir_lab.errors import BadBracket, ClosureFailure
+from langmuir_lab.errors import BadBracket, ClosureFailure, NoConvergence
 from langmuir_lab.integrator import EventKind, IntegratorSettings, integrate
 
 from conftest import launches
@@ -251,6 +251,54 @@ class TestBrackets:
             shooting.find_langmuir_orbit(0.0)
 
 
+def _solve(f, lo, hi, tol_f, max_iter=100):
+    trace = []
+    x, fx = shooting._solve_bracketed(f, lo, hi, tol_f, max_iter, trace)
+    return x, fx, trace
+
+
+class TestRootSolver:
+    """_solve_bracketed against roots known in closed form."""
+
+    @pytest.mark.parametrize("f, lo, hi, root, x_tol", [
+        # Wallis's cubic; |f'| > 11 at the root
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 2.0945514815423265,
+         1e-13),
+        # flat on both sides of the root, |f| <= tol within tol**(1/3)
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.3, 1e-4),
+        # a root at a bracket end
+        (lambda x: x - 1.0, 0.0, 1.0, 1.0, 0.0),
+    ], ids=["wallis", "flat", "at_end"])
+    def test_closed_form_roots(self, f, lo, hi, root, x_tol):
+        tol = 1e-12
+        x, fx, trace = _solve(f, lo, hi, tol)
+        assert fx == f(x)
+        assert abs(fx) <= tol
+        assert lo <= x <= hi
+        assert abs(x - root) <= x_tol
+        # the answer is an evaluated point the orbit search has the arc of
+        assert (x, fx) == trace[-1] or x in (lo, hi)
+
+    def test_same_signs_raise_bad_bracket(self):
+        with pytest.raises(BadBracket):
+            _solve(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_iteration_limit_raises_no_convergence(self):
+        with pytest.raises(NoConvergence, match="after 3 iterations"):
+            _solve(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 0.0, max_iter=3)
+
+    def test_collapsed_bracket_raises_no_convergence(self):
+        # a jump: |f| never falls below the tolerance, and the solver stops
+        # once the bracket is down to rounding, well before max_iter
+        trace = []
+        with pytest.raises(NoConvergence, match="shrunk"):
+            shooting._solve_bracketed(
+                lambda x: -1.0 if x < 0.5 else 1.0, 0.0, 1.0, 1e-12, 200,
+                trace,
+            )
+        assert len(trace) < 100
+
+
 class TestScan:
     def test_grid_has_one_sign_change(self):
         grid = shooting.default_grid(n=30)
@@ -304,7 +352,10 @@ class TestAssembly:
             shooting.assemble_periodic_orbit(self.rec, closure_tol=0.0)
 
     def test_unmatched_retrace_samples_fail(self, retrace_without_samples):
-        with pytest.raises(ClosureFailure, match=r"mirroring \d+ of"):
+        # only the time limit's sample can mirror a forward one
+        with pytest.raises(
+            ClosureFailure, match=r"matched [01] of \d+ forward samples"
+        ):
             shooting.assemble_periodic_orbit(self.rec)
 
     def test_samples_stay_in_upper_half_plane(self):
