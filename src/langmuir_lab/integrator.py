@@ -16,7 +16,10 @@ accepted step's start to the located time.
 
 Two vector fields are integrated with the same machinery: the planar
 two-electron field (second-order form, state (x, y, vx, vy)) and its
-circle-inverted counterpart used for the zero-energy analysis.
+circle-inverted counterpart used for the zero-energy analysis.  The kernel
+takes each field's acceleration (x, y) -> (ax, ay), looked up in `dynamics`
+at every call of `integrate` or `integrate_inverted`: a stage is its input's
+velocity and the acceleration at its input's position.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .dynamics import State
 from .errors import DomainError, StepUnderflow
 
 Vec = tuple[float, float, float, float]
-Rhs = Callable[[Vec], Vec]
+Accel = Callable[[float, float], tuple[float, float]]
 
 
 class EventKind(str, enum.Enum):
@@ -125,51 +128,57 @@ _D6 = -1453857185 / 822651844
 _D7 = 69997945 / 29380423
 
 
-def _dp5_stages(rhs: Rhs, y: Vec, h: float, k1: Vec):
+def _dp5_stages(accel: Accel, y: Vec, h: float, k1: Vec):
     """The fifth-order state and stages 2 to 6 of one step of size h from
     y: (y5, k2, k3, k4, k5, k6).
 
-    Each stage input is y[j] + h * (0.0 + a_i1*k1[j] + ...): the row's
-    products added left to right onto 0.0, as a running sum adds them, so
-    every bit, signed zeros included, equals that of the generic loop over
-    `_A` that the tests keep as the reference.
+    The field is second order, so a stage is (vx, vy, *accel(x, y)) of its
+    input: its first two components are the input's velocity itself.  Each
+    stage input is y[j] + h * (0.0 + a_i1*k1[j] + ...): the row's products
+    added left to right onto 0.0, as a running sum adds them, so every bit,
+    signed zeros included, equals that of the generic loop over `_A` that
+    the tests keep as the reference.
     """
     y0, y1, y2, y3 = y
     k1_0, k1_1, k1_2, k1_3 = k1
-    k2_0, k2_1, k2_2, k2_3 = k2 = rhs((
+    k2_0 = y2 + h * (0.0 + _A21 * k1_2)
+    k2_1 = y3 + h * (0.0 + _A21 * k1_3)
+    k2_2, k2_3 = accel(
         y0 + h * (0.0 + _A21 * k1_0),
         y1 + h * (0.0 + _A21 * k1_1),
-        y2 + h * (0.0 + _A21 * k1_2),
-        y3 + h * (0.0 + _A21 * k1_3),
-    ))
-    k3_0, k3_1, k3_2, k3_3 = k3 = rhs((
+    )
+    k3_0 = y2 + h * (0.0 + _A31 * k1_2 + _A32 * k2_2)
+    k3_1 = y3 + h * (0.0 + _A31 * k1_3 + _A32 * k2_3)
+    k3_2, k3_3 = accel(
         y0 + h * (0.0 + _A31 * k1_0 + _A32 * k2_0),
         y1 + h * (0.0 + _A31 * k1_1 + _A32 * k2_1),
-        y2 + h * (0.0 + _A31 * k1_2 + _A32 * k2_2),
-        y3 + h * (0.0 + _A31 * k1_3 + _A32 * k2_3),
-    ))
-    k4_0, k4_1, k4_2, k4_3 = k4 = rhs((
+    )
+    k4_0 = y2 + h * (0.0 + _A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2)
+    k4_1 = y3 + h * (0.0 + _A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3)
+    k4_2, k4_3 = accel(
         y0 + h * (0.0 + _A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0),
         y1 + h * (0.0 + _A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
-        y2 + h * (0.0 + _A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2),
-        y3 + h * (0.0 + _A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3),
-    ))
-    k5_0, k5_1, k5_2, k5_3 = k5 = rhs((
-        y0 + h * (0.0 + _A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0),
-        y1 + h * (0.0 + _A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
-        y2 + h * (0.0 + _A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2),
-        y3 + h * (0.0 + _A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3),
-    ))
-    k6_0, k6_1, k6_2, k6_3 = k6 = rhs((
+    )
+    k5_0 = y2 + h * (0.0 + _A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2
+                     + _A54 * k4_2)
+    k5_1 = y3 + h * (0.0 + _A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3
+                     + _A54 * k4_3)
+    k5_2, k5_3 = accel(
+        y0 + h * (0.0 + _A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0
+                  + _A54 * k4_0),
+        y1 + h * (0.0 + _A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1
+                  + _A54 * k4_1),
+    )
+    k6_0 = y2 + h * (0.0 + _A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2
+                     + _A64 * k4_2 + _A65 * k5_2)
+    k6_1 = y3 + h * (0.0 + _A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3
+                     + _A64 * k4_3 + _A65 * k5_3)
+    k6_2, k6_3 = accel(
         y0 + h * (0.0 + _A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0
                   + _A64 * k4_0 + _A65 * k5_0),
         y1 + h * (0.0 + _A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1
                   + _A64 * k4_1 + _A65 * k5_1),
-        y2 + h * (0.0 + _A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2
-                  + _A64 * k4_2 + _A65 * k5_2),
-        y3 + h * (0.0 + _A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3
-                  + _A64 * k4_3 + _A65 * k5_3),
-    ))
+    )
     y5 = (
         y0 + h * (0.0 + _A71 * k1_0 + _A72 * k2_0 + _A73 * k3_0
                   + _A74 * k4_0 + _A75 * k5_0 + _A76 * k6_0),
@@ -180,23 +189,27 @@ def _dp5_stages(rhs: Rhs, y: Vec, h: float, k1: Vec):
         y3 + h * (0.0 + _A71 * k1_3 + _A72 * k2_3 + _A73 * k3_3
                   + _A74 * k4_3 + _A75 * k5_3 + _A76 * k6_3),
     )
-    return y5, k2, k3, k4, k5, k6
+    return (y5, (k2_0, k2_1, k2_2, k2_3), (k3_0, k3_1, k3_2, k3_3),
+            (k4_0, k4_1, k4_2, k4_3), (k5_0, k5_1, k5_2, k5_3),
+            (k6_0, k6_1, k6_2, k6_3))
 
 
-def _dp5_trial(rhs: Rhs, y: Vec, h: float, k1: Vec, abs_tol: float,
+def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Vec, abs_tol: float,
                rel_tol: float):
     """One trial step of size h from y, whose first stage k1 is already
-    known: (y5, (k1, ..., k7), ratio), k7 = rhs(y5) being the FSAL stage and
-    ratio the largest |error| / (abs_tol + rel_tol * max(|y|, |y5|)) over
-    the components.
+    known: (y5, (k1, ..., k7), ratio), k7 being the FSAL stage (the field
+    at y5) and ratio the largest |error| / (abs_tol + rel_tol * max(|y|,
+    |y5|)) over the components.
 
     Each component's error is h * fsum of all seven e_m * k_m terms, the
     zero-weighted k2 term included, so that every bit equals that of the
     generic loop over `_E` that the tests keep as the reference.  A step
     with a non-finite error or y5 component has ratio inf.
     """
-    y5, k2, k3, k4, k5, k6 = _dp5_stages(rhs, y, h, k1)
-    k7 = rhs(y5)
+    y5, k2, k3, k4, k5, k6 = _dp5_stages(accel, y, h, k1)
+    z0, z1, z2, z3 = y5
+    k7_2, k7_3 = accel(z0, z1)
+    k7 = (z2, z3, k7_2, k7_3)
     ks = (k1, k2, k3, k4, k5, k6, k7)
     fsum, isfinite = math.fsum, math.isfinite
     try:
@@ -210,7 +223,6 @@ def _dp5_trial(rhs: Rhs, y: Vec, h: float, k1: Vec, abs_tol: float,
                        _E5 * k5[3], _E6 * k6[3], _E7 * k7[3]))
     except (ValueError, OverflowError):  # -inf + inf, or a sum past max
         return y5, ks, math.inf
-    z0, z1, z2, z3 = y5
     if not (isfinite(e0) and isfinite(e1) and isfinite(e2) and isfinite(e3)
             and isfinite(z0) and isfinite(z1) and isfinite(z2)
             and isfinite(z3)):
@@ -224,12 +236,12 @@ def _dp5_trial(rhs: Rhs, y: Vec, h: float, k1: Vec, abs_tol: float,
     )
 
 
-def _advance(rhs: Rhs, y: Vec, h: float, k1: Vec) -> Vec:
+def _advance(accel: Accel, y: Vec, h: float, k1: Vec) -> Vec:
     """The fifth-order state one step of size h > 0 from y: the state of a
     located event.  Nothing steps on from it, so its FSAL stage is not
     evaluated; the guard stands in for the y > 0 check that evaluation
     would make."""
-    y5 = _dp5_stages(rhs, y, h, k1)[0]
+    y5 = _dp5_stages(accel, y, h, k1)[0]
     dynamics._check_upper(y5[0], y5[1])
     return y5
 
@@ -264,8 +276,8 @@ def _dense_output(y: Vec, y5: Vec, ks, h: float) -> Callable[[float], Vec]:
 
 
 def _bisect(
-    rhs: Rhs, f, at, t0: float, y0: Vec, k1: Vec, span: float, r_lo: float,
-    event_tol: float,
+    accel: Accel, f, at, t0: float, y0: Vec, k1: Vec, span: float,
+    r_lo: float, event_tol: float,
 ) -> tuple[float, Vec]:
     """Bisect the sign change of residual f over (t0, t0 + span), probing
     the states of the step's interpolant `at`; the located state is one
@@ -280,7 +292,7 @@ def _bisect(
         else:
             hi = mid
     tau = 0.5 * (lo + hi)
-    return t0 + tau, _advance(rhs, y0, tau, k1)
+    return t0 + tau, _advance(accel, y0, tau, k1)
 
 
 class _Run:
@@ -288,7 +300,7 @@ class _Run:
 
     def __init__(
         self,
-        rhs: Rhs,
+        accel: Accel,
         energy_fn: Callable[[Vec], float],
         y0: Vec,
         t0: float,
@@ -297,7 +309,7 @@ class _Run:
         stop: dict[EventKind, int],
         sample_times: Sequence[float],
     ):
-        self.rhs = rhs
+        self.accel = accel
         self.energy_fn = energy_fn
         self.st = settings
         self.residuals = residuals
@@ -344,8 +356,8 @@ class _Run:
             else:
                 if at is None:
                     at = _dense_output(y0, y_new, ks, h_acc)
-                t_ev, y_ev = _bisect(self.rhs, f, at, t0, y0, k1, h_acc, r0,
-                                     self.st.event_tol)
+                t_ev, y_ev = _bisect(self.accel, f, at, t0, y0, k1, h_acc,
+                                     r0, self.st.event_tol)
             if (kind is EventKind.BRAKE_POINT
                     and y_ev[2] ** 2 + y_ev[3] ** 2 > self.st.brake_speed2):
                 # only minima below the threshold count as actual
@@ -357,8 +369,10 @@ class _Run:
 
     def run(self):
         st = self.st
-        rhs = self.rhs
-        k1 = rhs(self.y)
+        accel = self.accel
+        x, y, vx, vy = self.y
+        ax, ay = accel(x, y)
+        k1 = (vx, vy, ax, ay)
         res = {k: f(self.t, self.y) for k, f in self.residuals.items()}
         h = min(st.h_max, 1e-3)
         err_old = 1.0
@@ -370,7 +384,7 @@ class _Run:
             if h < st.h_min:
                 raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
 
-            y5, ks, ratio = _dp5_trial(rhs, self.y, h, k1, st.abs_tol,
+            y5, ks, ratio = _dp5_trial(accel, self.y, h, k1, st.abs_tol,
                                        st.rel_tol)
             if not math.isfinite(ratio) or ratio > 1.0:
                 if not math.isfinite(ratio):
@@ -482,16 +496,6 @@ def _vec_to_state(t: float, y: Vec) -> State:
     return s
 
 
-def _langmuir_rhs(y: Vec) -> Vec:
-    ax, ay = dynamics.acceleration(y[0], y[1])
-    return (y[2], y[3], ax, ay)
-
-
-def _inverted_rhs(y: Vec) -> Vec:
-    ax, ay = dynamics.inverted_acceleration(y[0], y[1])
-    return (y[2], y[3], ax, ay)
-
-
 # The two energies below are dynamics.energy and dynamics.inverted_energy,
 # operation for operation (so bit for bit), on the state tuple.
 
@@ -508,12 +512,12 @@ def _inverted_energy(v: Vec) -> float:
     return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
 
 
-def _residual_map(settings: IntegratorSettings, rhs: Rhs):
+def _residual_map(settings: IntegratorSettings, accel: Accel):
     """Defining residuals for each locatable event kind."""
 
     def brake(t, y):
-        k = rhs(y)
-        return 2.0 * (y[2] * k[2] + y[3] * k[3])
+        ax, ay = accel(y[0], y[1])
+        return 2.0 * (y[2] * ax + y[3] * ay)
 
     return {
         EventKind.X_VELOCITY_ZERO: lambda t, y: y[2],
@@ -543,7 +547,7 @@ def _build_trajectory(run: _Run) -> Trajectory:
 
 
 def _integrate_chart(
-    rhs: Rhs,
+    accel: Accel,
     energy_fn,
     s0: State,
     settings: IntegratorSettings,
@@ -558,10 +562,10 @@ def _integrate_chart(
     stop = {**stop, EventKind.COLLISION_PROXIMITY: 1}
     watched = set(watch) | stop.keys()
     residuals = {
-        k: f for k, f in _residual_map(settings, rhs).items() if k in watched
+        k: f for k, f in _residual_map(settings, accel).items() if k in watched
     }
     run = _Run(
-        rhs, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,
+        accel, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,
         residuals, stop, sample_times,
     )
     run.run()
@@ -587,7 +591,7 @@ def integrate(
     their end samples and the events are the same with or without
     requests."""
     return _integrate_chart(
-        _langmuir_rhs, _langmuir_energy, s0, settings, watch, stop,
+        dynamics.acceleration, _langmuir_energy, s0, settings, watch, stop,
         sample_times,
     )
 
@@ -600,5 +604,6 @@ def integrate_inverted(
     """Integrate the circle-inverted chart (used for zero-energy runs);
     s0 must already live in that chart, e.g. invert_state(initial_state(...))."""
     return _integrate_chart(
-        _inverted_rhs, _inverted_energy, s0, settings, (), {}, sample_times,
+        dynamics.inverted_acceleration, _inverted_energy, s0, settings, (),
+        {}, sample_times,
     )

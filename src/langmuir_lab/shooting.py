@@ -6,6 +6,11 @@ comes to a full stop on the Hill boundary and therefore closes into a
 periodic orbit of period 4T by time reversal and x-reflection.  A
 generalized alpha_k (vertical velocity at the k-th x-rest) captures the
 second, multi-reflection orbit.
+
+The orbit search finds a root of alpha_k to |alpha_k| <= ALPHA_TOL in two
+stages: a Brent-Dekker solve on alpha_k integrated at COARSE_REL_TOL, then
+a secant polish at the given settings from the coarse root.  Only arcs at
+the given settings reach the orbit record.
 """
 
 from __future__ import annotations
@@ -17,7 +22,14 @@ from typing import Callable, Optional, Sequence
 
 from . import dynamics
 from .dynamics import ProblemSpec, State
-from .errors import BadBracket, ClosureFailure, NoConvergence, NoRest
+from .errors import (
+    BadBracket,
+    ClosureFailure,
+    DomainError,
+    NoConvergence,
+    NoRest,
+    StepUnderflow,
+)
 from .integrator import (
     EventKind,
     IntegratorSettings,
@@ -26,6 +38,8 @@ from .integrator import (
 )
 
 ALPHA_TOL = 1e-8
+# relative tolerance of the orbit search's coarse stage (see _find_orbit)
+COARSE_REL_TOL = 1e-6
 TOUCH_SPEED_TOL = 1e-6
 # Tuned at E = -1; h* scales as 1/(-E), so _bracket_at rescales them.
 DEFAULT_BRACKET = (0.5, 3.0)
@@ -47,6 +61,10 @@ class ShootResult:
 
 @dataclass(frozen=True)
 class OrbitRecord:
+    """A periodic orbit found by the orbit search.  `solver_trace` lists the
+    search's evaluations (h, alpha_k) in order, coarse stage first; its last
+    entry is (h_star, alpha_residual), both at the search's settings."""
+
     E: float
     h_star: float
     quarter_period: float
@@ -140,14 +158,20 @@ def _solve_bracketed(
     tol_f: float,
     max_iter: int,
     trace: list[tuple[float, float]],
+    f_ends: Optional[tuple[float, float]] = None,
 ) -> tuple[float, float]:
     """Brent-Dekker root finding (Brent 1973, Algorithms for Minimization
     without Derivatives, ch. 4): inverse quadratic interpolation or secant
     steps, with bisection whenever they would not shrink the bracket fast
     enough.  It stops at the first point where |f| <= tol_f, so the result
-    is a bracket end or the latest evaluation."""
-    fa, fb = f(lo), f(hi)
-    trace += [(lo, fa), (hi, fb)]
+    is a bracket end or the latest evaluation.  `f_ends` are f(lo) and
+    f(hi) when they are already known; they are neither evaluated again nor
+    traced."""
+    if f_ends is None:
+        fa, fb = f(lo), f(hi)
+        trace += [(lo, fa), (hi, fb)]
+    else:
+        fa, fb = f_ends
     if abs(fa) <= tol_f:
         return lo, fa
     if abs(fb) <= tol_f:
@@ -214,10 +238,21 @@ def _find_orbit(
     max_iter: int,
     ends: tuple[Trajectory, ...] = (),
 ) -> OrbitRecord:
-    """Root of alpha_k on the bracket.  `ends` are the quarter arcs of the
-    two bracket ends when they are already known."""
+    """Root of alpha_k on the bracket, |alpha_k| <= ALPHA_TOL at `settings`.
+
+    A coarse Brent-Dekker solve on alpha_k integrated at COARSE_REL_TOL
+    locates the root to |alpha_k| <= 1e3 * ALPHA_TOL; a secant polish at
+    `settings` then starts from that root (see _polish).  When `settings`
+    are no finer than COARSE_REL_TOL, or either stage cannot finish, the
+    root is Brent-Dekker's at `settings` on the whole bracket, the search
+    without a coarse stage.  `ends` are the quarter arcs of the two bracket
+    ends at `settings` when they are already known; the coarse stage starts
+    from their values too.  The solver trace lists every evaluation in order
+    (coarse stage, polish, then the search on the whole bracket if it runs),
+    so its last entry is the root and its residual."""
     trace: list[tuple[float, float]] = []
-    # the bracket ends and the latest evaluation: the root is one of them
+    # arcs at `settings`: the bracket ends and the latest evaluation, so
+    # the root is one of them
     arcs: dict[float, Trajectory] = dict(zip(bracket, ends))
 
     def f(h: float) -> float:
@@ -227,9 +262,31 @@ def _find_orbit(
             arcs[h] = _quarter(E, h, k, settings)
         return arcs[h].samples[-1].vy
 
-    h_star, residual = _solve_bracketed(
-        f, bracket[0], bracket[1], ALPHA_TOL, max_iter, trace
-    )
+    scale = COARSE_REL_TOL / settings.rel_tol
+    root = None
+    if scale > 1.0:
+        coarse = replace(settings, rel_tol=scale * settings.rel_tol,
+                         abs_tol=scale * settings.abs_tol)
+
+        def f_coarse(h: float) -> float:
+            # a bracket end whose arc is known keeps its value at `settings`
+            if h in arcs:
+                return arcs[h].samples[-1].vy
+            return _quarter(E, h, k, coarse).samples[-1].vy
+
+        # any failure is left to the search on the whole bracket, which
+        # raises it again if it is not the coarse tolerance's doing
+        try:
+            h0, _ = _solve_bracketed(f_coarse, bracket[0], bracket[1],
+                                     1e3 * ALPHA_TOL, max_iter, trace)
+            root = _polish(f, h0, trace[-2:], bracket, max_iter, trace)
+        except (NoRest, BadBracket, NoConvergence, DomainError,
+                StepUnderflow):
+            pass
+    if root is None:
+        root = _solve_bracketed(f, bracket[0], bracket[1], ALPHA_TOL,
+                                max_iter, trace)
+    h_star, residual = root
     arc = arcs[h_star]
     touch = arc.samples[-1]
     speed = math.sqrt(touch.speed2())
@@ -248,6 +305,47 @@ def _find_orbit(
     )
     object.__setattr__(rec, "_quarter_arc", (settings, arc))
     return rec
+
+
+def _polish(
+    f: Callable[[float], float],
+    h0: float,
+    last: list[tuple[float, float]],
+    bracket: tuple[float, float],
+    max_iter: int,
+    trace: list[tuple[float, float]],
+) -> Optional[tuple[float, float]]:
+    """Secant iteration on f from h0, the coarse root, to |f| <= ALPHA_TOL.
+
+    The first slope is the secant through `last`, the coarse stage's last
+    two points; later slopes come from the polish's own last two points.
+    Once two points differ in sign, Brent-Dekker finishes between them.
+    Returns None, for the search on the whole bracket, when a step would
+    leave the bracket or does not shrink |f|, or after max_iter steps."""
+    lo, hi = min(bracket), max(bracket)
+    h, fh = h0, f(h0)
+    trace.append((h, fh))
+    (ha, fa), (hb, fb) = last
+    for _ in range(max_iter):
+        if abs(fh) <= ALPHA_TOL:
+            return h, fh
+        if fa == fb:
+            return None
+        h_new = h - fh * (hb - ha) / (fb - fa)
+        if not (lo <= h_new <= hi) or h_new == h:
+            return None
+        f_new = f(h_new)
+        trace.append((h_new, f_new))
+        if abs(f_new) <= ALPHA_TOL:
+            return h_new, f_new
+        if (f_new > 0.0) != (fh > 0.0):
+            return _solve_bracketed(f, h, h_new, ALPHA_TOL, max_iter, trace,
+                                    (fh, f_new))
+        if abs(f_new) >= abs(fh):
+            return None
+        ha, fa, hb, fb = h, fh, h_new, f_new
+        h, fh = h_new, f_new
+    return None
 
 
 def find_langmuir_orbit(

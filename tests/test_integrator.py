@@ -18,9 +18,7 @@ from langmuir_lab.integrator import (
     _dp5_trial,
     _integrate_chart,
     _inverted_energy,
-    _inverted_rhs,
     _langmuir_energy,
-    _langmuir_rhs,
     integrate,
     integrate_inverted,
 )
@@ -192,9 +190,9 @@ class TestEvents:
         starts = []
         real = integrator._bisect
 
-        def recording(rhs, f, at, t0, y0, k1, span, r_lo, event_tol):
+        def recording(accel, f, at, t0, y0, k1, span, r_lo, event_tol):
             starts.append(r_lo)
-            return real(rhs, f, at, t0, y0, k1, span, r_lo, event_tol)
+            return real(accel, f, at, t0, y0, k1, span, r_lo, event_tol)
 
         monkeypatch.setattr(integrator, "_bisect", recording)
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.398))
@@ -260,25 +258,41 @@ class TestStopRule:
         assert n_watched - field_calls[0] == len(watched.samples)
 
 
-def _reference_trial(rhs, y, h, k1, abs_tol, rel_tol):
-    y5, ks = dp5_reference_step(rhs, y, h, k1)
+def _first_order(accel):
+    """The field of the state (x, y, vx, vy) whose acceleration is `accel`,
+    in the first-order form (vx, vy, ax, ay) the reference step takes."""
+
+    def rhs(v):
+        ax, ay = accel(v[0], v[1])
+        return (v[2], v[3], ax, ay)
+
+    return rhs
+
+
+_langmuir_rhs = _first_order(dyn.acceleration)
+
+
+def _reference_trial(accel, y, h, k1, abs_tol, rel_tol):
+    y5, ks = dp5_reference_step(_first_order(accel), y, h, k1)
     return y5, ks, dp5_reference_error_ratio(y, y5, ks, h, abs_tol, rel_tol)
 
 
-def _trial_bits(trial, rhs, y, h):
+def _trial_bits(trial, accel, y, h):
     """The fifth-order state, the seven stages and the error norm of one
     trial step at the default tolerances, as float.hex strings (so signed
     zeros count), or the error it raised."""
     st_ = IntegratorSettings()
     try:
-        y5, ks, ratio = trial(rhs, y, h, rhs(y), st_.abs_tol, st_.rel_tol)
+        k1 = _first_order(accel)(y)
+        y5, ks, ratio = trial(accel, y, h, k1, st_.abs_tol, st_.rel_tol)
     except (ArithmeticError, DomainError) as exc:
         return repr(exc)
     return ([v.hex() for v in y5] + [v.hex() for k in ks for v in k]
             + [ratio.hex()])
 
 
-@pytest.mark.parametrize("rhs", [_langmuir_rhs, _inverted_rhs],
+@pytest.mark.parametrize("accel",
+                         [dyn.acceleration, dyn.inverted_acceleration],
                          ids=["langmuir", "inverted"])
 @settings(max_examples=300, deadline=None)
 @given(
@@ -292,22 +306,22 @@ def _trial_bits(trial, rhs, y, h):
 # from 0 makes the stage input +0.0
 @example(x=-0.0, y=1.0, vx=-0.0, vy=1.0, h=0.1)
 @example(x=0.0, y=2.0, vx=-0.0, vy=-0.0, h=0.1)
-def test_unrolled_step_matches_the_tableau_loop(rhs, x, y, vx, vy, h):
+def test_unrolled_step_matches_the_tableau_loop(accel, x, y, vx, vy, h):
     state = (x, y, vx, vy)
-    assert (_trial_bits(_dp5_trial, rhs, state, h)
-            == _trial_bits(_reference_trial, rhs, state, h))
+    assert (_trial_bits(_dp5_trial, accel, state, h)
+            == _trial_bits(_reference_trial, accel, state, h))
 
 
 @pytest.mark.parametrize("bad", [
-    (math.nan,) * 4,
-    (math.inf, -math.inf, math.inf, -math.inf),
+    (math.nan, math.nan),
+    (math.inf, -math.inf),
 ], ids=["nan", "inf"])
 def test_non_finite_steps_are_rejected_until_underflow(bad):
     # a field that turns non-finite past x = 0.5: every trial step that
     # reaches there is rejected, the step size shrinks until it underflows,
     # and no non-finite state is ever sampled
-    def rhs(v):
-        return bad if v[0] > 0.5 else (1.0, 0.0, 0.0, 0.0)
+    def accel(x, y):
+        return bad if x > 0.5 else (0.0, 0.0)
 
     sampled = []
 
@@ -317,7 +331,7 @@ def test_non_finite_steps_are_rejected_until_underflow(bad):
 
     s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
     with pytest.raises(StepUnderflow):
-        _integrate_chart(rhs, energy, s0, IntegratorSettings(), (), {}, ())
+        _integrate_chart(accel, energy, s0, IntegratorSettings(), (), {}, ())
     assert len(sampled) > 1
     assert all(math.isfinite(c) for v in sampled for c in v)
 
@@ -371,7 +385,7 @@ def test_substeps_agree_with_a_fifth_order_step(E, u):
         start = _vec(samples[m])
         k1 = _langmuir_rhs(start)
         for s in samples[m + 1:m + group]:
-            want = _advance(_langmuir_rhs, start, s.t - samples[m].t, k1)
+            want = _advance(dyn.acceleration, start, s.t - samples[m].t, k1)
             err = max(abs(a - b) for a, b in zip(_vec(s), want))
             assert err <= 100 * st_.rel_tol * max(map(abs, want))
 
@@ -386,8 +400,8 @@ def test_event_state_is_one_fifth_order_step(E, u):
     # last step make calls that no event keeps)
     calls = {}
 
-    def recording(rhs, y, h, k1):
-        out = _advance(rhs, y, h, k1)
+    def recording(accel, y, h, k1):
+        out = _advance(accel, y, h, k1)
         calls.setdefault(_hexes(out), []).append((y, h))
         return out
 
@@ -409,11 +423,11 @@ def test_event_state_is_one_fifth_order_step(E, u):
 def test_event_state_off_the_half_plane_raises():
     # _advance skips the FSAL field evaluation that would have rejected a
     # state with y <= 0, so it checks that itself
-    def falling(v):
-        return (0.0, -1.0, 0.0, 0.0)
+    def falling(x, y):
+        return (0.0, 0.0)
 
     with pytest.raises(DomainError):
-        _advance(falling, (0.0, 0.5, 0.0, -1.0), 1.0, falling(None))
+        _advance(falling, (0.0, 0.5, 0.0, -1.0), 1.0, (0.0, -1.0, 0.0, 0.0))
 
 
 def test_substeps_agree_with_fixed_step_rk4():
@@ -525,13 +539,15 @@ def _find_orbit_command(kind):
 
 
 # Field evaluations at E = -1 with dense output (events and substeps read
-# from the step's interpolant).  They are deterministic, so they gate
-# regressions in the amount of work.
-@pytest.mark.parametrize("run, limit", [
+# from the step's interpolant).  They are deterministic, so each row pins
+# its count exactly: more is lost work, and fewer means the row is stale or
+# the count no longer sees the field (a kernel that bound
+# `dynamics.acceleration` at import would count 0).
+@pytest.mark.parametrize("run, count", [
     (lambda: shooting.shoot(-1.0, 1.398), 833),
     (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 40_260),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 7_302),
-    (lambda: shooting.find_brake_orbit(-1.0), 45_550),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 3_126),
+    (lambda: shooting.find_brake_orbit(-1.0), 30_342),
     (lambda: analysis.check_zero_energy_monotone(), 4_543),
     (lambda: analysis.check_magical_prefix(), 19_685),
     # the run `simulate` makes, which watches every kind it can emit
@@ -541,14 +557,14 @@ def _find_orbit_command(kind):
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS,
                EventKind.BRAKE_POINT},
     ), 7_476),
-    (lambda: _find_orbit_command("langmuir"), 8_149),
-    (lambda: _find_orbit_command("brake"), 49_889),
+    (lambda: _find_orbit_command("langmuir"), 3_973),
+    (lambda: _find_orbit_command("brake"), 34_681),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
         "check_zero_energy_monotone", "check_magical_prefix", "simulate",
         "find_orbit_langmuir_command", "find_orbit_brake_command"])
-def test_field_evaluations_do_not_grow(field_calls, run, limit):
+def test_field_evaluations_do_not_grow(field_calls, run, count):
     run()
-    assert field_calls[0] <= limit
+    assert field_calls[0] == count
 
 
 class TestInvertedChart:

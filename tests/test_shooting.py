@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from langmuir_lab import dynamics as dyn
 from langmuir_lab import output, shooting
 from langmuir_lab.cli import main
-from langmuir_lab.errors import BadBracket, ClosureFailure, NoConvergence
+from langmuir_lab.errors import (
+    BadBracket,
+    ClosureFailure,
+    NoConvergence,
+    NoRest,
+)
 from langmuir_lab.integrator import EventKind, IntegratorSettings, integrate
 
 from conftest import launches
@@ -151,13 +156,14 @@ def test_default_brackets_follow_energy_scaling(orbits_at_e1, kind, E):
 
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """Record the start state of every integration made in `shooting`."""
+    """Record (start state, settings) of every integration made in
+    `shooting`."""
     real = shooting.integrate
     calls = []
 
-    def integrate(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def integrate(s0, settings=IntegratorSettings(), *args, **kwargs):
+        calls.append((s0, settings))
+        return real(s0, settings, *args, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate", integrate)
     return calls
@@ -165,8 +171,10 @@ def integrate_calls(monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(FINDERS))
 def test_each_solver_evaluation_integrates_once(integrate_calls, kind):
-    # the touch state is the last solver evaluation's rest, not a second
-    # integration of h*; the brake rest count is given so that no
+    # each trace entry is one integration, coarse or at full tolerance (the
+    # coarse root is integrated once more, at full tolerance, to open the
+    # polish); the touch state is the last solver evaluation's rest, not a
+    # second integration of h*; the brake rest count is given so that no
     # classification runs are counted
     kwargs = {"k": 3} if kind == "brake" else {}
     rec = FINDERS[kind](-1.0, **kwargs)
@@ -177,7 +185,8 @@ def test_each_solver_evaluation_integrates_once(integrate_calls, kind):
 def test_find_orbit_integrates_each_launch_once(integrate_calls, tmp_path, kind):
     # classification integrates both bracket ends at rest counts 1..k; the
     # solver starts from its k-th-rest arcs, and assembly from the h* arc,
-    # so beyond the retrace nothing is integrated twice
+    # so beyond the retrace each integration is one trace entry (the coarse
+    # root is one entry at each tolerance)
     prefix = tmp_path / kind
     argv = ["find-orbit", "--energy", "-1.0", "--kind", kind]
     assert main(argv + ["--out", str(prefix)]) == 0
@@ -186,6 +195,112 @@ def test_find_orbit_integrates_each_launch_once(integrate_calls, tmp_path, kind)
     )
     classify = 2 * (rec.reflection_count() - 1)
     assert len(integrate_calls) == classify + len(rec.solver_trace) + 1
+
+
+def _bits(traj):
+    """Every float of a trajectory's samples and events as float.hex, with
+    its drift and termination, so that signed zeros count."""
+    states = [s for s in traj.samples] + [e.state for e in traj.events]
+    return (
+        [tuple(v.hex() for v in (s.t, s.x, s.y, s.vx, s.vy)) for s in states],
+        [(e.kind, e.t.hex()) for e in traj.events],
+        traj.max_energy_drift.hex(),
+        traj.termination,
+    )
+
+
+def _full_search_only(monkeypatch):
+    """Make every coarse quarter end without a rest, so that _find_orbit
+    falls back to Brent-Dekker at the given settings on the whole bracket."""
+    real = shooting._quarter
+    default = IntegratorSettings()
+
+    def quarter(E, h, k, settings, watch=frozenset()):
+        if settings.rel_tol > default.rel_tol:
+            raise NoRest(k, EventKind.TIME_LIMIT.value)
+        return real(E, h, k, settings, watch)
+
+    monkeypatch.setattr(shooting, "_quarter", quarter)
+
+
+class TestTwoStageSearch:
+    """The coarse solve and full-tolerance polish of the orbit search,
+    against a fresh integration, a finer re-integration and the search on
+    the whole bracket at full tolerance."""
+
+    @pytest.mark.parametrize("kind", sorted(FINDERS))
+    def test_record_arc_is_a_full_tolerance_arc(self, orbits_at_e1, kind):
+        rec = orbits_at_e1[kind]
+        settings, arc = rec._quarter_arc
+        assert settings == IntegratorSettings()
+        fresh = shooting._quarter(
+            rec.E, rec.h_star, rec.reflection_count(), settings
+        )
+        assert _bits(arc) == _bits(fresh)
+
+    @pytest.mark.parametrize("kind", sorted(FINDERS))
+    def test_full_search_finds_the_same_root(
+        self, orbits_at_e1, monkeypatch, kind
+    ):
+        _full_search_only(monkeypatch)
+        rec = FINDERS[kind](-1.0)
+        assert rec.kind == orbits_at_e1[kind].kind
+        assert abs(rec.h_star - orbits_at_e1[kind].h_star) <= 1e-8
+        assert abs(rec.alpha_residual) <= shooting.ALPHA_TOL
+
+    def test_coarse_run_off_the_half_plane_falls_back(
+        self, orbits_at_e1, monkeypatch
+    ):
+        # at rel_tol 1e-2 a coarse brake quarter steps to y < 0 and raises
+        # DomainError; the search on the whole bracket still finds the orbit
+        monkeypatch.setattr(shooting, "COARSE_REL_TOL", 1e-2)
+        rec = shooting.find_brake_orbit(-1.0)
+        assert abs(rec.h_star - orbits_at_e1["brake"].h_star) <= 1e-8
+
+    @pytest.mark.parametrize("kind", sorted(FINDERS))
+    @pytest.mark.parametrize("E", [-2.0, -1.0, -0.5])
+    def test_root_holds_at_a_finer_tolerance(self, kind, E):
+        rec = FINDERS[kind](E)
+        fine = IntegratorSettings(rel_tol=1e-12)
+        alpha = shooting.alpha_k(E, rec.h_star, rec.reflection_count(), fine)
+        assert abs(alpha) <= 1e-7
+
+    @pytest.mark.parametrize("kind", sorted(FINDERS))
+    def test_trace_ends_at_the_root_inside_the_bracket(
+        self, integrate_calls, kind
+    ):
+        kwargs = {"k": 3} if kind == "brake" else {}
+        rec = FINDERS[kind](-1.0, **kwargs)
+        lo, hi = {"langmuir": shooting.DEFAULT_BRACKET,
+                  "brake": shooting.DEFAULT_BRAKE_BRACKET}[kind]
+        assert rec.solver_trace[-1] == (rec.h_star, rec.alpha_residual)
+        assert all(lo <= h <= hi for h, _ in rec.solver_trace)
+        # no launch is integrated twice at the same settings; both stages
+        # ran, and the root is integrated at the given settings
+        assert len(set(integrate_calls)) == len(integrate_calls)
+        tols = [settings.rel_tol for _, settings in integrate_calls]
+        assert tols[0] == pytest.approx(shooting.COARSE_REL_TOL)
+        assert tols[-1] == IntegratorSettings().rel_tol
+        assert integrate_calls[-1][0] == _launch(rec)
+
+    def test_no_coarse_stage_at_coarse_settings(self, integrate_calls):
+        coarse = IntegratorSettings(rel_tol=shooting.COARSE_REL_TOL)
+        rec = shooting.find_langmuir_orbit(-1.0, settings=coarse)
+        assert {settings for _, settings in integrate_calls} == {coarse}
+        assert len(integrate_calls) == len(rec.solver_trace)
+
+    def test_bracket_without_sign_change_raises_at_full_tolerance(self):
+        # the error is the full-tolerance search's: its values are alpha
+        # at the given settings
+        alpha = shooting.shoot(-1.0, 0.2).alpha
+        with pytest.raises(BadBracket, match=re.escape(f"f(lo)={alpha}")):
+            shooting.find_langmuir_orbit(-1.0, bracket=(0.2, 0.3))
+
+    def test_unconverged_brake_search_still_raises(self):
+        with pytest.raises(NoConvergence, match="shrunk"):
+            shooting.find_brake_orbit(
+                -10.0, settings=IntegratorSettings(rel_tol=1e-8)
+            )
 
 
 # Closed-form laws of the exact flow, checked on random admissible launches.
@@ -375,7 +490,7 @@ class TestAssemblyArc:
         shooting.assemble_periodic_orbit(rec)
         # only the backward retrace, which starts at the touch point
         assert len(integrate_calls) == 1
-        assert integrate_calls[0].x == rec.touch_state.x
+        assert integrate_calls[0][0].x == rec.touch_state.x
 
     def test_other_settings_integrate_their_own_quarter(
         self, orbits_at_e1, integrate_calls
@@ -384,7 +499,7 @@ class TestAssemblyArc:
         finer = IntegratorSettings(rel_tol=1e-9)
         orbit = shooting.assemble_periodic_orbit(rec, finer)
         assert len(integrate_calls) == 2
-        assert integrate_calls[0] == _launch(rec)
+        assert integrate_calls[0] == (_launch(rec), finer)
         # the quarter is the one these settings integrate
         quarter = shooting._quarter(rec.E, rec.h_star, 1, finer)
         n = len(quarter.samples)
@@ -397,7 +512,7 @@ class TestAssemblyArc:
         rec = orbits_at_e1[kind]
         parsed = output.parse_orbit_record(output.orbit_record_json(rec))
         own = output.trajectory_csv(shooting.assemble_periodic_orbit(parsed))
-        assert integrate_calls[0] == _launch(rec)
+        assert integrate_calls[0][0] == _launch(rec)
         assert len(integrate_calls) == 2
         reused = output.trajectory_csv(shooting.assemble_periodic_orbit(rec))
         assert own == reused
