@@ -28,7 +28,7 @@ def main() -> int:
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    settings = IntegratorSettings(substeps=4)
+    settings = IntegratorSettings()
     for h in HEIGHTS:
         s0 = dynamics.initial_state(ProblemSpec(E=ENERGY, h=h))
         traj = integrate(s0, settings, stop={EventKind.X_VELOCITY_ZERO: 1})

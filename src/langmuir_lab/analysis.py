@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import dynamics
 from .dynamics import ProblemSpec
 from .integrator import EventKind, IntegratorSettings, integrate, integrate_inverted
-from .shooting import default_grid, scan_alpha, shoot
+from .shooting import _shoot_run, default_grid, scan_alpha, shoot
 
 # Deceleration bound: inside the Hill region at E=-1 both |x| and y are at
 # most 7/2, so x'' <= -8*gamma*x with gamma = (49/4 + 49/4)^(-3/2); a
@@ -69,14 +69,8 @@ def check_initial_acceleration(
     )
 
 
-def check_tmax_bound(
-    h_grid: Optional[Sequence[float]] = None,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> CheckReport:
-    """Every first x-rest at E=-1 happens no later than T_MAX."""
-    if h_grid is None:
-        h_grid = default_grid()
-    results = scan_alpha(-1.0, h_grid, settings)
+def _tmax_report(results) -> CheckReport:
+    """check_tmax_bound's verdict on the ShootResults of a grid."""
     times = {r.h: r.t_h for r in results if r.status == "ok"}
     failures = [(r.h, r.status) for r in results if r.status != "ok"]
     worst = max((t - T_MAX for t in times.values()), default=math.inf)
@@ -95,6 +89,45 @@ def check_tmax_bound(
     )
 
 
+def check_tmax_bound(
+    h_grid: Optional[Sequence[float]] = None,
+    settings: IntegratorSettings = IntegratorSettings(),
+) -> CheckReport:
+    """Every first x-rest at E=-1 happens no later than T_MAX."""
+    if h_grid is None:
+        h_grid = default_grid()
+    return _tmax_report(scan_alpha(-1.0, h_grid, settings))
+
+
+def _magical_prefix_report(h_grid, runs) -> CheckReport:
+    """check_magical_prefix's verdict on the trajectories `runs` of the E=-1
+    launches from the heights h_grid, each run at least to its first
+    magical-line crossing or its first x-rest.  A run's prefix is its
+    samples after launch and before its first crossing, and the crossing's
+    state; its worst value is the largest vy/t there.  A run without a
+    crossing checks nothing."""
+    worst = -math.inf
+    vacuous = []
+    for h, traj in zip(h_grid, runs):
+        cross = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
+        if cross is None:
+            vacuous.append(h)
+            continue
+        worst = max(
+            worst,
+            cross.state.vy / cross.t,
+            *(s.vy / s.t for s in traj.samples if 0.0 < s.t < cross.t),
+        )
+    if len(vacuous) == len(runs):
+        worst = math.inf
+    return CheckReport.from_violation(
+        "magical_prefix",
+        worst,
+        0.0,
+        {"n_checked": len(runs) - len(vacuous), "no_crossing": vacuous},
+    )
+
+
 def check_magical_prefix(
     h_grid: Optional[Sequence[float]] = None,
     settings: IntegratorSettings = IntegratorSettings(),
@@ -102,31 +135,15 @@ def check_magical_prefix(
     """Until its first crossing of the vanishing-vertical-force line the
     trajectory keeps moving downward (vy < 0 on (0, first crossing]).
     Each run stops at its first crossing or its first x-rest, whichever
-    comes first; a run that rests before crossing checks nothing."""
+    comes first; a run that rests before crossing checks nothing.  The
+    worst value is the largest vy/t over the step ends and the crossing,
+    which does not tend to 0 at launch as vy does (vy/t tends to -7/h^2)."""
     if h_grid is None:
         h_grid = default_grid()
-    settings = replace(settings, substeps=10)
-    worst = -math.inf
-    vacuous = []
-    checked = 0
     stop = {EventKind.MAGICAL_LINE_CROSS: 1, EventKind.X_VELOCITY_ZERO: 1}
-    for h in h_grid:
-        s0 = dynamics.initial_state(ProblemSpec(E=-1.0, h=h))
-        traj = integrate(s0, settings, stop=stop)
-        if traj.termination is not EventKind.MAGICAL_LINE_CROSS:
-            vacuous.append(h)
-            continue
-        checked += 1
-        # the last sample is the crossing itself
-        worst = max(worst, max(s.vy for s in traj.samples[1:]))
-    if not checked:
-        worst = math.inf
-    return CheckReport.from_violation(
-        "magical_prefix",
-        worst,
-        0.0,
-        {"n_checked": checked, "no_crossing": vacuous},
-    )
+    runs = [integrate(dynamics.initial_state(ProblemSpec(E=-1.0, h=h)),
+                      settings, stop=stop) for h in h_grid]
+    return _magical_prefix_report(h_grid, runs)
 
 
 def check_zero_energy_monotone(
@@ -134,30 +151,31 @@ def check_zero_energy_monotone(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> CheckReport:
     """On the zero-energy run the distance from the nucleus grows
-    monotonically (r' > 0 for t >= 0.01) and the orbit stays inside the
-    unbounded zero-energy Hill region y >= |x|/sqrt(63)."""
+    monotonically and the orbit stays inside the unbounded zero-energy Hill
+    region y >= |x|/sqrt(63).  Growth is judged by r'/t > 0 at every step
+    end after launch: r' = 0 at launch, but r'/t tends to 7 there, so its
+    minimum does not depend on where the first step ends."""
     if not (t_end > 0.0):
         raise ValueError(f"t_end must be positive, got {t_end}")
-    settings = replace(settings, t_limit=t_end, substeps=10)
+    settings = replace(settings, t_limit=t_end)
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
     traj = integrate(s0, settings)
-    min_rdot = math.inf
-    hill_worst = -math.inf
-    y_above_one = 0  # diagnostic only; see details
-    for s in traj.samples:
-        if s.t >= 0.01:
-            min_rdot = min(min_rdot, dynamics.radial_velocity(s))
-        hill_worst = max(hill_worst, abs(s.x) / math.sqrt(63.0) - s.y)
-        if s.t > 0.0 and s.y > 1.0:
-            y_above_one += 1
-    worst = max(-min_rdot, hill_worst)
+    # with no sample after launch nothing is compared: worst is inf
+    min_rdot_t = min(
+        (dynamics.radial_velocity(s) / s.t for s in traj.samples if s.t > 0.0),
+        default=-math.inf,
+    )
+    hill_worst = max(abs(s.x) / math.sqrt(63.0) - s.y for s in traj.samples)
+    # diagnostic only; see details
+    y_above_one = sum(1 for s in traj.samples if s.t > 0.0 and s.y > 1.0)
+    worst = max(-min_rdot_t, hill_worst)
     return CheckReport.from_violation(
         "zero_energy_monotone",
         worst,
         0.0,
         {
             "t_end": t_end,
-            "min_radial_velocity": min_rdot,
+            "min_radial_velocity_over_t": min_rdot_t,
             "hill_worst": hill_worst,
             "n_samples": len(traj.samples),
             "max_energy_drift": traj.max_energy_drift,
@@ -266,23 +284,21 @@ def check_energy_drift(
     )
 
 
-_ALL_CHECKS = (
-    check_energy_drift,
-    check_initial_acceleration,
-    check_inverted_concavity,
-    check_magical_prefix,
-    check_tau_growth,
-    check_tmax_bound,
-    check_zero_energy_monotone,
-)
-
-
 def run_all_checks(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[CheckReport]:
-    """Execute the whole suite; reports sorted by name."""
-    reports = [
-        fn() if fn is check_initial_acceleration else fn(settings=settings)
-        for fn in _ALL_CHECKS
+    """Execute the whole suite; reports sorted by name.  tmax_bound and
+    magical_prefix read one integration of each default-grid launch, the
+    run shoot() makes: up to its first crossing it is the run that
+    check_magical_prefix makes, bit for bit."""
+    h_grid = default_grid()
+    runs = [_shoot_run(-1.0, h, settings) for h in h_grid]
+    return [
+        check_energy_drift(settings=settings),
+        check_initial_acceleration(),
+        check_inverted_concavity(settings=settings),
+        _magical_prefix_report(h_grid, [traj for traj, _ in runs]),
+        check_tau_growth(settings=settings),
+        _tmax_report([res for _, res in runs]),
+        check_zero_energy_monotone(settings=settings),
     ]
-    return sorted(reports, key=lambda r: r.name)

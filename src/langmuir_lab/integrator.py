@@ -8,11 +8,11 @@ so the step size shrinks until it underflows.  Inside an accepted
 step, states come from the step's continuous extension (Dormand & Prince
 1980; the CONTD5 of `dopri5` in Hairer, Norsett & Wanner, Solving ODEs I,
 II.6), a fourth-order interpolant built from the seven stages the step
-already has, at no extra field evaluation.  Forced substeps and requested
-`sample_times` are read from it, so requests never change the step
-sequence, and events are localized by bisecting the sign of a residual on
-it; the state of a located event is then one fifth-order step from the
-accepted step's start to the located time.
+already has, at no extra field evaluation.  Requested `sample_times` are
+read from it, so requests never change the step sequence, and events are
+localized by bisecting the sign of a residual on it; the state of a located
+event is then one fifth-order step from the accepted step's start to the
+located time.  Otherwise a run samples the ends of its accepted steps.
 
 Two vector fields are integrated with the same machinery: the planar
 two-electron field (second-order form, state (x, y, vx, vy)) and its
@@ -56,7 +56,6 @@ class IntegratorSettings:
     t_limit: float = 100.0
     event_tol: float = 1e-12
     brake_speed2: float = 1e-12  # speed^2 below which a speed minimum counts
-    substeps: int = 0  # forced interior samples per accepted step
 
     def __post_init__(self):
         for name in (
@@ -69,8 +68,6 @@ class IntegratorSettings:
             raise DomainError("h_min must be smaller than h_max")
         if self.event_tol > self.rel_tol:
             raise DomainError("event_tol must not exceed rel_tol")
-        if self.substeps < 0:
-            raise DomainError("substeps must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -402,7 +399,7 @@ class _Run:
             # time limit when the run ends after it
             t_last = st.t_limit if st.t_limit - t_new < st.h_min else t_new
             # the interpolant is built only for a step that reads from it
-            if st.substeps or (self.requests and self.requests[-1] <= t_last):
+            if self.requests and self.requests[-1] <= t_last:
                 at = _dense_output(y0, y5, ks, h)
             else:
                 at = None
@@ -413,13 +410,13 @@ class _Run:
                 if kind in self.stop_left:
                     self.stop_left[kind] -= 1
                     if self.stop_left[kind] == 0:
-                        self._append_interior(t0, at, t_ev - t0, t_ev)
+                        self._append_requests(t0, at, t_ev, end_sample=True)
                         self.samples.append((t_ev, y_ev))
                         self._record_drift(y_ev)
                         self.termination = kind
                         return
 
-            self._append_interior(t0, at, h_acc, t_new)
+            self._append_requests(t0, at, t_new, end_sample=True)
             self.samples.append((t_new, y_new))
             self._record_drift(y_new)
             if t_last != t_new:
@@ -431,20 +428,6 @@ class _Run:
             fac = 0.9 * e ** -0.14 * err_old ** 0.08
             err_old = e
             h = h_acc * min(5.0, max(0.2, fac))
-
-    def _append_interior(self, t0, at, h_span, t_end):
-        """Samples inside the span (t0, t_end), t_end = t0 + h_span, read
-        from the step's interpolant `at`: `substeps` equally spaced times
-        and each requested time, in time order."""
-        start = len(self.samples)
-        self._append_substeps(t0, at, h_span)
-        requests = self.requests
-        if requests and requests[-1] <= t_end:
-            self._append_requests(t0, at, t_end, end_sample=True)
-            if self.st.substeps:
-                # a request at a substep's time is that substep
-                interior = dict(reversed(self.samples[start:]))
-                self.samples[start:] = sorted(interior.items())
 
     def _append_requests(self, t0, at, t_last, end_sample):
         """Sample each requested time up to t_last from the interpolant `at`
@@ -458,18 +441,6 @@ class _Run:
             y = at(t - t0)
             self.samples.append((t, y))
             self._record_drift(y)
-
-    def _append_substeps(self, t0, at, h_span):
-        """Sample `substeps` equally spaced interior times of (t0, t0 +
-        h_span) from the step's interpolant `at`."""
-        n = self.st.substeps
-        if n <= 0 or h_span <= 0.0:
-            return
-        for j in range(1, n + 1):
-            tau = h_span * j / (n + 1)
-            y_sub = at(tau)
-            self.samples.append((t0 + tau, y_sub))
-            self._record_drift(y_sub)
 
     def _finish_time_limit(self):
         kind = EventKind.TIME_LIMIT
@@ -587,7 +558,7 @@ def integrate(
     Each of the `sample_times` that the run reaches (the time limit
     included) adds one sample at exactly that time, read from the dense
     output of the step that holds it; a sample already at that very time
-    (a step's end, a substep or the final event) stands for it.  The steps,
+    (a step's end or the final event) stands for it.  The steps,
     their end samples and the events are the same with or without
     requests."""
     return _integrate_chart(

@@ -118,20 +118,32 @@ def _quarter(
     return traj
 
 
-def shoot(
-    E: float,
-    h: float,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> ShootResult:
-    """Integrate the horizontal-launch problem to its first x-rest."""
-    traj = _quarter(
-        E, h, 1, settings, frozenset({EventKind.MAGICAL_LINE_CROSS})
+def _shoot_run(
+    E: float, h: float, settings: IntegratorSettings
+) -> tuple[Trajectory, ShootResult]:
+    """shoot()'s integration and result: the launch of _quarter, recording
+    the magical-line crossings, to the first x-rest.  A run that ends any
+    other way gives a status='NoRest(...)' placeholder result."""
+    traj = integrate(
+        dynamics.initial_state(ProblemSpec(E=E, h=h)), settings,
+        watch={EventKind.MAGICAL_LINE_CROSS},
+        stop={EventKind.X_VELOCITY_ZERO: 1},
     )
+    if traj.termination is not EventKind.X_VELOCITY_ZERO:
+        return traj, ShootResult(
+            h=h,
+            t_h=math.nan,
+            alpha=math.nan,
+            state_at_th=traj.samples[0],
+            n_magical_crossings=0,
+            energy_drift=math.nan,
+            status=f"NoRest({traj.termination.value})",
+        )
     rest = traj.samples[-1]
     crossings = sum(
         1 for e in traj.events if e.kind is EventKind.MAGICAL_LINE_CROSS
     )
-    return ShootResult(
+    return traj, ShootResult(
         h=h,
         t_h=rest.t,
         alpha=rest.vy,
@@ -139,6 +151,18 @@ def shoot(
         n_magical_crossings=crossings,
         energy_drift=traj.max_energy_drift,
     )
+
+
+def shoot(
+    E: float,
+    h: float,
+    settings: IntegratorSettings = IntegratorSettings(),
+) -> ShootResult:
+    """Integrate the horizontal-launch problem to its first x-rest."""
+    traj, res = _shoot_run(E, h, settings)
+    if traj.termination is not EventKind.X_VELOCITY_ZERO:
+        raise NoRest(1, traj.termination.value)
+    return res
 
 
 def alpha_k(
@@ -430,22 +454,7 @@ def scan_alpha(
 ) -> list[ShootResult]:
     """shoot() over a grid, results in grid order; failures become
     status='NoRest' placeholders."""
-
-    def one(h: float) -> ShootResult:
-        try:
-            return shoot(E, h, settings)
-        except NoRest as exc:
-            return ShootResult(
-                h=h,
-                t_h=math.nan,
-                alpha=math.nan,
-                state_at_th=dynamics.initial_state(ProblemSpec(E=E, h=h)),
-                n_magical_crossings=0,
-                energy_drift=math.nan,
-                status=f"NoRest({exc.termination})",
-            )
-
-    return [one(h) for h in h_grid]
+    return [_shoot_run(E, h, settings)[1] for h in h_grid]
 
 
 def default_grid(

@@ -97,7 +97,7 @@ def test_04_zero_energy_escape():
     ok = mono.passed and conc.passed
     _verdict(
         "zero_energy_escape", ok,
-        f"min_rdot={mono.details['min_radial_velocity']:.3e} "
+        f"min_rdot_over_t={mono.details['min_radial_velocity_over_t']:.3e} "
         f"max_rdd={conc.details['max_closed_form_rdd']:.3e} "
         f"fd_mismatch={conc.details['fd_mismatch_worst']:.3e}",
     )

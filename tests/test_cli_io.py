@@ -213,7 +213,7 @@ class TestVerify:
 class TestConfig:
     def test_config_file_applied(self, tmp_path):
         cfg = tmp_path / "settings.cfg"
-        cfg.write_text("t_limit = 0.25\n# a comment\n\nsubsteps = 2\n")
+        cfg.write_text("t_limit = 0.25\n# a comment\n\nh_max = 0.05\n")
         out = tmp_path / "run.csv"
         rc = main(
             [
@@ -270,6 +270,22 @@ class TestConfig:
             ]
         )
         assert rc == 2
+
+    def test_forced_substeps_are_not_a_setting(self, tmp_path, capsys):
+        # samples are step ends and requested times; there is no setting
+        # that forces interior samples
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("substeps = 2\n")
+        rc = main(
+            [
+                "simulate",
+                "--energy", "-1.0",
+                "--height", "1.0",
+                "--config", str(cfg),
+            ]
+        )
+        assert rc == 2
+        assert "unknown config key: 'substeps'" in capsys.readouterr().err
 
 
 class TestSerializationHelpers:

@@ -167,7 +167,7 @@ class TestEvents:
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
     def test_samples_strictly_increasing(self):
-        traj = shoot_raw(-1.0, 2.0, IntegratorSettings(substeps=3))
+        traj = shoot_raw(-1.0, 2.0)
         ts = [s.t for s in traj.samples]
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
@@ -371,22 +371,25 @@ def _hexes(v):
 
 @settings(max_examples=10, deadline=None)
 @given(**launches)
-def test_substeps_agree_with_a_fifth_order_step(E, u):
-    # every forced substep, read from the step's interpolant, against one
-    # fifth-order step from the step's start to the same time, relative to
-    # the step's largest component
-    st_ = IntegratorSettings(substeps=10)
+def test_requested_samples_agree_with_a_fifth_order_step(E, u):
+    # 10 equally spaced requests inside every step of a free run, each read
+    # from the step's interpolant, against one fifth-order step from the
+    # step's start to the same time, relative to the step's largest
+    # component; requests do not change the steps
+    st_ = IntegratorSettings()
     s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
-    traj = integrate(s0, st_, stop={EventKind.X_VELOCITY_ZERO: 1})
-    group = st_.substeps + 1  # a step's start and its substeps
-    samples = traj.samples
-    assert len(samples) % group == 1
-    for m in range(0, len(samples) - 1, group):
-        start = _vec(samples[m])
-        k1 = _langmuir_rhs(start)
-        for s in samples[m + 1:m + group]:
-            want = _advance(dyn.acceleration, start, s.t - samples[m].t, k1)
-            err = max(abs(a - b) for a, b in zip(_vec(s), want))
+    stop = {EventKind.X_VELOCITY_ZERO: 1}
+    ends = integrate(s0, st_, stop=stop).samples
+    spans = [(a, [a.t + (b.t - a.t) * j / 11 for j in range(1, 11)])
+             for a, b in zip(ends, ends[1:])]
+    asked = integrate(s0, st_, stop=stop,
+                      sample_times=[t for _, ts in spans for t in ts])
+    by_t = {s.t: s for s in asked.samples}
+    for start, times in spans:
+        k1 = _langmuir_rhs(_vec(start))
+        for t in times:
+            want = _advance(dyn.acceleration, _vec(start), t - start.t, k1)
+            err = max(abs(a - b) for a, b in zip(_vec(by_t[t]), want))
             assert err <= 100 * st_.rel_tol * max(map(abs, want))
 
 
@@ -430,20 +433,6 @@ def test_event_state_off_the_half_plane_raises():
         _advance(falling, (0.0, 0.5, 0.0, -1.0), 1.0, (0.0, -1.0, 0.0, 0.0))
 
 
-def test_substeps_agree_with_fixed_step_rk4():
-    # the fixed-step RK4 of conftest, chained from sample to sample with
-    # steps of at most 1e-4, against every sample of a run with substeps
-    s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=0.5))
-    traj = integrate(s0, IntegratorSettings(t_limit=1.0, substeps=10))
-    assert len(traj.samples) > 1000
-    oracle, t = _vec(s0), 0.0
-    for s in traj.samples[1:]:
-        n = math.ceil((s.t - t) / 1e-4)
-        oracle = rk4_fixed(*oracle, s.t - t, (s.t - t) / n)
-        t = s.t
-        assert max(abs(a - b) for a, b in zip(_vec(s), oracle)) <= 1e-8
-
-
 def _state_bits(s):
     return _hexes((s.t, *_vec(s)))
 
@@ -478,15 +467,13 @@ def test_sample_times_do_not_change_the_steps(E, u, fractions):
 @settings(max_examples=10, deadline=None)
 @given(**launches, fractions=st.lists(
     st.floats(min_value=0.0, max_value=1.2, exclude_min=True), max_size=30
-), substeps=st.sampled_from([0, 3]), with_step_ends=st.booleans())
-def test_each_requested_time_is_sampled_once(
-    E, u, fractions, substeps, with_step_ends
-):
+), with_step_ends=st.booleans())
+def test_each_requested_time_is_sampled_once(E, u, fractions, with_step_ends):
     # a run to the time limit: requests up to it (the limit itself among
     # them, and step ends if drawn) each give exactly one sample at exactly
     # that time; later ones give none
     t_limit = 1.0 / (-E) ** 1.5
-    st_ = IntegratorSettings(t_limit=t_limit, substeps=substeps)
+    st_ = IntegratorSettings(t_limit=t_limit)
     s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
     times = {f * t_limit for f in fractions} | {t_limit}
     if with_step_ends:
@@ -538,10 +525,10 @@ def _find_orbit_command(kind):
     assert rc == 0
 
 
-# Field evaluations at E = -1 with dense output (events and substeps read
-# from the step's interpolant).  They are deterministic, so each row pins
-# its count exactly: more is lost work, and fewer means the row is stale or
-# the count no longer sees the field (a kernel that bound
+# Field evaluations at E = -1 with dense output (events and requested
+# samples read from the step's interpolant).  They are deterministic, so
+# each row pins its count exactly: more is lost work, and fewer means the
+# row is stale or the count no longer sees the field (a kernel that bound
 # `dynamics.acceleration` at import would count 0).
 @pytest.mark.parametrize("run, count", [
     (lambda: shooting.shoot(-1.0, 1.398), 833),
@@ -550,6 +537,8 @@ def _find_orbit_command(kind):
     (lambda: shooting.find_brake_orbit(-1.0), 30_342),
     (lambda: analysis.check_zero_energy_monotone(), 4_543),
     (lambda: analysis.check_magical_prefix(), 19_685),
+    # the whole suite: tmax_bound and magical_prefix share one scan
+    (lambda: analysis.run_all_checks(), 55_757),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
@@ -560,7 +549,8 @@ def _find_orbit_command(kind):
     (lambda: _find_orbit_command("langmuir"), 3_973),
     (lambda: _find_orbit_command("brake"), 34_681),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
-        "check_zero_energy_monotone", "check_magical_prefix", "simulate",
+        "check_zero_energy_monotone", "check_magical_prefix",
+        "run_all_checks", "simulate",
         "find_orbit_langmuir_command", "find_orbit_brake_command"])
 def test_field_evaluations_do_not_grow(field_calls, run, count):
     run()

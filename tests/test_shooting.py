@@ -541,7 +541,7 @@ class TestQuarterArcInvariants:
             s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
             traj = integrate(
                 s0,
-                IntegratorSettings(substeps=8),
+                IntegratorSettings(),
                 stop={EventKind.MAGICAL_LINE_CROSS: 1},
             )
             for s in traj.samples:
@@ -553,7 +553,7 @@ class TestQuarterArcInvariants:
         s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=rec.h_star))
         traj = integrate(
             s0,
-            IntegratorSettings(substeps=4),
+            IntegratorSettings(),
             stop={EventKind.X_VELOCITY_ZERO: 1},
         )
         speeds = [s.speed2() for s in traj.samples]
