@@ -35,9 +35,7 @@ EXIT_BAD_BRACKET = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_INTEGRATION_FAILED = 5
 
-_SETTINGS_KEYS = {
-    f.name: type(f.default) for f in dataclasses.fields(IntegratorSettings)
-}
+_SETTINGS_KEYS = tuple(f.name for f in dataclasses.fields(IntegratorSettings))
 
 
 def _read_config(path: Optional[str]) -> dict:
@@ -58,8 +56,11 @@ def _read_config(path: Optional[str]) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             if key not in _SETTINGS_KEYS:
-                raise DomainError(f"unknown config key: {key!r}")
-            values[key] = _SETTINGS_KEYS[key](val.strip())
+                raise DomainError(
+                    f"unknown config key: {key!r} (accepted keys: "
+                    f"{', '.join(_SETTINGS_KEYS)})"
+                )
+            values[key] = float(val.strip())
     return values
 
 
@@ -68,7 +69,6 @@ def _settings(args, config: dict) -> IntegratorSettings:
     if getattr(args, "tol", None) is not None:
         values["rel_tol"] = args.tol
         values["abs_tol"] = min(values.get("abs_tol", 1e-12), args.tol * 1e-2)
-        values.setdefault("event_tol", min(1e-12, args.tol))
     if getattr(args, "t_limit", None) is not None:
         values["t_limit"] = args.t_limit
     return IntegratorSettings(**values)

@@ -62,7 +62,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not (self.h > 0.0):
             raise DomainError(f"height must be positive, got {self.h}")
-        if self.E > 0.0:
+        if not (self.E <= 0.0):
             raise DomainError(f"energy must be <= 0, got {self.E}")
         if 7.0 / (2.0 * self.h) + self.E < 0.0:
             raise DomainError(

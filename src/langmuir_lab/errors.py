@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class StepUnderflow(RuntimeError):
-    """Adaptive integration needed a step below h_min (near-singularity).
+    """Adaptive integration needed a step below H_MIN (near-singularity).
 
     Carries the last valid time and state so callers can diagnose where the
     integration died.

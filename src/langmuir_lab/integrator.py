@@ -45,29 +45,28 @@ class EventKind(str, enum.Enum):
     TIME_LIMIT = "TimeLimit"
 
 
+# Smallest step size; a run that needs a smaller one raises StepUnderflow.
+H_MIN = 1e-14
+# Distance from the collision line y = 0 and from the nucleus at which a run
+# stops with COLLISION_PROXIMITY.
+COLLISION_DISTANCE = 1e-6
+# speed^2 below which a speed minimum counts as a brake point
+BRAKE_SPEED2 = 1e-12
+
+
 @dataclass(frozen=True)
 class IntegratorSettings:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    h_min: float = 1e-14
     h_max: float = 0.1
-    y_collision: float = 1e-6
-    r_collision: float = 1e-6
     t_limit: float = 100.0
-    event_tol: float = 1e-12
-    brake_speed2: float = 1e-12  # speed^2 below which a speed minimum counts
 
     def __post_init__(self):
-        for name in (
-            "rel_tol", "abs_tol", "h_min", "h_max", "y_collision",
-            "r_collision", "t_limit", "event_tol", "brake_speed2",
-        ):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name} must be positive")
-        if not self.h_min < self.h_max:
-            raise DomainError("h_min must be smaller than h_max")
-        if self.event_tol > self.rel_tol:
-            raise DomainError("event_tol must not exceed rel_tol")
+        for name in ("rel_tol", "abs_tol", "h_max", "t_limit"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise DomainError(f"{name} must be finite and positive")
+        if not self.h_max > H_MIN:
+            raise DomainError(f"h_max must exceed H_MIN = {H_MIN}")
 
 
 @dataclass(frozen=True)
@@ -353,10 +352,11 @@ class _Run:
             else:
                 if at is None:
                     at = _dense_output(y0, y_new, ks, h_acc)
+                # located in time to min(1e-12, rel_tol)
                 t_ev, y_ev = _bisect(self.accel, f, at, t0, y0, k1, h_acc,
-                                     r0, self.st.event_tol)
+                                     r0, min(1e-12, self.st.rel_tol))
             if (kind is EventKind.BRAKE_POINT
-                    and y_ev[2] ** 2 + y_ev[3] ** 2 > self.st.brake_speed2):
+                    and y_ev[2] ** 2 + y_ev[3] ** 2 > BRAKE_SPEED2):
                 # only minima below the threshold count as actual
                 # boundary touches
                 continue
@@ -374,11 +374,11 @@ class _Run:
         h = min(st.h_max, 1e-3)
         err_old = 1.0
         while True:
-            if st.t_limit - self.t < st.h_min:
+            if st.t_limit - self.t < H_MIN:
                 self._finish_time_limit()
                 return
             h = min(h, st.h_max, st.t_limit - self.t)
-            if h < st.h_min:
+            if h < H_MIN:
                 raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
 
             y5, ks, ratio = _dp5_trial(accel, self.y, h, k1, st.abs_tol,
@@ -388,7 +388,7 @@ class _Run:
                     h *= 0.2
                 else:
                     h *= max(0.1, 0.9 * ratio ** -0.2)
-                if h < st.h_min:
+                if h < H_MIN:
                     raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
                 continue
 
@@ -397,7 +397,7 @@ class _Run:
             t_new, y_new = t0 + h, y5
             # the latest requested time this step answers: its end, or the
             # time limit when the run ends after it
-            t_last = st.t_limit if st.t_limit - t_new < st.h_min else t_new
+            t_last = st.t_limit if st.t_limit - t_new < H_MIN else t_new
             # the interpolant is built only for a step that reads from it
             if self.requests and self.requests[-1] <= t_last:
                 at = _dense_output(y0, y5, ks, h)
@@ -483,7 +483,7 @@ def _inverted_energy(v: Vec) -> float:
     return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
 
 
-def _residual_map(settings: IntegratorSettings, accel: Accel):
+def _residual_map(accel: Accel):
     """Defining residuals for each locatable event kind."""
 
     def brake(t, y):
@@ -497,9 +497,8 @@ def _residual_map(settings: IntegratorSettings, accel: Accel):
         EventKind.MAGICAL_LINE_CROSS:
             lambda t, y: dynamics.magical_line_residual(y[0], y[1]),
         EventKind.BRAKE_POINT: brake,
-        EventKind.COLLISION_PROXIMITY:
-            lambda t, y: min(y[1] - settings.y_collision,
-                             math.hypot(y[0], y[1]) - settings.r_collision),
+        EventKind.COLLISION_PROXIMITY: lambda t, y: (
+            min(y[1], math.hypot(y[0], y[1])) - COLLISION_DISTANCE),
     }
 
 
@@ -533,7 +532,7 @@ def _integrate_chart(
     stop = {**stop, EventKind.COLLISION_PROXIMITY: 1}
     watched = set(watch) | stop.keys()
     residuals = {
-        k: f for k, f in _residual_map(settings, accel).items() if k in watched
+        k: f for k, f in _residual_map(accel).items() if k in watched
     }
     run = _Run(
         accel, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,

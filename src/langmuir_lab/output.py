@@ -129,6 +129,7 @@ def verdict_json(reports: Iterable[CheckReport]) -> str:
 # ---------------------------------------------------------------- SVG
 
 _WIDTH, _HEIGHT = 800, 600
+_BOUNDARY_POINTS = 400  # vertices of the Hill boundary path
 
 
 class _Frame:
@@ -165,7 +166,6 @@ def trajectory_svg(
     traj: Trajectory,
     E: float,
     config_comment: str = "",
-    boundary_points: int = 400,
 ) -> str:
     """Figure: trajectory arc, Hill boundary (for E < 0), the two
     vanishing-vertical-force half-lines, and a start marker."""
@@ -174,7 +174,7 @@ def trajectory_svg(
     ys = [p[1] for p in curve]
     boundary = []
     if E < 0.0:
-        boundary = dynamics.hill_boundary_sample(E, boundary_points)
+        boundary = dynamics.hill_boundary_sample(E, _BOUNDARY_POINTS)
         xs += [p[0] for p in boundary]
         ys += [p[1] for p in boundary]
     frame = _Frame(xs + [0.0], ys + [0.0])

@@ -40,6 +40,8 @@ from .integrator import (
 ALPHA_TOL = 1e-8
 # relative tolerance of the orbit search's coarse stage (see _find_orbit)
 COARSE_REL_TOL = 1e-6
+# iteration budget of each stage of the orbit search
+MAX_ITER = 200
 TOUCH_SPEED_TOL = 1e-6
 # Tuned at E = -1; h* scales as 1/(-E), so _bracket_at rescales them.
 DEFAULT_BRACKET = (0.5, 3.0)
@@ -91,6 +93,8 @@ def _bracket_at(
     default: tuple[float, float],
 ) -> tuple[float, float]:
     """The given bracket, or the E = -1 default rescaled to energy E."""
+    if not (E < 0.0):
+        raise ValueError(f"orbit search requires E < 0, got {E}")
     if bracket is not None:
         return bracket
     a = -1.0 / E
@@ -102,17 +106,14 @@ def _quarter(
     h: float,
     k: int,
     settings: IntegratorSettings,
-    watch: frozenset[EventKind] = frozenset(),
 ) -> Trajectory:
     """Launch horizontally from (0, h) at energy E and integrate with
-    stop={X_VELOCITY_ZERO: k}, also recording the `watch` events; the last
-    sample is the k-th x-rest.  Raises NoRest if the run ends any other way."""
+    stop={X_VELOCITY_ZERO: k}; the last sample is the k-th x-rest.  Raises
+    NoRest if the run ends any other way."""
     if k < 1:
         raise ValueError(f"rest count must be >= 1, got {k}")
     s0 = dynamics.initial_state(ProblemSpec(E=E, h=h))
-    traj = integrate(
-        s0, settings, watch=watch, stop={EventKind.X_VELOCITY_ZERO: k}
-    )
+    traj = integrate(s0, settings, stop={EventKind.X_VELOCITY_ZERO: k})
     if traj.termination is not EventKind.X_VELOCITY_ZERO:
         raise NoRest(k, traj.termination.value)
     return traj
@@ -259,7 +260,6 @@ def _find_orbit(
     k: int,
     kind: str,
     settings: IntegratorSettings,
-    max_iter: int,
     ends: tuple[Trajectory, ...] = (),
 ) -> OrbitRecord:
     """Root of alpha_k on the bracket, |alpha_k| <= ALPHA_TOL at `settings`.
@@ -302,14 +302,14 @@ def _find_orbit(
         # raises it again if it is not the coarse tolerance's doing
         try:
             h0, _ = _solve_bracketed(f_coarse, bracket[0], bracket[1],
-                                     1e3 * ALPHA_TOL, max_iter, trace)
-            root = _polish(f, h0, trace[-2:], bracket, max_iter, trace)
+                                     1e3 * ALPHA_TOL, MAX_ITER, trace)
+            root = _polish(f, h0, trace[-2:], bracket, trace)
         except (NoRest, BadBracket, NoConvergence, DomainError,
                 StepUnderflow):
             pass
     if root is None:
         root = _solve_bracketed(f, bracket[0], bracket[1], ALPHA_TOL,
-                                max_iter, trace)
+                                MAX_ITER, trace)
     h_star, residual = root
     arc = arcs[h_star]
     touch = arc.samples[-1]
@@ -336,7 +336,6 @@ def _polish(
     h0: float,
     last: list[tuple[float, float]],
     bracket: tuple[float, float],
-    max_iter: int,
     trace: list[tuple[float, float]],
 ) -> Optional[tuple[float, float]]:
     """Secant iteration on f from h0, the coarse root, to |f| <= ALPHA_TOL.
@@ -345,12 +344,12 @@ def _polish(
     two points; later slopes come from the polish's own last two points.
     Once two points differ in sign, Brent-Dekker finishes between them.
     Returns None, for the search on the whole bracket, when a step would
-    leave the bracket or does not shrink |f|, or after max_iter steps."""
+    leave the bracket or does not shrink |f|, or after MAX_ITER steps."""
     lo, hi = min(bracket), max(bracket)
     h, fh = h0, f(h0)
     trace.append((h, fh))
     (ha, fa), (hb, fb) = last
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if abs(fh) <= ALPHA_TOL:
             return h, fh
         if fa == fb:
@@ -363,7 +362,7 @@ def _polish(
         if abs(f_new) <= ALPHA_TOL:
             return h_new, f_new
         if (f_new > 0.0) != (fh > 0.0):
-            return _solve_bracketed(f, h, h_new, ALPHA_TOL, max_iter, trace,
+            return _solve_bracketed(f, h, h_new, ALPHA_TOL, MAX_ITER, trace,
                                     (fh, f_new))
         if abs(f_new) >= abs(fh):
             return None
@@ -376,14 +375,11 @@ def find_langmuir_orbit(
     E: float,
     bracket: Optional[tuple[float, float]] = None,
     settings: IntegratorSettings = IntegratorSettings(),
-    max_iter: int = 200,
 ) -> OrbitRecord:
     """Root of alpha on the bracket: the simple back-and-forth orbit.  The
     default bracket is DEFAULT_BRACKET rescaled to energy E."""
-    if not (E < 0.0):
-        raise ValueError(f"orbit search requires E < 0, got {E}")
     bracket = _bracket_at(E, bracket, DEFAULT_BRACKET)
-    return _find_orbit(E, bracket, 1, "Langmuir", settings, max_iter)
+    return _find_orbit(E, bracket, 1, "Langmuir", settings)
 
 
 def find_brake_orbit(
@@ -391,14 +387,11 @@ def find_brake_orbit(
     bracket: Optional[tuple[float, float]] = None,
     k: Optional[int] = None,
     settings: IntegratorSettings = IntegratorSettings(),
-    max_iter: int = 200,
 ) -> OrbitRecord:
     """Root of alpha_k on the bracket: the multi-reflection orbit.  The
     default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E.  When k
     is not given it is chosen by classify_reflection_count; a bracket
     classified as k = 1 holds the simple orbit and raises BadBracket."""
-    if not (E < 0.0):
-        raise ValueError(f"orbit search requires E < 0, got {E}")
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
     ends: tuple[Trajectory, ...] = ()
     if k is None:
@@ -408,7 +401,7 @@ def find_brake_orbit(
                 f"the bracket {bracket} holds the simple orbit, "
                 f"not a brake orbit"
             )
-    return _find_orbit(E, bracket, k, f"Brake-{k}", settings, max_iter, ends)
+    return _find_orbit(E, bracket, k, f"Brake-{k}", settings, ends)
 
 
 def classify_reflection_count(

@@ -271,11 +271,16 @@ class TestConfig:
         )
         assert rc == 2
 
-    def test_forced_substeps_are_not_a_setting(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", [
         # samples are step ends and requested times; there is no setting
         # that forces interior samples
+        "substeps",
+        # constants of the integrator, or derived from rel_tol
+        "h_min", "y_collision", "r_collision", "event_tol", "brake_speed2",
+    ])
+    def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, key):
         cfg = tmp_path / "settings.cfg"
-        cfg.write_text("substeps = 2\n")
+        cfg.write_text(f"{key} = 2\n")
         rc = main(
             [
                 "simulate",
@@ -285,7 +290,26 @@ class TestConfig:
             ]
         )
         assert rc == 2
-        assert "unknown config key: 'substeps'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unknown config key: {key!r}" in err
+        assert "accepted keys: rel_tol, abs_tol, h_max, t_limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--energy", "nan", "--grid", "0.5,3.0,3"],
+    ["simulate", "--energy", "nan", "--height", "1.0"],
+    # an infinite tolerance or horizon is not a setting: the run would be
+    # unchecked or never end
+    ["scan", "--energy", "-1.0", "--grid", "0.5,3.0,3", "--tol", "inf"],
+    ["simulate", "--energy", "-1.0", "--height", "1.0", "--t-limit", "inf"],
+    ["zero-energy", "--t-end", "inf"],
+], ids=["scan_energy_nan", "simulate_energy_nan", "scan_tol_inf",
+        "simulate_t_limit_inf", "zero_energy_t_end_inf"])
+def test_invalid_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 class TestSerializationHelpers:

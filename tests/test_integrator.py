@@ -1,7 +1,6 @@
 import math
 import os
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +52,18 @@ def field_calls(monkeypatch):
 
     monkeypatch.setattr(dyn, "acceleration", counting)
     return calls
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "h_max", "t_limit"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_settings_must_be_finite_and_positive(name, value):
+    with pytest.raises(DomainError, match=name):
+        IntegratorSettings(**{name: value})
+
+
+def test_largest_step_must_exceed_the_smallest():
+    with pytest.raises(DomainError, match="h_max"):
+        IntegratorSettings(h_max=integrator.H_MIN)
 
 
 class TestBasicRuns:
@@ -487,13 +498,13 @@ def test_each_requested_time_is_sampled_once(E, u, fractions, with_step_ends):
 
 
 def test_request_at_the_time_limit_is_sampled_when_the_run_stops_short():
-    # a step that ends within h_min of the time limit ends the run there;
+    # a step that ends within H_MIN of the time limit ends the run there;
     # a request at the limit is read from that last step's interpolant
-    st_ = IntegratorSettings(h_min=1e-3)
     s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
-    last = integrate(s0, replace(st_, t_limit=0.5)).samples[-2]
-    t_limit = last.t + 0.5 * st_.h_min
-    traj = integrate(s0, replace(st_, t_limit=t_limit),
+    last = integrate(s0, IntegratorSettings(t_limit=0.5)).samples[-2]
+    t_limit = last.t + 0.5 * integrator.H_MIN
+    assert t_limit != last.t
+    traj = integrate(s0, IntegratorSettings(t_limit=t_limit),
                      sample_times=[t_limit])
     end, asked = traj.samples[-2:]
     assert _state_bits(end) == _state_bits(last)

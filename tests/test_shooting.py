@@ -215,10 +215,10 @@ def _full_search_only(monkeypatch):
     real = shooting._quarter
     default = IntegratorSettings()
 
-    def quarter(E, h, k, settings, watch=frozenset()):
+    def quarter(E, h, k, settings):
         if settings.rel_tol > default.rel_tol:
             raise NoRest(k, EventKind.TIME_LIMIT.value)
-        return real(E, h, k, settings, watch)
+        return real(E, h, k, settings)
 
     monkeypatch.setattr(shooting, "_quarter", quarter)
 
@@ -364,6 +364,15 @@ class TestBrackets:
     def test_positive_energy_rejected(self):
         with pytest.raises(ValueError):
             shooting.find_langmuir_orbit(0.0)
+
+    @pytest.mark.parametrize("search", [
+        shooting.classify_reflection_count, shooting.find_brake_orbit,
+    ])
+    def test_zero_energy_rejected_before_the_bracket_is_rescaled(
+        self, search
+    ):
+        with pytest.raises(ValueError, match="requires E < 0"):
+            search(0.0)
 
 
 def _solve(f, lo, hi, tol_f, max_iter=100):
