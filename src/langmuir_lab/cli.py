@@ -3,9 +3,9 @@
 Subcommands: simulate, find-orbit, scan, verify, zero-energy.
 Configuration precedence: CLI flags > config file (flat key=value lines) >
 built-in defaults.  Exit codes: 0 success, 1 verification failure, 2 input
-validation (including an unreadable config file), 3 bad bracket, 4 no
-convergence, 5 integration failure (including an orbit that fails its
-retrace check).
+validation (including an unreadable config file or an unwritable output
+path), 3 bad bracket, 4 no convergence, 5 integration failure (including an
+orbit that fails its retrace check).
 """
 
 from __future__ import annotations
@@ -88,8 +88,11 @@ def _write(path: Optional[str], text: str) -> None:
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write output file: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -98,11 +101,7 @@ def cmd_simulate(args) -> int:
     traj = integrate(
         s0,
         settings,
-        watch={
-            EventKind.X_VELOCITY_ZERO,
-            EventKind.MAGICAL_LINE_CROSS,
-            EventKind.BRAKE_POINT,
-        },
+        watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
     )
     if args.format == "csv":
         text = output.trajectory_csv(traj)

@@ -41,16 +41,6 @@ class State:
     def speed2(self) -> float:
         return self.vx * self.vx + self.vy * self.vy
 
-    def r(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    # momenta for the Hamiltonian convention q' = 2p
-    def px(self) -> float:
-        return 0.5 * self.vx
-
-    def py(self) -> float:
-        return 0.5 * self.vy
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -69,10 +59,6 @@ class ProblemSpec:
                 f"(0, {self.h}) lies outside the Hill region at E={self.E}; "
                 f"admissible heights are (0, {-3.5 / self.E if self.E < 0 else math.inf})"
             )
-
-    def h_max(self) -> float:
-        """Supremum of admissible heights at this energy (inf at E=0)."""
-        return -3.5 / self.E if self.E < 0.0 else math.inf
 
 
 @dataclass(frozen=True)

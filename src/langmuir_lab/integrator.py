@@ -40,7 +40,6 @@ Accel = Callable[[float, float], tuple[float, float]]
 class EventKind(str, enum.Enum):
     X_VELOCITY_ZERO = "XVelocityZero"
     MAGICAL_LINE_CROSS = "MagicalLineCross"
-    BRAKE_POINT = "BrakePoint"
     COLLISION_PROXIMITY = "CollisionProximity"
     TIME_LIMIT = "TimeLimit"
 
@@ -50,8 +49,6 @@ H_MIN = 1e-14
 # Distance from the collision line y = 0 and from the nucleus at which a run
 # stops with COLLISION_PROXIMITY.
 COLLISION_DISTANCE = 1e-6
-# speed^2 below which a speed minimum counts as a brake point
-BRAKE_SPEED2 = 1e-12
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,7 @@ def _bisect(
     sign_lo = r_lo > 0.0
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
-        r_mid = f(t0 + mid, at(mid))
+        r_mid = f(at(mid))
         if (r_mid > 0.0) == sign_lo and r_mid != 0.0:
             lo = mid
         else:
@@ -301,7 +298,7 @@ class _Run:
         y0: Vec,
         t0: float,
         settings: IntegratorSettings,
-        residuals: dict[EventKind, Callable[[float, Vec], float]],
+        residuals: dict[EventKind, Callable[[Vec], float]],
         stop: dict[EventKind, int],
         sample_times: Sequence[float],
     ):
@@ -337,15 +334,8 @@ class _Run:
         found = []
         for kind, f in self.residuals.items():
             r0 = res[kind]
-            r1 = res[kind] = f(t_new, y_new)
-            if kind is EventKind.BRAKE_POINT:
-                # residual is d(speed^2)/dt: a brake point is a speed
-                # minimum, where it rises through zero; maxima are not
-                # located
-                crossed = r0 < 0.0 <= r1
-            else:
-                crossed = (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0)
-            if not crossed:
+            r1 = res[kind] = f(y_new)
+            if not ((r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0)):
                 continue
             if r1 == 0.0:
                 t_ev, y_ev = t_new, y_new
@@ -355,11 +345,6 @@ class _Run:
                 # located in time to min(1e-12, rel_tol)
                 t_ev, y_ev = _bisect(self.accel, f, at, t0, y0, k1, h_acc,
                                      r0, min(1e-12, self.st.rel_tol))
-            if (kind is EventKind.BRAKE_POINT
-                    and y_ev[2] ** 2 + y_ev[3] ** 2 > BRAKE_SPEED2):
-                # only minima below the threshold count as actual
-                # boundary touches
-                continue
             found.append((t_ev, kind, y_ev))
         found.sort(key=lambda item: item[0])
         return found
@@ -370,7 +355,7 @@ class _Run:
         x, y, vx, vy = self.y
         ax, ay = accel(x, y)
         k1 = (vx, vy, ax, ay)
-        res = {k: f(self.t, self.y) for k, f in self.residuals.items()}
+        res = {k: f(self.y) for k, f in self.residuals.items()}
         h = min(st.h_max, 1e-3)
         err_old = 1.0
         while True:
@@ -483,23 +468,17 @@ def _inverted_energy(v: Vec) -> float:
     return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
 
 
-def _residual_map(accel: Accel):
-    """Defining residuals for each locatable event kind."""
-
-    def brake(t, y):
-        ax, ay = accel(y[0], y[1])
-        return 2.0 * (y[2] * ax + y[3] * ay)
-
-    return {
-        EventKind.X_VELOCITY_ZERO: lambda t, y: y[2],
-        # bisection probes are interpolated states, which nothing has
-        # checked; magical_line_residual raises DomainError itself on y <= 0
-        EventKind.MAGICAL_LINE_CROSS:
-            lambda t, y: dynamics.magical_line_residual(y[0], y[1]),
-        EventKind.BRAKE_POINT: brake,
-        EventKind.COLLISION_PROXIMITY: lambda t, y: (
-            min(y[1], math.hypot(y[0], y[1])) - COLLISION_DISTANCE),
-    }
+# Defining residual of each locatable event kind, a function of the state
+# alone: an event is a sign change of its residual.
+_RESIDUALS: dict[EventKind, Callable[[Vec], float]] = {
+    EventKind.X_VELOCITY_ZERO: lambda y: y[2],
+    # bisection probes are interpolated states, which nothing has checked;
+    # magical_line_residual raises DomainError itself on y <= 0
+    EventKind.MAGICAL_LINE_CROSS:
+        lambda y: dynamics.magical_line_residual(y[0], y[1]),
+    EventKind.COLLISION_PROXIMITY: lambda y: (
+        min(y[1], math.hypot(y[0], y[1])) - COLLISION_DISTANCE),
+}
 
 
 def _build_trajectory(run: _Run) -> Trajectory:
@@ -531,9 +510,7 @@ def _integrate_chart(
         raise DomainError("every stop count must be >= 1")
     stop = {**stop, EventKind.COLLISION_PROXIMITY: 1}
     watched = set(watch) | stop.keys()
-    residuals = {
-        k: f for k, f in _residual_map(accel).items() if k in watched
-    }
+    residuals = {k: f for k, f in _RESIDUALS.items() if k in watched}
     run = _Run(
         accel, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,
         residuals, stop, sample_times,

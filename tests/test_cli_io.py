@@ -55,6 +55,30 @@ class TestSimulate:
         kinds = {ev["kind"] for ev in doc["events"]}
         assert "XVelocityZero" in kinds
 
+    def test_boundary_touch_is_an_x_rest(self, tmp_path):
+        # at the simple orbit's launch height the electron stops on the Hill
+        # boundary at the quarter period: that stop is reported as an x-rest
+        # at zero speed
+        rec = shooting.find_langmuir_orbit(-1.0)
+        out = tmp_path / "run.json"
+        rc = main(
+            [
+                "simulate",
+                "--energy", "-1.0",
+                "--height", repr(rec.h_star),
+                "--t-limit", "5.0",
+                "--format", "json",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        text = out.read_text()
+        assert "BrakePoint" not in text
+        rest = next(ev for ev in json.loads(text)["events"]
+                    if ev["kind"] == "XVelocityZero")
+        assert abs(rest["t"] - rec.quarter_period) <= 1e-9
+        assert rest["state"]["vx"] ** 2 + rest["state"]["vy"] ** 2 <= 1e-12
+
     def test_svg_structure(self, tmp_path):
         out = tmp_path / "run.svg"
         rc = main(
@@ -310,6 +334,21 @@ def test_invalid_input_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--energy", "-1.0", "--height", "1.0", "--t-limit", "0.1"],
+     "--out"),
+    (["find-orbit", "--energy", "-1.0"], "--out"),
+    (["scan", "--energy", "-1.0", "--grid", "0.5,3.0,3"], "--out"),
+    (["verify"], "--report"),
+    (["zero-energy", "--t-end", "1.0"], "--report"),
+], ids=["simulate", "find_orbit", "scan", "verify", "zero_energy"])
+def test_unwritable_output_exits_2(argv, flag, tmp_path, capsys):
+    # the directory does not exist, so the output file cannot be opened
+    rc = main(argv + [flag, str(tmp_path / "missing" / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 class TestSerializationHelpers:

@@ -194,26 +194,6 @@ class TestEvents:
                 EventKind.TIME_LIMIT,
             )
 
-    def test_brake_point_bisects_only_speed_minima(self, monkeypatch):
-        # the brake residual is d(speed^2)/dt, and a brake point is a speed
-        # minimum, where it rises through zero: a maximum (a fall through
-        # zero) is never located
-        starts = []
-        real = integrator._bisect
-
-        def recording(accel, f, at, t0, y0, k1, span, r_lo, event_tol):
-            starts.append(r_lo)
-            return real(accel, f, at, t0, y0, k1, span, r_lo, event_tol)
-
-        monkeypatch.setattr(integrator, "_bisect", recording)
-        s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.398))
-        traj = integrate(s0, IntegratorSettings(t_limit=8.0),
-                         watch={EventKind.BRAKE_POINT})
-        # no collision proximity event, so every bisection is a brake one
-        assert traj.termination is EventKind.TIME_LIMIT
-        assert starts
-        assert all(r_lo < 0.0 for r_lo in starts)
-
 
 class TestStopRule:
     def test_stops_at_the_nth_event(self):
@@ -257,16 +237,23 @@ class TestStopRule:
         with pytest.raises(DomainError):
             integrate(s0, stop={EventKind.X_VELOCITY_ZERO: 0})
 
-    def test_watched_residual_is_evaluated_once_per_step(self, field_calls):
-        # the brake-point residual costs one field evaluation; it must be
-        # paid once per sample (the launch and each accepted step)
-        s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
-        st = IntegratorSettings(t_limit=0.1)
-        watched = integrate(s0, st, watch={EventKind.BRAKE_POINT})
+    @pytest.mark.parametrize("h", [0.3, 1.0, 1.398, 2.7])
+    def test_watching_costs_only_event_location(self, field_calls, h):
+        # no residual evaluates the field: watching every kind leaves the
+        # steps alone, and each located event costs the five stages of the
+        # step that gives its state
+        s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=h))
+        st = IntegratorSettings(t_limit=8.0)
+        kinds = set(EventKind) - {EventKind.TIME_LIMIT}
+        watched = integrate(s0, st, watch=kinds)
         n_watched = field_calls[0]
         field_calls[0] = 0
-        integrate(s0, st)
-        assert n_watched - field_calls[0] == len(watched.samples)
+        free = integrate(s0, st)
+        assert watched.samples == free.samples
+        assert free.events == watched.events[-1:]
+        located = len(watched.events) - 1
+        assert located > 0
+        assert n_watched - field_calls[0] == 5 * located
 
 
 def _first_order(accel):
@@ -554,9 +541,8 @@ def _find_orbit_command(kind):
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
         IntegratorSettings(t_limit=8.0),
-        watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS,
-               EventKind.BRAKE_POINT},
-    ), 7_476),
+        watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
+    ), 6_289),
     (lambda: _find_orbit_command("langmuir"), 3_973),
     (lambda: _find_orbit_command("brake"), 34_681),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
