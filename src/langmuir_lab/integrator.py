@@ -14,12 +14,20 @@ localized by bisecting the sign of a residual on it; the state of a located
 event is then one fifth-order step from the accepted step's start to the
 located time.  Otherwise a run samples the ends of its accepted steps.
 
+A run stops at a stop event: its last sample is the event's state, and the
+events the same step holds after it are dropped.  `integrate` never goes
+on from there.  The orbit search's classification does (`_rest_arcs`): it
+resumes the run, which emits the stop step's remaining events, appends
+that step's end sample and drift, and steps on with the same step size,
+controller state and first stage.  So the run to the (k+1)-th x-rest
+passes through the run to the k-th, bit for bit, and one run gives both.
+
 Two vector fields are integrated with the same machinery: the planar
 two-electron field (second-order form, state (x, y, vx, vy)) and its
 circle-inverted counterpart used for the zero-energy analysis.  The kernel
 takes each field's acceleration (x, y) -> (ax, ay), looked up in `dynamics`
-at every call of `integrate` or `integrate_inverted`: a stage is its input's
-velocity and the acceleration at its input's position.
+at the start of every run: a stage is its input's velocity and the
+acceleration at its input's position.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import dynamics
 from .dynamics import State
@@ -350,6 +358,12 @@ class _Run:
         return found
 
     def run(self):
+        """Step until the run stops: yield the kind of each stop event, or
+        return at the time limit.  Resumed after a yield, the run goes on as
+        though that event had not stopped it, to the next event of its kind.
+        A run with requested times is never resumed: a request at the stop
+        event's time is answered by the stop's own sample, which resuming
+        removes."""
         st = self.st
         accel = self.accel
         x, y, vx, vy = self.y
@@ -396,10 +410,17 @@ class _Run:
                     self.stop_left[kind] -= 1
                     if self.stop_left[kind] == 0:
                         self._append_requests(t0, at, t_ev, end_sample=True)
+                        drift = self.drift
                         self.samples.append((t_ev, y_ev))
                         self._record_drift(y_ev)
                         self.termination = kind
-                        return
+                        yield kind
+                        # resumed: the stop's sample and drift go, and the
+                        # run goes on to the next event of this kind
+                        self.samples.pop()
+                        self.drift = drift
+                        self.termination = None
+                        self.stop_left[kind] = 1
 
             self._append_requests(t0, at, t_new, end_sample=True)
             self.samples.append((t_new, y_new))
@@ -495,6 +516,28 @@ def _build_trajectory(run: _Run) -> Trajectory:
     )
 
 
+def _new_run(
+    accel: Accel,
+    energy_fn,
+    s0: State,
+    settings: IntegratorSettings,
+    watch: Iterable[EventKind],
+    stop: Mapping[EventKind, int],
+    sample_times: Sequence[float],
+) -> _Run:
+    if s0.y <= 0.0:
+        raise DomainError(f"initial state must have y > 0, got y={s0.y}")
+    if any(n < 1 for n in stop.values()):
+        raise DomainError("every stop count must be >= 1")
+    stop = {**stop, EventKind.COLLISION_PROXIMITY: 1}
+    watched = set(watch) | stop.keys()
+    residuals = {k: f for k, f in _RESIDUALS.items() if k in watched}
+    return _Run(
+        accel, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,
+        residuals, stop, sample_times,
+    )
+
+
 def _integrate_chart(
     accel: Accel,
     energy_fn,
@@ -504,19 +547,24 @@ def _integrate_chart(
     stop: Mapping[EventKind, int],
     sample_times: Sequence[float],
 ) -> Trajectory:
-    if s0.y <= 0.0:
-        raise DomainError(f"initial state must have y > 0, got y={s0.y}")
-    if any(n < 1 for n in stop.values()):
-        raise DomainError("every stop count must be >= 1")
-    stop = {**stop, EventKind.COLLISION_PROXIMITY: 1}
-    watched = set(watch) | stop.keys()
-    residuals = {k: f for k, f in _RESIDUALS.items() if k in watched}
-    run = _Run(
-        accel, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,
-        residuals, stop, sample_times,
-    )
-    run.run()
+    run = _new_run(accel, energy_fn, s0, settings, watch, stop, sample_times)
+    next(run.run(), None)  # to the first stop, never resumed
     return _build_trajectory(run)
+
+
+def _rest_arcs(
+    s0: State, settings: IntegratorSettings
+) -> Iterator[Trajectory]:
+    """integrate(s0, settings, stop={X_VELOCITY_ZERO: k}) for k = 1, 2, ...,
+    bit for bit, from one run resumed at each x-rest.  It ends when the run
+    stops any other way, since no later rest can follow."""
+    rest = EventKind.X_VELOCITY_ZERO
+    run = _new_run(dynamics.acceleration, _langmuir_energy, s0, settings, (),
+                   {rest: 1}, ())
+    for kind in run.run():
+        if kind is not rest:
+            return
+        yield _build_trajectory(run)
 
 
 def integrate(

@@ -33,7 +33,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     lines = [CSV_HEADER]
     for s in traj.samples:
         e = dynamics.energy(s)
-        lines.append(",".join(fmt(v) for v in (s.t, s.x, s.y, s.vx, s.vy, e)))
+        # one format per row; "%.17g" prints each value as fmt does
+        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+                     % (s.t, s.x, s.y, s.vx, s.vy, e))
     return "\n".join(lines) + "\n"
 
 

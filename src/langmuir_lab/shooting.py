@@ -34,6 +34,7 @@ from .integrator import (
     EventKind,
     IntegratorSettings,
     Trajectory,
+    _rest_arcs,
     integrate,
 )
 
@@ -390,8 +391,10 @@ def find_brake_orbit(
 ) -> OrbitRecord:
     """Root of alpha_k on the bracket: the multi-reflection orbit.  The
     default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E.  When k
-    is not given it is chosen by classify_reflection_count; a bracket
-    classified as k = 1 holds the simple orbit and raises BadBracket."""
+    is not given it is chosen by classify_reflection_count, and the search
+    starts from the bracket ends' k-rest arcs that classification made; a
+    bracket classified as k = 1 holds the simple orbit and raises
+    BadBracket."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
     ends: tuple[Trajectory, ...] = ()
     if k is None:
@@ -410,9 +413,12 @@ def classify_reflection_count(
     settings: IntegratorSettings = IntegratorSettings(),
     k_max: int = 8,
 ) -> int:
-    """Smallest rest count k at which alpha_k differs in sign between the
-    bracket endpoints (the trajectory end is reflected on opposite sides).
-    The default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E."""
+    """Smallest rest count k <= k_max at which alpha_k differs in sign
+    between the bracket endpoints (the trajectory end is reflected on
+    opposite sides).  The default bracket is DEFAULT_BRAKE_BRACKET rescaled
+    to energy E.  Each endpoint is integrated once, to its k-th rest (see
+    _classify).  Raises BadBracket when no k <= k_max separates the ends,
+    and ValueError when k_max < 1."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
     return _classify(E, bracket, settings, k_max)[0]
 
@@ -424,17 +430,25 @@ def _classify(
     k_max: int = 8,
 ) -> tuple[int, tuple[Trajectory, Trajectory]]:
     """classify_reflection_count, also returning the quarter arcs of the
-    two bracket ends at the rest count found."""
+    two bracket ends at the rest count found.
+
+    Each bracket end is integrated once, to its k-th rest and no further:
+    one run, resumed at each x-rest, whose k-rest arc is _quarter(E, h, k,
+    settings) bit for bit.  A run that ends any other way has no later
+    rest, so the bracket is rejected there."""
+    if k_max < 1:
+        raise ValueError(f"rest count must be >= 1, got k_max={k_max}")
+    lo, hi = (
+        _rest_arcs(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings)
+        for h in bracket
+    )
     for k in range(1, k_max + 1):
-        try:
-            ends = (
-                _quarter(E, bracket[0], k, settings),
-                _quarter(E, bracket[1], k, settings),
-            )
-        except NoRest:
-            continue
-        if (ends[0].samples[-1].vy > 0.0) != (ends[1].samples[-1].vy > 0.0):
-            return k, ends
+        a = next(lo, None)
+        b = None if a is None else next(hi, None)
+        if b is None:
+            break
+        if (a.samples[-1].vy > 0.0) != (b.samples[-1].vy > 0.0):
+            return k, (a, b)
     raise BadBracket(
         f"no rest count up to {k_max} separates the bracket {bracket}"
     )

@@ -2,10 +2,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langmuir_lab import dynamics as dyn
 from langmuir_lab import output, shooting
 from langmuir_lab.cli import main
+from langmuir_lab.integrator import EventKind, Trajectory
 
 
 class TestSimulate:
@@ -355,6 +358,26 @@ class TestSerializationHelpers:
     def test_number_formatting_round_trips(self):
         for v in (math.pi, 1.0 / 3.0, 6.123233995736766e-17, -2.5e300):
             assert float(output.fmt(v)) == v
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.floats()] * 6), min_size=1,
+                         max_size=5))
+    def test_csv_rows_are_fmt_joined(self, rows):
+        # any float, nan, infinities, signed zeros and subnormals included,
+        # prints as fmt prints it; the energy column is drawn too, so the
+        # samples need not be admissible states
+        samples = tuple(dyn.State(t=t, x=x, y=y, vx=vx, vy=vy)
+                        for t, x, y, vx, vy, _ in rows)
+        energies = iter(row[5] for row in rows)
+        traj = Trajectory(samples=samples, events=(), max_energy_drift=0.0,
+                          termination=EventKind.TIME_LIMIT)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dyn, "energy", lambda s: next(energies))
+            text = output.trajectory_csv(traj)
+        want = [output.CSV_HEADER] + [
+            ",".join(output.fmt(v) for v in row) for row in rows
+        ]
+        assert text == "\n".join(want) + "\n"
 
     def test_csv_rejects_bad_header(self):
         for text in ("a,b,c\n1,2,3\n", ""):

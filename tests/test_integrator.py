@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from langmuir_lab import analysis, cli, integrator, shooting
 from langmuir_lab import dynamics as dyn
 from langmuir_lab.dynamics import ProblemSpec, State
-from langmuir_lab.errors import DomainError, StepUnderflow
+from langmuir_lab.errors import BadBracket, DomainError, StepUnderflow
 from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
@@ -516,11 +516,35 @@ def test_requested_samples_agree_with_fixed_step_rk4():
         assert err <= 1e-8
 
 
+def test_resumed_run_drops_each_stop_from_its_drift(monkeypatch):
+    # the energy is raised by |x| at x-rest states alone, so each fresh arc
+    # to the k-th rest has the drift of that rest; the resumed run's arc
+    # must not keep the larger drift of its 2nd rest (|x| = 2.08 there,
+    # 0.12 at the 3rd)
+    real = integrator._langmuir_energy
+
+    def energy(v):
+        return real(v) + (abs(v[0]) if abs(v[2]) < 1e-6 else 0.0)
+
+    monkeypatch.setattr(integrator, "_langmuir_energy", energy)
+    s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=0.3))
+    arcs = integrator._rest_arcs(s0, IntegratorSettings())
+    for k in range(1, 4):
+        fresh = integrate(s0, stop={EventKind.X_VELOCITY_ZERO: k})
+        assert fresh.max_energy_drift > 0.1
+        assert next(arcs).max_energy_drift == fresh.max_energy_drift
+
+
 def _find_orbit_command(kind):
     with tempfile.TemporaryDirectory() as out:
         rc = cli.main(["find-orbit", "--energy", "-1.0", "--kind", kind,
                        "--out", os.path.join(out, kind)])
     assert rc == 0
+
+
+def _rejected_bracket(bracket):
+    with pytest.raises(BadBracket):
+        shooting.classify_reflection_count(-1.0, bracket)
 
 
 # Field evaluations at E = -1 with dense output (events and requested
@@ -532,7 +556,11 @@ def _find_orbit_command(kind):
     (lambda: shooting.shoot(-1.0, 1.398), 833),
     (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 40_260),
     (lambda: shooting.find_langmuir_orbit(-1.0), 3_126),
-    (lambda: shooting.find_brake_orbit(-1.0), 30_342),
+    (lambda: shooting.find_brake_orbit(-1.0), 23_096),
+    # one run per bracket end, to its 3rd rest: 4,150 + 4,342
+    (lambda: shooting.classify_reflection_count(-1.0), 8_492),
+    # a bracket no rest count separates: each end runs once, to 8 rests
+    (lambda: _rejected_bracket((0.3, 0.3)), 25_234),
     (lambda: analysis.check_zero_energy_monotone(), 4_543),
     (lambda: analysis.check_magical_prefix(), 19_685),
     # the whole suite: tmax_bound and magical_prefix share one scan
@@ -544,8 +572,9 @@ def _find_orbit_command(kind):
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
     ), 6_289),
     (lambda: _find_orbit_command("langmuir"), 3_973),
-    (lambda: _find_orbit_command("brake"), 34_681),
+    (lambda: _find_orbit_command("brake"), 27_435),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
+        "classify_reflection_count", "classify_rejected_bracket",
         "check_zero_energy_monotone", "check_magical_prefix",
         "run_all_checks", "simulate",
         "find_orbit_langmuir_command", "find_orbit_brake_command"])

@@ -3,7 +3,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from langmuir_lab import dynamics as dyn
@@ -157,15 +157,18 @@ def test_default_brackets_follow_energy_scaling(orbits_at_e1, kind, E):
 @pytest.fixture
 def integrate_calls(monkeypatch):
     """Record (start state, settings) of every integration made in
-    `shooting`."""
-    real = shooting.integrate
+    `shooting`: each integrate call, and each resumable run, once however
+    far it is resumed."""
     calls = []
 
-    def integrate(s0, settings=IntegratorSettings(), *args, **kwargs):
-        calls.append((s0, settings))
-        return real(s0, settings, *args, **kwargs)
+    def recording(real):
+        def run(s0, settings=IntegratorSettings(), *args, **kwargs):
+            calls.append((s0, settings))
+            return real(s0, settings, *args, **kwargs)
+        return run
 
-    monkeypatch.setattr(shooting, "integrate", integrate)
+    for name in ("integrate", "_rest_arcs"):
+        monkeypatch.setattr(shooting, name, recording(getattr(shooting, name)))
     return calls
 
 
@@ -174,8 +177,8 @@ def test_each_solver_evaluation_integrates_once(integrate_calls, kind):
     # each trace entry is one integration, coarse or at full tolerance (the
     # coarse root is integrated once more, at full tolerance, to open the
     # polish); the touch state is the last solver evaluation's rest, not a
-    # second integration of h*; the brake rest count is given so that no
-    # classification runs are counted
+    # second integration of h*; the brake rest count is given, so the
+    # bracket ends are solver evaluations rather than classification runs
     kwargs = {"k": 3} if kind == "brake" else {}
     rec = FINDERS[kind](-1.0, **kwargs)
     assert len(integrate_calls) == len(rec.solver_trace)
@@ -183,9 +186,9 @@ def test_each_solver_evaluation_integrates_once(integrate_calls, kind):
 
 @pytest.mark.parametrize("kind", sorted(FINDERS))
 def test_find_orbit_integrates_each_launch_once(integrate_calls, tmp_path, kind):
-    # classification integrates both bracket ends at rest counts 1..k; the
-    # solver starts from its k-th-rest arcs, and assembly from the h* arc,
-    # so beyond the retrace each integration is one trace entry (the coarse
+    # classification integrates each bracket end once, to its k-th rest;
+    # the solver starts from those arcs, and assembly from the h* arc, so
+    # beyond the retrace each integration is one trace entry (the coarse
     # root is one entry at each tolerance)
     prefix = tmp_path / kind
     argv = ["find-orbit", "--energy", "-1.0", "--kind", kind]
@@ -193,8 +196,7 @@ def test_find_orbit_integrates_each_launch_once(integrate_calls, tmp_path, kind)
     rec = output.parse_orbit_record(
         (tmp_path / f"{kind}.orbit.json").read_text()
     )
-    classify = 2 * (rec.reflection_count() - 1)
-    assert len(integrate_calls) == classify + len(rec.solver_trace) + 1
+    assert len(integrate_calls) == len(rec.solver_trace) + 1
 
 
 def _bits(traj):
@@ -207,6 +209,41 @@ def _bits(traj):
         traj.max_energy_drift.hex(),
         traj.termination,
     )
+
+
+class TestResumedRun:
+    """Classification's one run per bracket end, resumed at each x-rest,
+    against a fresh integration to each rest count."""
+
+    @pytest.mark.parametrize("rel_tol", [IntegratorSettings().rel_tol, 1e-8])
+    @settings(max_examples=5, deadline=None)
+    @given(E=st.floats(min_value=-2.0, max_value=-0.5))
+    @example(E=-1.0)
+    def test_each_rest_arc_is_a_fresh_quarter(self, rel_tol, E):
+        settings_ = IntegratorSettings(rel_tol=rel_tol)
+        for h in shooting._bracket_at(E, None, shooting.DEFAULT_BRAKE_BRACKET):
+            arcs = shooting._rest_arcs(
+                dyn.initial_state(dyn.ProblemSpec(E=E, h=h)), settings_
+            )
+            for k in range(1, 5):
+                fresh = shooting._quarter(E, h, k, settings_)
+                assert _bits(next(arcs)) == _bits(fresh)
+
+    def test_run_stopped_short_rejects_the_bracket(self, integrate_calls):
+        # both default ends rest twice before t = 4 and a third time after:
+        # each end is integrated once, and the message is the one for a
+        # bracket that no rest count up to k_max separates
+        short = IntegratorSettings(t_limit=4.0)
+        with pytest.raises(BadBracket, match=re.escape(
+            "no rest count up to 8 separates the bracket (0.3, 0.8)"
+        )):
+            shooting.classify_reflection_count(-1.0, settings=short)
+        assert len(integrate_calls) == 2
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_rest_count_below_one_is_an_invalid_argument(self, k_max):
+        with pytest.raises(ValueError, match="rest count must be >= 1"):
+            shooting.classify_reflection_count(-1.0, k_max=k_max)
 
 
 def _full_search_only(monkeypatch):
