@@ -31,7 +31,7 @@ def main() -> int:
     settings = IntegratorSettings()
     for h in HEIGHTS:
         s0 = dynamics.initial_state(ProblemSpec(E=ENERGY, h=h))
-        traj = integrate(s0, settings, stop={EventKind.X_VELOCITY_ZERO: 1})
+        traj = integrate(s0, settings, stop={EventKind.X_VELOCITY_ZERO})
         path = out_dir / f"launch_h{h:g}.svg"
         path.write_text(
             output.trajectory_svg(traj, ENERGY, f"E={ENERGY} h={h}")

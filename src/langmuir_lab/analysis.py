@@ -140,7 +140,7 @@ def check_magical_prefix(
     which does not tend to 0 at launch as vy does (vy/t tends to -7/h^2)."""
     if h_grid is None:
         h_grid = default_grid()
-    stop = {EventKind.MAGICAL_LINE_CROSS: 1, EventKind.X_VELOCITY_ZERO: 1}
+    stop = {EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO}
     runs = [integrate(dynamics.initial_state(ProblemSpec(E=-1.0, h=h)),
                       settings, stop=stop) for h in h_grid]
     return _magical_prefix_report(h_grid, runs)

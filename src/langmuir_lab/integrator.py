@@ -14,13 +14,14 @@ localized by bisecting the sign of a residual on it; the state of a located
 event is then one fifth-order step from the accepted step's start to the
 located time.  Otherwise a run samples the ends of its accepted steps.
 
-A run stops at a stop event: its last sample is the event's state, and the
-events the same step holds after it are dropped.  `integrate` never goes
-on from there.  The orbit search's classification does (`_rest_arcs`): it
-resumes the run, which emits the stop step's remaining events, appends
-that step's end sample and drift, and steps on with the same step size,
-controller state and first stage.  So the run to the (k+1)-th x-rest
-passes through the run to the k-th, bit for bit, and one run gives both.
+A run stops at the first event of any stop kind: its last sample is the
+event's state, and the events the same step holds after it are dropped.
+`integrate` never goes on from there.  The orbit search does
+(`_rest_arcs`), to reach the k-th x-rest: it resumes the run, which emits
+the stop step's remaining events, appends that step's end sample and
+drift, and steps on with the same step size, controller state and first
+stage to the next stop.  So the run to the (k+1)-th x-rest passes through
+the run to the k-th, bit for bit, and one run gives both.
 
 Two vector fields are integrated with the same machinery: the planar
 two-electron field (second-order form, state (x, y, vx, vy)) and its
@@ -307,14 +308,14 @@ class _Run:
         t0: float,
         settings: IntegratorSettings,
         residuals: dict[EventKind, Callable[[Vec], float]],
-        stop: dict[EventKind, int],
+        stop: set[EventKind],
         sample_times: Sequence[float],
     ):
         self.accel = accel
         self.energy_fn = energy_fn
         self.st = settings
         self.residuals = residuals
-        self.stop_left = stop  # events of each stop kind still to come
+        self.stop = stop
         self.t = t0
         self.y = y0
         self.samples: list[tuple[float, Vec]] = [(t0, y0)]
@@ -358,12 +359,12 @@ class _Run:
         return found
 
     def run(self):
-        """Step until the run stops: yield the kind of each stop event, or
-        return at the time limit.  Resumed after a yield, the run goes on as
-        though that event had not stopped it, to the next event of its kind.
-        A run with requested times is never resumed: a request at the stop
-        event's time is answered by the stop's own sample, which resuming
-        removes."""
+        """Step until the run stops: yield the kind of each stop event, and
+        the time limit, which ends the run.  Resumed after a stop event, the
+        run goes on as though that event had not stopped it, to its next
+        stop.  A run with requested times is never resumed: a request at the
+        stop event's time is answered by the stop's own sample, which
+        resuming removes."""
         st = self.st
         accel = self.accel
         x, y, vx, vy = self.y
@@ -375,6 +376,7 @@ class _Run:
         while True:
             if st.t_limit - self.t < H_MIN:
                 self._finish_time_limit()
+                yield EventKind.TIME_LIMIT
                 return
             h = min(h, st.h_max, st.t_limit - self.t)
             if h < H_MIN:
@@ -406,21 +408,18 @@ class _Run:
                 t0, y0, k1, ks, h_acc, y_new, res, at
             ):
                 self.events.append((kind, t_ev, y_ev))
-                if kind in self.stop_left:
-                    self.stop_left[kind] -= 1
-                    if self.stop_left[kind] == 0:
-                        self._append_requests(t0, at, t_ev, end_sample=True)
-                        drift = self.drift
-                        self.samples.append((t_ev, y_ev))
-                        self._record_drift(y_ev)
-                        self.termination = kind
-                        yield kind
-                        # resumed: the stop's sample and drift go, and the
-                        # run goes on to the next event of this kind
-                        self.samples.pop()
-                        self.drift = drift
-                        self.termination = None
-                        self.stop_left[kind] = 1
+                if kind in self.stop:
+                    self._append_requests(t0, at, t_ev, end_sample=True)
+                    drift = self.drift
+                    self.samples.append((t_ev, y_ev))
+                    self._record_drift(y_ev)
+                    self.termination = kind
+                    yield kind
+                    # resumed: the stop's sample and drift go, and the run
+                    # goes on to its next stop
+                    self.samples.pop()
+                    self.drift = drift
+                    self.termination = None
 
             self._append_requests(t0, at, t_new, end_sample=True)
             self.samples.append((t_new, y_new))
@@ -522,15 +521,18 @@ def _new_run(
     s0: State,
     settings: IntegratorSettings,
     watch: Iterable[EventKind],
-    stop: Mapping[EventKind, int],
+    stop: Iterable[EventKind],
     sample_times: Sequence[float],
 ) -> _Run:
+    if isinstance(stop, Mapping):
+        raise TypeError(
+            f"stop takes event kinds, each ending the run at its first "
+            f"event, not a mapping: {stop!r}"
+        )
     if s0.y <= 0.0:
         raise DomainError(f"initial state must have y > 0, got y={s0.y}")
-    if any(n < 1 for n in stop.values()):
-        raise DomainError("every stop count must be >= 1")
-    stop = {**stop, EventKind.COLLISION_PROXIMITY: 1}
-    watched = set(watch) | stop.keys()
+    stop = {*stop, EventKind.COLLISION_PROXIMITY}
+    watched = set(watch) | stop
     residuals = {k: f for k, f in _RESIDUALS.items() if k in watched}
     return _Run(
         accel, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,
@@ -544,40 +546,42 @@ def _integrate_chart(
     s0: State,
     settings: IntegratorSettings,
     watch: Iterable[EventKind],
-    stop: Mapping[EventKind, int],
+    stop: Iterable[EventKind],
     sample_times: Sequence[float],
 ) -> Trajectory:
     run = _new_run(accel, energy_fn, s0, settings, watch, stop, sample_times)
-    next(run.run(), None)  # to the first stop, never resumed
+    next(run.run())  # to the first stop, never resumed
     return _build_trajectory(run)
 
 
-def _rest_arcs(
-    s0: State, settings: IntegratorSettings
-) -> Iterator[Trajectory]:
-    """integrate(s0, settings, stop={X_VELOCITY_ZERO: k}) for k = 1, 2, ...,
-    bit for bit, from one run resumed at each x-rest.  It ends when the run
-    stops any other way, since no later rest can follow."""
+def _rest_arcs(s0: State, settings: IntegratorSettings) -> Iterator[_Run]:
+    """One run of the planar field from s0, yielded at each of its stops:
+    its k-th x-rest at the k-th yield, for k = 1, 2, ..., and last the stop
+    that ends it any other way (its termination says which).  Each yield's
+    `_build_trajectory` is integrate(s0, settings, stop={X_VELOCITY_ZERO})
+    resumed to that stop, bit for bit.  The run goes on in place when
+    advanced, so a caller builds the arc of a stop it keeps before it
+    advances again."""
     rest = EventKind.X_VELOCITY_ZERO
     run = _new_run(dynamics.acceleration, _langmuir_energy, s0, settings, (),
-                   {rest: 1}, ())
+                   (rest,), ())
     for kind in run.run():
+        yield run
         if kind is not rest:
             return
-        yield _build_trajectory(run)
 
 
 def integrate(
     s0: State,
     settings: IntegratorSettings = IntegratorSettings(),
     watch: Iterable[EventKind] = (),
-    stop: Mapping[EventKind, int] = {},
+    stop: Iterable[EventKind] = (),
     sample_times: Sequence[float] = (),
 ) -> Trajectory:
     """Integrate the planar two-electron field forward from s0, recording
-    the events of every kind in `watch` or `stop`.  The run ends at the n-th
-    event of any kind that `stop` maps to n.  Collision proximity always
-    ends it at its first event, and the time limit always ends it.
+    the events of every kind in `watch` or `stop`.  The run ends at the
+    first event of any kind in `stop`, at the first collision proximity,
+    and at the time limit.  A mapping as `stop` raises TypeError.
 
     Each of the `sample_times` that the run reaches (the time limit
     included) adds one sample at exactly that time, read from the dense
@@ -594,11 +598,10 @@ def integrate(
 def integrate_inverted(
     s0: State,
     settings: IntegratorSettings = IntegratorSettings(),
-    sample_times: Sequence[float] = (),
 ) -> Trajectory:
     """Integrate the circle-inverted chart (used for zero-energy runs);
     s0 must already live in that chart, e.g. invert_state(initial_state(...))."""
     return _integrate_chart(
         dynamics.inverted_acceleration, _inverted_energy, s0, settings, (),
-        {}, sample_times,
+        (), (),
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import dynamics
 from .dynamics import ProblemSpec, State
@@ -34,7 +34,9 @@ from .integrator import (
     EventKind,
     IntegratorSettings,
     Trajectory,
+    _build_trajectory,
     _rest_arcs,
+    _Run,
     integrate,
 )
 
@@ -43,6 +45,8 @@ ALPHA_TOL = 1e-8
 COARSE_REL_TOL = 1e-6
 # iteration budget of each stage of the orbit search
 MAX_ITER = 200
+# largest rest count that classification tries
+MAX_RESTS = 8
 TOUCH_SPEED_TOL = 1e-6
 # Tuned at E = -1; h* scales as 1/(-E), so _bracket_at rescales them.
 DEFAULT_BRACKET = (0.5, 3.0)
@@ -102,22 +106,48 @@ def _bracket_at(
     return default[0] * a, default[1] * a
 
 
+def _next_rest(rests: Iterator[_Run], k: int) -> _Run:
+    """The run of `rests` (a launch's `_rest_arcs`) at its next stop, which
+    must be an x-rest; its last sample is that rest.  Raises NoRest(k, ...),
+    k being the rest count the caller is after, when the run stops any other
+    way."""
+    run = next(rests)
+    if run.termination is not EventKind.X_VELOCITY_ZERO:
+        raise NoRest(k, run.termination.value)
+    return run
+
+
+def _alpha(run: _Run) -> float:
+    """The vertical velocity of a run's last sample: alpha at its rest."""
+    return run.samples[-1][1][3]
+
+
+def _rest_run(
+    E: float,
+    h: float,
+    k: int,
+    settings: IntegratorSettings,
+) -> _Run:
+    """The run of the horizontal launch from (0, h) at energy E, stopped at
+    its k-th x-rest, without its arc built.  Raises NoRest if the run ends
+    any other way first."""
+    if k < 1:
+        raise ValueError(f"rest count must be >= 1, got {k}")
+    rests = _rest_arcs(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings)
+    for _ in range(k):
+        run = _next_rest(rests, k)
+    return run
+
+
 def _quarter(
     E: float,
     h: float,
     k: int,
     settings: IntegratorSettings,
 ) -> Trajectory:
-    """Launch horizontally from (0, h) at energy E and integrate with
-    stop={X_VELOCITY_ZERO: k}; the last sample is the k-th x-rest.  Raises
-    NoRest if the run ends any other way."""
-    if k < 1:
-        raise ValueError(f"rest count must be >= 1, got {k}")
-    s0 = dynamics.initial_state(ProblemSpec(E=E, h=h))
-    traj = integrate(s0, settings, stop={EventKind.X_VELOCITY_ZERO: k})
-    if traj.termination is not EventKind.X_VELOCITY_ZERO:
-        raise NoRest(k, traj.termination.value)
-    return traj
+    """The launch's arc to its k-th x-rest, its last sample.  Raises NoRest
+    if the run ends any other way first."""
+    return _build_trajectory(_rest_run(E, h, k, settings))
 
 
 def _shoot_run(
@@ -129,7 +159,7 @@ def _shoot_run(
     traj = integrate(
         dynamics.initial_state(ProblemSpec(E=E, h=h)), settings,
         watch={EventKind.MAGICAL_LINE_CROSS},
-        stop={EventKind.X_VELOCITY_ZERO: 1},
+        stop={EventKind.X_VELOCITY_ZERO},
     )
     if traj.termination is not EventKind.X_VELOCITY_ZERO:
         return traj, ShootResult(
@@ -174,7 +204,7 @@ def alpha_k(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> float:
     """Vertical velocity at the k-th x-rest; alpha_1 is shoot(...).alpha."""
-    return _quarter(E, h, k, settings).samples[-1].vy
+    return _alpha(_rest_run(E, h, k, settings))
 
 
 def _solve_bracketed(
@@ -297,7 +327,7 @@ def _find_orbit(
             # a bracket end whose arc is known keeps its value at `settings`
             if h in arcs:
                 return arcs[h].samples[-1].vy
-            return _quarter(E, h, k, coarse).samples[-1].vy
+            return _alpha(_rest_run(E, h, k, coarse))
 
         # any failure is left to the search on the whole bracket, which
         # raises it again if it is not the coarse tolerance's doing
@@ -392,18 +422,19 @@ def find_brake_orbit(
     """Root of alpha_k on the bracket: the multi-reflection orbit.  The
     default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E.  When k
     is not given it is chosen by classify_reflection_count, and the search
-    starts from the bracket ends' k-rest arcs that classification made; a
-    bracket classified as k = 1 holds the simple orbit and raises
-    BadBracket."""
+    starts from the bracket ends' arcs to the k-th rest, built from the runs
+    that classification stopped there; a bracket classified as k = 1 holds
+    the simple orbit and raises BadBracket."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
     ends: tuple[Trajectory, ...] = ()
     if k is None:
-        k, ends = _classify(E, bracket, settings)
+        k, runs = _classify(E, bracket, settings)
         if k == 1:
             raise BadBracket(
                 f"the bracket {bracket} holds the simple orbit, "
                 f"not a brake orbit"
             )
+        ends = tuple(_build_trajectory(run) for run in runs)
     return _find_orbit(E, bracket, k, f"Brake-{k}", settings, ends)
 
 
@@ -411,46 +442,44 @@ def classify_reflection_count(
     E: float,
     bracket: Optional[tuple[float, float]] = None,
     settings: IntegratorSettings = IntegratorSettings(),
-    k_max: int = 8,
 ) -> int:
-    """Smallest rest count k <= k_max at which alpha_k differs in sign
+    """Smallest rest count k <= MAX_RESTS at which alpha_k differs in sign
     between the bracket endpoints (the trajectory end is reflected on
     opposite sides).  The default bracket is DEFAULT_BRAKE_BRACKET rescaled
     to energy E.  Each endpoint is integrated once, to its k-th rest (see
-    _classify).  Raises BadBracket when no k <= k_max separates the ends,
-    and ValueError when k_max < 1."""
+    _classify).  Raises BadBracket when no k <= MAX_RESTS separates the
+    ends."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
-    return _classify(E, bracket, settings, k_max)[0]
+    return _classify(E, bracket, settings)[0]
 
 
 def _classify(
     E: float,
     bracket: tuple[float, float],
     settings: IntegratorSettings,
-    k_max: int = 8,
-) -> tuple[int, tuple[Trajectory, Trajectory]]:
-    """classify_reflection_count, also returning the quarter arcs of the
-    two bracket ends at the rest count found.
+) -> tuple[int, tuple[_Run, _Run]]:
+    """classify_reflection_count, also returning the runs of the two bracket
+    ends stopped at the rest count found, whose arcs are not built.
 
     Each bracket end is integrated once, to its k-th rest and no further:
-    one run, resumed at each x-rest, whose k-rest arc is _quarter(E, h, k,
-    settings) bit for bit.  A run that ends any other way has no later
-    rest, so the bracket is rejected there."""
-    if k_max < 1:
-        raise ValueError(f"rest count must be >= 1, got k_max={k_max}")
+    one run, advanced rest by rest as _rest_run advances it, so it stops at
+    the k-th rest exactly as _rest_run(E, h, k, settings) does.  A run that
+    ends any other way has no later rest, so the bracket is rejected
+    there."""
     lo, hi = (
         _rest_arcs(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings)
         for h in bracket
     )
-    for k in range(1, k_max + 1):
-        a = next(lo, None)
-        b = None if a is None else next(hi, None)
-        if b is None:
-            break
-        if (a.samples[-1].vy > 0.0) != (b.samples[-1].vy > 0.0):
-            return k, (a, b)
+    try:
+        for k in range(1, MAX_RESTS + 1):
+            a = _next_rest(lo, k)
+            b = _next_rest(hi, k)
+            if (_alpha(a) > 0.0) != (_alpha(b) > 0.0):
+                return k, (a, b)
+    except NoRest:
+        pass
     raise BadBracket(
-        f"no rest count up to {k_max} separates the bracket {bracket}"
+        f"no rest count up to {MAX_RESTS} separates the bracket {bracket}"
     )
 
 

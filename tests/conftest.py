@@ -99,6 +99,48 @@ def dp5_reference_error_ratio(y, y5, ks, h, abs_tol, rel_tol):
     return worst
 
 
+
+def trajectory_bits(traj):
+    """Every float of a trajectory's samples and events as float.hex, with
+    its drift and termination, so that signed zeros count."""
+    states = [s for s in traj.samples] + [e.state for e in traj.events]
+    return (
+        [tuple(v.hex() for v in (s.t, s.x, s.y, s.vx, s.vy)) for s in states],
+        [(e.kind, e.t.hex()) for e in traj.events],
+        traj.max_energy_drift.hex(),
+        traj.termination,
+    )
+
+
+def rest_cuts(s0, settings):
+    """The arcs from s0 to each of its x-rests, in order, cut from one
+    unstopped run that watches x-rests: for each rest, the run's samples
+    before it and its state, the run's events up to it, and the largest
+    relative energy drift over those samples, recomputed with the energy
+    `integrator` holds now.  The steps do not depend on where a run stops,
+    so a run stopped at the k-th rest must equal the k-th cut bit for
+    bit."""
+    from langmuir_lab import integrator
+    from langmuir_lab.integrator import EventKind, Trajectory, integrate
+
+    free = integrate(s0, settings, watch={EventKind.X_VELOCITY_ZERO})
+    energy = integrator._langmuir_energy
+    e0 = energy((s0.x, s0.y, s0.vx, s0.vy))
+    cuts = []
+    for rest in free.events:
+        if rest.kind is not EventKind.X_VELOCITY_ZERO:
+            continue
+        samples = [s for s in free.samples if s.t < rest.t] + [rest.state]
+        drift = max(abs(energy((s.x, s.y, s.vx, s.vy)) - e0) / abs(e0)
+                    for s in samples)
+        cuts.append(Trajectory(
+            samples=tuple(samples),
+            events=tuple(e for e in free.events if e.t <= rest.t),
+            max_energy_drift=drift,
+            termination=EventKind.X_VELOCITY_ZERO,
+        ))
+    return cuts
+
 # Random admissible launches for Hypothesis: heights h = u * a with
 # a = -1/E span the default grid rescaled to E.
 launches = dict(

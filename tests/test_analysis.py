@@ -170,7 +170,7 @@ def test_magical_prefix_margin_agrees_with_fixed_step_rk4():
     grid = [1.0, 1.398, 2.7]
     rep = analysis.check_magical_prefix(h_grid=grid)
     assert rep.details == {"n_checked": 2, "no_crossing": [2.7]}
-    stop = {EventKind.MAGICAL_LINE_CROSS: 1, EventKind.X_VELOCITY_ZERO: 1}
+    stop = {EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO}
     margins = []
     for h in grid:
         s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
@@ -214,8 +214,8 @@ def test_shoot_run_holds_the_magical_prefix_run(h):
         return tuple(v.hex() for v in (s.t, s.x, s.y, s.vx, s.vy))
 
     s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
-    alone = integrate(s0, stop={EventKind.MAGICAL_LINE_CROSS: 1,
-                                EventKind.X_VELOCITY_ZERO: 1})
+    alone = integrate(s0, stop={EventKind.MAGICAL_LINE_CROSS,
+                                EventKind.X_VELOCITY_ZERO})
     shot, _ = shooting._shoot_run(-1.0, h, IntegratorSettings())
     cross = shot.first_event(EventKind.MAGICAL_LINE_CROSS)
     if cross is None:
@@ -243,7 +243,7 @@ class TestTauValues:
             traj = integrate(
                 s0,
                 IntegratorSettings(t_limit=100.0),
-                stop={EventKind.X_VELOCITY_ZERO: 1},
+                stop={EventKind.X_VELOCITY_ZERO},
             )
             tau = traj.first_event(EventKind.X_VELOCITY_ZERO).t
 
@@ -251,7 +251,7 @@ class TestTauValues:
             ref = integrate(
                 s1,
                 IntegratorSettings(),
-                stop={EventKind.X_VELOCITY_ZERO: 1},
+                stop={EventKind.X_VELOCITY_ZERO},
             ).first_event(EventKind.X_VELOCITY_ZERO).t
             assert abs(tau - h**-1.5 * ref) <= 1e-6
 

@@ -26,7 +26,9 @@ from conftest import (
     dp5_reference_error_ratio,
     dp5_reference_step,
     launches,
+    rest_cuts,
     rk4_fixed,
+    trajectory_bits,
 )
 
 
@@ -35,7 +37,7 @@ def shoot_raw(E, h, settings=None, **kw):
     return integrate(
         s0,
         settings or IntegratorSettings(),
-        stop={EventKind.X_VELOCITY_ZERO: 1},
+        stop={EventKind.X_VELOCITY_ZERO},
         **kw,
     )
 
@@ -161,7 +163,7 @@ class TestEvents:
         traj = integrate(
             s0,
             IntegratorSettings(),
-            stop={EventKind.MAGICAL_LINE_CROSS: 1},
+            stop={EventKind.MAGICAL_LINE_CROSS},
         )
         ev = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
         assert abs(math.sqrt(3.0) * ev.state.y - abs(ev.state.x)) <= 1e-9
@@ -197,19 +199,16 @@ class TestEvents:
 
 class TestStopRule:
     def test_stops_at_the_nth_event(self):
+        # the 3rd rest, reached by resuming one run twice, is the unstopped
+        # run cut at its 3rd rest
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.398))
-        traj = integrate(s0, stop={EventKind.X_VELOCITY_ZERO: 3})
+        traj = shooting._quarter(-1.0, 1.398, 3, IntegratorSettings())
         assert traj.termination is EventKind.X_VELOCITY_ZERO
         rests = [e for e in traj.events if e.kind is EventKind.X_VELOCITY_ZERO]
         assert len(rests) == 3
         assert traj.samples[-1] == rests[2].state
-        # the same launch run past its third rest, watching only
-        free = integrate(
-            s0,
-            IntegratorSettings(t_limit=rests[2].t + 0.5),
-            watch={EventKind.X_VELOCITY_ZERO},
-        )
-        assert [e.t for e in free.events[:3]] == [e.t for e in rests]
+        cut = rest_cuts(s0, IntegratorSettings(t_limit=rests[2].t + 0.5))[2]
+        assert trajectory_bits(traj) == trajectory_bits(cut)
 
     @pytest.mark.parametrize(
         "h, first",
@@ -218,24 +217,26 @@ class TestStopRule:
     def test_first_of_two_stop_kinds_ends_the_run(self, h, first):
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=h))
         kinds = (EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO)
-        free = integrate(s0, watch=kinds, stop={EventKind.X_VELOCITY_ZERO: 1})
+        free = integrate(s0, watch=kinds, stop={EventKind.X_VELOCITY_ZERO})
         assert free.events[0].kind is first
-        traj = integrate(s0, stop={kind: 1 for kind in kinds})
+        traj = integrate(s0, stop=kinds)
         assert traj.termination is first
         assert traj.events == free.events[:1]
         assert traj.samples[-1] == free.events[0].state
 
     def test_collision_stops_at_its_first_event(self):
         s0 = State(t=0.0, x=0.0, y=2.0, vx=0.0, vy=0.0)
-        traj = integrate(s0, stop={EventKind.COLLISION_PROXIMITY: 5})
+        traj = integrate(s0)
         assert traj.termination is EventKind.COLLISION_PROXIMITY
         assert [e.kind for e in traj.events] == [EventKind.COLLISION_PROXIMITY]
         assert traj.samples[-1] == traj.events[0].state
 
-    def test_rejects_stop_count_below_one(self):
+    def test_rejects_a_mapping_of_stop_counts(self):
+        # a stop kind ends the run at its first event; read as a set of
+        # kinds, the old {kind: n} form would stop at the wrong rest
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
-        with pytest.raises(DomainError):
-            integrate(s0, stop={EventKind.X_VELOCITY_ZERO: 0})
+        with pytest.raises(TypeError, match="mapping"):
+            integrate(s0, stop={EventKind.X_VELOCITY_ZERO: 3})
 
     @pytest.mark.parametrize("h", [0.3, 1.0, 1.398, 2.7])
     def test_watching_costs_only_event_location(self, field_calls, h):
@@ -329,7 +330,7 @@ def test_non_finite_steps_are_rejected_until_underflow(bad):
 
     s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
     with pytest.raises(StepUnderflow):
-        _integrate_chart(accel, energy, s0, IntegratorSettings(), (), {}, ())
+        _integrate_chart(accel, energy, s0, IntegratorSettings(), (), (), ())
     assert len(sampled) > 1
     assert all(math.isfinite(c) for v in sampled for c in v)
 
@@ -376,7 +377,7 @@ def test_requested_samples_agree_with_a_fifth_order_step(E, u):
     # component; requests do not change the steps
     st_ = IntegratorSettings()
     s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
-    stop = {EventKind.X_VELOCITY_ZERO: 1}
+    stop = {EventKind.X_VELOCITY_ZERO}
     ends = integrate(s0, st_, stop=stop).samples
     spans = [(a, [a.t + (b.t - a.t) * j / 11 for j in range(1, 11)])
              for a, b in zip(ends, ends[1:])]
@@ -410,7 +411,7 @@ def test_event_state_is_one_fifth_order_step(E, u):
         mp.setattr(integrator, "_advance", recording)
         s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
         traj = integrate(s0, watch={EventKind.MAGICAL_LINE_CROSS},
-                         stop={EventKind.X_VELOCITY_ZERO: 1})
+                         stop={EventKind.X_VELOCITY_ZERO})
     assert traj.termination is EventKind.X_VELOCITY_ZERO
     for ev in traj.events:
         [(y, tau)] = calls[_hexes(_vec(ev.state))]
@@ -449,7 +450,7 @@ def test_sample_times_do_not_change_the_steps(E, u, fractions):
     # without requests, bit for bit
     s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
     kw = dict(watch={EventKind.MAGICAL_LINE_CROSS},
-              stop={EventKind.X_VELOCITY_ZERO: 1})
+              stop={EventKind.X_VELOCITY_ZERO})
     free = integrate(s0, **kw)
     times = {f * free.samples[-1].t for f in fractions}
     asked = integrate(s0, sample_times=sorted(times), **kw)
@@ -517,10 +518,10 @@ def test_requested_samples_agree_with_fixed_step_rk4():
 
 
 def test_resumed_run_drops_each_stop_from_its_drift(monkeypatch):
-    # the energy is raised by |x| at x-rest states alone, so each fresh arc
-    # to the k-th rest has the drift of that rest; the resumed run's arc
-    # must not keep the larger drift of its 2nd rest (|x| = 2.08 there,
-    # 0.12 at the 3rd)
+    # the energy is raised by |x| at x-rest states alone, so the run cut at
+    # its k-th rest has the drift of that rest; the resumed run's arc must
+    # not keep the larger drift of its 2nd rest (|x| = 2.08 there, 0.12 at
+    # the 3rd)
     real = integrator._langmuir_energy
 
     def energy(v):
@@ -528,11 +529,28 @@ def test_resumed_run_drops_each_stop_from_its_drift(monkeypatch):
 
     monkeypatch.setattr(integrator, "_langmuir_energy", energy)
     s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=0.3))
-    arcs = integrator._rest_arcs(s0, IntegratorSettings())
-    for k in range(1, 4):
-        fresh = integrate(s0, stop={EventKind.X_VELOCITY_ZERO: k})
-        assert fresh.max_energy_drift > 0.1
-        assert next(arcs).max_energy_drift == fresh.max_energy_drift
+    settings_ = IntegratorSettings(t_limit=8.0)
+    rests = integrator._rest_arcs(s0, settings_)
+    for cut in rest_cuts(s0, settings_)[:3]:
+        assert cut.max_energy_drift > 0.1
+        run = next(rests)
+        assert run.drift == cut.max_energy_drift
+
+
+@pytest.mark.parametrize("s0, settings_, stops", [
+    # two rests before t = 4, the third after it
+    (dyn.initial_state(ProblemSpec(E=-1.0, h=0.3)),
+     IntegratorSettings(t_limit=4.0),
+     [EventKind.X_VELOCITY_ZERO] * 2 + [EventKind.TIME_LIMIT]),
+    # a fall straight onto the nucleus, with vx = 0 throughout
+    (State(t=0.0, x=0.0, y=2.0, vx=0.0, vy=0.0), IntegratorSettings(),
+     [EventKind.COLLISION_PROXIMITY]),
+], ids=["time_limit", "collision"])
+def test_rest_arcs_end_at_the_stop_that_ends_the_run(s0, settings_, stops):
+    # the resumable run is yielded at each x-rest, then once at the stop
+    # that ends it, after which it is never resumed
+    rests = integrator._rest_arcs(s0, settings_)
+    assert [run.termination for run in rests] == stops
 
 
 def _find_orbit_command(kind):

@@ -15,9 +15,14 @@ from langmuir_lab.errors import (
     NoConvergence,
     NoRest,
 )
-from langmuir_lab.integrator import EventKind, IntegratorSettings, integrate
+from langmuir_lab.integrator import (
+    EventKind,
+    IntegratorSettings,
+    _build_trajectory,
+    integrate,
+)
 
-from conftest import launches
+from conftest import launches, rest_cuts, trajectory_bits
 
 # zeros of the shooting functional, frozen from converged bisection runs
 H_STAR_E1 = 1.4070602237
@@ -157,8 +162,9 @@ def test_default_brackets_follow_energy_scaling(orbits_at_e1, kind, E):
 @pytest.fixture
 def integrate_calls(monkeypatch):
     """Record (start state, settings) of every integration made in
-    `shooting`: each integrate call, and each resumable run, once however
-    far it is resumed."""
+    `shooting`: each `integrate` call (shoot's run and the retrace), and
+    each `_rest_arcs` run, the one launch path of quarter arcs and
+    classification, once however far it is advanced."""
     calls = []
 
     def recording(real):
@@ -199,40 +205,37 @@ def test_find_orbit_integrates_each_launch_once(integrate_calls, tmp_path, kind)
     assert len(integrate_calls) == len(rec.solver_trace) + 1
 
 
-def _bits(traj):
-    """Every float of a trajectory's samples and events as float.hex, with
-    its drift and termination, so that signed zeros count."""
-    states = [s for s in traj.samples] + [e.state for e in traj.events]
-    return (
-        [tuple(v.hex() for v in (s.t, s.x, s.y, s.vx, s.vy)) for s in states],
-        [(e.kind, e.t.hex()) for e in traj.events],
-        traj.max_energy_drift.hex(),
-        traj.termination,
-    )
-
-
 class TestResumedRun:
-    """Classification's one run per bracket end, resumed at each x-rest,
-    against a fresh integration to each rest count."""
+    """The run of one launch, advanced rest by rest, against the unstopped
+    run of that launch cut at each rest."""
 
     @pytest.mark.parametrize("rel_tol", [IntegratorSettings().rel_tol, 1e-8])
     @settings(max_examples=5, deadline=None)
     @given(E=st.floats(min_value=-2.0, max_value=-0.5))
+    @example(E=-2.0)
     @example(E=-1.0)
+    @example(E=-0.7)
+    @example(E=-0.5)
     def test_each_rest_arc_is_a_fresh_quarter(self, rel_tol, E):
-        settings_ = IntegratorSettings(rel_tol=rel_tol)
+        # the 4th rest of both default brake ends comes before t = 10 at
+        # E = -1, and time scales as (-E)^-1.5
+        settings_ = IntegratorSettings(rel_tol=rel_tol,
+                                       t_limit=10.0 * (-E) ** -1.5)
         for h in shooting._bracket_at(E, None, shooting.DEFAULT_BRAKE_BRACKET):
-            arcs = shooting._rest_arcs(
-                dyn.initial_state(dyn.ProblemSpec(E=E, h=h)), settings_
-            )
+            s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=h))
+            cuts = rest_cuts(s0, settings_)
+            rests = shooting._rest_arcs(s0, settings_)
             for k in range(1, 5):
+                want = trajectory_bits(cuts[k - 1])
+                resumed = shooting._next_rest(rests, k)
+                assert trajectory_bits(_build_trajectory(resumed)) == want
                 fresh = shooting._quarter(E, h, k, settings_)
-                assert _bits(next(arcs)) == _bits(fresh)
+                assert trajectory_bits(fresh) == want
 
     def test_run_stopped_short_rejects_the_bracket(self, integrate_calls):
         # both default ends rest twice before t = 4 and a third time after:
         # each end is integrated once, and the message is the one for a
-        # bracket that no rest count up to k_max separates
+        # bracket that no rest count up to MAX_RESTS separates
         short = IntegratorSettings(t_limit=4.0)
         with pytest.raises(BadBracket, match=re.escape(
             "no rest count up to 8 separates the bracket (0.3, 0.8)"
@@ -240,24 +243,48 @@ class TestResumedRun:
             shooting.classify_reflection_count(-1.0, settings=short)
         assert len(integrate_calls) == 2
 
-    @pytest.mark.parametrize("k_max", [0, -1])
-    def test_rest_count_below_one_is_an_invalid_argument(self, k_max):
-        with pytest.raises(ValueError, match="rest count must be >= 1"):
-            shooting.classify_reflection_count(-1.0, k_max=k_max)
+    def test_quarter_without_the_rest_raises_no_rest(self):
+        # the same ends have no 3rd rest before t = 4: the error names the
+        # rest count asked for, not the first one missing
+        with pytest.raises(NoRest) as exc:
+            shooting._quarter(-1.0, 0.3, 4, IntegratorSettings(t_limit=4.0))
+        assert (exc.value.k, exc.value.termination) == (4, "TimeLimit")
+
+
+def test_only_kept_rests_build_an_arc(integrate_calls, monkeypatch):
+    # classification and alpha_k read alpha at each rest without building
+    # its arc; the brake search builds the arcs of the runs at its own
+    # settings, the two classified ends and the polish, which can hold the
+    # root, and none for the coarse stage
+    builds = []
+    real = shooting._build_trajectory
+
+    def build(run):
+        builds.append(run)
+        return real(run)
+
+    monkeypatch.setattr(shooting, "_build_trajectory", build)
+    assert shooting.classify_reflection_count(-1.0) == 3
+    shooting.alpha_k(-1.0, 0.8, 3)
+    assert builds == []
+    integrate_calls.clear()
+    shooting.find_brake_orbit(-1.0)
+    full = [c for c in integrate_calls if c[1] == IntegratorSettings()]
+    assert 2 < len(builds) == len(full) < len(integrate_calls)
 
 
 def _full_search_only(monkeypatch):
     """Make every coarse quarter end without a rest, so that _find_orbit
     falls back to Brent-Dekker at the given settings on the whole bracket."""
-    real = shooting._quarter
+    real = shooting._rest_run
     default = IntegratorSettings()
 
-    def quarter(E, h, k, settings):
+    def rest_run(E, h, k, settings):
         if settings.rel_tol > default.rel_tol:
             raise NoRest(k, EventKind.TIME_LIMIT.value)
         return real(E, h, k, settings)
 
-    monkeypatch.setattr(shooting, "_quarter", quarter)
+    monkeypatch.setattr(shooting, "_rest_run", rest_run)
 
 
 class TestTwoStageSearch:
@@ -273,7 +300,7 @@ class TestTwoStageSearch:
         fresh = shooting._quarter(
             rec.E, rec.h_star, rec.reflection_count(), settings
         )
-        assert _bits(arc) == _bits(fresh)
+        assert trajectory_bits(arc) == trajectory_bits(fresh)
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
     def test_full_search_finds_the_same_root(
@@ -378,7 +405,7 @@ def test_mirrored_launch_rests_at_the_mirrored_state(E, u):
     res = shooting.shoot(E, h)
     traj = integrate(
         dyn.State(t=0.0, x=0.0, y=h, vx=-s0.vx, vy=0.0),
-        stop={EventKind.X_VELOCITY_ZERO: 1},
+        stop={EventKind.X_VELOCITY_ZERO},
     )
     assert traj.termination is EventKind.X_VELOCITY_ZERO
     rest, ref = traj.samples[-1], res.state_at_th
@@ -396,7 +423,7 @@ class TestBrackets:
 
     def test_classifier_bad_bracket(self):
         with pytest.raises(BadBracket):
-            shooting.classify_reflection_count(-1.0, (0.31, 0.315), k_max=1)
+            shooting.classify_reflection_count(-1.0, (0.31, 0.315))
 
     def test_positive_energy_rejected(self):
         with pytest.raises(ValueError):
@@ -588,7 +615,7 @@ class TestQuarterArcInvariants:
             traj = integrate(
                 s0,
                 IntegratorSettings(),
-                stop={EventKind.MAGICAL_LINE_CROSS: 1},
+                stop={EventKind.MAGICAL_LINE_CROSS},
             )
             for s in traj.samples:
                 if s.t > 0.0:
@@ -600,7 +627,7 @@ class TestQuarterArcInvariants:
         traj = integrate(
             s0,
             IntegratorSettings(),
-            stop={EventKind.X_VELOCITY_ZERO: 1},
+            stop={EventKind.X_VELOCITY_ZERO},
         )
         speeds = [s.speed2() for s in traj.samples]
         for a, b in zip(speeds, speeds[1:]):
