@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import dynamics
 from .dynamics import ProblemSpec
 from .integrator import EventKind, IntegratorSettings, integrate, integrate_inverted
-from .shooting import _shoot_run, default_grid, scan_alpha, shoot
+from .shooting import _shoot_run, default_grid, shoot
 
 # Deceleration bound: inside the Hill region at E=-1 both |x| and y are at
 # most 7/2, so x'' <= -8*gamma*x with gamma = (49/4 + 49/4)^(-3/2); a
@@ -69,10 +69,19 @@ def check_initial_acceleration(
     )
 
 
-def _tmax_report(results) -> CheckReport:
-    """check_tmax_bound's verdict on the ShootResults of a grid."""
-    times = {r.h: r.t_h for r in results if r.status == "ok"}
-    failures = [(r.h, r.status) for r in results if r.status != "ok"]
+def _grid_runs(h_grid, settings):
+    """shoot()'s (Trajectory, ShootResult) pairs for the E=-1 launches from
+    the heights h_grid, by default the default grid: each run records the
+    magical-line crossings up to the launch's first x-rest."""
+    if h_grid is None:
+        h_grid = default_grid()
+    return [_shoot_run(-1.0, h, settings) for h in h_grid]
+
+
+def _tmax_report(runs) -> CheckReport:
+    """check_tmax_bound's verdict on the `_grid_runs` pairs `runs`."""
+    times = {r.h: r.t_h for _, r in runs if r.status == "ok"}
+    failures = [(r.h, r.status) for _, r in runs if r.status != "ok"]
     worst = max((t - T_MAX for t in times.values()), default=math.inf)
     margin = min((T_MAX - t) / T_MAX for t in times.values()) if times else None
     return CheckReport.from_violation(
@@ -94,24 +103,20 @@ def check_tmax_bound(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> CheckReport:
     """Every first x-rest at E=-1 happens no later than T_MAX."""
-    if h_grid is None:
-        h_grid = default_grid()
-    return _tmax_report(scan_alpha(-1.0, h_grid, settings))
+    return _tmax_report(_grid_runs(h_grid, settings))
 
 
-def _magical_prefix_report(h_grid, runs) -> CheckReport:
-    """check_magical_prefix's verdict on the trajectories `runs` of the E=-1
-    launches from the heights h_grid, each run at least to its first
-    magical-line crossing or its first x-rest.  A run's prefix is its
-    samples after launch and before its first crossing, and the crossing's
-    state; its worst value is the largest vy/t there.  A run without a
-    crossing checks nothing."""
+def _magical_prefix_report(runs) -> CheckReport:
+    """check_magical_prefix's verdict on the `_grid_runs` pairs `runs`.  A
+    run's prefix is its samples after launch and before its first
+    magical-line crossing, and the crossing's state; its worst value is the
+    largest vy/t there.  A run without a crossing checks nothing."""
     worst = -math.inf
     vacuous = []
-    for h, traj in zip(h_grid, runs):
+    for traj, res in runs:
         cross = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
         if cross is None:
-            vacuous.append(h)
+            vacuous.append(res.h)
             continue
         worst = max(
             worst,
@@ -134,16 +139,11 @@ def check_magical_prefix(
 ) -> CheckReport:
     """Until its first crossing of the vanishing-vertical-force line the
     trajectory keeps moving downward (vy < 0 on (0, first crossing]).
-    Each run stops at its first crossing or its first x-rest, whichever
-    comes first; a run that rests before crossing checks nothing.  The
-    worst value is the largest vy/t over the step ends and the crossing,
-    which does not tend to 0 at launch as vy does (vy/t tends to -7/h^2)."""
-    if h_grid is None:
-        h_grid = default_grid()
-    stop = {EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO}
-    runs = [integrate(dynamics.initial_state(ProblemSpec(E=-1.0, h=h)),
-                      settings, stop=stop) for h in h_grid]
-    return _magical_prefix_report(h_grid, runs)
+    Each launch is integrated to its first x-rest; a run that rests before
+    crossing checks nothing.  The worst value is the largest vy/t over the
+    step ends and the crossing, which does not tend to 0 at launch as vy
+    does (vy/t tends to -7/h^2)."""
+    return _magical_prefix_report(_grid_runs(h_grid, settings))
 
 
 def check_zero_energy_monotone(
@@ -284,17 +284,14 @@ def run_all_checks(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[CheckReport]:
     """Execute the whole suite; reports sorted by name.  tmax_bound and
-    magical_prefix read one integration of each default-grid launch, the
-    run shoot() makes: up to its first crossing it is the run that
-    check_magical_prefix makes, bit for bit."""
-    h_grid = default_grid()
-    runs = [_shoot_run(-1.0, h, settings) for h in h_grid]
+    magical_prefix read one integration of each default-grid launch."""
+    runs = _grid_runs(None, settings)
     return [
         check_energy_drift(settings=settings),
         check_initial_acceleration(),
         check_inverted_concavity(settings=settings),
-        _magical_prefix_report(h_grid, [traj for traj, _ in runs]),
+        _magical_prefix_report(runs),
         check_tau_growth(settings=settings),
-        _tmax_report([res for _, res in runs]),
+        _tmax_report(runs),
         check_zero_energy_monotone(settings=settings),
     ]

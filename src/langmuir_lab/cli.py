@@ -144,8 +144,12 @@ def cmd_scan(args) -> int:
     settings = _settings(args, _read_config(args.config))
     grid = [lo] if n == 1 else shooting.default_grid(lo, hi, n)
     results = shooting.scan_alpha(args.energy, grid, settings)
-    text = output.scan_csv(results)
-    _write(args.out, text)
+    _write(args.out, output.scan_csv(results))
+    brackets = shooting.sign_change_brackets(results)
+    for lo, hi in brackets:
+        print(f"sign change on [{lo:.6f}, {hi:.6f}]", file=sys.stderr)
+    if not brackets:
+        print("no sign change on this grid", file=sys.stderr)
     if not any(r.status == "ok" for r in results):
         raise NoRest(1, "every grid point")
     return EXIT_OK
@@ -225,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output prefix for .orbit.{json,csv,svg}")
     p.set_defaults(func=cmd_find_orbit)
 
-    p = sub.add_parser("scan", help="tabulate the shooting functional")
+    p = sub.add_parser("scan", help="tabulate the shooting functional; "
+                       "its sign changes go to stderr")
     common(p)
     p.add_argument("--energy", type=float, required=True)
     p.add_argument("--grid", type=_parse_grid, required=True,

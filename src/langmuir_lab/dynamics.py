@@ -23,6 +23,9 @@ from .errors import DomainError
 
 SQRT3 = math.sqrt(3.0)
 
+# A state as the tuple (x, y, vx, vy), the form the integrator steps.
+Vec = tuple[float, float, float, float]
+
 # Rays from the origin meet {V < 0} only where sin(phi) > 1/8; the Hill
 # boundary for E < 0 lives strictly inside that sector.
 _HILL_SIN_MIN = 1.0 / 8.0
@@ -97,9 +100,16 @@ def acceleration(x: float, y: float) -> tuple[float, float]:
     return -8.0 * x / rho3, ay
 
 
+def energy_vec(v: Vec) -> float:
+    """Total energy |v|^2/4 + V(x, y) of the state tuple (x, y, vx, vy);
+    conserved by the exact flow."""
+    x, y, vx, vy = v
+    return 0.25 * (vx * vx + vy * vy) + potential(x, y)
+
+
 def energy(s: State) -> float:
-    """Total energy |v|^2/4 + V(x, y); conserved by the exact flow."""
-    return 0.25 * s.speed2() + potential(s.x, s.y)
+    """energy_vec of the state s."""
+    return energy_vec((s.x, s.y, s.vx, s.vy))
 
 
 def initial_state(spec: ProblemSpec) -> State:
@@ -174,13 +184,19 @@ def invert_state(s: State) -> State:
     )
 
 
-def inverted_energy(s: State) -> float:
+def inverted_energy_vec(v: Vec) -> float:
     """Hamiltonian of the inverted chart, |p|^2 - 4/|q|^3 + 1/(2|q|^2 Im q),
-    evaluated on a state living in that chart (p = v/2).  Vanishes on images
-    of zero-energy states."""
-    _check_upper(s.x, s.y)
-    r = math.hypot(s.x, s.y)
-    return 0.25 * s.speed2() - 4.0 / r**3 + 0.5 / (r * r * s.y)
+    of the state tuple (x, y, vx, vy) living in that chart (p = v/2).
+    Vanishes on images of zero-energy states."""
+    x, y, vx, vy = v
+    _check_upper(x, y)
+    r = math.hypot(x, y)
+    return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
+
+
+def inverted_energy(s: State) -> float:
+    """inverted_energy_vec of the state s."""
+    return inverted_energy_vec((s.x, s.y, s.vx, s.vy))
 
 
 def inverted_acceleration(x: float, y: float) -> tuple[float, float]:
@@ -203,14 +219,6 @@ def to_polar(s: State) -> PolarState:
     pr = (s.x * s.vx + s.y * s.vy) / (2.0 * r)
     pphi = 0.5 * (s.x * s.vy - s.y * s.vx)
     return PolarState(t=s.t, r=r, phi=phi, pr=pr, pphi=pphi)
-
-
-def from_polar(ps: PolarState) -> State:
-    """Inverse of to_polar."""
-    c, sn = math.cos(ps.phi), math.sin(ps.phi)
-    px = ps.pr * c - ps.pphi * sn / ps.r
-    py = ps.pr * sn + ps.pphi * c / ps.r
-    return State(t=ps.t, x=ps.r * c, y=ps.r * sn, vx=2.0 * px, vy=2.0 * py)
 
 
 def radial_velocity(s: State) -> float:

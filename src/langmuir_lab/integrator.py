@@ -3,8 +3,9 @@
 The stepper is a Dormand-Prince 5(4) pair with PI step-size control, written
 out by hand for the 4-component state (x, y, vx, vy).  One trial-step kernel
 computes the stages, the FSAL stage and the scaled error norm that accepts
-or rejects the step; a step whose error or state is not finite is rejected,
-so the step size shrinks until it underflows.  Inside an accepted
+or rejects the step; a step whose error or state is not finite, or whose
+stage leaves the half plane y > 0, is rejected, so the step size shrinks
+until it underflows.  Inside an accepted
 step, states come from the step's continuous extension (Dormand & Prince
 1980; the CONTD5 of `dopri5` in Hairer, Norsett & Wanner, Solving ODEs I,
 II.6), a fourth-order interpolant built from the seven stages the step
@@ -27,8 +28,9 @@ Two vector fields are integrated with the same machinery: the planar
 two-electron field (second-order form, state (x, y, vx, vy)) and its
 circle-inverted counterpart used for the zero-energy analysis.  The kernel
 takes each field's acceleration (x, y) -> (ax, ay), looked up in `dynamics`
-at the start of every run: a stage is its input's velocity and the
-acceleration at its input's position.
+at the start of every run with the chart's energy, which gives the run's
+drift: a stage is its input's velocity and the acceleration at its input's
+position.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import dynamics
-from .dynamics import State
+from .dynamics import State, Vec
 from .errors import DomainError, StepUnderflow
 
-Vec = tuple[float, float, float, float]
 Accel = Callable[[float, float], tuple[float, float]]
 
 
@@ -382,8 +383,11 @@ class _Run:
             if h < H_MIN:
                 raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
 
-            y5, ks, ratio = _dp5_trial(accel, self.y, h, k1, st.abs_tol,
-                                       st.rel_tol)
+            try:
+                y5, ks, ratio = _dp5_trial(accel, self.y, h, k1, st.abs_tol,
+                                           st.rel_tol)
+            except DomainError:  # a stage left y > 0: the step is too long
+                ratio = math.inf
             if not math.isfinite(ratio) or ratio > 1.0:
                 if not math.isfinite(ratio):
                     h *= 0.2
@@ -472,22 +476,6 @@ def _vec_to_state(t: float, y: Vec) -> State:
     return s
 
 
-# The two energies below are dynamics.energy and dynamics.inverted_energy,
-# operation for operation (so bit for bit), on the state tuple.
-
-def _langmuir_energy(v: Vec) -> float:
-    x, y, vx, vy = v
-    dynamics._check_upper(x, y)
-    return 0.25 * (vx * vx + vy * vy) + (-4.0 / math.hypot(x, y) + 0.5 / y)
-
-
-def _inverted_energy(v: Vec) -> float:
-    x, y, vx, vy = v
-    dynamics._check_upper(x, y)
-    r = math.hypot(x, y)
-    return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
-
-
 # Defining residual of each locatable event kind, a function of the state
 # alone: an event is a sign change of its residual.
 _RESIDUALS: dict[EventKind, Callable[[Vec], float]] = {
@@ -563,8 +551,8 @@ def _rest_arcs(s0: State, settings: IntegratorSettings) -> Iterator[_Run]:
     advanced, so a caller builds the arc of a stop it keeps before it
     advances again."""
     rest = EventKind.X_VELOCITY_ZERO
-    run = _new_run(dynamics.acceleration, _langmuir_energy, s0, settings, (),
-                   (rest,), ())
+    run = _new_run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
+                   (), (rest,), ())
     for kind in run.run():
         yield run
         if kind is not rest:
@@ -590,8 +578,8 @@ def integrate(
     their end samples and the events are the same with or without
     requests."""
     return _integrate_chart(
-        dynamics.acceleration, _langmuir_energy, s0, settings, watch, stop,
-        sample_times,
+        dynamics.acceleration, dynamics.energy_vec, s0, settings, watch,
+        stop, sample_times,
     )
 
 
@@ -602,6 +590,6 @@ def integrate_inverted(
     """Integrate the circle-inverted chart (used for zero-energy runs);
     s0 must already live in that chart, e.g. invert_state(initial_state(...))."""
     return _integrate_chart(
-        dynamics.inverted_acceleration, _inverted_energy, s0, settings, (),
-        (), (),
+        dynamics.inverted_acceleration, dynamics.inverted_energy_vec, s0,
+        settings, (), (), (),
     )

@@ -117,14 +117,14 @@ def rest_cuts(s0, settings):
     unstopped run that watches x-rests: for each rest, the run's samples
     before it and its state, the run's events up to it, and the largest
     relative energy drift over those samples, recomputed with the energy
-    `integrator` holds now.  The steps do not depend on where a run stops,
+    `dynamics` holds now.  The steps do not depend on where a run stops,
     so a run stopped at the k-th rest must equal the k-th cut bit for
     bit."""
-    from langmuir_lab import integrator
+    from langmuir_lab import dynamics
     from langmuir_lab.integrator import EventKind, Trajectory, integrate
 
     free = integrate(s0, settings, watch={EventKind.X_VELOCITY_ZERO})
-    energy = integrator._langmuir_energy
+    energy = dynamics.energy_vec
     e0 = energy((s0.x, s0.y, s0.vx, s0.vy))
     cuts = []
     for rest in free.events:

@@ -92,46 +92,31 @@ def test_check_with_nothing_to_compare_fails(check, kwargs):
     assert rep.worst_violation == math.inf
 
 
-def test_magical_prefix_stops_at_the_first_crossing(monkeypatch):
-    # the check reads nothing past the first crossing, so no run that
-    # crosses may integrate beyond it
-    real = analysis.integrate
-    runs = []
-
-    def integrate(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(analysis, "integrate", integrate)
-    rep = analysis.check_magical_prefix(h_grid=[0.3, 1.0, 1.398, 2.7])
-    crossed = [
-        t for t in runs if t.first_event(EventKind.MAGICAL_LINE_CROSS)
-    ]
-    assert len(crossed) == rep.details["n_checked"] > 0
-    assert all(t.termination is EventKind.MAGICAL_LINE_CROSS for t in crossed)
-
-
-def _plant(monkeypatch, edit):
-    """Make analysis.integrate return its run with one step-end sample in
-    the middle of the run replaced by edit(sample)."""
-    real = analysis.integrate
+def _plant(monkeypatch, module, edit):
+    """Make module.integrate return its run with one step-end sample
+    replaced by edit(sample): the middle one of the samples before the
+    run's first magical-line crossing, or of all its samples if it has
+    none."""
+    real = module.integrate
     planted = []
 
     def integrate(*args, **kwargs):
         traj = real(*args, **kwargs)
+        cross = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
+        end = math.inf if cross is None else cross.t
         samples = list(traj.samples)
-        i = len(samples) // 2
+        i = sum(1 for s in samples if s.t < end) // 2
         samples[i] = edit(samples[i])
         planted.append(samples[i])
         return replace(traj, samples=tuple(samples))
 
-    monkeypatch.setattr(analysis, "integrate", integrate)
+    monkeypatch.setattr(module, "integrate", integrate)
     return planted
 
 
 def test_magical_prefix_fails_on_a_rising_sample(monkeypatch):
     # one step-end sample before the crossing that moves upward
-    planted = _plant(monkeypatch, lambda s: replace(s, vy=1e-6))
+    planted = _plant(monkeypatch, shooting, lambda s: replace(s, vy=1e-6))
     rep = analysis.check_magical_prefix(h_grid=[1.398])
     assert rep.details["n_checked"] == 1
     assert not rep.passed
@@ -140,7 +125,8 @@ def test_magical_prefix_fails_on_a_rising_sample(monkeypatch):
 
 def test_zero_energy_monotone_fails_on_an_approaching_sample(monkeypatch):
     # one step-end sample moving towards the nucleus: r' < 0
-    planted = _plant(monkeypatch, lambda s: replace(s, vx=-s.vx, vy=-s.vy))
+    planted = _plant(monkeypatch, analysis,
+                     lambda s: replace(s, vx=-s.vx, vy=-s.vy))
     rep = analysis.check_zero_energy_monotone()
     assert dyn.radial_velocity(planted[0]) < 0.0
     assert not rep.passed
@@ -203,26 +189,6 @@ def test_zero_energy_margin_agrees_with_fixed_step_rk4():
     rdot_t = [dyn.radial_velocity(dyn.State(t, *v)) / t for t, v in steps]
     assert abs(rdot_t[-1] - got) <= 1e-9
     assert min(rdot_t) == rdot_t[-1]
-
-
-@pytest.mark.parametrize("h", [0.3, 1.0, 1.398, 2.0, 3.0])
-def test_shoot_run_holds_the_magical_prefix_run(h):
-    # up to its first crossing, the run shoot() makes is the run
-    # check_magical_prefix makes, bit for bit: its samples before the
-    # crossing, then the crossing event's state
-    def bits(s):
-        return tuple(v.hex() for v in (s.t, s.x, s.y, s.vx, s.vy))
-
-    s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
-    alone = integrate(s0, stop={EventKind.MAGICAL_LINE_CROSS,
-                                EventKind.X_VELOCITY_ZERO})
-    shot, _ = shooting._shoot_run(-1.0, h, IntegratorSettings())
-    cross = shot.first_event(EventKind.MAGICAL_LINE_CROSS)
-    if cross is None:
-        assert alone.termination is EventKind.X_VELOCITY_ZERO
-        return
-    prefix = [s for s in shot.samples if s.t < cross.t] + [cross.state]
-    assert [bits(s) for s in prefix] == [bits(s) for s in alone.samples]
 
 
 class TestTauValues:

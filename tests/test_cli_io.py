@@ -210,6 +210,39 @@ class TestScan:
     def test_scan_invalid_grid(self):
         assert main(["scan", "--energy", "-1.0", "--grid", "3.0,0.5,6"]) == 2
 
+    def test_scan_writes_table_and_bracket(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--energy", "-1.0", "--grid", "0.05,3.45,50"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == output.SCAN_HEADER
+        assert capsys.readouterr().err == (
+            "sign change on [1.368367, 1.437755]\n"
+        )
+
+    @pytest.mark.parametrize("grid, err", [
+        ("0.5,3.0,3", "sign change on [0.500000, 1.750000]\n"),
+        ("0.5,1.2,3", "no sign change on this grid\n"),
+    ], ids=["sign_change", "none"])
+    def test_scan_prints_its_brackets_to_stderr(self, grid, err, capsys):
+        assert main(["scan", "--energy", "-1.0", "--grid", grid]) == 0
+        assert capsys.readouterr().err == err
+
+    def test_scan_from_a_low_launch_follows_the_scaling_law(self, tmp_path):
+        # from h = 0.001 the time scale is h^1.5 ~ 3e-5, so the first trial
+        # step (1e-3) takes a stage below y = 0 and is rejected; the row is
+        # the E = -0.001 launch from height 1 rescaled by a = 0.001
+        # (alpha / sqrt(a), t_h * a^1.5), to 1e-8 relative (measured
+        # 2.2e-10 and 6.2e-10)
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--energy", "-1.0", "--grid", "0.001,3.45,50"]
+        assert main(argv + ["--out", str(out)]) == 0
+        h, t_h, alpha = map(float, out.read_text().splitlines()[1]
+                            .split(",")[:3])
+        ref = shooting.shoot(-0.001, 1.0)
+        assert h == 0.001
+        assert abs(alpha * math.sqrt(h) / ref.alpha - 1.0) <= 1e-8
+        assert abs(t_h / (ref.t_h * h**1.5) - 1.0) <= 1e-8
+
 
 class TestVerify:
     def test_verify_passes_and_is_deterministic(self, tmp_path):

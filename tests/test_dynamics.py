@@ -59,6 +59,11 @@ class TestPotential:
             dyn.potential(1.0, 0.0)
         with pytest.raises(DomainError):
             dyn.potential(1.0, -1.0)
+        # and so do both charts' energies
+        s = State(t=0.0, x=1.0, y=-1.0, vx=1.0, vy=1.0)
+        for energy in (dyn.energy, dyn.inverted_energy):
+            with pytest.raises(DomainError):
+                energy(s)
 
     @given(any_x, pos_y)
     def test_even_in_x(self, x, y):
@@ -292,6 +297,8 @@ class TestPolar:
         assert ps.phi == pytest.approx(math.pi / 2.0)
         assert ps.pr == pytest.approx(0.0, abs=1e-15)
         assert ps.pphi == pytest.approx(-1.5)
+        # launched to the left, the motion is counter-clockwise: pphi > 0
+        assert dyn.to_polar(dataclasses.replace(s, vx=-3.0)).pphi == 1.5
 
     def test_rest_state(self):
         ps = dyn.to_polar(State(t=0.0, x=1.0, y=1.0, vx=0.0, vy=0.0))
@@ -302,10 +309,16 @@ class TestPolar:
     @given(any_x, pos_y, vel, vel)
     @settings(max_examples=100)
     def test_round_trip(self, x, y, vx, vy):
-        s = State(t=0.0, x=x, y=y, vx=vx, vy=vy)
-        s2 = dyn.from_polar(dyn.to_polar(s))
-        for a, b in ((s2.x, x), (s2.y, y), (s2.vx, vx), (s2.vy, vy)):
+        # the chart maps back to the position, and its momenta carry the
+        # kinetic energy: r (cos phi, sin phi) = (x, y) and
+        # |v|^2/4 = pr^2 + (pphi/r)^2
+        ps = dyn.to_polar(State(t=0.0, x=x, y=y, vx=vx, vy=vy))
+        for a, b in ((ps.r * math.cos(ps.phi), x),
+                     (ps.r * math.sin(ps.phi), y)):
             assert ulps(a, b) <= 8 or abs(a - b) < 1e-12
+        assert ps.pr**2 + (ps.pphi / ps.r) ** 2 == pytest.approx(
+            0.25 * (vx * vx + vy * vy), rel=1e-12, abs=1e-12
+        )
 
     @given(any_x, pos_y, vel, vel)
     @settings(max_examples=100)

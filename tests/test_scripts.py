@@ -6,8 +6,6 @@ import pathlib
 import subprocess
 import sys
 
-from langmuir_lab import output
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -36,10 +34,3 @@ def test_reproduce_figures_writes_five_svgs(tmp_path):
     assert len(svgs) == 5
     assert all(p.read_text().lstrip().startswith("<") for p in svgs)
 
-
-def test_alpha_scan_writes_table_and_bracket(tmp_path):
-    out = tmp_path / "scan.csv"
-    proc = run_script("alpha_scan.py", "--out", str(out), cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_text().splitlines()[0] == output.SCAN_HEADER
-    assert "sign change on" in proc.stderr

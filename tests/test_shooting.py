@@ -12,6 +12,7 @@ from langmuir_lab.cli import main
 from langmuir_lab.errors import (
     BadBracket,
     ClosureFailure,
+    DomainError,
     NoConvergence,
     NoRest,
 )
@@ -273,15 +274,16 @@ def test_only_kept_rests_build_an_arc(integrate_calls, monkeypatch):
     assert 2 < len(builds) == len(full) < len(integrate_calls)
 
 
-def _full_search_only(monkeypatch):
-    """Make every coarse quarter end without a rest, so that _find_orbit
-    falls back to Brent-Dekker at the given settings on the whole bracket."""
+def _full_search_only(monkeypatch, error=None):
+    """Make every coarse quarter raise `error`, by default end without a
+    rest, so that _find_orbit falls back to Brent-Dekker at the given
+    settings on the whole bracket."""
     real = shooting._rest_run
     default = IntegratorSettings()
 
     def rest_run(E, h, k, settings):
         if settings.rel_tol > default.rel_tol:
-            raise NoRest(k, EventKind.TIME_LIMIT.value)
+            raise error or NoRest(k, EventKind.TIME_LIMIT.value)
         return real(E, h, k, settings)
 
     monkeypatch.setattr(shooting, "_rest_run", rest_run)
@@ -315,11 +317,16 @@ class TestTwoStageSearch:
     def test_coarse_run_off_the_half_plane_falls_back(
         self, orbits_at_e1, monkeypatch
     ):
-        # at rel_tol 1e-2 a coarse brake quarter steps to y < 0 and raises
-        # DomainError; the search on the whole bracket still finds the orbit
-        monkeypatch.setattr(shooting, "COARSE_REL_TOL", 1e-2)
+        # a coarse quarter whose located event lies off the half plane
+        # raises DomainError; the search on the whole bracket still finds
+        # the orbit
+        _full_search_only(monkeypatch, DomainError("y must be positive"))
         rec = shooting.find_brake_orbit(-1.0)
+        lo, hi = shooting.DEFAULT_BRAKE_BRACKET
+        # the coarse stage's bracket ends, then the whole-bracket search's
+        assert [h for h, _ in rec.solver_trace[:4]] == [lo, hi, lo, hi]
         assert abs(rec.h_star - orbits_at_e1["brake"].h_star) <= 1e-8
+        assert abs(rec.alpha_residual) <= shooting.ALPHA_TOL
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
     @pytest.mark.parametrize("E", [-2.0, -1.0, -0.5])
