@@ -26,7 +26,7 @@ from .errors import (
     NoRest,
     StepUnderflow,
 )
-from .integrator import EventKind, IntegratorSettings, integrate
+from .integrator import EventKind, IntegratorSettings, _integrate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -98,11 +98,8 @@ def _write(path: Optional[str], text: str) -> None:
 def cmd_simulate(args) -> int:
     settings = _settings(args, _read_config(args.config))
     s0 = dynamics.initial_state(ProblemSpec(E=args.energy, h=args.height))
-    traj = integrate(
-        s0,
-        settings,
-        watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
-    )
+    traj = _integrate(s0, settings, args.energy, watch={
+        EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS})
     if args.format == "csv":
         text = output.trajectory_csv(traj)
     elif args.format == "json":
@@ -215,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--energy", type=float, required=True)
     p.add_argument("--height", type=float, required=True)
-    p.add_argument("--t-limit", type=float, dest="t_limit")
+    p.add_argument("--t-limit", type=float, dest="t_limit", help="time "
+                   "limit in the units of the run's scale (see README)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.set_defaults(func=cmd_simulate)

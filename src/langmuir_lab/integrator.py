@@ -24,6 +24,15 @@ drift, and steps on with the same step size, controller state and first
 stage to the next stop.  So the run to the (k+1)-th x-rest passes through
 the run to the k-th, bit for bit, and one run gives both.
 
+The problem is scale-invariant (`dynamics.scale_state`), so a run launched
+at an energy level E < 0 reads its knobs in the units of the scale a = -1/E,
+where E is -1, or of MAX_SCALE_RATIO times the launch's distance from the
+nucleus when that is less (E near 0): `abs_tol` x a for positions and x
+a^-1/2 for velocities; `h_max`, `t_limit`, the first trial step, H_MIN and
+the event time tolerance x a^3/2; COLLISION_DISTANCE x a.  An a^3/2 out of
+the floating-point range raises DomainError.  At E = 0, and in `integrate`
+and `integrate_inverted`, whose states carry no energy level, a = 1.
+
 Two vector fields are integrated with the same machinery: the planar
 two-electron field (second-order form, state (x, y, vx, vy)) and its
 circle-inverted counterpart used for the zero-energy analysis.  The kernel
@@ -57,12 +66,18 @@ class EventKind(str, enum.Enum):
 # Smallest step size; a run that needs a smaller one raises StepUnderflow.
 H_MIN = 1e-14
 # Distance from the collision line y = 0 and from the nucleus at which a run
-# stops with COLLISION_PROXIMITY.
+# stops with COLLISION_PROXIMITY.  Both are read in E = -1 units.
 COLLISION_DISTANCE = 1e-6
+# Largest scale of a run over its launch's distance from the nucleus (see
+# the module docstring).
+MAX_SCALE_RATIO = 100.0
 
 
 @dataclass(frozen=True)
 class IntegratorSettings:
+    """`abs_tol`, `h_max` and `t_limit` are in the units of the scale of a
+    run launched at an energy level (see the module docstring)."""
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     h_max: float = 0.1
@@ -197,12 +212,13 @@ def _dp5_stages(accel: Accel, y: Vec, h: float, k1: Vec):
             (k6_0, k6_1, k6_2, k6_3))
 
 
-def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Vec, abs_tol: float,
-               rel_tol: float):
+def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Vec, abs_q: float,
+               abs_v: float, rel_tol: float):
     """One trial step of size h from y, whose first stage k1 is already
     known: (y5, (k1, ..., k7), ratio), k7 being the FSAL stage (the field
     at y5) and ratio the largest |error| / (abs_tol + rel_tol * max(|y|,
-    |y5|)) over the components.
+    |y5|)) over the components, abs_tol being abs_q for the positions and
+    abs_v for the velocities.
 
     Each component's error is h * fsum of all seven e_m * k_m terms, the
     zero-weighted k2 term included, so that every bit equals that of the
@@ -232,10 +248,10 @@ def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Vec, abs_tol: float,
         return y5, ks, math.inf
     y0, y1, y2, y3 = y
     return y5, ks, max(
-        abs(e0) / (abs_tol + rel_tol * max(abs(y0), abs(z0))),
-        abs(e1) / (abs_tol + rel_tol * max(abs(y1), abs(z1))),
-        abs(e2) / (abs_tol + rel_tol * max(abs(y2), abs(z2))),
-        abs(e3) / (abs_tol + rel_tol * max(abs(y3), abs(z3))),
+        abs(e0) / (abs_q + rel_tol * max(abs(y0), abs(z0))),
+        abs(e1) / (abs_q + rel_tol * max(abs(y1), abs(z1))),
+        abs(e2) / (abs_v + rel_tol * max(abs(y2), abs(z2))),
+        abs(e3) / (abs_v + rel_tol * max(abs(y3), abs(z3))),
     )
 
 
@@ -311,17 +327,35 @@ class _Run:
         residuals: dict[EventKind, Callable[[Vec], float]],
         stop: set[EventKind],
         sample_times: Sequence[float],
+        E: Optional[float],
     ):
         self.accel = accel
         self.energy_fn = energy_fn
-        self.st = settings
-        self.residuals = residuals
+        # the knobs in the units of the run's scale (see the module docstring)
+        a = (min(-1.0 / E, MAX_SCALE_RATIO * math.hypot(y0[0], y0[1])) if E
+             else 1.0)
+        sqrt_a = math.sqrt(a)
+        a15 = a * sqrt_a  # a^3/2, the unit of time
+        self.rel_tol = settings.rel_tol
+        self.abs_q, self.abs_v = settings.abs_tol * a, settings.abs_tol / sqrt_a
+        self.h_first, self.h_max, self.h_min, self.t_limit = (
+            v * a15 for v in (1e-3, settings.h_max, H_MIN, settings.t_limit))
+        if not (0.0 < self.h_min and max(self.h_max, self.t_limit) < math.inf):
+            raise DomainError(f"time unit {a15} out of range at E={E}")
+        self.event_tol = min(1e-12, settings.rel_tol) * a15
+        distance = COLLISION_DISTANCE * a
+        self.residuals = {**residuals, EventKind.COLLISION_PROXIMITY: (
+            lambda y: min(y[1], math.hypot(y[0], y[1])) - distance)}
         self.stop = stop
         self.t = t0
         self.y = y0
         self.samples: list[tuple[float, Vec]] = [(t0, y0)]
         self.events: list[tuple[EventKind, float, Vec]] = []
         self.e0 = energy_fn(y0)
+        # drift is relative to the launch energy, but in the unit of energy
+        # 1/a when a launch at E = 0 or far inside -1/E has next to none
+        self.e_unit = (abs(self.e0) if abs(self.e0) * a > (
+            0.0 if E is None else 0.5) else 1.0 / a)
         self.drift = 0.0
         # requested times still to come, latest first, so pop() is the next
         self.requests = sorted({s for s in sample_times if s > t0},
@@ -329,10 +363,7 @@ class _Run:
         self.termination: Optional[EventKind] = None
 
     def _record_drift(self, y: Vec):
-        e = self.energy_fn(y)
-        d = abs(e - self.e0)
-        if self.e0 != 0.0:
-            d /= abs(self.e0)
+        d = abs(self.energy_fn(y) - self.e0) / self.e_unit
         if d > self.drift:
             self.drift = d
 
@@ -352,9 +383,8 @@ class _Run:
             else:
                 if at is None:
                     at = _dense_output(y0, y_new, ks, h_acc)
-                # located in time to min(1e-12, rel_tol)
                 t_ev, y_ev = _bisect(self.accel, f, at, t0, y0, k1, h_acc,
-                                     r0, min(1e-12, self.st.rel_tol))
+                                     r0, self.event_tol)
             found.append((t_ev, kind, y_ev))
         found.sort(key=lambda item: item[0])
         return found
@@ -366,26 +396,26 @@ class _Run:
         stop.  A run with requested times is never resumed: a request at the
         stop event's time is answered by the stop's own sample, which
         resuming removes."""
-        st = self.st
         accel = self.accel
+        h_max, h_min, t_limit = self.h_max, self.h_min, self.t_limit
         x, y, vx, vy = self.y
         ax, ay = accel(x, y)
         k1 = (vx, vy, ax, ay)
         res = {k: f(self.y) for k, f in self.residuals.items()}
-        h = min(st.h_max, 1e-3)
+        h = min(h_max, self.h_first)
         err_old = 1.0
         while True:
-            if st.t_limit - self.t < H_MIN:
+            if t_limit - self.t < h_min:
                 self._finish_time_limit()
                 yield EventKind.TIME_LIMIT
                 return
-            h = min(h, st.h_max, st.t_limit - self.t)
-            if h < H_MIN:
+            h = min(h, h_max, t_limit - self.t)
+            if h < h_min:
                 raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
 
             try:
-                y5, ks, ratio = _dp5_trial(accel, self.y, h, k1, st.abs_tol,
-                                           st.rel_tol)
+                y5, ks, ratio = _dp5_trial(accel, self.y, h, k1, self.abs_q,
+                                           self.abs_v, self.rel_tol)
             except DomainError:  # a stage left y > 0: the step is too long
                 ratio = math.inf
             if not math.isfinite(ratio) or ratio > 1.0:
@@ -393,7 +423,7 @@ class _Run:
                     h *= 0.2
                 else:
                     h *= max(0.1, 0.9 * ratio ** -0.2)
-                if h < H_MIN:
+                if h < h_min:
                     raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
                 continue
 
@@ -402,7 +432,7 @@ class _Run:
             t_new, y_new = t0 + h, y5
             # the latest requested time this step answers: its end, or the
             # time limit when the run ends after it
-            t_last = st.t_limit if st.t_limit - t_new < H_MIN else t_new
+            t_last = t_limit if t_limit - t_new < h_min else t_new
             # the interpolant is built only for a step that reads from it
             if self.requests and self.requests[-1] <= t_last:
                 at = _dense_output(y0, y5, ks, h)
@@ -484,8 +514,6 @@ _RESIDUALS: dict[EventKind, Callable[[Vec], float]] = {
     # magical_line_residual raises DomainError itself on y <= 0
     EventKind.MAGICAL_LINE_CROSS:
         lambda y: dynamics.magical_line_residual(y[0], y[1]),
-    EventKind.COLLISION_PROXIMITY: lambda y: (
-        min(y[1], math.hypot(y[0], y[1])) - COLLISION_DISTANCE),
 }
 
 
@@ -511,7 +539,9 @@ def _new_run(
     watch: Iterable[EventKind],
     stop: Iterable[EventKind],
     sample_times: Sequence[float],
+    E: Optional[float] = None,
 ) -> _Run:
+    """The run from s0, launched at the energy level E (None: at none)."""
     if isinstance(stop, Mapping):
         raise TypeError(
             f"stop takes event kinds, each ending the run at its first "
@@ -524,39 +554,36 @@ def _new_run(
     residuals = {k: f for k, f in _RESIDUALS.items() if k in watched}
     return _Run(
         accel, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,
-        residuals, stop, sample_times,
+        residuals, stop, sample_times, E,
     )
 
 
-def _integrate_chart(
-    accel: Accel,
-    energy_fn,
-    s0: State,
-    settings: IntegratorSettings,
-    watch: Iterable[EventKind],
-    stop: Iterable[EventKind],
-    sample_times: Sequence[float],
-) -> Trajectory:
-    run = _new_run(accel, energy_fn, s0, settings, watch, stop, sample_times)
-    next(run.run())  # to the first stop, never resumed
-    return _build_trajectory(run)
-
-
-def _rest_arcs(s0: State, settings: IntegratorSettings) -> Iterator[_Run]:
-    """One run of the planar field from s0, yielded at each of its stops:
-    its k-th x-rest at the k-th yield, for k = 1, 2, ..., and last the stop
-    that ends it any other way (its termination says which).  Each yield's
-    `_build_trajectory` is integrate(s0, settings, stop={X_VELOCITY_ZERO})
-    resumed to that stop, bit for bit.  The run goes on in place when
-    advanced, so a caller builds the arc of a stop it keeps before it
-    advances again."""
+def _rest_arcs(s0: State, settings: IntegratorSettings,
+               E: Optional[float] = None, watch=()) -> Iterator[_Run]:
+    """One run of the planar field from s0, launched at the energy level E
+    (see `_new_run`), yielded at each of its stops: its k-th x-rest at the
+    k-th yield, for k = 1, 2, ..., and last the stop that ends it any other
+    way (its termination says which).  Each yield's `_build_trajectory` is
+    _integrate(s0, settings, E, watch, stop={X_VELOCITY_ZERO}) resumed to
+    that stop, bit for bit.  The run goes on in place when advanced, so a
+    caller builds the arc of a stop it keeps before it advances again."""
     rest = EventKind.X_VELOCITY_ZERO
     run = _new_run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
-                   (), (rest,), ())
+                   watch, (rest,), (), E)
     for kind in run.run():
         yield run
         if kind is not rest:
             return
+
+
+def _integrate(s0: State, settings: IntegratorSettings, E: Optional[float],
+               watch=(), stop=(), sample_times=(), chart=None) -> Trajectory:
+    """integrate() from s0, launched at the level E, of the field whose
+    (acceleration, energy) is `chart`, the planar one if None."""
+    chart = chart or (dynamics.acceleration, dynamics.energy_vec)
+    run = _new_run(*chart, s0, settings, watch, stop, sample_times, E)
+    next(run.run())  # to the first stop, never resumed
+    return _build_trajectory(run)
 
 
 def integrate(
@@ -576,11 +603,9 @@ def integrate(
     output of the step that holds it; a sample already at that very time
     (a step's end or the final event) stands for it.  The steps,
     their end samples and the events are the same with or without
-    requests."""
-    return _integrate_chart(
-        dynamics.acceleration, dynamics.energy_vec, s0, settings, watch,
-        stop, sample_times,
-    )
+    requests.  s0 carries no energy level, so the settings are read as
+    given."""
+    return _integrate(s0, settings, None, watch, stop, sample_times)
 
 
 def integrate_inverted(
@@ -589,7 +614,5 @@ def integrate_inverted(
 ) -> Trajectory:
     """Integrate the circle-inverted chart (used for zero-energy runs);
     s0 must already live in that chart, e.g. invert_state(initial_state(...))."""
-    return _integrate_chart(
-        dynamics.inverted_acceleration, dynamics.inverted_energy_vec, s0,
-        settings, (), (), (),
-    )
+    return _integrate(s0, settings, None, chart=(
+        dynamics.inverted_acceleration, dynamics.inverted_energy_vec))

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import io
 import json
-import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import dynamics
 from .analysis import CheckReport

@@ -11,6 +11,9 @@ The orbit search finds a root of alpha_k to |alpha_k| <= ALPHA_TOL in two
 stages: a Brent-Dekker solve on alpha_k integrated at COARSE_REL_TOL, then
 a secant polish at the given settings from the coarse root.  Only arcs at
 the given settings reach the orbit record.
+
+Every launch at energy E < 0 reads its settings in E = -1 units (see
+`integrator`), as ALPHA_TOL and TOUCH_SPEED_TOL are velocities in them.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .integrator import (
     IntegratorSettings,
     Trajectory,
     _build_trajectory,
+    _integrate,
     _rest_arcs,
     _Run,
-    integrate,
 )
 
 ALPHA_TOL = 1e-8
@@ -106,6 +109,13 @@ def _bracket_at(
     return default[0] * a, default[1] * a
 
 
+def _rests(E: float, h: float, settings: IntegratorSettings,
+           watch=()) -> Iterator[_Run]:
+    """`_rest_arcs` of the horizontal launch from (0, h) at energy E."""
+    return _rest_arcs(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings,
+                      E, watch)
+
+
 def _next_rest(rests: Iterator[_Run], k: int) -> _Run:
     """The run of `rests` (a launch's `_rest_arcs`) at its next stop, which
     must be an x-rest; its last sample is that rest.  Raises NoRest(k, ...),
@@ -133,7 +143,7 @@ def _rest_run(
     any other way first."""
     if k < 1:
         raise ValueError(f"rest count must be >= 1, got {k}")
-    rests = _rest_arcs(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings)
+    rests = _rests(E, h, settings)
     for _ in range(k):
         run = _next_rest(rests, k)
     return run
@@ -154,12 +164,10 @@ def _shoot_run(
     E: float, h: float, settings: IntegratorSettings
 ) -> tuple[Trajectory, ShootResult]:
     """shoot()'s integration and result: the launch of _quarter, recording
-    the magical-line crossings, to the first x-rest.  A run that ends any
-    other way gives a status='NoRest(...)' placeholder result."""
-    traj = integrate(
-        dynamics.initial_state(ProblemSpec(E=E, h=h)), settings,
-        watch={EventKind.MAGICAL_LINE_CROSS},
-        stop={EventKind.X_VELOCITY_ZERO},
+    the magical-line crossings, to its first stop.  A run that ends without
+    an x-rest gives a status='NoRest(...)' placeholder result."""
+    traj = _build_trajectory(
+        next(_rests(E, h, settings, {EventKind.MAGICAL_LINE_CROSS}))
     )
     if traj.termination is not EventKind.X_VELOCITY_ZERO:
         return traj, ShootResult(
@@ -293,7 +301,8 @@ def _find_orbit(
     settings: IntegratorSettings,
     ends: tuple[Trajectory, ...] = (),
 ) -> OrbitRecord:
-    """Root of alpha_k on the bracket, |alpha_k| <= ALPHA_TOL at `settings`.
+    """Root of alpha_k on the bracket, |alpha_k| <= ALPHA_TOL at `settings`,
+    in E = -1 units (alpha over sqrt(-E)), as is every tolerance below.
 
     A coarse Brent-Dekker solve on alpha_k integrated at COARSE_REL_TOL
     locates the root to |alpha_k| <= 1e3 * ALPHA_TOL; a secant polish at
@@ -306,6 +315,8 @@ def _find_orbit(
     (coarse stage, polish, then the search on the whole bracket if it runs),
     so its last entry is the root and its residual."""
     trace: list[tuple[float, float]] = []
+    v_unit = math.sqrt(-E)
+    tol = ALPHA_TOL * v_unit
     # arcs at `settings`: the bracket ends and the latest evaluation, so
     # the root is one of them
     arcs: dict[float, Trajectory] = dict(zip(bracket, ends))
@@ -333,22 +344,20 @@ def _find_orbit(
         # raises it again if it is not the coarse tolerance's doing
         try:
             h0, _ = _solve_bracketed(f_coarse, bracket[0], bracket[1],
-                                     1e3 * ALPHA_TOL, MAX_ITER, trace)
-            root = _polish(f, h0, trace[-2:], bracket, trace)
+                                     1e3 * tol, MAX_ITER, trace)
+            root = _polish(f, h0, trace[-2:], bracket, tol, trace)
         except (NoRest, BadBracket, NoConvergence, DomainError,
                 StepUnderflow):
             pass
     if root is None:
-        root = _solve_bracketed(f, bracket[0], bracket[1], ALPHA_TOL,
-                                MAX_ITER, trace)
+        root = _solve_bracketed(f, *bracket, tol, MAX_ITER, trace)
     h_star, residual = root
     arc = arcs[h_star]
     touch = arc.samples[-1]
     speed = math.sqrt(touch.speed2())
-    if speed > TOUCH_SPEED_TOL:
-        raise NoConvergence(
-            f"touch speed {speed} exceeds {TOUCH_SPEED_TOL} at h={h_star}"
-        )
+    if speed > TOUCH_SPEED_TOL * v_unit:
+        raise NoConvergence(f"touch speed {speed} exceeds "
+                            f"{TOUCH_SPEED_TOL * v_unit} at h={h_star}")
     rec = OrbitRecord(
         E=E,
         h_star=h_star,
@@ -367,9 +376,10 @@ def _polish(
     h0: float,
     last: list[tuple[float, float]],
     bracket: tuple[float, float],
+    tol_f: float,
     trace: list[tuple[float, float]],
 ) -> Optional[tuple[float, float]]:
-    """Secant iteration on f from h0, the coarse root, to |f| <= ALPHA_TOL.
+    """Secant iteration on f from h0, the coarse root, to |f| <= tol_f.
 
     The first slope is the secant through `last`, the coarse stage's last
     two points; later slopes come from the polish's own last two points.
@@ -381,7 +391,7 @@ def _polish(
     trace.append((h, fh))
     (ha, fa), (hb, fb) = last
     for _ in range(MAX_ITER):
-        if abs(fh) <= ALPHA_TOL:
+        if abs(fh) <= tol_f:
             return h, fh
         if fa == fb:
             return None
@@ -390,10 +400,10 @@ def _polish(
             return None
         f_new = f(h_new)
         trace.append((h_new, f_new))
-        if abs(f_new) <= ALPHA_TOL:
+        if abs(f_new) <= tol_f:
             return h_new, f_new
         if (f_new > 0.0) != (fh > 0.0):
-            return _solve_bracketed(f, h, h_new, ALPHA_TOL, MAX_ITER, trace,
+            return _solve_bracketed(f, h, h_new, tol_f, MAX_ITER, trace,
                                     (fh, f_new))
         if abs(f_new) >= abs(fh):
             return None
@@ -466,10 +476,7 @@ def _classify(
     the k-th rest exactly as _rest_run(E, h, k, settings) does.  A run that
     ends any other way has no later rest, so the bracket is rejected
     there."""
-    lo, hi = (
-        _rest_arcs(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings)
-        for h in bracket
-    )
+    lo, hi = (_rests(E, h, settings) for h in bracket)
     try:
         for k in range(1, MAX_RESTS + 1):
             a = _next_rest(lo, k)
@@ -528,9 +535,10 @@ def assemble_periodic_orbit(
     integrates its own.  Before assembling, the quarter is re-integrated
     backwards from the touch point with negated velocities, over [0, T]
     with its own steps, requesting the mirror time T - t of every forward
-    sample; the integrator reads each from its dense output.  Each forward
-    sample is paired with the backward sample at exactly its mirror time
-    (the launch's mirror is the sample at the time limit T).  An unpaired
+    sample after the launch; the integrator reads each from its dense
+    output.  Each is paired with the backward sample at exactly its mirror
+    time, and the launch with the last one if the run ends at its time
+    limit (T to rounding, as it is in E = -1 units).  An unpaired
     forward sample, or a pair further apart than closure_tol, raises
     ClosureFailure.  The deviation is measured in E = -1 units (positions
     times -E, velocities over sqrt(-E)), in which every energy level's
@@ -553,13 +561,14 @@ def assemble_periodic_orbit(
 
     back_start = State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx, vy=-touch.vy)
     fwd = quarter.samples[:-1]
-    back = integrate(
-        back_start, replace(settings, t_limit=T),
-        sample_times=[T - s.t for s in fwd],
+    back = _integrate(
+        back_start, replace(settings, t_limit=T * (-rec.E) ** 1.5), rec.E,
+        sample_times=[T - s.t for s in fwd[1:]],
     )
-    # each request yields one sample at exactly its time, the launch's (at
-    # T, the time limit) included
+    # each request yields one sample at exactly its time
     by_time = {s.t: s for s in back.samples}
+    if back.termination is EventKind.TIME_LIMIT:
+        by_time[T] = back.samples[-1]
     q_unit, v_unit = -rec.E, math.sqrt(-rec.E)
     worst = 0.0
     matched = 0

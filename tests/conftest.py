@@ -77,9 +77,9 @@ def dp5_reference_step(rhs, y, h, k1):
     return yi, ks  # yi after the loop is the fifth-order solution
 
 
-def dp5_reference_error_ratio(y, y5, ks, h, abs_tol, rel_tol):
+def dp5_reference_error_ratio(y, y5, ks, h, abs_tols, rel_tol):
     """The scaled error norm of a step by the generic loop over the
-    package's `_E`: the largest h * |sum_m e_m * k_m[j]| / (abs_tol +
+    package's `_E`: the largest h * |sum_m e_m * k_m[j]| / (abs_tols[j] +
     rel_tol * max(|y[j]|, |y5[j]|)), the arithmetic the package's step
     control used before its norm was unrolled.  A step with a non-finite
     error or y5 component, or whose sum fsum cannot form, has norm inf.
@@ -94,7 +94,7 @@ def dp5_reference_error_ratio(y, y5, ks, h, abs_tol, rel_tol):
             return math.inf
         if not (math.isfinite(err) and math.isfinite(y5[j])):
             return math.inf
-        scale = abs_tol + rel_tol * max(abs(y[j]), abs(y5[j]))
+        scale = abs_tols[j] + rel_tol * max(abs(y[j]), abs(y5[j]))
         worst = max(worst, abs(err) / scale)
     return worst
 
@@ -112,18 +112,19 @@ def trajectory_bits(traj):
     )
 
 
-def rest_cuts(s0, settings):
+def rest_cuts(s0, settings, E=None):
     """The arcs from s0 to each of its x-rests, in order, cut from one
-    unstopped run that watches x-rests: for each rest, the run's samples
+    unstopped run that watches x-rests, launched at the energy level E as
+    `_rest_arcs(s0, settings, E)` is: for each rest, the run's samples
     before it and its state, the run's events up to it, and the largest
     relative energy drift over those samples, recomputed with the energy
     `dynamics` holds now.  The steps do not depend on where a run stops,
     so a run stopped at the k-th rest must equal the k-th cut bit for
     bit."""
     from langmuir_lab import dynamics
-    from langmuir_lab.integrator import EventKind, Trajectory, integrate
+    from langmuir_lab.integrator import EventKind, Trajectory, _integrate
 
-    free = integrate(s0, settings, watch={EventKind.X_VELOCITY_ZERO})
+    free = _integrate(s0, settings, E, watch={EventKind.X_VELOCITY_ZERO})
     energy = dynamics.energy_vec
     e0 = energy((s0.x, s0.y, s0.vx, s0.vy))
     cuts = []
@@ -165,14 +166,14 @@ def rng():
 
 @pytest.fixture
 def retrace_without_samples(monkeypatch):
-    """Make every integration in `shooting` drop its requested sample
+    """Make every `_integrate` run in `shooting` drop its requested sample
     times, so the backward retrace run yields no sample mirroring the
     forward arc."""
     from langmuir_lab import shooting
 
-    real = shooting.integrate
+    real = shooting._integrate
 
     def integrate(*args, sample_times=(), **kwargs):
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(shooting, "integrate", integrate)
+    monkeypatch.setattr(shooting, "_integrate", integrate)

@@ -92,12 +92,12 @@ def test_check_with_nothing_to_compare_fails(check, kwargs):
     assert rep.worst_violation == math.inf
 
 
-def _plant(monkeypatch, module, edit):
-    """Make module.integrate return its run with one step-end sample
-    replaced by edit(sample): the middle one of the samples before the
-    run's first magical-line crossing, or of all its samples if it has
-    none."""
-    real = module.integrate
+def _plant(monkeypatch, module, edit, name="integrate"):
+    """Make module.<name>, a function that returns a run, return it with
+    one step-end sample replaced by edit(sample): the middle one of the
+    samples before the run's first magical-line crossing, or of all its
+    samples if it has none."""
+    real = getattr(module, name)
     planted = []
 
     def integrate(*args, **kwargs):
@@ -110,13 +110,14 @@ def _plant(monkeypatch, module, edit):
         planted.append(samples[i])
         return replace(traj, samples=tuple(samples))
 
-    monkeypatch.setattr(module, "integrate", integrate)
+    monkeypatch.setattr(module, name, integrate)
     return planted
 
 
 def test_magical_prefix_fails_on_a_rising_sample(monkeypatch):
     # one step-end sample before the crossing that moves upward
-    planted = _plant(monkeypatch, shooting, lambda s: replace(s, vy=1e-6))
+    planted = _plant(monkeypatch, shooting, lambda s: replace(s, vy=1e-6),
+                     "_build_trajectory")
     rep = analysis.check_magical_prefix(h_grid=[1.398])
     assert rep.details["n_checked"] == 1
     assert not rep.passed

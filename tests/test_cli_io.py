@@ -29,6 +29,24 @@ class TestSimulate:
             s = dyn.State(t=t, x=x, y=y, vx=vx, vy=vy)
             assert abs(dyn.energy(s) - e) <= 1e-12
 
+    def test_deep_launch_runs_to_its_time_limit(self, tmp_path):
+        # the launch from height 1 at E = -1 rescaled by a = 0.01: the run
+        # reads t_limit = 100 in E = -1 units, 100 * a^1.5 in its own time
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--energy", "-100", "--height", "0.01"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = output.parse_trajectory_csv(out.read_text())
+        assert rows[-1][0] == 100.0 * (0.01 * math.sqrt(0.01))
+
+    @pytest.mark.parametrize("energy, height", [
+        ("-1e-300", "1e250"),  # scale 1e252: a^1.5 overflows
+        ("-1e300", "1e-301"),  # scale 1e-300: a^1.5 underflows
+    ])
+    def test_rejects_a_time_unit_out_of_range(self, energy, height, capsys):
+        argv = ["simulate", f"--energy={energy}", "--height", height]
+        assert main(argv) == 2
+        assert "out of range" in capsys.readouterr().err
+
     def test_rejects_inadmissible_height(self, capsys):
         rc = main(["simulate", "--energy", "-1.0", "--height", "4.0"])
         assert rc == 2
@@ -151,6 +169,16 @@ class TestFindOrbit:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "Brake-3"
 
+    @pytest.mark.parametrize("kind", ["langmuir", "brake"])
+    @pytest.mark.parametrize("energy", ["-1000", "-0.001"])
+    def test_far_from_unit_energy(self, kind, energy, capsys):
+        # every knob is read in E = -1 units, so these are the E = -1
+        # searches rescaled
+        rc = main(["find-orbit", "--energy", energy, "--kind", kind])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == ("Langmuir" if kind == "langmuir" else "Brake-3")
+
     def test_brake_bracket_holding_simple_orbit(self, capsys):
         rc = main(
             ["find-orbit", "--energy", "-1.0", "--kind", "brake",
@@ -206,6 +234,36 @@ class TestScan:
         assert capsys.readouterr().out == ""
         assert main(argv) == 0
         assert capsys.readouterr().out == out.read_text()
+
+    def test_zero_energy_drift_is_absolute(self, tmp_path):
+        # at E = 0 a launch's energy is rounding residue (8.9e-16 from
+        # h = 0.5, 0 from h = 1), so the drift is not relative to it
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--energy", "0", "--grid", "0.5,1.0,2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [row[5] for row in rows] == ["ok", "ok"]
+        assert all(0.0 < float(row[4]) <= 1e-10 for row in rows)
+
+    @pytest.mark.parametrize("energy", ["-1e-12", "-1e-300"])
+    def test_near_zero_energy_rests_as_at_zero_energy(self, energy, tmp_path):
+        # -1/E is far above these launches, so each run's scale is 100
+        # times its launch height: its rest agrees with E = 0's, and its
+        # drift is in that scale's unit of energy, as the launch has next to
+        # none
+        rows = {}
+        for e in ("0", energy):
+            out = tmp_path / "scan.csv"
+            argv = ["scan", f"--energy={e}", "--grid", "0.5,1.0,2"]
+            assert main(argv + ["--out", str(out)]) == 0
+            rows[e] = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert len(rows[energy]) == 2
+        for zero, near in zip(rows["0"], rows[energy]):
+            assert near[3] == zero[3] and near[5] == zero[5] == "ok"
+            for col in (1, 2):  # t_h, alpha
+                assert float(near[col]) == pytest.approx(float(zero[col]),
+                                                         rel=1e-9)
+            assert 0.0 < float(near[4]) <= 1e-8
 
     def test_scan_invalid_grid(self):
         assert main(["scan", "--energy", "-1.0", "--grid", "3.0,0.5,6"]) == 2

@@ -15,7 +15,7 @@ from langmuir_lab.integrator import (
     IntegratorSettings,
     _advance,
     _dp5_trial,
-    _integrate_chart,
+    _new_run,
     integrate,
     integrate_inverted,
 )
@@ -269,19 +269,22 @@ def _first_order(accel):
 _langmuir_rhs = _first_order(dyn.acceleration)
 
 
-def _reference_trial(accel, y, h, k1, abs_tol, rel_tol):
+def _reference_trial(accel, y, h, k1, abs_q, abs_v, rel_tol):
     y5, ks = dp5_reference_step(_first_order(accel), y, h, k1)
-    return y5, ks, dp5_reference_error_ratio(y, y5, ks, h, abs_tol, rel_tol)
+    return y5, ks, dp5_reference_error_ratio(
+        y, y5, ks, h, (abs_q, abs_q, abs_v, abs_v), rel_tol)
 
 
-def _trial_bits(trial, accel, y, h):
+def _trial_bits(trial, accel, y, h, a):
     """The fifth-order state, the seven stages and the error norm of one
-    trial step at the default tolerances, as float.hex strings (so signed
-    zeros count), or the error it raised."""
+    trial step at the default tolerances read in units of scale a (abs_tol
+    times a for positions, over sqrt(a) for velocities), as float.hex
+    strings (so signed zeros count), or the error it raised."""
     st_ = IntegratorSettings()
     try:
         k1 = _first_order(accel)(y)
-        y5, ks, ratio = trial(accel, y, h, k1, st_.abs_tol, st_.rel_tol)
+        y5, ks, ratio = trial(accel, y, h, k1, st_.abs_tol * a,
+                              st_.abs_tol / math.sqrt(a), st_.rel_tol)
     except (ArithmeticError, DomainError) as exc:
         return repr(exc)
     return ([v.hex() for v in y5] + [v.hex() for k in ks for v in k]
@@ -298,15 +301,16 @@ def _trial_bits(trial, accel, y, h):
     vx=st.floats(min_value=-10.0, max_value=10.0),
     vy=st.floats(min_value=-10.0, max_value=10.0),
     h=st.floats(min_value=1e-14, max_value=0.1),
+    a=st.sampled_from([1.0, 1e-3, 1e3]),
 )
 # a -0.0 component whose stage increments are all -0.0: the running sum
 # from 0 makes the stage input +0.0
-@example(x=-0.0, y=1.0, vx=-0.0, vy=1.0, h=0.1)
-@example(x=0.0, y=2.0, vx=-0.0, vy=-0.0, h=0.1)
-def test_unrolled_step_matches_the_tableau_loop(accel, x, y, vx, vy, h):
+@example(x=-0.0, y=1.0, vx=-0.0, vy=1.0, h=0.1, a=1.0)
+@example(x=0.0, y=2.0, vx=-0.0, vy=-0.0, h=0.1, a=1.0)
+def test_unrolled_step_matches_the_tableau_loop(accel, x, y, vx, vy, h, a):
     state = (x, y, vx, vy)
-    assert (_trial_bits(_dp5_trial, accel, state, h)
-            == _trial_bits(_reference_trial, accel, state, h))
+    assert (_trial_bits(_dp5_trial, accel, state, h, a)
+            == _trial_bits(_reference_trial, accel, state, h, a))
 
 
 @pytest.mark.parametrize("bad", [
@@ -328,7 +332,8 @@ def test_non_finite_steps_are_rejected_until_underflow(bad):
 
     s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
     with pytest.raises(StepUnderflow):
-        _integrate_chart(accel, energy, s0, IntegratorSettings(), (), (), ())
+        next(_new_run(accel, energy, s0, IntegratorSettings(), (), (), ())
+             .run())
     assert len(sampled) > 1
     assert all(math.isfinite(c) for v in sampled for c in v)
 
@@ -572,7 +577,7 @@ def _rejected_bracket(bracket):
     # the 50-launch default grid, as in scan_alpha
     (lambda: analysis.check_magical_prefix(), 40_260),
     # the whole suite: tmax_bound and magical_prefix share one scan
-    (lambda: analysis.run_all_checks(), 55_757),
+    (lambda: analysis.run_all_checks(), 55_727),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
@@ -581,11 +586,19 @@ def _rejected_bracket(bracket):
     ), 6_289),
     (lambda: _find_orbit_command("langmuir"), 3_973),
     (lambda: _find_orbit_command("brake"), 27_435),
+    # far from E = -1 the searches read their knobs in E = -1 units, so
+    # they do E = -1's work
+    (lambda: shooting.find_langmuir_orbit(-1000.0), 3_126),
+    (lambda: shooting.find_langmuir_orbit(-0.001), 3_126),
+    (lambda: shooting.find_brake_orbit(-1000.0), 23_096),
+    (lambda: shooting.find_brake_orbit(-0.001), 23_096),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
         "classify_reflection_count", "classify_rejected_bracket",
         "check_zero_energy_monotone", "check_magical_prefix",
         "run_all_checks", "simulate",
-        "find_orbit_langmuir_command", "find_orbit_brake_command"])
+        "find_orbit_langmuir_command", "find_orbit_brake_command",
+        "find_langmuir_orbit_e-1000", "find_langmuir_orbit_e-0.001",
+        "find_brake_orbit_e-1000", "find_brake_orbit_e-0.001"])
 def test_field_evaluations_do_not_grow(field_calls, run, count):
     run()
     assert field_calls[0] == count

@@ -20,10 +20,11 @@ from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
     _build_trajectory,
+    _integrate,
     integrate,
 )
 
-from conftest import launches, rest_cuts, trajectory_bits
+from conftest import launches, rest_cuts, rk4_fixed, trajectory_bits
 
 # zeros of the shooting functional, frozen from converged bisection runs
 H_STAR_E1 = 1.4070602237
@@ -54,6 +55,15 @@ class TestShoot:
     def test_alpha_1_matches_shoot(self):
         a = shooting.alpha_k(-1.0, 1.2, 1)
         assert a == pytest.approx(shooting.shoot(-1.0, 1.2).alpha, abs=1e-12)
+
+    def test_zero_energy_launch(self):
+        # a = 1 at E = 0: the knobs are read as given (values frozen before
+        # the knobs were read in E = -1 units)
+        res = shooting.shoot(0.0, 1.0)
+        assert (res.t_h, res.alpha) == (3.324631968359623, 1.5568144834542668)
+        assert res.n_magical_crossings == 2
+        assert res.energy_drift == 8.797296224827278e-12
+        assert shooting.alpha_k(0.0, 1.0, 1) == 1.5568144834542668
 
     def test_alpha_k_rejects_bad_count(self):
         with pytest.raises(ValueError):
@@ -160,11 +170,26 @@ def test_default_brackets_follow_energy_scaling(orbits_at_e1, kind, E):
     ) <= 1e-6
 
 
+@pytest.mark.parametrize("kind, step", [("langmuir", 1e-3), ("brake", 1e-4)])
+@pytest.mark.parametrize("E", [-50.0, -0.01])
+def test_found_orbit_touches_under_fixed_step_rk4(kind, step, E):
+    # the fixed-step RK4 of conftest, at the physical energy with steps of
+    # `step` in E = -1 time units, from the found h* to T, ends at a touch
+    # (measured |v| / sqrt(-E): 3.4e-11 to 3.8e-11 for Langmuir's orbit,
+    # 1.8e-7 to 1.9e-7 for the brake orbit)
+    rec = FINDERS[kind](E)
+    s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=rec.h_star))
+    T = rec.quarter_period
+    dt = T / math.ceil(T / (step * (-E) ** -1.5))
+    _, _, vx, vy = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, T, dt)
+    assert math.hypot(vx, vy) / math.sqrt(-E) <= shooting.TOUCH_SPEED_TOL
+
+
 @pytest.fixture
 def integrate_calls(monkeypatch):
     """Record (start state, settings) of every integration made in
-    `shooting`: each `integrate` call (shoot's run and the retrace), and
-    each `_rest_arcs` run, the one launch path of quarter arcs and
+    `shooting`: each `_integrate` call (the retrace), and each `_rest_arcs`
+    run, the one launch path of shoot's runs, quarter arcs and
     classification, once however far it is advanced."""
     calls = []
 
@@ -174,7 +199,7 @@ def integrate_calls(monkeypatch):
             return real(s0, settings, *args, **kwargs)
         return run
 
-    for name in ("integrate", "_rest_arcs"):
+    for name in ("_integrate", "_rest_arcs"):
         monkeypatch.setattr(shooting, name, recording(getattr(shooting, name)))
     return calls
 
@@ -219,13 +244,12 @@ class TestResumedRun:
     @example(E=-0.5)
     def test_each_rest_arc_is_a_fresh_quarter(self, rel_tol, E):
         # the 4th rest of both default brake ends comes before t = 10 at
-        # E = -1, and time scales as (-E)^-1.5
-        settings_ = IntegratorSettings(rel_tol=rel_tol,
-                                       t_limit=10.0 * (-E) ** -1.5)
+        # E = -1, and a launch at E reads t_limit in E = -1 units
+        settings_ = IntegratorSettings(rel_tol=rel_tol, t_limit=10.0)
         for h in shooting._bracket_at(E, None, shooting.DEFAULT_BRAKE_BRACKET):
             s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=h))
-            cuts = rest_cuts(s0, settings_)
-            rests = shooting._rest_arcs(s0, settings_)
+            cuts = rest_cuts(s0, settings_, E)
+            rests = shooting._rest_arcs(s0, settings_, E)
             for k in range(1, 5):
                 want = trajectory_bits(cuts[k - 1])
                 resumed = shooting._next_rest(rests, k)
@@ -367,11 +391,23 @@ class TestTwoStageSearch:
         with pytest.raises(BadBracket, match=re.escape(f"f(lo)={alpha}")):
             shooting.find_langmuir_orbit(-1.0, bracket=(0.2, 0.3))
 
-    def test_unconverged_brake_search_still_raises(self):
+    def test_unconverged_brake_search_still_raises(self, monkeypatch):
+        # alpha_3 that jumps from -1 to 1 across the root, so no point
+        # meets ALPHA_TOL: the search on the whole bracket, which the failed
+        # coarse stage falls back to, shrinks its bracket to nothing, and
+        # its error surfaces
+        real = shooting._rest_run
+
+        def rest_run(E, h, k, settings):
+            run = real(E, h, k, settings)
+            t, (x, y, vx, vy) = run.samples[-1]
+            run.samples[-1] = (t, (x, y, vx, math.copysign(1.0, vy)))
+            return run
+
+        monkeypatch.setattr(shooting, "_rest_run", rest_run)
+        _full_search_only(monkeypatch)
         with pytest.raises(NoConvergence, match="shrunk"):
-            shooting.find_brake_orbit(
-                -10.0, settings=IntegratorSettings(rel_tol=1e-8)
-            )
+            shooting.find_brake_orbit(-1.0)
 
 
 # Closed-form laws of the exact flow, checked on random admissible launches.
@@ -410,9 +446,10 @@ def test_mirrored_launch_rests_at_the_mirrored_state(E, u):
     h = u / -E
     s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=h))
     res = shooting.shoot(E, h)
-    traj = integrate(
-        dyn.State(t=0.0, x=0.0, y=h, vx=-s0.vx, vy=0.0),
-        stop={EventKind.X_VELOCITY_ZERO},
+    # launched at E, as shoot's run is
+    traj = _integrate(
+        dyn.State(t=0.0, x=0.0, y=h, vx=-s0.vx, vy=0.0), IntegratorSettings(),
+        E, stop={EventKind.X_VELOCITY_ZERO},
     )
     assert traj.termination is EventKind.X_VELOCITY_ZERO
     rest, ref = traj.samples[-1], res.state_at_th
