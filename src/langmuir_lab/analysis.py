@@ -1,12 +1,17 @@
 """Numeric verification of the quantitative ingredients behind the
 existence argument for the periodic orbit.
 
-Each check integrates something and reduces it to a single worst-case
-violation number; a check passes iff that number is at or below its
-tolerance.  Sign checks use tolerance 0 with the convention that negative
-worst_violation means "safely on the right side".  A check with nothing to
-compare (an empty input, or no run that reaches the compared event) reports
+Each check reduces integrations to a single worst-case violation number;
+a check passes iff that number is at or below its tolerance.  Sign checks
+use tolerance 0 with the convention that negative worst_violation means
+"safely on the right side".  A check with nothing to compare (an empty
+input, or no run that reaches the compared event) reports
 worst_violation = inf and fails.
+
+The four checks on the E=-1 horizontal launches (tmax_bound,
+magical_prefix, energy_drift and tau_growth) integrate nothing: each
+reduces the list of runs that grid_runs makes, and the suite integrates
+that list once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Optional, Sequence
 from . import dynamics
 from .dynamics import ProblemSpec
 from .integrator import EventKind, IntegratorSettings, integrate, integrate_inverted
-from .shooting import _shoot_run, default_grid, shoot
+from .shooting import _shoot_run, default_grid
 
 # Deceleration bound: inside the Hill region at E=-1 both |x| and y are at
 # most 7/2, so x'' <= -8*gamma*x with gamma = (49/4 + 49/4)^(-3/2); a
@@ -69,48 +74,48 @@ def check_initial_acceleration(
     )
 
 
-def _grid_runs(h_grid, settings):
-    """shoot()'s (Trajectory, ShootResult) pairs for the E=-1 launches from
-    the heights h_grid, by default the default grid: each run records the
-    magical-line crossings up to the launch's first x-rest."""
+def grid_runs(
+    h_grid: Optional[Sequence[float]] = None,
+    settings: IntegratorSettings = IntegratorSettings(),
+) -> list[tuple]:
+    """The E=-1 horizontal launches from the heights h_grid, by default the
+    default grid, each integrated once as shoot() integrates it: its
+    (Trajectory, ShootResult) pair, the run recording the magical-line
+    crossings up to its first x-rest.  tmax_bound, magical_prefix,
+    energy_drift and tau_growth each reduce this one list."""
     if h_grid is None:
         h_grid = default_grid()
     return [_shoot_run(-1.0, h, settings) for h in h_grid]
 
 
-def _tmax_report(runs) -> CheckReport:
-    """check_tmax_bound's verdict on the `_grid_runs` pairs `runs`."""
-    times = {r.h: r.t_h for _, r in runs if r.status == "ok"}
-    failures = [(r.h, r.status) for _, r in runs if r.status != "ok"]
-    worst = max((t - T_MAX for t in times.values()), default=math.inf)
-    margin = min((T_MAX - t) / T_MAX for t in times.values()) if times else None
+def check_tmax_bound(runs) -> CheckReport:
+    """Every first x-rest of the grid_runs pairs `runs` happens no later
+    than T_MAX.  A run without an x-rest fails the check."""
+    times = [r.t_h for _, r in runs if r.status == "ok"]
+    no_rest = [(r.h, r.status) for _, r in runs if r.status != "ok"]
+    worst = max((t - T_MAX for t in times), default=math.inf)
     return CheckReport.from_violation(
         "tmax_bound",
-        worst,
+        math.inf if no_rest else worst,
         0.0,
         {
             "t_max": T_MAX,
             "gamma": GAMMA,
             "n_ok": len(times),
-            "no_rest": failures,
-            "min_relative_margin": margin,
+            "no_rest": no_rest,
+            "min_relative_margin": min(
+                ((T_MAX - t) / T_MAX for t in times), default=None),
         },
     )
 
 
-def check_tmax_bound(
-    h_grid: Optional[Sequence[float]] = None,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> CheckReport:
-    """Every first x-rest at E=-1 happens no later than T_MAX."""
-    return _tmax_report(_grid_runs(h_grid, settings))
-
-
-def _magical_prefix_report(runs) -> CheckReport:
-    """check_magical_prefix's verdict on the `_grid_runs` pairs `runs`.  A
-    run's prefix is its samples after launch and before its first
-    magical-line crossing, and the crossing's state; its worst value is the
-    largest vy/t there.  A run without a crossing checks nothing."""
+def check_magical_prefix(runs) -> CheckReport:
+    """Until its first crossing of the vanishing-vertical-force line each of
+    the grid_runs pairs `runs` keeps moving downward (vy < 0 on (0, first
+    crossing]).  A run's worst value is the largest vy/t over its step ends
+    after launch and before the crossing, and the crossing's state; vy/t
+    does not tend to 0 at launch as vy does (it tends to -7/h^2).  A run
+    that rests before crossing checks nothing."""
     worst = -math.inf
     vacuous = []
     for traj, res in runs:
@@ -131,19 +136,6 @@ def _magical_prefix_report(runs) -> CheckReport:
         0.0,
         {"n_checked": len(runs) - len(vacuous), "no_crossing": vacuous},
     )
-
-
-def check_magical_prefix(
-    h_grid: Optional[Sequence[float]] = None,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> CheckReport:
-    """Until its first crossing of the vanishing-vertical-force line the
-    trajectory keeps moving downward (vy < 0 on (0, first crossing]).
-    Each launch is integrated to its first x-rest; a run that rests before
-    crossing checks nothing.  The worst value is the largest vy/t over the
-    step ends and the crossing, which does not tend to 0 at launch as vy
-    does (vy/t tends to -7/h^2)."""
-    return _magical_prefix_report(_grid_runs(h_grid, settings))
 
 
 def check_zero_energy_monotone(
@@ -209,7 +201,8 @@ def check_inverted_concavity(
     traj = integrate_inverted(s0, settings)
     polar = [dynamics.to_polar(s) for s in traj.samples]
     concavity_worst = -math.inf
-    fd_worst = -math.inf
+    # with no interior sample nothing is compared: worst is inf
+    fd_worst = -math.inf if len(polar) > 2 else math.inf
     pr_worst = -math.inf
     for i, ps in enumerate(polar):
         rdd = (2.0 / ps.r) * (-3.0 * ps.pr**2 - ps.pphi**2 / ps.r**2)
@@ -243,55 +236,51 @@ def check_inverted_concavity(
     )
 
 
-def check_tau_growth(
-    h_sequence: Sequence[float] = (0.5, 0.2, 0.1, 0.05),
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> CheckReport:
-    """First x-rest times of the fixed-height-1 problems at energies -h grow
-    strictly as h decreases towards ionization.  Each launch reads
-    `settings` in the units where its energy is -1."""
-    taus = []
-    for h in h_sequence:
-        if not (h > 0.0):
-            raise ValueError("h_sequence must be positive")
-        taus.append(shoot(-h, 1.0, settings).t_h)
-    worst = max((a - b for a, b in zip(taus, taus[1:])), default=math.inf)
+def check_tau_growth(runs) -> CheckReport:
+    """First x-rest times tau(h) of the fixed-height-1 problems at energies
+    -h grow strictly as h decreases towards ionization.  By the scaling law
+    the launch at energy -h from height 1 is the E=-1 launch from height h
+    slowed by h^-3/2, so tau(h) = h^-3/2 t_h reads the grid_runs pairs
+    `runs`.  A run without an x-rest fails the check."""
+    tau_by_h = dict(sorted(
+        (r.h, r.h**-1.5 * r.t_h) for _, r in runs if r.status == "ok"
+    ))
+    taus = list(tau_by_h.values())
+    worst = max((b - a for a, b in zip(taus, taus[1:])), default=math.inf)
+    no_rest = [(r.h, r.status) for _, r in runs if r.status != "ok"]
     return CheckReport.from_violation(
         "tau_growth",
-        worst,
+        math.inf if no_rest else worst,
         0.0,
-        {"h_sequence": list(h_sequence), "tau": taus},
+        {"tau_by_h": tau_by_h, "no_rest": no_rest},
     )
 
 
-def check_energy_drift(
-    h_grid: Sequence[float] = (0.5, 1.0, 1.398, 3.0),
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> CheckReport:
-    """Relative energy drift of E=-1 shooting runs stays within 1e-8."""
-    worst = 0.0 if h_grid else math.inf
-    drifts = {}
-    for h in h_grid:
-        res = shoot(-1.0, h, settings)
-        drifts[h] = res.energy_drift
-        worst = max(worst, res.energy_drift)
+def check_energy_drift(runs) -> CheckReport:
+    """Relative energy drift of each of the grid_runs pairs `runs`, with or
+    without an x-rest, stays within 1e-8."""
+    drifts = {r.h: traj.max_energy_drift for traj, r in runs}
     return CheckReport.from_violation(
-        "energy_drift", worst, 1e-8, {"drift_by_h": drifts}
+        "energy_drift",
+        max(drifts.values(), default=math.inf),
+        1e-8,
+        {"drift_by_h": drifts},
     )
 
 
 def run_all_checks(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[CheckReport]:
-    """Execute the whole suite; reports sorted by name.  tmax_bound and
-    magical_prefix read one integration of each default-grid launch."""
-    runs = _grid_runs(None, settings)
+    """Execute the whole suite; reports sorted by name.  energy_drift,
+    magical_prefix, tau_growth and tmax_bound reduce one integration of
+    each default-grid launch."""
+    runs = grid_runs(None, settings)
     return [
-        check_energy_drift(settings=settings),
+        check_energy_drift(runs),
         check_initial_acceleration(),
         check_inverted_concavity(settings=settings),
-        _magical_prefix_report(runs),
-        check_tau_growth(settings=settings),
-        _tmax_report(runs),
+        check_magical_prefix(runs),
+        check_tau_growth(runs),
+        check_tmax_bound(runs),
         check_zero_energy_monotone(settings=settings),
     ]

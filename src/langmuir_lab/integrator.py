@@ -353,9 +353,9 @@ class _Run:
         self.events: list[tuple[EventKind, float, Vec]] = []
         self.e0 = energy_fn(y0)
         # drift is relative to the launch energy, but in the unit of energy
-        # 1/a when a launch at E = 0 or far inside -1/E has next to none
-        self.e_unit = (abs(self.e0) if abs(self.e0) * a > (
-            0.0 if E is None else 0.5) else 1.0 / a)
+        # 1/a when the launch has less than half of it (at or near E = 0,
+        # or far inside -1/E)
+        self.e_unit = abs(self.e0) if abs(self.e0) * a > 0.5 else 1.0 / a
         self.drift = 0.0
         # requested times still to come, latest first, so pop() is the next
         self.requests = sorted({s for s in sample_times if s > t0},

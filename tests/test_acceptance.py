@@ -104,7 +104,7 @@ def test_04_zero_energy_escape():
 
 
 def test_05_rest_time_bound():
-    rep = analysis.check_tmax_bound()
+    rep = analysis.check_tmax_bound(analysis.grid_runs())
     ok = rep.passed and rep.details["no_rest"] == []
     _verdict(
         "rest_time_bound", ok,
@@ -126,7 +126,7 @@ def test_06_launch_acceleration():
 
 
 def test_07_descent_before_crossing():
-    rep = analysis.check_magical_prefix()
+    rep = analysis.check_magical_prefix(analysis.grid_runs())
     ok = rep.passed and rep.details["n_checked"] > 0
     _verdict(
         "descent_before_crossing", ok,

@@ -21,6 +21,12 @@ class TestConstants:
         assert abs(analysis.GAMMA - 24.5**-1.5) <= 1e-18
 
 
+@pytest.fixture(scope="module")
+def runs():
+    """The E = -1 launches from the default grid, integrated once."""
+    return analysis.grid_runs()
+
+
 class TestIndividualChecks:
     def test_initial_acceleration_passes(self):
         rep = analysis.check_initial_acceleration()
@@ -28,15 +34,15 @@ class TestIndividualChecks:
         assert rep.worst_violation <= 1e-12
         assert rep.details["n_samples"] == 1000
 
-    def test_tmax_bound_passes_with_margin(self):
-        rep = analysis.check_tmax_bound()
+    def test_tmax_bound_passes_with_margin(self, runs):
+        rep = analysis.check_tmax_bound(runs)
         assert rep.passed
         # the bound should never be within 5% of being violated
         assert rep.details["min_relative_margin"] >= 0.05
         assert rep.details["no_rest"] == []
 
-    def test_magical_prefix_passes(self):
-        rep = analysis.check_magical_prefix()
+    def test_magical_prefix_passes(self, runs):
+        rep = analysis.check_magical_prefix(runs)
         assert rep.passed
         assert rep.details["n_checked"] > 0
 
@@ -56,38 +62,79 @@ class TestIndividualChecks:
         assert rep.details["max_closed_form_rdd"] < 0.0
         assert rep.details["fd_mismatch_worst"] <= 0.0
 
-    def test_tau_growth_passes(self):
-        rep = analysis.check_tau_growth()
+    def test_tau_growth_passes(self, runs):
+        # tau grows strictly as h falls, over the whole default grid
+        rep = analysis.check_tau_growth(runs)
         assert rep.passed
-        taus = rep.details["tau"]
-        assert all(b > a for a, b in zip(taus, taus[1:]))
+        tau_by_h = rep.details["tau_by_h"]
+        assert list(tau_by_h) == shooting.default_grid()
+        taus = list(tau_by_h.values())
+        assert all(b < a for a, b in zip(taus, taus[1:]))
 
-    def test_energy_drift_passes(self):
-        rep = analysis.check_energy_drift()
+    def test_energy_drift_passes(self, runs):
+        rep = analysis.check_energy_drift(runs)
         assert rep.passed
         assert rep.worst_violation <= 1e-8
+        assert len(rep.details["drift_by_h"]) == len(runs)
+
+
+def test_tau_agrees_with_the_launch_at_energy_minus_h(runs):
+    # the scaling law's oracle: re-integrating the launch at E = -h from
+    # height 1 gives tau(h) within a relative 1e-9 at every grid height
+    tau_by_h = analysis.check_tau_growth(runs).details["tau_by_h"]
+    assert len(tau_by_h) == len(runs)
+    for h, tau in tau_by_h.items():
+        t_h = shooting.shoot(-h, 1.0).t_h
+        assert abs(tau - t_h) <= 1e-9 * t_h
+
+
+def test_energy_drift_fails_on_a_drifting_run(runs):
+    # one run whose drift exceeds the tolerance fails the check, whatever
+    # the other runs hold
+    bad = [runs[0], (replace(runs[1][0], max_energy_drift=1e-6), runs[1][1]),
+           *runs[2:]]
+    rep = analysis.check_energy_drift(bad)
+    assert not rep.passed
+    assert rep.worst_violation == 1e-6
+
+
+def test_runs_without_a_rest_fail_the_rest_time_checks():
+    # at t_limit = 1 most launches stop at the time limit before their
+    # first x-rest; the rest times they lack fail both checks
+    runs = analysis.grid_runs(settings=IntegratorSettings(t_limit=1.0))
+    assert any(res.status == "NoRest(TimeLimit)" for _, res in runs)
+    for check in (analysis.check_tmax_bound, analysis.check_tau_growth):
+        rep = check(runs)
+        assert not rep.passed
+        assert rep.worst_violation == math.inf
+        assert rep.details["no_rest"]
 
 
 @pytest.mark.parametrize(
-    "check, kwargs",
+    "check",
     [
-        pytest.param(analysis.check_initial_acceleration, {"h_samples": []},
+        pytest.param(lambda: analysis.check_initial_acceleration([]),
                      id="initial_acceleration"),
-        pytest.param(analysis.check_tmax_bound, {"h_grid": []},
-                     id="tmax_bound"),
-        pytest.param(analysis.check_magical_prefix, {"h_grid": []},
+        pytest.param(lambda: analysis.check_tmax_bound([]), id="tmax_bound"),
+        pytest.param(lambda: analysis.check_magical_prefix([]),
                      id="magical_prefix"),
-        pytest.param(analysis.check_tau_growth, {"h_sequence": (0.5,)},
-                     id="tau_growth"),
-        pytest.param(analysis.check_energy_drift, {"h_grid": ()},
+        # one height: no successive pair of rest times to compare
+        pytest.param(
+            lambda: analysis.check_tau_growth(analysis.grid_runs([0.5])),
+            id="tau_growth"),
+        pytest.param(lambda: analysis.check_energy_drift([]),
                      id="energy_drift"),
         # a horizon shorter than h_min: the run has no sample after launch
-        pytest.param(analysis.check_zero_energy_monotone, {"t_end": 1e-15},
+        pytest.param(lambda: analysis.check_zero_energy_monotone(1e-15),
                      id="zero_energy_monotone"),
+        # two samples at h_max = 1e-3: no interior one for the finite
+        # difference
+        pytest.param(lambda: analysis.check_inverted_concavity(1e-3),
+                     id="inverted_concavity"),
     ],
 )
-def test_check_with_nothing_to_compare_fails(check, kwargs):
-    rep = check(**kwargs)
+def test_check_with_nothing_to_compare_fails(check):
+    rep = check()
     assert not rep.passed
     assert rep.worst_violation == math.inf
 
@@ -118,7 +165,7 @@ def test_magical_prefix_fails_on_a_rising_sample(monkeypatch):
     # one step-end sample before the crossing that moves upward
     planted = _plant(monkeypatch, shooting, lambda s: replace(s, vy=1e-6),
                      "_build_trajectory")
-    rep = analysis.check_magical_prefix(h_grid=[1.398])
+    rep = analysis.check_magical_prefix(analysis.grid_runs([1.398]))
     assert rep.details["n_checked"] == 1
     assert not rep.passed
     assert rep.worst_violation == 1e-6 / planted[0].t
@@ -155,7 +202,7 @@ def test_magical_prefix_margin_agrees_with_fixed_step_rk4():
     # the RK4 confirms: x-velocity at its rest below 1e-9 and the magical
     # residual positive at every step up to it
     grid = [1.0, 1.398, 2.7]
-    rep = analysis.check_magical_prefix(h_grid=grid)
+    rep = analysis.check_magical_prefix(analysis.grid_runs(grid))
     assert rep.details == {"n_checked": 2, "no_crossing": [2.7]}
     stop = {EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO}
     margins = []
@@ -198,9 +245,8 @@ class TestTauValues:
     FROZEN = {0.5: 1.2319, 0.2: 1.9169, 0.1: 2.4083, 0.05: 2.7839}
 
     def test_frozen_values(self):
-        rep = analysis.check_tau_growth()
-        for h, tau in zip(rep.details["h_sequence"], rep.details["tau"]):
-            assert abs(tau - self.FROZEN[h]) <= 5e-4
+        for h, tau in self.FROZEN.items():
+            assert abs(shooting.shoot(-h, 1.0).t_h - tau) <= 5e-4
 
     def test_rescaled_rest_time_recovers_tau(self):
         # the E=-h launch from height 1 is the E=-1 launch from height h,
@@ -242,12 +288,6 @@ class TestSuite:
             "tmax_bound",
             "zero_energy_monotone",
         ]
-
-    def test_suite_gives_the_standalone_reports(self):
-        # tmax_bound and magical_prefix read one shared scan in the suite
-        reports = {r.name: r for r in analysis.run_all_checks()}
-        assert reports["tmax_bound"] == analysis.check_tmax_bound()
-        assert reports["magical_prefix"] == analysis.check_magical_prefix()
 
     def test_suite_is_deterministic(self):
         a = analysis.run_all_checks()

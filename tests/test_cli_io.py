@@ -320,6 +320,27 @@ class TestVerify:
         doc = json.loads(report.read_text())
         assert not doc["energy_drift"]["passed"]
 
+    def test_verify_fails_when_launches_do_not_rest(self, tmp_path, capsys):
+        # at t_limit = 1 most grid launches end before their first x-rest:
+        # the checks that need their rest times fail, nothing raises
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("t_limit = 1\n")
+        report = tmp_path / "verdict.json"
+        rc = main(["verify", "--config", str(cfg), "--report", str(report)])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(report.read_text())
+        failed = {name for name, v in doc.items() if not v["passed"]}
+        assert {"tmax_bound", "tau_growth"} <= failed
+
+    def test_zero_energy_with_no_interior_sample_fails(self, tmp_path):
+        # t_end = 1e-3 is one step of the inverted run: nothing to compare
+        report = tmp_path / "zero.json"
+        rc = main(["zero-energy", "--t-end", "0.001", "--report", str(report)])
+        assert rc == 1
+        doc = json.loads(report.read_text())
+        assert not doc["inverted_concavity"]["passed"]
+
     def test_zero_energy_subcommand(self, tmp_path):
         report = tmp_path / "zero.json"
         rc = main(["zero-energy", "--t-end", "20", "--report", str(report)])

@@ -113,6 +113,15 @@ class TestAccuracy:
         traj = shoot_raw(-1.0, h)
         assert traj.max_energy_drift <= 1e-8
 
+    def test_bare_zero_energy_drift_is_absolute(self):
+        # the launch energy from h = 0.5 at E = 0 is rounding residue
+        # (8.9e-16); a bare start state's drift is absolute below half the
+        # unit of energy, as for a run launched at an energy
+        s0 = dyn.initial_state(ProblemSpec(E=0.0, h=0.5))
+        assert 0.0 < abs(dyn.energy(s0)) < 1e-15
+        traj = integrate(s0, IntegratorSettings(t_limit=5.0))
+        assert 0.0 < traj.max_energy_drift <= 1e-8
+
     @pytest.mark.parametrize("h", [0.5, 1.0, 1.398, 3.0])
     def test_rest_time_stable_under_tolerance_halving(self, h):
         t1 = shoot_raw(-1.0, h).first_event(EventKind.X_VELOCITY_ZERO).t
@@ -575,9 +584,10 @@ def _rejected_bracket(bracket):
     (lambda: _rejected_bracket((0.3, 0.3)), 25_234),
     (lambda: analysis.check_zero_energy_monotone(), 4_543),
     # the 50-launch default grid, as in scan_alpha
-    (lambda: analysis.check_magical_prefix(), 40_260),
-    # the whole suite: tmax_bound and magical_prefix share one scan
-    (lambda: analysis.run_all_checks(), 55_727),
+    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 40_260),
+    # the whole suite: the grid checks reduce that one scan, and
+    # zero_energy_monotone and inverted_concavity add their own runs
+    (lambda: analysis.run_all_checks(), 45_803),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
