@@ -10,10 +10,12 @@ second, multi-reflection orbit.
 The orbit search finds a root of alpha_k to |alpha_k| <= ALPHA_TOL in two
 stages: a Brent-Dekker solve on alpha_k integrated at COARSE_REL_TOL, then
 a secant polish at the given settings from the coarse root.  Only arcs at
-the given settings reach the orbit record.
+the given settings reach the orbit record.  The brake search picks k at
+the first stage's settings too (see find_brake_orbit).
 
 Every launch at energy E < 0 reads its settings in E = -1 units (see
-`integrator`), as ALPHA_TOL and TOUCH_SPEED_TOL are velocities in them.
+`integrator`), as ALPHA_TOL, TOUCH_SPEED_TOL and CLASSIFY_MARGIN are
+velocities in them.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ from .integrator import (
 ALPHA_TOL = 1e-8
 # relative tolerance of the orbit search's coarse stage (see _find_orbit)
 COARSE_REL_TOL = 1e-6
+# |alpha_j| at or below which the brake search's classification at
+# COARSE_REL_TOL is repeated at the given settings: alpha_k at COARSE_REL_TOL
+# and at the default rel_tol differ by up to 1.2e-4 (k <= 5, 60 random
+# launches on [0.05, 3.4] at E = -1), about 80 times less
+CLASSIFY_MARGIN = 1e-2
 # iteration budget of each stage of the orbit search
 MAX_ITER = 200
 # largest rest count that classification tries
@@ -72,8 +79,12 @@ class ShootResult:
 @dataclass(frozen=True)
 class OrbitRecord:
     """A periodic orbit found by the orbit search.  `solver_trace` lists the
-    search's evaluations (h, alpha_k) in order, coarse stage first; its last
-    entry is (h_star, alpha_residual), both at the search's settings."""
+    search's evaluations (h, alpha_k) in order, coarse stage first (for a
+    brake search that classified its bracket, its first two entries are
+    the bracket ends' values at classification's settings: the coarse ones,
+    unless classification was repeated at the search's settings, see
+    find_brake_orbit); its last entry is (h_star, alpha_residual), both at
+    the search's settings."""
 
     E: float
     h_star: float
@@ -293,13 +304,24 @@ def _solve_bracketed(
     )
 
 
+def _coarse(settings: IntegratorSettings) -> Optional[IntegratorSettings]:
+    """The orbit search's coarse-stage settings: `settings` with both
+    tolerances scaled to rel_tol = COARSE_REL_TOL, or None when `settings`
+    are no finer than that and the search has no coarse stage."""
+    scale = COARSE_REL_TOL / settings.rel_tol
+    if scale <= 1.0:
+        return None
+    return replace(settings, rel_tol=scale * settings.rel_tol,
+                   abs_tol=scale * settings.abs_tol)
+
+
 def _find_orbit(
     E: float,
     bracket: tuple[float, float],
     k: int,
     kind: str,
     settings: IntegratorSettings,
-    ends: tuple[Trajectory, ...] = (),
+    ends: Optional[tuple[IntegratorSettings, tuple[_Run, _Run]]] = None,
 ) -> OrbitRecord:
     """Root of alpha_k on the bracket, |alpha_k| <= ALPHA_TOL at `settings`,
     in E = -1 units (alpha over sqrt(-E)), as is every tolerance below.
@@ -309,35 +331,44 @@ def _find_orbit(
     `settings` then starts from that root (see _polish).  When `settings`
     are no finer than COARSE_REL_TOL, or either stage cannot finish, the
     root is Brent-Dekker's at `settings` on the whole bracket, the search
-    without a coarse stage.  `ends` are the quarter arcs of the two bracket
-    ends at `settings` when they are already known; the coarse stage starts
-    from their values too.  The solver trace lists every evaluation in order
-    (coarse stage, polish, then the search on the whole bracket if it runs),
-    so its last entry is the root and its residual."""
+    without a coarse stage.
+
+    `ends`, when given, are the settings and the runs of the two bracket
+    ends stopped at their k-th rest (classification's).  The coarse stage
+    takes their alphas as its bracket ends' values, whatever settings they
+    were made at; the stages at `settings` take them too when they were
+    made at `settings`, and build an end's arc only if it is the root.  The
+    solver trace lists every evaluation in order (coarse stage, polish,
+    then the search on the whole bracket if it runs), so its last entry is
+    the root and its residual."""
     trace: list[tuple[float, float]] = []
     v_unit = math.sqrt(-E)
     tol = ALPHA_TOL * v_unit
+    end_settings, runs = ends or (None, ())
+    end_runs = dict(zip(bracket, runs))
+    # the end runs the stages at `settings` read; an arc is built from one
+    # only if it is the root
+    own_ends = end_runs if end_settings == settings else {}
     # arcs at `settings`: the bracket ends and the latest evaluation, so
-    # the root is one of them
-    arcs: dict[float, Trajectory] = dict(zip(bracket, ends))
+    # the root is one of them or of `own_ends`
+    arcs: dict[float, Trajectory] = {}
 
     def f(h: float) -> float:
+        if h in own_ends:
+            return _alpha(own_ends[h])
         if h not in arcs:
             for old in [x for x in arcs if x not in bracket]:
                 del arcs[old]
             arcs[h] = _quarter(E, h, k, settings)
         return arcs[h].samples[-1].vy
 
-    scale = COARSE_REL_TOL / settings.rel_tol
+    coarse = _coarse(settings)
     root = None
-    if scale > 1.0:
-        coarse = replace(settings, rel_tol=scale * settings.rel_tol,
-                         abs_tol=scale * settings.abs_tol)
+    if coarse is not None:
 
         def f_coarse(h: float) -> float:
-            # a bracket end whose arc is known keeps its value at `settings`
-            if h in arcs:
-                return arcs[h].samples[-1].vy
+            if h in end_runs:
+                return _alpha(end_runs[h])
             return _alpha(_rest_run(E, h, k, coarse))
 
         # any failure is left to the search on the whole bracket, which
@@ -352,7 +383,8 @@ def _find_orbit(
     if root is None:
         root = _solve_bracketed(f, *bracket, tol, MAX_ITER, trace)
     h_star, residual = root
-    arc = arcs[h_star]
+    arc = (arcs[h_star] if h_star in arcs
+           else _build_trajectory(own_ends[h_star]))
     touch = arc.samples[-1]
     speed = math.sqrt(touch.speed2())
     if speed > TOUCH_SPEED_TOL * v_unit:
@@ -430,22 +462,33 @@ def find_brake_orbit(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> OrbitRecord:
     """Root of alpha_k on the bracket: the multi-reflection orbit.  The
-    default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E.  When k
-    is not given it is chosen by classify_reflection_count, and the search
-    starts from the bracket ends' arcs to the k-th rest, built from the runs
-    that classification stopped there; a bracket classified as k = 1 holds
-    the simple orbit and raises BadBracket."""
+    default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E.
+
+    When k is not given it is chosen as classify_reflection_count chooses
+    it, but at the settings of the search's first stage: the coarse ones
+    when `settings` are finer than COARSE_REL_TOL.  Only the signs of the
+    alphas compared matter, and the coarse alphas are off by far less than
+    CLASSIFY_MARGIN; so if any |alpha_j| compared, at either end, is at or
+    below CLASSIFY_MARGIN (in E = -1 units), classification is repeated at
+    `settings`, which then decides k.  The search starts from the runs that
+    classification stopped at the k-th rest (see _find_orbit).  A bracket classified as k = 1 holds the simple
+    orbit and raises BadBracket."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
-    ends: tuple[Trajectory, ...] = ()
-    if k is None:
-        k, runs = _classify(E, bracket, settings)
-        if k == 1:
-            raise BadBracket(
-                f"the bracket {bracket} holds the simple orbit, "
-                f"not a brake orbit"
-            )
-        ends = tuple(_build_trajectory(run) for run in runs)
-    return _find_orbit(E, bracket, k, f"Brake-{k}", settings, ends)
+    if k is not None:
+        return _find_orbit(E, bracket, k, f"Brake-{k}", settings)
+    at = _coarse(settings) or settings
+    found, runs, smallest = _classify(E, bracket, at)
+    if at != settings and smallest <= CLASSIFY_MARGIN * math.sqrt(-E):
+        at = settings
+        found, runs, _ = _classify(E, bracket, at)
+    if found is None:
+        raise _unseparated(bracket)
+    if found == 1:
+        raise BadBracket(
+            f"the bracket {bracket} holds the simple orbit, not a brake orbit"
+        )
+    return _find_orbit(E, bracket, found, f"Brake-{found}", settings,
+                       (at, runs))
 
 
 def classify_reflection_count(
@@ -455,21 +498,33 @@ def classify_reflection_count(
 ) -> int:
     """Smallest rest count k <= MAX_RESTS at which alpha_k differs in sign
     between the bracket endpoints (the trajectory end is reflected on
-    opposite sides).  The default bracket is DEFAULT_BRAKE_BRACKET rescaled
-    to energy E.  Each endpoint is integrated once, to its k-th rest (see
-    _classify).  Raises BadBracket when no k <= MAX_RESTS separates the
-    ends."""
+    opposite sides), with each endpoint integrated at the given settings.
+    The default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E.  Each
+    endpoint is integrated once, to its k-th rest (see _classify).  Raises
+    BadBracket when no k <= MAX_RESTS separates the ends."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
-    return _classify(E, bracket, settings)[0]
+    k = _classify(E, bracket, settings)[0]
+    if k is None:
+        raise _unseparated(bracket)
+    return k
+
+
+def _unseparated(bracket: tuple[float, float]) -> BadBracket:
+    return BadBracket(
+        f"no rest count up to {MAX_RESTS} separates the bracket {bracket}"
+    )
 
 
 def _classify(
     E: float,
     bracket: tuple[float, float],
     settings: IntegratorSettings,
-) -> tuple[int, tuple[_Run, _Run]]:
-    """classify_reflection_count, also returning the runs of the two bracket
-    ends stopped at the rest count found, whose arcs are not built.
+) -> tuple[Optional[int], tuple[_Run, ...], float]:
+    """classify_reflection_count at `settings`, returning the rest count
+    found (None when no k <= MAX_RESTS separates the ends), the runs of the
+    two bracket ends stopped there, whose arcs are not built (none when
+    rejected), and the smallest |alpha_j| compared, over both ends and
+    every j.
 
     Each bracket end is integrated once, to its k-th rest and no further:
     one run, advanced rest by rest as _rest_run advances it, so it stops at
@@ -477,17 +532,17 @@ def _classify(
     ends any other way has no later rest, so the bracket is rejected
     there."""
     lo, hi = (_rests(E, h, settings) for h in bracket)
+    smallest = math.inf
     try:
         for k in range(1, MAX_RESTS + 1):
             a = _next_rest(lo, k)
             b = _next_rest(hi, k)
+            smallest = min(smallest, abs(_alpha(a)), abs(_alpha(b)))
             if (_alpha(a) > 0.0) != (_alpha(b) > 0.0):
-                return k, (a, b)
+                return k, (a, b), smallest
     except NoRest:
         pass
-    raise BadBracket(
-        f"no rest count up to {MAX_RESTS} separates the bracket {bracket}"
-    )
+    return None, (), smallest
 
 
 def scan_alpha(

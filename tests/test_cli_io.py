@@ -179,6 +179,21 @@ class TestFindOrbit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == ("Langmuir" if kind == "langmuir" else "Brake-3")
 
+    @pytest.mark.parametrize("E", [-2.0, -1.3, -0.5])
+    def test_brake_on_the_rescaled_bracket_as_text(self, E, tmp_path):
+        # the default brake bracket rescaled by a = -1/E and written with
+        # repr, as perfbench's orbits workload passes it: the root is the
+        # E = -1 brake root rescaled
+        a = -1.0 / E
+        prefix = tmp_path / "brake"
+        rc = main(["find-orbit", "--energy", repr(E), "--kind", "brake",
+                   "--bracket", f"{0.3 * a!r},{0.8 * a!r}",
+                   "--out", str(prefix)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "brake.orbit.json").read_text())
+        assert doc["kind"] == "Brake-3"
+        assert abs(doc["h_star"] * -E / 0.3312553369 - 1.0) <= 1e-8
+
     def test_brake_bracket_holding_simple_orbit(self, capsys):
         rc = main(
             ["find-orbit", "--energy", "-1.0", "--kind", "brake",

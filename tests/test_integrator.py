@@ -577,8 +577,11 @@ def _rejected_bracket(bracket):
     (lambda: shooting.shoot(-1.0, 1.398), 833),
     (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 40_260),
     (lambda: shooting.find_langmuir_orbit(-1.0), 3_126),
-    (lambda: shooting.find_brake_orbit(-1.0), 23_096),
-    # one run per bracket end, to its 3rd rest: 4,150 + 4,342
+    # classification at the coarse stage's tolerance, the coarse stage and
+    # the polish
+    (lambda: shooting.find_brake_orbit(-1.0), 16_292),
+    # one run per bracket end, to its 3rd rest at the given settings:
+    # 4,150 + 4,342
     (lambda: shooting.classify_reflection_count(-1.0), 8_492),
     # a bracket no rest count separates: each end runs once, to 8 rests
     (lambda: _rejected_bracket((0.3, 0.3)), 25_234),
@@ -595,13 +598,13 @@ def _rejected_bracket(bracket):
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
     ), 6_289),
     (lambda: _find_orbit_command("langmuir"), 3_973),
-    (lambda: _find_orbit_command("brake"), 27_435),
+    (lambda: _find_orbit_command("brake"), 20_631),
     # far from E = -1 the searches read their knobs in E = -1 units, so
     # they do E = -1's work
     (lambda: shooting.find_langmuir_orbit(-1000.0), 3_126),
     (lambda: shooting.find_langmuir_orbit(-0.001), 3_126),
-    (lambda: shooting.find_brake_orbit(-1000.0), 23_096),
-    (lambda: shooting.find_brake_orbit(-0.001), 23_096),
+    (lambda: shooting.find_brake_orbit(-1000.0), 16_292),
+    (lambda: shooting.find_brake_orbit(-0.001), 16_292),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
         "classify_reflection_count", "classify_rejected_bracket",
         "check_zero_energy_monotone", "check_magical_prefix",

@@ -218,10 +218,11 @@ def test_each_solver_evaluation_integrates_once(integrate_calls, kind):
 
 @pytest.mark.parametrize("kind", sorted(FINDERS))
 def test_find_orbit_integrates_each_launch_once(integrate_calls, tmp_path, kind):
-    # classification integrates each bracket end once, to its k-th rest;
-    # the solver starts from those arcs, and assembly from the h* arc, so
-    # beyond the retrace each integration is one trace entry (the coarse
-    # root is one entry at each tolerance)
+    # classification integrates each bracket end once, to its k-th rest, at
+    # the coarse stage's tolerance; the coarse stage starts from those
+    # runs' values, and assembly from the h* arc, so beyond the retrace each
+    # integration is one trace entry (the coarse root is one entry at each
+    # tolerance)
     prefix = tmp_path / kind
     argv = ["find-orbit", "--energy", "-1.0", "--kind", kind]
     assert main(argv + ["--out", str(prefix)]) == 0
@@ -279,8 +280,8 @@ class TestResumedRun:
 def test_only_kept_rests_build_an_arc(integrate_calls, monkeypatch):
     # classification and alpha_k read alpha at each rest without building
     # its arc; the brake search builds the arcs of the runs at its own
-    # settings, the two classified ends and the polish, which can hold the
-    # root, and none for the coarse stage
+    # settings, the polish's, which can hold the root, and none for its
+    # classification or coarse stage
     builds = []
     real = shooting._build_trajectory
 
@@ -295,7 +296,96 @@ def test_only_kept_rests_build_an_arc(integrate_calls, monkeypatch):
     integrate_calls.clear()
     shooting.find_brake_orbit(-1.0)
     full = [c for c in integrate_calls if c[1] == IntegratorSettings()]
-    assert 2 < len(builds) == len(full) < len(integrate_calls)
+    assert [run.rel_tol for run in builds] == [c[1].rel_tol for c in full]
+    assert 0 < len(full) < len(integrate_calls)
+
+
+class TestBrakeClassification:
+    """The rest count the brake search picks at the coarse stage's
+    tolerance, against the classifier at the given settings and the
+    fixed-step RK4 of conftest."""
+
+    def test_search_picks_the_given_settings_rest_count(
+        self, rng, monkeypatch
+    ):
+        # find_brake_orbit's k, or its BadBracket, on random brackets is the
+        # one classify_reflection_count finds at the default settings
+        monkeypatch.setattr(shooting, "_find_orbit",
+                            lambda E, bracket, k, *args: k)
+        outcomes = set()
+        for _ in range(10):
+            bracket = tuple(sorted(rng.uniform(0.05, 3.3) for _ in "lh"))
+            try:
+                want = shooting.classify_reflection_count(-1.0, bracket)
+            except BadBracket:
+                want = None
+            outcomes.add(want)
+            if want in (None, 1):
+                with pytest.raises(BadBracket, match=(
+                    "separates" if want is None else "simple orbit"
+                )):
+                    shooting.find_brake_orbit(-1.0, bracket)
+            else:
+                assert shooting.find_brake_orbit(-1.0, bracket) == want
+        # the sample holds a rejected bracket, the simple orbit's and a
+        # brake orbit's
+        assert {None, 1} < outcomes
+
+    def test_end_next_to_the_root_is_classified_at_full_tolerance(
+        self, integrate_calls
+    ):
+        # an end a relative 1e-7 above h*, between h* and the coarse root
+        # (about 1e-6 above it): its coarse alpha_3 has the wrong sign, and
+        # lies within CLASSIFY_MARGIN, so classification runs again at the
+        # given settings
+        bracket = (0.3, H_STAR_BRAKE * (1.0 + 1e-7))
+        rec = shooting.find_brake_orbit(-1.0, bracket)
+        assert rec.kind == "Brake-3"
+        assert abs(rec.h_star - H_STAR_BRAKE) <= 1e-8
+        first = [(s0.y, settings_.rel_tol) for s0, settings_
+                 in integrate_calls[:4]]
+        full = IntegratorSettings().rel_tol
+        assert first == [
+            (bracket[0], pytest.approx(shooting.COARSE_REL_TOL)),
+            (bracket[1], pytest.approx(shooting.COARSE_REL_TOL)),
+            (bracket[0], full),
+            (bracket[1], full),
+        ]
+
+    def test_work_of_a_classified_search(self, integrate_calls):
+        # the default bracket's classification runs at the coarse stage's
+        # tolerance; the only launches at the given settings are the
+        # polish's, the trace's last entries
+        rec = shooting.find_brake_orbit(-1.0)
+        lo, hi = shooting.DEFAULT_BRAKE_BRACKET
+        heights = [s0.y for s0, _ in integrate_calls]
+        tols = [settings_.rel_tol for _, settings_ in integrate_calls]
+        assert heights[:2] == [lo, hi]
+        assert heights == [h for h, _ in rec.solver_trace]
+        n_full = tols.count(IntegratorSettings().rel_tol)
+        assert 0 < n_full < len(tols) - 2
+        assert tols[:-n_full] == pytest.approx(
+            [shooting.COARSE_REL_TOL] * (len(tols) - n_full)
+        )
+        assert not {lo, hi} & set(heights[-n_full:])
+
+    @pytest.mark.parametrize("h, alpha_3", [(0.3, -1.76133), (0.8, 1.98551)])
+    def test_rk4_gives_the_coarse_signs(self, h, alpha_3):
+        # the fixed-step RK4, run to each rest time of the coarse run, ends
+        # with vy of the sign the coarse alpha_k has, for k = 1 to 3, and
+        # alpha_3 has the sign of its full-tolerance value.  Only signs are
+        # compared: the 3rd rest from h = 0.3 lies at y = 0.016, where vy
+        # changes by about 4e3 per unit of time, and the coarse rest time is
+        # 4e-6 off the full-tolerance one
+        coarse = shooting._coarse(IntegratorSettings())
+        s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
+        rests = shooting._rests(-1.0, h, coarse)
+        for k in range(1, 4):
+            t, (_, _, _, alpha) = shooting._next_rest(rests, k).samples[-1]
+            dt = t / math.ceil(t / 1e-4)
+            vy = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, t, dt)[3]
+            assert (vy > 0.0) == (alpha > 0.0)
+        assert (alpha > 0.0) == (alpha_3 > 0.0)
 
 
 def _full_search_only(monkeypatch, error=None):
