@@ -75,23 +75,25 @@ class PolarState:
     pphi: float
 
 
-def _check_upper(x: float, y: float) -> None:
+def _check_upper(y: float) -> None:
+    """DomainError off the half plane y > 0, the origin included; the
+    functions evaluated at every step make the same test in place."""
     if y <= 0.0:
         raise DomainError(f"y must be positive, got {y}")
-    if x == 0.0 and y == 0.0:
-        raise DomainError("(x, y) must not be the origin")
 
 
 def potential(x: float, y: float) -> float:
     """V(x, y) = -4/sqrt(x^2 + y^2) + 1/(2y); attraction by the nucleus
     (charge 2, both mirrored electrons felt) plus mutual repulsion."""
-    _check_upper(x, y)
+    if y <= 0.0:
+        raise DomainError(f"y must be positive, got {y}")
     return -4.0 / math.hypot(x, y) + 0.5 / y
 
 
 def acceleration(x: float, y: float) -> tuple[float, float]:
     """Right-hand side of the second-order equations of motion."""
-    _check_upper(x, y)
+    if y <= 0.0:
+        raise DomainError(f"y must be positive, got {y}")
     r = math.hypot(x, y)
     rho3 = r * r * r
     # grouped so that on the y-axis 8y^3/rho^3 is exactly 1 and the vertical
@@ -174,7 +176,7 @@ def scale_state(s: State, a: float) -> State:
 def invert_state(s: State) -> State:
     """Circle inversion chart: q -> 1/conj(q), p -> -q^2 conj(p) (complex
     notation).  Involutive, preserves the upper half plane; time is kept."""
-    _check_upper(s.x, s.y)
+    _check_upper(s.y)
     q = complex(s.x, s.y)
     p = complex(0.5 * s.vx, 0.5 * s.vy)
     q_new = 1.0 / q.conjugate()
@@ -189,7 +191,8 @@ def inverted_energy_vec(v: Vec) -> float:
     of the state tuple (x, y, vx, vy) living in that chart (p = v/2).
     Vanishes on images of zero-energy states."""
     x, y, vx, vy = v
-    _check_upper(x, y)
+    if y <= 0.0:
+        raise DomainError(f"y must be positive, got {y}")
     r = math.hypot(x, y)
     return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
 
@@ -201,7 +204,8 @@ def inverted_energy(s: State) -> float:
 
 def inverted_acceleration(x: float, y: float) -> tuple[float, float]:
     """v' = -2 grad of the inverted-chart potential -4/r^3 + 1/(2 r^2 y)."""
-    _check_upper(x, y)
+    if y <= 0.0:
+        raise DomainError(f"y must be positive, got {y}")
     r2 = x * x + y * y
     r4 = r2 * r2
     r5 = r4 * math.sqrt(r2)
@@ -213,7 +217,7 @@ def inverted_acceleration(x: float, y: float) -> tuple[float, float]:
 def to_polar(s: State) -> PolarState:
     """Polar chart with momenta conjugate to (r, phi) for the |p|^2 kinetic
     term: p_r = (x vx + y vy)/(2r), p_phi = (x vy - y vx)/2."""
-    _check_upper(s.x, s.y)
+    _check_upper(s.y)
     r = math.hypot(s.x, s.y)
     phi = math.atan2(s.y, s.x)
     pr = (s.x * s.vx + s.y * s.vy) / (2.0 * r)

@@ -10,10 +10,12 @@ step, states come from the step's continuous extension (Dormand & Prince
 1980; the CONTD5 of `dopri5` in Hairer, Norsett & Wanner, Solving ODEs I,
 II.6), a fourth-order interpolant built from the seven stages the step
 already has, at no extra field evaluation.  Requested `sample_times` are
-read from it, so requests never change the step sequence, and events are
-localized by bisecting the sign of a residual on it; the state of a located
-event is then one fifth-order step from the accepted step's start to the
-located time.  Otherwise a run samples the ends of its accepted steps.
+read from it, so requests never change the step sequence.  The step loop
+evaluates each residual and the energy once per accepted step, and bisects
+a residual's sign on the interpolant only where it changes; the state of a
+located event is then one fifth-order step from the accepted step's start
+to the located time.  Otherwise a run samples the ends of its accepted
+steps.
 
 A run stops at the first event of any stop kind: its last sample is the
 event's state, and the events the same step holds after it are dropped.
@@ -261,7 +263,7 @@ def _advance(accel: Accel, y: Vec, h: float, k1: Vec) -> Vec:
     evaluated; the guard stands in for the y > 0 check that evaluation
     would make."""
     y5 = _dp5_stages(accel, y, h, k1)[0]
-    dynamics._check_upper(y5[0], y5[1])
+    dynamics._check_upper(y5[1])
     return y5
 
 
@@ -347,8 +349,6 @@ class _Run:
         self.residuals = {**residuals, EventKind.COLLISION_PROXIMITY: (
             lambda y: min(y[1], math.hypot(y[0], y[1])) - distance)}
         self.stop = stop
-        self.t = t0
-        self.y = y0
         self.samples: list[tuple[float, Vec]] = [(t0, y0)]
         self.events: list[tuple[EventKind, float, Vec]] = []
         self.e0 = energy_fn(y0)
@@ -362,129 +362,131 @@ class _Run:
                                reverse=True)
         self.termination: Optional[EventKind] = None
 
-    def _record_drift(self, y: Vec):
-        d = abs(self.energy_fn(y) - self.e0) / self.e_unit
-        if d > self.drift:
-            self.drift = d
-
-    def _scan_events(self, t0, y0, k1, ks, h_acc, y_new, res, at) -> list:
-        """Events in (t0, t0 + h_acc], in time order; refreshes `res` to
-        the residuals at the step's end.  `at` is the step's interpolant,
-        or None if it is not built yet."""
-        t_new = t0 + h_acc
-        found = []
-        for kind, f in self.residuals.items():
-            r0 = res[kind]
-            r1 = res[kind] = f(y_new)
-            if not ((r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0)):
-                continue
-            if r1 == 0.0:
-                t_ev, y_ev = t_new, y_new
-            else:
-                if at is None:
-                    at = _dense_output(y0, y_new, ks, h_acc)
-                t_ev, y_ev = _bisect(self.accel, f, at, t0, y0, k1, h_acc,
-                                     r0, self.event_tol)
-            found.append((t_ev, kind, y_ev))
-        found.sort(key=lambda item: item[0])
-        return found
-
     def run(self):
         """Step until the run stops: yield the kind of each stop event, and
         the time limit, which ends the run.  Resumed after a stop event, the
         run goes on as though that event had not stopped it, to its next
         stop.  A run with requested times is never resumed: a request at the
         stop event's time is answered by the stop's own sample, which
-        resuming removes."""
-        accel = self.accel
+        resuming removes.
+
+        The loop state lives in locals; the run's `drift` and `termination`
+        are written at each yield, which is where they are read."""
+        accel, energy_fn, e0, e_unit = (self.accel, self.energy_fn, self.e0,
+                                        self.e_unit)
+        abs_q, abs_v, rel_tol = self.abs_q, self.abs_v, self.rel_tol
         h_max, h_min, t_limit = self.h_max, self.h_min, self.t_limit
-        x, y, vx, vy = self.y
-        ax, ay = accel(x, y)
-        k1 = (vx, vy, ax, ay)
-        res = {k: f(self.y) for k, f in self.residuals.items()}
+        event_tol, stop = self.event_tol, self.stop
+        samples, events, requests = self.samples, self.events, self.requests
+        residuals = tuple((i, kind, f) for i, (kind, f)
+                          in enumerate(self.residuals.items()))
+        t, y = samples[0]
+        ax, ay = accel(y[0], y[1])
+        k1 = (y[2], y[3], ax, ay)
+        res = [f(y) for _, _, f in residuals]
         h = min(h_max, self.h_first)
         err_old = 1.0
+        drift = self.drift
         while True:
-            if t_limit - self.t < h_min:
-                self._finish_time_limit()
+            if t_limit - t < h_min:
+                events.append((EventKind.TIME_LIMIT, t, y))
+                self.drift, self.termination = drift, EventKind.TIME_LIMIT
                 yield EventKind.TIME_LIMIT
                 return
-            h = min(h, h_max, t_limit - self.t)
+            # min() and max() calls cost more than the comparisons here
+            if h > h_max:
+                h = h_max
+            if h > t_limit - t:
+                h = t_limit - t
             if h < h_min:
-                raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
+                raise StepUnderflow(t, _vec_to_state(t, y))
 
             try:
-                y5, ks, ratio = _dp5_trial(accel, self.y, h, k1, self.abs_q,
-                                           self.abs_v, self.rel_tol)
+                y5, ks, ratio = _dp5_trial(accel, y, h, k1, abs_q, abs_v,
+                                           rel_tol)
             except DomainError:  # a stage left y > 0: the step is too long
                 ratio = math.inf
-            if not math.isfinite(ratio) or ratio > 1.0:
-                if not math.isfinite(ratio):
-                    h *= 0.2
-                else:
-                    h *= max(0.1, 0.9 * ratio ** -0.2)
+            if not ratio <= 1.0:  # rejected, also when inf or nan
+                h *= max(0.1, 0.9 * ratio ** -0.2) if ratio < math.inf else 0.2
                 if h < h_min:
-                    raise StepUnderflow(self.t, _vec_to_state(self.t, self.y))
+                    raise StepUnderflow(t, _vec_to_state(t, y))
                 continue
 
             # accepted
-            t0, y0, h_acc = self.t, self.y, h
-            t_new, y_new = t0 + h, y5
+            t0, y0 = t, y
+            t, y = t0 + h, y5
             # the latest requested time this step answers: its end, or the
             # time limit when the run ends after it
-            t_last = t_limit if t_limit - t_new < h_min else t_new
+            t_last = t_limit if t_limit - t < h_min else t
             # the interpolant is built only for a step that reads from it
-            if self.requests and self.requests[-1] <= t_last:
+            if requests and requests[-1] <= t_last:
                 at = _dense_output(y0, y5, ks, h)
             else:
                 at = None
-            for t_ev, kind, y_ev in self._scan_events(
-                t0, y0, k1, ks, h_acc, y_new, res, at
-            ):
-                self.events.append((kind, t_ev, y_ev))
-                if kind in self.stop:
-                    self._append_requests(t0, at, t_ev, end_sample=True)
-                    drift = self.drift
-                    self.samples.append((t_ev, y_ev))
-                    self._record_drift(y_ev)
+            # events in (t0, t]: each residual's sign change, bisected on
+            # the interpolant unless the residual is 0 at the step's end
+            found = []
+            for i, kind, f in residuals:
+                r0 = res[i]
+                r1 = res[i] = f(y)
+                if (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0):
+                    if r1 == 0.0:
+                        found.append((t, y, kind))
+                        continue
+                    if at is None:
+                        at = _dense_output(y0, y5, ks, h)
+                    found.append((*_bisect(accel, f, at, t0, y0, k1, h, r0,
+                                           event_tol), kind))
+            if len(found) > 1:
+                found.sort(key=lambda item: item[0])
+            for t_ev, y_ev, kind in found:
+                events.append((kind, t_ev, y_ev))
+                if kind in stop:
+                    if requests and requests[-1] <= t_ev:
+                        drift = self._append_requests(t0, at, t_ev, True,
+                                                      drift)
+                    samples.append((t_ev, y_ev))
+                    d = abs(energy_fn(y_ev) - e0) / e_unit
+                    self.drift = d if d > drift else drift
                     self.termination = kind
                     yield kind
                     # resumed: the stop's sample and drift go, and the run
                     # goes on to its next stop
-                    self.samples.pop()
-                    self.drift = drift
+                    samples.pop()
                     self.termination = None
 
-            self._append_requests(t0, at, t_new, end_sample=True)
-            self.samples.append((t_new, y_new))
-            self._record_drift(y_new)
-            if t_last != t_new:
-                self._append_requests(t0, at, t_last, end_sample=False)
-            self.t, self.y, k1 = t_new, y_new, ks[6]
+            if requests and requests[-1] <= t:
+                drift = self._append_requests(t0, at, t, True, drift)
+            samples.append((t, y))
+            d = abs(energy_fn(y) - e0) / e_unit
+            if d > drift:
+                drift = d
+            if t_last != t and requests and requests[-1] <= t_last:
+                drift = self._append_requests(t0, at, t_last, False, drift)
+            k1 = ks[6]
 
             # PI controller (accepted step)
-            e = max(ratio, 1e-10)
+            e = ratio if ratio >= 1e-10 else 1e-10
             fac = 0.9 * e ** -0.14 * err_old ** 0.08
             err_old = e
-            h = h_acc * min(5.0, max(0.2, fac))
+            h *= 5.0 if fac >= 5.0 else 0.2 if fac <= 0.2 else fac
 
-    def _append_requests(self, t0, at, t_last, end_sample):
+    def _append_requests(self, t0, at, t_last, end_sample, drift):
         """Sample each requested time up to t_last from the interpolant `at`
-        of the step from t0; when `end_sample`, the sample at t_last that
-        ends the span answers a request at that time."""
+        of the step from t0, and return `drift` with the samples' drift;
+        when `end_sample`, the sample at t_last that ends the span answers a
+        request at that time."""
         requests = self.requests
         while requests and requests[-1] <= t_last:
             t = requests.pop()
             if end_sample and t == t_last:
-                return
+                break
             y = at(t - t0)
             self.samples.append((t, y))
-            self._record_drift(y)
-
-    def _finish_time_limit(self):
-        kind = EventKind.TIME_LIMIT
-        self.events.append((kind, self.t, self.y))
-        self.termination = kind
+            d = abs(self.energy_fn(y) - self.e0) / self.e_unit
+            if d > drift:
+                drift = d
+        return drift
 
 
 # State's slot setters: _vec_to_state fills a new instance through them,

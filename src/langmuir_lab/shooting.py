@@ -43,6 +43,7 @@ from .integrator import (
     _integrate,
     _rest_arcs,
     _Run,
+    _vec_to_state,
 )
 
 ALPHA_TOL = 1e-8
@@ -171,37 +172,44 @@ def _quarter(
     return _build_trajectory(_rest_run(E, h, k, settings))
 
 
-def _shoot_run(
+def _shoot(
     E: float, h: float, settings: IntegratorSettings
-) -> tuple[Trajectory, ShootResult]:
-    """shoot()'s integration and result: the launch of _quarter, recording
-    the magical-line crossings, to its first stop.  A run that ends without
-    an x-rest gives a status='NoRest(...)' placeholder result."""
-    traj = _build_trajectory(
-        next(_rests(E, h, settings, {EventKind.MAGICAL_LINE_CROSS}))
-    )
-    if traj.termination is not EventKind.X_VELOCITY_ZERO:
-        return traj, ShootResult(
+) -> tuple[_Run, ShootResult]:
+    """shoot()'s run and result: the launch of _quarter, recording the
+    magical-line crossings, to its first stop, its arc not built.  A run
+    that ends without an x-rest gives a status='NoRest(...)' placeholder
+    result."""
+    run = next(_rests(E, h, settings, {EventKind.MAGICAL_LINE_CROSS}))
+    if run.termination is not EventKind.X_VELOCITY_ZERO:
+        return run, ShootResult(
             h=h,
             t_h=math.nan,
             alpha=math.nan,
-            state_at_th=traj.samples[0],
+            state_at_th=_vec_to_state(*run.samples[0]),
             n_magical_crossings=0,
             energy_drift=math.nan,
-            status=f"NoRest({traj.termination.value})",
+            status=f"NoRest({run.termination.value})",
         )
-    rest = traj.samples[-1]
+    t, rest = run.samples[-1]
     crossings = sum(
-        1 for e in traj.events if e.kind is EventKind.MAGICAL_LINE_CROSS
+        1 for kind, _, _ in run.events if kind is EventKind.MAGICAL_LINE_CROSS
     )
-    return traj, ShootResult(
+    return run, ShootResult(
         h=h,
-        t_h=rest.t,
-        alpha=rest.vy,
-        state_at_th=rest,
+        t_h=t,
+        alpha=rest[3],
+        state_at_th=_vec_to_state(t, rest),
         n_magical_crossings=crossings,
-        energy_drift=traj.max_energy_drift,
+        energy_drift=run.drift,
     )
+
+
+def _shoot_run(
+    E: float, h: float, settings: IntegratorSettings
+) -> tuple[Trajectory, ShootResult]:
+    """_shoot with the run's arc built."""
+    run, res = _shoot(E, h, settings)
+    return _build_trajectory(run), res
 
 
 def shoot(
@@ -210,9 +218,9 @@ def shoot(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> ShootResult:
     """Integrate the horizontal-launch problem to its first x-rest."""
-    traj, res = _shoot_run(E, h, settings)
-    if traj.termination is not EventKind.X_VELOCITY_ZERO:
-        raise NoRest(1, traj.termination.value)
+    run, res = _shoot(E, h, settings)
+    if run.termination is not EventKind.X_VELOCITY_ZERO:
+        raise NoRest(1, run.termination.value)
     return res
 
 
@@ -552,7 +560,7 @@ def scan_alpha(
 ) -> list[ShootResult]:
     """shoot() over a grid, results in grid order; failures become
     status='NoRest' placeholders."""
-    return [_shoot_run(E, h, settings)[1] for h in h_grid]
+    return [_shoot(E, h, settings)[1] for h in h_grid]
 
 
 def default_grid(

@@ -55,15 +55,28 @@ class TestPotential:
         assert dyn.potential(3.0, 4.0) == pytest.approx(-0.675, abs=1e-15)
 
     def test_rejects_lower_half_plane(self):
-        with pytest.raises(DomainError):
-            dyn.potential(1.0, 0.0)
-        with pytest.raises(DomainError):
-            dyn.potential(1.0, -1.0)
-        # and so do both charts' energies
-        s = State(t=0.0, x=1.0, y=-1.0, vx=1.0, vy=1.0)
-        for energy in (dyn.energy, dyn.inverted_energy):
-            with pytest.raises(DomainError):
-                energy(s)
+        # every function of the position that a run evaluates, and both
+        # charts' energies, on the collision line (either zero), below it
+        # and at the origin
+        def state(x, y):
+            return State(t=0.0, x=x, y=y, vx=1.0, vy=1.0)
+
+        checked = {
+            "potential": dyn.potential,
+            "acceleration": dyn.acceleration,
+            "inverted_acceleration": dyn.inverted_acceleration,
+            "magical_line_residual": dyn.magical_line_residual,
+            "energy_vec": lambda x, y: dyn.energy_vec((x, y, 1.0, 1.0)),
+            "inverted_energy_vec":
+                lambda x, y: dyn.inverted_energy_vec((x, y, 1.0, 1.0)),
+            "energy": lambda x, y: dyn.energy(state(x, y)),
+            "inverted_energy": lambda x, y: dyn.inverted_energy(state(x, y)),
+        }
+        for name, f in checked.items():
+            for x, y in ((1.0, 0.0), (1.0, -0.0), (1.0, -1.0), (0.0, 0.0)):
+                with pytest.raises(DomainError) as exc:
+                    f(x, y)
+                assert str(exc.value) == f"y must be positive, got {y}", name
 
     @given(any_x, pos_y)
     def test_even_in_x(self, x, y):

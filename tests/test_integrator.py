@@ -16,6 +16,7 @@ from langmuir_lab.integrator import (
     _advance,
     _dp5_trial,
     _new_run,
+    _vec_to_state,
     integrate,
     integrate_inverted,
 )
@@ -340,11 +341,27 @@ def test_non_finite_steps_are_rejected_until_underflow(bad):
         return 1.0
 
     s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
-    with pytest.raises(StepUnderflow):
-        next(_new_run(accel, energy, s0, IntegratorSettings(), (), (), ())
-             .run())
+    run = _new_run(accel, energy, s0, IntegratorSettings(), (), (), ())
+    with pytest.raises(StepUnderflow) as exc:
+        next(run.run())
     assert len(sampled) > 1
     assert all(math.isfinite(c) for v in sampled for c in v)
+    # the underflow reports the run's last accepted sample, just short of
+    # x = 0.5 (the field is 0 there, so x = t)
+    t, y = run.samples[-1]
+    assert 0.49 < t < 0.5
+    assert exc.value.t == t
+    assert exc.value.state == _vec_to_state(t, y)
+    # stopped short of x = 0.5, the run ends at its time limit, and its
+    # TIME_LIMIT event has its last sample's time and state
+    run = _new_run(accel, energy, s0, IntegratorSettings(t_limit=0.25), (),
+                   (), ())
+    assert next(run.run()) is EventKind.TIME_LIMIT
+    t, y = run.samples[-1]
+    assert t == pytest.approx(0.25, abs=1e-12)
+    assert len(run.samples) > 2
+    assert run.events == [(EventKind.TIME_LIMIT, t, y)]
+    assert run.termination is EventKind.TIME_LIMIT
 
 
 def test_trial_steps_off_the_half_plane_are_rejected(rng):
@@ -615,6 +632,34 @@ def _rejected_bracket(bracket):
 def test_field_evaluations_do_not_grow(field_calls, run, count):
     run()
     assert field_calls[0] == count
+
+
+@pytest.fixture
+def inverted_field_calls(monkeypatch):
+    """Count calls to dynamics.inverted_acceleration, which field_calls does
+    not see; the count is inverted_field_calls[0]."""
+    calls = [0]
+    real = dyn.inverted_acceleration
+
+    def counting(x, y):
+        calls[0] += 1
+        return real(x, y)
+
+    monkeypatch.setattr(dyn, "inverted_acceleration", counting)
+    return calls
+
+
+# Field evaluations of the inverted chart at E = 0, pinned exactly as above.
+# The suite's only inverted run is inverted_concavity's, so run_all_checks
+# makes these 2,113 on top of its 45,803 planar ones.
+@pytest.mark.parametrize("run, count", [
+    (lambda: analysis.check_inverted_concavity(), 2_113),
+    (lambda: analysis.run_all_checks(), 2_113),
+], ids=["check_inverted_concavity", "run_all_checks"])
+def test_inverted_field_evaluations_do_not_grow(inverted_field_calls, run,
+                                                count):
+    run()
+    assert inverted_field_calls[0] == count
 
 
 class TestInvertedChart:

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -622,6 +622,43 @@ class TestRootSolver:
 
 
 class TestScan:
+    # scan_alpha reads its results off the runs, as _shoot_run does before
+    # it builds the run's trajectory; every field of every row agrees with
+    # _shoot_run's and with the result read off that trajectory, the NoRest
+    # placeholders' too (t_limit = 1 stops the upper half of the grid
+    # before its first rest)
+    @pytest.mark.parametrize("E, settings_", [
+        (-1.0, IntegratorSettings()),
+        (-1000.0, IntegratorSettings()),
+        (-1.0, IntegratorSettings(t_limit=1.0)),
+    ], ids=["e-1", "e-1000", "no_rest"])
+    def test_scan_rows_equal_the_shoot_run_results(self, E, settings_):
+        grid = [h / -E for h in shooting.default_grid()]
+        rows = shooting.scan_alpha(E, grid, settings_)
+        runs = [shooting._shoot_run(E, h, settings_) for h in grid]
+        assert len(rows) == len(runs) == len(grid)
+        for h, row, (traj, res) in zip(grid, rows, runs):
+            if traj.termination is EventKind.X_VELOCITY_ZERO:
+                rest = traj.samples[-1]
+                crossings = sum(1 for e in traj.events
+                                if e.kind is EventKind.MAGICAL_LINE_CROSS)
+                want = shooting.ShootResult(h, rest.t, rest.vy, rest,
+                                            crossings, traj.max_energy_drift)
+            else:
+                want = shooting.ShootResult(
+                    h, math.nan, math.nan, traj.samples[0], 0, math.nan,
+                    f"NoRest({traj.termination.value})")
+            for f in fields(want):
+                # repr tells every float bit, nan and -0.0 included
+                got = repr(getattr(row, f.name))
+                assert got == repr(getattr(res, f.name)), f.name
+                assert got == repr(getattr(want, f.name)), f.name
+        statuses = {r.status for r in rows}
+        if settings_.t_limit < 100.0:
+            assert statuses == {"ok", "NoRest(TimeLimit)"}
+        else:
+            assert statuses == {"ok"}
+
     def test_grid_has_one_sign_change(self):
         grid = shooting.default_grid(n=30)
         results = shooting.scan_alpha(-1.0, grid)
