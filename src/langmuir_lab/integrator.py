@@ -67,8 +67,10 @@ class EventKind(str, enum.Enum):
 
 # Smallest step size; a run that needs a smaller one raises StepUnderflow.
 H_MIN = 1e-14
-# Distance from the collision line y = 0 and from the nucleus at which a run
-# stops with COLLISION_PROXIMITY.  Both are read in E = -1 units.
+# Distance from the collision line y = 0 at which a run stops with
+# COLLISION_PROXIMITY, read in E = -1 units.  It needs no nucleus half: the
+# nucleus lies on that line, so a state within the distance of it is within
+# the distance of the line.
 COLLISION_DISTANCE = 1e-6
 # Largest scale of a run over its launch's distance from the nucleus (see
 # the module docstring).
@@ -347,7 +349,7 @@ class _Run:
         self.event_tol = min(1e-12, settings.rel_tol) * a15
         distance = COLLISION_DISTANCE * a
         self.residuals = {**residuals, EventKind.COLLISION_PROXIMITY: (
-            lambda y: min(y[1], math.hypot(y[0], y[1])) - distance)}
+            lambda y: y[1] - distance)}
         self.stop = stop
         self.samples: list[tuple[float, Vec]] = [(t0, y0)]
         self.events: list[tuple[EventKind, float, Vec]] = []
