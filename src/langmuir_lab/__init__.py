@@ -10,10 +10,8 @@ from .dynamics import (
     acceleration,
     energy,
     hill_boundary_sample,
-    hill_contains,
     initial_state,
     invert_state,
-    inverted_energy,
     magical_line_residual,
     potential,
     scale_state,

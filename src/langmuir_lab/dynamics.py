@@ -133,11 +133,6 @@ def magical_line_residual(x: float, y: float) -> float:
     return SQRT3 * y - abs(x)
 
 
-def hill_contains(E: float, x: float, y: float) -> bool:
-    """Whether (x, y) lies in the Hill region {V <= E}."""
-    return potential(x, y) <= E
-
-
 def hill_boundary_sample(E: float, n: int) -> list[tuple[float, float]]:
     """n points on the zero-velocity curve {V = E} in the half-plane y > 0,
     ordered by polar angle (left to right: angle decreasing means x
@@ -195,11 +190,6 @@ def inverted_energy_vec(v: Vec) -> float:
         raise DomainError(f"y must be positive, got {y}")
     r = math.hypot(x, y)
     return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
-
-
-def inverted_energy(s: State) -> float:
-    """inverted_energy_vec of the state s."""
-    return inverted_energy_vec((s.x, s.y, s.vx, s.vy))
 
 
 def inverted_acceleration(x: float, y: float) -> tuple[float, float]:

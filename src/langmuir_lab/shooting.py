@@ -43,7 +43,6 @@ from .integrator import (
     _integrate,
     _rest_arcs,
     _Run,
-    _vec_to_state,
 )
 
 ALPHA_TOL = 1e-8
@@ -71,7 +70,6 @@ class ShootResult:
     h: float
     t_h: float
     alpha: float
-    state_at_th: State
     n_magical_crossings: int
     energy_drift: float
     status: str = "ok"
@@ -185,7 +183,6 @@ def _shoot(
             h=h,
             t_h=math.nan,
             alpha=math.nan,
-            state_at_th=_vec_to_state(*run.samples[0]),
             n_magical_crossings=0,
             energy_drift=math.nan,
             status=f"NoRest({run.termination.value})",
@@ -198,7 +195,6 @@ def _shoot(
         h=h,
         t_h=t,
         alpha=rest[3],
-        state_at_th=_vec_to_state(t, rest),
         n_magical_crossings=crossings,
         energy_drift=run.drift,
     )

@@ -503,10 +503,18 @@ class TestTwoStageSearch:
 # Closed-form laws of the exact flow, checked on random admissible launches.
 
 
+def _first_rest(E, h):
+    """The state at the first x-rest of the horizontal launch from (0, h) at
+    energy E: the last sample of shoot's run."""
+    traj, res = shooting._shoot_run(E, h, IntegratorSettings())
+    assert res.status == "ok"
+    return traj.samples[-1]
+
+
 @settings(max_examples=10, deadline=None)
 @given(**launches)
 def test_first_rest_lies_on_the_energy_shell(E, u):
-    rest = shooting.shoot(E, u / -E).state_at_th
+    rest = _first_rest(E, u / -E)
     assert abs(dyn.energy(rest) - E) <= 1e-8 * -E
 
 
@@ -516,7 +524,7 @@ def test_time_reversal_returns_to_the_launch(E, u):
     h = u / -E
     s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=h))
     res = shooting.shoot(E, h)
-    rest = res.state_at_th
+    rest = _first_rest(E, h)
     back = integrate(
         dyn.State(t=0.0, x=rest.x, y=rest.y, vx=-rest.vx, vy=-rest.vy),
         replace(IntegratorSettings(), t_limit=res.t_h),
@@ -542,7 +550,7 @@ def test_mirrored_launch_rests_at_the_mirrored_state(E, u):
         E, stop={EventKind.X_VELOCITY_ZERO},
     )
     assert traj.termination is EventKind.X_VELOCITY_ZERO
-    rest, ref = traj.samples[-1], res.state_at_th
+    rest, ref = traj.samples[-1], _first_rest(E, h)
     assert abs(rest.t - res.t_h) <= 1e-12
     for got, want in zip(
         (rest.x, rest.y, rest.vx, rest.vy), (-ref.x, ref.y, -ref.vx, ref.vy)
@@ -642,11 +650,11 @@ class TestScan:
                 rest = traj.samples[-1]
                 crossings = sum(1 for e in traj.events
                                 if e.kind is EventKind.MAGICAL_LINE_CROSS)
-                want = shooting.ShootResult(h, rest.t, rest.vy, rest,
-                                            crossings, traj.max_energy_drift)
+                want = shooting.ShootResult(h, rest.t, rest.vy, crossings,
+                                            traj.max_energy_drift)
             else:
                 want = shooting.ShootResult(
-                    h, math.nan, math.nan, traj.samples[0], 0, math.nan,
+                    h, math.nan, math.nan, 0, math.nan,
                     f"NoRest({traj.termination.value})")
             for f in fields(want):
                 # repr tells every float bit, nan and -0.0 included
