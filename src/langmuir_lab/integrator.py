@@ -1,21 +1,25 @@
 """Adaptive embedded Runge-Kutta integration with event detection.
 
 The stepper is a Dormand-Prince 5(4) pair with PI step-size control, written
-out by hand for the 4-component state (x, y, vx, vy).  One trial-step kernel
-computes the stages, the FSAL stage and the scaled error norm that accepts
-or rejects the step; a step whose error or state is not finite, or whose
-stage leaves the half plane y > 0, is rejected, so the step size shrinks
-until it underflows.  Inside an accepted
-step, states come from the step's continuous extension (Dormand & Prince
-1980; the CONTD5 of `dopri5` in Hairer, Norsett & Wanner, Solving ODEs I,
-II.6), a fourth-order interpolant built from the seven stages the step
-already has, at no extra field evaluation.  Requested `sample_times` are
-read from it, so requests never change the step sequence.  The step loop
-evaluates each residual and the energy once per accepted step, and bisects
-a residual's sign on the interpolant only where it changes; the state of a
-located event is then one fifth-order step from the accepted step's start
-to the located time.  Otherwise a run samples the ends of its accepted
-steps.
+out by hand for the 4-component state (x, v) = (x, y, vx, vy) of a
+second-order field x'' = f(x), in Nystrom form (Hairer, Norsett & Wanner,
+Solving ODEs I, II.14): stage i is the acceleration f_i at the position
+x + c_i*h*v + h^2 * sum_m (A.A)_im f_m, and no stage velocity is formed.
+The fifth-order state, the error estimate and the interpolant read the same
+accelerations through the exact products of the tableau.  One trial-step
+kernel computes the stages, the FSAL stage and the scaled error norm that
+accepts or rejects the step; a step whose error or state is not finite, or
+whose stage leaves the half plane y > 0, is rejected, so the step size
+shrinks until it underflows.  Inside an accepted step, states come from the
+step's continuous extension (Dormand & Prince 1980; the CONTD5 of `dopri5`
+in Solving ODEs I, II.6), a fourth-order interpolant built from the seven
+stages the step already has, at no extra field evaluation.  Requested
+`sample_times` are read from it, so requests never change the step
+sequence.  The step loop evaluates each residual and the energy once per
+accepted step, and bisects a residual's sign on the interpolant only where
+it changes; the state of a located event is then one fifth-order step from
+the accepted step's start to the located time.  Otherwise a run samples the
+ends of its accepted steps.
 
 A run stops at the first event of any stop kind: its last sample is the
 event's state, and the events the same step holds after it are dropped.
@@ -36,12 +40,10 @@ the floating-point range raises DomainError.  At E = 0, and in `integrate`
 and `integrate_inverted`, whose states carry no energy level, a = 1.
 
 Two vector fields are integrated with the same machinery: the planar
-two-electron field (second-order form, state (x, y, vx, vy)) and its
-circle-inverted counterpart used for the zero-energy analysis.  The kernel
-takes each field's acceleration (x, y) -> (ax, ay), looked up in `dynamics`
-at the start of every run with the chart's energy, which gives the run's
-drift: a stage is its input's velocity and the acceleration at its input's
-position.
+two-electron field and its circle-inverted counterpart used for the
+zero-energy analysis.  The kernel takes each field's acceleration (x, y) ->
+(ax, ay), looked up in `dynamics` at the start of every run with the
+chart's energy, which gives the run's drift.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from . import dynamics
 from .dynamics import State, Vec
 from .errors import DomainError, StepUnderflow
 
-Accel = Callable[[float, float], tuple[float, float]]
+Pair = tuple[float, float]
+Accel = Callable[[float, float], Pair]
 
 
 class EventKind(str, enum.Enum):
@@ -116,136 +119,102 @@ class Trajectory:
         return None
 
 
-# Dormand-Prince 5(4) tableau.  The 7th stage is FSAL: its input equals the
-# fifth-order solution, so b (order 5) is the last row of A.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-       187 / 2100, 1 / 40)
-_E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), _B4))
-# the same entries by name, for the unrolled step
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-    (_A71, _A72, _A73, _A74, _A75, _A76),
-) = _A[1:]
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
-# dense output: the weights of the stages in the interpolant's last
-# coefficient (the weight of k2 is zero)
-_D1 = -12715105075 / 11282082432
-_D3 = 87487479700 / 32700410799
-_D4 = -10690763975 / 1880347072
-_D5 = 701980252875 / 199316789632
-_D6 = -1453857185 / 822651844
-_D7 = 69997945 / 29380423
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) in Nystrom form.  Its
+# coefficients are the published tableau (c, b, the error weights
+# e = b - bhat and the dense-output weights D) and its exact products: A.A
+# for the stage positions, b.A for the fifth-order position, e.A for the
+# position error and D.A for the interpolant's position.  The 7th stage is
+# FSAL: its input is the fifth-order state, as b is the last row of A.  Zero
+# entries are left out: stage 2 has no acceleration term, and no weight but
+# A.A's reads stage 2.  Each is a literal p / q with p and q below 2^53, so
+# it is correctly rounded; the tests derive every one from the tableau (in
+# `fractions`, which the package does not import, for start-up time).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_AA31 = 9 / 200
+_AA41, _AA42 = -12 / 25, 4 / 5
+_AA51, _AA52, _AA53 = -12248 / 6561, 7208 / 2187, -6784 / 6561
+_AA61, _AA62, _AA63, _AA64 = -533 / 264, 91 / 22, -56 / 33, 7 / 88
+_BA1, _BA3, _BA4, _BA5 = 35 / 384, 50 / 159, 25 / 192, -243 / 6784
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_EA1, _EA3, _EA4, _EA5, _EA6 = (611 / 230400, -514 / 83475, 391 / 38400,
+                                -4617 / 1356800, -11 / 3360)
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
+_DA1, _DA3, _DA4, _DA5, _DA6 = (
+    160283855 / 705130152, -9466935910 / 32700410799,
+    49145585 / 1410260304, -7091803125 / 24914598704,
+    769977395 / 2467955532)
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423)
 
 
-def _dp5_stages(accel: Accel, y: Vec, h: float, k1: Vec):
-    """The fifth-order state and stages 2 to 6 of one step of size h from
-    y: (y5, k2, k3, k4, k5, k6).
+def _dp5_stages(accel: Accel, y: Vec, h: float, k1: Pair):
+    """The fifth-order state and the accelerations of stages 2 to 6 of one
+    step of size h from y = (x, v), k1 being the acceleration at x: (y5,
+    k2, k3, k4, k5, k6).
 
-    The field is second order, so a stage is (vx, vy, *accel(x, y)) of its
-    input: its first two components are the input's velocity itself.  Each
-    stage input is y[j] + h * (0.0 + a_i1*k1[j] + ...): the row's products
-    added left to right onto 0.0, as a running sum adds them, so every bit,
-    signed zeros included, equals that of the generic loop over `_A` that
-    the tests keep as the reference.
+    Stage i is the acceleration at x + c_i*h*v + h^2 * sum_m (A.A)_im k_m;
+    the fifth-order state is (x + h*v + h^2 * sum_m (b.A)_m k_m,
+    v + h * sum_m b_m k_m).  The sums run left to right.
     """
     y0, y1, y2, y3 = y
-    k1_0, k1_1, k1_2, k1_3 = k1
-    k2_0 = y2 + h * (0.0 + _A21 * k1_2)
-    k2_1 = y3 + h * (0.0 + _A21 * k1_3)
-    k2_2, k2_3 = accel(
-        y0 + h * (0.0 + _A21 * k1_0),
-        y1 + h * (0.0 + _A21 * k1_1),
-    )
-    k3_0 = y2 + h * (0.0 + _A31 * k1_2 + _A32 * k2_2)
-    k3_1 = y3 + h * (0.0 + _A31 * k1_3 + _A32 * k2_3)
-    k3_2, k3_3 = accel(
-        y0 + h * (0.0 + _A31 * k1_0 + _A32 * k2_0),
-        y1 + h * (0.0 + _A31 * k1_1 + _A32 * k2_1),
-    )
-    k4_0 = y2 + h * (0.0 + _A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2)
-    k4_1 = y3 + h * (0.0 + _A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3)
-    k4_2, k4_3 = accel(
-        y0 + h * (0.0 + _A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0),
-        y1 + h * (0.0 + _A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
-    )
-    k5_0 = y2 + h * (0.0 + _A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2
-                     + _A54 * k4_2)
-    k5_1 = y3 + h * (0.0 + _A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3
-                     + _A54 * k4_3)
-    k5_2, k5_3 = accel(
-        y0 + h * (0.0 + _A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0
-                  + _A54 * k4_0),
-        y1 + h * (0.0 + _A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1
-                  + _A54 * k4_1),
-    )
-    k6_0 = y2 + h * (0.0 + _A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2
-                     + _A64 * k4_2 + _A65 * k5_2)
-    k6_1 = y3 + h * (0.0 + _A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3
-                     + _A64 * k4_3 + _A65 * k5_3)
-    k6_2, k6_3 = accel(
-        y0 + h * (0.0 + _A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0
-                  + _A64 * k4_0 + _A65 * k5_0),
-        y1 + h * (0.0 + _A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1
-                  + _A64 * k4_1 + _A65 * k5_1),
-    )
+    f1x, f1y = k1
+    p0, p1, hh = h * y2, h * y3, h * h
+    f2x, f2y = accel(y0 + _C2 * p0, y1 + _C2 * p1)
+    f3x, f3y = accel(y0 + _C3 * p0 + hh * (_AA31 * f1x),
+                     y1 + _C3 * p1 + hh * (_AA31 * f1y))
+    f4x, f4y = accel(y0 + _C4 * p0 + hh * (_AA41 * f1x + _AA42 * f2x),
+                     y1 + _C4 * p1 + hh * (_AA41 * f1y + _AA42 * f2y))
+    f5x, f5y = accel(
+        y0 + _C5 * p0 + hh * (_AA51 * f1x + _AA52 * f2x + _AA53 * f3x),
+        y1 + _C5 * p1 + hh * (_AA51 * f1y + _AA52 * f2y + _AA53 * f3y))
+    f6x, f6y = accel(
+        y0 + p0 + hh * (_AA61 * f1x + _AA62 * f2x + _AA63 * f3x
+                        + _AA64 * f4x),
+        y1 + p1 + hh * (_AA61 * f1y + _AA62 * f2y + _AA63 * f3y
+                        + _AA64 * f4y))
     y5 = (
-        y0 + h * (0.0 + _A71 * k1_0 + _A72 * k2_0 + _A73 * k3_0
-                  + _A74 * k4_0 + _A75 * k5_0 + _A76 * k6_0),
-        y1 + h * (0.0 + _A71 * k1_1 + _A72 * k2_1 + _A73 * k3_1
-                  + _A74 * k4_1 + _A75 * k5_1 + _A76 * k6_1),
-        y2 + h * (0.0 + _A71 * k1_2 + _A72 * k2_2 + _A73 * k3_2
-                  + _A74 * k4_2 + _A75 * k5_2 + _A76 * k6_2),
-        y3 + h * (0.0 + _A71 * k1_3 + _A72 * k2_3 + _A73 * k3_3
-                  + _A74 * k4_3 + _A75 * k5_3 + _A76 * k6_3),
+        y0 + p0 + hh * (_BA1 * f1x + _BA3 * f3x + _BA4 * f4x + _BA5 * f5x),
+        y1 + p1 + hh * (_BA1 * f1y + _BA3 * f3y + _BA4 * f4y + _BA5 * f5y),
+        y2 + h * (_B1 * f1x + _B3 * f3x + _B4 * f4x + _B5 * f5x
+                  + _B6 * f6x),
+        y3 + h * (_B1 * f1y + _B3 * f3y + _B4 * f4y + _B5 * f5y
+                  + _B6 * f6y),
     )
-    return (y5, (k2_0, k2_1, k2_2, k2_3), (k3_0, k3_1, k3_2, k3_3),
-            (k4_0, k4_1, k4_2, k4_3), (k5_0, k5_1, k5_2, k5_3),
-            (k6_0, k6_1, k6_2, k6_3))
+    return y5, (f2x, f2y), (f3x, f3y), (f4x, f4y), (f5x, f5y), (f6x, f6y)
 
 
-def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Vec, abs_q: float,
+def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Pair, abs_q: float,
                abs_v: float, rel_tol: float):
     """One trial step of size h from y, whose first stage k1 is already
-    known: (y5, (k1, ..., k7), ratio), k7 being the FSAL stage (the field
-    at y5) and ratio the largest |error| / (abs_tol + rel_tol * max(|y|,
-    |y5|)) over the components, abs_tol being abs_q for the positions and
-    abs_v for the velocities.
+    known: (y5, (k1, ..., k7), ratio), k7 being the FSAL stage (the
+    acceleration at y5) and ratio the largest |error| / (abs_tol + rel_tol
+    * max(|y|, |y5|)) over the components, abs_tol being abs_q for the
+    positions and abs_v for the velocities.
 
-    Each component's error is h * fsum of all seven e_m * k_m terms, the
-    zero-weighted k2 term included, so that every bit equals that of the
-    generic loop over `_E` that the tests keep as the reference.  A step
-    with a non-finite error or y5 component has ratio inf.
+    The position error is h^2 * sum_m (e.A)_m k_m (sum e = 0, so no
+    velocity term), the velocity error h * sum_m e_m k_m.  A step with a
+    non-finite error or y5 component has ratio inf.
     """
     y5, k2, k3, k4, k5, k6 = _dp5_stages(accel, y, h, k1)
     z0, z1, z2, z3 = y5
-    k7_2, k7_3 = accel(z0, z1)
-    k7 = (z2, z3, k7_2, k7_3)
+    k7 = accel(z0, z1)
     ks = (k1, k2, k3, k4, k5, k6, k7)
-    fsum, isfinite = math.fsum, math.isfinite
-    try:
-        e0 = h * fsum((_E1 * k1[0], _E2 * k2[0], _E3 * k3[0], _E4 * k4[0],
-                       _E5 * k5[0], _E6 * k6[0], _E7 * k7[0]))
-        e1 = h * fsum((_E1 * k1[1], _E2 * k2[1], _E3 * k3[1], _E4 * k4[1],
-                       _E5 * k5[1], _E6 * k6[1], _E7 * k7[1]))
-        e2 = h * fsum((_E1 * k1[2], _E2 * k2[2], _E3 * k3[2], _E4 * k4[2],
-                       _E5 * k5[2], _E6 * k6[2], _E7 * k7[2]))
-        e3 = h * fsum((_E1 * k1[3], _E2 * k2[3], _E3 * k3[3], _E4 * k4[3],
-                       _E5 * k5[3], _E6 * k6[3], _E7 * k7[3]))
-    except (ValueError, OverflowError):  # -inf + inf, or a sum past max
-        return y5, ks, math.inf
+    (f1x, f1y), (f3x, f3y), (f4x, f4y), (f5x, f5y), (f6x, f6y), (f7x, f7y) = (
+        k1, k3, k4, k5, k6, k7)
+    hh = h * h
+    e0 = hh * (_EA1 * f1x + _EA3 * f3x + _EA4 * f4x + _EA5 * f5x
+               + _EA6 * f6x)
+    e1 = hh * (_EA1 * f1y + _EA3 * f3y + _EA4 * f4y + _EA5 * f5y
+               + _EA6 * f6y)
+    e2 = h * (_E1 * f1x + _E3 * f3x + _E4 * f4x + _E5 * f5x + _E6 * f6x
+              + _E7 * f7x)
+    e3 = h * (_E1 * f1y + _E3 * f3y + _E4 * f4y + _E5 * f5y + _E6 * f6y
+              + _E7 * f7y)
+    isfinite = math.isfinite
     if not (isfinite(e0) and isfinite(e1) and isfinite(e2) and isfinite(e3)
             and isfinite(z0) and isfinite(z1) and isfinite(z2)
             and isfinite(z3)):
@@ -259,7 +228,7 @@ def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Vec, abs_q: float,
     )
 
 
-def _advance(accel: Accel, y: Vec, h: float, k1: Vec) -> Vec:
+def _advance(accel: Accel, y: Vec, h: float, k1: Pair) -> Vec:
     """The fifth-order state one step of size h > 0 from y: the state of a
     located event.  Nothing steps on from it, so its FSAL stage is not
     evaluated; the guard stands in for the y > 0 check that evaluation
@@ -269,21 +238,41 @@ def _advance(accel: Accel, y: Vec, h: float, k1: Vec) -> Vec:
     return y5
 
 
+def _hermite(a: float, z: float, ha: float, hz: float, d: float):
+    """One component's interpolant coefficients (a, dy, b, c, d) from its
+    values a and z at the step's ends and their derivatives times h."""
+    dy = z - a
+    b = ha - dy
+    return a, dy, b, dy - hz - b, d
+
+
 def _dense_output(y: Vec, y5: Vec, ks, h: float) -> Callable[[float], Vec]:
     """The continuous extension of the step of size h from y to y5 with
     stages ks: tau in [0, h] -> the fourth-order state at the step's start
-    time + tau, y + s*(dy + (1-s)*(b + s*(c + (1-s)*d))) with s = tau/h."""
-    k1, _, k3, k4, k5, k6, k7 = ks
-    coeffs = []
-    for j in range(4):
-        dy = y5[j] - y[j]
-        b = h * k1[j] - dy
-        c = dy - h * k7[j] - b
-        d = h * (_D1 * k1[j] + _D3 * k3[j] + _D4 * k4[j] + _D5 * k5[j]
-                 + _D6 * k6[j] + _D7 * k7[j])
-        coeffs.append((y[j], dy, b, c, d))
-    ((y_0, dy_0, b_0, c_0, d_0), (y_1, dy_1, b_1, c_1, d_1),
-     (y_2, dy_2, b_2, c_2, d_2), (y_3, dy_3, b_3, c_3, d_3)) = coeffs
+    time + tau, y + s*(dy + (1-s)*(b + s*(c + (1-s)*d))) with s = tau/h.
+    A velocity's d is h * sum_m D_m k_m; a position's is h^2 * sum_m
+    (D.A)_m k_m (sum D = 0, so no velocity term)."""
+    (f1x, f1y), _, (f3x, f3y), (f4x, f4y), (f5x, f5y), (f6x, f6y), (
+        f7x, f7y) = ks
+    x0, x1, v0, v1 = y
+    z0, z1, w0, w1 = y5
+    hh = h * h
+    y_0, dy_0, b_0, c_0, d_0 = _hermite(
+        x0, z0, h * v0, h * w0,
+        hh * (_DA1 * f1x + _DA3 * f3x + _DA4 * f4x + _DA5 * f5x
+              + _DA6 * f6x))
+    y_1, dy_1, b_1, c_1, d_1 = _hermite(
+        x1, z1, h * v1, h * w1,
+        hh * (_DA1 * f1y + _DA3 * f3y + _DA4 * f4y + _DA5 * f5y
+              + _DA6 * f6y))
+    y_2, dy_2, b_2, c_2, d_2 = _hermite(
+        v0, w0, h * f1x, h * f7x,
+        h * (_D1 * f1x + _D3 * f3x + _D4 * f4x + _D5 * f5x + _D6 * f6x
+             + _D7 * f7x))
+    y_3, dy_3, b_3, c_3, d_3 = _hermite(
+        v1, w1, h * f1y, h * f7y,
+        h * (_D1 * f1y + _D3 * f3y + _D4 * f4y + _D5 * f5y + _D6 * f6y
+             + _D7 * f7y))
 
     def at(tau: float) -> Vec:
         s = tau / h
@@ -299,7 +288,7 @@ def _dense_output(y: Vec, y5: Vec, ks, h: float) -> Callable[[float], Vec]:
 
 
 def _bisect(
-    accel: Accel, f, at, t0: float, y0: Vec, k1: Vec, span: float,
+    accel: Accel, f, at, t0: float, y0: Vec, k1: Pair, span: float,
     r_lo: float, event_tol: float,
 ) -> tuple[float, Vec]:
     """Bisect the sign change of residual f over (t0, t0 + span), probing
@@ -383,8 +372,7 @@ class _Run:
         residuals = tuple((i, kind, f) for i, (kind, f)
                           in enumerate(self.residuals.items()))
         t, y = samples[0]
-        ax, ay = accel(y[0], y[1])
-        k1 = (y[2], y[3], ax, ay)
+        k1 = accel(y[0], y[1])
         res = [f(y) for _, _, f in residuals]
         h = min(h_max, self.h_first)
         err_old = 1.0

@@ -9,6 +9,7 @@ cross-check, not a tautology.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -53,22 +54,63 @@ def rk4_fixed(x, y, vx, vy, t_end, dt):
     return x, y, vx, vy
 
 
+# The published Dormand-Prince 5(4) tableau (Dormand & Prince 1980; Hairer,
+# Norsett & Wanner, Solving ODEs I, II.5), exact: the stage matrix A, whose
+# 7th row is the fifth-order weights b (the FSAL stage), the fourth-order
+# weights BHAT, and the weights D of the last coefficient of the continuous
+# extension (the CONTD5 of dopri5, ibid. II.6).  Rows are padded with zeros
+# to 7 columns.
+def _rows(*rows):
+    return tuple(tuple(Fraction(*w) for w in row) + (Fraction(0),)
+                 * (7 - len(row)) for row in rows)
+
+
+DP5_A = _rows(
+    (),
+    ((1, 5),),
+    ((3, 40), (9, 40)),
+    ((44, 45), (-56, 15), (32, 9)),
+    ((19372, 6561), (-25360, 2187), (64448, 6561), (-212, 729)),
+    ((9017, 3168), (-355, 33), (46732, 5247), (49, 176), (-5103, 18656)),
+    ((35, 384), (0,), (500, 1113), (125, 192), (-2187, 6784), (11, 84)),
+)
+(DP5_BHAT, DP5_D) = _rows(
+    ((5179, 57600), (0,), (7571, 16695), (393, 640), (-92097, 339200),
+     (187, 2100), (1, 40)),
+    ((-12715105075, 11282082432), (0,), (87487479700, 32700410799),
+     (-10690763975, 1880347072), (701980252875, 199316789632),
+     (-1453857185, 822651844), (69997945, 29380423)),
+)
+DP5_B = DP5_A[6]
+DP5_C = tuple(sum(row) for row in DP5_A)
+DP5_E = tuple(b - bh for b, bh in zip(DP5_B, DP5_BHAT))
+
+
+def _times_a(w):
+    """The row vector w.A, exact."""
+    return tuple(sum(w[i] * DP5_A[i][m] for i in range(7)) for m in range(7))
+
+
+# The exact products the Nystrom form reads: stage i's position weights
+# (A.A)_i, the fifth-order position's b.A (row 7 of A.A), and the position
+# parts of the error estimate and of the interpolant's last coefficient.
+DP5_AA = tuple(_times_a(row) for row in DP5_A)
+DP5_EA = _times_a(DP5_E)
+DP5_DA = _times_a(DP5_D)
+
+
 def dp5_reference_step(rhs, y, h, k1):
-    """One Dormand-Prince 5(4) step by the generic tableau loop over the
-    package's `_A`; returns (y5, [k1, ..., k7]).
+    """One Dormand-Prince 5(4) step of the first-order field rhs by the
+    generic loop over the tableau; returns (y5, [k1, ..., k7]).
 
     Each stage input is y[j] + h * (running total of a_im * k_m[j] from 0,
-    left to right): the arithmetic of the loop the package stepped with
-    before its step was unrolled.  That loop used sum(), which adds the
-    same way up to Python 3.11; 3.12 made float sum() compensated, so the
-    total is written out with reduce().
+    left to right).  The total is written out with reduce(), as float
+    sum() is compensated from Python 3.12 on.
     """
-    from langmuir_lab.integrator import _A
-
     ks = [k1]
     yi = y
     for i in range(1, 7):
-        ai = _A[i]
+        ai = [float(w) for w in DP5_A[i]]
         yi = tuple(
             y[j] + h * reduce(add, (ai[m] * ks[m][j] for m in range(i)), 0)
             for j in range(len(y))
@@ -77,27 +119,58 @@ def dp5_reference_step(rhs, y, h, k1):
     return yi, ks  # yi after the loop is the fifth-order solution
 
 
-def dp5_reference_error_ratio(y, y5, ks, h, abs_tols, rel_tol):
-    """The scaled error norm of a step by the generic loop over the
-    package's `_E`: the largest h * |sum_m e_m * k_m[j]| / (abs_tols[j] +
-    rel_tol * max(|y[j]|, |y5[j]|)), the arithmetic the package's step
-    control used before its norm was unrolled.  A step with a non-finite
-    error or y5 component, or whose sum fsum cannot form, has norm inf.
+def _weighted(ws, ks, j):
+    """The sum of float(w_m) * ks[m][j] over the nonzero exact weights
+    w_m, left to right, or None when there is none."""
+    terms = [float(w) * k[j] for w, k in zip(ws, ks) if w]
+    return reduce(add, terms) if terms else None
+
+
+def nystrom_reference_step(accel, y, h, k1):
+    """One step of the same pair in Nystrom form, for the second-order
+    field x'' = accel(x) with y = (x, v), by the generic loop over the
+    exact products of the tableau; returns (y5, [k1, ..., k6]), each k_m
+    the acceleration at stage m.
+
+    Stage i's input position is x + c_i*(h*v) + (h*h) * sum_m (A.A)_im k_m
+    (the last term only where some (A.A)_im is nonzero), the fifth-order
+    state (x + h*v + (h*h) * sum_m (b.A)_m k_m, v + h * sum_m b_m k_m); each
+    sum runs left to right over the nonzero weights.
     """
-    from langmuir_lab.integrator import _E
+    hh = h * h
 
+    def position(i, ks):
+        out = []
+        for j in range(2):
+            p = y[j] + float(DP5_C[i]) * (h * y[j + 2])
+            s = _weighted(DP5_AA[i], ks, j)
+            out.append(p if s is None else p + hh * s)
+        return out
+
+    ks = [k1]
+    for i in range(1, 6):
+        ks.append(accel(*position(i, ks)))
+    y5 = (*position(6, ks),
+          *(y[j + 2] + h * _weighted(DP5_B, ks, j) for j in range(2)))
+    return y5, ks
+
+
+def nystrom_reference_error_ratio(y, y5, ks, h, abs_tols, rel_tol):
+    """The scaled error norm of a Nystrom step with accelerations ks (k7
+    at y5 included): the largest |err_j| / (abs_tols[j] + rel_tol *
+    max(|y[j]|, |y5[j]|)), where a position's err is (h*h) * sum_m
+    (e.A)_m k_m and a velocity's h * sum_m e_m k_m, sums left to right over
+    the nonzero weights.  A step with a non-finite error or y5 component has
+    norm inf."""
+    errs = ([h * h * _weighted(DP5_EA, ks, j) for j in range(2)]
+            + [h * _weighted(DP5_E, ks, j) for j in range(2)])
+    if not all(map(math.isfinite, errs + list(y5))):
+        return math.inf
     worst = 0.0
-    for j in range(len(y)):
-        try:
-            err = h * math.fsum(_E[m] * ks[m][j] for m in range(7))
-        except (ValueError, OverflowError):
-            return math.inf
-        if not (math.isfinite(err) and math.isfinite(y5[j])):
-            return math.inf
+    for j in range(4):
         scale = abs_tols[j] + rel_tol * max(abs(y[j]), abs(y5[j]))
-        worst = max(worst, abs(err) / scale)
+        worst = max(worst, abs(errs[j]) / scale)
     return worst
-
 
 
 def trajectory_bits(traj):

@@ -192,7 +192,7 @@ class TestFindOrbit:
         assert rc == 0
         doc = json.loads((tmp_path / "brake.orbit.json").read_text())
         assert doc["kind"] == "Brake-3"
-        assert abs(doc["h_star"] * -E / 0.3312553369 - 1.0) <= 1e-8
+        assert abs(doc["h_star"] * -E / 0.33125533690417354682 - 1.0) <= 1e-8
 
     def test_brake_bracket_holding_simple_orbit(self, capsys):
         rc = main(

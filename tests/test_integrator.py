@@ -22,9 +22,17 @@ from langmuir_lab.integrator import (
 )
 
 from conftest import (
-    dp5_reference_error_ratio,
+    DP5_A,
+    DP5_AA,
+    DP5_C,
+    DP5_D,
+    DP5_DA,
+    DP5_E,
+    DP5_EA,
     dp5_reference_step,
     launches,
+    nystrom_reference_error_ratio,
+    nystrom_reference_step,
     rest_cuts,
     rk4_fixed,
     trajectory_bits,
@@ -267,7 +275,8 @@ class TestStopRule:
 
 def _first_order(accel):
     """The field of the state (x, y, vx, vy) whose acceleration is `accel`,
-    in the first-order form (vx, vy, ax, ay) the reference step takes."""
+    in the first-order form (vx, vy, ax, ay) the first-order reference step
+    takes."""
 
     def rhs(v):
         ax, ay = accel(v[0], v[1])
@@ -276,13 +285,17 @@ def _first_order(accel):
     return rhs
 
 
-_langmuir_rhs = _first_order(dyn.acceleration)
-
-
 def _reference_trial(accel, y, h, k1, abs_q, abs_v, rel_tol):
-    y5, ks = dp5_reference_step(_first_order(accel), y, h, k1)
-    return y5, ks, dp5_reference_error_ratio(
+    y5, ks = nystrom_reference_step(accel, y, h, k1)
+    ks.append(accel(y5[0], y5[1]))
+    return y5, ks, nystrom_reference_error_ratio(
         y, y5, ks, h, (abs_q, abs_q, abs_v, abs_v), rel_tol)
+
+
+def _reference_advance(accel, y, h, k1):
+    y5 = nystrom_reference_step(accel, y, h, k1)[0]
+    dyn._check_upper(y5[1])
+    return y5
 
 
 def _trial_bits(trial, accel, y, h, a):
@@ -292,35 +305,125 @@ def _trial_bits(trial, accel, y, h, a):
     strings (so signed zeros count), or the error it raised."""
     st_ = IntegratorSettings()
     try:
-        k1 = _first_order(accel)(y)
-        y5, ks, ratio = trial(accel, y, h, k1, st_.abs_tol * a,
-                              st_.abs_tol / math.sqrt(a), st_.rel_tol)
+        y5, ks, ratio = trial(accel, y, h, accel(y[0], y[1]),
+                              st_.abs_tol * a, st_.abs_tol / math.sqrt(a),
+                              st_.rel_tol)
     except (ArithmeticError, DomainError) as exc:
         return repr(exc)
     return ([v.hex() for v in y5] + [v.hex() for k in ks for v in k]
             + [ratio.hex()])
 
 
+def _advance_bits(advance, accel, y, h):
+    """The state of one event-locating step, as float.hex strings, or the
+    error it raised."""
+    try:
+        return [v.hex() for v in advance(accel, y, h, accel(y[0], y[1]))]
+    except (ArithmeticError, DomainError) as exc:
+        return repr(exc)
+
+
+def _decades(lo, hi):
+    """Floats of either sign whose magnitude is 10**e, e uniform on
+    [lo, hi]."""
+    return st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(lo, hi),
+                     st.sampled_from([1.0, -1.0]))
+
+
 @pytest.mark.parametrize("accel",
                          [dyn.acceleration, dyn.inverted_acceleration],
                          ids=["langmuir", "inverted"])
 @settings(max_examples=300, deadline=None)
+# uniform draws, and draws spread over decades: a stage position's last
+# bits hold those of its acceleration sum only where h^2 * f is not small
+# beside x + c*h*v, which uniform draws seldom give
 @given(
-    x=st.floats(min_value=-4.0, max_value=4.0),
-    y=st.floats(min_value=0.0, max_value=4.0, exclude_min=True),
-    vx=st.floats(min_value=-10.0, max_value=10.0),
-    vy=st.floats(min_value=-10.0, max_value=10.0),
-    h=st.floats(min_value=1e-14, max_value=0.1),
+    x=st.floats(min_value=-4.0, max_value=4.0) | _decades(-4.0, 0.6),
+    y=(st.floats(min_value=0.0, max_value=4.0, exclude_min=True)
+       | _decades(-4.0, 0.6).map(abs)),
+    vx=st.floats(min_value=-10.0, max_value=10.0) | _decades(-3.0, 1.0),
+    vy=st.floats(min_value=-10.0, max_value=10.0) | _decades(-3.0, 1.0),
+    h=(st.floats(min_value=1e-14, max_value=0.1)
+       | _decades(-8.0, -1.0).map(abs)),
     a=st.sampled_from([1.0, 1e-3, 1e3]),
 )
-# a -0.0 component whose stage increments are all -0.0: the running sum
-# from 0 makes the stage input +0.0
+# signed zeros: a -0.0 position or velocity component
 @example(x=-0.0, y=1.0, vx=-0.0, vy=1.0, h=0.1, a=1.0)
 @example(x=0.0, y=2.0, vx=-0.0, vy=-0.0, h=0.1, a=1.0)
 def test_unrolled_step_matches_the_tableau_loop(accel, x, y, vx, vy, h, a):
+    # the kernel's trial step and the event-locating _advance against the
+    # generic Nystrom loop over the exact products of the tableau, bit for
+    # bit
     state = (x, y, vx, vy)
     assert (_trial_bits(_dp5_trial, accel, state, h, a)
             == _trial_bits(_reference_trial, accel, state, h, a))
+    assert (_advance_bits(_advance, accel, state, h)
+            == _advance_bits(_reference_advance, accel, state, h))
+
+
+def _assert_the_two_forms_agree(accel, traj):
+    # over every accepted step of the run: the fifth-order state and the
+    # error estimate of the Nystrom reference step against those of the
+    # first-order tableau loop, to 64 units of rounding of each sum's
+    # largest terms
+    eps = 64 * 2.0 ** -52
+    e = [float(w) for w in DP5_E]
+    for a, b in zip(traj.samples, traj.samples[1:]):
+        y, h = _vec(a), b.t - a.t
+        k1 = accel(y[0], y[1])
+        y5, ks = nystrom_reference_step(accel, y, h, k1)
+        ks.append(accel(y5[0], y5[1]))
+        err = nystrom_reference_error_ratio(y, y5, ks, h, (1.0,) * 4, 0.0)
+        z5, ls = dp5_reference_step(_first_order(accel), y, h, (*y[2:], *k1))
+        for j in range(4):
+            terms = [abs(k[j]) for k in ls]
+            assert abs(y5[j] - z5[j]) <= eps * (abs(y[j]) + h * sum(terms))
+        # the error norm at unit abs_tol and no rel_tol is the largest
+        # |error| itself
+        first = max(abs(h * sum(w * k[j] for w, k in zip(e, ls)))
+                    for j in range(4))
+        assert abs(err - first) <= eps * h * max(
+            sum(abs(w * k[j]) for w, k in zip(e, ls)) for j in range(4))
+
+
+@settings(max_examples=10, deadline=None)
+@given(**launches)
+def test_the_nystrom_step_agrees_with_the_first_order_step(E, u):
+    # the reference pair that pins the kernel is the published first-order
+    # method: on the steps a run takes, the two references agree to
+    # rounding
+    s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
+    _assert_the_two_forms_agree(
+        dyn.acceleration, integrate(s0, stop={EventKind.X_VELOCITY_ZERO}))
+
+
+def test_the_nystrom_step_agrees_with_the_first_order_step_inverted():
+    # the same on the inverted chart's run of TestInvertedChart
+    s0 = dyn.invert_state(dyn.initial_state(ProblemSpec(E=0.0, h=1.0)))
+    _assert_the_two_forms_agree(
+        dyn.inverted_acceleration,
+        integrate_inverted(s0, IntegratorSettings(t_limit=0.3)))
+
+
+def test_coefficients_are_the_exact_products_of_the_tableau():
+    # every coefficient literal of the kernel is the float of its exact
+    # product, and every nonzero product has its literal
+    want = {f"_C{i + 1}": DP5_C[i] for i in range(1, 5)}
+    for name, ws in (("_BA", DP5_AA[6]), ("_B", DP5_A[6]), ("_EA", DP5_EA),
+                     ("_E", DP5_E), ("_DA", DP5_DA), ("_D", DP5_D)):
+        want.update((f"{name}{m + 1}", w) for m, w in enumerate(ws) if w)
+    for i in range(2, 6):
+        want.update((f"_AA{i + 1}{m + 1}", w)
+                    for m, w in enumerate(DP5_AA[i]) if w)
+    names = {n for n in vars(integrator)
+             if n.rstrip("0123456789") in ("_C", "_AA", "_BA", "_B", "_EA",
+                                           "_E", "_DA", "_D")}
+    assert names == set(want)
+    for name, w in want.items():
+        assert getattr(integrator, name) == float(w), name
+    # stage 2 has no acceleration term; stages 6 and 7 have c = 1
+    assert not any(DP5_AA[1]) and DP5_C[5] == DP5_C[6] == 1
+    assert sum(DP5_E) == sum(DP5_D) == 0
 
 
 @pytest.mark.parametrize("bad", [
@@ -405,7 +508,7 @@ def test_requested_samples_agree_with_a_fifth_order_step(E, u):
                       sample_times=[t for _, ts in spans for t in ts])
     by_t = {s.t: s for s in asked.samples}
     for start, times in spans:
-        k1 = _langmuir_rhs(_vec(start))
+        k1 = dyn.acceleration(start.x, start.y)
         for t in times:
             want = _advance(dyn.acceleration, _vec(start), t - start.t, k1)
             err = max(abs(a - b) for a, b in zip(_vec(by_t[t]), want))
@@ -417,9 +520,9 @@ def test_requested_samples_agree_with_a_fifth_order_step(E, u):
 @example(E=-1.0, u=0.5)  # a magical-line crossing after the rest, same step
 def test_event_state_is_one_fifth_order_step(E, u):
     # each event state is the output of one _advance, from the start of its
-    # step to the event time, and the tableau loop of the reference step
-    # reproduces it bit for bit (events located past the stop event in the
-    # last step make calls that no event keeps)
+    # step to the event time, and the Nystrom reference step reproduces it
+    # bit for bit (events located past the stop event in the last step make
+    # calls that no event keeps)
     calls = {}
 
     def recording(accel, y, h, k1):
@@ -438,7 +541,8 @@ def test_event_state_is_one_fifth_order_step(E, u):
         start = [s for s in traj.samples if s.t < ev.t][-1]
         assert _hexes(y) == _hexes(_vec(start))
         assert start.t + tau == ev.t
-        ref = dp5_reference_step(_langmuir_rhs, y, tau, _langmuir_rhs(y))[0]
+        ref = nystrom_reference_step(dyn.acceleration, y, tau,
+                                     dyn.acceleration(y[0], y[1]))[0]
         assert _hexes(ref) == _hexes(_vec(ev.state))
 
 
@@ -449,7 +553,7 @@ def test_event_state_off_the_half_plane_raises():
         return (0.0, 0.0)
 
     with pytest.raises(DomainError):
-        _advance(falling, (0.0, 0.5, 0.0, -1.0), 1.0, (0.0, -1.0, 0.0, 0.0))
+        _advance(falling, (0.0, 0.5, 0.0, -1.0), 1.0, (0.0, 0.0))
 
 
 def _state_bits(s):

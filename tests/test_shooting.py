@@ -26,10 +26,34 @@ from langmuir_lab.integrator import (
 
 from conftest import launches, rest_cuts, rk4_fixed, trajectory_bits
 
-# zeros of the shooting functional, frozen from converged bisection runs
-H_STAR_E1 = 1.4070602237
-T_QUARTER_E1 = 1.0619636445
-H_STAR_BRAKE = 0.3312553369
+# Reference values at E = -1 that owe nothing to this integrator: a
+# 25-digit Taylor-series integration (mpmath 1.3.0's odefun).  The zeros of
+# alpha and alpha_3, the quarter period, and alpha at the ends of
+# DEFAULT_BRACKET and alpha_3 at those of DEFAULT_BRAKE_BRACKET, keyed by
+# (h, k).
+H_STAR_E1 = 1.4070602237456081289
+T_QUARTER_E1 = 1.0619636445200052397
+H_STAR_BRAKE = 0.33125533690417354682
+BRACKET_END_ALPHAS = {
+    (0.5, 1): 2.63291920512661,
+    (3.0, 1): -1.82706130327770,
+    (0.3, 3): -1.76133180721038,
+    (0.8, 3): 1.98550663029369,
+}
+# Tolerances.  ALPHA_ERR bounds the integration error of alpha_k at the
+# default settings: a search that stops at |alpha_k| <= ALPHA_TOL is only
+# that good if the error is well below ALPHA_TOL, and the bracket ends
+# check the bound (their errors are 4e-12 to 2.6e-10).  So a root the
+# search returns is off the true one by at most (ALPHA_TOL + ALPHA_ERR) /
+# |dalpha_k/dh| to first order; |dalpha/dh| at h* is 3.62 and
+# |dalpha_3/dh| at the brake h* is 47.3 (central differences), of which
+# the bounds take 3.5 and 45.  T moves with h* at dT/dh = 0.603 (taken as
+# 0.65), plus its own error: the rest time's vx error, at most ALPHA_ERR,
+# over |ax| = 3.06 there (taken as 3).
+ALPHA_ERR = 0.1 * shooting.ALPHA_TOL
+H_STAR_TOL = (shooting.ALPHA_TOL + ALPHA_ERR) / 3.5  # 3.1e-9
+H_STAR_BRAKE_TOL = (shooting.ALPHA_TOL + ALPHA_ERR) / 45.0  # 2.4e-10
+T_QUARTER_TOL = 0.65 * H_STAR_TOL + ALPHA_ERR / 3.0  # 2.4e-9
 
 
 class TestShoot:
@@ -57,13 +81,38 @@ class TestShoot:
         assert a == pytest.approx(shooting.shoot(-1.0, 1.2).alpha, abs=1e-12)
 
     def test_zero_energy_launch(self):
-        # a = 1 at E = 0: the knobs are read as given (values frozen before
-        # the knobs were read in E = -1 units)
+        # a = 1 at E = 0: the knobs are read as given, so shoot's run is
+        # integrate's run of the same launch, which carries no energy
+        # level, bit for bit
         res = shooting.shoot(0.0, 1.0)
-        assert (res.t_h, res.alpha) == (3.324631968359623, 1.5568144834542668)
-        assert res.n_magical_crossings == 2
-        assert res.energy_drift == 8.797296224827278e-12
-        assert shooting.alpha_k(0.0, 1.0, 1) == 1.5568144834542668
+        s0 = dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0))
+        traj = integrate(s0, watch={EventKind.MAGICAL_LINE_CROSS},
+                         stop={EventKind.X_VELOCITY_ZERO})
+        rest = traj.samples[-1]
+        crossings = [e for e in traj.events
+                     if e.kind is EventKind.MAGICAL_LINE_CROSS]
+        assert traj.termination is EventKind.X_VELOCITY_ZERO
+        assert ((res.t_h.hex(), res.alpha.hex(), res.energy_drift.hex())
+                == (rest.t.hex(), rest.vy.hex(),
+                    traj.max_energy_drift.hex()))
+        assert res.n_magical_crossings == len(crossings) == 2
+        assert shooting.alpha_k(0.0, 1.0, 1).hex() == res.alpha.hex()
+        # and the fixed-step RK4 comes to the same rest at t_h
+        n = math.ceil(res.t_h / 1e-4)
+        x, y, vx, vy = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, res.t_h,
+                                 res.t_h / n)
+        assert abs(vx) <= 1e-9
+        assert abs(vy - res.alpha) <= 1e-9
+
+    @pytest.mark.parametrize("h, k", list(BRACKET_END_ALPHAS))
+    def test_bracket_end_alphas(self, h, k):
+        # the ends of the default brackets, which the sign changes behind
+        # both orbits rest on
+        ends = {(h_, 1) for h_ in shooting.DEFAULT_BRACKET}
+        ends |= {(h_, 3) for h_ in shooting.DEFAULT_BRAKE_BRACKET}
+        assert set(BRACKET_END_ALPHAS) == ends
+        alpha = shooting.alpha_k(-1.0, h, k)
+        assert abs(alpha - BRACKET_END_ALPHAS[h, k]) <= ALPHA_ERR
 
     def test_alpha_k_rejects_bad_count(self):
         with pytest.raises(ValueError):
@@ -75,11 +124,11 @@ class TestLangmuirOrbit:
         self.rec = shooting.find_langmuir_orbit(-1.0)
 
     def test_height(self):
-        assert abs(self.rec.h_star - H_STAR_E1) <= 1e-8
+        assert abs(self.rec.h_star - H_STAR_E1) <= H_STAR_TOL
         assert abs(self.rec.h_star - 1.398) <= 0.02
 
     def test_quarter_period(self):
-        assert abs(self.rec.quarter_period - T_QUARTER_E1) <= 1e-6
+        assert abs(self.rec.quarter_period - T_QUARTER_E1) <= T_QUARTER_TOL
 
     def test_touch_is_a_full_stop(self):
         assert abs(self.rec.alpha_residual) <= shooting.ALPHA_TOL
@@ -130,14 +179,14 @@ class TestBrakeOrbit:
     def test_brake_orbit_found(self):
         rec = shooting.find_brake_orbit(-1.0)
         assert rec.kind == "Brake-3"
-        assert abs(rec.h_star - H_STAR_BRAKE) <= 1e-8
+        assert abs(rec.h_star - H_STAR_BRAKE) <= H_STAR_BRAKE_TOL
         lo, hi = shooting.DEFAULT_BRAKE_BRACKET
         assert lo < rec.h_star < hi
         assert math.sqrt(rec.touch_state.speed2()) <= shooting.TOUCH_SPEED_TOL
 
     def test_explicit_rest_count_matches_classifier(self):
         rec = shooting.find_brake_orbit(-1.0, k=3)
-        assert abs(rec.h_star - H_STAR_BRAKE) <= 1e-8
+        assert abs(rec.h_star - H_STAR_BRAKE) <= H_STAR_BRAKE_TOL
 
     def test_bracket_holding_simple_orbit_rejected(self):
         with pytest.raises(BadBracket, match="simple orbit"):
@@ -341,7 +390,7 @@ class TestBrakeClassification:
         bracket = (0.3, H_STAR_BRAKE * (1.0 + 1e-7))
         rec = shooting.find_brake_orbit(-1.0, bracket)
         assert rec.kind == "Brake-3"
-        assert abs(rec.h_star - H_STAR_BRAKE) <= 1e-8
+        assert abs(rec.h_star - H_STAR_BRAKE) <= H_STAR_BRAKE_TOL
         first = [(s0.y, settings_.rel_tol) for s0, settings_
                  in integrate_calls[:4]]
         full = IntegratorSettings().rel_tol
