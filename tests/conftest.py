@@ -58,11 +58,12 @@ def rk4_fixed(x, y, vx, vy, t_end, dt):
 # Norsett & Wanner, Solving ODEs I, II.5), exact: the stage matrix A, whose
 # 7th row is the fifth-order weights b (the FSAL stage), the fourth-order
 # weights BHAT, and the weights D of the last coefficient of the continuous
-# extension (the CONTD5 of dopri5, ibid. II.6).  Rows are padded with zeros
-# to 7 columns.
+# extension (the CONTD5 of dopri5, ibid. II.6).
 def _rows(*rows):
-    return tuple(tuple(Fraction(*w) for w in row) + (Fraction(0),)
-                 * (7 - len(row)) for row in rows)
+    """Rows of Fractions from (p, q) pairs, padded with zeros to 7
+    columns."""
+    return tuple(tuple(Fraction(*w) for w in row)
+                 + (Fraction(0),) * (7 - len(row)) for row in rows)
 
 
 DP5_A = _rows(
