@@ -104,9 +104,12 @@ def acceleration(x: float, y: float) -> tuple[float, float]:
 
 def energy_vec(v: Vec) -> float:
     """Total energy |v|^2/4 + V(x, y) of the state tuple (x, y, vx, vy);
-    conserved by the exact flow."""
+    conserved by the exact flow.  V is computed inline, as potential()
+    computes it."""
     x, y, vx, vy = v
-    return 0.25 * (vx * vx + vy * vy) + potential(x, y)
+    if y <= 0.0:
+        raise DomainError(f"y must be positive, got {y}")
+    return 0.25 * (vx * vx + vy * vy) + (-4.0 / math.hypot(x, y) + 0.5 / y)
 
 
 def energy(s: State) -> float:

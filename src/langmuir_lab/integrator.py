@@ -214,18 +214,52 @@ def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Pair, abs_q: float,
               + _E7 * f7x)
     e3 = h * (_E1 * f1y + _E3 * f3y + _E4 * f4y + _E5 * f5y + _E6 * f6y
               + _E7 * f7y)
-    isfinite = math.isfinite
-    if not (isfinite(e0) and isfinite(e1) and isfinite(e2) and isfinite(e3)
-            and isfinite(z0) and isfinite(z1) and isfinite(z2)
-            and isfinite(z3)):
-        return y5, ks, math.inf
+    # |e| and |y5| by comparison, not abs(); nan fails every comparison, so
+    # it stays nan, and then fails `< inf` as inf does
+    if e0 < 0.0:
+        e0 = -e0
+    if e1 < 0.0:
+        e1 = -e1
+    if e2 < 0.0:
+        e2 = -e2
+    if e3 < 0.0:
+        e3 = -e3
+    if z0 < 0.0:
+        z0 = -z0
+    if z1 < 0.0:
+        z1 = -z1
+    if z2 < 0.0:
+        z2 = -z2
+    if z3 < 0.0:
+        z3 = -z3
+    inf = math.inf
+    if not (e0 < inf and e1 < inf and e2 < inf and e3 < inf and z0 < inf
+            and z1 < inf and z2 < inf and z3 < inf):
+        return y5, ks, inf
     y0, y1, y2, y3 = y
-    return y5, ks, max(
-        abs(e0) / (abs_q + rel_tol * max(abs(y0), abs(z0))),
-        abs(e1) / (abs_q + rel_tol * max(abs(y1), abs(z1))),
-        abs(e2) / (abs_v + rel_tol * max(abs(y2), abs(z2))),
-        abs(e3) / (abs_v + rel_tol * max(abs(y3), abs(z3))),
-    )
+    # the largest quotient, from 0.0, so that it is never -0.0
+    ratio = 0.0
+    if y0 < 0.0:
+        y0 = -y0
+    q = e0 / (abs_q + rel_tol * (z0 if z0 > y0 else y0))
+    if q > ratio:
+        ratio = q
+    if y1 < 0.0:
+        y1 = -y1
+    q = e1 / (abs_q + rel_tol * (z1 if z1 > y1 else y1))
+    if q > ratio:
+        ratio = q
+    if y2 < 0.0:
+        y2 = -y2
+    q = e2 / (abs_v + rel_tol * (z2 if z2 > y2 else y2))
+    if q > ratio:
+        ratio = q
+    if y3 < 0.0:
+        y3 = -y3
+    q = e3 / (abs_v + rel_tol * (z3 if z3 > y3 else y3))
+    if q > ratio:
+        ratio = q
+    return y5, ks, ratio
 
 
 def _advance(accel: Accel, y: Vec, h: float, k1: Pair) -> Vec:
@@ -414,12 +448,15 @@ class _Run:
             else:
                 at = None
             # events in (t0, t]: each residual's sign change, bisected on
-            # the interpolant unless the residual is 0 at the step's end
-            found = []
+            # the interpolant unless the residual is 0 at the step's end;
+            # `found` is made only for a step that has one
+            found = None
             for i, kind, f in residuals:
                 r0 = res[i]
                 r1 = res[i] = f(y)
                 if (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0):
+                    if found is None:
+                        found = []
                     if r1 == 0.0:
                         found.append((t, y, kind))
                         continue
@@ -427,28 +464,32 @@ class _Run:
                         at = _dense_output(y0, y5, ks, h)
                     found.append((*_bisect(accel, f, at, t0, y0, k1, h, r0,
                                            event_tol), kind))
-            if len(found) > 1:
-                found.sort(key=lambda item: item[0])
-            for t_ev, y_ev, kind in found:
-                events.append((kind, t_ev, y_ev))
-                if kind in stop:
-                    if requests and requests[-1] <= t_ev:
-                        drift = self._append_requests(t0, at, t_ev, True,
-                                                      drift)
-                    samples.append((t_ev, y_ev))
-                    d = abs(energy_fn(y_ev) - e0) / e_unit
-                    self.drift = d if d > drift else drift
-                    self.termination = kind
-                    yield kind
-                    # resumed: the stop's sample and drift go, and the run
-                    # goes on to its next stop
-                    samples.pop()
-                    self.termination = None
+            if found is not None:
+                if len(found) > 1:
+                    found.sort(key=lambda item: item[0])
+                for t_ev, y_ev, kind in found:
+                    events.append((kind, t_ev, y_ev))
+                    if kind in stop:
+                        if requests and requests[-1] <= t_ev:
+                            drift = self._append_requests(t0, at, t_ev, True,
+                                                          drift)
+                        samples.append((t_ev, y_ev))
+                        d = energy_fn(y_ev) - e0
+                        d = (-d if d < 0.0 else d) / e_unit
+                        self.drift = d if d > drift else drift
+                        self.termination = kind
+                        yield kind
+                        # resumed: the stop's sample and drift go, and the
+                        # run goes on to its next stop
+                        samples.pop()
+                        self.termination = None
 
             if requests and requests[-1] <= t:
                 drift = self._append_requests(t0, at, t, True, drift)
             samples.append((t, y))
-            d = abs(energy_fn(y) - e0) / e_unit
+            # |drift| by comparison, not abs()
+            d = energy_fn(y) - e0
+            d = (-d if d < 0.0 else d) / e_unit
             if d > drift:
                 drift = d
             if t_last != t and requests and requests[-1] <= t_last:
@@ -473,7 +514,8 @@ class _Run:
                 break
             y = at(t - t0)
             self.samples.append((t, y))
-            d = abs(self.energy_fn(y) - self.e0) / self.e_unit
+            d = self.energy_fn(y) - self.e0
+            d = (-d if d < 0.0 else d) / self.e_unit
             if d > drift:
                 drift = d
         return drift
@@ -498,14 +540,21 @@ def _vec_to_state(t: float, y: Vec) -> State:
     return s
 
 
+def _magical_line_residual(y: Vec) -> float:
+    """dynamics.magical_line_residual of the state y in one call, |x| by
+    comparison.  Location probes are interpolated states, which nothing has
+    checked, so it raises DomainError on y <= 0 as that does."""
+    x, q = y[0], y[1]
+    if q <= 0.0:
+        raise DomainError(f"y must be positive, got {q}")
+    return dynamics.SQRT3 * q - (-x if x < 0.0 else x)
+
+
 # Defining residual of each locatable event kind, a function of the state
 # alone: an event is a sign change of its residual.
 _RESIDUALS: dict[EventKind, Callable[[Vec], float]] = {
     EventKind.X_VELOCITY_ZERO: lambda y: y[2],
-    # bisection probes are interpolated states, which nothing has checked;
-    # magical_line_residual raises DomainError itself on y <= 0
-    EventKind.MAGICAL_LINE_CROSS:
-        lambda y: dynamics.magical_line_residual(y[0], y[1]),
+    EventKind.MAGICAL_LINE_CROSS: _magical_line_residual,
 }
 
 

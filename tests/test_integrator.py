@@ -459,6 +459,48 @@ def test_non_finite_steps_are_rejected_until_underflow(bad):
     assert run.termination is EventKind.TIME_LIMIT
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("component", [0, 1], ids=["ax", "ay"])
+@pytest.mark.parametrize("stage", range(7))
+def test_a_non_finite_stage_gives_an_infinite_error_norm(stage, component,
+                                                         bad):
+    # the error norm's finiteness test is made of comparisons, which nan
+    # fails silently: a field that is non-finite in one component at
+    # exactly one of the seven stages (stage 0 is k1, passed in) still
+    # gives ratio inf, and the same field without the bad value does not
+    def accel(x, y):
+        calls.append(None)
+        a = [-x, -y]
+        if len(calls) - 1 == bad_stage:
+            a[component] = bad
+        return tuple(a)
+
+    y = (0.3, 1.0, -0.2, 0.5)
+    for bad_stage, finite in ((stage, False), (None, True)):
+        calls = []
+        ratio = _dp5_trial(accel, y, 0.01, accel(y[0], y[1]), 1e-12, 1e-12,
+                           1e-10)[2]
+        assert len(calls) == 7
+        assert (ratio < math.inf) is finite
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]),
+       y=st.floats(-1.0, 10.0))
+def test_magical_line_residual_of_a_state(x, y):
+    # the integrator's one-call residual is dynamics.magical_line_residual
+    # bit for bit, and raises DomainError where it does (y <= 0)
+    f = integrator._RESIDUALS[EventKind.MAGICAL_LINE_CROSS]
+    try:
+        want = dyn.magical_line_residual(x, y).hex()
+    except DomainError:
+        with pytest.raises(DomainError):
+            f((x, y, 1.0, 1.0))
+        return
+    assert f((x, y, 1.0, 1.0)).hex() == want
+
+
 def test_trial_steps_off_the_half_plane_are_rejected(rng):
     # fast states near the collision line y = 0: the first trial step
     # (1e-3) takes a stage of many of them below y = 0, which the field
