@@ -16,10 +16,12 @@ in Solving ODEs I, II.6), a fourth-order interpolant built from the seven
 stages the step already has, at no extra field evaluation.  Requested
 `sample_times` are read from it, so requests never change the step
 sequence.  The step loop evaluates each residual and the energy once per
-accepted step, and bisects a residual's sign on the interpolant only where
-it changes; the state of a located event is then one fifth-order step from
-the accepted step's start to the located time.  Otherwise a run samples the
-ends of its accepted steps.
+accepted step.  Only where a residual changes sign does it locate the
+change on the interpolant, by the Brent-Dekker routine the orbit search
+also uses, from the residual's values at the step's ends; the state of a
+located event is then one fifth-order step from the accepted step's start
+to the located time.  Otherwise a run samples the ends of its accepted
+steps.
 
 A run stops at the first event of any stop kind: its last sample is the
 event's state, and the events the same step holds after it are dropped.
@@ -50,12 +52,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import dynamics
 from .dynamics import State, Vec
-from .errors import DomainError, StepUnderflow
+from .errors import DomainError, NoConvergence, StepUnderflow
 
 Pair = tuple[float, float]
 Accel = Callable[[float, float], Pair]
@@ -78,6 +81,12 @@ COLLISION_DISTANCE = 1e-6
 # Largest scale of a run over its launch's distance from the nucleus (see
 # the module docstring).
 MAX_SCALE_RATIO = 100.0
+# Evaluation budget of an event's location: Brent-Dekker takes at most the
+# square of the bisection's count (Brent 1973, ch. 4), and bisection halves
+# a step to its event time tolerance in fewer than 64 probes wherever h_max
+# over min(1e-12, rel_tol) is below 2^63 (by default it is 1e11)
+_LOCATE_MAX_ITER = 64 * 64
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -321,23 +330,85 @@ def _dense_output(y: Vec, y5: Vec, ks, h: float) -> Callable[[float], Vec]:
     return at
 
 
-def _bisect(
-    accel: Accel, f, at, t0: float, y0: Vec, k1: Pair, span: float,
-    r_lo: float, event_tol: float,
-) -> tuple[float, Vec]:
-    """Bisect the sign change of residual f over (t0, t0 + span), probing
-    the states of the step's interpolant `at`; the located state is one
-    fifth-order step from (t0, y0)."""
-    lo, hi = 0.0, span
-    sign_lo = r_lo > 0.0
-    while hi - lo > event_tol:
-        mid = 0.5 * (lo + hi)
-        r_mid = f(at(mid))
-        if (r_mid > 0.0) == sign_lo and r_mid != 0.0:
-            lo = mid
+def _brent(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+    f_tol: float, x_tol: float, max_iter: int,
+    trace: Optional[list[tuple[float, float]]] = None,
+) -> tuple[float, float, float]:
+    """Brent-Dekker root finding (Brent 1973, Algorithms for Minimization
+    without Derivatives, ch. 4) between a and b, whose values fa and fb are
+    given and differ in sign: inverse quadratic interpolation or secant
+    steps, with bisection whenever they would not shrink the bracket fast
+    enough.  Each evaluation (x, f(x)) is appended to `trace` if one is
+    given.
+
+    Returns (b, f(b), c).  Either b is the first evaluation where |f| <=
+    f_tol, and c is not meaningful, or the bracket [b, c] (in either order)
+    has shrunk to within 2 * (x_tol + 2 * eps * |b|) with f(b) and f(c) of
+    opposite signs and |f(b)| the smaller.  Raises NoConvergence after
+    max_iter evaluations."""
+    lo, hi = a, b
+    # b: the latest point; c: the bracket's other end, f(c) of opposite
+    # sign; a: the point before b
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        # the smallest step that moves b; x_tol > 0 keeps it nonzero at 0
+        tol = 2.0 * _EPS * abs(b) + x_tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b, fb, c
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m  # bisection
         else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if trace is not None:
+            trace.append((b, fb))
+        if abs(fb) <= f_tol:
+            return b, fb, c
+    raise NoConvergence(
+        f"|residual| > {f_tol} after {max_iter} iterations on [{lo}, {hi}]"
+    )
+
+
+def _locate(
+    accel: Accel, f, at, t0: float, y0: Vec, k1: Pair, h: float,
+    r0: float, r1: float, event_tol: float,
+) -> tuple[float, Vec]:
+    """The time and state of the sign change of residual f over the step of
+    size h from (t0, y0), f being r0 at its start and r1, of the opposite
+    sign and nonzero, at its end.  `_brent` locates it on the step's
+    interpolant `at`, to the midpoint of a bracket within event_tol (or to
+    a probe where f is 0); r1 is the residual of the fifth-order state, not
+    of at(h), which can round away from it.  The located state is one
+    fifth-order step from (t0, y0)."""
+    tau, r, other = _brent(lambda tau: f(at(tau)), 0.0, h, r0, r1, 0.0,
+                           0.5 * event_tol, _LOCATE_MAX_ITER)
+    if r != 0.0:
+        tau = 0.5 * (tau + other)
     return t0 + tau, _advance(accel, y0, tau, k1)
 
 
@@ -447,7 +518,7 @@ class _Run:
                 at = _dense_output(y0, y5, ks, h)
             else:
                 at = None
-            # events in (t0, t]: each residual's sign change, bisected on
+            # events in (t0, t]: each residual's sign change, located on
             # the interpolant unless the residual is 0 at the step's end;
             # `found` is made only for a step that has one
             found = None
@@ -462,8 +533,8 @@ class _Run:
                         continue
                     if at is None:
                         at = _dense_output(y0, y5, ks, h)
-                    found.append((*_bisect(accel, f, at, t0, y0, k1, h, r0,
-                                           event_tol), kind))
+                    found.append((*_locate(accel, f, at, t0, y0, k1, h, r0,
+                                           r1, event_tol), kind))
             if found is not None:
                 if len(found) > 1:
                     found.sort(key=lambda item: item[0])
@@ -551,7 +622,8 @@ def _magical_line_residual(y: Vec) -> float:
 
 
 # Defining residual of each locatable event kind, a function of the state
-# alone: an event is a sign change of its residual.
+# alone: an event is a sign change of its residual.  Location probes read
+# these on interpolated states (see _magical_line_residual).
 _RESIDUALS: dict[EventKind, Callable[[Vec], float]] = {
     EventKind.X_VELOCITY_ZERO: lambda y: y[2],
     EventKind.MAGICAL_LINE_CROSS: _magical_line_residual,

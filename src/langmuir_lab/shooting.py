@@ -39,6 +39,7 @@ from .integrator import (
     EventKind,
     IntegratorSettings,
     Trajectory,
+    _brent,
     _build_trajectory,
     _integrate,
     _rest_arcs,
@@ -239,13 +240,14 @@ def _solve_bracketed(
     trace: list[tuple[float, float]],
     f_ends: Optional[tuple[float, float]] = None,
 ) -> tuple[float, float]:
-    """Brent-Dekker root finding (Brent 1973, Algorithms for Minimization
-    without Derivatives, ch. 4): inverse quadratic interpolation or secant
-    steps, with bisection whenever they would not shrink the bracket fast
-    enough.  It stops at the first point where |f| <= tol_f, so the result
-    is a bracket end or the latest evaluation.  `f_ends` are f(lo) and
-    f(hi) when they are already known; they are neither evaluated again nor
-    traced."""
+    """The orbit search's root of f on [lo, hi] by `integrator._brent`,
+    from the bracket ends' values: the first point where |f| <= tol_f, so
+    the result is a bracket end or the latest evaluation.  Every evaluation
+    is appended to `trace`.  `f_ends` are f(lo) and f(hi) when they are
+    already known; they are neither evaluated again nor traced.  Raises
+    BadBracket when f(lo) and f(hi) have the same sign, and NoConvergence
+    when the bracket shrinks to rounding first, or after max_iter
+    evaluations."""
     if f_ends is None:
         fa, fb = f(lo), f(hi)
         trace += [(lo, fa), (hi, fb)]
@@ -259,53 +261,15 @@ def _solve_bracketed(
         raise BadBracket(
             f"no sign change on [{lo}, {hi}]: f(lo)={fa}, f(hi)={fb}"
         )
-    # b: the latest point; c: the bracket's other end, f(c) of opposite
-    # sign; a: the point before b
-    a, b = lo, hi
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        # the smallest step that moves b; the floor keeps it nonzero at 0
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + sys.float_info.min
-        m = 0.5 * (c - b)
-        if abs(m) <= tol:
-            raise NoConvergence(
-                f"|residual| > {tol_f} on [{lo}, {hi}]: the bracket has "
-                f"shrunk to [{min(b, c)}, {max(b, c)}]"
-            )
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m  # bisection
-        else:
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        trace.append((b, fb))
-        if abs(fb) <= tol_f:
-            return b, fb
-    raise NoConvergence(
-        f"|residual| > {tol_f} after {max_iter} iterations on [{lo}, {hi}]"
-    )
+    # the smallest float as x_tol: the bracket shrinks to rounding
+    b, fb, c = _brent(f, lo, hi, fa, fb, tol_f, sys.float_info.min, max_iter,
+                      trace)
+    if abs(fb) > tol_f:
+        raise NoConvergence(
+            f"|residual| > {tol_f} on [{lo}, {hi}]: the bracket has "
+            f"shrunk to [{min(b, c)}, {max(b, c)}]"
+        )
+    return b, fb
 
 
 def _coarse(settings: IntegratorSettings) -> Optional[IntegratorSettings]:

@@ -580,6 +580,72 @@ def test_event_state_is_one_fifth_order_step(E, u):
         assert _hexes(ref) == _hexes(_vec(ev.state))
 
 
+def _record_locations(mp):
+    """Record each event `integrator._locate` locates, with what it was
+    given: (residual, interpolant, t0, h, r0, event_tol, located time)."""
+    located = []
+    real = integrator._locate
+
+    def recording(accel, f, at, t0, y0, k1, h, r0, r1, event_tol):
+        t_ev, y_ev = real(accel, f, at, t0, y0, k1, h, r0, r1, event_tol)
+        located.append((f, at, t0, h, r0, event_tol, t_ev))
+        return t_ev, y_ev
+
+    mp.setattr(integrator, "_locate", recording)
+    return located
+
+
+def _bisection_oracle(g, h, r0):
+    """The sign change of g on [0, h], g(0) having the sign of r0: 200
+    plain halvings, which leave [lo, hi] at adjacent floats, lo on r0's
+    side and hi on the other or at a zero."""
+    lo, hi = 0.0, h
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r = g(mid)
+        if (r > 0.0) == (r0 > 0.0) and r != 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _assert_located_as_bisection_locates(located):
+    # every located time lies in (t0, t] and within event_tol / 2 of the
+    # sign change that bisection of the same residual on the same step's
+    # interpolant finds, to the rounding of t0 + tau and Brent-Dekker's
+    # floor of 4 eps |tau| on the bracket's width (8 ulps of t in all)
+    assert located
+    for f, at, t0, h, r0, event_tol, t_ev in located:
+        t = t0 + h
+        assert t0 < t_ev <= t
+        tau = _bisection_oracle(lambda tau: f(at(tau)), h, r0)
+        assert abs(t_ev - (t0 + tau)) <= event_tol / 2 + 8 * math.ulp(t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**launches)
+@example(E=-1.0, u=0.5)  # a magical-line crossing after the rest, same step
+def test_events_are_located_as_bisection_locates_them(E, u):
+    with pytest.MonkeyPatch.context() as mp:
+        located = _record_locations(mp)
+        s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
+        traj = integrate(s0, watch={EventKind.MAGICAL_LINE_CROSS},
+                         stop={EventKind.X_VELOCITY_ZERO})
+    assert traj.termination is EventKind.X_VELOCITY_ZERO
+    _assert_located_as_bisection_locates(located)
+
+
+def test_collision_is_located_as_bisection_locates_it():
+    # the straight fall onto the nucleus, stopped at collision proximity
+    with pytest.MonkeyPatch.context() as mp:
+        located = _record_locations(mp)
+        traj = integrate(State(t=0.0, x=0.0, y=2.0, vx=0.0, vy=0.0))
+    assert traj.termination is EventKind.COLLISION_PROXIMITY
+    assert len(located) == 1
+    _assert_located_as_bisection_locates(located)
+
+
 def test_event_state_off_the_half_plane_raises():
     # _advance skips the FSAL field evaluation that would have rejected a
     # state with y <= 0, so it checks that itself
@@ -770,6 +836,41 @@ def _rejected_bracket(bracket):
 def test_field_evaluations_do_not_grow(field_calls, run, count):
     run()
     assert field_calls[0] == count
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Count the states read from step interpolants (event location probes
+    and requested samples) by wrapping integrator._dense_output; the count
+    is probes[0]."""
+    calls = [0]
+    real = integrator._dense_output
+
+    def counting_output(*args):
+        at = real(*args)
+
+        def counting(tau):
+            calls[0] += 1
+            return at(tau)
+
+        return counting
+
+    monkeypatch.setattr(integrator, "_dense_output", counting_output)
+    return calls
+
+
+# Interpolant probes at E = -1, pinned exactly as the field evaluations
+# above.  None of these runs requests samples, so every probe locates an
+# event.
+@pytest.mark.parametrize("run, count", [
+    (lambda: shooting.shoot(-1.0, 1.398), 7),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 344),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 36),
+    (lambda: shooting.find_brake_orbit(-1.0), 134),
+], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit"])
+def test_location_probes_do_not_grow(probes, run, count):
+    run()
+    assert probes[0] == count
 
 
 @pytest.fixture
