@@ -44,6 +44,7 @@ from .integrator import (
     _integrate,
     _rest_arcs,
     _Run,
+    _vec_to_state,
 )
 
 ALPHA_TOL = 1e-8
@@ -622,13 +623,11 @@ def assemble_periodic_orbit(
     # time reversal: t in (T, 2T]
     for s in reversed(fwd):
         samples.append(
-            State(t=2.0 * T - s.t, x=s.x, y=s.y, vx=-s.vx, vy=-s.vy)
+            _vec_to_state(2.0 * T - s.t, (s.x, s.y, -s.vx, -s.vy))
         )
     # x-reflection of the first half: t in (2T, 4T]
-    for s in list(samples[1:]):
-        samples.append(
-            State(t=2.0 * T + s.t, x=-s.x, y=s.y, vx=-s.vx, vy=s.vy)
-        )
+    for s in samples[1:]:
+        samples.append(_vec_to_state(2.0 * T + s.t, (-s.x, s.y, -s.vx, s.vy)))
     return Trajectory(
         samples=tuple(samples),
         events=quarter.events,
