@@ -86,7 +86,6 @@ MAX_SCALE_RATIO = 100.0
 # a step to its event time tolerance in fewer than 64 probes wherever h_max
 # over min(1e-12, rel_tol) is below 2^63 (by default it is 1e11)
 _LOCATE_MAX_ITER = 64 * 64
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -360,7 +359,7 @@ def _brent(
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         # the smallest step that moves b; x_tol > 0 keeps it nonzero at 0
-        tol = 2.0 * _EPS * abs(b) + x_tol
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + x_tol
         m = 0.5 * (c - b)
         if abs(m) <= tol:
             return b, fb, c
