@@ -68,7 +68,8 @@ def _settings(args, config: dict) -> IntegratorSettings:
     values = dict(config)
     if getattr(args, "tol", None) is not None:
         values["rel_tol"] = args.tol
-        values["abs_tol"] = min(values.get("abs_tol", 1e-12), args.tol * 1e-2)
+        values["abs_tol"] = min(
+            values.get("abs_tol", IntegratorSettings.abs_tol), args.tol * 1e-2)
     if getattr(args, "t_limit", None) is not None:
         values["t_limit"] = args.t_limit
     return IntegratorSettings(**values)

@@ -412,49 +412,39 @@ def _locate(
 
 
 class _Run:
-    """One adaptive integration; collects samples and events."""
+    """One adaptive integration of the field `accel` from s0, launched at
+    the energy level E (None: at none); collects samples and events.  The
+    run records the events of every kind in `watch` or `stop`, and stops at
+    the first of any kind in `stop`, at the first collision proximity, and
+    at the time limit."""
 
     def __init__(
         self,
         accel: Accel,
         energy_fn: Callable[[Vec], float],
-        y0: Vec,
-        t0: float,
+        s0: State,
         settings: IntegratorSettings,
-        residuals: dict[EventKind, Callable[[Vec], float]],
-        stop: set[EventKind],
+        watch: Iterable[EventKind],
+        stop: Iterable[EventKind],
         sample_times: Sequence[float],
-        E: Optional[float],
+        E: Optional[float] = None,
     ):
-        self.accel = accel
-        self.energy_fn = energy_fn
-        # the knobs in the units of the run's scale (see the module docstring)
-        a = (min(-1.0 / E, MAX_SCALE_RATIO * math.hypot(y0[0], y0[1])) if E
-             else 1.0)
-        sqrt_a = math.sqrt(a)
-        a15 = a * sqrt_a  # a^3/2, the unit of time
-        self.rel_tol = settings.rel_tol
-        self.abs_q, self.abs_v = settings.abs_tol * a, settings.abs_tol / sqrt_a
-        self.h_first, self.h_max, self.h_min, self.t_limit = (
-            v * a15 for v in (1e-3, settings.h_max, H_MIN, settings.t_limit))
-        if not (0.0 < self.h_min and max(self.h_max, self.t_limit) < math.inf):
-            raise DomainError(f"time unit {a15} out of range at E={E}")
-        self.event_tol = min(1e-12, settings.rel_tol) * a15
-        distance = COLLISION_DISTANCE * a
-        self.residuals = {**residuals, EventKind.COLLISION_PROXIMITY: (
-            lambda y: y[1] - distance)}
-        self.stop = stop
-        self.samples: list[tuple[float, Vec]] = [(t0, y0)]
+        if isinstance(stop, Mapping):
+            raise TypeError(
+                f"stop takes event kinds, each ending the run at its first "
+                f"event, not a mapping: {stop!r}"
+            )
+        if s0.y <= 0.0:
+            raise DomainError(f"initial state must have y > 0, got y={s0.y}")
+        self.accel, self.energy_fn, self.settings, self.E = (
+            accel, energy_fn, settings, E)
+        self.stop = {*stop, EventKind.COLLISION_PROXIMITY}
+        self.watch = {*watch, *self.stop}
+        self.sample_times = sample_times
+        self.samples: list[tuple[float, Vec]] = [
+            (s0.t, (s0.x, s0.y, s0.vx, s0.vy))]
         self.events: list[tuple[EventKind, float, Vec]] = []
-        self.e0 = energy_fn(y0)
-        # drift is relative to the launch energy, but in the unit of energy
-        # 1/a when the launch has less than half of it (at or near E = 0,
-        # or far inside -1/E)
-        self.e_unit = abs(self.e0) if abs(self.e0) * a > 0.5 else 1.0 / a
         self.drift = 0.0
-        # requested times still to come, latest first, so pop() is the next
-        self.requests = sorted({s for s in sample_times if s > t0},
-                               reverse=True)
         self.termination: Optional[EventKind] = None
 
     def run(self):
@@ -465,20 +455,59 @@ class _Run:
         stop event's time is answered by the stop's own sample, which
         resuming removes.
 
-        The loop state lives in locals; the run's `drift` and `termination`
-        are written at each yield, which is where they are read."""
-        accel, energy_fn, e0, e_unit = (self.accel, self.energy_fn, self.e0,
-                                        self.e_unit)
-        abs_q, abs_v, rel_tol = self.abs_q, self.abs_v, self.rel_tol
-        h_max, h_min, t_limit = self.h_max, self.h_min, self.t_limit
-        event_tol, stop = self.event_tol, self.stop
-        samples, events, requests = self.samples, self.events, self.requests
-        residuals = tuple((i, kind, f) for i, (kind, f)
-                          in enumerate(self.residuals.items()))
+        The knobs, in the units of the run's scale (see the module
+        docstring), and the loop state live in locals; the run's `drift` and
+        `termination` are written at each yield, which is where they are
+        read.  A time unit out of the floating-point range raises
+        DomainError at the first step."""
+        accel, energy_fn, settings, E = (self.accel, self.energy_fn,
+                                         self.settings, self.E)
+        stop, samples, events = self.stop, self.samples, self.events
         t, y = samples[0]
+        a = (min(-1.0 / E, MAX_SCALE_RATIO * math.hypot(y[0], y[1])) if E
+             else 1.0)
+        sqrt_a = math.sqrt(a)
+        a15 = a * sqrt_a  # a^3/2, the unit of time
+        rel_tol = settings.rel_tol
+        abs_q, abs_v = settings.abs_tol * a, settings.abs_tol / sqrt_a
+        h_first, h_max, h_min, t_limit = (
+            v * a15 for v in (1e-3, settings.h_max, H_MIN, settings.t_limit))
+        if not (0.0 < h_min and max(h_max, t_limit) < math.inf):
+            raise DomainError(f"time unit {a15} out of range at E={E}")
+        event_tol = min(1e-12, rel_tol) * a15
+        distance = COLLISION_DISTANCE * a
+        residuals = tuple((i, kind, f) for i, (kind, f) in enumerate(
+            [(kind, f) for kind, f in _RESIDUALS.items() if kind in self.watch]
+            + [(EventKind.COLLISION_PROXIMITY, lambda y: y[1] - distance)]))
+        e0 = energy_fn(y)
+        # drift is relative to the launch energy, but in the unit of energy
+        # 1/a when the launch has less than half of it (at or near E = 0,
+        # or far inside -1/E)
+        e_unit = abs(e0) if abs(e0) * a > 0.5 else 1.0 / a
+        # requested times still to come, latest first, so pop() is the next
+        requests = sorted({s for s in self.sample_times if s > t},
+                          reverse=True)
+
+        def append_requests(t0, at, t_last, end_sample, drift):
+            """Sample each requested time up to t_last from the interpolant
+            `at` of the step from t0, and return `drift` with the samples'
+            drift; when `end_sample`, the sample at t_last that ends the
+            span answers a request at that time."""
+            while requests and requests[-1] <= t_last:
+                t = requests.pop()
+                if end_sample and t == t_last:
+                    break
+                y = at(t - t0)
+                samples.append((t, y))
+                d = energy_fn(y) - e0
+                d = (-d if d < 0.0 else d) / e_unit
+                if d > drift:
+                    drift = d
+            return drift
+
         k1 = accel(y[0], y[1])
         res = [f(y) for _, _, f in residuals]
-        h = min(h_max, self.h_first)
+        h = min(h_max, h_first)
         err_old = 1.0
         drift = self.drift
         while True:
@@ -541,8 +570,8 @@ class _Run:
                     events.append((kind, t_ev, y_ev))
                     if kind in stop:
                         if requests and requests[-1] <= t_ev:
-                            drift = self._append_requests(t0, at, t_ev, True,
-                                                          drift)
+                            drift = append_requests(t0, at, t_ev, True,
+                                                    drift)
                         samples.append((t_ev, y_ev))
                         d = energy_fn(y_ev) - e0
                         d = (-d if d < 0.0 else d) / e_unit
@@ -555,7 +584,7 @@ class _Run:
                         self.termination = None
 
             if requests and requests[-1] <= t:
-                drift = self._append_requests(t0, at, t, True, drift)
+                drift = append_requests(t0, at, t, True, drift)
             samples.append((t, y))
             # |drift| by comparison, not abs()
             d = energy_fn(y) - e0
@@ -563,7 +592,7 @@ class _Run:
             if d > drift:
                 drift = d
             if t_last != t and requests and requests[-1] <= t_last:
-                drift = self._append_requests(t0, at, t_last, False, drift)
+                drift = append_requests(t0, at, t_last, False, drift)
             k1 = ks[6]
 
             # PI controller (accepted step)
@@ -571,24 +600,6 @@ class _Run:
             fac = 0.9 * e ** -0.14 * err_old ** 0.08
             err_old = e
             h *= 5.0 if fac >= 5.0 else 0.2 if fac <= 0.2 else fac
-
-    def _append_requests(self, t0, at, t_last, end_sample, drift):
-        """Sample each requested time up to t_last from the interpolant `at`
-        of the step from t0, and return `drift` with the samples' drift;
-        when `end_sample`, the sample at t_last that ends the span answers a
-        request at that time."""
-        requests = self.requests
-        while requests and requests[-1] <= t_last:
-            t = requests.pop()
-            if end_sample and t == t_last:
-                break
-            y = at(t - t0)
-            self.samples.append((t, y))
-            d = self.energy_fn(y) - self.e0
-            d = (-d if d < 0.0 else d) / self.e_unit
-            if d > drift:
-                drift = d
-        return drift
 
 
 # State's slot setters: _vec_to_state fills a new instance through them,
@@ -643,45 +654,18 @@ def _build_trajectory(run: _Run) -> Trajectory:
     )
 
 
-def _new_run(
-    accel: Accel,
-    energy_fn,
-    s0: State,
-    settings: IntegratorSettings,
-    watch: Iterable[EventKind],
-    stop: Iterable[EventKind],
-    sample_times: Sequence[float],
-    E: Optional[float] = None,
-) -> _Run:
-    """The run from s0, launched at the energy level E (None: at none)."""
-    if isinstance(stop, Mapping):
-        raise TypeError(
-            f"stop takes event kinds, each ending the run at its first "
-            f"event, not a mapping: {stop!r}"
-        )
-    if s0.y <= 0.0:
-        raise DomainError(f"initial state must have y > 0, got y={s0.y}")
-    stop = {*stop, EventKind.COLLISION_PROXIMITY}
-    watched = set(watch) | stop
-    residuals = {k: f for k, f in _RESIDUALS.items() if k in watched}
-    return _Run(
-        accel, energy_fn, (s0.x, s0.y, s0.vx, s0.vy), s0.t, settings,
-        residuals, stop, sample_times, E,
-    )
-
-
 def _rest_arcs(s0: State, settings: IntegratorSettings,
                E: Optional[float] = None, watch=()) -> Iterator[_Run]:
     """One run of the planar field from s0, launched at the energy level E
-    (see `_new_run`), yielded at each of its stops: its k-th x-rest at the
+    (see `_Run`), yielded at each of its stops: its k-th x-rest at the
     k-th yield, for k = 1, 2, ..., and last the stop that ends it any other
     way (its termination says which).  Each yield's `_build_trajectory` is
     _integrate(s0, settings, E, watch, stop={X_VELOCITY_ZERO}) resumed to
     that stop, bit for bit.  The run goes on in place when advanced, so a
     caller builds the arc of a stop it keeps before it advances again."""
     rest = EventKind.X_VELOCITY_ZERO
-    run = _new_run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
-                   watch, (rest,), (), E)
+    run = _Run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
+               watch, (rest,), (), E)
     for kind in run.run():
         yield run
         if kind is not rest:
@@ -693,7 +677,7 @@ def _integrate(s0: State, settings: IntegratorSettings, E: Optional[float],
     """integrate() from s0, launched at the level E, of the field whose
     (acceleration, energy) is `chart`, the planar one if None."""
     chart = chart or (dynamics.acceleration, dynamics.energy_vec)
-    run = _new_run(*chart, s0, settings, watch, stop, sample_times, E)
+    run = _Run(*chart, s0, settings, watch, stop, sample_times, E)
     next(run.run())  # to the first stop, never resumed
     return _build_trajectory(run)
 
@@ -725,6 +709,12 @@ def integrate_inverted(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> Trajectory:
     """Integrate the circle-inverted chart (used for zero-energy runs);
-    s0 must already live in that chart, e.g. invert_state(initial_state(...))."""
+    s0 must already live in that chart, e.g. invert_state(initial_state(...)).
+
+    The chart's origin is the image of escape to infinity, and an escaping
+    run reaches it in finite time, where its step size underflows.  From
+    the image of the E = 0 launch at h = 1.5, 2 or 3 the run raises
+    StepUnderflow at t = 0.118, 0.058 or 0.021, within 3e-5 of the origin,
+    before a t_limit of 0.3; from h = 1 it reaches that time limit."""
     return _integrate(s0, settings, None, chart=(
         dynamics.inverted_acceleration, dynamics.inverted_energy_vec))

@@ -9,9 +9,9 @@ second, multi-reflection orbit.
 
 The orbit search finds a root of alpha_k to |alpha_k| <= ALPHA_TOL in two
 stages: a Brent-Dekker solve on alpha_k integrated at COARSE_REL_TOL, then
-a secant polish at the given settings from the coarse root.  Only arcs at
-the given settings reach the orbit record.  The brake search picks k at
-the first stage's settings too (see find_brake_orbit).
+a secant polish at the given settings from the coarse root.  The orbit
+record holds one arc, the root's at the given settings.  The brake search
+picks k at the first stage's settings too (see find_brake_orbit).
 
 Every launch at energy E < 0 reads its settings in E = -1 units (see
 `integrator`), as ALPHA_TOL, TOUCH_SPEED_TOL and CLASSIFY_MARGIN are
@@ -161,44 +161,24 @@ def _rest_run(
     return run
 
 
-def _quarter(
-    E: float,
-    h: float,
-    k: int,
-    settings: IntegratorSettings,
-) -> Trajectory:
-    """The launch's arc to its k-th x-rest, its last sample.  Raises NoRest
-    if the run ends any other way first."""
-    return _build_trajectory(_rest_run(E, h, k, settings))
-
-
 def _shoot(
     E: float, h: float, settings: IntegratorSettings
 ) -> tuple[_Run, ShootResult]:
-    """shoot()'s run and result: the launch of _quarter, recording the
+    """shoot()'s run and result: the launch of _rest_run, recording the
     magical-line crossings, to its first stop, its arc not built.  A run
-    that ends without an x-rest gives a status='NoRest(...)' placeholder
-    result."""
+    that ends without an x-rest gives a status='NoRest(...)' result, whose
+    t_h and alpha are nan; its crossings and drift are the run's."""
     run = next(_rests(E, h, settings, {EventKind.MAGICAL_LINE_CROSS}))
-    if run.termination is not EventKind.X_VELOCITY_ZERO:
-        return run, ShootResult(
-            h=h,
-            t_h=math.nan,
-            alpha=math.nan,
-            n_magical_crossings=0,
-            energy_drift=math.nan,
-            status=f"NoRest({run.termination.value})",
-        )
+    rested = run.termination is EventKind.X_VELOCITY_ZERO
     t, rest = run.samples[-1]
-    crossings = sum(
-        1 for kind, _, _ in run.events if kind is EventKind.MAGICAL_LINE_CROSS
-    )
     return run, ShootResult(
         h=h,
-        t_h=t,
-        alpha=rest[3],
-        n_magical_crossings=crossings,
+        t_h=t if rested else math.nan,
+        alpha=rest[3] if rested else math.nan,
+        n_magical_crossings=sum(1 for kind, _, _ in run.events
+                                if kind is EventKind.MAGICAL_LINE_CROSS),
         energy_drift=run.drift,
+        status="ok" if rested else f"NoRest({run.termination.value})",
     )
 
 
@@ -306,30 +286,25 @@ def _find_orbit(
     ends stopped at their k-th rest (classification's).  The coarse stage
     takes their alphas as its bracket ends' values, whatever settings they
     were made at; the stages at `settings` take them too when they were
-    made at `settings`, and build an end's arc only if it is the root.  The
-    solver trace lists every evaluation in order (coarse stage, polish,
-    then the search on the whole bracket if it runs), so its last entry is
-    the root and its residual."""
+    made at `settings`.  The solver trace lists every evaluation in order
+    (coarse stage, polish, then the search on the whole bracket if it
+    runs), so its last entry is the root and its residual; the root's is
+    the one arc built."""
     trace: list[tuple[float, float]] = []
     v_unit = math.sqrt(-E)
     tol = ALPHA_TOL * v_unit
-    end_settings, runs = ends or (None, ())
-    end_runs = dict(zip(bracket, runs))
-    # the end runs the stages at `settings` read; an arc is built from one
-    # only if it is the root
-    own_ends = end_runs if end_settings == settings else {}
-    # arcs at `settings`: the bracket ends and the latest evaluation, so
-    # the root is one of them or of `own_ends`
-    arcs: dict[float, Trajectory] = {}
+    end_settings, end_pair = ends or (None, ())
+    end_runs = dict(zip(bracket, end_pair))
+    # runs at `settings`: the bracket ends and the latest evaluation, so the
+    # root is one of them
+    runs = dict(end_runs) if end_settings == settings else {}
 
     def f(h: float) -> float:
-        if h in own_ends:
-            return _alpha(own_ends[h])
-        if h not in arcs:
-            for old in [x for x in arcs if x not in bracket]:
-                del arcs[old]
-            arcs[h] = _quarter(E, h, k, settings)
-        return arcs[h].samples[-1].vy
+        if h not in runs:
+            for old in [x for x in runs if x not in bracket]:
+                del runs[old]
+            runs[h] = _rest_run(E, h, k, settings)
+        return _alpha(runs[h])
 
     coarse = _coarse(settings)
     root = None
@@ -352,8 +327,7 @@ def _find_orbit(
     if root is None:
         root = _solve_bracketed(f, *bracket, tol, MAX_ITER, trace)
     h_star, residual = root
-    arc = (arcs[h_star] if h_star in arcs
-           else _build_trajectory(own_ends[h_star]))
+    arc = _build_trajectory(runs[h_star])
     touch = arc.samples[-1]
     speed = math.sqrt(touch.speed2())
     if speed > TOUCH_SPEED_TOL * v_unit:
@@ -440,8 +414,8 @@ def find_brake_orbit(
     CLASSIFY_MARGIN; so if any |alpha_j| compared, at either end, is at or
     below CLASSIFY_MARGIN (in E = -1 units), classification is repeated at
     `settings`, which then decides k.  The search starts from the runs that
-    classification stopped at the k-th rest (see _find_orbit).  A bracket classified as k = 1 holds the simple
-    orbit and raises BadBracket."""
+    classification stopped at the k-th rest (see _find_orbit).  A bracket
+    classified as k = 1 holds the simple orbit and raises BadBracket."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
     if k is not None:
         return _find_orbit(E, bracket, k, f"Brake-{k}", settings)
@@ -519,8 +493,8 @@ def scan_alpha(
     h_grid: Sequence[float],
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[ShootResult]:
-    """shoot() over a grid, results in grid order; failures become
-    status='NoRest' placeholders."""
+    """shoot() over a grid, results in grid order; a launch without an
+    x-rest gives a status='NoRest(...)' row (see _shoot)."""
     return [_shoot(E, h, settings)[1] for h in h_grid]
 
 
@@ -573,9 +547,8 @@ def assemble_periodic_orbit(
         quarter = arc[1]
     else:
         try:
-            quarter = _quarter(
-                rec.E, rec.h_star, rec.reflection_count(), settings
-            )
+            quarter = _build_trajectory(_rest_run(
+                rec.E, rec.h_star, rec.reflection_count(), settings))
         except NoRest as exc:
             raise ClosureFailure(
                 f"quarter arc terminated by {exc.termination}"

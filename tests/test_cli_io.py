@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langmuir_lab import dynamics as dyn
-from langmuir_lab import output, shooting
+from langmuir_lab import cli, output, shooting
 from langmuir_lab.cli import main
-from langmuir_lab.integrator import EventKind, Trajectory
+from langmuir_lab.integrator import EventKind, IntegratorSettings, Trajectory
 
 
 class TestSimulate:
@@ -399,6 +399,25 @@ class TestConfig:
         assert rc == 0
         rows = output.parse_trajectory_csv(out.read_text())
         assert rows[-1][0] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("config, tol, abs_tol", [
+        # no config: the default abs_tol, or tol * 1e-2 when that is less
+        (None, 1e-6, IntegratorSettings().abs_tol),
+        (None, 1e-13, 1e-13 * 1e-2),
+        # a config's abs_tol above tol * 1e-2 gives way to it; one below
+        # stays
+        ("abs_tol = 1e-5\n", 1e-6, 1e-6 * 1e-2),
+        ("abs_tol = 1e-9\n", 1e-6, 1e-9),
+    ], ids=["default", "default_capped", "config_capped", "config"])
+    def test_tol_caps_abs_tol(self, tmp_path, config, tol, abs_tol):
+        argv = ["verify", "--tol", repr(tol)]
+        if config is not None:
+            cfg = tmp_path / "settings.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        args = cli._build_parser().parse_args(argv)
+        settings = cli._settings(args, cli._read_config(args.config))
+        assert settings == IntegratorSettings(rel_tol=tol, abs_tol=abs_tol)
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(

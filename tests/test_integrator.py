@@ -14,8 +14,9 @@ from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
     _advance,
+    _build_trajectory,
     _dp5_trial,
-    _new_run,
+    _Run,
     _vec_to_state,
     integrate,
     integrate_inverted,
@@ -218,7 +219,8 @@ class TestStopRule:
         # the 3rd rest, reached by resuming one run twice, is the unstopped
         # run cut at its 3rd rest
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.398))
-        traj = shooting._quarter(-1.0, 1.398, 3, IntegratorSettings())
+        traj = _build_trajectory(
+            shooting._rest_run(-1.0, 1.398, 3, IntegratorSettings()))
         assert traj.termination is EventKind.X_VELOCITY_ZERO
         rests = [e for e in traj.events if e.kind is EventKind.X_VELOCITY_ZERO]
         assert len(rests) == 3
@@ -436,7 +438,7 @@ def test_non_finite_steps_are_rejected_until_underflow(bad):
         return 1.0
 
     s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
-    run = _new_run(accel, energy, s0, IntegratorSettings(), (), (), ())
+    run = _Run(accel, energy, s0, IntegratorSettings(), (), (), ())
     with pytest.raises(StepUnderflow) as exc:
         next(run.run())
     assert len(sampled) > 1
@@ -449,8 +451,8 @@ def test_non_finite_steps_are_rejected_until_underflow(bad):
     assert exc.value.state == _vec_to_state(t, y)
     # stopped short of x = 0.5, the run ends at its time limit, and its
     # TIME_LIMIT event has its last sample's time and state
-    run = _new_run(accel, energy, s0, IntegratorSettings(t_limit=0.25), (),
-                   (), ())
+    run = _Run(accel, energy, s0, IntegratorSettings(t_limit=0.25), (), (),
+               ())
     assert next(run.run()) is EventKind.TIME_LIMIT
     t, y = run.samples[-1]
     assert t == pytest.approx(0.25, abs=1e-12)
@@ -910,6 +912,18 @@ class TestInvertedChart:
 
     def test_energy_level_held(self):
         assert self.traj.max_energy_drift <= 1e-8
+
+    def test_escape_reaches_the_origin_in_finite_time(self):
+        # the chart's origin is the image of escape to infinity: from the
+        # image of the E = 0 launch at h = 2 the run reaches it at t = 0.058,
+        # before the time limit, and its step size underflows there; from
+        # h = 1 (this class's launch) it reaches the time limit
+        assert self.traj.termination is EventKind.TIME_LIMIT
+        s0 = dyn.invert_state(dyn.initial_state(ProblemSpec(E=0.0, h=2.0)))
+        with pytest.raises(StepUnderflow) as exc:
+            integrate_inverted(s0, IntegratorSettings(t_limit=0.3))
+        assert 0.0 < exc.value.t < 0.3
+        assert math.hypot(exc.value.state.x, exc.value.state.y) <= 1e-3
 
     def test_radius_shrinks(self):
         for s in self.traj.samples:

@@ -304,7 +304,8 @@ class TestResumedRun:
                 want = trajectory_bits(cuts[k - 1])
                 resumed = shooting._next_rest(rests, k)
                 assert trajectory_bits(_build_trajectory(resumed)) == want
-                fresh = shooting._quarter(E, h, k, settings_)
+                fresh = _build_trajectory(
+                    shooting._rest_run(E, h, k, settings_))
                 assert trajectory_bits(fresh) == want
 
     def test_run_stopped_short_rejects_the_bracket(self, integrate_calls):
@@ -322,15 +323,15 @@ class TestResumedRun:
         # the same ends have no 3rd rest before t = 4: the error names the
         # rest count asked for, not the first one missing
         with pytest.raises(NoRest) as exc:
-            shooting._quarter(-1.0, 0.3, 4, IntegratorSettings(t_limit=4.0))
+            shooting._rest_run(-1.0, 0.3, 4, IntegratorSettings(t_limit=4.0))
         assert (exc.value.k, exc.value.termination) == (4, "TimeLimit")
 
 
 def test_only_kept_rests_build_an_arc(integrate_calls, monkeypatch):
     # classification and alpha_k read alpha at each rest without building
-    # its arc; the brake search builds the arcs of the runs at its own
-    # settings, the polish's, which can hold the root, and none for its
-    # classification or coarse stage
+    # its arc; the brake search builds one arc, the root's at its own
+    # settings, and none for its classification, coarse stage or the
+    # polish's other evaluations
     builds = []
     real = shooting._build_trajectory
 
@@ -343,10 +344,12 @@ def test_only_kept_rests_build_an_arc(integrate_calls, monkeypatch):
     shooting.alpha_k(-1.0, 0.8, 3)
     assert builds == []
     integrate_calls.clear()
-    shooting.find_brake_orbit(-1.0)
+    rec = shooting.find_brake_orbit(-1.0)
     full = [c for c in integrate_calls if c[1] == IntegratorSettings()]
-    assert [run.rel_tol for run in builds] == [c[1].rel_tol for c in full]
-    assert 0 < len(full) < len(integrate_calls)
+    assert 1 < len(full) < len(integrate_calls)
+    assert len(builds) == 1
+    assert builds[0].settings == IntegratorSettings()
+    assert builds[0].samples[-1][1][3] == rec.alpha_residual
 
 
 class TestBrakeClassification:
@@ -462,9 +465,8 @@ class TestTwoStageSearch:
         rec = orbits_at_e1[kind]
         settings, arc = rec._quarter_arc
         assert settings == IntegratorSettings()
-        fresh = shooting._quarter(
-            rec.E, rec.h_star, rec.reflection_count(), settings
-        )
+        fresh = _build_trajectory(shooting._rest_run(
+            rec.E, rec.h_star, rec.reflection_count(), settings))
         assert trajectory_bits(arc) == trajectory_bits(fresh)
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
@@ -682,8 +684,9 @@ class TestScan:
     # scan_alpha reads its results off the runs, as _shoot_run does before
     # it builds the run's trajectory; every field of every row agrees with
     # _shoot_run's and with the result read off that trajectory, the NoRest
-    # placeholders' too (t_limit = 1 stops the upper half of the grid
-    # before its first rest)
+    # rows' too, whose t_h and alpha are nan and whose crossings and drift
+    # are the run's (t_limit = 1 stops the upper half of the grid before
+    # its first rest)
     @pytest.mark.parametrize("E, settings_", [
         (-1.0, IntegratorSettings()),
         (-1000.0, IntegratorSettings()),
@@ -695,15 +698,15 @@ class TestScan:
         runs = [shooting._shoot_run(E, h, settings_) for h in grid]
         assert len(rows) == len(runs) == len(grid)
         for h, row, (traj, res) in zip(grid, rows, runs):
+            crossings = sum(1 for e in traj.events
+                            if e.kind is EventKind.MAGICAL_LINE_CROSS)
             if traj.termination is EventKind.X_VELOCITY_ZERO:
                 rest = traj.samples[-1]
-                crossings = sum(1 for e in traj.events
-                                if e.kind is EventKind.MAGICAL_LINE_CROSS)
                 want = shooting.ShootResult(h, rest.t, rest.vy, crossings,
                                             traj.max_energy_drift)
             else:
                 want = shooting.ShootResult(
-                    h, math.nan, math.nan, 0, math.nan,
+                    h, math.nan, math.nan, crossings, traj.max_energy_drift,
                     f"NoRest({traj.termination.value})")
             for f in fields(want):
                 # repr tells every float bit, nan and -0.0 included
@@ -715,6 +718,24 @@ class TestScan:
             assert statuses == {"ok", "NoRest(TimeLimit)"}
         else:
             assert statuses == {"ok"}
+
+    def test_no_rest_row_holds_the_run_crossings_and_drift(self):
+        # the launch from h = 1 crosses the magical line at t = 0.384 and
+        # rests only after t = 0.6: its row has no rest time or alpha, but
+        # the one crossing, which the fixed-step RK4 confirms (sqrt(3) y -
+        # |x| changes sign between t = 0.35 and 0.42), and a drift
+        (row,) = shooting.scan_alpha(-1.0, [1.0],
+                                     IntegratorSettings(t_limit=0.6))
+        assert row.status == "NoRest(TimeLimit)"
+        assert math.isnan(row.t_h) and math.isnan(row.alpha)
+        assert row.n_magical_crossings == 1
+        assert 0.0 < row.energy_drift <= 1e-10
+        s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=1.0))
+        sides = []
+        for t in (0.35, 0.42):
+            x, y, _, _ = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, t, 1e-4)
+            sides.append(dyn.SQRT3 * y - abs(x) > 0.0)
+        assert sides == [True, False]
 
     def test_grid_has_one_sign_change(self):
         grid = shooting.default_grid(n=30)
@@ -802,7 +823,8 @@ class TestAssemblyArc:
         assert len(integrate_calls) == 2
         assert integrate_calls[0] == (_launch(rec), finer)
         # the quarter is the one these settings integrate
-        quarter = shooting._quarter(rec.E, rec.h_star, 1, finer)
+        quarter = _build_trajectory(
+            shooting._rest_run(rec.E, rec.h_star, 1, finer))
         n = len(quarter.samples)
         assert orbit.samples[:n] == quarter.samples
 
