@@ -31,6 +31,16 @@ from .shooting import _shoot_run, default_grid
 # harmonic oscillator with that stiffness rests at pi/(2*sqrt(8*gamma)).
 GAMMA = (49.0 / 4.0 + 49.0 / 4.0) ** -1.5
 T_MAX = math.pi / (2.0 * math.sqrt(8.0 * GAMMA))
+# Step ends fall far apart at eighth order, so the checks that read a run's
+# samples also request their own.  Each grid_runs launch from height h
+# samples j * h^3/2 / 160 for j = 1 to PREFIX_SAMPLES: the first crossing of
+# every default-grid run comes at 0.354 h^3/2 or later, so magical_prefix
+# reads at least PREFIX_SAMPLES points of each run before it.
+PREFIX_SAMPLES = 56
+# evenly spaced requested samples of zero_energy_monotone's run
+ZERO_ENERGY_SAMPLES = 240
+# evenly spaced points of inverted_concavity's finite differences
+CONCAVITY_POINTS = 600
 
 
 @dataclass(frozen=True)
@@ -81,11 +91,18 @@ def grid_runs(
     """The E=-1 horizontal launches from the heights h_grid, by default the
     default grid, each integrated once as shoot() integrates it: its
     (Trajectory, ShootResult) pair, the run recording the magical-line
-    crossings up to its first x-rest.  tmax_bound, magical_prefix,
-    energy_drift and tau_growth each reduce this one list."""
+    crossings up to its first x-rest.  Each run also samples its
+    PREFIX_SAMPLES requested times, which change none of its steps, events
+    or results but its drift (it now includes theirs).  tmax_bound,
+    magical_prefix, energy_drift and tau_growth each reduce this one
+    list."""
     if h_grid is None:
         h_grid = default_grid()
-    return [_shoot_run(-1.0, h, settings) for h in h_grid]
+    return [
+        _shoot_run(-1.0, h, settings, [j * h**1.5 / 160.0 for j in range(
+            1, PREFIX_SAMPLES + 1)])
+        for h in h_grid
+    ]
 
 
 def check_tmax_bound(runs) -> CheckReport:
@@ -112,7 +129,7 @@ def check_tmax_bound(runs) -> CheckReport:
 def check_magical_prefix(runs) -> CheckReport:
     """Until its first crossing of the vanishing-vertical-force line each of
     the grid_runs pairs `runs` keeps moving downward (vy < 0 on (0, first
-    crossing]).  A run's worst value is the largest vy/t over its step ends
+    crossing]).  A run's worst value is the largest vy/t over its samples
     after launch and before the crossing, and the crossing's state; vy/t
     does not tend to 0 at launch as vy does (it tends to -7/h^2).  A run
     that rests before crossing checks nothing."""
@@ -144,12 +161,15 @@ def check_zero_energy_monotone(
 ) -> CheckReport:
     """On the zero-energy run the distance from the nucleus grows
     monotonically and the orbit stays inside the unbounded zero-energy Hill
-    region y >= |x|/sqrt(63).  Growth is judged by r'/t > 0 at every step
-    end after launch: r' = 0 at launch, but r'/t tends to 7 there, so its
-    minimum does not depend on where the first step ends."""
+    region y >= |x|/sqrt(63).  Growth is judged by r'/t > 0 at every
+    sample after launch, the step ends and ZERO_ENERGY_SAMPLES evenly
+    spaced requested times: r' = 0 at launch, but r'/t tends to 7 there, so
+    its minimum does not depend on where the first step ends."""
     settings = replace(settings, t_limit=t_end)
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
-    traj = integrate(s0, settings)
+    traj = integrate(s0, settings, sample_times=[
+        t_end * j / ZERO_ENERGY_SAMPLES
+        for j in range(1, ZERO_ENERGY_SAMPLES + 1)])
     # with no sample after launch nothing is compared: worst is inf
     min_rdot_t = min(
         (dynamics.radial_velocity(s) / s.t for s in traj.samples if s.t > 0.0),
@@ -187,37 +207,47 @@ def _nonuniform_derivative(tm, t0, tp, fm, f0, fp) -> float:
     )
 
 
+def _closed_form_rdd(ps) -> float:
+    """r'' of the inverted chart's polar state ps in closed form."""
+    return (2.0 / ps.r) * (-3.0 * ps.pr**2 - ps.pphi**2 / ps.r**2)
+
+
 def check_inverted_concavity(
     t_end: float = 0.3,
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> CheckReport:
     """In the inverted chart the radius is strictly concave: the closed form
-    r'' = (2/r)(-3 p_r^2 - p_phi^2/r^2) is negative everywhere and must
-    agree with a finite-difference estimate from the sampled r'."""
-    settings = replace(settings, t_limit=t_end, h_max=1e-3)
+    r'' = (2/r)(-3 p_r^2 - p_phi^2/r^2) is negative at every sample and
+    must agree with a finite-difference estimate from the sampled r' on
+    CONCAVITY_POINTS + 1 evenly spaced times from launch to t_end, read
+    from the dense output."""
+    settings = replace(settings, t_limit=t_end)
     s0 = dynamics.invert_state(
         dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
     )
-    traj = integrate_inverted(s0, settings)
+    grid = [t_end * j / CONCAVITY_POINTS
+            for j in range(CONCAVITY_POINTS + 1)]
+    traj = integrate_inverted(s0, settings, sample_times=grid)
     polar = [dynamics.to_polar(s) for s in traj.samples]
     concavity_worst = -math.inf
-    # with no interior sample nothing is compared: worst is inf
-    fd_worst = -math.inf if len(polar) > 2 else math.inf
     pr_worst = -math.inf
-    for i, ps in enumerate(polar):
-        rdd = (2.0 / ps.r) * (-3.0 * ps.pr**2 - ps.pphi**2 / ps.r**2)
-        concavity_worst = max(concavity_worst, rdd)
+    for ps in polar:
+        concavity_worst = max(concavity_worst, _closed_form_rdd(ps))
         if ps.t > 0.0:
             pr_worst = max(pr_worst, ps.pr)
-        if 0 < i < len(polar) - 1:
-            pm, pp = polar[i - 1], polar[i + 1]
-            rdd_fd = _nonuniform_derivative(
-                pm.t, ps.t, pp.t, 2.0 * pm.pr, 2.0 * ps.pr, 2.0 * pp.pr
-            )
-            fd_worst = max(
-                fd_worst,
-                abs(rdd - rdd_fd) - max(1e-6, 1e-3 * abs(rdd)),
-            )
+    grid = set(grid)
+    on_grid = [ps for ps in polar if ps.t in grid]
+    # with no interior grid point nothing is compared: worst is inf
+    fd_worst = -math.inf if len(on_grid) > 2 else math.inf
+    for pm, ps, pp in zip(on_grid, on_grid[1:], on_grid[2:]):
+        rdd = _closed_form_rdd(ps)
+        rdd_fd = _nonuniform_derivative(
+            pm.t, ps.t, pp.t, 2.0 * pm.pr, 2.0 * ps.pr, 2.0 * pp.pr
+        )
+        fd_worst = max(
+            fd_worst,
+            abs(rdd - rdd_fd) - max(1e-6, 1e-3 * abs(rdd)),
+        )
     worst = max(concavity_worst, fd_worst)
     return CheckReport.from_violation(
         "inverted_concavity",

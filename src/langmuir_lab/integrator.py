@@ -1,25 +1,27 @@
 """Adaptive embedded Runge-Kutta integration with event detection.
 
-The stepper is a Dormand-Prince 5(4) pair with PI step-size control, written
-out by hand for the 4-component state (x, v) = (x, y, vx, vy) of a
-second-order field x'' = f(x), in Nystrom form (Hairer, Norsett & Wanner,
-Solving ODEs I, II.14): stage i is the acceleration f_i at the position
+The stepper is the Dormand-Prince 8(5,3) pair DOP853 (Prince & Dormand
+1981; Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10) with PI
+step-size control, written out by hand for the 4-component state
+(x, v) = (x, y, vx, vy) of a second-order field x'' = f(x), in Nystrom form
+(ibid., II.14): stage i is the acceleration f_i at the position
 x + c_i*h*v + h^2 * sum_m (A.A)_im f_m, and no stage velocity is formed.
-The fifth-order state, the error estimate and the interpolant read the same
-accelerations through the exact products of the tableau.  One trial-step
-kernel computes the stages, the FSAL stage and the scaled error norm that
-accepts or rejects the step; a step whose error or state is not finite, or
-whose stage leaves the half plane y > 0, is rejected, so the step size
-shrinks until it underflows.  Inside an accepted step, states come from the
-step's continuous extension (Dormand & Prince 1980; the CONTD5 of `dopri5`
-in Solving ODEs I, II.6), a fourth-order interpolant built from the seven
-stages the step already has, at no extra field evaluation.  Requested
+The eighth-order state, the two error estimates and the interpolant read
+the same accelerations through the exact products of the tableau.  One
+trial-step kernel computes the twelve stages, the FSAL stage and the error
+norm that accepts or rejects the step, Hairer's combination of the fifth-
+and third-order estimates; a step whose error, state or FSAL stage is not
+finite, or whose stage leaves the half plane y > 0, is rejected, so the
+step size shrinks until it underflows.  Inside an accepted step, states
+come from the step's continuous extension (the CONTD8 of `dop853`, ibid.,
+II.10), a seventh-order interpolant that takes three field evaluations of
+its own, so it is built only for a step that reads from it.  Requested
 `sample_times` are read from it, so requests never change the step
 sequence.  The step loop evaluates each residual and the energy once per
 accepted step.  Only where a residual changes sign does it locate the
 change on the interpolant, by the Brent-Dekker routine the orbit search
 also uses, from the residual's values at the step's ends; the state of a
-located event is then one fifth-order step from the accepted step's start
+located event is then one eighth-order step from the accepted step's start
 to the located time.  Otherwise a run samples the ends of its accepted
 steps.
 
@@ -127,111 +129,310 @@ class Trajectory:
         return None
 
 
-# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) in Nystrom form.  Its
-# coefficients are the published tableau (c, b, the error weights
-# e = b - bhat and the dense-output weights D) and its exact products: A.A
-# for the stage positions, b.A for the fifth-order position, e.A for the
-# position error and D.A for the interpolant's position.  The 7th stage is
-# FSAL: its input is the fifth-order state, as b is the last row of A.  Zero
-# entries are left out: stage 2 has no acceleration term, and no weight but
-# A.A's reads stage 2.  Each is a literal p / q with p and q below 2^53, so
-# it is correctly rounded; the tests derive every one from the tableau (in
-# `fractions`, which the package does not import, for start-up time).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_AA31 = 9 / 200
-_AA41, _AA42 = -12 / 25, 4 / 5
-_AA51, _AA52, _AA53 = -12248 / 6561, 7208 / 2187, -6784 / 6561
-_AA61, _AA62, _AA63, _AA64 = -533 / 264, 91 / 22, -56 / 33, 7 / 88
-_BA1, _BA3, _BA4, _BA5 = 35 / 384, 50 / 159, 25 / 192, -243 / 6784
-_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
-                           11 / 84)
-_EA1, _EA3, _EA4, _EA5, _EA6 = (611 / 230400, -514 / 83475, 391 / 38400,
-                                -4617 / 1356800, -11 / 3360)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
-_DA1, _DA3, _DA4, _DA5, _DA6 = (
-    160283855 / 705130152, -9466935910 / 32700410799,
-    49145585 / 1410260304, -7091803125 / 24914598704,
-    769977395 / 2467955532)
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075 / 11282082432, 87487479700 / 32700410799,
-    -10690763975 / 1880347072, 701980252875 / 199316789632,
-    -1453857185 / 822651844, 69997945 / 29380423)
+# The Dormand-Prince 8(5,3) pair DOP853 (Prince & Dormand 1981; Hairer,
+# Norsett & Wanner, Solving ODEs I, II.5 and II.10) in Nystrom form.  Its
+# coefficients are the published decimal tableau (c, b, the error weights
+# E5 and E3, and the rows D4 to D7 of the continuous extension) and its
+# exact products: A.A for the stage positions, b.A for the eighth-order
+# position, E5.A and E3.A for the position errors, and D.A for the
+# interpolant's positions.  Stage 13 is FSAL: its input is the eighth-order
+# state, as b is row 13 of A; stages 14 to 16 are the interpolant's own.
+# Zero entries are left out: stage 2 has no acceleration term, stages 2 and
+# 3 are read only by the positions of stages 3 to 5, and the products that
+# the 30-digit decimals leave below 1e-25 (exact zeros of the rational
+# tableau, as sum(E5), sum(E3) and the sum of each D row are) are zeros.
+# Each literal is the product computed exactly from the decimals and rounded
+# once; the tests derive every one from the tableau (in `fractions`, which
+# the package does not import, for start-up time).
+(_C2, _C3) = (
+    0.05260015195876773, 0.0789002279381516)
+_AA3_1 = 0.003112622984346139
+_C4 = 0.1183503419072274
+(_AA4_1, _AA4_2) = (
+    0.0017508504286947032, 0.00525255128608411)
+_C5 = 0.2816496580927726
+(_AA5_1, _AA5_2, _AA5_3) = (
+    0.009915816237971964, -0.05234336665618131, 0.0820908153700972)
+_C6 = 0.3333333333333333
+(_AA6_1, _AA6_3, _AA6_4) = (
+    0.035337931304886355, -0.09581915952175495, 0.11603678377242416)
+_C7 = 0.25
+(_AA7_1, _AA7_3, _AA7_4, _AA7_5) = (
+    0.018920483189113914, -0.03815245266364541, 0.05268745617004205,
+    -0.0022054866955105506)
+_C8 = 0.3076923076923077
+(_AA8_1, _AA8_3, _AA8_4, _AA8_5, _AA8_6) = (
+    0.03067021189623757, -0.07975482628537983, 0.09799120567724122,
+    -0.0014238754814449106, -0.00014543770014516837)
+_C9 = 0.6512820512820513
+(_AA9_1, _AA9_3, _AA9_4, _AA9_5, _AA9_6, _AA9_7) = (
+    -0.15229089727622042, 0.46966087733519885, -0.0681414047027942,
+    0.010711857531715373, 0.3119698547460421, -0.3598261324728635)
+_C10 = 0.6
+(_AA10_1, _AA10_3, _AA10_4, _AA10_5, _AA10_6, _AA10_7, _AA10_8) = (
+    -0.11020716722377502, 0.30128953154727944, 0.07865735349516378,
+    0.030838873981239478, -0.319604147551303, -0.6851760518136165,
+    0.8842016075650119)
+_C11 = 0.8571428571428571
+(_AA11_1, _AA11_3, _AA11_4, _AA11_5, _AA11_6, _AA11_7, _AA11_8, _AA11_9) = (
+    0.3721894995071434, -0.5050736261155677, -0.46149874648558276,
+    -0.06518509348541916, 4.09803840386656, 3.8922102844072395,
+    -7.025278165955343, 0.06194438303648046)
+(_AA12_1, _AA12_3, _AA12_4, _AA12_5, _AA12_6, _AA12_7, _AA12_8, _AA12_9,
+ _AA12_10) = (
+    -0.7650750098382328, 0.8347994820739503, 1.755944144193115,
+    0.23253698859550603, 11.90371935788187, -1.9034949405460306,
+    -10.951226401858388, 1.3530625395360725, -1.960266160037863)
+(_BA1, _BA6, _BA7, _BA8, _BA9, _BA10, _BA11) = (
+    0.054293734116568765, 2.9668752618349394, 1.4186384244858752,
+    -4.016218126161174, 0.10850859975965002, -0.06086437986500643,
+    0.028766485829147193)
+(_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12) = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+    0.20136540080403034, 0.04471061572777259)
+(_E5A_1, _E5A_4, _E5A_5, _E5A_6, _E5A_7, _E5A_8, _E5A_9, _E5A_10, _E5A_11) = (
+    -0.18865188001798797, 0.9962151331241325, 0.23599761577747436,
+    -2.854630682350911, -4.0828088279337065, 6.038341535948958,
+    0.39584534789657555, -0.5259249995299615, -0.014383242914573597)
+(_E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12) = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294)
+(_E3A_1, _E3A_4, _E3A_5, _E3A_6, _E3A_7, _E3A_8, _E3A_9, _E3A_10, _E3A_11) = (
+    -0.4538545734291735, 2.6987585022618616, 0.6812767760191379,
+    -16.885342816594818, -13.987876814514605, 27.96175549233409,
+    0.3042333850581198, -0.3335239499192925, 0.01457399878468182)
+(_E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12) = (
+    -0.18980075407240762, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.42268232132379197, -0.1521609496625161,
+    0.20136540080403034, 0.022651792198360825)
+_C14 = 0.1
+(_AA14_1, _AA14_6, _AA14_7, _AA14_8, _AA14_9, _AA14_10, _AA14_11, _AA14_12) = (
+    0.005054351963776225, -0.41267006753617186, -0.11888400830261149,
+    0.511250400071805, -0.05239733207549386, 0.06981946420649213,
+    0.0031982003615129264, -0.000371008689309057)
+_C15 = 0.2
+(_AA15_1, _AA15_6, _AA15_7, _AA15_8, _AA15_9, _AA15_10, _AA15_11, _AA15_12,
+ _AA15_13) = (
+    0.009887781381457055, -0.007602503134799441, 0.04742334588757416,
+    -0.03637906592918709, -0.021320408140087014, 0.026772748548590856,
+    0.0013364963323445063, 0.001054215711719072, -0.0011726106576121006)
+_C16 = 0.7777777777777778
+(_AA16_1, _AA16_6, _AA16_7, _AA16_8, _AA16_9, _AA16_10, _AA16_11, _AA16_12,
+ _AA16_13, _AA16_14) = (
+    0.3588663399722558, 9.38025080291835, 7.477758624830405,
+    -15.729096304440624, -0.3664913832247408, 0.4520427193280568,
+    0.024882489771726926, 0.018743046880517162, -0.02134289656466091,
+    -1.293144303668819)
+(_DA4_1, _DA4_6, _DA4_7, _DA4_8, _DA4_9, _DA4_10, _DA4_11, _DA4_12, _DA4_13,
+ _DA4_14, _DA4_15) = (
+    2.8611698796830125, 30.51215583852884, -24.61264508865549,
+    -35.41960917471137, -3.863458628138401, 3.7761446592257837,
+    0.5382666867527854, 0.12984961919289312, -0.14125972611089993,
+    -14.374598829726839, 40.59398476395968)
+(_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14,
+ _D4_15, _D4_16) = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917,
+    2.38466765651207, 2.117034582445028, -0.871391583777973,
+    2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+    18.148505520854727, -9.194632392478356, -4.436036387594894)
+(_DA5_1, _DA5_6, _DA5_7, _DA5_8, _DA5_9, _DA5_10, _DA5_11, _DA5_12, _DA5_13,
+ _DA5_14, _DA5_15) = (
+    -17.921210306702967, -124.2260787072285, 273.13795938281214,
+    96.31318087284055, 27.684870153300384, -29.05563647508469,
+    -3.0977069495595075, 0.4625952063992359, 0.21147048462990323,
+    104.24898538523482, -327.75842904664137)
+(_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14,
+ _D5_15, _D5_16) = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028,
+    -374.5467547226902, -22.113666853125306, 7.733432668472264,
+    -30.674084731089398, -9.332130526430229, 15.697238121770845,
+    -31.139403219565178, -9.35292435884448, 35.81684148639408)
+(_DA6_1, _DA6_6, _DA6_7, _DA6_8, _DA6_9, _DA6_10, _DA6_11, _DA6_12, _DA6_13,
+ _DA6_14, _DA6_15) = (
+    -8.999411590110814, -250.14465065648488, -7.345168174338206,
+    324.4120585596325, 1.3538496519789445, 3.8566662410202324,
+    -0.5618712467427652, -0.5475191693050367, 0.45402652434053137,
+    47.262978033508965, -109.74095817349945)
+(_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14,
+ _D6_15, _D6_16) = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758,
+    527.8081592054236, -11.57390253995963, 6.8812326946963,
+    -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+    -60.19669523126412, 84.32040550667716, 11.99229113618279)
+(_DA7_1, _DA7_6, _DA7_7, _DA7_8, _DA7_9, _DA7_10, _DA7_11, _DA7_12, _DA7_13,
+ _DA7_14, _DA7_15) = (
+    75.66260800528795, 904.821881520238, -991.2456491432964,
+    -911.6644928639352, -83.34399475607842, 73.06569397631904,
+    11.227103851084003, -1.2324213700720028, -0.5764911999188784,
+    -446.85829878732994, 1370.1440607677016)
+(_D7_1, _D7_6, _D7_7, _D7_8, _D7_9, _D7_10, _D7_11, _D7_12, _D7_13, _D7_14,
+ _D7_15, _D7_16) = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455,
+    357.6391179106141, 93.40532418362432, -37.45832313645163,
+    104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
+    -39.17726167561544, -149.72683625798564)
 
 
-def _dp5_stages(accel: Accel, y: Vec, h: float, k1: Pair):
-    """The fifth-order state and the accelerations of stages 2 to 6 of one
-    step of size h from y = (x, v), k1 being the acceleration at x: (y5,
-    k2, k3, k4, k5, k6).
+def _stages(accel: Accel, y: Vec, h: float, k1: Pair):
+    """The eighth-order state and the accelerations of stages 2 to 12 of
+    one step of size h from y = (x, v), k1 being the acceleration at x:
+    (y8, k2, ..., k12).
 
     Stage i is the acceleration at x + c_i*h*v + h^2 * sum_m (A.A)_im k_m;
-    the fifth-order state is (x + h*v + h^2 * sum_m (b.A)_m k_m,
+    the eighth-order state is (x + h*v + h^2 * sum_m (b.A)_m k_m,
     v + h * sum_m b_m k_m).  The sums run left to right.
     """
     y0, y1, y2, y3 = y
     f1x, f1y = k1
     p0, p1, hh = h * y2, h * y3, h * h
-    f2x, f2y = accel(y0 + _C2 * p0, y1 + _C2 * p1)
-    f3x, f3y = accel(y0 + _C3 * p0 + hh * (_AA31 * f1x),
-                     y1 + _C3 * p1 + hh * (_AA31 * f1y))
-    f4x, f4y = accel(y0 + _C4 * p0 + hh * (_AA41 * f1x + _AA42 * f2x),
-                     y1 + _C4 * p1 + hh * (_AA41 * f1y + _AA42 * f2y))
-    f5x, f5y = accel(
-        y0 + _C5 * p0 + hh * (_AA51 * f1x + _AA52 * f2x + _AA53 * f3x),
-        y1 + _C5 * p1 + hh * (_AA51 * f1y + _AA52 * f2y + _AA53 * f3y))
-    f6x, f6y = accel(
-        y0 + p0 + hh * (_AA61 * f1x + _AA62 * f2x + _AA63 * f3x
-                        + _AA64 * f4x),
-        y1 + p1 + hh * (_AA61 * f1y + _AA62 * f2y + _AA63 * f3y
-                        + _AA64 * f4y))
-    y5 = (
-        y0 + p0 + hh * (_BA1 * f1x + _BA3 * f3x + _BA4 * f4x + _BA5 * f5x),
-        y1 + p1 + hh * (_BA1 * f1y + _BA3 * f3y + _BA4 * f4y + _BA5 * f5y),
-        y2 + h * (_B1 * f1x + _B3 * f3x + _B4 * f4x + _B5 * f5x
-                  + _B6 * f6x),
-        y3 + h * (_B1 * f1y + _B3 * f3y + _B4 * f4y + _B5 * f5y
-                  + _B6 * f6y),
+    k2 = accel(
+        y0 + _C2 * p0,
+        y1 + _C2 * p1)
+    f2x, f2y = k2
+    k3 = accel(
+        y0 + _C3 * p0 + hh * (_AA3_1 * f1x),
+        y1 + _C3 * p1 + hh * (_AA3_1 * f1y))
+    f3x, f3y = k3
+    k4 = accel(
+        y0 + _C4 * p0 + hh * (_AA4_1 * f1x + _AA4_2 * f2x),
+        y1 + _C4 * p1 + hh * (_AA4_1 * f1y + _AA4_2 * f2y))
+    f4x, f4y = k4
+    k5 = accel(
+        y0 + _C5 * p0 + hh * (_AA5_1 * f1x + _AA5_2 * f2x + _AA5_3 * f3x),
+        y1 + _C5 * p1 + hh * (_AA5_1 * f1y + _AA5_2 * f2y + _AA5_3 * f3y))
+    f5x, f5y = k5
+    k6 = accel(
+        y0 + _C6 * p0 + hh * (_AA6_1 * f1x + _AA6_3 * f3x + _AA6_4 * f4x),
+        y1 + _C6 * p1 + hh * (_AA6_1 * f1y + _AA6_3 * f3y + _AA6_4 * f4y))
+    f6x, f6y = k6
+    k7 = accel(
+        y0 + _C7 * p0 + hh * (_AA7_1 * f1x + _AA7_3 * f3x + _AA7_4 * f4x
+                              + _AA7_5 * f5x),
+        y1 + _C7 * p1 + hh * (_AA7_1 * f1y + _AA7_3 * f3y + _AA7_4 * f4y
+                              + _AA7_5 * f5y))
+    f7x, f7y = k7
+    k8 = accel(
+        y0 + _C8 * p0 + hh * (_AA8_1 * f1x + _AA8_3 * f3x + _AA8_4 * f4x
+                              + _AA8_5 * f5x + _AA8_6 * f6x),
+        y1 + _C8 * p1 + hh * (_AA8_1 * f1y + _AA8_3 * f3y + _AA8_4 * f4y
+                              + _AA8_5 * f5y + _AA8_6 * f6y))
+    f8x, f8y = k8
+    k9 = accel(
+        y0 + _C9 * p0 + hh * (_AA9_1 * f1x + _AA9_3 * f3x + _AA9_4 * f4x
+                              + _AA9_5 * f5x + _AA9_6 * f6x + _AA9_7 * f7x),
+        y1 + _C9 * p1 + hh * (_AA9_1 * f1y + _AA9_3 * f3y + _AA9_4 * f4y
+                              + _AA9_5 * f5y + _AA9_6 * f6y + _AA9_7 * f7y))
+    f9x, f9y = k9
+    k10 = accel(
+        y0 + _C10 * p0 + hh * (_AA10_1 * f1x + _AA10_3 * f3x + _AA10_4 * f4x
+                               + _AA10_5 * f5x + _AA10_6 * f6x + _AA10_7 * f7x
+                               + _AA10_8 * f8x),
+        y1 + _C10 * p1 + hh * (_AA10_1 * f1y + _AA10_3 * f3y + _AA10_4 * f4y
+                               + _AA10_5 * f5y + _AA10_6 * f6y + _AA10_7 * f7y
+                               + _AA10_8 * f8y))
+    f10x, f10y = k10
+    k11 = accel(
+        y0 + _C11 * p0 + hh * (_AA11_1 * f1x + _AA11_3 * f3x + _AA11_4 * f4x
+                               + _AA11_5 * f5x + _AA11_6 * f6x + _AA11_7 * f7x
+                               + _AA11_8 * f8x + _AA11_9 * f9x),
+        y1 + _C11 * p1 + hh * (_AA11_1 * f1y + _AA11_3 * f3y + _AA11_4 * f4y
+                               + _AA11_5 * f5y + _AA11_6 * f6y + _AA11_7 * f7y
+                               + _AA11_8 * f8y + _AA11_9 * f9y))
+    f11x, f11y = k11
+    k12 = accel(
+        y0 + p0 + hh * (_AA12_1 * f1x + _AA12_3 * f3x + _AA12_4 * f4x
+                        + _AA12_5 * f5x + _AA12_6 * f6x + _AA12_7 * f7x
+                        + _AA12_8 * f8x + _AA12_9 * f9x + _AA12_10 * f10x),
+        y1 + p1 + hh * (_AA12_1 * f1y + _AA12_3 * f3y + _AA12_4 * f4y
+                        + _AA12_5 * f5y + _AA12_6 * f6y + _AA12_7 * f7y
+                        + _AA12_8 * f8y + _AA12_9 * f9y + _AA12_10 * f10y))
+    f12x, f12y = k12
+    y8 = (
+        y0 + p0 + hh * (_BA1 * f1x + _BA6 * f6x + _BA7 * f7x + _BA8 * f8x
+                        + _BA9 * f9x + _BA10 * f10x + _BA11 * f11x),
+        y1 + p1 + hh * (_BA1 * f1y + _BA6 * f6y + _BA7 * f7y + _BA8 * f8y
+                        + _BA9 * f9y + _BA10 * f10y + _BA11 * f11y),
+        y2 + h * (_B1 * f1x + _B6 * f6x + _B7 * f7x + _B8 * f8x + _B9 * f9x
+                  + _B10 * f10x + _B11 * f11x + _B12 * f12x),
+        y3 + h * (_B1 * f1y + _B6 * f6y + _B7 * f7y + _B8 * f8y + _B9 * f9y
+                  + _B10 * f10y + _B11 * f11y + _B12 * f12y),
     )
-    return y5, (f2x, f2y), (f3x, f3y), (f4x, f4y), (f5x, f5y), (f6x, f6y)
+    return y8, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12
 
 
-def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Pair, abs_q: float,
-               abs_v: float, rel_tol: float):
+def _trial(accel: Accel, y: Vec, h: float, k1: Pair, abs_q: float,
+           abs_v: float, rel_tol: float):
     """One trial step of size h from y, whose first stage k1 is already
-    known: (y5, (k1, ..., k7), ratio), k7 being the FSAL stage (the
-    acceleration at y5) and ratio the largest |error| / (abs_tol + rel_tol
-    * max(|y|, |y5|)) over the components, abs_tol being abs_q for the
-    positions and abs_v for the velocities.
+    known: (y8, (k1, ..., k13), ratio), k13 being the FSAL stage (the
+    acceleration at y8) and ratio Hairer's combined error norm
+    r5^2 / sqrt(r5^2 + 0.01 * r3^2) (Solving ODEs I, II.10) in the max
+    norm: r5 and r3 are the largest |error| / (abs_tol + rel_tol *
+    max(|y|, |y8|)) over the components of the E5 and E3 errors, abs_tol
+    being abs_q for the positions and abs_v for the velocities.  It is
+    computed as r5 / sqrt(1 + 0.01 * (r3/r5)^2), which does not overflow
+    where r5^2 would, and is 0 where r5 is.
 
-    The position error is h^2 * sum_m (e.A)_m k_m (sum e = 0, so no
-    velocity term), the velocity error h * sum_m e_m k_m.  A step with a
-    non-finite error or y5 component has ratio inf.
+    A position error is h^2 * sum_m (E.A)_m k_m (sum E = 0, so no velocity
+    term), a velocity error h * sum_m E_m k_m.  A step with a non-finite
+    error, y8 component or FSAL stage has ratio inf.
     """
-    y5, k2, k3, k4, k5, k6 = _dp5_stages(accel, y, h, k1)
-    z0, z1, z2, z3 = y5
-    k7 = accel(z0, z1)
-    ks = (k1, k2, k3, k4, k5, k6, k7)
-    (f1x, f1y), (f3x, f3y), (f4x, f4y), (f5x, f5y), (f6x, f6y), (f7x, f7y) = (
-        k1, k3, k4, k5, k6, k7)
+    y8, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12 = _stages(
+        accel, y, h, k1)
+    z0, z1, z2, z3 = y8
+    k13 = accel(z0, z1)
+    ks = (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13)
+    f1x, f1y = k1
+    f4x, f4y = k4
+    f5x, f5y = k5
+    f6x, f6y = k6
+    f7x, f7y = k7
+    f8x, f8y = k8
+    f9x, f9y = k9
+    f10x, f10y = k10
+    f11x, f11y = k11
+    f12x, f12y = k12
+    f13x, f13y = k13
     hh = h * h
-    e0 = hh * (_EA1 * f1x + _EA3 * f3x + _EA4 * f4x + _EA5 * f5x
-               + _EA6 * f6x)
-    e1 = hh * (_EA1 * f1y + _EA3 * f3y + _EA4 * f4y + _EA5 * f5y
-               + _EA6 * f6y)
-    e2 = h * (_E1 * f1x + _E3 * f3x + _E4 * f4x + _E5 * f5x + _E6 * f6x
-              + _E7 * f7x)
-    e3 = h * (_E1 * f1y + _E3 * f3y + _E4 * f4y + _E5 * f5y + _E6 * f6y
-              + _E7 * f7y)
-    # |e| and |y5| by comparison, not abs(); nan fails every comparison, so
+    e5_0 = hh * (_E5A_1 * f1x + _E5A_4 * f4x + _E5A_5 * f5x + _E5A_6 * f6x
+                 + _E5A_7 * f7x + _E5A_8 * f8x + _E5A_9 * f9x + _E5A_10 * f10x
+                 + _E5A_11 * f11x)
+    e5_1 = hh * (_E5A_1 * f1y + _E5A_4 * f4y + _E5A_5 * f5y + _E5A_6 * f6y
+                 + _E5A_7 * f7y + _E5A_8 * f8y + _E5A_9 * f9y + _E5A_10 * f10y
+                 + _E5A_11 * f11y)
+    e5_2 = h * (_E5_1 * f1x + _E5_6 * f6x + _E5_7 * f7x + _E5_8 * f8x
+                + _E5_9 * f9x + _E5_10 * f10x + _E5_11 * f11x + _E5_12 * f12x)
+    e5_3 = h * (_E5_1 * f1y + _E5_6 * f6y + _E5_7 * f7y + _E5_8 * f8y
+                + _E5_9 * f9y + _E5_10 * f10y + _E5_11 * f11y + _E5_12 * f12y)
+    e3_0 = hh * (_E3A_1 * f1x + _E3A_4 * f4x + _E3A_5 * f5x + _E3A_6 * f6x
+                 + _E3A_7 * f7x + _E3A_8 * f8x + _E3A_9 * f9x + _E3A_10 * f10x
+                 + _E3A_11 * f11x)
+    e3_1 = hh * (_E3A_1 * f1y + _E3A_4 * f4y + _E3A_5 * f5y + _E3A_6 * f6y
+                 + _E3A_7 * f7y + _E3A_8 * f8y + _E3A_9 * f9y + _E3A_10 * f10y
+                 + _E3A_11 * f11y)
+    e3_2 = h * (_E3_1 * f1x + _E3_6 * f6x + _E3_7 * f7x + _E3_8 * f8x
+                + _E3_9 * f9x + _E3_10 * f10x + _E3_11 * f11x + _E3_12 * f12x)
+    e3_3 = h * (_E3_1 * f1y + _E3_6 * f6y + _E3_7 * f7y + _E3_8 * f8y
+                + _E3_9 * f9y + _E3_10 * f10y + _E3_11 * f11y + _E3_12 * f12y)
+    # |e| and |y8| by comparison, not abs(); nan fails every comparison, so
     # it stays nan, and then fails `< inf` as inf does
-    if e0 < 0.0:
-        e0 = -e0
-    if e1 < 0.0:
-        e1 = -e1
-    if e2 < 0.0:
-        e2 = -e2
-    if e3 < 0.0:
-        e3 = -e3
+    if e5_0 < 0.0:
+        e5_0 = -e5_0
+    if e5_1 < 0.0:
+        e5_1 = -e5_1
+    if e5_2 < 0.0:
+        e5_2 = -e5_2
+    if e5_3 < 0.0:
+        e5_3 = -e5_3
+    if e3_0 < 0.0:
+        e3_0 = -e3_0
+    if e3_1 < 0.0:
+        e3_1 = -e3_1
+    if e3_2 < 0.0:
+        e3_2 = -e3_2
+    if e3_3 < 0.0:
+        e3_3 = -e3_3
     if z0 < 0.0:
         z0 = -z0
     if z1 < 0.0:
@@ -241,89 +442,190 @@ def _dp5_trial(accel: Accel, y: Vec, h: float, k1: Pair, abs_q: float,
     if z3 < 0.0:
         z3 = -z3
     inf = math.inf
-    if not (e0 < inf and e1 < inf and e2 < inf and e3 < inf and z0 < inf
-            and z1 < inf and z2 < inf and z3 < inf):
-        return y5, ks, inf
+    if not (e5_0 < inf and e5_1 < inf and e5_2 < inf and e5_3 < inf
+            and e3_0 < inf and e3_1 < inf and e3_2 < inf and e3_3 < inf
+            and z0 < inf and z1 < inf and z2 < inf and z3 < inf
+            and -inf < f13x < inf and -inf < f13y < inf):
+        return y8, ks, inf
     y0, y1, y2, y3 = y
-    # the largest quotient, from 0.0, so that it is never -0.0
-    ratio = 0.0
+    # the largest quotients, each component's scale shared by both
     if y0 < 0.0:
         y0 = -y0
-    q = e0 / (abs_q + rel_tol * (z0 if z0 > y0 else y0))
-    if q > ratio:
-        ratio = q
+    s = abs_q + rel_tol * (z0 if z0 > y0 else y0)
+    r5 = e5_0 / s
+    r3 = e3_0 / s
     if y1 < 0.0:
         y1 = -y1
-    q = e1 / (abs_q + rel_tol * (z1 if z1 > y1 else y1))
-    if q > ratio:
-        ratio = q
+    s = abs_q + rel_tol * (z1 if z1 > y1 else y1)
+    q = e5_1 / s
+    if q > r5:
+        r5 = q
+    q = e3_1 / s
+    if q > r3:
+        r3 = q
     if y2 < 0.0:
         y2 = -y2
-    q = e2 / (abs_v + rel_tol * (z2 if z2 > y2 else y2))
-    if q > ratio:
-        ratio = q
+    s = abs_v + rel_tol * (z2 if z2 > y2 else y2)
+    q = e5_2 / s
+    if q > r5:
+        r5 = q
+    q = e3_2 / s
+    if q > r3:
+        r3 = q
     if y3 < 0.0:
         y3 = -y3
-    q = e3 / (abs_v + rel_tol * (z3 if z3 > y3 else y3))
-    if q > ratio:
-        ratio = q
-    return y5, ks, ratio
+    s = abs_v + rel_tol * (z3 if z3 > y3 else y3)
+    q = e5_3 / s
+    if q > r5:
+        r5 = q
+    q = e3_3 / s
+    if q > r3:
+        r3 = q
+    if not r5 > 0.0:
+        return y8, ks, 0.0
+    q = r3 / r5
+    return y8, ks, r5 / math.sqrt(1.0 + 0.01 * (q * q))
 
 
 def _advance(accel: Accel, y: Vec, h: float, k1: Pair) -> Vec:
-    """The fifth-order state one step of size h > 0 from y: the state of a
+    """The eighth-order state one step of size h > 0 from y: the state of a
     located event.  Nothing steps on from it, so its FSAL stage is not
     evaluated; the guard stands in for the y > 0 check that evaluation
     would make."""
-    y5 = _dp5_stages(accel, y, h, k1)[0]
-    dynamics._check_upper(y5[1])
-    return y5
+    y8 = _stages(accel, y, h, k1)[0]
+    dynamics._check_upper(y8[1])
+    return y8
 
 
-def _hermite(a: float, z: float, ha: float, hz: float, d: float):
-    """One component's interpolant coefficients (a, dy, b, c, d) from its
-    values a and z at the step's ends and their derivatives times h."""
-    dy = z - a
-    b = ha - dy
-    return a, dy, b, dy - hz - b, d
-
-
-def _dense_output(y: Vec, y5: Vec, ks, h: float) -> Callable[[float], Vec]:
-    """The continuous extension of the step of size h from y to y5 with
-    stages ks: tau in [0, h] -> the fourth-order state at the step's start
-    time + tau, y + s*(dy + (1-s)*(b + s*(c + (1-s)*d))) with s = tau/h.
-    A velocity's d is h * sum_m D_m k_m; a position's is h^2 * sum_m
-    (D.A)_m k_m (sum D = 0, so no velocity term)."""
-    (f1x, f1y), _, (f3x, f3y), (f4x, f4y), (f5x, f5y), (f6x, f6y), (
-        f7x, f7y) = ks
-    x0, x1, v0, v1 = y
-    z0, z1, w0, w1 = y5
-    hh = h * h
-    y_0, dy_0, b_0, c_0, d_0 = _hermite(
-        x0, z0, h * v0, h * w0,
-        hh * (_DA1 * f1x + _DA3 * f3x + _DA4 * f4x + _DA5 * f5x
-              + _DA6 * f6x))
-    y_1, dy_1, b_1, c_1, d_1 = _hermite(
-        x1, z1, h * v1, h * w1,
-        hh * (_DA1 * f1y + _DA3 * f3y + _DA4 * f4y + _DA5 * f5y
-              + _DA6 * f6y))
-    y_2, dy_2, b_2, c_2, d_2 = _hermite(
-        v0, w0, h * f1x, h * f7x,
-        h * (_D1 * f1x + _D3 * f3x + _D4 * f4x + _D5 * f5x + _D6 * f6x
-             + _D7 * f7x))
-    y_3, dy_3, b_3, c_3, d_3 = _hermite(
-        v1, w1, h * f1y, h * f7y,
-        h * (_D1 * f1y + _D3 * f3y + _D4 * f4y + _D5 * f5y + _D6 * f6y
-             + _D7 * f7y))
+def _dense_output(accel: Accel, y: Vec, y8: Vec, ks,
+                  h: float) -> Callable[[float], Vec]:
+    """The continuous extension of the step of size h from y to y8 with
+    stages ks = (k1, ..., k13) (DOP853's CONTD8, Solving ODEs I, II.10):
+    tau in [0, h] -> the seventh-order state at the step's start time +
+    tau, y + s*(dy + s1*(b + s*(c + s1*(d4 + s*(d5 + s1*(d6 + s*d7))))))
+    with s = tau/h and s1 = 1 - s.  It evaluates the field at its own
+    stages 14 to 16.  dy, b and c are the cubic Hermite terms of the
+    step's ends; a velocity's d_n is h * sum_m Dn_m k_m, a position's h^2 *
+    sum_m (Dn.A)_m k_m (the sum of each D row is 0, so no velocity term)."""
+    (f1x, f1y), _, _, _, _, (f6x, f6y), (f7x, f7y), (f8x, f8y), (
+        f9x, f9y), (f10x, f10y), (f11x, f11y), (f12x, f12y), (
+        f13x, f13y) = ks
+    y0, y1, v0, v1 = y
+    z0, z1, w0, w1 = y8
+    p0, p1, hh = h * v0, h * v1, h * h
+    k14 = accel(
+        y0 + _C14 * p0 + hh * (_AA14_1 * f1x + _AA14_6 * f6x + _AA14_7 * f7x
+                               + _AA14_8 * f8x + _AA14_9 * f9x
+                               + _AA14_10 * f10x + _AA14_11 * f11x
+                               + _AA14_12 * f12x),
+        y1 + _C14 * p1 + hh * (_AA14_1 * f1y + _AA14_6 * f6y + _AA14_7 * f7y
+                               + _AA14_8 * f8y + _AA14_9 * f9y
+                               + _AA14_10 * f10y + _AA14_11 * f11y
+                               + _AA14_12 * f12y))
+    f14x, f14y = k14
+    k15 = accel(
+        y0 + _C15 * p0 + hh * (_AA15_1 * f1x + _AA15_6 * f6x + _AA15_7 * f7x
+                               + _AA15_8 * f8x + _AA15_9 * f9x
+                               + _AA15_10 * f10x + _AA15_11 * f11x
+                               + _AA15_12 * f12x + _AA15_13 * f13x),
+        y1 + _C15 * p1 + hh * (_AA15_1 * f1y + _AA15_6 * f6y + _AA15_7 * f7y
+                               + _AA15_8 * f8y + _AA15_9 * f9y
+                               + _AA15_10 * f10y + _AA15_11 * f11y
+                               + _AA15_12 * f12y + _AA15_13 * f13y))
+    f15x, f15y = k15
+    k16 = accel(
+        y0 + _C16 * p0 + hh * (_AA16_1 * f1x + _AA16_6 * f6x + _AA16_7 * f7x
+                               + _AA16_8 * f8x + _AA16_9 * f9x
+                               + _AA16_10 * f10x + _AA16_11 * f11x
+                               + _AA16_12 * f12x + _AA16_13 * f13x
+                               + _AA16_14 * f14x),
+        y1 + _C16 * p1 + hh * (_AA16_1 * f1y + _AA16_6 * f6y + _AA16_7 * f7y
+                               + _AA16_8 * f8y + _AA16_9 * f9y
+                               + _AA16_10 * f10y + _AA16_11 * f11y
+                               + _AA16_12 * f12y + _AA16_13 * f13y
+                               + _AA16_14 * f14y))
+    f16x, f16y = k16
+    d4_0 = hh * (_DA4_1 * f1x + _DA4_6 * f6x + _DA4_7 * f7x + _DA4_8 * f8x
+                 + _DA4_9 * f9x + _DA4_10 * f10x + _DA4_11 * f11x
+                 + _DA4_12 * f12x + _DA4_13 * f13x + _DA4_14 * f14x
+                 + _DA4_15 * f15x)
+    d4_1 = hh * (_DA4_1 * f1y + _DA4_6 * f6y + _DA4_7 * f7y + _DA4_8 * f8y
+                 + _DA4_9 * f9y + _DA4_10 * f10y + _DA4_11 * f11y
+                 + _DA4_12 * f12y + _DA4_13 * f13y + _DA4_14 * f14y
+                 + _DA4_15 * f15y)
+    d4_2 = h * (_D4_1 * f1x + _D4_6 * f6x + _D4_7 * f7x + _D4_8 * f8x
+                + _D4_9 * f9x + _D4_10 * f10x + _D4_11 * f11x + _D4_12 * f12x
+                + _D4_13 * f13x + _D4_14 * f14x + _D4_15 * f15x
+                + _D4_16 * f16x)
+    d4_3 = h * (_D4_1 * f1y + _D4_6 * f6y + _D4_7 * f7y + _D4_8 * f8y
+                + _D4_9 * f9y + _D4_10 * f10y + _D4_11 * f11y + _D4_12 * f12y
+                + _D4_13 * f13y + _D4_14 * f14y + _D4_15 * f15y
+                + _D4_16 * f16y)
+    d5_0 = hh * (_DA5_1 * f1x + _DA5_6 * f6x + _DA5_7 * f7x + _DA5_8 * f8x
+                 + _DA5_9 * f9x + _DA5_10 * f10x + _DA5_11 * f11x
+                 + _DA5_12 * f12x + _DA5_13 * f13x + _DA5_14 * f14x
+                 + _DA5_15 * f15x)
+    d5_1 = hh * (_DA5_1 * f1y + _DA5_6 * f6y + _DA5_7 * f7y + _DA5_8 * f8y
+                 + _DA5_9 * f9y + _DA5_10 * f10y + _DA5_11 * f11y
+                 + _DA5_12 * f12y + _DA5_13 * f13y + _DA5_14 * f14y
+                 + _DA5_15 * f15y)
+    d5_2 = h * (_D5_1 * f1x + _D5_6 * f6x + _D5_7 * f7x + _D5_8 * f8x
+                + _D5_9 * f9x + _D5_10 * f10x + _D5_11 * f11x + _D5_12 * f12x
+                + _D5_13 * f13x + _D5_14 * f14x + _D5_15 * f15x
+                + _D5_16 * f16x)
+    d5_3 = h * (_D5_1 * f1y + _D5_6 * f6y + _D5_7 * f7y + _D5_8 * f8y
+                + _D5_9 * f9y + _D5_10 * f10y + _D5_11 * f11y + _D5_12 * f12y
+                + _D5_13 * f13y + _D5_14 * f14y + _D5_15 * f15y
+                + _D5_16 * f16y)
+    d6_0 = hh * (_DA6_1 * f1x + _DA6_6 * f6x + _DA6_7 * f7x + _DA6_8 * f8x
+                 + _DA6_9 * f9x + _DA6_10 * f10x + _DA6_11 * f11x
+                 + _DA6_12 * f12x + _DA6_13 * f13x + _DA6_14 * f14x
+                 + _DA6_15 * f15x)
+    d6_1 = hh * (_DA6_1 * f1y + _DA6_6 * f6y + _DA6_7 * f7y + _DA6_8 * f8y
+                 + _DA6_9 * f9y + _DA6_10 * f10y + _DA6_11 * f11y
+                 + _DA6_12 * f12y + _DA6_13 * f13y + _DA6_14 * f14y
+                 + _DA6_15 * f15y)
+    d6_2 = h * (_D6_1 * f1x + _D6_6 * f6x + _D6_7 * f7x + _D6_8 * f8x
+                + _D6_9 * f9x + _D6_10 * f10x + _D6_11 * f11x + _D6_12 * f12x
+                + _D6_13 * f13x + _D6_14 * f14x + _D6_15 * f15x
+                + _D6_16 * f16x)
+    d6_3 = h * (_D6_1 * f1y + _D6_6 * f6y + _D6_7 * f7y + _D6_8 * f8y
+                + _D6_9 * f9y + _D6_10 * f10y + _D6_11 * f11y + _D6_12 * f12y
+                + _D6_13 * f13y + _D6_14 * f14y + _D6_15 * f15y
+                + _D6_16 * f16y)
+    d7_0 = hh * (_DA7_1 * f1x + _DA7_6 * f6x + _DA7_7 * f7x + _DA7_8 * f8x
+                 + _DA7_9 * f9x + _DA7_10 * f10x + _DA7_11 * f11x
+                 + _DA7_12 * f12x + _DA7_13 * f13x + _DA7_14 * f14x
+                 + _DA7_15 * f15x)
+    d7_1 = hh * (_DA7_1 * f1y + _DA7_6 * f6y + _DA7_7 * f7y + _DA7_8 * f8y
+                 + _DA7_9 * f9y + _DA7_10 * f10y + _DA7_11 * f11y
+                 + _DA7_12 * f12y + _DA7_13 * f13y + _DA7_14 * f14y
+                 + _DA7_15 * f15y)
+    d7_2 = h * (_D7_1 * f1x + _D7_6 * f6x + _D7_7 * f7x + _D7_8 * f8x
+                + _D7_9 * f9x + _D7_10 * f10x + _D7_11 * f11x + _D7_12 * f12x
+                + _D7_13 * f13x + _D7_14 * f14x + _D7_15 * f15x
+                + _D7_16 * f16x)
+    d7_3 = h * (_D7_1 * f1y + _D7_6 * f6y + _D7_7 * f7y + _D7_8 * f8y
+                + _D7_9 * f9y + _D7_10 * f10y + _D7_11 * f11y + _D7_12 * f12y
+                + _D7_13 * f13y + _D7_14 * f14y + _D7_15 * f15y
+                + _D7_16 * f16y)
+    dy_0, dy_1, dy_2, dy_3 = z0 - y0, z1 - y1, w0 - v0, w1 - v1
+    b_0, b_1, b_2, b_3 = p0 - dy_0, p1 - dy_1, h * f1x - dy_2, h * f1y - dy_3
+    c_0, c_1 = dy_0 - h * w0 - b_0, dy_1 - h * w1 - b_1
+    c_2, c_3 = dy_2 - h * f13x - b_2, dy_3 - h * f13y - b_3
 
     def at(tau: float) -> Vec:
         s = tau / h
         s1 = 1.0 - s
         return (
-            y_0 + s * (dy_0 + s1 * (b_0 + s * (c_0 + s1 * d_0))),
-            y_1 + s * (dy_1 + s1 * (b_1 + s * (c_1 + s1 * d_1))),
-            y_2 + s * (dy_2 + s1 * (b_2 + s * (c_2 + s1 * d_2))),
-            y_3 + s * (dy_3 + s1 * (b_3 + s * (c_3 + s1 * d_3))),
+            y0 + s * (dy_0 + s1 * (b_0 + s * (c_0 + s1 * (d4_0 + s * (
+                d5_0 + s1 * (d6_0 + s * d7_0)))))),
+            y1 + s * (dy_1 + s1 * (b_1 + s * (c_1 + s1 * (d4_1 + s * (
+                d5_1 + s1 * (d6_1 + s * d7_1)))))),
+            v0 + s * (dy_2 + s1 * (b_2 + s * (c_2 + s1 * (d4_2 + s * (
+                d5_2 + s1 * (d6_2 + s * d7_2)))))),
+            v1 + s * (dy_3 + s1 * (b_3 + s * (c_3 + s1 * (d4_3 + s * (
+                d5_3 + s1 * (d6_3 + s * d7_3)))))),
         )
 
     return at
@@ -401,9 +703,9 @@ def _locate(
     size h from (t0, y0), f being r0 at its start and r1, of the opposite
     sign and nonzero, at its end.  `_brent` locates it on the step's
     interpolant `at`, to the midpoint of a bracket within event_tol (or to
-    a probe where f is 0); r1 is the residual of the fifth-order state, not
-    of at(h), which can round away from it.  The located state is one
-    fifth-order step from (t0, y0)."""
+    a probe where f is 0); r1 is the residual of the eighth-order state,
+    not of at(h), which can round away from it.  The located state is one
+    eighth-order step from (t0, y0)."""
     tau, r, other = _brent(lambda tau: f(at(tau)), 0.0, h, r0, r1, 0.0,
                            0.5 * event_tol, _LOCATE_MAX_ITER)
     if r != 0.0:
@@ -525,25 +827,25 @@ class _Run:
                 raise StepUnderflow(t, _vec_to_state(t, y))
 
             try:
-                y5, ks, ratio = _dp5_trial(accel, y, h, k1, abs_q, abs_v,
-                                           rel_tol)
+                y8, ks, ratio = _trial(accel, y, h, k1, abs_q, abs_v,
+                                       rel_tol)
             except DomainError:  # a stage left y > 0: the step is too long
                 ratio = math.inf
             if not ratio <= 1.0:  # rejected, also when inf or nan
-                h *= max(0.1, 0.9 * ratio ** -0.2) if ratio < math.inf else 0.2
+                h *= max(0.1, 0.9 * ratio ** -0.125) if ratio < math.inf else 0.2
                 if h < h_min:
                     raise StepUnderflow(t, _vec_to_state(t, y))
                 continue
 
             # accepted
             t0, y0 = t, y
-            t, y = t0 + h, y5
+            t, y = t0 + h, y8
             # the latest requested time this step answers: its end, or the
             # time limit when the run ends after it
             t_last = t_limit if t_limit - t < h_min else t
             # the interpolant is built only for a step that reads from it
             if requests and requests[-1] <= t_last:
-                at = _dense_output(y0, y5, ks, h)
+                at = _dense_output(accel, y0, y8, ks, h)
             else:
                 at = None
             # events in (t0, t]: each residual's sign change, located on
@@ -560,7 +862,7 @@ class _Run:
                         found.append((t, y, kind))
                         continue
                     if at is None:
-                        at = _dense_output(y0, y5, ks, h)
+                        at = _dense_output(accel, y0, y8, ks, h)
                     found.append((*_locate(accel, f, at, t0, y0, k1, h, r0,
                                            r1, event_tol), kind))
             if found is not None:
@@ -593,11 +895,11 @@ class _Run:
                 drift = d
             if t_last != t and requests and requests[-1] <= t_last:
                 drift = append_requests(t0, at, t_last, False, drift)
-            k1 = ks[6]
+            k1 = ks[12]
 
             # PI controller (accepted step)
             e = ratio if ratio >= 1e-10 else 1e-10
-            fac = 0.9 * e ** -0.14 * err_old ** 0.08
+            fac = 0.9 * e ** -0.0875 * err_old ** 0.05
             err_old = e
             h *= 5.0 if fac >= 5.0 else 0.2 if fac <= 0.2 else fac
 
@@ -655,17 +957,20 @@ def _build_trajectory(run: _Run) -> Trajectory:
 
 
 def _rest_arcs(s0: State, settings: IntegratorSettings,
-               E: Optional[float] = None, watch=()) -> Iterator[_Run]:
+               E: Optional[float] = None, watch=(),
+               sample_times=()) -> Iterator[_Run]:
     """One run of the planar field from s0, launched at the energy level E
     (see `_Run`), yielded at each of its stops: its k-th x-rest at the
     k-th yield, for k = 1, 2, ..., and last the stop that ends it any other
     way (its termination says which).  Each yield's `_build_trajectory` is
     _integrate(s0, settings, E, watch, stop={X_VELOCITY_ZERO}) resumed to
     that stop, bit for bit.  The run goes on in place when advanced, so a
-    caller builds the arc of a stop it keeps before it advances again."""
+    caller builds the arc of a stop it keeps before it advances again.  A
+    run given `sample_times` is not advanced past its first stop (see
+    `_Run.run`)."""
     rest = EventKind.X_VELOCITY_ZERO
     run = _Run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
-               watch, (rest,), (), E)
+               watch, (rest,), sample_times, E)
     for kind in run.run():
         yield run
         if kind is not rest:
@@ -695,11 +1000,11 @@ def integrate(
     and at the time limit.  A mapping as `stop` raises TypeError.
 
     Each of the `sample_times` that the run reaches (the time limit
-    included) adds one sample at exactly that time, read from the dense
-    output of the step that holds it; a sample already at that very time
-    (a step's end or the final event) stands for it.  The steps,
-    their end samples and the events are the same with or without
-    requests.  s0 carries no energy level, so the settings are read as
+    included) adds one sample at exactly that time, read from the
+    seventh-order dense output of the step that holds it, which costs that
+    step three field evaluations; a sample already at that very time (a
+    step's end or the final event) stands for it.  The steps, their end
+    samples and the events are the same with or without requests.  s0 carries no energy level, so the settings are read as
     given."""
     return _integrate(s0, settings, None, watch, stop, sample_times)
 
@@ -707,14 +1012,16 @@ def integrate(
 def integrate_inverted(
     s0: State,
     settings: IntegratorSettings = IntegratorSettings(),
+    sample_times: Sequence[float] = (),
 ) -> Trajectory:
     """Integrate the circle-inverted chart (used for zero-energy runs);
     s0 must already live in that chart, e.g. invert_state(initial_state(...)).
+    The `sample_times` are read from the dense output, as in `integrate`.
 
     The chart's origin is the image of escape to infinity, and an escaping
     run reaches it in finite time, where its step size underflows.  From
     the image of the E = 0 launch at h = 1.5, 2 or 3 the run raises
     StepUnderflow at t = 0.118, 0.058 or 0.021, within 3e-5 of the origin,
     before a t_limit of 0.3; from h = 1 it reaches that time limit."""
-    return _integrate(s0, settings, None, chart=(
+    return _integrate(s0, settings, None, sample_times=sample_times, chart=(
         dynamics.inverted_acceleration, dynamics.inverted_energy_vec))

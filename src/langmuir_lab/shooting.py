@@ -121,11 +121,11 @@ def _bracket_at(
     return default[0] * a, default[1] * a
 
 
-def _rests(E: float, h: float, settings: IntegratorSettings,
-           watch=()) -> Iterator[_Run]:
+def _rests(E: float, h: float, settings: IntegratorSettings, watch=(),
+           sample_times=()) -> Iterator[_Run]:
     """`_rest_arcs` of the horizontal launch from (0, h) at energy E."""
     return _rest_arcs(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings,
-                      E, watch)
+                      E, watch, sample_times)
 
 
 def _next_rest(rests: Iterator[_Run], k: int) -> _Run:
@@ -162,13 +162,16 @@ def _rest_run(
 
 
 def _shoot(
-    E: float, h: float, settings: IntegratorSettings
+    E: float, h: float, settings: IntegratorSettings, sample_times=()
 ) -> tuple[_Run, ShootResult]:
     """shoot()'s run and result: the launch of _rest_run, recording the
     magical-line crossings, to its first stop, its arc not built.  A run
     that ends without an x-rest gives a status='NoRest(...)' result, whose
-    t_h and alpha are nan; its crossings and drift are the run's."""
-    run = next(_rests(E, h, settings, {EventKind.MAGICAL_LINE_CROSS}))
+    t_h and alpha are nan; its crossings and drift are the run's.  The
+    `sample_times` are as in `integrate`: they add samples, and their
+    drift, but change no step."""
+    run = next(_rests(E, h, settings, {EventKind.MAGICAL_LINE_CROSS},
+                      sample_times))
     rested = run.termination is EventKind.X_VELOCITY_ZERO
     t, rest = run.samples[-1]
     return run, ShootResult(
@@ -183,10 +186,10 @@ def _shoot(
 
 
 def _shoot_run(
-    E: float, h: float, settings: IntegratorSettings
+    E: float, h: float, settings: IntegratorSettings, sample_times=()
 ) -> tuple[Trajectory, ShootResult]:
     """_shoot with the run's arc built."""
-    run, res = _shoot(E, h, settings)
+    run, res = _shoot(E, h, settings, sample_times)
     return _build_trajectory(run), res
 
 

@@ -54,55 +54,254 @@ def rk4_fixed(x, y, vx, vy, t_end, dt):
     return x, y, vx, vy
 
 
-# The published Dormand-Prince 5(4) tableau (Dormand & Prince 1980; Hairer,
-# Norsett & Wanner, Solving ODEs I, II.5), exact: the stage matrix A, whose
-# 7th row is the fifth-order weights b (the FSAL stage), the fourth-order
-# weights BHAT, and the weights D of the last coefficient of the continuous
-# extension (the CONTD5 of dopri5, ibid. II.6).
-def _rows(*rows):
-    """Rows of Fractions from (p, q) pairs, padded with zeros to 7
-    columns."""
-    return tuple(tuple(Fraction(*w) for w in row)
-                 + (Fraction(0),) * (7 - len(row)) for row in rows)
+# The published DOP853 tableau (Prince & Dormand 1981; Hairer, Norsett &
+# Wanner, Solving ODEs I, II.5 and II.10), in the 30-digit decimals of
+# Hairer's dop853.f: the stage matrix A by 1-based stage and column (rows
+# 2 to 12 the step's stages, row 13 the eighth-order weights b, whose stage
+# is FSAL, rows 14 to 16 the stages of the continuous extension), the nodes
+# c, the third-order weights BHH (E3 = b - BHH), the error weights E5, and
+# the rows D4 to D7 of the continuous extension.
+DOP853_A_DECIMALS = {
+    2: {
+        1: "5.26001519587677318785587544488e-2",
+    },
+    3: {
+        1: "1.97250569845378994544595329183e-2",
+        2: "5.91751709536136983633785987549e-2",
+    },
+    4: {
+        1: "2.95875854768068491816892993775e-2",
+        3: "8.87627564304205475450678981324e-2",
+    },
+    5: {
+        1: "2.41365134159266685502369798665e-1",
+        3: "-8.84549479328286085344864962717e-1",
+        4: "9.24834003261792003115737966543e-1",
+    },
+    6: {
+        1: "3.7037037037037037037037037037e-2",
+        4: "1.70828608729473871279604482173e-1",
+        5: "1.25467687566822425016691814123e-1",
+    },
+    7: {
+        1: "3.7109375e-2", 4: "1.70252211019544039314978060272e-1",
+        5: "6.02165389804559606850219397283e-2", 6: "-1.7578125e-2",
+    },
+    8: {
+        1: "3.70920001185047927108779319836e-2",
+        4: "1.70383925712239993810214054705e-1",
+        5: "1.07262030446373284651809199168e-1",
+        6: "-1.53194377486244017527936158236e-2",
+        7: "8.27378916381402288758473766002e-3",
+    },
+    9: {
+        1: "6.24110958716075717114429577812e-1",
+        4: "-3.36089262944694129406857109825",
+        5: "-8.68219346841726006818189891453e-1",
+        6: "2.75920996994467083049415600797e1",
+        7: "2.01540675504778934086186788979e1",
+        8: "-4.34898841810699588477366255144e1",
+    },
+    10: {
+        1: "4.77662536438264365890433908527e-1",
+        4: "-2.48811461997166764192642586468",
+        5: "-5.90290826836842996371446475743e-1",
+        6: "2.12300514481811942347288949897e1",
+        7: "1.52792336328824235832596922938e1",
+        8: "-3.32882109689848629194453265587e1",
+        9: "-2.03312017085086261358222928593e-2",
+    },
+    11: {
+        1: "-9.3714243008598732571704021658e-1",
+        4: "5.18637242884406370830023853209",
+        5: "1.09143734899672957818500254654",
+        6: "-8.14978701074692612513997267357",
+        7: "-1.85200656599969598641566180701e1",
+        8: "2.27394870993505042818970056734e1",
+        9: "2.49360555267965238987089396762",
+        10: "-3.0467644718982195003823669022",
+    },
+    12: {
+        1: "2.27331014751653820792359768449",
+        4: "-1.05344954667372501984066689879e1",
+        5: "-2.00087205822486249909675718444",
+        6: "-1.79589318631187989172765950534e1",
+        7: "2.79488845294199600508499808837e1",
+        8: "-2.85899827713502369474065508674",
+        9: "-8.87285693353062954433549289258",
+        10: "1.23605671757943030647266201528e1",
+        11: "6.43392746015763530355970484046e-1",
+    },
+    13: {
+        1: "5.42937341165687622380535766363e-2",
+        6: "4.45031289275240888144113950566",
+        7: "1.89151789931450038304281599044",
+        8: "-5.8012039600105847814672114227",
+        9: "3.1116436695781989440891606237e-1",
+        10: "-1.52160949662516078556178806805e-1",
+        11: "2.01365400804030348374776537501e-1",
+        12: "4.47106157277725905176885569043e-2",
+    },
+    14: {
+        1: "5.61675022830479523392909219681e-2",
+        7: "2.53500210216624811088794765333e-1",
+        8: "-2.46239037470802489917441475441e-1",
+        9: "-1.24191423263816360469010140626e-1",
+        10: "1.5329179827876569731206322685e-1",
+        11: "8.20105229563468988491666602057e-3",
+        12: "7.56789766054569976138603589584e-3", 13: "-8.298e-3",
+    },
+    15: {
+        1: "3.18346481635021405060768473261e-2",
+        6: "2.83009096723667755288322961402e-2",
+        7: "5.35419883074385676223797384372e-2",
+        8: "-5.49237485713909884646569340306e-2",
+        11: "-1.08347328697249322858509316994e-4",
+        12: "3.82571090835658412954920192323e-4",
+        13: "-3.40465008687404560802977114492e-4",
+        14: "1.41312443674632500278074618366e-1",
+    },
+    16: {
+        1: "-4.28896301583791923408573538692e-1",
+        6: "-4.69762141536116384314449447206",
+        7: "7.68342119606259904184240953878",
+        8: "4.06898981839711007970213554331",
+        9: "3.56727187455281109270669543021e-1",
+        13: "-1.39902416515901462129418009734e-3",
+        14: "2.9475147891527723389556272149",
+        15: "-9.15095847217987001081870187138",
+    },
+}
+DOP853_C_DECIMALS = (
+    "0.0", "0.526001519587677318785587544488e-01",
+    "0.789002279381515978178381316732e-01", "0.118350341907227396726757197510",
+    "0.281649658092772603273242802490", "0.333333333333333333333333333333",
+    "0.25", "0.307692307692307692307692307692",
+    "0.651282051282051282051282051282", "0.6",
+    "0.857142857142857142857142857142", "1.0", "1.0", "0.1", "0.2",
+    "0.777777777777777777777777777778",
+)
+DOP853_BHH_DECIMALS = {
+    1: "0.244094488188976377952755905512",
+    9: "0.733846688281611857341361741547",
+    12: "0.220588235294117647058823529412e-1",
+}
+DOP853_E5_DECIMALS = {
+    1: "0.1312004499419488073250102996e-1",
+    6: "-0.1225156446376204440720569753e+1",
+    7: "-0.4957589496572501915214079952",
+    8: "0.1664377182454986536961530415e+1",
+    9: "-0.3503288487499736816886487290", 10: "0.3341791187130174790297318841",
+    11: "0.8192320648511571246570742613e-1",
+    12: "-0.2235530786388629525884427845e-1",
+}
+DOP853_D_DECIMALS = (
+    {
+        1: "-0.84289382761090128651353491142e+1",
+        6: "0.56671495351937776962531783590",
+        7: "-0.30689499459498916912797304727e+1",
+        8: "0.23846676565120698287728149680e+1",
+        9: "0.21170345824450282767155149946e+1",
+        10: "-0.87139158377797299206789907490",
+        11: "0.22404374302607882758541771650e+1",
+        12: "0.63157877876946881815570249290",
+        13: "-0.88990336451333310820698117400e-1",
+        14: "0.18148505520854727256656404962e+2",
+        15: "-0.91946323924783554000451984436e+1",
+        16: "-0.44360363875948939664310572000e+1",
+    },
+    {
+        1: "0.10427508642579134603413151009e+2",
+        6: "0.24228349177525818288430175319e+3",
+        7: "0.16520045171727028198505394887e+3",
+        8: "-0.37454675472269020279518312152e+3",
+        9: "-0.22113666853125306036270938578e+2",
+        10: "0.77334326684722638389603898808e+1",
+        11: "-0.30674084731089398182061213626e+2",
+        12: "-0.93321305264302278729567221706e+1",
+        13: "0.15697238121770843886131091075e+2",
+        14: "-0.31139403219565177677282850411e+2",
+        15: "-0.93529243588444783865713862664e+1",
+        16: "0.35816841486394083752465898540e+2",
+    },
+    {
+        1: "0.19985053242002433820987653617e+2",
+        6: "-0.38703730874935176555105901742e+3",
+        7: "-0.18917813819516756882830838328e+3",
+        8: "0.52780815920542364900561016686e+3",
+        9: "-0.11573902539959630126141871134e+2",
+        10: "0.68812326946963000169666922661e+1",
+        11: "-0.10006050966910838403183860980e+1",
+        12: "0.77771377980534432092869265740",
+        13: "-0.27782057523535084065932004339e+1",
+        14: "-0.60196695231264120758267380846e+2",
+        15: "0.84320405506677161018159903784e+2",
+        16: "0.11992291136182789328035130030e+2",
+    },
+    {
+        1: "-0.25693933462703749003312586129e+2",
+        6: "-0.15418974869023643374053993627e+3",
+        7: "-0.23152937917604549567536039109e+3",
+        8: "0.35763911791061412378285349910e+3",
+        9: "0.93405324183624310003907691704e+2",
+        10: "-0.37458323136451633156875139351e+2",
+        11: "0.10409964950896230045147246184e+3",
+        12: "0.29840293426660503123344363579e+2",
+        13: "-0.43533456590011143754432175058e+2",
+        14: "0.96324553959188282948394950600e+2",
+        15: "-0.39177261675615439165231486172e+2",
+        16: "-0.14972683625798562581422125276e+3",
+    },
+)
+
+N_STAGES = 16
+# Exact products that the decimals leave below this are zeros of the
+# rational tableau (b_j = 0 and sum_i b_i a_ij = b_j (1 - c_j)), as are the
+# sums of E5, of E3 and of each D row.
+ZERO = Fraction(1, 10**25)
 
 
-DP5_A = _rows(
-    (),
-    ((1, 5),),
-    ((3, 40), (9, 40)),
-    ((44, 45), (-56, 15), (32, 9)),
-    ((19372, 6561), (-25360, 2187), (64448, 6561), (-212, 729)),
-    ((9017, 3168), (-355, 33), (46732, 5247), (49, 176), (-5103, 18656)),
-    ((35, 384), (0,), (500, 1113), (125, 192), (-2187, 6784), (11, 84)),
-)
-(DP5_BHAT, DP5_D) = _rows(
-    ((5179, 57600), (0,), (7571, 16695), (393, 640), (-92097, 339200),
-     (187, 2100), (1, 40)),
-    ((-12715105075, 11282082432), (0,), (87487479700, 32700410799),
-     (-10690763975, 1880347072), (701980252875, 199316789632),
-     (-1453857185, 822651844), (69997945, 29380423)),
-)
-DP5_B = DP5_A[6]
-DP5_C = tuple(sum(row) for row in DP5_A)
-DP5_E = tuple(b - bh for b, bh in zip(DP5_B, DP5_BHAT))
+def _matrix(rows):
+    """A 16 x 16 tuple of Fractions from {stage: {column: decimal}}."""
+    return tuple(tuple(Fraction(rows.get(i, {}).get(m, "0"))
+                       for m in range(1, N_STAGES + 1))
+                 for i in range(1, N_STAGES + 1))
+
+
+def _vector(entries):
+    """A 16-vector of Fractions from {1-based index: decimal}."""
+    return tuple(Fraction(entries.get(m, "0"))
+                 for m in range(1, N_STAGES + 1))
+
+
+DOP853_A = _matrix(DOP853_A_DECIMALS)
+DOP853_C = tuple(Fraction(c) for c in DOP853_C_DECIMALS)
+DOP853_B = DOP853_A[12]
+DOP853_E5 = _vector(DOP853_E5_DECIMALS)
+DOP853_E3 = tuple(b - bh for b, bh in
+                  zip(DOP853_B, _vector(DOP853_BHH_DECIMALS)))
+DOP853_D = tuple(_vector(row) for row in DOP853_D_DECIMALS)
 
 
 def _times_a(w):
     """The row vector w.A, exact."""
-    return tuple(sum(w[i] * DP5_A[i][m] for i in range(7)) for m in range(7))
+    return tuple(sum(w[i] * DOP853_A[i][m] for i in range(N_STAGES))
+                 for m in range(N_STAGES))
 
 
 # The exact products the Nystrom form reads: stage i's position weights
-# (A.A)_i, the fifth-order position's b.A (row 7 of A.A), and the position
-# parts of the error estimate and of the interpolant's last coefficient.
-DP5_AA = tuple(_times_a(row) for row in DP5_A)
-DP5_EA = _times_a(DP5_E)
-DP5_DA = _times_a(DP5_D)
+# (A.A)_i, the eighth-order position's b.A (row 13 of A.A), and the
+# position parts of the two error estimates and of the continuous
+# extension's rows.
+DOP853_AA = tuple(_times_a(row) for row in DOP853_A)
+DOP853_E5A = _times_a(DOP853_E5)
+DOP853_E3A = _times_a(DOP853_E3)
+DOP853_DA = tuple(_times_a(row) for row in DOP853_D)
 
 
-def dp5_reference_step(rhs, y, h, k1):
-    """One Dormand-Prince 5(4) step of the first-order field rhs by the
-    generic loop over the tableau; returns (y5, [k1, ..., k7]).
+def first_order_reference_step(rhs, y, h, k1):
+    """One step of the pair for the first-order field rhs by the generic
+    loop over the tableau; returns (y8, [k1, ..., k12]).
 
     Each stage input is y[j] + h * (running total of a_im * k_m[j] from 0,
     left to right).  The total is written out with reduce(), as float
@@ -110,68 +309,81 @@ def dp5_reference_step(rhs, y, h, k1):
     """
     ks = [k1]
     yi = y
-    for i in range(1, 7):
-        ai = [float(w) for w in DP5_A[i]]
+    for i in range(1, 13):
+        ai = [float(w) for w in DOP853_A[i]]
         yi = tuple(
             y[j] + h * reduce(add, (ai[m] * ks[m][j] for m in range(i)), 0)
             for j in range(len(y))
         )
-        ks.append(rhs(yi))
-    return yi, ks  # yi after the loop is the fifth-order solution
+        if i < 12:
+            ks.append(rhs(yi))
+    return yi, ks  # yi after row 13 (b) is the eighth-order solution
 
 
 def _weighted(ws, ks, j):
-    """The sum of float(w_m) * ks[m][j] over the nonzero exact weights
-    w_m, left to right, or None when there is none."""
-    terms = [float(w) * k[j] for w, k in zip(ws, ks) if w]
+    """The sum of float(w_m) * ks[m][j] over the weights w_m above ZERO,
+    left to right, or None when there is none."""
+    terms = [float(w) * k[j] for w, k in zip(ws, ks) if abs(w) > ZERO]
     return reduce(add, terms) if terms else None
 
 
 def nystrom_reference_step(accel, y, h, k1):
     """One step of the same pair in Nystrom form, for the second-order
     field x'' = accel(x) with y = (x, v), by the generic loop over the
-    exact products of the tableau; returns (y5, [k1, ..., k6]), each k_m
+    exact products of the tableau; returns (y8, [k1, ..., k12]), each k_m
     the acceleration at stage m.
 
     Stage i's input position is x + c_i*(h*v) + (h*h) * sum_m (A.A)_im k_m
-    (the last term only where some (A.A)_im is nonzero), the fifth-order
-    state (x + h*v + (h*h) * sum_m (b.A)_m k_m, v + h * sum_m b_m k_m); each
-    sum runs left to right over the nonzero weights.
+    (the last term only where some (A.A)_im is above ZERO), the
+    eighth-order state (x + h*v + (h*h) * sum_m (b.A)_m k_m,
+    v + h * sum_m b_m k_m); each sum runs left to right over the weights
+    above ZERO.
     """
     hh = h * h
 
     def position(i, ks):
         out = []
         for j in range(2):
-            p = y[j] + float(DP5_C[i]) * (h * y[j + 2])
-            s = _weighted(DP5_AA[i], ks, j)
+            p = y[j] + float(DOP853_C[i]) * (h * y[j + 2])
+            s = _weighted(DOP853_AA[i], ks, j)
             out.append(p if s is None else p + hh * s)
         return out
 
     ks = [k1]
-    for i in range(1, 6):
+    for i in range(1, 12):
         ks.append(accel(*position(i, ks)))
-    y5 = (*position(6, ks),
-          *(y[j + 2] + h * _weighted(DP5_B, ks, j) for j in range(2)))
-    return y5, ks
+    y8 = (*position(12, ks),
+          *(y[j + 2] + h * _weighted(DOP853_B, ks, j) for j in range(2)))
+    return y8, ks
 
 
-def nystrom_reference_error_ratio(y, y5, ks, h, abs_tols, rel_tol):
-    """The scaled error norm of a Nystrom step with accelerations ks (k7
-    at y5 included): the largest |err_j| / (abs_tols[j] + rel_tol *
-    max(|y[j]|, |y5[j]|)), where a position's err is (h*h) * sum_m
-    (e.A)_m k_m and a velocity's h * sum_m e_m k_m, sums left to right over
-    the nonzero weights.  A step with a non-finite error or y5 component has
-    norm inf."""
-    errs = ([h * h * _weighted(DP5_EA, ks, j) for j in range(2)]
-            + [h * _weighted(DP5_E, ks, j) for j in range(2)])
-    if not all(map(math.isfinite, errs + list(y5))):
+def nystrom_reference_errors(ks, h):
+    """The E5 and E3 error estimates of a Nystrom step with accelerations
+    ks: two lists of 4 components, a position's (h*h) * sum_m (E.A)_m k_m,
+    a velocity's h * sum_m E_m k_m, sums left to right over the weights
+    above ZERO."""
+    return [[h * h * _weighted(ea, ks, j) for j in range(2)]
+            + [h * _weighted(e, ks, j) for j in range(2)]
+            for e, ea in ((DOP853_E5, DOP853_E5A), (DOP853_E3, DOP853_E3A))]
+
+
+def nystrom_reference_error_ratio(y, y8, ks, h, abs_tols, rel_tol):
+    """The error norm of a Nystrom step with accelerations ks (k13 at y8
+    included): r5 / sqrt(1 + 0.01 * (r3/r5)^2), or 0 where r5 is, r5 and
+    r3 being the largest |err_j| / (abs_tols[j] + rel_tol * max(|y[j]|,
+    |y8[j]|)) of the E5 and E3 errors.  A step with a non-finite error, y8
+    component or k13 has norm inf."""
+    e5, e3 = nystrom_reference_errors(ks, h)
+    if not all(map(math.isfinite, e5 + e3 + list(y8) + list(ks[12]))):
         return math.inf
-    worst = 0.0
-    for j in range(4):
-        scale = abs_tols[j] + rel_tol * max(abs(y[j]), abs(y5[j]))
-        worst = max(worst, abs(errs[j]) / scale)
-    return worst
+    scales = [abs_tols[j] + rel_tol * max(abs(y[j]), abs(y8[j]))
+              for j in range(4)]
+    r5 = max(abs(e) / s for e, s in zip(e5, scales))
+    r3 = max(abs(e) / s for e, s in zip(e3, scales))
+    if not r5 > 0.0:
+        return 0.0
+    q = r3 / r5
+    return r5 / math.sqrt(1.0 + 0.01 * (q * q))
 
 
 def trajectory_bits(traj):

@@ -127,9 +127,9 @@ def test_runs_without_a_rest_fail_the_rest_time_checks():
         # a horizon shorter than h_min: the run has no sample after launch
         pytest.param(lambda: analysis.check_zero_energy_monotone(1e-15),
                      id="zero_energy_monotone"),
-        # two samples at h_max = 1e-3: no interior one for the finite
-        # difference
-        pytest.param(lambda: analysis.check_inverted_concavity(1e-3),
+        # a horizon shorter than h_min: the run has no sample after launch,
+        # so no interior one for the finite difference
+        pytest.param(lambda: analysis.check_inverted_concavity(1e-15),
                      id="inverted_concavity"),
     ],
 )

@@ -349,9 +349,10 @@ class TestVerify:
         assert {"tmax_bound", "tau_growth"} <= failed
 
     def test_zero_energy_with_no_interior_sample_fails(self, tmp_path):
-        # t_end = 1e-3 is one step of the inverted run: nothing to compare
+        # a horizon shorter than h_min: the inverted run takes no step, so
+        # nothing is compared
         report = tmp_path / "zero.json"
-        rc = main(["zero-energy", "--t-end", "0.001", "--report", str(report)])
+        rc = main(["zero-energy", "--t-end", "1e-15", "--report", str(report)])
         assert rc == 1
         doc = json.loads(report.read_text())
         assert not doc["inverted_concavity"]["passed"]

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -15,24 +16,29 @@ from langmuir_lab.integrator import (
     IntegratorSettings,
     _advance,
     _build_trajectory,
-    _dp5_trial,
     _Run,
+    _trial,
     _vec_to_state,
     integrate,
     integrate_inverted,
 )
 
 from conftest import (
-    DP5_AA,
-    DP5_B,
-    DP5_C,
-    DP5_D,
-    DP5_DA,
-    DP5_E,
-    DP5_EA,
-    dp5_reference_step,
+    DOP853_A,
+    DOP853_AA,
+    DOP853_B,
+    DOP853_C,
+    DOP853_D,
+    DOP853_DA,
+    DOP853_E3,
+    DOP853_E3A,
+    DOP853_E5,
+    DOP853_E5A,
+    ZERO,
+    first_order_reference_step,
     launches,
     nystrom_reference_error_ratio,
+    nystrom_reference_errors,
     nystrom_reference_step,
     rest_cuts,
     rk4_fixed,
@@ -257,22 +263,26 @@ class TestStopRule:
             integrate(s0, stop={EventKind.X_VELOCITY_ZERO: 3})
 
     @pytest.mark.parametrize("h", [0.3, 1.0, 1.398, 2.7])
-    def test_watching_costs_only_event_location(self, field_calls, h):
+    def test_watching_costs_only_event_location(self, field_calls, probes,
+                                                h):
         # no residual evaluates the field: watching every kind leaves the
-        # steps alone, and each located event costs the five stages of the
-        # step that gives its state
+        # steps alone, and each located event costs the eleven stages of the
+        # step that gives its state, plus the three stages of each
+        # interpolant built for location alone (the run requests no sample)
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=h))
         st = IntegratorSettings(t_limit=8.0)
         kinds = set(EventKind) - {EventKind.TIME_LIMIT}
         watched = integrate(s0, st, watch=kinds)
-        n_watched = field_calls[0]
+        n_watched, n_interpolants = field_calls[0], probes[1]
         field_calls[0] = 0
         free = integrate(s0, st)
+        assert probes[1] == n_interpolants
         assert watched.samples == free.samples
         assert free.events == watched.events[-1:]
         located = len(watched.events) - 1
-        assert located > 0
-        assert n_watched - field_calls[0] == 5 * located
+        assert 0 < n_interpolants <= located
+        assert (n_watched - field_calls[0]
+                == 11 * located + 3 * n_interpolants)
 
 
 def _first_order(accel):
@@ -288,31 +298,31 @@ def _first_order(accel):
 
 
 def _reference_trial(accel, y, h, k1, abs_q, abs_v, rel_tol):
-    y5, ks = nystrom_reference_step(accel, y, h, k1)
-    ks.append(accel(y5[0], y5[1]))
-    return y5, ks, nystrom_reference_error_ratio(
-        y, y5, ks, h, (abs_q, abs_q, abs_v, abs_v), rel_tol)
+    y8, ks = nystrom_reference_step(accel, y, h, k1)
+    ks.append(accel(y8[0], y8[1]))
+    return y8, ks, nystrom_reference_error_ratio(
+        y, y8, ks, h, (abs_q, abs_q, abs_v, abs_v), rel_tol)
 
 
 def _reference_advance(accel, y, h, k1):
-    y5 = nystrom_reference_step(accel, y, h, k1)[0]
-    dyn._check_upper(y5[1])
-    return y5
+    y8 = nystrom_reference_step(accel, y, h, k1)[0]
+    dyn._check_upper(y8[1])
+    return y8
 
 
 def _trial_bits(trial, accel, y, h, a):
-    """The fifth-order state, the seven stages and the error norm of one
-    trial step at the default tolerances read in units of scale a (abs_tol
+    """The eighth-order state, the thirteen stages and the error norm of
+    one trial step at the default tolerances read in units of scale a (abs_tol
     times a for positions, over sqrt(a) for velocities), as float.hex
     strings (so signed zeros count), or the error it raised."""
     st_ = IntegratorSettings()
     try:
-        y5, ks, ratio = trial(accel, y, h, accel(y[0], y[1]),
+        y8, ks, ratio = trial(accel, y, h, accel(y[0], y[1]),
                               st_.abs_tol * a, st_.abs_tol / math.sqrt(a),
                               st_.rel_tol)
     except (ArithmeticError, DomainError) as exc:
         return repr(exc)
-    return ([v.hex() for v in y5] + [v.hex() for k in ks for v in k]
+    return ([v.hex() for v in y8] + [v.hex() for k in ks for v in k]
             + [ratio.hex()])
 
 
@@ -357,35 +367,44 @@ def test_unrolled_step_matches_the_tableau_loop(accel, x, y, vx, vy, h, a):
     # generic Nystrom loop over the exact products of the tableau, bit for
     # bit
     state = (x, y, vx, vy)
-    assert (_trial_bits(_dp5_trial, accel, state, h, a)
+    assert (_trial_bits(_trial, accel, state, h, a)
             == _trial_bits(_reference_trial, accel, state, h, a))
     assert (_advance_bits(_advance, accel, state, h)
             == _advance_bits(_reference_advance, accel, state, h))
 
 
 def _assert_the_two_forms_agree(accel, traj):
-    # over every accepted step of the run: the fifth-order state and the
-    # error estimate of the Nystrom reference step against those of the
-    # first-order tableau loop, to 64 units of rounding of each sum's
-    # largest terms
+    # over every accepted step of the run: the eighth-order state and the
+    # E5 and E3 error estimates of the Nystrom reference step against those
+    # of the first-order tableau loop, to 64 units of rounding of the two
+    # forms' largest terms; the estimates cancel deeply, so they may also
+    # differ by what the two forms' stage accelerations do (their stage
+    # positions round differently)
     eps = 64 * 2.0 ** -52
-    e = [float(w) for w in DP5_E]
     for a, b in zip(traj.samples, traj.samples[1:]):
         y, h = _vec(a), b.t - a.t
         k1 = accel(y[0], y[1])
-        y5, ks = nystrom_reference_step(accel, y, h, k1)
-        ks.append(accel(y5[0], y5[1]))
-        err = nystrom_reference_error_ratio(y, y5, ks, h, (1.0,) * 4, 0.0)
-        z5, ls = dp5_reference_step(_first_order(accel), y, h, (*y[2:], *k1))
+        y8, ks = nystrom_reference_step(accel, y, h, k1)
+        z8, ls = first_order_reference_step(_first_order(accel), y, h,
+                                            (*y[2:], *k1))
         for j in range(4):
             terms = [abs(k[j]) for k in ls]
-            assert abs(y5[j] - z5[j]) <= eps * (abs(y[j]) + h * sum(terms))
-        # the error norm at unit abs_tol and no rel_tol is the largest
-        # |error| itself
-        first = max(abs(h * sum(w * k[j] for w, k in zip(e, ls)))
-                    for j in range(4))
-        assert abs(err - first) <= eps * h * max(
-            sum(abs(w * k[j]) for w, k in zip(e, ls)) for j in range(4))
+            assert abs(y8[j] - z8[j]) <= eps * (abs(y[j]) + h * sum(terms))
+        for errs, ws, was in zip(nystrom_reference_errors(ks, h),
+                                 (DOP853_E5, DOP853_E3),
+                                 (DOP853_E5A, DOP853_E3A)):
+            e = [float(w) for w in ws]
+            for j in range(4):
+                first = h * sum(w * k[j] for w, k in zip(e, ls))
+                # a position's Nystrom terms are h^2 (E.A)_m k_m
+                c, own, weights = ((j, h * sum(abs(float(w) * k[j]) for w, k
+                                               in zip(was, ks)), was)
+                                   if j < 2 else (j - 2, 0.0, ws))
+                moved = h ** (2 if j < 2 else 1) * sum(
+                    abs(float(w) * (k[c] - ell[c + 2]))
+                    for w, k, ell in zip(weights, ks, ls))
+                assert abs(errs[j] - first) <= moved + eps * h * (own + sum(
+                    abs(w * k[j]) for w, k in zip(e, ls)))
 
 
 @settings(max_examples=10, deadline=None)
@@ -399,25 +418,83 @@ def test_the_nystrom_step_agrees_with_the_first_order_step(E, u):
         dyn.acceleration, integrate(s0, stop={EventKind.X_VELOCITY_ZERO}))
 
 
+def _nonzero(prefix, ws):
+    """{prefix + 1-based index: w} for the weights w above ZERO."""
+    return {f"{prefix}{m + 1}": w for m, w in enumerate(ws) if abs(w) > ZERO}
+
+
 def test_coefficients_are_the_exact_products_of_the_tableau():
     # every coefficient literal of the kernel is the float of its exact
-    # product, and every nonzero product has its literal
-    want = {f"_C{i + 1}": DP5_C[i] for i in range(1, 5)}
-    for name, ws in (("_BA", DP5_AA[6]), ("_B", DP5_B), ("_EA", DP5_EA),
-                     ("_E", DP5_E), ("_DA", DP5_DA), ("_D", DP5_D)):
-        want.update((f"{name}{m + 1}", w) for m, w in enumerate(ws) if w)
-    for i in range(2, 6):
-        want.update((f"_AA{i + 1}{m + 1}", w)
-                    for m, w in enumerate(DP5_AA[i]) if w)
-    names = {n for n in vars(integrator)
-             if n.rstrip("0123456789") in ("_C", "_AA", "_BA", "_B", "_EA",
-                                           "_E", "_DA", "_D")}
+    # product, and every product above ZERO has its literal
+    want = {f"_C{i + 1}": c for i, c in enumerate(DOP853_C) if 0 < c < 1}
+    want.update(_nonzero("_BA", DOP853_AA[12]))
+    want.update(_nonzero("_B", DOP853_B))
+    for name, ws in (("_E5", DOP853_E5), ("_E3", DOP853_E3),
+                     ("_E5A", DOP853_E5A), ("_E3A", DOP853_E3A)):
+        want.update(_nonzero(f"{name}_", ws))
+    for n, (d, da) in enumerate(zip(DOP853_D, DOP853_DA), start=4):
+        want.update(_nonzero(f"_D{n}_", d))
+        want.update(_nonzero(f"_DA{n}_", da))
+    for i in (*range(2, 12), *range(13, 16)):
+        want.update(_nonzero(f"_AA{i + 1}_", DOP853_AA[i]))
+    names = {n for n in vars(integrator) if re.fullmatch(
+        r"_(C|BA|B)\d+|_(E5A?|E3A?|DA?\d|AA\d+)_\d+", n)}
     assert names == set(want)
     for name, w in want.items():
         assert getattr(integrator, name) == float(w), name
-    # stage 2 has no acceleration term; stages 6 and 7 have c = 1
-    assert not any(DP5_AA[1]) and DP5_C[5] == DP5_C[6] == 1
-    assert sum(DP5_E) == sum(DP5_D) == 0
+    # c_i is the sum of row i of A; stage 2 has no acceleration term, and
+    # stages 12 and 13 have c = 1
+    for row, c in zip(DOP853_A, DOP853_C):
+        assert float(sum(row)) == float(c)
+    assert not any(DOP853_AA[1]) and DOP853_C[11] == DOP853_C[12] == 1
+    # the sums whose velocity terms the Nystrom form leaves out: zero in the
+    # rational tableau, and below 1e-25 in its decimals
+    for ws in (DOP853_E5, DOP853_E3, *DOP853_D):
+        assert abs(sum(ws)) < ZERO
+
+
+def _kepler(t, ecc):
+    """The state (x, y, vx, vy) at time t on the ellipse of eccentricity
+    ecc and semi-major axis 2 of the Kepler field x'' = -8x/r^3 (mean motion
+    1), at periapsis on the positive x axis at t = 0: Kepler's equation
+    E - ecc*sin(E) = t solved by Newton's method."""
+    big_e = t
+    for _ in range(50):
+        big_e -= ((big_e - ecc * math.sin(big_e) - t)
+                  / (1.0 - ecc * math.cos(big_e)))
+    b = 2.0 * math.sqrt(1.0 - ecc * ecc)
+    rate = 1.0 / (1.0 - ecc * math.cos(big_e))
+    return (2.0 * (math.cos(big_e) - ecc), b * math.sin(big_e),
+            -2.0 * math.sin(big_e) * rate, b * math.cos(big_e) * rate)
+
+
+def _kepler_acceleration(x, y):
+    r3 = math.hypot(x, y) ** 3
+    return -8.0 * x / r3, -8.0 * y / r3
+
+
+def test_the_pair_has_its_orders_on_the_kepler_field():
+    # one trial step from the same state on an ellipse of eccentricity 0.3,
+    # against the closed form: each halving of h shrinks the local error
+    # of the eighth-order state by about 2^9, and the E5 and E3 estimates
+    # (weights of the tableau, on the kernel's stages) by about 2^6 and 2^4,
+    # their local orders; the kernel's combined norm, r5^2 / (0.1 r3) for
+    # small h, by about 2^8.  The local error reaches rounding (4e-16)
+    # below h = 0.2, so it is read down to there
+    t0, ecc = 3.0, 0.3
+    y = _kepler(t0, ecc)
+    k1 = _kepler_acceleration(y[0], y[1])
+    rows = []
+    for h in (0.8, 0.4, 0.2, 0.1, 0.05):
+        y8, ks, ratio = _trial(_kepler_acceleration, y, h, k1, 1.0, 1.0, 0.0)
+        e5, e3 = nystrom_reference_errors(ks, h)
+        local = max(abs(a - b) for a, b in zip(y8, _kepler(t0 + h, ecc)))
+        rows.append((h, local, max(map(abs, e5)), max(map(abs, e3)), ratio))
+    for (h, *big), (_, *small) in zip(rows, rows[1:]):
+        orders = [math.log2(a / b) for a, b in zip(big, small)]
+        want = [9.0, 6.0, 4.0, 8.0] if h > 0.2 else [None, 6.0, 4.0, 8.0]
+        for got, order in zip(orders, want):
+            assert order is None or abs(got - order) <= 0.25, (h, orders)
 
 
 @pytest.mark.parametrize("bad", [
@@ -446,7 +523,7 @@ def test_non_finite_steps_are_rejected_until_underflow(bad):
     # the underflow reports the run's last accepted sample, just short of
     # x = 0.5 (the field is 0 there, so x = t)
     t, y = run.samples[-1]
-    assert 0.49 < t < 0.5
+    assert 0.49 < y[0] < 0.5
     assert exc.value.t == t
     assert exc.value.state == _vec_to_state(t, y)
     # stopped short of x = 0.5, the run ends at its time limit, and its
@@ -464,13 +541,14 @@ def test_non_finite_steps_are_rejected_until_underflow(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("component", [0, 1], ids=["ax", "ay"])
-@pytest.mark.parametrize("stage", range(7))
+@pytest.mark.parametrize("stage", range(13))
 def test_a_non_finite_stage_gives_an_infinite_error_norm(stage, component,
                                                          bad):
     # the error norm's finiteness test is made of comparisons, which nan
     # fails silently: a field that is non-finite in one component at
-    # exactly one of the seven stages (stage 0 is k1, passed in) still
-    # gives ratio inf, and the same field without the bad value does not
+    # exactly one of the thirteen stages (stage 0 is k1, passed in; stage 12
+    # is the FSAL stage, which no error estimate reads) still gives ratio
+    # inf, and the same field without the bad value does not
     def accel(x, y):
         calls.append(None)
         a = [-x, -y]
@@ -481,9 +559,9 @@ def test_a_non_finite_stage_gives_an_infinite_error_norm(stage, component,
     y = (0.3, 1.0, -0.2, 0.5)
     for bad_stage, finite in ((stage, False), (None, True)):
         calls = []
-        ratio = _dp5_trial(accel, y, 0.01, accel(y[0], y[1]), 1e-12, 1e-12,
-                           1e-10)[2]
-        assert len(calls) == 7
+        ratio = _trial(accel, y, 0.01, accel(y[0], y[1]), 1e-12, 1e-12,
+                       1e-10)[2]
+        assert len(calls) == 13
         assert (ratio < math.inf) is finite
 
 
@@ -529,9 +607,9 @@ def _hexes(v):
 
 @settings(max_examples=10, deadline=None)
 @given(**launches)
-def test_requested_samples_agree_with_a_fifth_order_step(E, u):
+def test_requested_samples_agree_with_an_eighth_order_step(E, u):
     # 10 equally spaced requests inside every step of a free run, each read
-    # from the step's interpolant, against one fifth-order step from the
+    # from the step's interpolant, against one eighth-order step from the
     # step's start to the same time, relative to the step's largest
     # component; requests do not change the steps
     st_ = IntegratorSettings()
@@ -554,7 +632,7 @@ def test_requested_samples_agree_with_a_fifth_order_step(E, u):
 @settings(max_examples=10, deadline=None)
 @given(**launches)
 @example(E=-1.0, u=0.5)  # a magical-line crossing after the rest, same step
-def test_event_state_is_one_fifth_order_step(E, u):
+def test_event_state_is_one_eighth_order_step(E, u):
     # each event state is the output of one _advance, from the start of its
     # step to the event time, and the Nystrom reference step reproduces it
     # bit for bit (events located past the stop event in the last step make
@@ -797,37 +875,37 @@ def _rejected_bracket(bracket):
 # row is stale or the count no longer sees the field (a kernel that bound
 # `dynamics.acceleration` at import would count 0).
 @pytest.mark.parametrize("run, count", [
-    (lambda: shooting.shoot(-1.0, 1.398), 833),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 40_260),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 3_126),
+    (lambda: shooting.shoot(-1.0, 1.398), 401),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 19_922),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 2_682),
     # classification at the coarse stage's tolerance, the coarse stage and
     # the polish
-    (lambda: shooting.find_brake_orbit(-1.0), 16_292),
+    (lambda: shooting.find_brake_orbit(-1.0), 13_637),
     # one run per bracket end, to its 3rd rest at the given settings:
-    # 4,150 + 4,342
-    (lambda: shooting.classify_reflection_count(-1.0), 8_492),
+    # 1,891 + 1,639
+    (lambda: shooting.classify_reflection_count(-1.0), 3_530),
     # a bracket no rest count separates: each end runs once, to 8 rests
-    (lambda: _rejected_bracket((0.3, 0.3)), 25_234),
-    (lambda: analysis.check_zero_energy_monotone(), 4_543),
+    (lambda: _rejected_bracket((0.3, 0.3)), 11_554),
+    (lambda: analysis.check_zero_energy_monotone(), 7_117),
     # the 50-launch default grid, as in scan_alpha
-    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 40_260),
+    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 22_181),
     # the whole suite: the grid checks reduce that one scan, and
     # zero_energy_monotone and inverted_concavity add their own runs
-    (lambda: analysis.run_all_checks(), 45_803),
+    (lambda: analysis.run_all_checks(), 30_298),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
         IntegratorSettings(t_limit=8.0),
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
-    ), 6_289),
-    (lambda: _find_orbit_command("langmuir"), 3_973),
-    (lambda: _find_orbit_command("brake"), 20_631),
+    ), 2_341),
+    (lambda: _find_orbit_command("langmuir"), 3_115),
+    (lambda: _find_orbit_command("brake"), 15_927),
     # far from E = -1 the searches read their knobs in E = -1 units, so
     # they do E = -1's work
-    (lambda: shooting.find_langmuir_orbit(-1000.0), 3_126),
-    (lambda: shooting.find_langmuir_orbit(-0.001), 3_126),
-    (lambda: shooting.find_brake_orbit(-1000.0), 16_292),
-    (lambda: shooting.find_brake_orbit(-0.001), 16_292),
+    (lambda: shooting.find_langmuir_orbit(-1000.0), 2_682),
+    (lambda: shooting.find_langmuir_orbit(-0.001), 2_682),
+    (lambda: shooting.find_brake_orbit(-1000.0), 13_637),
+    (lambda: shooting.find_brake_orbit(-0.001), 13_637),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
         "classify_reflection_count", "classify_rejected_bracket",
         "check_zero_energy_monotone", "check_magical_prefix",
@@ -844,12 +922,13 @@ def test_field_evaluations_do_not_grow(field_calls, run, count):
 def probes(monkeypatch):
     """Count the states read from step interpolants (event location probes
     and requested samples) by wrapping integrator._dense_output; the count
-    is probes[0]."""
-    calls = [0]
+    is probes[0], and the count of interpolants built probes[1]."""
+    calls = [0, 0]
     real = integrator._dense_output
 
-    def counting_output(*args):
-        at = real(*args)
+    def counting_output(accel, y, y8, ks, h):
+        at = real(accel, y, y8, ks, h)
+        calls[1] += 1
 
         def counting(tau):
             calls[0] += 1
@@ -865,10 +944,10 @@ def probes(monkeypatch):
 # above.  None of these runs requests samples, so every probe locates an
 # event.
 @pytest.mark.parametrize("run, count", [
-    (lambda: shooting.shoot(-1.0, 1.398), 7),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 344),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 36),
-    (lambda: shooting.find_brake_orbit(-1.0), 134),
+    (lambda: shooting.shoot(-1.0, 1.398), 8),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 403),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 38),
+    (lambda: shooting.find_brake_orbit(-1.0), 141),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit"])
 def test_location_probes_do_not_grow(probes, run, count):
     run()
@@ -892,10 +971,10 @@ def inverted_field_calls(monkeypatch):
 
 # Field evaluations of the inverted chart at E = 0, pinned exactly as above.
 # The suite's only inverted run is inverted_concavity's, so run_all_checks
-# makes these 2,113 on top of its 45,803 planar ones.
+# makes these 553 on top of its 30,298 planar ones.
 @pytest.mark.parametrize("run, count", [
-    (lambda: analysis.check_inverted_concavity(), 2_113),
-    (lambda: analysis.run_all_checks(), 2_113),
+    (lambda: analysis.check_inverted_concavity(), 553),
+    (lambda: analysis.run_all_checks(), 553),
 ], ids=["check_inverted_concavity", "run_all_checks"])
 def test_inverted_field_evaluations_do_not_grow(inverted_field_calls, run,
                                                 count):
