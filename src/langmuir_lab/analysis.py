@@ -93,7 +93,7 @@ def grid_runs(
     (Trajectory, ShootResult) pair, the run recording the magical-line
     crossings up to its first x-rest.  Each run also samples its
     PREFIX_SAMPLES requested times, which change none of its steps, events
-    or results but its drift (it now includes theirs).  tmax_bound,
+    or results but its drift, which includes theirs.  tmax_bound,
     magical_prefix, energy_drift and tau_growth each reduce this one
     list."""
     if h_grid is None:

@@ -137,43 +137,38 @@ class Trajectory:
 # position, E5.A and E3.A for the position errors, and D.A for the
 # interpolant's positions.  Stage 13 is FSAL: its input is the eighth-order
 # state, as b is row 13 of A; stages 14 to 16 are the interpolant's own.
-# Zero entries are left out: stage 2 has no acceleration term, stages 2 and
-# 3 are read only by the positions of stages 3 to 5, and the products that
-# the 30-digit decimals leave below 1e-25 (exact zeros of the rational
-# tableau, as sum(E5), sum(E3) and the sum of each D row are) are zeros.
+# Zero entries are left out: stage 2 has no acceleration term, stage 2 is
+# read only by the positions of stages 4 and 5, stages 2 and 3 by no weight
+# but A.A's, and the products that the 30-digit decimals leave below 1e-25
+# (exact zeros of the rational tableau, as sum(E5), sum(E3) and the sum of
+# each D row are) are zeros.
 # Each literal is the product computed exactly from the decimals and rounded
 # once; the tests derive every one from the tableau (in `fractions`, which
 # the package does not import, for start-up time).
-(_C2, _C3) = (
-    0.05260015195876773, 0.0789002279381516)
+(_C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C14, _C15, _C16) = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 0.1, 0.2, 0.7777777777777778)
 _AA3_1 = 0.003112622984346139
-_C4 = 0.1183503419072274
 (_AA4_1, _AA4_2) = (
     0.0017508504286947032, 0.00525255128608411)
-_C5 = 0.2816496580927726
 (_AA5_1, _AA5_2, _AA5_3) = (
     0.009915816237971964, -0.05234336665618131, 0.0820908153700972)
-_C6 = 0.3333333333333333
 (_AA6_1, _AA6_3, _AA6_4) = (
     0.035337931304886355, -0.09581915952175495, 0.11603678377242416)
-_C7 = 0.25
 (_AA7_1, _AA7_3, _AA7_4, _AA7_5) = (
     0.018920483189113914, -0.03815245266364541, 0.05268745617004205,
     -0.0022054866955105506)
-_C8 = 0.3076923076923077
 (_AA8_1, _AA8_3, _AA8_4, _AA8_5, _AA8_6) = (
     0.03067021189623757, -0.07975482628537983, 0.09799120567724122,
     -0.0014238754814449106, -0.00014543770014516837)
-_C9 = 0.6512820512820513
 (_AA9_1, _AA9_3, _AA9_4, _AA9_5, _AA9_6, _AA9_7) = (
     -0.15229089727622042, 0.46966087733519885, -0.0681414047027942,
     0.010711857531715373, 0.3119698547460421, -0.3598261324728635)
-_C10 = 0.6
 (_AA10_1, _AA10_3, _AA10_4, _AA10_5, _AA10_6, _AA10_7, _AA10_8) = (
     -0.11020716722377502, 0.30128953154727944, 0.07865735349516378,
     0.030838873981239478, -0.319604147551303, -0.6851760518136165,
     0.8842016075650119)
-_C11 = 0.8571428571428571
 (_AA11_1, _AA11_3, _AA11_4, _AA11_5, _AA11_6, _AA11_7, _AA11_8, _AA11_9) = (
     0.3721894995071434, -0.5050736261155677, -0.46149874648558276,
     -0.06518509348541916, 4.09803840386656, 3.8922102844072395,
@@ -183,6 +178,21 @@ _C11 = 0.8571428571428571
     -0.7650750098382328, 0.8347994820739503, 1.755944144193115,
     0.23253698859550603, 11.90371935788187, -1.9034949405460306,
     -10.951226401858388, 1.3530625395360725, -1.960266160037863)
+(_AA14_1, _AA14_6, _AA14_7, _AA14_8, _AA14_9, _AA14_10, _AA14_11, _AA14_12) = (
+    0.005054351963776225, -0.41267006753617186, -0.11888400830261149,
+    0.511250400071805, -0.05239733207549386, 0.06981946420649213,
+    0.0031982003615129264, -0.000371008689309057)
+(_AA15_1, _AA15_6, _AA15_7, _AA15_8, _AA15_9, _AA15_10, _AA15_11, _AA15_12,
+ _AA15_13) = (
+    0.009887781381457055, -0.007602503134799441, 0.04742334588757416,
+    -0.03637906592918709, -0.021320408140087014, 0.026772748548590856,
+    0.0013364963323445063, 0.001054215711719072, -0.0011726106576121006)
+(_AA16_1, _AA16_6, _AA16_7, _AA16_8, _AA16_9, _AA16_10, _AA16_11, _AA16_12,
+ _AA16_13, _AA16_14) = (
+    0.3588663399722558, 9.38025080291835, 7.477758624830405,
+    -15.729096304440624, -0.3664913832247408, 0.4520427193280568,
+    0.024882489771726926, 0.018743046880517162, -0.02134289656466091,
+    -1.293144303668819)
 (_BA1, _BA6, _BA7, _BA8, _BA9, _BA10, _BA11) = (
     0.054293734116568765, 2.9668752618349394, 1.4186384244858752,
     -4.016218126161174, 0.10850859975965002, -0.06086437986500643,
@@ -207,24 +217,6 @@ _C11 = 0.8571428571428571
     -0.18980075407240762, 4.450312892752409, 1.8915178993145003,
     -5.801203960010585, -0.42268232132379197, -0.1521609496625161,
     0.20136540080403034, 0.022651792198360825)
-_C14 = 0.1
-(_AA14_1, _AA14_6, _AA14_7, _AA14_8, _AA14_9, _AA14_10, _AA14_11, _AA14_12) = (
-    0.005054351963776225, -0.41267006753617186, -0.11888400830261149,
-    0.511250400071805, -0.05239733207549386, 0.06981946420649213,
-    0.0031982003615129264, -0.000371008689309057)
-_C15 = 0.2
-(_AA15_1, _AA15_6, _AA15_7, _AA15_8, _AA15_9, _AA15_10, _AA15_11, _AA15_12,
- _AA15_13) = (
-    0.009887781381457055, -0.007602503134799441, 0.04742334588757416,
-    -0.03637906592918709, -0.021320408140087014, 0.026772748548590856,
-    0.0013364963323445063, 0.001054215711719072, -0.0011726106576121006)
-_C16 = 0.7777777777777778
-(_AA16_1, _AA16_6, _AA16_7, _AA16_8, _AA16_9, _AA16_10, _AA16_11, _AA16_12,
- _AA16_13, _AA16_14) = (
-    0.3588663399722558, 9.38025080291835, 7.477758624830405,
-    -15.729096304440624, -0.3664913832247408, 0.4520427193280568,
-    0.024882489771726926, 0.018743046880517162, -0.02134289656466091,
-    -1.293144303668819)
 (_DA4_1, _DA4_6, _DA4_7, _DA4_8, _DA4_9, _DA4_10, _DA4_11, _DA4_12, _DA4_13,
  _DA4_14, _DA4_15) = (
     2.8611698796830125, 30.51215583852884, -24.61264508865549,
@@ -832,7 +824,8 @@ class _Run:
             except DomainError:  # a stage left y > 0: the step is too long
                 ratio = math.inf
             if not ratio <= 1.0:  # rejected, also when inf or nan
-                h *= max(0.1, 0.9 * ratio ** -0.125) if ratio < math.inf else 0.2
+                h *= (max(0.1, 0.9 * ratio ** -0.125) if ratio < math.inf
+                      else 0.2)
                 if h < h_min:
                     raise StepUnderflow(t, _vec_to_state(t, y))
                 continue
@@ -1004,8 +997,8 @@ def integrate(
     seventh-order dense output of the step that holds it, which costs that
     step three field evaluations; a sample already at that very time (a
     step's end or the final event) stands for it.  The steps, their end
-    samples and the events are the same with or without requests.  s0 carries no energy level, so the settings are read as
-    given."""
+    samples and the events are the same with or without requests.  s0
+    carries no energy level, so the settings are read as given."""
     return _integrate(s0, settings, None, watch, stop, sample_times)
 
 
