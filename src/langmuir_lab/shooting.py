@@ -52,8 +52,8 @@ ALPHA_TOL = 1e-8
 COARSE_REL_TOL = 1e-6
 # |alpha_j| at or below which the brake search's classification at
 # COARSE_REL_TOL is repeated at the given settings: alpha_k at COARSE_REL_TOL
-# and at the default rel_tol differ by up to 1.2e-4 (k <= 5, 60 random
-# launches on [0.05, 3.4] at E = -1), about 80 times less
+# and at the default rel_tol differ by up to 2.8e-4 (k <= 5, 60 random
+# launches on [0.05, 3.4] at E = -1), about 35 times less
 CLASSIFY_MARGIN = 1e-2
 # iteration budget of each stage of the orbit search
 MAX_ITER = 200

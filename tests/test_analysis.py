@@ -197,7 +197,7 @@ def _rk4_steps(s0, t_end, dt=1e-4):
 def test_magical_prefix_margin_agrees_with_fixed_step_rk4():
     # the fixed-step RK4 of conftest, in steps of at most 1e-4, to each
     # crossing: vy/t at the crossing agrees with the package's within 1e-9
-    # (measured 2.0e-11), and no RK4 step before it has a larger vy/t, so
+    # (measured 6.9e-12), and no RK4 step before it has a larger vy/t, so
     # the step ends miss no rise; h = 2.7 rests before it crosses, which
     # the RK4 confirms: x-velocity at its rest below 1e-9 and the magical
     # residual positive at every step up to it

@@ -305,7 +305,7 @@ class TestScan:
         # step (1e-3) takes a stage below y = 0 and is rejected; the row is
         # the E = -0.001 launch from height 1 rescaled by a = 0.001
         # (alpha / sqrt(a), t_h * a^1.5), to 1e-8 relative (measured
-        # 2.2e-10 and 6.2e-10)
+        # 3.3e-15 and 1.7e-14)
         out = tmp_path / "scan.csv"
         argv = ["scan", "--energy", "-1.0", "--grid", "0.001,3.45,50"]
         assert main(argv + ["--out", str(out)]) == 0

@@ -43,7 +43,7 @@ BRACKET_END_ALPHAS = {
 # Tolerances.  ALPHA_ERR bounds the integration error of alpha_k at the
 # default settings: a search that stops at |alpha_k| <= ALPHA_TOL is only
 # that good if the error is well below ALPHA_TOL, and the bracket ends
-# check the bound (their errors are 4e-12 to 2.6e-10).  So a root the
+# check the bound (their errors are 1.5e-13 to 3.4e-10).  So a root the
 # search returns is off the true one by at most (ALPHA_TOL + ALPHA_ERR) /
 # |dalpha_k/dh| to first order; |dalpha/dh| at h* is 3.62 and
 # |dalpha_3/dh| at the brake h* is 47.3 (central differences), of which
@@ -224,8 +224,8 @@ def test_default_brackets_follow_energy_scaling(orbits_at_e1, kind, E):
 def test_found_orbit_touches_under_fixed_step_rk4(kind, step, E):
     # the fixed-step RK4 of conftest, at the physical energy with steps of
     # `step` in E = -1 time units, from the found h* to T, ends at a touch
-    # (measured |v| / sqrt(-E): 3.4e-11 to 3.8e-11 for Langmuir's orbit,
-    # 1.8e-7 to 1.9e-7 for the brake orbit)
+    # (measured |v| / sqrt(-E): 7.4e-13 to 9.3e-12 for Langmuir's orbit,
+    # 1.6e-7 for the brake orbit)
     rec = FINDERS[kind](E)
     s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=rec.h_star))
     T = rec.quarter_period
@@ -387,7 +387,7 @@ class TestBrakeClassification:
         self, integrate_calls
     ):
         # an end a relative 1e-7 above h*, between h* and the coarse root
-        # (about 1e-6 above it): its coarse alpha_3 has the wrong sign, and
+        # (about 2.6e-7 above it): its coarse alpha_3 has the wrong sign, and
         # lies within CLASSIFY_MARGIN, so classification runs again at the
         # given settings
         bracket = (0.3, H_STAR_BRAKE * (1.0 + 1e-7))
@@ -428,7 +428,7 @@ class TestBrakeClassification:
         # alpha_3 has the sign of its full-tolerance value.  Only signs are
         # compared: the 3rd rest from h = 0.3 lies at y = 0.016, where vy
         # changes by about 4e3 per unit of time, and the coarse rest time is
-        # 4e-6 off the full-tolerance one
+        # 1.3e-6 off the full-tolerance one
         coarse = shooting._coarse(IntegratorSettings())
         s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
         rests = shooting._rests(-1.0, h, coarse)
