@@ -137,14 +137,14 @@ class Trajectory:
 # position, E5.A and E3.A for the position errors, and D.A for the
 # interpolant's positions.  Stage 13 is FSAL: its input is the eighth-order
 # state, as b is row 13 of A; stages 14 to 16 are the interpolant's own.
-# Zero entries are left out: stage 2 has no acceleration term, stage 2 is
-# read only by the positions of stages 4 and 5, stages 2 and 3 by no weight
-# but A.A's, and the products that the 30-digit decimals leave below 1e-25
-# (exact zeros of the rational tableau, as sum(E5), sum(E3) and the sum of
-# each D row are) are zeros.
-# Each literal is the product computed exactly from the decimals and rounded
-# once; the tests derive every one from the tableau (in `fractions`, which
-# the package does not import, for start-up time).
+# Zero entries are left out: stage 2's position has no acceleration term,
+# stage 2 is read only by the positions of stages 4 and 5, stages 2 and 3
+# by no weight but A.A's, and the products that the 30-digit decimals leave
+# below 1e-25 (up to 3e-26: exact zeros of the rational tableau, as sum(E5),
+# sum(E3) and the sum of each D row are) are zeros.  Each literal is the
+# product computed exactly from the decimals and rounded once; the tests
+# derive every one from the tableau (in `fractions`, which the package does
+# not import, for start-up time).
 (_C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C14, _C15, _C16) = (
     0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
@@ -505,7 +505,7 @@ def _dense_output(accel: Accel, y: Vec, y8: Vec, ks,
     y0, y1, v0, v1 = y
     z0, z1, w0, w1 = y8
     p0, p1, hh = h * v0, h * v1, h * h
-    k14 = accel(
+    f14x, f14y = accel(
         y0 + _C14 * p0 + hh * (_AA14_1 * f1x + _AA14_6 * f6x + _AA14_7 * f7x
                                + _AA14_8 * f8x + _AA14_9 * f9x
                                + _AA14_10 * f10x + _AA14_11 * f11x
@@ -514,8 +514,7 @@ def _dense_output(accel: Accel, y: Vec, y8: Vec, ks,
                                + _AA14_8 * f8y + _AA14_9 * f9y
                                + _AA14_10 * f10y + _AA14_11 * f11y
                                + _AA14_12 * f12y))
-    f14x, f14y = k14
-    k15 = accel(
+    f15x, f15y = accel(
         y0 + _C15 * p0 + hh * (_AA15_1 * f1x + _AA15_6 * f6x + _AA15_7 * f7x
                                + _AA15_8 * f8x + _AA15_9 * f9x
                                + _AA15_10 * f10x + _AA15_11 * f11x
@@ -524,8 +523,7 @@ def _dense_output(accel: Accel, y: Vec, y8: Vec, ks,
                                + _AA15_8 * f8y + _AA15_9 * f9y
                                + _AA15_10 * f10y + _AA15_11 * f11y
                                + _AA15_12 * f12y + _AA15_13 * f13y))
-    f15x, f15y = k15
-    k16 = accel(
+    f16x, f16y = accel(
         y0 + _C16 * p0 + hh * (_AA16_1 * f1x + _AA16_6 * f6x + _AA16_7 * f7x
                                + _AA16_8 * f8x + _AA16_9 * f9x
                                + _AA16_10 * f10x + _AA16_11 * f11x
@@ -536,7 +534,6 @@ def _dense_output(accel: Accel, y: Vec, y8: Vec, ks,
                                + _AA16_10 * f10y + _AA16_11 * f11y
                                + _AA16_12 * f12y + _AA16_13 * f13y
                                + _AA16_14 * f14y))
-    f16x, f16y = k16
     d4_0 = hh * (_DA4_1 * f1x + _DA4_6 * f6x + _DA4_7 * f7x + _DA4_8 * f8x
                  + _DA4_9 * f9x + _DA4_10 * f10x + _DA4_11 * f11x
                  + _DA4_12 * f12x + _DA4_13 * f13x + _DA4_14 * f14x
