@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -76,7 +77,7 @@ def _settings(args, config: dict) -> IntegratorSettings:
 
 
 def _config_comment(args) -> str:
-    skip = {"func", "config"}
+    skip = {"config"}
     items = {
         k: v for k, v in sorted(vars(args).items())
         if k not in skip and v is not None
@@ -198,7 +199,10 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built at the first call and kept; parsing
+    leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="langmuir-lab",
         description="Planar two-electron (Langmuir) problem toolkit",
@@ -217,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    "limit in the units of the run's scale (see README)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("find-orbit", help="locate a periodic orbit")
     common(p)
@@ -226,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("langmuir", "brake"), default="langmuir")
     p.add_argument("--k", type=int, help="rest count for brake orbits")
     p.add_argument("--out", help="output prefix for .orbit.{json,csv,svg}")
-    p.set_defaults(func=cmd_find_orbit)
 
     p = sub.add_parser("scan", help="tabulate the shooting functional; "
                        "its sign changes go to stderr")
@@ -235,26 +237,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, required=True,
                    help="LO,HI,N uniform height grid")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run the full verification suite")
     common(p)
     p.add_argument("--report", help="verdict JSON path")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("zero-energy", help="zero-energy monotonicity checks")
     common(p)
     p.add_argument("--t-end", type=float, dest="t_end", default=50.0)
     p.add_argument("--report", help="verdict JSON path")
-    p.set_defaults(func=cmd_zero_energy)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up at each call, not kept in the parser, so that a rebound
+    # cmd_* function (a test's or a tracer's) is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except BadBracket as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_BRACKET

@@ -470,6 +470,22 @@ class TestConfig:
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--energy", "-1", "--height", "1"],
+    ["find-orbit", "--energy", "-1"],
+    ["scan", "--energy", "-1", "--grid", "1,2,2"],
+    ["verify"],
+    ["zero-energy"],
+], ids=lambda argv: argv[0])
+def test_kept_parser_runs_the_rebound_command(monkeypatch, argv):
+    # the parser is built once and kept, but each call runs the cmd_*
+    # function the module holds then, as a test or a tracer rebinds it
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"),
+                        lambda args: 42)
+    assert main(argv) == 42
+
+
+@pytest.mark.parametrize("argv", [
     ["scan", "--energy", "nan", "--grid", "0.5,3.0,3"],
     ["simulate", "--energy", "nan", "--height", "1.0"],
     # an infinite tolerance or horizon is not a setting: the run would be
