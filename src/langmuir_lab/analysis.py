@@ -37,8 +37,9 @@ T_MAX = math.pi / (2.0 * math.sqrt(8.0 * GAMMA))
 # every default-grid run comes at 0.354 h^3/2 or later, so magical_prefix
 # reads at least PREFIX_SAMPLES points of each run before it.
 PREFIX_SAMPLES = 56
-# evenly spaced requested samples of zero_energy_monotone's run
-ZERO_ENERGY_SAMPLES = 240
+# evenly spaced requested samples of zero_energy_monotone's run, whose step
+# is capped only by its span
+ZERO_ENERGY_SAMPLES = 800
 # evenly spaced points of inverted_concavity's finite differences
 CONCAVITY_POINTS = 600
 
@@ -164,8 +165,11 @@ def check_zero_energy_monotone(
     region y >= |x|/sqrt(63).  Growth is judged by r'/t > 0 at every
     sample after launch, the step ends and ZERO_ENERGY_SAMPLES evenly
     spaced requested times: r' = 0 at launch, but r'/t tends to 7 there, so
-    its minimum does not depend on where the first step ends."""
-    settings = replace(settings, t_limit=t_end)
+    its minimum does not depend on where the first step ends.  The samples
+    come from the dense output, so the run's step is capped only by t_end
+    (or by settings.h_max, when that is longer)."""
+    settings = replace(settings, t_limit=t_end,
+                       h_max=max(settings.h_max, t_end))
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
     traj = integrate(s0, settings, sample_times=[
         t_end * j / ZERO_ENERGY_SAMPLES

@@ -86,7 +86,10 @@ MAX_SCALE_RATIO = 100.0
 # Evaluation budget of an event's location: Brent-Dekker takes at most the
 # square of the bisection's count (Brent 1973, ch. 4), and bisection halves
 # a step to its event time tolerance in fewer than 64 probes wherever h_max
-# over min(1e-12, rel_tol) is below 2^63 (by default it is 1e11)
+# over min(1e-12, rel_tol) is below 2^63.  It is 1e11 at the default
+# settings, 3.2e11 in the orbit search's coarse stage, and 5e13 in the
+# zero-energy check's run, whose h_max is its span, at the default span of
+# 50 (a span beyond 9e6 would pass 2^63)
 _LOCATE_MAX_ITER = 64 * 64
 
 

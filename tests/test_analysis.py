@@ -51,6 +51,9 @@ class TestIndividualChecks:
         assert rep.passed
         assert rep.details["min_radial_velocity_over_t"] > 0.0
         assert rep.details["max_energy_drift"] <= 1e-8
+        # no fewer points than the 771 the run read when its step was
+        # capped at the default h_max
+        assert rep.details["n_samples"] >= 771
 
     def test_zero_energy_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
@@ -181,6 +184,32 @@ def test_zero_energy_monotone_fails_on_an_approaching_sample(monkeypatch):
     assert rep.worst_violation == (
         -dyn.radial_velocity(planted[0]) / planted[0].t
     )
+
+
+def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
+    # the check's run steps as its error control allows, up to its whole
+    # span; at requested times up to t = 5 its samples agree with the
+    # fixed-step RK4 of conftest, in steps of 1e-3, within 1e-9 (measured
+    # 3.6e-11 at t = 5, about the RK4's own error: 5.4e-10 at steps of
+    # 2e-3, 4.5e-12 at 5e-4)
+    runs = []
+    real = analysis.integrate
+
+    def integrate(s0, settings, **kwargs):
+        runs.append((settings, real(s0, settings, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(analysis, "integrate", integrate)
+    assert analysis.check_zero_energy_monotone().passed
+    (settings, traj), = runs
+    assert settings.h_max == settings.t_limit == 50.0
+    by_time = {s.t: s for s in traj.samples}
+    s0 = traj.samples[0]
+    for t in (1.0, 2.5, 5.0):
+        got = by_time[t]
+        want = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, t, 1e-3)
+        assert max(abs(a - b) for a, b in zip(
+            want, (got.x, got.y, got.vx, got.vy))) <= 1e-9
 
 
 def _rk4_steps(s0, t_end, dt=1e-4):

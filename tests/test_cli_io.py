@@ -349,13 +349,15 @@ class TestVerify:
         assert {"tmax_bound", "tau_growth"} <= failed
 
     def test_zero_energy_with_no_interior_sample_fails(self, tmp_path):
-        # a horizon shorter than h_min: the inverted run takes no step, so
-        # nothing is compared
+        # a horizon shorter than h_min: neither run takes a step, so
+        # nothing is compared (and the planar run's step cap, at least its
+        # span, stays a valid setting)
         report = tmp_path / "zero.json"
         rc = main(["zero-energy", "--t-end", "1e-15", "--report", str(report)])
         assert rc == 1
         doc = json.loads(report.read_text())
         assert not doc["inverted_concavity"]["passed"]
+        assert doc["zero_energy_monotone"]["worst_violation"] == math.inf
 
     def test_zero_energy_subcommand(self, tmp_path):
         report = tmp_path / "zero.json"

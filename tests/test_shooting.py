@@ -387,7 +387,7 @@ class TestBrakeClassification:
         self, integrate_calls
     ):
         # an end a relative 1e-7 above h*, between h* and the coarse root
-        # (about 2.6e-7 above it): its coarse alpha_3 has the wrong sign, and
+        # (about 6.9e-7 above it): its coarse alpha_3 has the wrong sign, and
         # lies within CLASSIFY_MARGIN, so classification runs again at the
         # given settings
         bracket = (0.3, H_STAR_BRAKE * (1.0 + 1e-7))
@@ -420,6 +420,25 @@ class TestBrakeClassification:
             [shooting.COARSE_REL_TOL] * (len(tols) - n_full)
         )
         assert not {lo, hi} & set(heights[-n_full:])
+
+    def test_coarse_alphas_stay_within_the_margin(self, rng):
+        # classification at the coarse stage's settings reads only signs,
+        # and runs again at the given settings once an |alpha_j| is within
+        # CLASSIFY_MARGIN; so alpha_k there and at the default settings
+        # (k <= 5) may differ by less than the margin, and do, over 60
+        # seeded launches on [0.05, 3.4] at E = -1 (largest 5.1e-4) and at
+        # h = 3.35651..., a launch of a larger seeded sample that passes
+        # 0.02 from the nucleus (1.5e-4), where a coarse stage without a
+        # step cap is off by 0.27 in alpha_4
+        coarse = shooting._coarse(IntegratorSettings())
+        heights = [rng.uniform(0.05, 3.4) for _ in range(60)]
+        for h in heights + [3.3565107859155803]:
+            full = shooting._rests(-1.0, h, IntegratorSettings())
+            rough = shooting._rests(-1.0, h, coarse)
+            for k in range(1, 6):
+                want = shooting._alpha(shooting._next_rest(full, k))
+                got = shooting._alpha(shooting._next_rest(rough, k))
+                assert abs(got - want) <= shooting.CLASSIFY_MARGIN
 
     @pytest.mark.parametrize("h, alpha_3", [(0.3, -1.76133), (0.8, 1.98551)])
     def test_rk4_gives_the_coarse_signs(self, h, alpha_3):
