@@ -23,7 +23,13 @@ from typing import Optional, Sequence
 
 from . import dynamics
 from .dynamics import ProblemSpec
-from .integrator import EventKind, IntegratorSettings, integrate, integrate_inverted
+from .integrator import (
+    EventKind,
+    IntegratorSettings,
+    integrate,
+    integrate_inverted,
+    located_h_max,
+)
 from .shooting import _shoot_run, default_grid
 
 # Deceleration bound: inside the Hill region at E=-1 both |x| and y are at
@@ -37,8 +43,8 @@ T_MAX = math.pi / (2.0 * math.sqrt(8.0 * GAMMA))
 # every default-grid run comes at 0.354 h^3/2 or later, so magical_prefix
 # reads at least PREFIX_SAMPLES points of each run before it.
 PREFIX_SAMPLES = 56
-# evenly spaced requested samples of zero_energy_monotone's run, whose step
-# is capped only by its span
+# least number of evenly spaced requested samples of zero_energy_monotone's
+# run, whose step is capped only by its span: 800 at the default span of 50
 ZERO_ENERGY_SAMPLES = 800
 # evenly spaced points of inverted_concavity's finite differences
 CONCAVITY_POINTS = 600
@@ -163,17 +169,20 @@ def check_zero_energy_monotone(
     """On the zero-energy run the distance from the nucleus grows
     monotonically and the orbit stays inside the unbounded zero-energy Hill
     region y >= |x|/sqrt(63).  Growth is judged by r'/t > 0 at every
-    sample after launch, the step ends and ZERO_ENERGY_SAMPLES evenly
-    spaced requested times: r' = 0 at launch, but r'/t tends to 7 there, so
-    its minimum does not depend on where the first step ends.  The samples
-    come from the dense output, so the run's step is capped only by t_end
-    (or by settings.h_max, when that is longer)."""
-    settings = replace(settings, t_limit=t_end,
-                       h_max=max(settings.h_max, t_end))
+    sample after launch, the step ends and evenly spaced requested times:
+    r' = 0 at launch, but r'/t tends to 7 there, so its minimum does not
+    depend on where the first step ends.  The samples come from the dense
+    output, so the run's step is capped only by t_end (or by settings.h_max,
+    when that is longer, and at most by integrator.located_h_max).  There
+    are ZERO_ENERGY_SAMPLES of them, or more on a long span, so that they
+    lie no further than settings.h_max apart, as capped steps' ends would."""
+    cap = settings.h_max
+    settings = replace(settings, t_limit=t_end, h_max=max(
+        cap, min(t_end, located_h_max(settings.rel_tol))))
+    n = max(ZERO_ENERGY_SAMPLES, math.ceil(t_end / cap))
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
-    traj = integrate(s0, settings, sample_times=[
-        t_end * j / ZERO_ENERGY_SAMPLES
-        for j in range(1, ZERO_ENERGY_SAMPLES + 1)])
+    traj = integrate(s0, settings,
+                     sample_times=[t_end * j / n for j in range(1, n + 1)])
     # with no sample after launch nothing is compared: worst is inf
     min_rdot_t = min(
         (dynamics.radial_velocity(s) / s.t for s in traj.samples if s.t > 0.0),

@@ -83,14 +83,23 @@ COLLISION_DISTANCE = 1e-6
 # Largest scale of a run over its launch's distance from the nucleus (see
 # the module docstring).
 MAX_SCALE_RATIO = 100.0
+# Order of the stepper's solution: a step's error grows as h^(ORDER + 1),
+# so the step controller scales steps by powers of the error over ORDER.
+ORDER = 8
 # Evaluation budget of an event's location: Brent-Dekker takes at most the
 # square of the bisection's count (Brent 1973, ch. 4), and bisection halves
 # a step to its event time tolerance in fewer than 64 probes wherever h_max
-# over min(1e-12, rel_tol) is below 2^63.  It is 1e11 at the default
-# settings, 3.2e11 in the orbit search's coarse stage, and 5e13 in the
-# zero-energy check's run, whose h_max is its span, at the default span of
-# 50 (a span beyond 9e6 would pass 2^63)
+# over min(1e-12, rel_tol) is below 2^63 (see located_h_max).  It is 1e11
+# at the default settings, at most 3.2e11 in the orbit search's coarse
+# stage, and 5e13 in the zero-energy check's run, whose h_max is its span,
+# at the default span of 50
 _LOCATE_MAX_ITER = 64 * 64
+
+
+def located_h_max(rel_tol: float) -> float:
+    """The longest h_max for which _LOCATE_MAX_ITER bounds an event's
+    location at rel_tol: 2^62 event time tolerances, half the bound."""
+    return 2.0 ** 62 * min(1e-12, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -803,6 +812,9 @@ class _Run:
         res = [f(y) for _, _, f in residuals]
         h = min(h_max, h_first)
         err_old = 1.0
+        # the rejection's and the PI controller's exponents (ibid., II.4)
+        shrink_expo = -1.0 / ORDER
+        expo_new, expo_old = -0.7 / ORDER, 0.4 / ORDER
         drift = self.drift
         while True:
             if t_limit - t < h_min:
@@ -824,7 +836,7 @@ class _Run:
             except DomainError:  # a stage left y > 0: the step is too long
                 ratio = math.inf
             if not ratio <= 1.0:  # rejected, also when inf or nan
-                h *= (max(0.1, 0.9 * ratio ** -0.125) if ratio < math.inf
+                h *= (max(0.1, 0.9 * ratio ** shrink_expo) if ratio < math.inf
                       else 0.2)
                 if h < h_min:
                     raise StepUnderflow(t, _vec_to_state(t, y))
@@ -892,7 +904,7 @@ class _Run:
 
             # PI controller (accepted step)
             e = ratio if ratio >= 1e-10 else 1e-10
-            fac = 0.9 * e ** -0.0875 * err_old ** 0.05
+            fac = 0.9 * e ** expo_new * err_old ** expo_old
             err_old = e
             h *= 5.0 if fac >= 5.0 else 0.2 if fac <= 0.2 else fac
 

@@ -36,6 +36,7 @@ from .errors import (
     StepUnderflow,
 )
 from .integrator import (
+    ORDER,
     EventKind,
     IntegratorSettings,
     Trajectory,
@@ -265,14 +266,18 @@ def _coarse(settings: IntegratorSettings) -> Optional[IntegratorSettings]:
     """The orbit search's coarse-stage settings: `settings` with both
     tolerances scaled to rel_tol = COARSE_REL_TOL, or None when `settings`
     are no finer than that and the search has no coarse stage.  h_max grows
-    by the eighth root of that scale, as an eighth-order step does, so it
-    bounds the coarse steps as it bounds those at `settings`."""
+    by the ORDER-th root of that scale, as a step does, but at most by that
+    root of the scale from the default rel_tol, 10^0.5: the coarse rel_tol
+    does not depend on how fine `settings` are, so neither does its cap,
+    0.316 at the default h_max, as measured in the CLASSIFY_MARGIN
+    comment."""
     scale = COARSE_REL_TOL / settings.rel_tol
     if scale <= 1.0:
         return None
+    growth = min(scale, COARSE_REL_TOL / IntegratorSettings.rel_tol)
     return replace(settings, rel_tol=scale * settings.rel_tol,
                    abs_tol=scale * settings.abs_tol,
-                   h_max=scale ** 0.125 * settings.h_max)
+                   h_max=growth ** (1.0 / ORDER) * settings.h_max)
 
 
 def _find_orbit(

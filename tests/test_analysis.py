@@ -4,7 +4,12 @@ from dataclasses import replace
 import pytest
 
 from langmuir_lab import analysis, shooting
-from langmuir_lab.integrator import EventKind, IntegratorSettings, integrate
+from langmuir_lab.integrator import (
+    EventKind,
+    IntegratorSettings,
+    integrate,
+    located_h_max,
+)
 from langmuir_lab import dynamics as dyn
 
 from conftest import rk4_fixed
@@ -210,6 +215,45 @@ def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
         want = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, t, 1e-3)
         assert max(abs(a - b) for a, b in zip(
             want, (got.x, got.y, got.vx, got.vy))) <= 1e-9
+
+
+def _zero_energy_run_settings(monkeypatch, t_end, settings):
+    """The settings and requested times of check_zero_energy_monotone's
+    run, which is not made."""
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def integrate(s0, settings, sample_times):
+        seen.append((settings, sample_times))
+        raise Stop
+
+    monkeypatch.setattr(analysis, "integrate", integrate)
+    with pytest.raises(Stop):
+        analysis.check_zero_energy_monotone(t_end, settings)
+    return seen[0]
+
+
+def test_zero_energy_samples_are_no_further_apart_than_h_max():
+    # a long span reads its samples at least as densely as capped steps'
+    # ends would lie: 5,000 points or more over t = 500
+    rep = analysis.check_zero_energy_monotone(t_end=500.0)
+    assert rep.passed
+    assert rep.details["n_samples"] >= 5000
+
+
+def test_zero_energy_step_is_capped_where_events_are_located(monkeypatch):
+    # the run's h_max is its span only up to integrator.located_h_max, the
+    # longest step whose events are still located within their budget
+    fine = IntegratorSettings(rel_tol=1e-20, abs_tol=1e-22, h_max=0.01)
+    settings, times = _zero_energy_run_settings(monkeypatch, 1.0, fine)
+    assert settings.h_max == located_h_max(1e-20) < settings.t_limit == 1.0
+    assert len(times) == 800
+    settings, times = _zero_energy_run_settings(monkeypatch, 20.0, fine)
+    assert settings.h_max == located_h_max(1e-20)
+    assert len(times) == 2000 and times[-1] == 20.0
+    assert located_h_max(1e-10) == 2.0 ** 62 * 1e-12
 
 
 def _rk4_steps(s0, t_end, dt=1e-4):
