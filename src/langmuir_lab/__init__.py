@@ -4,18 +4,15 @@ orbit search, and numeric verification of the quantitative facts behind
 the orbit's existence argument."""
 
 from .dynamics import (
-    PolarState,
     ProblemSpec,
     State,
     acceleration,
     energy,
     hill_boundary_sample,
     initial_state,
-    invert_state,
     magical_line_residual,
     potential,
     scale_state,
-    to_polar,
 )
 from .errors import (
     BadBracket,
@@ -31,7 +28,6 @@ from .integrator import (
     IntegratorSettings,
     Trajectory,
     integrate,
-    integrate_inverted,
 )
 from .shooting import (
     OrbitRecord,

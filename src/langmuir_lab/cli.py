@@ -173,11 +173,10 @@ def cmd_verify(args) -> int:
 
 def cmd_zero_energy(args) -> int:
     settings = _settings(args, _read_config(args.config))
+    run = analysis.zero_energy_run(args.t_end, settings)
     reports = [
-        analysis.check_zero_energy_monotone(args.t_end, settings),
-        analysis.check_inverted_concavity(
-            min(args.t_end, 0.3), settings
-        ),
+        analysis.check_zero_energy_monotone(run),
+        analysis.check_inverted_concavity(run),
     ]
     text = output.verdict_json(reports)
     _write(args.report, text)

@@ -6,8 +6,7 @@ the origin; the reduced configuration is the upper-half-plane position
 origin the electron-nucleus collision.  Everything here is a pure function:
 the potential, the force field, energy, the admissible initial conditions,
 the zero-velocity (Hill) boundary, the line where the vertical force
-vanishes, the conformal rescaling between energy levels, and the circle
-inversion chart used for the zero-energy analysis.
+vanishes and the conformal rescaling between energy levels.
 
 Velocities are stored, not momenta: the equations of motion come in the
 second-order form x'' = -8x/rho^3, y'' = -8y/rho^3 + 1/y^2 with q' = 2p,
@@ -62,17 +61,6 @@ class ProblemSpec:
                 f"(0, {self.h}) lies outside the Hill region at E={self.E}; "
                 f"admissible heights are (0, {-3.5 / self.E if self.E < 0 else math.inf})"
             )
-
-
-@dataclass(frozen=True)
-class PolarState:
-    """Polar chart (r, phi) with conjugate momenta; phi in (0, pi)."""
-
-    t: float
-    r: float
-    phi: float
-    pr: float
-    pphi: float
 
 
 def _check_upper(y: float) -> None:
@@ -169,53 +157,6 @@ def scale_state(s: State, a: float) -> State:
     return State(
         t=a * ra * s.t, x=a * s.x, y=a * s.y, vx=s.vx / ra, vy=s.vy / ra
     )
-
-
-def invert_state(s: State) -> State:
-    """Circle inversion chart: q -> 1/conj(q), p -> -q^2 conj(p) (complex
-    notation).  Involutive, preserves the upper half plane; time is kept."""
-    _check_upper(s.y)
-    q = complex(s.x, s.y)
-    p = complex(0.5 * s.vx, 0.5 * s.vy)
-    q_new = 1.0 / q.conjugate()
-    p_new = -q * q * p.conjugate()
-    return State(
-        t=s.t, x=q_new.real, y=q_new.imag, vx=2.0 * p_new.real, vy=2.0 * p_new.imag
-    )
-
-
-def inverted_energy_vec(v: Vec) -> float:
-    """Hamiltonian of the inverted chart, |p|^2 - 4/|q|^3 + 1/(2|q|^2 Im q),
-    of the state tuple (x, y, vx, vy) living in that chart (p = v/2).
-    Vanishes on images of zero-energy states."""
-    x, y, vx, vy = v
-    if y <= 0.0:
-        raise DomainError(f"y must be positive, got {y}")
-    r = math.hypot(x, y)
-    return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
-
-
-def inverted_acceleration(x: float, y: float) -> tuple[float, float]:
-    """v' = -2 grad of the inverted-chart potential -4/r^3 + 1/(2 r^2 y)."""
-    if y <= 0.0:
-        raise DomainError(f"y must be positive, got {y}")
-    r2 = x * x + y * y
-    r4 = r2 * r2
-    r5 = r4 * math.sqrt(r2)
-    ax = -24.0 * x / r5 + 2.0 * x / (y * r4)
-    ay = -24.0 * y / r5 + 2.0 / r4 + 1.0 / (r2 * y * y)
-    return ax, ay
-
-
-def to_polar(s: State) -> PolarState:
-    """Polar chart with momenta conjugate to (r, phi) for the |p|^2 kinetic
-    term: p_r = (x vx + y vy)/(2r), p_phi = (x vy - y vx)/2."""
-    _check_upper(s.y)
-    r = math.hypot(s.x, s.y)
-    phi = math.atan2(s.y, s.x)
-    pr = (s.x * s.vx + s.y * s.vy) / (2.0 * r)
-    pphi = 0.5 * (s.x * s.vy - s.y * s.vx)
-    return PolarState(t=s.t, r=r, phi=phi, pr=pr, pphi=pphi)
 
 
 def radial_velocity(s: State) -> float:

@@ -40,14 +40,12 @@ where E is -1, or of MAX_SCALE_RATIO times the launch's distance from the
 nucleus when that is less (E near 0): `abs_tol` x a for positions and x
 a^-1/2 for velocities; `h_max`, `t_limit`, the first trial step, H_MIN and
 the event time tolerance x a^3/2; COLLISION_DISTANCE x a.  An a^3/2 out of
-the floating-point range raises DomainError.  At E = 0, and in `integrate`
-and `integrate_inverted`, whose states carry no energy level, a = 1.
+the floating-point range raises DomainError.  At E = 0, and in `integrate`,
+whose states carry no energy level, a = 1.
 
-Two vector fields are integrated with the same machinery: the planar
-two-electron field and its circle-inverted counterpart used for the
-zero-energy analysis.  The kernel takes each field's acceleration (x, y) ->
-(ax, ay), looked up in `dynamics` at the start of every run with the
-chart's energy, which gives the run's drift.
+The kernel takes the field's acceleration (x, y) -> (ax, ay) as an
+argument; a run looks up `dynamics.acceleration` and `dynamics.energy_vec`,
+which gives the run's drift, at its start.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ ORDER = 8
 # a step to its event time tolerance in fewer than 64 probes wherever h_max
 # over min(1e-12, rel_tol) is below 2^63 (see located_h_max).  It is 1e11
 # at the default settings, at most 3.2e11 in the orbit search's coarse
-# stage, and 5e13 in the zero-energy check's run, whose h_max is its span,
+# stage, and 5e13 in analysis.zero_energy_run, whose h_max is its span,
 # at the default span of 50
 _LOCATE_MAX_ITER = 64 * 64
 
@@ -983,11 +981,10 @@ def _rest_arcs(s0: State, settings: IntegratorSettings,
 
 
 def _integrate(s0: State, settings: IntegratorSettings, E: Optional[float],
-               watch=(), stop=(), sample_times=(), chart=None) -> Trajectory:
-    """integrate() from s0, launched at the level E, of the field whose
-    (acceleration, energy) is `chart`, the planar one if None."""
-    chart = chart or (dynamics.acceleration, dynamics.energy_vec)
-    run = _Run(*chart, s0, settings, watch, stop, sample_times, E)
+               watch=(), stop=(), sample_times=()) -> Trajectory:
+    """integrate() from s0, launched at the level E."""
+    run = _Run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
+               watch, stop, sample_times, E)
     next(run.run())  # to the first stop, never resumed
     return _build_trajectory(run)
 
@@ -1012,21 +1009,3 @@ def integrate(
     samples and the events are the same with or without requests.  s0
     carries no energy level, so the settings are read as given."""
     return _integrate(s0, settings, None, watch, stop, sample_times)
-
-
-def integrate_inverted(
-    s0: State,
-    settings: IntegratorSettings = IntegratorSettings(),
-    sample_times: Sequence[float] = (),
-) -> Trajectory:
-    """Integrate the circle-inverted chart (used for zero-energy runs);
-    s0 must already live in that chart, e.g. invert_state(initial_state(...)).
-    The `sample_times` are read from the dense output, as in `integrate`.
-
-    The chart's origin is the image of escape to infinity, and an escaping
-    run reaches it in finite time, where its step size underflows.  From
-    the image of the E = 0 launch at h = 1.5, 2 or 3 the run raises
-    StepUnderflow at t = 0.118, 0.058 or 0.021, within 3e-5 of the origin,
-    before a t_limit of 0.3; from h = 1 it reaches that time limit."""
-    return _integrate(s0, settings, None, sample_times=sample_times, chart=(
-        dynamics.inverted_acceleration, dynamics.inverted_energy_vec))

@@ -3,7 +3,8 @@
 The fixed-step classical RK4 propagator below is deliberately independent
 of the package's adaptive integrator: it hard-codes the vector field and
 the Runge-Kutta arithmetic so that agreement between the two is a real
-cross-check, not a tautology.
+cross-check, not a tautology.  It also steps the circle-inverted chart
+below, which the package does not integrate.
 """
 
 from __future__ import annotations
@@ -16,15 +17,19 @@ from operator import add
 import pytest
 from hypothesis import strategies as st
 
+from langmuir_lab.errors import DomainError
 
-def rk4_fixed(x, y, vx, vy, t_end, dt):
-    """Classical 4th-order fixed-step integration of the planar
-    two-electron field from t=0; returns (x, y, vx, vy) at t_end."""
 
-    def acc(px, py):
+def rk4_fixed(x, y, vx, vy, t_end, dt, accel=None):
+    """Classical 4th-order fixed-step integration of the second-order field
+    whose acceleration is accel(x, y), by default the planar two-electron
+    field, from t=0; returns (x, y, vx, vy) at t_end."""
+
+    def planar(px, py):
         r3 = (px * px + py * py) ** 1.5
         return -8.0 * px / r3, -8.0 * py / r3 + 1.0 / (py * py)
 
+    acc = accel or planar
     n = int(round(t_end / dt))
     t = 0.0
     for _ in range(n):
@@ -52,6 +57,56 @@ def rk4_fixed(x, y, vx, vy, t_end, dt):
         vy += dt * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
         t += dt
     return x, y, vx, vy
+
+
+# The circle-inverted chart of the zero-energy analysis, in complex notation
+# q -> 1/conj(q), p -> -q^2 conj(p) with p = v/2, an involution of the upper
+# half plane.  Its Hamiltonian |p|^2 - 4/|q|^3 + 1/(2 |q|^2 Im q) is r^4
+# times the planar energy of the preimage, r being the planar radius, so on
+# E = 0 the chart's flow is the planar flow mapped, in a time tau with
+# dt/dtau = r^4.  The package reads its zero-energy checks off the planar
+# run alone; these functions are the independent chart they are tested
+# against.  States are tuples (x, y, vx, vy).
+
+
+def invert_state(x, y, vx, vy):
+    """The image of the state (x, y, vx, vy) in the chart, or its preimage:
+    the map is its own inverse."""
+    q = complex(x, y)
+    p = complex(0.5 * vx, 0.5 * vy)
+    q_new = 1.0 / q.conjugate()
+    p_new = -q * q * p.conjugate()
+    return q_new.real, q_new.imag, 2.0 * p_new.real, 2.0 * p_new.imag
+
+
+def inverted_energy(x, y, vx, vy):
+    """The chart's Hamiltonian |p|^2 - 4/r^3 + 1/(2 r^2 y) (p = v/2) of a
+    state in the chart; 0 on images of zero-energy states."""
+    r = math.hypot(x, y)
+    return 0.25 * (vx * vx + vy * vy) - 4.0 / r**3 + 0.5 / (r * r * y)
+
+
+def inverted_acceleration(x, y):
+    """v' = -2 grad of the chart's potential -4/r^3 + 1/(2 r^2 y); off the
+    half plane y > 0 it raises DomainError, as the package's field does, so
+    that the kernel rejects a step whose stage leaves it."""
+    if y <= 0.0:
+        raise DomainError(f"y must be positive, got {y}")
+    r2 = x * x + y * y
+    r4 = r2 * r2
+    r5 = r4 * math.sqrt(r2)
+    ax = -24.0 * x / r5 + 2.0 * x / (y * r4)
+    ay = -24.0 * y / r5 + 2.0 / r4 + 1.0 / (r2 * y * y)
+    return ax, ay
+
+
+def polar(x, y, vx, vy):
+    """Polar chart (r, phi, p_r, p_phi) of a state, with the momenta
+    conjugate to (r, phi) for the |p|^2 kinetic term:
+    p_r = (x vx + y vy)/(2r), p_phi = (x vy - y vx)/2."""
+    r = math.hypot(x, y)
+    return (r, math.atan2(y, x), (x * vx + y * vy) / (2.0 * r),
+            0.5 * (x * vy - y * vx))
 
 
 # The published DOP853 tableau (Prince & Dormand 1981; Hairer, Norsett &

@@ -92,8 +92,9 @@ def test_03_brake_orbit_found():
 
 
 def test_04_zero_energy_escape():
-    mono = analysis.check_zero_energy_monotone(t_end=50.0)
-    conc = analysis.check_inverted_concavity()
+    run = analysis.zero_energy_run(t_end=50.0)
+    mono = analysis.check_zero_energy_monotone(run)
+    conc = analysis.check_inverted_concavity(run)
     ok = mono.passed and conc.passed
     _verdict(
         "zero_energy_escape", ok,

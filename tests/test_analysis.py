@@ -32,6 +32,12 @@ def runs():
     return analysis.grid_runs()
 
 
+@pytest.fixture(scope="module")
+def zero_run():
+    """The zero-energy launch, integrated once to the default span."""
+    return analysis.zero_energy_run()
+
+
 class TestIndividualChecks:
     def test_initial_acceleration_passes(self):
         rep = analysis.check_initial_acceleration()
@@ -51,8 +57,8 @@ class TestIndividualChecks:
         assert rep.passed
         assert rep.details["n_checked"] > 0
 
-    def test_zero_energy_monotone_passes(self):
-        rep = analysis.check_zero_energy_monotone()
+    def test_zero_energy_monotone_passes(self, zero_run):
+        rep = analysis.check_zero_energy_monotone(zero_run)
         assert rep.passed
         assert rep.details["min_radial_velocity_over_t"] > 0.0
         assert rep.details["max_energy_drift"] <= 1e-8
@@ -62,13 +68,16 @@ class TestIndividualChecks:
 
     def test_zero_energy_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
-            analysis.check_zero_energy_monotone(t_end=-1.0)
+            analysis.zero_energy_run(t_end=-1.0)
 
-    def test_inverted_concavity_passes(self):
-        rep = analysis.check_inverted_concavity()
+    def test_inverted_concavity_passes(self, zero_run):
+        # the closed form is largest at launch, -7 = -2 p_phi^2 there, and
+        # the differences cover t <= 2, which is tau = 0.321 in the chart
+        rep = analysis.check_inverted_concavity(zero_run)
         assert rep.passed
-        assert rep.details["max_closed_form_rdd"] < 0.0
+        assert rep.details["max_closed_form_rdd"] == pytest.approx(-7.0)
         assert rep.details["fd_mismatch_worst"] <= 0.0
+        assert rep.details["t_end"] == analysis.CONCAVITY_SPAN
 
     def test_tau_growth_passes(self, runs):
         # tau grows strictly as h falls, over the whole default grid
@@ -133,12 +142,12 @@ def test_runs_without_a_rest_fail_the_rest_time_checks():
         pytest.param(lambda: analysis.check_energy_drift([]),
                      id="energy_drift"),
         # a horizon shorter than h_min: the run has no sample after launch
-        pytest.param(lambda: analysis.check_zero_energy_monotone(1e-15),
-                     id="zero_energy_monotone"),
+        pytest.param(lambda: analysis.check_zero_energy_monotone(
+            analysis.zero_energy_run(1e-15)), id="zero_energy_monotone"),
         # a horizon shorter than h_min: the run has no sample after launch,
-        # so no interior one for the finite difference
-        pytest.param(lambda: analysis.check_inverted_concavity(1e-15),
-                     id="inverted_concavity"),
+        # so no interior one for the central difference
+        pytest.param(lambda: analysis.check_inverted_concavity(
+            analysis.zero_energy_run(1e-15)), id="inverted_concavity"),
     ],
 )
 def test_check_with_nothing_to_compare_fails(check):
@@ -183,7 +192,7 @@ def test_zero_energy_monotone_fails_on_an_approaching_sample(monkeypatch):
     # one step-end sample moving towards the nucleus: r' < 0
     planted = _plant(monkeypatch, analysis,
                      lambda s: replace(s, vx=-s.vx, vy=-s.vy))
-    rep = analysis.check_zero_energy_monotone()
+    rep = analysis.check_zero_energy_monotone(analysis.zero_energy_run())
     assert dyn.radial_velocity(planted[0]) < 0.0
     assert not rep.passed
     assert rep.worst_violation == (
@@ -191,8 +200,23 @@ def test_zero_energy_monotone_fails_on_an_approaching_sample(monkeypatch):
     )
 
 
+def test_inverted_concavity_fails_on_a_displaced_sample(zero_run):
+    # the sample at t = 1, on the concavity grid, with its velocity 1e-3
+    # too long: the closed form stays negative, but the central
+    # differences beside it miss it
+    samples = list(zero_run.samples)
+    i = next(i for i, s in enumerate(samples) if s.t == 1.0)
+    samples[i] = replace(samples[i], vx=1.001 * samples[i].vx,
+                         vy=1.001 * samples[i].vy)
+    rep = analysis.check_inverted_concavity(
+        replace(zero_run, samples=tuple(samples)))
+    assert rep.details["max_closed_form_rdd"] < 0.0
+    assert not rep.passed
+    assert rep.worst_violation == rep.details["fd_mismatch_worst"] > 0.0
+
+
 def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
-    # the check's run steps as its error control allows, up to its whole
+    # the checks' run steps as its error control allows, up to its whole
     # span; at requested times up to t = 5 its samples agree with the
     # fixed-step RK4 of conftest, in steps of 1e-3, within 1e-9 (measured
     # 3.6e-11 at t = 5, about the RK4's own error: 5.4e-10 at steps of
@@ -205,7 +229,8 @@ def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
         return runs[-1][1]
 
     monkeypatch.setattr(analysis, "integrate", integrate)
-    assert analysis.check_zero_energy_monotone().passed
+    assert analysis.check_zero_energy_monotone(
+        analysis.zero_energy_run()).passed
     (settings, traj), = runs
     assert settings.h_max == settings.t_limit == 50.0
     by_time = {s.t: s for s in traj.samples}
@@ -218,8 +243,8 @@ def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
 
 
 def _zero_energy_run_settings(monkeypatch, t_end, settings):
-    """The settings and requested times of check_zero_energy_monotone's
-    run, which is not made."""
+    """The settings and requested times of zero_energy_run's run, which is
+    not made."""
     seen = []
 
     class Stop(Exception):
@@ -231,28 +256,33 @@ def _zero_energy_run_settings(monkeypatch, t_end, settings):
 
     monkeypatch.setattr(analysis, "integrate", integrate)
     with pytest.raises(Stop):
-        analysis.check_zero_energy_monotone(t_end, settings)
+        analysis.zero_energy_run(t_end, settings)
     return seen[0]
 
 
 def test_zero_energy_samples_are_no_further_apart_than_h_max():
     # a long span reads its samples at least as densely as capped steps'
     # ends would lie: 5,000 points or more over t = 500
-    rep = analysis.check_zero_energy_monotone(t_end=500.0)
+    rep = analysis.check_zero_energy_monotone(
+        analysis.zero_energy_run(t_end=500.0))
     assert rep.passed
     assert rep.details["n_samples"] >= 5000
 
 
 def test_zero_energy_step_is_capped_where_events_are_located(monkeypatch):
     # the run's h_max is its span only up to integrator.located_h_max, the
-    # longest step whose events are still located within their budget
+    # longest step whose events are still located within their budget; the
+    # run requests its evenly spaced times, then the concavity grid's
     fine = IntegratorSettings(rel_tol=1e-20, abs_tol=1e-22, h_max=0.01)
+    points = analysis.CONCAVITY_POINTS
     settings, times = _zero_energy_run_settings(monkeypatch, 1.0, fine)
     assert settings.h_max == located_h_max(1e-20) < settings.t_limit == 1.0
-    assert len(times) == 800
+    assert len(times) == 800 + points and times[799] == 1.0
+    assert times[800:] == [j / points for j in range(1, points + 1)]
     settings, times = _zero_energy_run_settings(monkeypatch, 20.0, fine)
     assert settings.h_max == located_h_max(1e-20)
-    assert len(times) == 2000 and times[-1] == 20.0
+    assert len(times) == 2000 + points and times[1999] == 20.0
+    assert times[-1] == analysis.CONCAVITY_SPAN
     assert located_h_max(1e-10) == 2.0 ** 62 * 1e-12
 
 
@@ -300,7 +330,7 @@ def test_zero_energy_margin_agrees_with_fixed_step_rk4():
     # conftest, in steps of 1e-4, reproduces it within 1e-9 (measured
     # 1.2e-12) and finds no smaller r'/t at any of its steps
     t_end = 0.5
-    rep = analysis.check_zero_energy_monotone(t_end=t_end)
+    rep = analysis.check_zero_energy_monotone(analysis.zero_energy_run(t_end))
     traj = integrate(dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0)),
                      IntegratorSettings(t_limit=t_end))
     end = traj.samples[-1]

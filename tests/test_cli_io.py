@@ -318,15 +318,22 @@ class TestScan:
 
 
 class TestVerify:
-    def test_verify_passes_and_is_deterministic(self, tmp_path):
+    @staticmethod
+    def _assert_passes_and_is_deterministic(command, n_checks, tmp_path):
         r1 = tmp_path / "verdict1.json"
         r2 = tmp_path / "verdict2.json"
-        assert main(["verify", "--report", str(r1)]) == 0
-        assert main(["verify", "--report", str(r2)]) == 0
+        assert main([command, "--report", str(r1)]) == 0
+        assert main([command, "--report", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
         doc = json.loads(r1.read_text())
-        assert len(doc) == 7
+        assert len(doc) == n_checks
         assert all(v["passed"] for v in doc.values())
+
+    def test_verify_passes_and_is_deterministic(self, tmp_path):
+        self._assert_passes_and_is_deterministic("verify", 7, tmp_path)
+
+    def test_zero_energy_passes_and_is_deterministic(self, tmp_path):
+        self._assert_passes_and_is_deterministic("zero-energy", 2, tmp_path)
 
     def test_verify_degrades_with_loose_tolerance(self, tmp_path):
         report = tmp_path / "verdict.json"
@@ -349,9 +356,9 @@ class TestVerify:
         assert {"tmax_bound", "tau_growth"} <= failed
 
     def test_zero_energy_with_no_interior_sample_fails(self, tmp_path):
-        # a horizon shorter than h_min: neither run takes a step, so
-        # nothing is compared (and the planar run's step cap, at least its
-        # span, stays a valid setting)
+        # a horizon shorter than h_min: the run takes no step, so nothing
+        # is compared (and its step cap, at least its span, stays a valid
+        # setting)
         report = tmp_path / "zero.json"
         rc = main(["zero-energy", "--t-end", "1e-15", "--report", str(report)])
         assert rc == 1

@@ -10,7 +10,7 @@ from langmuir_lab.dynamics import ProblemSpec, State
 from langmuir_lab.errors import DomainError
 from langmuir_lab.integrator import _vec_to_state
 
-from conftest import ulps
+from conftest import invert_state, inverted_energy, polar, ulps
 
 SQRT3 = math.sqrt(3.0)
 
@@ -55,20 +55,17 @@ class TestPotential:
         assert dyn.potential(3.0, 4.0) == pytest.approx(-0.675, abs=1e-15)
 
     def test_rejects_lower_half_plane(self):
-        # every function of the position that a run evaluates, and both
-        # charts' energies, on the collision line (either zero), below it
-        # and at the origin
+        # every function of the position that a run evaluates, and the
+        # energy, on the collision line (either zero), below it and at the
+        # origin
         def state(x, y):
             return State(t=0.0, x=x, y=y, vx=1.0, vy=1.0)
 
         checked = {
             "potential": dyn.potential,
             "acceleration": dyn.acceleration,
-            "inverted_acceleration": dyn.inverted_acceleration,
             "magical_line_residual": dyn.magical_line_residual,
             "energy_vec": lambda x, y: dyn.energy_vec((x, y, 1.0, 1.0)),
-            "inverted_energy_vec":
-                lambda x, y: dyn.inverted_energy_vec((x, y, 1.0, 1.0)),
             "energy": lambda x, y: dyn.energy(state(x, y)),
         }
         for name, f in checked.items():
@@ -245,82 +242,110 @@ class TestScaling:
         assert dyn.scale_state(s, 4.0).t == pytest.approx(16.0)
 
 
+def _vec(s):
+    return (s.x, s.y, s.vx, s.vy)
+
+
 class TestInversion:
+    # the circle-inverted chart of conftest, the oracle of the zero-energy
+    # checks
     def test_unit_circle_fixed_point(self):
         s = State(t=0.0, x=0.0, y=1.0, vx=1.2, vy=0.8)
-        si = dyn.invert_state(s)
-        assert (si.x, si.y) == pytest.approx((0.0, 1.0), abs=1e-15)
-        assert si.vx == pytest.approx(1.2, rel=1e-15)
-        assert si.vy == pytest.approx(-0.8, rel=1e-15)
+        x, y, vx, vy = invert_state(*_vec(s))
+        assert (x, y) == pytest.approx((0.0, 1.0), abs=1e-15)
+        assert vx == pytest.approx(1.2, rel=1e-15)
+        assert vy == pytest.approx(-0.8, rel=1e-15)
 
     def test_point_maps_inside(self):
-        s = State(t=0.0, x=0.0, y=2.0, vx=0.0, vy=0.0)
-        si = dyn.invert_state(s)
-        assert (si.x, si.y) == pytest.approx((0.0, 0.5), abs=1e-15)
+        x, y, _, _ = invert_state(0.0, 2.0, 0.0, 0.0)
+        assert (x, y) == pytest.approx((0.0, 0.5), abs=1e-15)
 
     @given(any_x, pos_y, vel, vel)
     @settings(max_examples=100)
     def test_involution(self, x, y, vx, vy):
-        s = State(t=0.0, x=x, y=y, vx=vx, vy=vy)
-        s2 = dyn.invert_state(dyn.invert_state(s))
+        v = (x, y, vx, vy)
         scale = max(abs(x), abs(y), abs(vx), abs(vy), 1.0)
-        for a, b in ((s2.x, x), (s2.y, y), (s2.vx, vx), (s2.vy, vy)):
+        for a, b in zip(invert_state(*invert_state(*v)), v):
             assert abs(a - b) <= 8.0 * math.ulp(scale)
 
     @given(any_x, pos_y)
     def test_preserves_upper_half_plane(self, x, y):
-        si = dyn.invert_state(State(t=0.0, x=x, y=y, vx=0.0, vy=0.0))
-        assert si.y > 0.0
+        assert invert_state(x, y, 0.0, 0.0)[1] > 0.0
 
 
-def _inverted_energy(s):
-    return dyn.inverted_energy_vec((s.x, s.y, s.vx, s.vy))
+def _random_states(rng, n, energy=None):
+    """n seeded random states around the unit circle, of random direction,
+    with the speed that puts them at `energy` (any speed if None)."""
+    out = []
+    for _ in range(n):
+        x = rng.uniform(-1.0, 1.0)
+        y = rng.uniform(0.3, 2.0)
+        v = (rng.uniform(0.0, 10.0) if energy is None
+             else 2.0 * math.sqrt(energy - dyn.potential(x, y)))
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        out.append(State(t=0.0, x=x, y=y,
+                         vx=v * math.cos(theta), vy=v * math.sin(theta)))
+    return out
 
 
 class TestInvertedEnergy:
     def test_zero_energy_image(self):
         s = dyn.initial_state(ProblemSpec(E=0.0, h=1.0))
-        assert abs(_inverted_energy(dyn.invert_state(s))) <= 1e-12
+        assert abs(inverted_energy(*invert_state(*_vec(s)))) <= 1e-12
 
     def test_closed_form_at_unit_height(self):
         v = 2.0 * math.sqrt(3.5)  # |p|^2 = 3.5
-        s = State(t=0.0, x=0.0, y=1.0, vx=v, vy=0.0)
-        assert _inverted_energy(s) == pytest.approx(0.0, abs=1e-14)
+        assert inverted_energy(0.0, 1.0, v, 0.0) == pytest.approx(
+            0.0, abs=1e-14)
 
     def test_rest_at_unit_height(self):
-        s = State(t=0.0, x=0.0, y=1.0, vx=0.0, vy=0.0)
-        assert _inverted_energy(s) == pytest.approx(-3.5, abs=1e-15)
+        assert inverted_energy(0.0, 1.0, 0.0, 0.0) == pytest.approx(
+            -3.5, abs=1e-15)
 
     def test_many_random_zero_energy_states(self, rng):
         # points with V < 0 admit a speed making the energy exactly zero
-        worst = 0.0
-        for _ in range(1000):
-            x = rng.uniform(-1.0, 1.0)
-            y = rng.uniform(0.3, 2.0)
-            v = 2.0 * math.sqrt(-dyn.potential(x, y))
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            s = State(t=0.0, x=x, y=y,
-                      vx=v * math.cos(theta), vy=v * math.sin(theta))
-            worst = max(worst, abs(_inverted_energy(dyn.invert_state(s))))
+        worst = max(abs(inverted_energy(*invert_state(*_vec(s))))
+                    for s in _random_states(rng, 1000, energy=0.0))
         assert worst <= 1e-10
 
 
+def test_inverted_chart_reads_the_planar_state(rng):
+    # the identities that let analysis.check_inverted_concavity read the
+    # chart off the planar run: at the image of a planar state of any
+    # energy, 2 p_rho = -r^2 r' and p_phi = (x vy - y vx)/2, and the chart's
+    # energy is r^4 times the planar one (r the planar radius), each within
+    # 1e-12 of its largest term (the identities are exact, so this is
+    # rounding: measured at most 1.8e-15)
+    for s in _random_states(rng, 1000):
+        r = math.hypot(s.x, s.y)
+        rdot = dyn.radial_velocity(s)
+        _, _, p_rho, p_phi = polar(*invert_state(*_vec(s)))
+        assert abs(2.0 * p_rho + r * r * rdot) <= 1e-12 * max(
+            1.0, r * r * abs(rdot))
+        l = 0.5 * (s.x * s.vy - s.y * s.vx)
+        assert abs(p_phi - l) <= 1e-12 * max(1.0, abs(l))
+        h = dyn.energy(s)
+        terms = max(0.25 * s.speed2(), -dyn.potential(s.x, s.y), 0.5 / s.y)
+        assert (abs(inverted_energy(*invert_state(*_vec(s))) - r**4 * h)
+                <= 1e-12 * r**4 * terms)
+
+
 class TestPolar:
+    # the polar chart of conftest, whose momenta the chart identities read
     def test_horizontal_launch(self):
-        s = State(t=0.0, x=0.0, y=1.0, vx=3.0, vy=0.0)
-        ps = dyn.to_polar(s)
-        assert ps.r == 1.0
-        assert ps.phi == pytest.approx(math.pi / 2.0)
-        assert ps.pr == pytest.approx(0.0, abs=1e-15)
-        assert ps.pphi == pytest.approx(-1.5)
+        r, phi, pr, pphi = polar(0.0, 1.0, 3.0, 0.0)
+        assert r == 1.0
+        assert phi == pytest.approx(math.pi / 2.0)
+        assert pr == pytest.approx(0.0, abs=1e-15)
+        assert pphi == pytest.approx(-1.5)
         # launched to the left, the motion is counter-clockwise: pphi > 0
-        assert dyn.to_polar(dataclasses.replace(s, vx=-3.0)).pphi == 1.5
+        assert polar(0.0, 1.0, -3.0, 0.0)[3] == 1.5
 
     def test_rest_state(self):
-        ps = dyn.to_polar(State(t=0.0, x=1.0, y=1.0, vx=0.0, vy=0.0))
-        assert ps.r == pytest.approx(math.sqrt(2.0))
-        assert ps.phi == pytest.approx(math.pi / 4.0)
-        assert ps.pr == 0.0 and ps.pphi == 0.0
+        r, phi, pr, pphi = polar(1.0, 1.0, 0.0, 0.0)
+        assert r == pytest.approx(math.sqrt(2.0))
+        assert phi == pytest.approx(math.pi / 4.0)
+        assert pr == 0.0 and pphi == 0.0
 
     @given(any_x, pos_y, vel, vel)
     @settings(max_examples=100)
@@ -328,19 +353,17 @@ class TestPolar:
         # the chart maps back to the position, and its momenta carry the
         # kinetic energy: r (cos phi, sin phi) = (x, y) and
         # |v|^2/4 = pr^2 + (pphi/r)^2
-        ps = dyn.to_polar(State(t=0.0, x=x, y=y, vx=vx, vy=vy))
-        for a, b in ((ps.r * math.cos(ps.phi), x),
-                     (ps.r * math.sin(ps.phi), y)):
+        r, phi, pr, pphi = polar(x, y, vx, vy)
+        for a, b in ((r * math.cos(phi), x), (r * math.sin(phi), y)):
             assert ulps(a, b) <= 8 or abs(a - b) < 1e-12
-        assert ps.pr**2 + (ps.pphi / ps.r) ** 2 == pytest.approx(
+        assert pr**2 + (pphi / r) ** 2 == pytest.approx(
             0.25 * (vx * vx + vy * vy), rel=1e-12, abs=1e-12
         )
 
     @given(any_x, pos_y, vel, vel)
     @settings(max_examples=100)
     def test_radial_momentum_identity(self, x, y, vx, vy):
-        s = State(t=0.0, x=x, y=y, vx=vx, vy=vy)
-        ps = dyn.to_polar(s)
-        assert ps.r * (2.0 * ps.pr) == pytest.approx(
+        r, _, pr, _ = polar(x, y, vx, vy)
+        assert r * (2.0 * pr) == pytest.approx(
             x * vx + y * vy, rel=1e-12, abs=1e-12
         )

@@ -20,7 +20,6 @@ from langmuir_lab.integrator import (
     _trial,
     _vec_to_state,
     integrate,
-    integrate_inverted,
 )
 
 from conftest import (
@@ -36,10 +35,14 @@ from conftest import (
     DOP853_E5A,
     ZERO,
     first_order_reference_step,
+    invert_state,
+    inverted_acceleration,
+    inverted_energy,
     launches,
     nystrom_reference_error_ratio,
     nystrom_reference_errors,
     nystrom_reference_step,
+    polar,
     rest_cuts,
     rk4_fixed,
     trajectory_bits,
@@ -343,7 +346,7 @@ def _decades(lo, hi):
 
 
 @pytest.mark.parametrize("accel",
-                         [dyn.acceleration, dyn.inverted_acceleration],
+                         [dyn.acceleration, inverted_acceleration],
                          ids=["langmuir", "inverted"])
 @settings(max_examples=300, deadline=None)
 # uniform draws, and draws spread over decades: a stage position's last
@@ -373,16 +376,17 @@ def test_unrolled_step_matches_the_tableau_loop(accel, x, y, vx, vy, h, a):
             == _advance_bits(_reference_advance, accel, state, h))
 
 
-def _assert_the_two_forms_agree(accel, traj):
-    # over every accepted step of the run: the eighth-order state and the
+def _assert_the_two_forms_agree(accel, states):
+    # over each step between successive (t, (x, y, vx, vy)) `states`, such
+    # as a run's accepted steps: the eighth-order state and the
     # E5 and E3 error estimates of the Nystrom reference step against those
     # of the first-order tableau loop, to 64 units of rounding of the two
     # forms' largest terms; the estimates cancel deeply, so they may also
     # differ by what the two forms' stage accelerations do (their stage
     # positions round differently)
     eps = 64 * 2.0 ** -52
-    for a, b in zip(traj.samples, traj.samples[1:]):
-        y, h = _vec(a), b.t - a.t
+    for (t, y), (t_next, _) in zip(states, states[1:]):
+        h = t_next - t
         k1 = accel(y[0], y[1])
         y8, ks = nystrom_reference_step(accel, y, h, k1)
         z8, ls = first_order_reference_step(_first_order(accel), y, h,
@@ -414,8 +418,9 @@ def test_the_nystrom_step_agrees_with_the_first_order_step(E, u):
     # method: on the steps a run takes, the two references agree to
     # rounding
     s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
+    traj = integrate(s0, stop={EventKind.X_VELOCITY_ZERO})
     _assert_the_two_forms_agree(
-        dyn.acceleration, integrate(s0, stop={EventKind.X_VELOCITY_ZERO}))
+        dyn.acceleration, [(s.t, _vec(s)) for s in traj.samples])
 
 
 def _nonzero(prefix, ws):
@@ -886,13 +891,15 @@ def _rejected_bracket(bracket):
     (lambda: shooting.classify_reflection_count(-1.0), 3_530),
     # a bracket no rest count separates: each end runs once, to 8 rests
     (lambda: _rejected_bracket((0.3, 0.3)), 11_554),
-    # its step capped only by its span of 50
-    (lambda: analysis.check_zero_energy_monotone(), 1_351),
+    # its step capped only by its span of 50; the interpolants of its early
+    # requests for inverted_concavity's differences cost 63 of these
+    (lambda: analysis.check_zero_energy_monotone(analysis.zero_energy_run()),
+     1_414),
     # the 50-launch default grid, as in scan_alpha
     (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 22_181),
     # the whole suite: the grid checks reduce that one scan, and
-    # zero_energy_monotone and inverted_concavity add their own runs
-    (lambda: analysis.run_all_checks(), 24_532),
+    # zero_energy_monotone and inverted_concavity the zero-energy run
+    (lambda: analysis.run_all_checks(), 24_595),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
@@ -958,81 +965,87 @@ def test_location_probes_do_not_grow(probes, run, count):
     assert probes[0] == count
 
 
-@pytest.fixture
-def inverted_field_calls(monkeypatch):
-    """Count calls to dynamics.inverted_acceleration, which field_calls does
-    not see; the count is inverted_field_calls[0]."""
-    calls = [0]
-    real = dyn.inverted_acceleration
+def test_the_suite_makes_one_run_per_launch(monkeypatch):
+    # the 50 default-grid launches and the zero-energy launch are each
+    # integrated once: every check reduces one of those 51 runs
+    runs = []
 
-    def counting(x, y):
-        calls[0] += 1
-        return real(x, y)
+    class CountingRun(integrator._Run):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
 
-    monkeypatch.setattr(dyn, "inverted_acceleration", counting)
-    return calls
-
-
-# Field evaluations of the inverted chart at E = 0, pinned exactly as above.
-# The suite's only inverted run is inverted_concavity's, so run_all_checks
-# makes these 553 on top of its 24,532 planar ones.
-@pytest.mark.parametrize("run, count", [
-    (lambda: analysis.check_inverted_concavity(), 553),
-    (lambda: analysis.run_all_checks(), 553),
-], ids=["check_inverted_concavity", "run_all_checks"])
-def test_inverted_field_evaluations_do_not_grow(inverted_field_calls, run,
-                                                count):
-    run()
-    assert inverted_field_calls[0] == count
+    monkeypatch.setattr(integrator, "_Run", CountingRun)
+    analysis.run_all_checks()
+    assert len(runs) == len(shooting.default_grid()) + 1 == 51
 
 
 class TestInvertedChart:
-    def setup_method(self):
-        s0 = dyn.invert_state(dyn.initial_state(ProblemSpec(E=0.0, h=1.0)))
-        self.traj = integrate_inverted(
-            s0, IntegratorSettings(t_limit=0.3)
-        )
+    """The circle-inverted chart of conftest, stepped by its fixed-step RK4
+    in steps of DTAU from the image of the E = 0 launch at height 1 to
+    tau = 0.3: the independent oracle of the zero-energy checks, which the
+    package reads off the planar run alone."""
+
+    DTAU = 5e-5
+
+    @classmethod
+    def setup_class(cls):
+        s0 = dyn.initial_state(ProblemSpec(E=0.0, h=1.0))
+        v = invert_state(*_vec(s0))
+        cls.states = [v]
+        for _ in range(round(0.3 / cls.DTAU)):
+            v = rk4_fixed(*v, cls.DTAU, cls.DTAU, inverted_acceleration)
+            cls.states.append(v)
 
     def test_energy_level_held(self):
-        assert self.traj.max_energy_drift <= 1e-8
-
-    def test_escape_reaches_the_origin_in_finite_time(self):
-        # the chart's origin is the image of escape to infinity: from the
-        # image of the E = 0 launch at h = 2 the run reaches it at t = 0.058,
-        # before the time limit, and its step size underflows there; from
-        # h = 1 (this class's launch) it reaches the time limit
-        assert self.traj.termination is EventKind.TIME_LIMIT
-        s0 = dyn.invert_state(dyn.initial_state(ProblemSpec(E=0.0, h=2.0)))
-        with pytest.raises(StepUnderflow) as exc:
-            integrate_inverted(s0, IntegratorSettings(t_limit=0.3))
-        assert 0.0 < exc.value.t < 0.3
-        assert math.hypot(exc.value.state.x, exc.value.state.y) <= 1e-3
+        assert max(abs(inverted_energy(*v)) for v in self.states) <= 1e-8
 
     def test_radius_shrinks(self):
-        for s in self.traj.samples:
-            if s.t > 0.01:
-                assert dyn.radial_velocity(s) < 0.0
+        # the chart's origin is the image of escape to infinity
+        for j, (x, y, vx, vy) in enumerate(self.states):
+            if j * self.DTAU > 0.01:
+                assert x * vx + y * vy < 0.0
 
     def test_radial_momentum_decreasing(self):
-        prs = [dyn.to_polar(s).pr for s in self.traj.samples]
+        prs = [polar(*v)[2] for v in self.states]
         assert all(b < a for a, b in zip(prs, prs[1:]))
 
     def test_concavity_by_finite_differences(self):
-        samples = self.traj.samples
-        for i in range(1, len(samples) - 1, 7):
-            tm, t0, tp = samples[i - 1].t, samples[i].t, samples[i + 1].t
-            fm = dyn.radial_velocity(samples[i - 1])
-            f0 = dyn.radial_velocity(samples[i])
-            fp = dyn.radial_velocity(samples[i + 1])
-            hm, hp = t0 - tm, tp - t0
-            d = (
-                -hp / (hm * (hm + hp)) * fm
-                + (hp - hm) / (hm * hp) * f0
-                + hm / (hp * (hm + hp)) * fp
-            )
-            assert d < 0.0
+        pr = [polar(*v)[2] for v in self.states]
+        for j in range(1, len(pr) - 1, 7):
+            assert pr[j + 1] - pr[j - 1] < 0.0
 
     def test_nystrom_step_agrees_with_the_first_order_step(self):
         # as test_the_nystrom_step_agrees_with_the_first_order_step, on the
-        # inverted field
-        _assert_the_two_forms_agree(dyn.inverted_acceleration, self.traj)
+        # inverted field, in steps of 100 DTAU = 0.005 between the oracle's
+        # states
+        _assert_the_two_forms_agree(inverted_acceleration, [
+            (j * self.DTAU, self.states[j])
+            for j in range(0, len(self.states), 100)])
+
+    def test_reproduces_the_mapped_planar_run(self):
+        # at tau = 0.1, 0.2 and 0.3 the chart's state is the package's
+        # planar sample at t(tau) = integral of rho^-4 dtau (Simpson's rule
+        # over the oracle's states), mapped by invert_state.  The RK4's own
+        # error at tau = 0.3, by Richardson extrapolation from twice the
+        # step, is 2e-13 in position and 3.3e-11 in velocity, and the gaps
+        # measured are 1.8e-13 and 2.8e-11; the tolerances, 1e-11 and 1e-9,
+        # leave 50 and 30 times that for the package's own error at
+        # rel_tol 1e-10 (the chart's velocity there is about 7)
+        rho4 = [1.0 / (x * x + y * y) ** 2 for x, y, _, _ in self.states]
+        t_at = [0.0]  # t at every even index
+        for j in range(0, len(rho4) - 2, 2):
+            t_at.append(t_at[-1] + self.DTAU / 3.0 * (
+                rho4[j] + 4.0 * rho4[j + 1] + rho4[j + 2]))
+        picks = [(round(tau / self.DTAU), t_at[round(tau / self.DTAU) // 2])
+                 for tau in (0.1, 0.2, 0.3)]
+        assert picks[-1][1] == pytest.approx(0.8031, abs=1e-4)
+        s0 = dyn.initial_state(ProblemSpec(E=0.0, h=1.0))
+        traj = integrate(s0, IntegratorSettings(t_limit=1.0),
+                         sample_times=[t for _, t in picks])
+        by_time = {s.t: s for s in traj.samples}
+        for j, t in picks:
+            got = invert_state(*_vec(by_time[t]))
+            want = self.states[j]
+            assert max(abs(a - b) for a, b in zip(got[:2], want[:2])) <= 1e-11
+            assert max(abs(a - b) for a, b in zip(got[2:], want[2:])) <= 1e-9
