@@ -30,7 +30,6 @@ from .integrator import (
     IntegratorSettings,
     Trajectory,
     integrate,
-    located_h_max,
 )
 from .shooting import _shoot_run, default_grid
 
@@ -39,14 +38,10 @@ from .shooting import _shoot_run, default_grid
 # harmonic oscillator with that stiffness rests at pi/(2*sqrt(8*gamma)).
 GAMMA = (49.0 / 4.0 + 49.0 / 4.0) ** -1.5
 T_MAX = math.pi / (2.0 * math.sqrt(8.0 * GAMMA))
-# Step ends fall far apart at eighth order, so the checks that read a run's
-# samples also request their own.  Each grid_runs launch from height h
-# samples j * h^3/2 / 160 for j = 1 to PREFIX_SAMPLES: the first crossing of
-# every default-grid run comes at 0.354 h^3/2 or later, so magical_prefix
-# reads at least PREFIX_SAMPLES points of each run before it.
-PREFIX_SAMPLES = 56
-# least number of evenly spaced requested samples of zero_energy_run, whose
-# step is capped only by its span: 800 at the default span of 50
+# Step ends fall far apart at eighth order, so the zero-energy checks, which
+# read a run's samples, also request their own: at least ZERO_ENERGY_SAMPLES
+# evenly spaced ones of zero_energy_run, whose step is capped only by its
+# span, 800 at the default span of 50
 ZERO_ENERGY_SAMPLES = 800
 # inverted_concavity's central differences read CONCAVITY_POINTS + 1 evenly
 # spaced samples from launch to CONCAVITY_SPAN (or to the run's end, if
@@ -102,20 +97,14 @@ def grid_runs(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[tuple]:
     """The E=-1 horizontal launches from the heights h_grid, by default the
-    default grid, each integrated once as shoot() integrates it: its
-    (Trajectory, ShootResult) pair, the run recording the magical-line
-    crossings up to its first x-rest.  Each run also samples its
-    PREFIX_SAMPLES requested times, which change none of its steps, events
-    or results but its drift, which includes theirs.  tmax_bound,
-    magical_prefix, energy_drift and tau_growth each reduce this one
-    list."""
+    default grid, each integrated once as shoot() and scan_alpha integrate
+    it: its (Trajectory, ShootResult) pair, the run recording the
+    magical-line crossings up to its first x-rest, sampled at its step ends
+    and its stop.  tmax_bound, magical_prefix, energy_drift and tau_growth
+    each reduce this one list."""
     if h_grid is None:
         h_grid = default_grid()
-    return [
-        _shoot_run(-1.0, h, settings, [j * h**1.5 / 160.0 for j in range(
-            1, PREFIX_SAMPLES + 1)])
-        for h in h_grid
-    ]
+    return [_shoot_run(-1.0, h, settings) for h in h_grid]
 
 
 def check_tmax_bound(runs) -> CheckReport:
@@ -143,9 +132,9 @@ def check_magical_prefix(runs) -> CheckReport:
     """Until its first crossing of the vanishing-vertical-force line each of
     the grid_runs pairs `runs` keeps moving downward (vy < 0 on (0, first
     crossing]).  A run's worst value is the largest vy/t over its samples
-    after launch and before the crossing, and the crossing's state; vy/t
-    does not tend to 0 at launch as vy does (it tends to -7/h^2).  A run
-    that rests before crossing checks nothing."""
+    after launch and before the crossing, which are its step ends, and the
+    crossing's state; vy/t does not tend to 0 at launch as vy does (it
+    tends to -7/h^2).  A run that rests before crossing checks nothing."""
     worst = -math.inf
     vacuous = []
     for traj, res in runs:
@@ -175,15 +164,13 @@ def zero_energy_run(
     """The E=0 launch from height 1, which escapes to infinity, integrated
     once to t_end; zero_energy_monotone and inverted_concavity each reduce
     it.  The checks read samples from the dense output, so the run's step is
-    capped only by t_end (or by settings.h_max, when that is longer, and at
-    most by integrator.located_h_max).  It samples ZERO_ENERGY_SAMPLES
-    evenly spaced times over (0, t_end], or more on a long span, so that
-    they lie no further than settings.h_max apart, as capped steps' ends
-    would; and the CONCAVITY_POINTS evenly spaced times of
-    _concavity_grid(t_end) after launch."""
+    capped only by t_end (or by settings.h_max, when that is longer).  It
+    samples ZERO_ENERGY_SAMPLES evenly spaced times over (0, t_end], or more
+    on a long span, so that they lie no further than settings.h_max apart,
+    as capped steps' ends would; and the CONCAVITY_POINTS evenly spaced
+    times of _concavity_grid(t_end) after launch."""
     cap = settings.h_max
-    settings = replace(settings, t_limit=t_end, h_max=max(
-        cap, min(t_end, located_h_max(settings.rel_tol))))
+    settings = replace(settings, t_limit=t_end, h_max=max(cap, t_end))
     n = max(ZERO_ENERGY_SAMPLES, math.ceil(t_end / cap))
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
     return integrate(s0, settings, sample_times=[

@@ -84,22 +84,6 @@ MAX_SCALE_RATIO = 100.0
 # Order of the stepper's solution: a step's error grows as h^(ORDER + 1),
 # so the step controller scales steps by powers of the error over ORDER.
 ORDER = 8
-# Evaluation budget of an event's location: Brent-Dekker takes at most the
-# square of the bisection's count (Brent 1973, ch. 4), and bisection halves
-# a step to its event time tolerance in fewer than 64 probes wherever h_max
-# over min(1e-12, rel_tol) is below 2^63 (see located_h_max).  It is 1e11
-# at the default settings, at most 3.2e11 in the orbit search's coarse
-# stage, and 5e13 in analysis.zero_energy_run, whose h_max is its span,
-# at the default span of 50
-_LOCATE_MAX_ITER = 64 * 64
-
-
-def located_h_max(rel_tol: float) -> float:
-    """The longest h_max for which _LOCATE_MAX_ITER bounds an event's
-    location at rel_tol: 2^62 event time tolerances, half the bound."""
-    return 2.0 ** 62 * min(1e-12, rel_tol)
-
-
 @dataclass(frozen=True)
 class IntegratorSettings:
     """`abs_tol`, `h_max` and `t_limit` are in the units of the scale of a
@@ -703,10 +687,14 @@ def _locate(
     sign and nonzero, at its end.  `_brent` locates it on the step's
     interpolant `at`, to the midpoint of a bracket within event_tol (or to
     a probe where f is 0); r1 is the residual of the eighth-order state,
-    not of at(h), which can round away from it.  The located state is one
-    eighth-order step from (t0, y0)."""
+    not of at(h), which can round away from it.  Its budget is n^2, n
+    bounding the probes in which bisection would halve the step to
+    event_tol (Brent 1973, ch. 4), read off their exponents so that no
+    quotient overflows.  The located state is one eighth-order step from
+    (t0, y0)."""
+    n = math.frexp(h)[1] - math.frexp(event_tol)[1] + 3
     tau, r, other = _brent(lambda tau: f(at(tau)), 0.0, h, r0, r1, 0.0,
-                           0.5 * event_tol, _LOCATE_MAX_ITER)
+                           0.5 * event_tol, n * n)
     if r != 0.0:
         tau = 0.5 * (tau + other)
     return t0 + tau, _advance(accel, y0, tau, k1)
@@ -752,9 +740,8 @@ class _Run:
         """Step until the run stops: yield the kind of each stop event, and
         the time limit, which ends the run.  Resumed after a stop event, the
         run goes on as though that event had not stopped it, to its next
-        stop.  A run with requested times is never resumed: a request at the
-        stop event's time is answered by the stop's own sample, which
-        resuming removes.
+        stop; only `_rest_arcs` resumes a run, and its runs request no
+        times.  A step that ends within H_MIN of the time limit ends at it.
 
         The knobs, in the units of the run's scale (see the module
         docstring), and the loop state live in locals; the run's `drift` and
@@ -789,14 +776,14 @@ class _Run:
         requests = sorted({s for s in self.sample_times if s > t},
                           reverse=True)
 
-        def append_requests(t0, at, t_last, end_sample, drift):
-            """Sample each requested time up to t_last from the interpolant
+        def append_requests(t0, at, t_end, drift):
+            """Sample each requested time up to t_end from the interpolant
             `at` of the step from t0, and return `drift` with the samples'
-            drift; when `end_sample`, the sample at t_last that ends the
-            span answers a request at that time."""
-            while requests and requests[-1] <= t_last:
+            drift; the sample at t_end that ends the span answers a request
+            at that time."""
+            while requests and requests[-1] <= t_end:
                 t = requests.pop()
-                if end_sample and t == t_last:
+                if t == t_end:
                     break
                 y = at(t - t0)
                 samples.append((t, y))
@@ -843,11 +830,10 @@ class _Run:
             # accepted
             t0, y0 = t, y
             t, y = t0 + h, y8
-            # the latest requested time this step answers: its end, or the
-            # time limit when the run ends after it
-            t_last = t_limit if t_limit - t < h_min else t
+            if t_limit - t < h_min:
+                t = t_limit
             # the interpolant is built only for a step that reads from it
-            if requests and requests[-1] <= t_last:
+            if requests and requests[-1] <= t:
                 at = _dense_output(accel, y0, y8, ks, h)
             else:
                 at = None
@@ -875,8 +861,7 @@ class _Run:
                     events.append((kind, t_ev, y_ev))
                     if kind in stop:
                         if requests and requests[-1] <= t_ev:
-                            drift = append_requests(t0, at, t_ev, True,
-                                                    drift)
+                            drift = append_requests(t0, at, t_ev, drift)
                         samples.append((t_ev, y_ev))
                         d = energy_fn(y_ev) - e0
                         d = (-d if d < 0.0 else d) / e_unit
@@ -889,15 +874,13 @@ class _Run:
                         self.termination = None
 
             if requests and requests[-1] <= t:
-                drift = append_requests(t0, at, t, True, drift)
+                drift = append_requests(t0, at, t, drift)
             samples.append((t, y))
             # |drift| by comparison, not abs()
             d = energy_fn(y) - e0
             d = (-d if d < 0.0 else d) / e_unit
             if d > drift:
                 drift = d
-            if t_last != t and requests and requests[-1] <= t_last:
-                drift = append_requests(t0, at, t_last, False, drift)
             k1 = ks[12]
 
             # PI controller (accepted step)
@@ -960,20 +943,18 @@ def _build_trajectory(run: _Run) -> Trajectory:
 
 
 def _rest_arcs(s0: State, settings: IntegratorSettings,
-               E: Optional[float] = None, watch=(),
-               sample_times=()) -> Iterator[_Run]:
+               E: Optional[float] = None, watch=()) -> Iterator[_Run]:
     """One run of the planar field from s0, launched at the energy level E
     (see `_Run`), yielded at each of its stops: its k-th x-rest at the
     k-th yield, for k = 1, 2, ..., and last the stop that ends it any other
     way (its termination says which).  Each yield's `_build_trajectory` is
     _integrate(s0, settings, E, watch, stop={X_VELOCITY_ZERO}) resumed to
     that stop, bit for bit.  The run goes on in place when advanced, so a
-    caller builds the arc of a stop it keeps before it advances again.  A
-    run given `sample_times` is not advanced past its first stop (see
-    `_Run.run`)."""
+    caller builds the arc of a stop it keeps before it advances again.  It
+    samples its step ends and stops alone: it requests no times."""
     rest = EventKind.X_VELOCITY_ZERO
     run = _Run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
-               watch, (rest,), sample_times, E)
+               watch, (rest,), (), E)
     for kind in run.run():
         yield run
         if kind is not rest:
@@ -1002,10 +983,11 @@ def integrate(
     and at the time limit.  A mapping as `stop` raises TypeError.
 
     Each of the `sample_times` that the run reaches (the time limit
-    included) adds one sample at exactly that time, read from the
-    seventh-order dense output of the step that holds it, which costs that
-    step three field evaluations; a sample already at that very time (a
-    step's end or the final event) stands for it.  The steps, their end
-    samples and the events are the same with or without requests.  s0
-    carries no energy level, so the settings are read as given."""
+    included: a step that ends within H_MIN of it ends at it) adds one
+    sample at exactly that time, read from the seventh-order dense output
+    of the step that holds it, which costs that step three field
+    evaluations; a sample already at that very time (a step's end or the
+    final event) stands for it.  The steps, their end samples and the
+    events are the same with or without requests.  s0 carries no energy
+    level, so the settings are read as given."""
     return _integrate(s0, settings, None, watch, stop, sample_times)

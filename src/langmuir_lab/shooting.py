@@ -8,10 +8,11 @@ generalized alpha_k (vertical velocity at the k-th x-rest) captures the
 second, multi-reflection orbit.
 
 The orbit search finds a root of alpha_k to |alpha_k| <= ALPHA_TOL in two
-stages: a Brent-Dekker solve on alpha_k integrated at COARSE_REL_TOL, then
-a secant polish at the given settings from the coarse root.  The orbit
-record holds one arc, the root's at the given settings.  The brake search
-picks k at the first stage's settings too (see find_brake_orbit).
+stages: a Brent-Dekker solve on alpha_k integrated at the fixed COARSE
+settings, then a secant polish at the given settings from the coarse root.
+The orbit record holds one arc, the root's at the given settings.  The
+brake search picks k at the first stage's settings too (see
+find_brake_orbit).
 
 Every launch at energy E < 0 reads its settings in E = -1 units (see
 `integrator`), as ALPHA_TOL, TOUCH_SPEED_TOL and CLASSIFY_MARGIN are
@@ -36,7 +37,6 @@ from .errors import (
     StepUnderflow,
 )
 from .integrator import (
-    ORDER,
     EventKind,
     IntegratorSettings,
     Trajectory,
@@ -51,6 +51,12 @@ from .integrator import (
 ALPHA_TOL = 1e-8
 # relative tolerance of the orbit search's coarse stage (see _find_orbit)
 COARSE_REL_TOL = 1e-6
+# the coarse stage's settings, whatever the given ones but their t_limit:
+# the default settings' tolerances scaled to COARSE_REL_TOL, and h_max grown
+# by the eighth root of that scale, as an eighth-order step grows; the
+# settings at which CLASSIFY_MARGIN was measured
+COARSE = IntegratorSettings(rel_tol=COARSE_REL_TOL, abs_tol=1e-8,
+                            h_max=0.1 * 10 ** 0.5)
 # |alpha_j| at or below which the brake search's classification at
 # COARSE_REL_TOL is repeated at the given settings.  Over 7,500 seeded
 # launches on [0.05, 3.4] at E = -1 (k <= 5), alpha_k at the coarse
@@ -127,11 +133,11 @@ def _bracket_at(
     return default[0] * a, default[1] * a
 
 
-def _rests(E: float, h: float, settings: IntegratorSettings, watch=(),
-           sample_times=()) -> Iterator[_Run]:
+def _rests(E: float, h: float, settings: IntegratorSettings,
+           watch=()) -> Iterator[_Run]:
     """`_rest_arcs` of the horizontal launch from (0, h) at energy E."""
     return _rest_arcs(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings,
-                      E, watch, sample_times)
+                      E, watch)
 
 
 def _next_rest(rests: Iterator[_Run], k: int) -> _Run:
@@ -168,16 +174,14 @@ def _rest_run(
 
 
 def _shoot(
-    E: float, h: float, settings: IntegratorSettings, sample_times=()
+    E: float, h: float, settings: IntegratorSettings
 ) -> tuple[_Run, ShootResult]:
     """shoot()'s run and result: the launch of _rest_run, recording the
     magical-line crossings, to its first stop, its arc not built.  A run
     that ends without an x-rest gives a status='NoRest(...)' result, whose
-    t_h and alpha are nan; its crossings and drift are the run's.  The
-    `sample_times` are as in `integrate`: they add samples, and their
-    drift, but change no step."""
-    run = next(_rests(E, h, settings, {EventKind.MAGICAL_LINE_CROSS},
-                      sample_times))
+    t_h and alpha are nan; its crossings and drift are the run's, whose
+    samples are its step ends and its stop."""
+    run = next(_rests(E, h, settings, {EventKind.MAGICAL_LINE_CROSS}))
     rested = run.termination is EventKind.X_VELOCITY_ZERO
     t, rest = run.samples[-1]
     return run, ShootResult(
@@ -192,10 +196,10 @@ def _shoot(
 
 
 def _shoot_run(
-    E: float, h: float, settings: IntegratorSettings, sample_times=()
+    E: float, h: float, settings: IntegratorSettings
 ) -> tuple[Trajectory, ShootResult]:
     """_shoot with the run's arc built."""
-    run, res = _shoot(E, h, settings, sample_times)
+    run, res = _shoot(E, h, settings)
     return _build_trajectory(run), res
 
 
@@ -263,21 +267,12 @@ def _solve_bracketed(
 
 
 def _coarse(settings: IntegratorSettings) -> Optional[IntegratorSettings]:
-    """The orbit search's coarse-stage settings: `settings` with both
-    tolerances scaled to rel_tol = COARSE_REL_TOL, or None when `settings`
-    are no finer than that and the search has no coarse stage.  h_max grows
-    by the ORDER-th root of that scale, as a step does, but at most by that
-    root of the scale from the default rel_tol, 10^0.5: the coarse rel_tol
-    does not depend on how fine `settings` are, so neither does its cap,
-    0.316 at the default h_max, as measured in the CLASSIFY_MARGIN
-    comment."""
-    scale = COARSE_REL_TOL / settings.rel_tol
-    if scale <= 1.0:
+    """The orbit search's coarse-stage settings: COARSE with the time limit
+    of `settings`, or None when `settings` are no finer than COARSE_REL_TOL
+    and the search has no coarse stage."""
+    if settings.rel_tol >= COARSE_REL_TOL:
         return None
-    growth = min(scale, COARSE_REL_TOL / IntegratorSettings.rel_tol)
-    return replace(settings, rel_tol=scale * settings.rel_tol,
-                   abs_tol=scale * settings.abs_tol,
-                   h_max=growth ** (1.0 / ORDER) * settings.h_max)
+    return replace(COARSE, t_limit=settings.t_limit)
 
 
 def _find_orbit(
@@ -291,8 +286,8 @@ def _find_orbit(
     """Root of alpha_k on the bracket, |alpha_k| <= ALPHA_TOL at `settings`,
     in E = -1 units (alpha over sqrt(-E)), as is every tolerance below.
 
-    A coarse Brent-Dekker solve on alpha_k integrated at COARSE_REL_TOL
-    locates the root to |alpha_k| <= 1e3 * ALPHA_TOL; a secant polish at
+    A coarse Brent-Dekker solve on alpha_k integrated at COARSE locates
+    the root to |alpha_k| <= 1e3 * ALPHA_TOL; a secant polish at
     `settings` then starts from that root (see _polish).  When `settings`
     are no finer than COARSE_REL_TOL, or either stage cannot finish, the
     root is Brent-Dekker's at `settings` on the whole bracket, the search

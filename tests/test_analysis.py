@@ -8,7 +8,6 @@ from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
     integrate,
-    located_h_max,
 )
 from langmuir_lab import dynamics as dyn
 
@@ -270,20 +269,20 @@ def test_zero_energy_samples_are_no_further_apart_than_h_max():
 
 
 def test_zero_energy_step_is_capped_where_events_are_located(monkeypatch):
-    # the run's h_max is its span only up to integrator.located_h_max, the
-    # longest step whose events are still located within their budget; the
-    # run requests its evenly spaced times, then the concavity grid's
+    # the run's h_max is its span at any tolerance, however many event
+    # tolerances that span holds (an event's location budget grows with the
+    # step); the run requests its evenly spaced times, then the concavity
+    # grid's
     fine = IntegratorSettings(rel_tol=1e-20, abs_tol=1e-22, h_max=0.01)
     points = analysis.CONCAVITY_POINTS
     settings, times = _zero_energy_run_settings(monkeypatch, 1.0, fine)
-    assert settings.h_max == located_h_max(1e-20) < settings.t_limit == 1.0
+    assert settings.h_max == settings.t_limit == 1.0
     assert len(times) == 800 + points and times[799] == 1.0
     assert times[800:] == [j / points for j in range(1, points + 1)]
     settings, times = _zero_energy_run_settings(monkeypatch, 20.0, fine)
-    assert settings.h_max == located_h_max(1e-20)
+    assert settings.h_max == settings.t_limit == 20.0
     assert len(times) == 2000 + points and times[1999] == 20.0
     assert times[-1] == analysis.CONCAVITY_SPAN
-    assert located_h_max(1e-10) == 2.0 ** 62 * 1e-12
 
 
 def _rk4_steps(s0, t_end, dt=1e-4):
@@ -297,32 +296,41 @@ def _rk4_steps(s0, t_end, dt=1e-4):
     return out
 
 
-def test_magical_prefix_margin_agrees_with_fixed_step_rk4():
-    # the fixed-step RK4 of conftest, in steps of at most 1e-4, to each
-    # crossing: vy/t at the crossing agrees with the package's within 1e-9
-    # (measured 6.9e-12), and no RK4 step before it has a larger vy/t, so
-    # the step ends miss no rise; h = 2.7 rests before it crosses, which
-    # the RK4 confirms: x-velocity at its rest below 1e-9 and the magical
-    # residual positive at every step up to it
-    grid = [1.0, 1.398, 2.7]
-    rep = analysis.check_magical_prefix(analysis.grid_runs(grid))
-    assert rep.details == {"n_checked": 2, "no_crossing": [2.7]}
-    stop = {EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO}
+def test_magical_prefix_margin_agrees_with_fixed_step_rk4(runs):
+    # the fixed-step RK4 of conftest, in steps of at most 1e-4 h^3/2, from
+    # each crossing launch of the default grid to its crossing: vy < 0 at
+    # every RK4 step, none has a larger vy/t than the last, and that agrees
+    # with the package's vy/t at the crossing within 1e-9 relative
+    # (measured 2.7e-12).  So the run's step ends, which are all that the
+    # check reads before the crossing, miss no rise.  Each launch that rests
+    # before it crosses does so in the RK4 too: x-velocity at its rest
+    # below 1e-9 and the magical residual positive at every step up to it
+    rep = analysis.check_magical_prefix(runs)
     margins = []
-    for h in grid:
-        s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
-        end = integrate(s0, stop=stop).samples[-1]
-        steps = _rk4_steps(s0, end.t)
-        if h == 2.7:
+    for traj, res in runs:
+        cross = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
+        if cross is None:
+            steps = _rk4_steps(traj.samples[0], res.t_h, 1e-4 * res.h**1.5)
             assert abs(steps[-1][1][2]) <= 1e-9
             assert all(dyn.magical_line_residual(v[0], v[1]) > 0.0
                        for _, v in steps)
             continue
-        margin = steps[-1][1][3] / end.t
-        assert abs(margin - end.vy / end.t) <= 1e-9
-        assert max(v[3] / t for t, v in steps) <= margin
+        steps = _rk4_steps(traj.samples[0], cross.t, 1e-4 * res.h**1.5)
+        assert all(v[3] < 0.0 for _, v in steps)
+        margin = steps[-1][1][3] / cross.t
+        assert max(v[3] / t for t, v in steps) == margin
+        assert abs(margin / (cross.state.vy / cross.t) - 1.0) <= 1e-9
         margins.append(margin)
-    assert abs(rep.worst_violation - max(margins)) <= 1e-9
+    assert rep.details["n_checked"] == len(margins) == 34
+    assert len(rep.details["no_crossing"]) == 16
+    assert abs(rep.worst_violation / max(margins) - 1.0) <= 1e-9
+
+
+def test_grid_runs_are_the_scan(runs):
+    # verify's launches are scan's, bit for bit: the grid checks reduce the
+    # rows of `scan --energy -1` on the default grid
+    scan = shooting.scan_alpha(-1.0, shooting.default_grid())
+    assert [repr(res) for _, res in runs] == [repr(res) for res in scan]
 
 
 def test_zero_energy_margin_agrees_with_fixed_step_rk4():

@@ -795,17 +795,22 @@ def test_each_requested_time_is_sampled_once(E, u, fractions, with_step_ends):
 
 
 def test_request_at_the_time_limit_is_sampled_when_the_run_stops_short():
-    # a step that ends within H_MIN of the time limit ends the run there;
-    # a request at the limit is read from that last step's interpolant
+    # a step that ends within H_MIN of the time limit ends the run at it:
+    # its end sample, the step's eighth-order state, is the sample at
+    # exactly t_limit, and answers a request there with no sample of its own
     s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
     last = integrate(s0, IntegratorSettings(t_limit=0.5)).samples[-2]
     t_limit = last.t + 0.5 * integrator.H_MIN
     assert t_limit != last.t
+    free = integrate(s0, IntegratorSettings(t_limit=t_limit))
     traj = integrate(s0, IntegratorSettings(t_limit=t_limit),
                      sample_times=[t_limit])
-    end, asked = traj.samples[-2:]
-    assert _state_bits(end) == _state_bits(last)
-    assert asked.t == t_limit
+    assert ([_state_bits(s) for s in traj.samples]
+            == [_state_bits(s) for s in free.samples])
+    asked = traj.samples[-1]
+    assert asked.t == traj.events[-1].t == t_limit
+    assert traj.termination is EventKind.TIME_LIMIT
+    assert _hexes(_vec(asked)) == _hexes(_vec(last))
     want = rk4_fixed(*_vec(s0), t_limit, t_limit / math.ceil(t_limit / 1e-4))
     assert max(abs(a - b) for a, b in zip(_vec(asked), want)) <= 1e-8
 
@@ -895,11 +900,11 @@ def _rejected_bracket(bracket):
     # requests for inverted_concavity's differences cost 63 of these
     (lambda: analysis.check_zero_energy_monotone(analysis.zero_energy_run()),
      1_414),
-    # the 50-launch default grid, as in scan_alpha
-    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 22_181),
+    # the 50-launch default grid, launched as scan_alpha launches it
+    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 19_922),
     # the whole suite: the grid checks reduce that one scan, and
     # zero_energy_monotone and inverted_concavity the zero-energy run
-    (lambda: analysis.run_all_checks(), 24_595),
+    (lambda: analysis.run_all_checks(), 22_336),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),

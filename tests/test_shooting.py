@@ -429,33 +429,43 @@ class TestBrakeClassification:
         # seeded launches on [0.05, 3.4] at E = -1 (largest 5.1e-4) and at
         # h = 3.35651..., a launch of a larger seeded sample that passes
         # 0.02 from the nucleus (1.5e-4), where a coarse stage without a
-        # step cap is off by 0.27 in alpha_4.  The coarse stage of a finer
-        # given tolerance (--tol 1e-12) runs at the same tolerances and
-        # must be no further off
-        coarse = [shooting._coarse(IntegratorSettings()),
-                  shooting._coarse(IntegratorSettings(rel_tol=1e-12,
-                                                      abs_tol=1e-14))]
+        # step cap is off by 0.27 in alpha_4.  The coarse stage runs at
+        # these settings whatever the given ones (see the next test)
+        coarse = shooting._coarse(IntegratorSettings())
         heights = [rng.uniform(0.05, 3.4) for _ in range(60)]
         for h in heights + [3.3565107859155803]:
             full = shooting._rests(-1.0, h, IntegratorSettings())
             want = [shooting._alpha(shooting._next_rest(full, k))
                     for k in range(1, 6)]
-            for settings in coarse:
-                rough = shooting._rests(-1.0, h, settings)
-                for k in range(1, 6):
-                    got = shooting._alpha(shooting._next_rest(rough, k))
-                    assert abs(got - want[k - 1]) <= shooting.CLASSIFY_MARGIN
+            rough = shooting._rests(-1.0, h, coarse)
+            for k in range(1, 6):
+                got = shooting._alpha(shooting._next_rest(rough, k))
+                assert abs(got - want[k - 1]) <= shooting.CLASSIFY_MARGIN
 
-    @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16])
-    def test_coarse_cap_is_no_longer_than_at_the_default_tolerance(self, tol):
-        # the coarse stage runs at rel_tol 1e-6 whatever the given one, so
-        # a finer --tol must not loosen its step cap past the measured one
+    @pytest.mark.parametrize("given", [
+        IntegratorSettings(h_max=1.0),
+        IntegratorSettings(h_max=0.01),
+        IntegratorSettings(abs_tol=1e-6),
+        IntegratorSettings(abs_tol=1e-20),
+        *(IntegratorSettings(rel_tol=tol, abs_tol=tol * 1e-2)
+          for tol in (1e-7, 1e-8, 1e-12, 1e-14, 1e-16)),
+        IntegratorSettings(rel_tol=5e-7, abs_tol=1e-3, h_max=50.0),
+    ], ids=["h_max_1", "h_max_0.01", "abs_tol_1e-6", "abs_tol_1e-20",
+            "tol_1e-7", "tol_1e-8", "tol_1e-12", "tol_1e-14", "tol_1e-16",
+            "all"])
+    def test_coarse_settings_are_fixed(self, given):
+        # CLASSIFY_MARGIN was measured at the coarse settings of the
+        # defaults, so neither a finer --tol nor a config file's h_max or
+        # abs_tol may move them: a cap of 3.16 (from h_max = 1.0) puts
+        # alpha_4 at h = 3.3565... 0.27 off.  Only t_limit carries over
         default = shooting._coarse(IntegratorSettings())
-        given = shooting._coarse(IntegratorSettings(rel_tol=tol,
-                                                    abs_tol=tol * 1e-2))
-        assert given.rel_tol == pytest.approx(shooting.COARSE_REL_TOL)
-        assert IntegratorSettings().h_max < given.h_max <= default.h_max
-        assert default.h_max == pytest.approx(0.1 * 10 ** 0.5)
+        assert default == IntegratorSettings(
+            rel_tol=shooting.COARSE_REL_TOL, abs_tol=1e-8,
+            h_max=0.1 * 10 ** 0.5)
+        assert shooting._coarse(given) == default
+        assert shooting._coarse(replace(given, t_limit=7.0)) == replace(
+            default, t_limit=7.0)
+        assert shooting._coarse(replace(given, rel_tol=1e-6)) is None
 
     @pytest.mark.parametrize("h, alpha_3", [(0.3, -1.76133), (0.8, 1.98551)])
     def test_rk4_gives_the_coarse_signs(self, h, alpha_3):
