@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import dynamics
-from .dynamics import ProblemSpec
+from .dynamics import ProblemSpec, _Record, _set
 from .integrator import (
     EventKind,
     IntegratorSettings,
@@ -51,13 +50,17 @@ CONCAVITY_POINTS = 300
 CONCAVITY_SPAN = 2.0
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    worst_violation: float
-    tolerance: float
-    details: dict
+class CheckReport(_Record):
+    __slots__ = _fields = ("name", "passed", "worst_violation", "tolerance",
+                           "details")
+
+    def __init__(self, name: str, passed: bool, worst_violation: float,
+                 tolerance: float, details: dict):
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "worst_violation", worst_violation)
+        _set(self, "tolerance", tolerance)
+        _set(self, "details", details)
 
     @staticmethod
     def from_violation(name, worst, tol, details):
@@ -71,7 +74,7 @@ class CheckReport:
 
 
 def check_initial_acceleration(
-    h_samples: Optional[Sequence[float]] = None,
+    h_samples: Sequence[float] | None = None,
 ) -> CheckReport:
     """Vertical force at the launch point (0, h) equals -7/h^2 exactly."""
     if h_samples is None:
@@ -93,7 +96,7 @@ def check_initial_acceleration(
 
 
 def grid_runs(
-    h_grid: Optional[Sequence[float]] = None,
+    h_grid: Sequence[float] | None = None,
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[tuple]:
     """The E=-1 horizontal launches from the heights h_grid, by default the
@@ -170,7 +173,7 @@ def zero_energy_run(
     as capped steps' ends would; and the CONCAVITY_POINTS evenly spaced
     times of _concavity_grid(t_end) after launch."""
     cap = settings.h_max
-    settings = replace(settings, t_limit=t_end, h_max=max(cap, t_end))
+    settings = settings.replace(t_limit=t_end, h_max=max(cap, t_end))
     n = max(ZERO_ENERGY_SAMPLES, math.ceil(t_end / cap))
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
     return integrate(s0, settings, sample_times=[

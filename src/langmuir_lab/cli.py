@@ -11,11 +11,10 @@ orbit that fails its retrace check).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import analysis, dynamics, output, shooting
 from .dynamics import ProblemSpec
@@ -36,10 +35,10 @@ EXIT_BAD_BRACKET = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_INTEGRATION_FAILED = 5
 
-_SETTINGS_KEYS = tuple(f.name for f in dataclasses.fields(IntegratorSettings))
+_SETTINGS_KEYS = IntegratorSettings._fields
 
 
-def _read_config(path: Optional[str]) -> dict:
+def _read_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
@@ -69,8 +68,8 @@ def _settings(args, config: dict) -> IntegratorSettings:
     values = dict(config)
     if getattr(args, "tol", None) is not None:
         values["rel_tol"] = args.tol
-        values["abs_tol"] = min(
-            values.get("abs_tol", IntegratorSettings.abs_tol), args.tol * 1e-2)
+        abs_tol = values.get("abs_tol", IntegratorSettings().abs_tol)
+        values["abs_tol"] = min(abs_tol, args.tol * 1e-2)
     if getattr(args, "t_limit", None) is not None:
         values["t_limit"] = args.t_limit
     return IntegratorSettings(**values)
@@ -85,7 +84,7 @@ def _config_comment(args) -> str:
     return json.dumps(items, default=str)
 
 
-def _write(path: Optional[str], text: str) -> None:
+def _write(path: str | None, text: str) -> None:
     """Write text to the file at path, or to stdout when path is empty."""
     if not path:
         sys.stdout.write(text)
@@ -249,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     # looked up at each call, not kept in the parser, so that a rebound
     # cmd_* function (a test's or a tracer's) is the one that runs

@@ -16,7 +16,6 @@ so momenta are recovered as v/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -30,36 +29,87 @@ Vec = tuple[float, float, float, float]
 _HILL_SIN_MIN = 1.0 / 8.0
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records.  A subclass lists its
+    fields in `_fields`, declares them as slots and sets each in its own
+    __init__ through `_set` (object.__setattr__), which its validation
+    follows.  Records refuse assignment and deletion; `==` holds between
+    records of the same class with equal fields, and hash and repr read the
+    same fields.  replace(**changes) builds a new record through the
+    constructor, so its validation runs again; pickling and copying do
+    too."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy of this record with the given fields changed; an unknown
+        field raises TypeError, as the constructor does."""
+        for name in self._fields:
+            changes.setdefault(name, getattr(self, name))
+        return self.__class__(**changes)
+
+
+class State(_Record):
     """Phase-space point (position, velocity) plus time."""
 
-    t: float
-    x: float
-    y: float
-    vx: float
-    vy: float
+    __slots__ = _fields = ("t", "x", "y", "vx", "vy")
+
+    def __init__(self, t: float, x: float, y: float, vx: float, vy: float):
+        _set(self, "t", t)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "vx", vx)
+        _set(self, "vy", vy)
 
     def speed2(self) -> float:
         return self.vx * self.vx + self.vy * self.vy
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Record):
     """Energy E <= 0 and launch height h > 0 of the horizontal-launch problem."""
 
-    E: float
-    h: float
+    __slots__ = _fields = ("E", "h")
 
-    def __post_init__(self):
-        if not (self.h > 0.0):
-            raise DomainError(f"height must be positive, got {self.h}")
-        if not (self.E <= 0.0):
-            raise DomainError(f"energy must be <= 0, got {self.E}")
-        if 7.0 / (2.0 * self.h) + self.E < 0.0:
+    def __init__(self, E: float, h: float):
+        _set(self, "E", E)
+        _set(self, "h", h)
+        if not (h > 0.0):
+            raise DomainError(f"height must be positive, got {h}")
+        if not (E <= 0.0):
+            raise DomainError(f"energy must be <= 0, got {E}")
+        if 7.0 / (2.0 * h) + E < 0.0:
             raise DomainError(
-                f"(0, {self.h}) lies outside the Hill region at E={self.E}; "
-                f"admissible heights are (0, {-3.5 / self.E if self.E < 0 else math.inf})"
+                f"(0, {h}) lies outside the Hill region at E={E}; "
+                f"admissible heights are (0, {-3.5 / E if E < 0 else math.inf})"
             )
 
 

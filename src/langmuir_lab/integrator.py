@@ -53,11 +53,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import dynamics
-from .dynamics import State, Vec
+from .dynamics import State, Vec, _Record, _set
 from .errors import DomainError, NoConvergence, StepUnderflow
 
 Pair = tuple[float, float]
@@ -84,39 +83,48 @@ MAX_SCALE_RATIO = 100.0
 # Order of the stepper's solution: a step's error grows as h^(ORDER + 1),
 # so the step controller scales steps by powers of the error over ORDER.
 ORDER = 8
-@dataclass(frozen=True)
-class IntegratorSettings:
+
+
+class IntegratorSettings(_Record):
     """`abs_tol`, `h_max` and `t_limit` are in the units of the scale of a
     run launched at an energy level (see the module docstring)."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    h_max: float = 0.1
-    t_limit: float = 100.0
+    __slots__ = _fields = ("rel_tol", "abs_tol", "h_max", "t_limit")
 
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "h_max", "t_limit"):
+    def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 1e-12,
+                 h_max: float = 0.1, t_limit: float = 100.0):
+        _set(self, "rel_tol", rel_tol)
+        _set(self, "abs_tol", abs_tol)
+        _set(self, "h_max", h_max)
+        _set(self, "t_limit", t_limit)
+        for name in self._fields:
             if not (0.0 < getattr(self, name) < math.inf):
                 raise DomainError(f"{name} must be finite and positive")
-        if not self.h_max > H_MIN:
+        if not h_max > H_MIN:
             raise DomainError(f"h_max must exceed H_MIN = {H_MIN}")
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: EventKind
-    t: float
-    state: State
+class Event(_Record):
+    __slots__ = _fields = ("kind", "t", "state")
+
+    def __init__(self, kind: EventKind, t: float, state: State):
+        _set(self, "kind", kind)
+        _set(self, "t", t)
+        _set(self, "state", state)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    samples: tuple[State, ...]
-    events: tuple[Event, ...]
-    max_energy_drift: float
-    termination: EventKind
+class Trajectory(_Record):
+    __slots__ = _fields = ("samples", "events", "max_energy_drift",
+                           "termination")
 
-    def first_event(self, kind: EventKind) -> Optional[Event]:
+    def __init__(self, samples: tuple[State, ...], events: tuple[Event, ...],
+                 max_energy_drift: float, termination: EventKind):
+        _set(self, "samples", samples)
+        _set(self, "events", events)
+        _set(self, "max_energy_drift", max_energy_drift)
+        _set(self, "termination", termination)
+
+    def first_event(self, kind: EventKind) -> Event | None:
         for ev in self.events:
             if ev.kind is kind:
                 return ev
@@ -617,7 +625,7 @@ def _dense_output(accel: Accel, y: Vec, y8: Vec, ks,
 def _brent(
     f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
     f_tol: float, x_tol: float, max_iter: int,
-    trace: Optional[list[tuple[float, float]]] = None,
+    trace: list[tuple[float, float]] | None = None,
 ) -> tuple[float, float, float]:
     """Brent-Dekker root finding (Brent 1973, Algorithms for Minimization
     without Derivatives, ch. 4) between a and b, whose values fa and fb are
@@ -716,7 +724,7 @@ class _Run:
         watch: Iterable[EventKind],
         stop: Iterable[EventKind],
         sample_times: Sequence[float],
-        E: Optional[float] = None,
+        E: float | None = None,
     ):
         if isinstance(stop, Mapping):
             raise TypeError(
@@ -734,7 +742,7 @@ class _Run:
             (s0.t, (s0.x, s0.y, s0.vx, s0.vy))]
         self.events: list[tuple[EventKind, float, Vec]] = []
         self.drift = 0.0
-        self.termination: Optional[EventKind] = None
+        self.termination: EventKind | None = None
 
     def run(self):
         """Step until the run stops: yield the kind of each stop event, and
@@ -891,7 +899,7 @@ class _Run:
 
 
 # State's slot setters: _vec_to_state fills a new instance through them,
-# which skips the frozen dataclass __init__ (one object.__setattr__ per field)
+# which skips State.__init__ (one object.__setattr__ per field)
 _new_state = State.__new__
 _set_t, _set_x, _set_y, _set_vx, _set_vy = (
     State.__dict__[name].__set__ for name in ("t", "x", "y", "vx", "vy")
@@ -943,7 +951,7 @@ def _build_trajectory(run: _Run) -> Trajectory:
 
 
 def _rest_arcs(s0: State, settings: IntegratorSettings,
-               E: Optional[float] = None, watch=()) -> Iterator[_Run]:
+               E: float | None = None, watch=()) -> Iterator[_Run]:
     """One run of the planar field from s0, launched at the energy level E
     (see `_Run`), yielded at each of its stops: its k-th x-rest at the
     k-th yield, for k = 1, 2, ..., and last the stop that ends it any other
@@ -961,7 +969,7 @@ def _rest_arcs(s0: State, settings: IntegratorSettings,
             return
 
 
-def _integrate(s0: State, settings: IntegratorSettings, E: Optional[float],
+def _integrate(s0: State, settings: IntegratorSettings, E: float | None,
                watch=(), stop=(), sample_times=()) -> Trajectory:
     """integrate() from s0, launched at the level E."""
     run = _Run(dynamics.acceleration, dynamics.energy_vec, s0, settings,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import dynamics
 from .analysis import CheckReport

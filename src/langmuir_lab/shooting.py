@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from . import dynamics
-from .dynamics import ProblemSpec, State
+from .dynamics import ProblemSpec, State, _Record, _set
 from .errors import (
     BadBracket,
     ClosureFailure,
@@ -79,39 +78,50 @@ DEFAULT_GRID_RANGE = (0.05, 3.45)
 DEFAULT_GRID_SIZE = 50
 
 
-@dataclass(frozen=True)
-class ShootResult:
-    h: float
-    t_h: float
-    alpha: float
-    n_magical_crossings: int
-    energy_drift: float
-    status: str = "ok"
+class ShootResult(_Record):
+    __slots__ = _fields = ("h", "t_h", "alpha", "n_magical_crossings",
+                           "energy_drift", "status")
+
+    def __init__(self, h: float, t_h: float, alpha: float,
+                 n_magical_crossings: int, energy_drift: float,
+                 status: str = "ok"):
+        _set(self, "h", h)
+        _set(self, "t_h", t_h)
+        _set(self, "alpha", alpha)
+        _set(self, "n_magical_crossings", n_magical_crossings)
+        _set(self, "energy_drift", energy_drift)
+        _set(self, "status", status)
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(_Record):
     """A periodic orbit found by the orbit search.  `solver_trace` lists the
     search's evaluations (h, alpha_k) in order, coarse stage first (for a
     brake search that classified its bracket, its first two entries are
     the bracket ends' values at classification's settings: the coarse ones,
     unless classification was repeated at the search's settings, see
     find_brake_orbit); its last entry is (h_star, alpha_residual), both at
-    the search's settings."""
+    the search's settings.  `kind` is "Langmuir" or "Brake-<k>"."""
 
-    E: float
-    h_star: float
-    quarter_period: float
-    touch_state: State
-    alpha_residual: float
-    kind: str  # "Langmuir" or "Brake-<k>"
-    solver_trace: tuple[tuple[float, float], ...]
-    # The search's quarter arc at h_star and the settings that made it, for
-    # assemble_periodic_orbit; never serialized, compared or copied by
-    # dataclasses.replace, so any other record integrates its own quarter.
-    _quarter_arc: Optional[tuple[IntegratorSettings, Trajectory]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fields = ("E", "h_star", "quarter_period", "touch_state",
+               "alpha_residual", "kind", "solver_trace")
+    # _quarter_arc: the search's quarter arc at h_star and the settings that
+    # made it, (IntegratorSettings, Trajectory), for assemble_periodic_orbit;
+    # None but in the search's own record, which sets it after building it.
+    # It is no field: never serialized, compared, pickled or copied by
+    # replace, so any other record integrates its own quarter.
+    __slots__ = (*_fields, "_quarter_arc")
+
+    def __init__(self, E: float, h_star: float, quarter_period: float,
+                 touch_state: State, alpha_residual: float, kind: str,
+                 solver_trace: tuple[tuple[float, float], ...]):
+        _set(self, "E", E)
+        _set(self, "h_star", h_star)
+        _set(self, "quarter_period", quarter_period)
+        _set(self, "touch_state", touch_state)
+        _set(self, "alpha_residual", alpha_residual)
+        _set(self, "kind", kind)
+        _set(self, "solver_trace", solver_trace)
+        _set(self, "_quarter_arc", None)
 
     def reflection_count(self) -> int:
         if self.kind == "Langmuir":
@@ -121,7 +131,7 @@ class OrbitRecord:
 
 def _bracket_at(
     E: float,
-    bracket: Optional[tuple[float, float]],
+    bracket: tuple[float, float] | None,
     default: tuple[float, float],
 ) -> tuple[float, float]:
     """The given bracket, or the E = -1 default rescaled to energy E."""
@@ -232,7 +242,7 @@ def _solve_bracketed(
     tol_f: float,
     max_iter: int,
     trace: list[tuple[float, float]],
-    f_ends: Optional[tuple[float, float]] = None,
+    f_ends: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """The orbit search's root of f on [lo, hi] by `integrator._brent`,
     from the bracket ends' values: the first point where |f| <= tol_f, so
@@ -266,13 +276,13 @@ def _solve_bracketed(
     return b, fb
 
 
-def _coarse(settings: IntegratorSettings) -> Optional[IntegratorSettings]:
+def _coarse(settings: IntegratorSettings) -> IntegratorSettings | None:
     """The orbit search's coarse-stage settings: COARSE with the time limit
     of `settings`, or None when `settings` are no finer than COARSE_REL_TOL
     and the search has no coarse stage."""
     if settings.rel_tol >= COARSE_REL_TOL:
         return None
-    return replace(COARSE, t_limit=settings.t_limit)
+    return COARSE.replace(t_limit=settings.t_limit)
 
 
 def _find_orbit(
@@ -281,7 +291,7 @@ def _find_orbit(
     k: int,
     kind: str,
     settings: IntegratorSettings,
-    ends: Optional[tuple[IntegratorSettings, tuple[_Run, _Run]]] = None,
+    ends: tuple[IntegratorSettings, tuple[_Run, _Run]] | None = None,
 ) -> OrbitRecord:
     """Root of alpha_k on the bracket, |alpha_k| <= ALPHA_TOL at `settings`,
     in E = -1 units (alpha over sqrt(-E)), as is every tolerance below.
@@ -353,7 +363,7 @@ def _find_orbit(
         kind=kind,
         solver_trace=tuple(trace),
     )
-    object.__setattr__(rec, "_quarter_arc", (settings, arc))
+    _set(rec, "_quarter_arc", (settings, arc))
     return rec
 
 
@@ -364,7 +374,7 @@ def _polish(
     bracket: tuple[float, float],
     tol_f: float,
     trace: list[tuple[float, float]],
-) -> Optional[tuple[float, float]]:
+) -> tuple[float, float] | None:
     """Secant iteration on f from h0, the coarse root, to |f| <= tol_f.
 
     The first slope is the secant through `last`, the coarse stage's last
@@ -400,7 +410,7 @@ def _polish(
 
 def find_langmuir_orbit(
     E: float,
-    bracket: Optional[tuple[float, float]] = None,
+    bracket: tuple[float, float] | None = None,
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> OrbitRecord:
     """Root of alpha on the bracket: the simple back-and-forth orbit.  The
@@ -411,8 +421,8 @@ def find_langmuir_orbit(
 
 def find_brake_orbit(
     E: float,
-    bracket: Optional[tuple[float, float]] = None,
-    k: Optional[int] = None,
+    bracket: tuple[float, float] | None = None,
+    k: int | None = None,
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> OrbitRecord:
     """Root of alpha_k on the bracket: the multi-reflection orbit.  The
@@ -448,7 +458,7 @@ def find_brake_orbit(
 
 def classify_reflection_count(
     E: float,
-    bracket: Optional[tuple[float, float]] = None,
+    bracket: tuple[float, float] | None = None,
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> int:
     """Smallest rest count k <= MAX_RESTS at which alpha_k differs in sign
@@ -474,7 +484,7 @@ def _classify(
     E: float,
     bracket: tuple[float, float],
     settings: IntegratorSettings,
-) -> tuple[Optional[int], tuple[_Run, ...], float]:
+) -> tuple[int | None, tuple[_Run, ...], float]:
     """classify_reflection_count at `settings`, returning the rest count
     found (None when no k <= MAX_RESTS separates the ends), the runs of the
     two bracket ends stopped there, whose arcs are not built (none when
@@ -531,7 +541,7 @@ def sign_change_brackets(results: Sequence[ShootResult]) -> list[tuple[float, fl
 def assemble_periodic_orbit(
     rec: OrbitRecord,
     settings: IntegratorSettings = IntegratorSettings(),
-    closure_tol: float = 1e-6,
+    closure_tol: float | None = None,
 ) -> Trajectory:
     """Close the quarter arc into the full period-4T orbit.
 
@@ -552,8 +562,12 @@ def assemble_periodic_orbit(
     forward sample, or a pair further apart than closure_tol, raises
     ClosureFailure.  The deviation is measured in E = -1 units (positions
     times -E, velocities over sqrt(-E)), in which every energy level's
-    orbit is the same rescaled curve.
+    orbit is the same rescaled curve.  closure_tol defaults to 1e-6 at
+    the default rel_tol of 1e-10 and finer, and grows in proportion to a
+    coarser rel_tol, as the retrace's error does.
     """
+    if closure_tol is None:
+        closure_tol = 1e-6 * max(1.0, settings.rel_tol / 1e-10)
     arc = rec._quarter_arc
     if arc is not None and arc[0] == settings:
         quarter = arc[1]
@@ -571,7 +585,7 @@ def assemble_periodic_orbit(
     back_start = State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx, vy=-touch.vy)
     fwd = quarter.samples[:-1]
     back = _integrate(
-        back_start, replace(settings, t_limit=T * (-rec.E) ** 1.5), rec.E,
+        back_start, settings.replace(t_limit=T * (-rec.E) ** 1.5), rec.E,
         sample_times=[T - s.t for s in fwd[1:]],
     )
     # each request yields one sample at exactly its time

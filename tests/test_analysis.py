@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -107,7 +106,7 @@ def test_tau_agrees_with_the_launch_at_energy_minus_h(runs):
 def test_energy_drift_fails_on_a_drifting_run(runs):
     # one run whose drift exceeds the tolerance fails the check, whatever
     # the other runs hold
-    bad = [runs[0], (replace(runs[1][0], max_energy_drift=1e-6), runs[1][1]),
+    bad = [runs[0], (runs[1][0].replace(max_energy_drift=1e-6), runs[1][1]),
            *runs[2:]]
     rep = analysis.check_energy_drift(bad)
     assert not rep.passed
@@ -171,7 +170,7 @@ def _plant(monkeypatch, module, edit, name="integrate"):
         i = sum(1 for s in samples if s.t < end) // 2
         samples[i] = edit(samples[i])
         planted.append(samples[i])
-        return replace(traj, samples=tuple(samples))
+        return traj.replace(samples=tuple(samples))
 
     monkeypatch.setattr(module, name, integrate)
     return planted
@@ -179,7 +178,7 @@ def _plant(monkeypatch, module, edit, name="integrate"):
 
 def test_magical_prefix_fails_on_a_rising_sample(monkeypatch):
     # one step-end sample before the crossing that moves upward
-    planted = _plant(monkeypatch, shooting, lambda s: replace(s, vy=1e-6),
+    planted = _plant(monkeypatch, shooting, lambda s: s.replace(vy=1e-6),
                      "_build_trajectory")
     rep = analysis.check_magical_prefix(analysis.grid_runs([1.398]))
     assert rep.details["n_checked"] == 1
@@ -190,7 +189,7 @@ def test_magical_prefix_fails_on_a_rising_sample(monkeypatch):
 def test_zero_energy_monotone_fails_on_an_approaching_sample(monkeypatch):
     # one step-end sample moving towards the nucleus: r' < 0
     planted = _plant(monkeypatch, analysis,
-                     lambda s: replace(s, vx=-s.vx, vy=-s.vy))
+                     lambda s: s.replace(vx=-s.vx, vy=-s.vy))
     rep = analysis.check_zero_energy_monotone(analysis.zero_energy_run())
     assert dyn.radial_velocity(planted[0]) < 0.0
     assert not rep.passed
@@ -205,10 +204,10 @@ def test_inverted_concavity_fails_on_a_displaced_sample(zero_run):
     # differences beside it miss it
     samples = list(zero_run.samples)
     i = next(i for i, s in enumerate(samples) if s.t == 1.0)
-    samples[i] = replace(samples[i], vx=1.001 * samples[i].vx,
-                         vy=1.001 * samples[i].vy)
+    samples[i] = samples[i].replace(vx=1.001 * samples[i].vx,
+                                    vy=1.001 * samples[i].vy)
     rep = analysis.check_inverted_concavity(
-        replace(zero_run, samples=tuple(samples)))
+        zero_run.replace(samples=tuple(samples)))
     assert rep.details["max_closed_form_rdd"] < 0.0
     assert not rep.passed
     assert rep.worst_violation == rep.details["fd_mismatch_worst"] > 0.0

@@ -194,6 +194,20 @@ class TestFindOrbit:
         assert doc["kind"] == "Brake-3"
         assert abs(doc["h_star"] * -E / 0.33125533690417354682 - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("kind", ["langmuir", "brake"])
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-7", "1e-8", "1e-9", "1e-10"])
+    @pytest.mark.parametrize("energy", ["-1.0", "-0.77"])
+    def test_orbit_closes_at_a_coarser_tolerance(self, energy, tol, kind,
+                                                 tmp_path):
+        # the retrace's closure tolerance grows with a coarser --tol, as
+        # the retrace's error does: at --tol 1e-6 the brake retrace
+        # deviates by 2.1e-3 in E = -1 units, 1e-8 by 4.3e-5
+        prefix = tmp_path / "orbit"
+        rc = main(["find-orbit", "--energy", energy, "--kind", kind,
+                   "--tol", tol, "--out", str(prefix)])
+        assert rc == 0
+        assert (tmp_path / "orbit.orbit.csv").exists()
+
     def test_brake_bracket_holding_simple_orbit(self, capsys):
         rc = main(
             ["find-orbit", "--energy", "-1.0", "--kind", "brake",

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -463,9 +462,9 @@ class TestBrakeClassification:
             rel_tol=shooting.COARSE_REL_TOL, abs_tol=1e-8,
             h_max=0.1 * 10 ** 0.5)
         assert shooting._coarse(given) == default
-        assert shooting._coarse(replace(given, t_limit=7.0)) == replace(
-            default, t_limit=7.0)
-        assert shooting._coarse(replace(given, rel_tol=1e-6)) is None
+        assert shooting._coarse(given.replace(t_limit=7.0)) == (
+            default.replace(t_limit=7.0))
+        assert shooting._coarse(given.replace(rel_tol=1e-6)) is None
 
     @pytest.mark.parametrize("h, alpha_3", [(0.3, -1.76133), (0.8, 1.98551)])
     def test_rk4_gives_the_coarse_signs(self, h, alpha_3):
@@ -624,7 +623,7 @@ def test_time_reversal_returns_to_the_launch(E, u):
     rest = _first_rest(E, h)
     back = integrate(
         dyn.State(t=0.0, x=rest.x, y=rest.y, vx=-rest.vx, vy=-rest.vy),
-        replace(IntegratorSettings(), t_limit=res.t_h),
+        IntegratorSettings(t_limit=res.t_h),
     )
     end = back.samples[-1]
     assert back.termination is EventKind.TIME_LIMIT
@@ -754,11 +753,11 @@ class TestScan:
                 want = shooting.ShootResult(
                     h, math.nan, math.nan, crossings, traj.max_energy_drift,
                     f"NoRest({traj.termination.value})")
-            for f in fields(want):
+            for name in want._fields:
                 # repr tells every float bit, nan and -0.0 included
-                got = repr(getattr(row, f.name))
-                assert got == repr(getattr(res, f.name)), f.name
-                assert got == repr(getattr(want, f.name)), f.name
+                got = repr(getattr(row, name))
+                assert got == repr(getattr(res, name)), name
+                assert got == repr(getattr(want, name)), name
         statuses = {r.status for r in rows}
         if settings_.t_limit < 100.0:
             assert statuses == {"ok", "NoRest(TimeLimit)"}
@@ -893,6 +892,26 @@ def _retrace_worst(rec):
     with pytest.raises(ClosureFailure) as info:
         shooting.assemble_periodic_orbit(rec, closure_tol=0.0)
     return float(re.search(r"by (\S+) in E = -1 units", str(info.value))[1])
+
+
+@pytest.mark.parametrize("kind", sorted(FINDERS))
+@pytest.mark.parametrize("tol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+def test_closure_tolerance_catches_a_displaced_sample(kind, tol):
+    # the closure tolerance that a coarser rel_tol grows still fails a
+    # quarter arc with one forward sample 10 times that far off: the search's
+    # own arc, its middle sample's x moved, at the settings --tol gives
+    settings = IntegratorSettings(rel_tol=tol, abs_tol=min(1e-12, tol * 1e-2))
+    closure_tol = 1e-6 * max(1.0, tol / 1e-10)
+    rec = FINDERS[kind](-1.0, settings=settings)
+    shooting.assemble_periodic_orbit(rec, settings)
+    arc_settings, arc = rec._quarter_arc
+    samples = list(arc.samples)
+    i = len(samples) // 2
+    samples[i] = samples[i].replace(x=samples[i].x + 10.0 * closure_tol)
+    object.__setattr__(rec, "_quarter_arc",
+                       (arc_settings, arc.replace(samples=tuple(samples))))
+    with pytest.raises(ClosureFailure, match="deviates"):
+        shooting.assemble_periodic_orbit(rec, settings)
 
 
 def test_brake_retrace_deviation_follows_the_scaling_law(orbits_at_e1):
