@@ -14,6 +14,11 @@ reduces the list of runs that grid_runs makes, and the suite integrates
 that list once.  Likewise the two checks on the zero-energy escape
 (zero_energy_monotone and inverted_concavity) each reduce the one run that
 zero_energy_run makes.
+
+The checks reduce runs, not records: each reads a run's (t, (x, y, vx,
+vy)) samples, (kind, t, (x, y, vx, vy)) events and drift in one pass, and
+no `State` or `Trajectory` is built for them.  A run's drift covers its own
+states, its step ends and its stop: requested samples add none.
 """
 
 from __future__ import annotations
@@ -24,13 +29,9 @@ from collections.abc import Sequence
 
 from . import dynamics
 from .dynamics import ProblemSpec, _Record, _set
-from .integrator import (
-    EventKind,
-    IntegratorSettings,
-    Trajectory,
-    integrate,
-)
-from .shooting import _shoot_run, default_grid
+from .errors import DomainError
+from .integrator import EventKind, IntegratorSettings, _first_stop, _Run
+from .shooting import _shoot, default_grid
 
 # Deceleration bound: inside the Hill region at E=-1 both |x| and y are at
 # most 7/2, so x'' <= -8*gamma*x with gamma = (49/4 + 49/4)^(-3/2); a
@@ -48,6 +49,7 @@ ZERO_ENERGY_SAMPLES = 800
 # times over near t = 0.75, and they are within 1e-4 relative only past t = 2
 CONCAVITY_POINTS = 300
 CONCAVITY_SPAN = 2.0
+SQRT63 = math.sqrt(63.0)
 
 
 class CheckReport(_Record):
@@ -101,13 +103,13 @@ def grid_runs(
 ) -> list[tuple]:
     """The E=-1 horizontal launches from the heights h_grid, by default the
     default grid, each integrated once as shoot() and scan_alpha integrate
-    it: its (Trajectory, ShootResult) pair, the run recording the
-    magical-line crossings up to its first x-rest, sampled at its step ends
-    and its stop.  tmax_bound, magical_prefix, energy_drift and tau_growth
-    each reduce this one list."""
+    it: its (run, ShootResult) pair, the run (an integrator `_Run`)
+    recording the magical-line crossings up to its first x-rest, sampled at
+    its step ends and its stop.  tmax_bound, magical_prefix, energy_drift
+    and tau_growth each reduce this one list."""
     if h_grid is None:
         h_grid = default_grid()
-    return [_shoot_run(-1.0, h, settings) for h in h_grid]
+    return [_shoot(-1.0, h, settings) for h in h_grid]
 
 
 def check_tmax_bound(runs) -> CheckReport:
@@ -138,18 +140,27 @@ def check_magical_prefix(runs) -> CheckReport:
     after launch and before the crossing, which are its step ends, and the
     crossing's state; vy/t does not tend to 0 at launch as vy does (it
     tends to -7/h^2).  A run that rests before crossing checks nothing."""
+    crossing = EventKind.MAGICAL_LINE_CROSS
     worst = -math.inf
     vacuous = []
-    for traj, res in runs:
-        cross = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
-        if cross is None:
+    for run, res in runs:
+        for kind, t_cross, cross in run.events:
+            if kind is crossing:
+                break
+        else:
             vacuous.append(res.h)
             continue
-        worst = max(
-            worst,
-            cross.state.vy / cross.t,
-            *(s.vy / s.t for s in traj.samples if 0.0 < s.t < cross.t),
-        )
+        q = cross[3] / t_cross
+        if q > worst:
+            worst = q
+        # the samples are in time order
+        for t, v in run.samples:
+            if t >= t_cross:
+                break
+            if t > 0.0:
+                q = v[3] / t
+                if q > worst:
+                    worst = q
     if len(vacuous) == len(runs):
         worst = math.inf
     return CheckReport.from_violation(
@@ -163,20 +174,24 @@ def check_magical_prefix(runs) -> CheckReport:
 def zero_energy_run(
     t_end: float = 50.0,
     settings: IntegratorSettings = IntegratorSettings(),
-) -> Trajectory:
+) -> _Run:
     """The E=0 launch from height 1, which escapes to infinity, integrated
-    once to t_end; zero_energy_monotone and inverted_concavity each reduce
-    it.  The checks read samples from the dense output, so the run's step is
-    capped only by t_end (or by settings.h_max, when that is longer).  It
-    samples ZERO_ENERGY_SAMPLES evenly spaced times over (0, t_end], or more
-    on a long span, so that they lie no further than settings.h_max apart,
-    as capped steps' ends would; and the CONCAVITY_POINTS evenly spaced
-    times of _concavity_grid(t_end) after launch."""
+    once to t_end, which must be finite and positive: its run (an
+    integrator `_Run`), which zero_energy_monotone and inverted_concavity
+    each reduce.  The checks read samples from the dense output, so the
+    run's step is capped only by t_end (or by settings.h_max, when that is
+    longer).  It samples ZERO_ENERGY_SAMPLES evenly spaced times over (0,
+    t_end], or more on a long span, so that they lie no further than
+    settings.h_max apart, as capped steps' ends would; and the
+    CONCAVITY_POINTS evenly spaced times of _concavity_grid(t_end) after
+    launch."""
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end must be finite and positive, got {t_end}")
     cap = settings.h_max
     settings = settings.replace(t_limit=t_end, h_max=max(cap, t_end))
     n = max(ZERO_ENERGY_SAMPLES, math.ceil(t_end / cap))
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
-    return integrate(s0, settings, sample_times=[
+    return _first_stop(s0, settings, None, sample_times=[
         *(t_end * j / n for j in range(1, n + 1)),
         *_concavity_grid(t_end)[1:]])
 
@@ -188,32 +203,43 @@ def _concavity_grid(t_end: float) -> list[float]:
     return [span * j / CONCAVITY_POINTS for j in range(CONCAVITY_POINTS + 1)]
 
 
-def check_zero_energy_monotone(traj: Trajectory) -> CheckReport:
-    """On the zero_energy_run `traj` the distance from the nucleus grows
+def check_zero_energy_monotone(run: _Run) -> CheckReport:
+    """On the zero_energy_run `run` the distance from the nucleus grows
     monotonically and the orbit stays inside the unbounded zero-energy Hill
     region y >= |x|/sqrt(63).  Growth is judged by r'/t > 0 at every
     sample after launch, the step ends and requested times: r' = 0 at
     launch, but r'/t tends to 7 there, so its minimum does not depend on
     where the first step ends."""
-    # with no sample after launch nothing is compared: worst is inf
-    min_rdot_t = min(
-        (dynamics.radial_velocity(s) / s.t for s in traj.samples if s.t > 0.0),
-        default=-math.inf,
-    )
-    hill_worst = max(abs(s.x) / math.sqrt(63.0) - s.y for s in traj.samples)
-    # diagnostic only; see details
-    y_above_one = sum(1 for s in traj.samples if s.t > 0.0 and s.y > 1.0)
+    samples = run.samples
+    min_rdot_t = math.inf
+    hill_worst = -math.inf
+    y_above_one = 0  # diagnostic only; see details
+    for t, (x, y, vx, vy) in samples:
+        q = abs(x) / SQRT63 - y
+        if q > hill_worst:
+            hill_worst = q
+        if t > 0.0:
+            # r'/t, r' = (x vx + y vy)/r
+            q = (x * vx + y * vy) / math.hypot(x, y) / t
+            if q < min_rdot_t:
+                min_rdot_t = q
+            if y > 1.0:
+                y_above_one += 1
+    # with no sample after launch (the samples are in time order) nothing is
+    # compared: worst is inf
+    if not samples[-1][0] > 0.0:
+        min_rdot_t = -math.inf
     worst = max(-min_rdot_t, hill_worst)
     return CheckReport.from_violation(
         "zero_energy_monotone",
         worst,
         0.0,
         {
-            "t_end": traj.samples[-1].t,
+            "t_end": samples[-1][0],
             "min_radial_velocity_over_t": min_rdot_t,
             "hill_worst": hill_worst,
-            "n_samples": len(traj.samples),
-            "max_energy_drift": traj.max_energy_drift,
+            "n_samples": len(samples),
+            "max_energy_drift": run.drift,
             # descent of the zero-energy orbit (y <= 1 after launch) is a
             # diagnostic, not a gate
             "samples_with_y_above_1": y_above_one,
@@ -221,30 +247,31 @@ def check_zero_energy_monotone(traj: Trajectory) -> CheckReport:
     )
 
 
-def check_inverted_concavity(traj: Trajectory) -> CheckReport:
+def check_inverted_concavity(run: _Run) -> CheckReport:
     """On the zero-energy orbit the radius rho = 1/r of the circle-inverted
     chart (q -> 1/conj(q), p -> -q^2 conj(p), with time tau, dt/dtau = r^4)
     is strictly concave: rho'' = (2/rho)(-3 p_rho^2 - p_phi^2/rho^2) < 0.
     The chart's momenta are 2 p_rho = -r^2 r' and p_phi = (x vy - y vx)/2
     of the planar state, so in planar time this reads
     d(-r^2 r')/dt = rho^4 rho'' = -(3/2) r r'^2 - 2 p_phi^2/r, which the
-    zero_energy_run `traj` gives without a run in the chart.  The closed
+    zero_energy_run `run` gives without a run in the chart.  The closed
     form must be negative at every sample and agree with a central
     difference of -r^2 r' on the _concavity_grid of the run's last sample
     time t_end: from launch to min(t_end, CONCAVITY_SPAN), which is
     tau = 0.321 when t_end >= CONCAVITY_SPAN."""
-    samples = traj.samples
-    grid = set(_concavity_grid(samples[-1].t))
+    samples = run.samples
+    grid = set(_concavity_grid(samples[-1][0]))
     concavity_worst = -math.inf
     on_grid = []  # (t, -r^2 r', closed form) at the grid's times
-    for s in samples:
-        r = math.hypot(s.x, s.y)
-        rdot = dynamics.radial_velocity(s)
-        pphi = 0.5 * (s.x * s.vy - s.y * s.vx)
+    for t, (x, y, vx, vy) in samples:
+        r = math.hypot(x, y)
+        rdot = (x * vx + y * vy) / r
+        pphi = 0.5 * (x * vy - y * vx)
         rdd = -1.5 * r * rdot * rdot - 2.0 * pphi * pphi / r
-        concavity_worst = max(concavity_worst, rdd)
-        if s.t in grid:
-            on_grid.append((s.t, -r * r * rdot, rdd))
+        if rdd > concavity_worst:
+            concavity_worst = rdd
+        if t in grid:
+            on_grid.append((t, -r * r * rdot, rdd))
     # with no interior grid point nothing is compared: worst is inf
     fd_worst = -math.inf if len(on_grid) > 2 else math.inf
     for (tm, fm, _), (_, _, rdd), (tp, fp, _) in zip(
@@ -289,7 +316,7 @@ def check_tau_growth(runs) -> CheckReport:
 def check_energy_drift(runs) -> CheckReport:
     """Relative energy drift of each of the grid_runs pairs `runs`, with or
     without an x-rest, stays within 1e-8."""
-    drifts = {r.h: traj.max_energy_drift for traj, r in runs}
+    drifts = {r.h: run.drift for run, r in runs}
     return CheckReport.from_violation(
         "energy_drift",
         max(drifts.values(), default=math.inf),

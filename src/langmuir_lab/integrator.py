@@ -17,13 +17,13 @@ come from the step's continuous extension (the CONTD8 of `dop853`, ibid.,
 II.10), a seventh-order interpolant that takes three field evaluations of
 its own, so it is built only for a step that reads from it.  Requested
 `sample_times` are read from it, so requests never change the step
-sequence.  The step loop evaluates each residual and the energy once per
-accepted step.  Only where a residual changes sign does it locate the
-change on the interpolant, by the Brent-Dekker routine the orbit search
-also uses, from the residual's values at the step's ends; the state of a
-located event is then one eighth-order step from the accepted step's start
-to the located time.  Otherwise a run samples the ends of its accepted
-steps.
+sequence, nor the drift: the step loop evaluates each residual and the
+energy once per accepted step, and the energy of no requested sample.
+Only where a residual changes sign does it locate the change on the
+interpolant, by the Brent-Dekker routine the orbit search also uses, from
+the residual's values at the step's ends; the state of a located event is
+then one eighth-order step from the accepted step's start to the located
+time.  Otherwise a run samples the ends of its accepted steps.
 
 A run stops at the first event of any stop kind: its last sample is the
 event's state, and the events the same step holds after it are dropped.
@@ -114,6 +114,12 @@ class Event(_Record):
 
 
 class Trajectory(_Record):
+    """A run as records: its samples and events as `State`s, in time
+    order, its largest relative energy drift over its own states (the step
+    ends and the stop; requested samples add none) and the kind of event
+    that ended it.  Only the functions that return one build it; the checks
+    in `analysis` read the runs themselves."""
+
     __slots__ = _fields = ("samples", "events", "max_energy_drift",
                            "termination")
 
@@ -713,7 +719,12 @@ class _Run:
     the energy level E (None: at none); collects samples and events.  The
     run records the events of every kind in `watch` or `stop`, and stops at
     the first of any kind in `stop`, at the first collision proximity, and
-    at the time limit."""
+    at the time limit.  At each stop, `samples` holds its (t, (x, y, vx,
+    vy)) samples in time order, `events` its (kind, t, (x, y, vx, vy))
+    events, `drift` the largest relative energy drift of its own states
+    (step ends and the stop) and `termination` the stop's kind; the checks
+    in `analysis` read these, and `_build_trajectory` makes records of
+    them."""
 
     def __init__(
         self,
@@ -784,24 +795,24 @@ class _Run:
         requests = sorted({s for s in self.sample_times if s > t},
                           reverse=True)
 
-        def append_requests(t0, at, t_end, drift):
+        def append_requests(t0, at, t_end):
             """Sample each requested time up to t_end from the interpolant
-            `at` of the step from t0, and return `drift` with the samples'
-            drift; the sample at t_end that ends the span answers a request
-            at that time."""
+            `at` of the step from t0; the sample at t_end that ends the span
+            answers a request at that time.  A requested sample adds nothing
+            to the drift, which covers the run's own states."""
             while requests and requests[-1] <= t_end:
                 t = requests.pop()
                 if t == t_end:
                     break
-                y = at(t - t0)
-                samples.append((t, y))
-                d = energy_fn(y) - e0
-                d = (-d if d < 0.0 else d) / e_unit
-                if d > drift:
-                    drift = d
-            return drift
+                samples.append((t, at(t - t0)))
 
-        k1 = accel(y[0], y[1])
+        try:
+            k1 = accel(y[0], y[1])
+        except ZeroDivisionError:  # r^3 or y^2 underflows to 0
+            raise DomainError(
+                f"launch at ({y[0]}, {y[1]}) too near the nucleus or the "
+                f"collision line: the field there is out of the "
+                f"floating-point range") from None
         res = [f(y) for _, _, f in residuals]
         h = min(h_max, h_first)
         err_old = 1.0
@@ -869,7 +880,7 @@ class _Run:
                     events.append((kind, t_ev, y_ev))
                     if kind in stop:
                         if requests and requests[-1] <= t_ev:
-                            drift = append_requests(t0, at, t_ev, drift)
+                            append_requests(t0, at, t_ev)
                         samples.append((t_ev, y_ev))
                         d = energy_fn(y_ev) - e0
                         d = (-d if d < 0.0 else d) / e_unit
@@ -882,7 +893,7 @@ class _Run:
                         self.termination = None
 
             if requests and requests[-1] <= t:
-                drift = append_requests(t0, at, t, drift)
+                append_requests(t0, at, t)
             samples.append((t, y))
             # |drift| by comparison, not abs()
             d = energy_fn(y) - e0
@@ -969,13 +980,21 @@ def _rest_arcs(s0: State, settings: IntegratorSettings,
             return
 
 
+def _first_stop(s0: State, settings: IntegratorSettings, E: float | None,
+                watch=(), stop=(), sample_times=()) -> _Run:
+    """The run of the planar field from s0, launched at the level E, at its
+    first stop, never resumed, its arc not built."""
+    run = _Run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
+               watch, stop, sample_times, E)
+    next(run.run())
+    return run
+
+
 def _integrate(s0: State, settings: IntegratorSettings, E: float | None,
                watch=(), stop=(), sample_times=()) -> Trajectory:
     """integrate() from s0, launched at the level E."""
-    run = _Run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
-               watch, stop, sample_times, E)
-    next(run.run())  # to the first stop, never resumed
-    return _build_trajectory(run)
+    return _build_trajectory(
+        _first_stop(s0, settings, E, watch, stop, sample_times))
 
 
 def integrate(
@@ -995,7 +1014,9 @@ def integrate(
     sample at exactly that time, read from the seventh-order dense output
     of the step that holds it, which costs that step three field
     evaluations; a sample already at that very time (a step's end or the
-    final event) stands for it.  The steps, their end samples and the
-    events are the same with or without requests.  s0 carries no energy
+    final event) stands for it.  The steps, their end samples, the events
+    and the drift are the same with or without requests: the drift, the
+    largest relative energy error, covers the run's own states, its step
+    ends and its stop, and no requested sample.  s0 carries no energy
     level, so the settings are read as given."""
     return _integrate(s0, settings, None, watch, stop, sample_times)

@@ -205,14 +205,6 @@ def _shoot(
     )
 
 
-def _shoot_run(
-    E: float, h: float, settings: IntegratorSettings
-) -> tuple[Trajectory, ShootResult]:
-    """_shoot with the run's arc built."""
-    run, res = _shoot(E, h, settings)
-    return _build_trajectory(run), res
-
-
 def shoot(
     E: float,
     h: float,

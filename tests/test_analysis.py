@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from langmuir_lab.integrator import (
     integrate,
 )
 from langmuir_lab import dynamics as dyn
+from langmuir_lab.errors import DomainError
 
 from conftest import rk4_fixed
 
@@ -65,8 +67,14 @@ class TestIndividualChecks:
         assert rep.details["n_samples"] >= 771
 
     def test_zero_energy_rejects_bad_horizon(self):
+        # the run names its own span, before it replaces the settings'
+        # t_limit and h_max with it
         with pytest.raises(ValueError):
             analysis.zero_energy_run(t_end=-1.0)
+        for t_end in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(DomainError,
+                               match="t_end must be finite and positive"):
+                analysis.zero_energy_run(t_end)
 
     def test_inverted_concavity_passes(self, zero_run):
         # the closed form is largest at launch, -7 = -2 p_phi^2 there, and
@@ -106,8 +114,9 @@ def test_tau_agrees_with_the_launch_at_energy_minus_h(runs):
 def test_energy_drift_fails_on_a_drifting_run(runs):
     # one run whose drift exceeds the tolerance fails the check, whatever
     # the other runs hold
-    bad = [runs[0], (runs[1][0].replace(max_energy_drift=1e-6), runs[1][1]),
-           *runs[2:]]
+    drifting = copy.copy(runs[1][0])
+    drifting.drift = 1e-6
+    bad = [runs[0], (drifting, runs[1][1]), *runs[2:]]
     rep = analysis.check_energy_drift(bad)
     assert not rep.passed
     assert rep.worst_violation == 1e-6
@@ -154,32 +163,34 @@ def test_check_with_nothing_to_compare_fails(check):
     assert rep.worst_violation == math.inf
 
 
-def _plant(monkeypatch, module, edit, name="integrate"):
-    """Make module.<name>, a function that returns a run, return it with
-    one step-end sample replaced by edit(sample): the middle one of the
-    samples before the run's first magical-line crossing, or of all its
-    samples if it has none."""
+def _plant(monkeypatch, module, name, edit):
+    """Make module.<name>, a function that returns a run (or a pair whose
+    first item is a run), return it with one step-end sample's state
+    replaced by edit(state): the middle one of the samples before the run's
+    first magical-line crossing, or of all its samples if it has none.  Each
+    planted sample, as a `State`, is appended to the list returned."""
     real = getattr(module, name)
     planted = []
 
-    def integrate(*args, **kwargs):
-        traj = real(*args, **kwargs)
-        cross = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
-        end = math.inf if cross is None else cross.t
-        samples = list(traj.samples)
-        i = sum(1 for s in samples if s.t < end) // 2
-        samples[i] = edit(samples[i])
-        planted.append(samples[i])
-        return traj.replace(samples=tuple(samples))
+    def planting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        run = out[0] if isinstance(out, tuple) else out
+        end = min((t for kind, t, _ in run.events
+                   if kind is EventKind.MAGICAL_LINE_CROSS), default=math.inf)
+        i = sum(1 for t, _ in run.samples if t < end) // 2
+        t, v = run.samples[i]
+        run.samples[i] = (t, edit(v))
+        planted.append(dyn.State(t, *run.samples[i][1]))
+        return out
 
-    monkeypatch.setattr(module, name, integrate)
+    monkeypatch.setattr(module, name, planting)
     return planted
 
 
 def test_magical_prefix_fails_on_a_rising_sample(monkeypatch):
     # one step-end sample before the crossing that moves upward
-    planted = _plant(monkeypatch, shooting, lambda s: s.replace(vy=1e-6),
-                     "_build_trajectory")
+    planted = _plant(monkeypatch, analysis, "_shoot",
+                     lambda v: (*v[:3], 1e-6))
     rep = analysis.check_magical_prefix(analysis.grid_runs([1.398]))
     assert rep.details["n_checked"] == 1
     assert not rep.passed
@@ -188,8 +199,8 @@ def test_magical_prefix_fails_on_a_rising_sample(monkeypatch):
 
 def test_zero_energy_monotone_fails_on_an_approaching_sample(monkeypatch):
     # one step-end sample moving towards the nucleus: r' < 0
-    planted = _plant(monkeypatch, analysis,
-                     lambda s: s.replace(vx=-s.vx, vy=-s.vy))
+    planted = _plant(monkeypatch, analysis, "_first_stop",
+                     lambda v: (v[0], v[1], -v[2], -v[3]))
     rep = analysis.check_zero_energy_monotone(analysis.zero_energy_run())
     assert dyn.radial_velocity(planted[0]) < 0.0
     assert not rep.passed
@@ -203,11 +214,12 @@ def test_inverted_concavity_fails_on_a_displaced_sample(zero_run):
     # too long: the closed form stays negative, but the central
     # differences beside it miss it
     samples = list(zero_run.samples)
-    i = next(i for i, s in enumerate(samples) if s.t == 1.0)
-    samples[i] = samples[i].replace(vx=1.001 * samples[i].vx,
-                                    vy=1.001 * samples[i].vy)
-    rep = analysis.check_inverted_concavity(
-        zero_run.replace(samples=tuple(samples)))
+    i = next(i for i, (t, _) in enumerate(samples) if t == 1.0)
+    t, (x, y, vx, vy) = samples[i]
+    samples[i] = (t, (x, y, 1.001 * vx, 1.001 * vy))
+    displaced = copy.copy(zero_run)
+    displaced.samples = samples
+    rep = analysis.check_inverted_concavity(displaced)
     assert rep.details["max_closed_form_rdd"] < 0.0
     assert not rep.passed
     assert rep.worst_violation == rep.details["fd_mismatch_worst"] > 0.0
@@ -220,24 +232,22 @@ def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
     # 3.6e-11 at t = 5, about the RK4's own error: 5.4e-10 at steps of
     # 2e-3, 4.5e-12 at 5e-4)
     runs = []
-    real = analysis.integrate
+    real = analysis._first_stop
 
-    def integrate(s0, settings, **kwargs):
-        runs.append((settings, real(s0, settings, **kwargs)))
+    def first_stop(s0, settings, E, **kwargs):
+        runs.append((settings, real(s0, settings, E, **kwargs)))
         return runs[-1][1]
 
-    monkeypatch.setattr(analysis, "integrate", integrate)
+    monkeypatch.setattr(analysis, "_first_stop", first_stop)
     assert analysis.check_zero_energy_monotone(
         analysis.zero_energy_run()).passed
-    (settings, traj), = runs
+    (settings, run), = runs
     assert settings.h_max == settings.t_limit == 50.0
-    by_time = {s.t: s for s in traj.samples}
-    s0 = traj.samples[0]
+    by_time = dict(run.samples)
+    _, v0 = run.samples[0]
     for t in (1.0, 2.5, 5.0):
-        got = by_time[t]
-        want = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, t, 1e-3)
-        assert max(abs(a - b) for a, b in zip(
-            want, (got.x, got.y, got.vx, got.vy))) <= 1e-9
+        want = rk4_fixed(*v0, t, 1e-3)
+        assert max(abs(a - b) for a, b in zip(want, by_time[t])) <= 1e-9
 
 
 def _zero_energy_run_settings(monkeypatch, t_end, settings):
@@ -248,11 +258,11 @@ def _zero_energy_run_settings(monkeypatch, t_end, settings):
     class Stop(Exception):
         pass
 
-    def integrate(s0, settings, sample_times):
+    def first_stop(s0, settings, E, sample_times):
         seen.append((settings, sample_times))
         raise Stop
 
-    monkeypatch.setattr(analysis, "integrate", integrate)
+    monkeypatch.setattr(analysis, "_first_stop", first_stop)
     with pytest.raises(Stop):
         analysis.zero_energy_run(t_end, settings)
     return seen[0]
@@ -284,11 +294,11 @@ def test_zero_energy_step_is_capped_where_events_are_located(monkeypatch):
     assert times[-1] == analysis.CONCAVITY_SPAN
 
 
-def _rk4_steps(s0, t_end, dt=1e-4):
-    """(t, (x, y, vx, vy)) after each step of the conftest RK4 from s0 to
-    t_end, in equal steps of at most dt."""
+def _rk4_steps(v0, t_end, dt=1e-4):
+    """(t, (x, y, vx, vy)) after each step of the conftest RK4 from the
+    state (x, y, vx, vy) v0 to t_end, in equal steps of at most dt."""
     n = math.ceil(t_end / dt)
-    v, out = (s0.x, s0.y, s0.vx, s0.vy), []
+    v, out = v0, []
     for i in range(1, n + 1):
         v = rk4_fixed(*v, t_end / n, t_end / n)
         out.append((t_end * i / n, v))
@@ -306,19 +316,22 @@ def test_magical_prefix_margin_agrees_with_fixed_step_rk4(runs):
     # below 1e-9 and the magical residual positive at every step up to it
     rep = analysis.check_magical_prefix(runs)
     margins = []
-    for traj, res in runs:
-        cross = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
+    for run, res in runs:
+        _, v0 = run.samples[0]
+        cross = next(((t, v) for kind, t, v in run.events
+                      if kind is EventKind.MAGICAL_LINE_CROSS), None)
         if cross is None:
-            steps = _rk4_steps(traj.samples[0], res.t_h, 1e-4 * res.h**1.5)
+            steps = _rk4_steps(v0, res.t_h, 1e-4 * res.h**1.5)
             assert abs(steps[-1][1][2]) <= 1e-9
             assert all(dyn.magical_line_residual(v[0], v[1]) > 0.0
                        for _, v in steps)
             continue
-        steps = _rk4_steps(traj.samples[0], cross.t, 1e-4 * res.h**1.5)
+        t_cross, v_cross = cross
+        steps = _rk4_steps(v0, t_cross, 1e-4 * res.h**1.5)
         assert all(v[3] < 0.0 for _, v in steps)
-        margin = steps[-1][1][3] / cross.t
+        margin = steps[-1][1][3] / t_cross
         assert max(v[3] / t for t, v in steps) == margin
-        assert abs(margin / (cross.state.vy / cross.t) - 1.0) <= 1e-9
+        assert abs(margin / (v_cross[3] / t_cross) - 1.0) <= 1e-9
         margins.append(margin)
     assert rep.details["n_checked"] == len(margins) == 34
     assert len(rep.details["no_crossing"]) == 16
@@ -332,6 +345,76 @@ def test_grid_runs_are_the_scan(runs):
     assert [repr(res) for _, res in runs] == [repr(res) for res in scan]
 
 
+def test_reduced_checks_agree_with_the_records_of_integrate(runs, zero_run):
+    # an independent reference for the six checks that reduce runs: each
+    # worst_violation, bit for bit, recomputed here from the State samples
+    # and Events of the public integrate for the same launches.  At E = -1
+    # from the default grid's heights and at E = 0, integrate (whose start
+    # state carries no energy level) reads its settings in the runs' own
+    # units, so its runs are the checks' runs, step for step
+    crossing, rest = EventKind.MAGICAL_LINE_CROSS, EventKind.X_VELOCITY_ZERO
+    grid = shooting.default_grid()
+    trajs = [integrate(dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h)),
+                       watch={crossing}, stop={rest}) for h in grid]
+    assert all(traj.termination is rest for traj in trajs)
+    t_rest = [traj.samples[-1].t for traj in trajs]
+    taus = [h**-1.5 * t for h, t in zip(grid, t_rest)]
+    prefix = []
+    for traj in trajs:
+        cross = traj.first_event(crossing)
+        if cross is not None:
+            prefix += [cross.state.vy / cross.t] + [
+                s.vy / s.t for s in traj.samples if 0.0 < s.t < cross.t]
+
+    t_end, span = 50.0, analysis.CONCAVITY_SPAN
+    zero = integrate(
+        dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0)),
+        IntegratorSettings(h_max=t_end, t_limit=t_end),
+        sample_times=[t_end * j / 800 for j in range(1, 801)]
+        + [span * j / 300 for j in range(1, 301)])
+    samples = zero.samples
+    monotone = max(
+        -min(dyn.radial_velocity(s) / s.t for s in samples if s.t > 0.0),
+        max(abs(s.x) / math.sqrt(63.0) - s.y for s in samples))
+
+    def minus_r2_rdot(s):
+        r = math.hypot(s.x, s.y)
+        return -r * r * dyn.radial_velocity(s)
+
+    def closed_form(s):  # d(-r^2 r')/dt
+        r, rdot = math.hypot(s.x, s.y), dyn.radial_velocity(s)
+        pphi = 0.5 * (s.x * s.vy - s.y * s.vx)
+        return -1.5 * r * rdot * rdot - 2.0 * pphi * pphi / r
+
+    by_time = {s.t: s for s in samples}
+    on_grid = [by_time[span * j / 300] for j in range(301)]
+    mismatch = []
+    for sm, s, sp in zip(on_grid, on_grid[1:], on_grid[2:]):
+        rdd = closed_form(s)
+        fd = (minus_r2_rdot(sp) - minus_r2_rdot(sm)) / (sp.t - sm.t)
+        mismatch.append(abs(rdd - fd) - max(1e-6, 1e-3 * abs(rdd)))
+    concavity = max(max(map(closed_form, samples)), max(mismatch))
+
+    want = {
+        "energy_drift": max(traj.max_energy_drift for traj in trajs),
+        "magical_prefix": max(prefix),
+        "tau_growth": max(b - a for a, b in zip(taus, taus[1:])),
+        "tmax_bound": max(t - analysis.T_MAX for t in t_rest),
+        "zero_energy_monotone": monotone,
+        "inverted_concavity": concavity,
+    }
+    got = {
+        "energy_drift": analysis.check_energy_drift(runs),
+        "magical_prefix": analysis.check_magical_prefix(runs),
+        "tau_growth": analysis.check_tau_growth(runs),
+        "tmax_bound": analysis.check_tmax_bound(runs),
+        "zero_energy_monotone": analysis.check_zero_energy_monotone(zero_run),
+        "inverted_concavity": analysis.check_inverted_concavity(zero_run),
+    }
+    for name, rep in got.items():
+        assert rep.worst_violation.hex() == want[name].hex(), name
+
+
 def test_zero_energy_margin_agrees_with_fixed_step_rk4():
     # over (0, 0.5] r'/t is smallest at the horizon; the fixed-step RK4 of
     # conftest, in steps of 1e-4, reproduces it within 1e-9 (measured
@@ -343,7 +426,8 @@ def test_zero_energy_margin_agrees_with_fixed_step_rk4():
     end = traj.samples[-1]
     got = rep.details["min_radial_velocity_over_t"]
     assert got == dyn.radial_velocity(end) / end.t
-    steps = _rk4_steps(traj.samples[0], t_end)
+    s0 = traj.samples[0]
+    steps = _rk4_steps((s0.x, s0.y, s0.vx, s0.vy), t_end)
     rdot_t = [dyn.radial_velocity(dyn.State(t, *v)) / t for t, v in steps]
     assert abs(rdot_t[-1] - got) <= 1e-9
     assert min(rdot_t) == rdot_t[-1]

@@ -508,20 +508,45 @@ def test_kept_parser_runs_the_rebound_command(monkeypatch, argv):
     assert main(argv) == 42
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "--energy", "nan", "--grid", "0.5,3.0,3"],
-    ["simulate", "--energy", "nan", "--height", "1.0"],
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--energy", "nan", "--grid", "0.5,3.0,3"],
+     "energy must be <= 0, got nan"),
+    (["simulate", "--energy", "nan", "--height", "1.0"],
+     "energy must be <= 0, got nan"),
     # an infinite tolerance or horizon is not a setting: the run would be
     # unchecked or never end
-    ["scan", "--energy", "-1.0", "--grid", "0.5,3.0,3", "--tol", "inf"],
-    ["simulate", "--energy", "-1.0", "--height", "1.0", "--t-limit", "inf"],
-    ["zero-energy", "--t-end", "inf"],
+    (["scan", "--energy", "-1.0", "--grid", "0.5,3.0,3", "--tol", "inf"],
+     "rel_tol must be finite and positive"),
+    (["simulate", "--energy", "-1.0", "--height", "1.0", "--t-limit", "inf"],
+     "t_limit must be finite and positive"),
+    # the zero-energy run's span is the user's --t-end, not one of the
+    # settings the run is made with
+    (["zero-energy", "--t-end", "inf"],
+     "t_end must be finite and positive, got inf"),
+    (["zero-energy", "--t-end", "nan"],
+     "t_end must be finite and positive, got nan"),
+    (["zero-energy", "--t-end", "0"],
+     "t_end must be finite and positive, got 0.0"),
+    (["zero-energy", "--t-end", "-1"],
+     "t_end must be finite and positive, got -1.0"),
+    # a launch so near the collision line that r^3 and y^2 underflow to 0
+    # at the first field evaluation, though the run's time unit is in range
+    (["simulate", "--energy", "-1", "--height", "1e-200"],
+     "the field there is out of the floating-point range"),
+    (["scan", "--energy", "-1", "--grid", "1e-200,1,3"],
+     "the field there is out of the floating-point range"),
+    (["find-orbit", "--energy", "-1", "--bracket", "1e-200,3"],
+     "the field there is out of the floating-point range"),
 ], ids=["scan_energy_nan", "simulate_energy_nan", "scan_tol_inf",
-        "simulate_t_limit_inf", "zero_energy_t_end_inf"])
-def test_invalid_input_exits_2(argv, capsys):
+        "simulate_t_limit_inf", "zero_energy_t_end_inf",
+        "zero_energy_t_end_nan", "zero_energy_t_end_0",
+        "zero_energy_t_end_negative", "simulate_tiny_height",
+        "scan_tiny_height", "find_orbit_tiny_bracket_end"])
+def test_invalid_input_exits_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert message in captured.err
     assert captured.out == ""
 
 

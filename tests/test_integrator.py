@@ -755,8 +755,9 @@ def _event_bits(ev):
 ))
 def test_sample_times_do_not_change_the_steps(E, u, fractions):
     # requested times are read from the interpolant of the step holding
-    # them: every other sample and every event are those of the same run
-    # without requests, bit for bit
+    # them: every other sample, every event and the drift, which covers
+    # the run's own states, are those of the same run without requests,
+    # bit for bit
     s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
     kw = dict(watch={EventKind.MAGICAL_LINE_CROSS},
               stop={EventKind.X_VELOCITY_ZERO})
@@ -770,6 +771,7 @@ def test_sample_times_do_not_change_the_steps(E, u, fractions):
     assert steps(asked) == steps(free)
     assert ([_event_bits(ev) for ev in asked.events]
             == [_event_bits(ev) for ev in free.events])
+    assert asked.max_energy_drift == free.max_energy_drift
 
 
 @settings(max_examples=10, deadline=None)
@@ -930,6 +932,30 @@ def _rejected_bracket(bracket):
 def test_field_evaluations_do_not_grow(field_calls, run, count):
     run()
     assert field_calls[0] == count
+
+
+def test_the_suite_builds_no_records(monkeypatch):
+    # the checks reduce the runs themselves: the suite makes no State
+    # through _vec_to_state, and it evaluates the energy only at each run's
+    # launch, step ends and stop (50 grid runs and the zero-energy run), at
+    # none of the zero-energy run's 1,095 requested samples.  Pinned exactly,
+    # as the field evaluations are
+    calls = {"_vec_to_state": 0, "energy_vec": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    for module in (integrator, shooting):
+        counting(module, "_vec_to_state")
+    counting(dyn, "energy_vec")
+    analysis.run_all_checks()
+    assert calls == {"_vec_to_state": 0, "energy_vec": 1_623}
 
 
 @pytest.fixture

@@ -602,9 +602,9 @@ class TestTwoStageSearch:
 def _first_rest(E, h):
     """The state at the first x-rest of the horizontal launch from (0, h) at
     energy E: the last sample of shoot's run."""
-    traj, res = shooting._shoot_run(E, h, IntegratorSettings())
+    run, res = shooting._shoot(E, h, IntegratorSettings())
     assert res.status == "ok"
-    return traj.samples[-1]
+    return _build_trajectory(run).samples[-1]
 
 
 @settings(max_examples=10, deadline=None)
@@ -726,12 +726,11 @@ class TestRootSolver:
 
 
 class TestScan:
-    # scan_alpha reads its results off the runs, as _shoot_run does before
-    # it builds the run's trajectory; every field of every row agrees with
-    # _shoot_run's and with the result read off that trajectory, the NoRest
-    # rows' too, whose t_h and alpha are nan and whose crossings and drift
-    # are the run's (t_limit = 1 stops the upper half of the grid before
-    # its first rest)
+    # scan_alpha reads its results off the runs, as _shoot does; every
+    # field of every row agrees with _shoot's and with the result read off
+    # the trajectory built from _shoot's run, the NoRest rows' too, whose
+    # t_h and alpha are nan and whose crossings and drift are the run's
+    # (t_limit = 1 stops the upper half of the grid before its first rest)
     @pytest.mark.parametrize("E, settings_", [
         (-1.0, IntegratorSettings()),
         (-1000.0, IntegratorSettings()),
@@ -740,7 +739,9 @@ class TestScan:
     def test_scan_rows_equal_the_shoot_run_results(self, E, settings_):
         grid = [h / -E for h in shooting.default_grid()]
         rows = shooting.scan_alpha(E, grid, settings_)
-        runs = [shooting._shoot_run(E, h, settings_) for h in grid]
+        runs = [(_build_trajectory(run), res)
+                for run, res in (shooting._shoot(E, h, settings_)
+                                 for h in grid)]
         assert len(rows) == len(runs) == len(grid)
         for h, row, (traj, res) in zip(grid, rows, runs):
             crossings = sum(1 for e in traj.events
