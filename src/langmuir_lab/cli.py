@@ -144,8 +144,10 @@ def cmd_scan(args) -> int:
     results = shooting.scan_alpha(args.energy, grid, settings)
     _write(args.out, output.scan_csv(results))
     brackets = shooting.sign_change_brackets(results)
+    # each end as repr: the grid height of the CSV, which `find-orbit
+    # --bracket` takes back exactly
     for lo, hi in brackets:
-        print(f"sign change on [{lo:.6f}, {hi:.6f}]", file=sys.stderr)
+        print(f"sign change on [{lo!r}, {hi!r}]", file=sys.stderr)
     if not brackets:
         print("no sign change on this grid", file=sys.stderr)
     if not any(r.status == "ok" for r in results):

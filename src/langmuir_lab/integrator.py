@@ -43,9 +43,14 @@ the event time tolerance x a^3/2; COLLISION_DISTANCE x a.  An a^3/2 out of
 the floating-point range raises DomainError.  At E = 0, and in `integrate`,
 whose states carry no energy level, a = 1.
 
-The kernel takes the field's acceleration (x, y) -> (ax, ay) as an
-argument; a run looks up `dynamics.acceleration` and `dynamics.energy_vec`,
-which gives the run's drift, at its start.
+The kernel integrates one field, the planar one: each stage evaluates its
+acceleration in place, by the expressions of `dynamics.acceleration` in
+their order and after its y <= 0 test, so that it gives that function's
+values bit for bit, with no call and no (ax, ay) pair.  A run calls
+`dynamics.acceleration` once, for its launch's first stage, and looks up
+`dynamics.energy_vec`, which gives the run's drift, at its start.  The
+tableau loop in `tests/conftest.py` is the reference step for any other
+field.
 """
 
 from __future__ import annotations
@@ -54,13 +59,11 @@ import enum
 import math
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from math import hypot
 
 from . import dynamics
-from .dynamics import State, Vec, _Record, _set
+from .dynamics import State, Vec, _check_upper, _Record, _set
 from .errors import DomainError, NoConvergence, StepUnderflow
-
-Pair = tuple[float, float]
-Accel = Callable[[float, float], Pair]
 
 
 class EventKind(str, enum.Enum):
@@ -275,80 +278,130 @@ _AA3_1 = 0.003112622984346139
     -39.17726167561544, -149.72683625798564)
 
 
-def _stages(accel: Accel, y: Vec, h: float, k1: Pair):
+# Each stage of the kernel evaluates the planar field at its position
+# (x, q) in place, as dynamics.acceleration(x, q) does: DomainError where
+# q <= 0 (raised by dynamics._check_upper), then r = hypot(x, q), r^3, ay
+# and ax by that function's expressions.  `hypot` is read from this
+# module's namespace once per evaluation, so wrapping it counts them.
+
+
+def _stages(y: Vec, h: float, f1x: float, f1y: float):
     """The eighth-order state and the accelerations of stages 2 to 12 of
-    one step of size h from y = (x, v), k1 being the acceleration at x:
-    (y8, k2, ..., k12).
+    one step of size h from y = (x, v), (f1x, f1y) being the acceleration
+    at x: (y8, f2x, f2y, ..., f12x, f12y).
 
     Stage i is the acceleration at x + c_i*h*v + h^2 * sum_m (A.A)_im k_m;
     the eighth-order state is (x + h*v + h^2 * sum_m (b.A)_m k_m,
     v + h * sum_m b_m k_m).  The sums run left to right.
     """
     y0, y1, y2, y3 = y
-    f1x, f1y = k1
     p0, p1, hh = h * y2, h * y3, h * h
-    k2 = accel(
-        y0 + _C2 * p0,
-        y1 + _C2 * p1)
-    f2x, f2y = k2
-    k3 = accel(
-        y0 + _C3 * p0 + hh * (_AA3_1 * f1x),
-        y1 + _C3 * p1 + hh * (_AA3_1 * f1y))
-    f3x, f3y = k3
-    k4 = accel(
-        y0 + _C4 * p0 + hh * (_AA4_1 * f1x + _AA4_2 * f2x),
-        y1 + _C4 * p1 + hh * (_AA4_1 * f1y + _AA4_2 * f2y))
-    f4x, f4y = k4
-    k5 = accel(
-        y0 + _C5 * p0 + hh * (_AA5_1 * f1x + _AA5_2 * f2x + _AA5_3 * f3x),
-        y1 + _C5 * p1 + hh * (_AA5_1 * f1y + _AA5_2 * f2y + _AA5_3 * f3y))
-    f5x, f5y = k5
-    k6 = accel(
-        y0 + _C6 * p0 + hh * (_AA6_1 * f1x + _AA6_3 * f3x + _AA6_4 * f4x),
-        y1 + _C6 * p1 + hh * (_AA6_1 * f1y + _AA6_3 * f3y + _AA6_4 * f4y))
-    f6x, f6y = k6
-    k7 = accel(
-        y0 + _C7 * p0 + hh * (_AA7_1 * f1x + _AA7_3 * f3x + _AA7_4 * f4x
-                              + _AA7_5 * f5x),
-        y1 + _C7 * p1 + hh * (_AA7_1 * f1y + _AA7_3 * f3y + _AA7_4 * f4y
-                              + _AA7_5 * f5y))
-    f7x, f7y = k7
-    k8 = accel(
-        y0 + _C8 * p0 + hh * (_AA8_1 * f1x + _AA8_3 * f3x + _AA8_4 * f4x
-                              + _AA8_5 * f5x + _AA8_6 * f6x),
-        y1 + _C8 * p1 + hh * (_AA8_1 * f1y + _AA8_3 * f3y + _AA8_4 * f4y
-                              + _AA8_5 * f5y + _AA8_6 * f6y))
-    f8x, f8y = k8
-    k9 = accel(
-        y0 + _C9 * p0 + hh * (_AA9_1 * f1x + _AA9_3 * f3x + _AA9_4 * f4x
-                              + _AA9_5 * f5x + _AA9_6 * f6x + _AA9_7 * f7x),
-        y1 + _C9 * p1 + hh * (_AA9_1 * f1y + _AA9_3 * f3y + _AA9_4 * f4y
-                              + _AA9_5 * f5y + _AA9_6 * f6y + _AA9_7 * f7y))
-    f9x, f9y = k9
-    k10 = accel(
-        y0 + _C10 * p0 + hh * (_AA10_1 * f1x + _AA10_3 * f3x + _AA10_4 * f4x
+    x = y0 + _C2 * p0
+    q = y1 + _C2 * p1
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f2y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f2x = -8.0 * x / r
+    x = y0 + _C3 * p0 + hh * (_AA3_1 * f1x)
+    q = y1 + _C3 * p1 + hh * (_AA3_1 * f1y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f3y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f3x = -8.0 * x / r
+    x = y0 + _C4 * p0 + hh * (_AA4_1 * f1x + _AA4_2 * f2x)
+    q = y1 + _C4 * p1 + hh * (_AA4_1 * f1y + _AA4_2 * f2y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f4y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f4x = -8.0 * x / r
+    x = y0 + _C5 * p0 + hh * (_AA5_1 * f1x + _AA5_2 * f2x + _AA5_3 * f3x)
+    q = y1 + _C5 * p1 + hh * (_AA5_1 * f1y + _AA5_2 * f2y + _AA5_3 * f3y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f5y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f5x = -8.0 * x / r
+    x = y0 + _C6 * p0 + hh * (_AA6_1 * f1x + _AA6_3 * f3x + _AA6_4 * f4x)
+    q = y1 + _C6 * p1 + hh * (_AA6_1 * f1y + _AA6_3 * f3y + _AA6_4 * f4y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f6y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f6x = -8.0 * x / r
+    x = y0 + _C7 * p0 + hh * (_AA7_1 * f1x + _AA7_3 * f3x + _AA7_4 * f4x
+                              + _AA7_5 * f5x)
+    q = y1 + _C7 * p1 + hh * (_AA7_1 * f1y + _AA7_3 * f3y + _AA7_4 * f4y
+                              + _AA7_5 * f5y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f7y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f7x = -8.0 * x / r
+    x = y0 + _C8 * p0 + hh * (_AA8_1 * f1x + _AA8_3 * f3x + _AA8_4 * f4x
+                              + _AA8_5 * f5x + _AA8_6 * f6x)
+    q = y1 + _C8 * p1 + hh * (_AA8_1 * f1y + _AA8_3 * f3y + _AA8_4 * f4y
+                              + _AA8_5 * f5y + _AA8_6 * f6y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f8y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f8x = -8.0 * x / r
+    x = y0 + _C9 * p0 + hh * (_AA9_1 * f1x + _AA9_3 * f3x + _AA9_4 * f4x
+                              + _AA9_5 * f5x + _AA9_6 * f6x + _AA9_7 * f7x)
+    q = y1 + _C9 * p1 + hh * (_AA9_1 * f1y + _AA9_3 * f3y + _AA9_4 * f4y
+                              + _AA9_5 * f5y + _AA9_6 * f6y + _AA9_7 * f7y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f9y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f9x = -8.0 * x / r
+    x = y0 + _C10 * p0 + hh * (_AA10_1 * f1x + _AA10_3 * f3x + _AA10_4 * f4x
                                + _AA10_5 * f5x + _AA10_6 * f6x + _AA10_7 * f7x
-                               + _AA10_8 * f8x),
-        y1 + _C10 * p1 + hh * (_AA10_1 * f1y + _AA10_3 * f3y + _AA10_4 * f4y
+                               + _AA10_8 * f8x)
+    q = y1 + _C10 * p1 + hh * (_AA10_1 * f1y + _AA10_3 * f3y + _AA10_4 * f4y
                                + _AA10_5 * f5y + _AA10_6 * f6y + _AA10_7 * f7y
-                               + _AA10_8 * f8y))
-    f10x, f10y = k10
-    k11 = accel(
-        y0 + _C11 * p0 + hh * (_AA11_1 * f1x + _AA11_3 * f3x + _AA11_4 * f4x
+                               + _AA10_8 * f8y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f10y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f10x = -8.0 * x / r
+    x = y0 + _C11 * p0 + hh * (_AA11_1 * f1x + _AA11_3 * f3x + _AA11_4 * f4x
                                + _AA11_5 * f5x + _AA11_6 * f6x + _AA11_7 * f7x
-                               + _AA11_8 * f8x + _AA11_9 * f9x),
-        y1 + _C11 * p1 + hh * (_AA11_1 * f1y + _AA11_3 * f3y + _AA11_4 * f4y
+                               + _AA11_8 * f8x + _AA11_9 * f9x)
+    q = y1 + _C11 * p1 + hh * (_AA11_1 * f1y + _AA11_3 * f3y + _AA11_4 * f4y
                                + _AA11_5 * f5y + _AA11_6 * f6y + _AA11_7 * f7y
-                               + _AA11_8 * f8y + _AA11_9 * f9y))
-    f11x, f11y = k11
-    k12 = accel(
-        y0 + p0 + hh * (_AA12_1 * f1x + _AA12_3 * f3x + _AA12_4 * f4x
+                               + _AA11_8 * f8y + _AA11_9 * f9y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f11y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f11x = -8.0 * x / r
+    x = y0 + p0 + hh * (_AA12_1 * f1x + _AA12_3 * f3x + _AA12_4 * f4x
                         + _AA12_5 * f5x + _AA12_6 * f6x + _AA12_7 * f7x
-                        + _AA12_8 * f8x + _AA12_9 * f9x + _AA12_10 * f10x),
-        y1 + p1 + hh * (_AA12_1 * f1y + _AA12_3 * f3y + _AA12_4 * f4y
+                        + _AA12_8 * f8x + _AA12_9 * f9x + _AA12_10 * f10x)
+    q = y1 + p1 + hh * (_AA12_1 * f1y + _AA12_3 * f3y + _AA12_4 * f4y
                         + _AA12_5 * f5y + _AA12_6 * f6y + _AA12_7 * f7y
-                        + _AA12_8 * f8y + _AA12_9 * f9y + _AA12_10 * f10y))
-    f12x, f12y = k12
+                        + _AA12_8 * f8y + _AA12_9 * f9y + _AA12_10 * f10y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f12y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f12x = -8.0 * x / r
     y8 = (
         y0 + p0 + hh * (_BA1 * f1x + _BA6 * f6x + _BA7 * f7x + _BA8 * f8x
                         + _BA9 * f9x + _BA10 * f10x + _BA11 * f11x),
@@ -359,14 +412,16 @@ def _stages(accel: Accel, y: Vec, h: float, k1: Pair):
         y3 + h * (_B1 * f1y + _B6 * f6y + _B7 * f7y + _B8 * f8y + _B9 * f9y
                   + _B10 * f10y + _B11 * f11y + _B12 * f12y),
     )
-    return y8, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12
+    return (y8, f2x, f2y, f3x, f3y, f4x, f4y, f5x, f5y, f6x, f6y, f7x, f7y,
+            f8x, f8y, f9x, f9y, f10x, f10y, f11x, f11y, f12x, f12y)
 
 
-def _trial(accel: Accel, y: Vec, h: float, k1: Pair, abs_q: float,
+def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
            abs_v: float, rel_tol: float):
-    """One trial step of size h from y, whose first stage k1 is already
-    known: (y8, (k1, ..., k13), ratio), k13 being the FSAL stage (the
-    acceleration at y8) and ratio Hairer's combined error norm
+    """One trial step of size h from y, whose first stage (f1x, f1y) is
+    already known: (y8, ks, ratio), ks being the stages' accelerations
+    (f1x, f1y, ..., f13x, f13y), stage 13 the FSAL stage (the acceleration
+    at y8), and ratio Hairer's combined error norm
     r5^2 / sqrt(r5^2 + 0.01 * r3^2) (Solving ODEs I, II.10) in the max
     norm: r5 and r3 are the largest |error| / (abs_tol + rel_tol *
     max(|y|, |y8|)) over the components of the E5 and E3 errors, abs_tol
@@ -378,22 +433,19 @@ def _trial(accel: Accel, y: Vec, h: float, k1: Pair, abs_q: float,
     term), a velocity error h * sum_m E_m k_m.  A step with a non-finite
     error, y8 component or FSAL stage has ratio inf.
     """
-    y8, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12 = _stages(
-        accel, y, h, k1)
+    (y8, f2x, f2y, f3x, f3y, f4x, f4y, f5x, f5y, f6x, f6y, f7x, f7y, f8x,
+     f8y, f9x, f9y, f10x, f10y, f11x, f11y, f12x, f12y) = _stages(
+        y, h, f1x, f1y)
     z0, z1, z2, z3 = y8
-    k13 = accel(z0, z1)
-    ks = (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13)
-    f1x, f1y = k1
-    f4x, f4y = k4
-    f5x, f5y = k5
-    f6x, f6y = k6
-    f7x, f7y = k7
-    f8x, f8y = k8
-    f9x, f9y = k9
-    f10x, f10y = k10
-    f11x, f11y = k11
-    f12x, f12y = k12
-    f13x, f13y = k13
+    if z1 <= 0.0:
+        _check_upper(z1)
+    r = hypot(z0, z1)
+    r = r * r * r
+    f13y = (1.0 - 8.0 * (z1 * z1 * z1) / r) / (z1 * z1)
+    f13x = -8.0 * z0 / r
+    ks = (f1x, f1y, f2x, f2y, f3x, f3y, f4x, f4y, f5x, f5y, f6x, f6y, f7x,
+          f7y, f8x, f8y, f9x, f9y, f10x, f10y, f11x, f11y, f12x, f12y, f13x,
+          f13y)
     hh = h * h
     e5_0 = hh * (_E5A_1 * f1x + _E5A_4 * f4x + _E5A_5 * f5x + _E5A_6 * f6x
                  + _E5A_7 * f7x + _E5A_8 * f8x + _E5A_9 * f9x + _E5A_10 * f10x
@@ -487,61 +539,75 @@ def _trial(accel: Accel, y: Vec, h: float, k1: Pair, abs_q: float,
     return y8, ks, r5 / math.sqrt(1.0 + 0.01 * (q * q))
 
 
-def _advance(accel: Accel, y: Vec, h: float, k1: Pair) -> Vec:
+def _advance(y: Vec, h: float, f1x: float, f1y: float) -> Vec:
     """The eighth-order state one step of size h > 0 from y: the state of a
     located event.  Nothing steps on from it, so its FSAL stage is not
     evaluated; the guard stands in for the y > 0 check that evaluation
     would make."""
-    y8 = _stages(accel, y, h, k1)[0]
-    dynamics._check_upper(y8[1])
+    y8 = _stages(y, h, f1x, f1y)[0]
+    _check_upper(y8[1])
     return y8
 
 
-def _dense_output(accel: Accel, y: Vec, y8: Vec, ks,
-                  h: float) -> Callable[[float], Vec]:
+def _dense_output(y: Vec, y8: Vec, ks, h: float) -> Callable[[float], Vec]:
     """The continuous extension of the step of size h from y to y8 with
-    stages ks = (k1, ..., k13) (DOP853's CONTD8, Solving ODEs I, II.10):
+    stage accelerations ks = (f1x, f1y, ..., f13x, f13y) (DOP853's CONTD8,
+    Solving ODEs I, II.10):
     tau in [0, h] -> the seventh-order state at the step's start time +
     tau, y + s*(dy + s1*(b + s*(c + s1*(d4 + s*(d5 + s1*(d6 + s*d7))))))
     with s = tau/h and s1 = 1 - s.  It evaluates the field at its own
     stages 14 to 16.  dy, b and c are the cubic Hermite terms of the
     step's ends; a velocity's d_n is h * sum_m Dn_m k_m, a position's h^2 *
     sum_m (Dn.A)_m k_m (the sum of each D row is 0, so no velocity term)."""
-    (f1x, f1y), _, _, _, _, (f6x, f6y), (f7x, f7y), (f8x, f8y), (
-        f9x, f9y), (f10x, f10y), (f11x, f11y), (f12x, f12y), (
-        f13x, f13y) = ks
+    (f1x, f1y, _, _, _, _, _, _, _, _, f6x, f6y, f7x, f7y, f8x, f8y, f9x, f9y,
+     f10x, f10y, f11x, f11y, f12x, f12y, f13x, f13y) = ks
     y0, y1, v0, v1 = y
     z0, z1, w0, w1 = y8
     p0, p1, hh = h * v0, h * v1, h * h
-    f14x, f14y = accel(
-        y0 + _C14 * p0 + hh * (_AA14_1 * f1x + _AA14_6 * f6x + _AA14_7 * f7x
+    x = y0 + _C14 * p0 + hh * (_AA14_1 * f1x + _AA14_6 * f6x + _AA14_7 * f7x
                                + _AA14_8 * f8x + _AA14_9 * f9x
                                + _AA14_10 * f10x + _AA14_11 * f11x
-                               + _AA14_12 * f12x),
-        y1 + _C14 * p1 + hh * (_AA14_1 * f1y + _AA14_6 * f6y + _AA14_7 * f7y
+                               + _AA14_12 * f12x)
+    q = y1 + _C14 * p1 + hh * (_AA14_1 * f1y + _AA14_6 * f6y + _AA14_7 * f7y
                                + _AA14_8 * f8y + _AA14_9 * f9y
                                + _AA14_10 * f10y + _AA14_11 * f11y
-                               + _AA14_12 * f12y))
-    f15x, f15y = accel(
-        y0 + _C15 * p0 + hh * (_AA15_1 * f1x + _AA15_6 * f6x + _AA15_7 * f7x
+                               + _AA14_12 * f12y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f14y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f14x = -8.0 * x / r
+    x = y0 + _C15 * p0 + hh * (_AA15_1 * f1x + _AA15_6 * f6x + _AA15_7 * f7x
                                + _AA15_8 * f8x + _AA15_9 * f9x
                                + _AA15_10 * f10x + _AA15_11 * f11x
-                               + _AA15_12 * f12x + _AA15_13 * f13x),
-        y1 + _C15 * p1 + hh * (_AA15_1 * f1y + _AA15_6 * f6y + _AA15_7 * f7y
+                               + _AA15_12 * f12x + _AA15_13 * f13x)
+    q = y1 + _C15 * p1 + hh * (_AA15_1 * f1y + _AA15_6 * f6y + _AA15_7 * f7y
                                + _AA15_8 * f8y + _AA15_9 * f9y
                                + _AA15_10 * f10y + _AA15_11 * f11y
-                               + _AA15_12 * f12y + _AA15_13 * f13y))
-    f16x, f16y = accel(
-        y0 + _C16 * p0 + hh * (_AA16_1 * f1x + _AA16_6 * f6x + _AA16_7 * f7x
+                               + _AA15_12 * f12y + _AA15_13 * f13y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f15y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f15x = -8.0 * x / r
+    x = y0 + _C16 * p0 + hh * (_AA16_1 * f1x + _AA16_6 * f6x + _AA16_7 * f7x
                                + _AA16_8 * f8x + _AA16_9 * f9x
                                + _AA16_10 * f10x + _AA16_11 * f11x
                                + _AA16_12 * f12x + _AA16_13 * f13x
-                               + _AA16_14 * f14x),
-        y1 + _C16 * p1 + hh * (_AA16_1 * f1y + _AA16_6 * f6y + _AA16_7 * f7y
+                               + _AA16_14 * f14x)
+    q = y1 + _C16 * p1 + hh * (_AA16_1 * f1y + _AA16_6 * f6y + _AA16_7 * f7y
                                + _AA16_8 * f8y + _AA16_9 * f9y
                                + _AA16_10 * f10y + _AA16_11 * f11y
                                + _AA16_12 * f12y + _AA16_13 * f13y
-                               + _AA16_14 * f14y))
+                               + _AA16_14 * f14y)
+    if q <= 0.0:
+        _check_upper(q)
+    r = hypot(x, q)
+    r = r * r * r
+    f16y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
+    f16x = -8.0 * x / r
     d4_0 = hh * (_DA4_1 * f1x + _DA4_6 * f6x + _DA4_7 * f7x + _DA4_8 * f8x
                  + _DA4_9 * f9x + _DA4_10 * f10x + _DA4_11 * f11x
                  + _DA4_12 * f12x + _DA4_13 * f13x + _DA4_14 * f14x
@@ -693,7 +759,7 @@ def _brent(
 
 
 def _locate(
-    accel: Accel, f, at, t0: float, y0: Vec, k1: Pair, h: float,
+    f, at, t0: float, y0: Vec, f1x: float, f1y: float, h: float,
     r0: float, r1: float, event_tol: float,
 ) -> tuple[float, Vec]:
     """The time and state of the sign change of residual f over the step of
@@ -711,11 +777,11 @@ def _locate(
                            0.5 * event_tol, n * n)
     if r != 0.0:
         tau = 0.5 * (tau + other)
-    return t0 + tau, _advance(accel, y0, tau, k1)
+    return t0 + tau, _advance(y0, tau, f1x, f1y)
 
 
 class _Run:
-    """One adaptive integration of the field `accel` from s0, launched at
+    """One adaptive integration of the planar field from s0, launched at
     the energy level E (None: at none); collects samples and events.  The
     run records the events of every kind in `watch` or `stop`, and stops at
     the first of any kind in `stop`, at the first collision proximity, and
@@ -724,12 +790,12 @@ class _Run:
     events, `drift` the largest relative energy drift of its own states
     (step ends and the stop) and `termination` the stop's kind; the checks
     in `analysis` read these, and `_build_trajectory` makes records of
-    them."""
+    them.  The run calls `dynamics.acceleration` at its launch and reads
+    its drift with `dynamics.energy_vec`, both looked up when it starts;
+    its steps evaluate the field in place."""
 
     def __init__(
         self,
-        accel: Accel,
-        energy_fn: Callable[[Vec], float],
         s0: State,
         settings: IntegratorSettings,
         watch: Iterable[EventKind],
@@ -744,8 +810,7 @@ class _Run:
             )
         if s0.y <= 0.0:
             raise DomainError(f"initial state must have y > 0, got y={s0.y}")
-        self.accel, self.energy_fn, self.settings, self.E = (
-            accel, energy_fn, settings, E)
+        self.settings, self.E = settings, E
         self.stop = {*stop, EventKind.COLLISION_PROXIMITY}
         self.watch = {*watch, *self.stop}
         self.sample_times = sample_times
@@ -767,8 +832,8 @@ class _Run:
         `termination` are written at each yield, which is where they are
         read.  A time unit out of the floating-point range raises
         DomainError at the first step."""
-        accel, energy_fn, settings, E = (self.accel, self.energy_fn,
-                                         self.settings, self.E)
+        settings, E = self.settings, self.E
+        energy_fn = dynamics.energy_vec
         stop, samples, events = self.stop, self.samples, self.events
         t, y = samples[0]
         a = (min(-1.0 / E, MAX_SCALE_RATIO * math.hypot(y[0], y[1])) if E
@@ -807,7 +872,7 @@ class _Run:
                 samples.append((t, at(t - t0)))
 
         try:
-            k1 = accel(y[0], y[1])
+            f1x, f1y = dynamics.acceleration(y[0], y[1])
         except ZeroDivisionError:  # r^3 or y^2 underflows to 0
             raise DomainError(
                 f"launch at ({y[0]}, {y[1]}) too near the nucleus or the "
@@ -835,7 +900,7 @@ class _Run:
                 raise StepUnderflow(t, _vec_to_state(t, y))
 
             try:
-                y8, ks, ratio = _trial(accel, y, h, k1, abs_q, abs_v,
+                y8, ks, ratio = _trial(y, h, f1x, f1y, abs_q, abs_v,
                                        rel_tol)
             except DomainError:  # a stage left y > 0: the step is too long
                 ratio = math.inf
@@ -853,7 +918,7 @@ class _Run:
                 t = t_limit
             # the interpolant is built only for a step that reads from it
             if requests and requests[-1] <= t:
-                at = _dense_output(accel, y0, y8, ks, h)
+                at = _dense_output(y0, y8, ks, h)
             else:
                 at = None
             # events in (t0, t]: each residual's sign change, located on
@@ -870,8 +935,8 @@ class _Run:
                         found.append((t, y, kind))
                         continue
                     if at is None:
-                        at = _dense_output(accel, y0, y8, ks, h)
-                    found.append((*_locate(accel, f, at, t0, y0, k1, h, r0,
+                        at = _dense_output(y0, y8, ks, h)
+                    found.append((*_locate(f, at, t0, y0, f1x, f1y, h, r0,
                                            r1, event_tol), kind))
             if found is not None:
                 if len(found) > 1:
@@ -900,7 +965,7 @@ class _Run:
             d = (-d if d < 0.0 else d) / e_unit
             if d > drift:
                 drift = d
-            k1 = ks[12]
+            f1x, f1y = ks[24], ks[25]
 
             # PI controller (accepted step)
             e = ratio if ratio >= 1e-10 else 1e-10
@@ -972,8 +1037,7 @@ def _rest_arcs(s0: State, settings: IntegratorSettings,
     caller builds the arc of a stop it keeps before it advances again.  It
     samples its step ends and stops alone: it requests no times."""
     rest = EventKind.X_VELOCITY_ZERO
-    run = _Run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
-               watch, (rest,), (), E)
+    run = _Run(s0, settings, watch, (rest,), (), E)
     for kind in run.run():
         yield run
         if kind is not rest:
@@ -984,8 +1048,7 @@ def _first_stop(s0: State, settings: IntegratorSettings, E: float | None,
                 watch=(), stop=(), sample_times=()) -> _Run:
     """The run of the planar field from s0, launched at the level E, at its
     first stop, never resumed, its arc not built."""
-    run = _Run(dynamics.acceleration, dynamics.energy_vec, s0, settings,
-               watch, stop, sample_times, E)
+    run = _Run(s0, settings, watch, stop, sample_times, E)
     next(run.run())
     return run
 

@@ -395,22 +395,55 @@ def nystrom_reference_step(accel, y, h, k1):
     v + h * sum_m b_m k_m); each sum runs left to right over the weights
     above ZERO.
     """
-    hh = h * h
-
-    def position(i, ks):
-        out = []
-        for j in range(2):
-            p = y[j] + float(DOP853_C[i]) * (h * y[j + 2])
-            s = _weighted(DOP853_AA[i], ks, j)
-            out.append(p if s is None else p + hh * s)
-        return out
-
     ks = [k1]
     for i in range(1, 12):
-        ks.append(accel(*position(i, ks)))
-    y8 = (*position(12, ks),
+        ks.append(accel(*_stage_position(y, h, i, ks)))
+    y8 = (*_stage_position(y, h, 12, ks),
           *(y[j + 2] + h * _weighted(DOP853_B, ks, j) for j in range(2)))
     return y8, ks
+
+
+def _stage_position(y, h, i, ks):
+    """The input position of stage i + 1 (0-based i) of the Nystrom step of
+    size h from y = (x, v) with accelerations ks: x + c_i*(h*v) +
+    (h*h) * sum_m (A.A)_im k_m."""
+    out = []
+    for j in range(2):
+        p = y[j] + float(DOP853_C[i]) * (h * y[j + 2])
+        s = _weighted(DOP853_AA[i], ks, j)
+        out.append(p if s is None else p + (h * h) * s)
+    return out
+
+
+def nystrom_reference_dense_output(accel, y, y8, ks, h):
+    """The continuous extension of the Nystrom step of size h from y to y8
+    with accelerations ks = [k1, ..., k13], by the generic loop: stages 14
+    to 16 at their input positions, then tau -> y + s*(dy + s1*(b + s*(c +
+    s1*(d4 + s*(d5 + s1*(d6 + s*d7)))))), s = tau/h and s1 = 1 - s, with dy
+    = y8 - y, b = h*y' - dy and c = dy - h*y8' - b (y' = (v, k1), y8' =
+    (v8, k13)), a velocity's d_n h * sum_m Dn_m k_m and a position's
+    (h*h) * sum_m (Dn.A)_m k_m."""
+    ks = list(ks)
+    for i in range(13, 16):
+        ks.append(accel(*_stage_position(y, h, i, ks)))
+    d = [[(h * h) * _weighted(da, ks, j) for j in range(2)]
+         + [h * _weighted(dn, ks, j) for j in range(2)]
+         for dn, da in zip(DOP853_D, DOP853_DA)]
+    slope0 = (h * y[2], h * y[3], h * ks[0][0], h * ks[0][1])
+    slope1 = (h * y8[2], h * y8[3], h * ks[12][0], h * ks[12][1])
+    dy = [b - a for a, b in zip(y, y8)]
+    bs = [p - q for p, q in zip(slope0, dy)]
+    cs = [q - p - b for q, p, b in zip(dy, slope1, bs)]
+
+    def at(tau):
+        s = tau / h
+        s1 = 1.0 - s
+        return tuple(
+            y[j] + s * (dy[j] + s1 * (bs[j] + s * (cs[j] + s1 * (
+                d[0][j] + s * (d[1][j] + s1 * (d[2][j] + s * d[3][j]))))))
+            for j in range(4))
+
+    return at
 
 
 def nystrom_reference_errors(ks, h):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -303,16 +304,32 @@ class TestScan:
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == output.SCAN_HEADER
         assert capsys.readouterr().err == (
-            "sign change on [1.368367, 1.437755]\n"
+            "sign change on [1.3683673469387758, 1.4377551020408164]\n"
         )
 
     @pytest.mark.parametrize("grid, err", [
-        ("0.5,3.0,3", "sign change on [0.500000, 1.750000]\n"),
+        ("0.5,3.0,3", "sign change on [0.5, 1.75]\n"),
         ("0.5,1.2,3", "no sign change on this grid\n"),
     ], ids=["sign_change", "none"])
     def test_scan_prints_its_brackets_to_stderr(self, grid, err, capsys):
         assert main(["scan", "--energy", "-1.0", "--grid", grid]) == 0
         assert capsys.readouterr().err == err
+
+    def test_scan_brackets_are_the_grid_heights(self, tmp_path, capsys):
+        # at E = -1e5 the grid is 1e5 times finer than at E = -1: printed
+        # to six decimals, a bracket's two ends both read 0.000014.  Each
+        # end is printed exactly, as the CSV's height of its row
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--energy", "-100000", "--grid", "5e-7,3.45e-5,50"]
+        assert main(argv + ["--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        m = re.fullmatch(r"sign change on \[(\S+), (\S+)\]\n", err)
+        assert m, err
+        lo, hi = float(m[1]), float(m[2])
+        assert lo < hi
+        heights = [float(ln.split(",")[0])
+                   for ln in out.read_text().splitlines()[1:]]
+        assert heights[heights.index(lo) + 1] == hi
 
     def test_scan_from_a_low_launch_follows_the_scaling_law(self, tmp_path):
         # from h = 0.001 the time scale is h^1.5 ~ 3e-5, so the first trial

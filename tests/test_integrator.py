@@ -39,6 +39,7 @@ from conftest import (
     inverted_acceleration,
     inverted_energy,
     launches,
+    nystrom_reference_dense_output,
     nystrom_reference_error_ratio,
     nystrom_reference_errors,
     nystrom_reference_step,
@@ -61,15 +62,25 @@ def shoot_raw(E, h, settings=None, **kw):
 
 @pytest.fixture
 def field_calls(monkeypatch):
-    """Count calls to dynamics.acceleration; the count is field_calls[0]."""
+    """Count field evaluations where they happen; the count is
+    field_calls[0].  The step kernel evaluates the field in place, reading
+    `integrator.hypot` once per evaluation, and the launches and
+    `check_initial_acceleration` call `dynamics.acceleration`; both are
+    wrapped.  (`dynamics.acceleration` calls `math.hypot`, so no evaluation
+    counts twice.)"""
     calls = [0]
-    real = dyn.acceleration
 
-    def counting(x, y):
-        calls[0] += 1
-        return real(x, y)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(dyn, "acceleration", counting)
+        def count(x, y):
+            calls[0] += 1
+            return real(x, y)
+
+        monkeypatch.setattr(module, name, count)
+
+    counting(dyn, "acceleration")
+    counting(integrator, "hypot")
     return calls
 
 
@@ -300,42 +311,49 @@ def _first_order(accel):
     return rhs
 
 
-def _reference_trial(accel, y, h, k1, abs_q, abs_v, rel_tol):
-    y8, ks = nystrom_reference_step(accel, y, h, k1)
+def _reference_trial(y, h, abs_q, abs_v, rel_tol):
+    """The trial step of the tableau loop on `dynamics.acceleration`, as
+    `_trial` returns it: (y8, the thirteen stages as a flat tuple, ratio)."""
+    accel = dyn.acceleration
+    y8, ks = nystrom_reference_step(accel, y, h, accel(y[0], y[1]))
     ks.append(accel(y8[0], y8[1]))
-    return y8, ks, nystrom_reference_error_ratio(
+    return y8, tuple(v for k in ks for v in k), nystrom_reference_error_ratio(
         y, y8, ks, h, (abs_q, abs_q, abs_v, abs_v), rel_tol)
 
 
-def _reference_advance(accel, y, h, k1):
-    y8 = nystrom_reference_step(accel, y, h, k1)[0]
-    dyn._check_upper(y8[1])
-    return y8
+def _kernel_trial(y, h, abs_q, abs_v, rel_tol):
+    return _trial(y, h, *dyn.acceleration(y[0], y[1]), abs_q, abs_v, rel_tol)
 
 
-def _trial_bits(trial, accel, y, h, a):
-    """The eighth-order state, the thirteen stages and the error norm of
-    one trial step at the default tolerances read in units of scale a (abs_tol
-    times a for positions, over sqrt(a) for velocities), as float.hex
-    strings (so signed zeros count), or the error it raised."""
+def _trial_bits(trial, y, h, a):
+    """The eighth-order state, the accelerations of the thirteen stages and
+    the error norm of one trial step on the planar field at the default
+    tolerances read in units of scale a (abs_tol times a for positions,
+    over sqrt(a) for velocities), as float.hex strings (so signed zeros
+    count), or the error it raised."""
     st_ = IntegratorSettings()
     try:
-        y8, ks, ratio = trial(accel, y, h, accel(y[0], y[1]),
-                              st_.abs_tol * a, st_.abs_tol / math.sqrt(a),
-                              st_.rel_tol)
+        y8, ks, ratio = trial(y, h, st_.abs_tol * a,
+                              st_.abs_tol / math.sqrt(a), st_.rel_tol)
     except (ArithmeticError, DomainError) as exc:
         return repr(exc)
-    return ([v.hex() for v in y8] + [v.hex() for k in ks for v in k]
-            + [ratio.hex()])
+    return [v.hex() for v in (*y8, *ks, ratio)]
 
 
-def _advance_bits(advance, accel, y, h):
-    """The state of one event-locating step, as float.hex strings, or the
+def _advance_bits(y, h, reference):
+    """The state of one event-locating step on the planar field, by the
+    kernel's `_advance` or by the tableau loop, as float.hex strings, or the
     error it raised."""
     try:
-        return [v.hex() for v in advance(accel, y, h, accel(y[0], y[1]))]
+        k1 = dyn.acceleration(y[0], y[1])
+        if reference:
+            y8 = nystrom_reference_step(dyn.acceleration, y, h, k1)[0]
+            dyn._check_upper(y8[1])
+        else:
+            y8 = _advance(y, h, *k1)
     except (ArithmeticError, DomainError) as exc:
         return repr(exc)
+    return [v.hex() for v in y8]
 
 
 def _decades(lo, hi):
@@ -345,14 +363,10 @@ def _decades(lo, hi):
                      st.sampled_from([1.0, -1.0]))
 
 
-@pytest.mark.parametrize("accel",
-                         [dyn.acceleration, inverted_acceleration],
-                         ids=["langmuir", "inverted"])
-@settings(max_examples=300, deadline=None)
-# uniform draws, and draws spread over decades: a stage position's last
+# Steps drawn uniformly, and spread over decades: a stage position's last
 # bits hold those of its acceleration sum only where h^2 * f is not small
 # beside x + c*h*v, which uniform draws seldom give
-@given(
+_STEPS = dict(
     x=st.floats(min_value=-4.0, max_value=4.0) | _decades(-4.0, 0.6),
     y=(st.floats(min_value=0.0, max_value=4.0, exclude_min=True)
        | _decades(-4.0, 0.6).map(abs)),
@@ -360,20 +374,52 @@ def _decades(lo, hi):
     vy=st.floats(min_value=-10.0, max_value=10.0) | _decades(-3.0, 1.0),
     h=(st.floats(min_value=1e-14, max_value=0.1)
        | _decades(-8.0, -1.0).map(abs)),
-    a=st.sampled_from([1.0, 1e-3, 1e3]),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_STEPS, a=st.sampled_from([1.0, 1e-3, 1e3]))
 # signed zeros: a -0.0 position or velocity component
 @example(x=-0.0, y=1.0, vx=-0.0, vy=1.0, h=0.1, a=1.0)
 @example(x=0.0, y=2.0, vx=-0.0, vy=-0.0, h=0.1, a=1.0)
-def test_unrolled_step_matches_the_tableau_loop(accel, x, y, vx, vy, h, a):
-    # the kernel's trial step and the event-locating _advance against the
-    # generic Nystrom loop over the exact products of the tableau, bit for
-    # bit
+def test_unrolled_step_matches_the_tableau_loop(x, y, vx, vy, h, a):
+    # the kernel's trial step, every stage acceleration it evaluates in
+    # place included, and the event-locating _advance against the generic
+    # Nystrom loop over the exact products of the tableau on
+    # `dynamics.acceleration`, bit for bit
     state = (x, y, vx, vy)
-    assert (_trial_bits(_trial, accel, state, h, a)
-            == _trial_bits(_reference_trial, accel, state, h, a))
-    assert (_advance_bits(_advance, accel, state, h)
-            == _advance_bits(_reference_advance, accel, state, h))
+    assert (_trial_bits(_kernel_trial, state, h, a)
+            == _trial_bits(_reference_trial, state, h, a))
+    assert _advance_bits(state, h, False) == _advance_bits(state, h, True)
+
+
+def _dense_bits(y, h, tau, reference):
+    """The interpolated state at tau in the trial step of size h from y, by
+    the kernel's `_dense_output` or by the tableau loop's, as float.hex
+    strings, or the error it raised."""
+    try:
+        y8, ks, _ = _kernel_trial(y, h, 1.0, 1.0, 1.0)
+        if reference:
+            pairs = list(zip(ks[::2], ks[1::2]))
+            at = nystrom_reference_dense_output(dyn.acceleration, y, y8,
+                                                pairs, h)
+        else:
+            at = integrator._dense_output(y, y8, ks, h)
+        return [v.hex() for v in at(tau)]
+    except (ArithmeticError, DomainError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_STEPS, fraction=st.floats(min_value=0.0, max_value=1.0))
+def test_dense_output_matches_the_tableau_loop(x, y, vx, vy, h, fraction):
+    # the interpolant, whose stages 14 to 16 the kernel also evaluates in
+    # place, against the generic loop's on `dynamics.acceleration`, bit for
+    # bit, at a time inside the step
+    state = (x, y, vx, vy)
+    tau = fraction * h
+    assert (_dense_bits(state, h, tau, False)
+            == _dense_bits(state, h, tau, True))
 
 
 def _assert_the_two_forms_agree(accel, states):
@@ -482,16 +528,20 @@ def test_the_pair_has_its_orders_on_the_kepler_field():
     # one trial step from the same state on an ellipse of eccentricity 0.3,
     # against the closed form: each halving of h shrinks the local error
     # of the eighth-order state by about 2^9, and the E5 and E3 estimates
-    # (weights of the tableau, on the kernel's stages) by about 2^6 and 2^4,
-    # their local orders; the kernel's combined norm, r5^2 / (0.1 r3) for
-    # small h, by about 2^8.  The local error reaches rounding (4e-16)
-    # below h = 0.2, so it is read down to there
+    # by about 2^6 and 2^4, their local orders; the combined norm,
+    # r5^2 / (0.1 r3) for small h, by about 2^8.  The local error reaches
+    # rounding (4e-16) below h = 0.2, so it is read down to there.  The
+    # kernel integrates the planar field alone, so the step is the tableau
+    # loop's, which test_unrolled_step_matches_the_tableau_loop ties to the
+    # kernel bit for bit: state, stages, estimates and norm
     t0, ecc = 3.0, 0.3
     y = _kepler(t0, ecc)
-    k1 = _kepler_acceleration(y[0], y[1])
     rows = []
     for h in (0.8, 0.4, 0.2, 0.1, 0.05):
-        y8, ks, ratio = _trial(_kepler_acceleration, y, h, k1, 1.0, 1.0, 0.0)
+        y8, ks = nystrom_reference_step(_kepler_acceleration, y, h,
+                                        _kepler_acceleration(y[0], y[1]))
+        ks.append(_kepler_acceleration(y8[0], y8[1]))
+        ratio = nystrom_reference_error_ratio(y, y8, ks, h, (1.0,) * 4, 0.0)
         e5, e3 = nystrom_reference_errors(ks, h)
         local = max(abs(a - b) for a, b in zip(y8, _kepler(t0 + h, ecc)))
         rows.append((h, local, max(map(abs, e5)), max(map(abs, e3)), ratio))
@@ -502,72 +552,112 @@ def test_the_pair_has_its_orders_on_the_kepler_field():
             assert order is None or abs(got - order) <= 0.25, (h, orders)
 
 
-@pytest.mark.parametrize("bad", [
-    (math.nan, math.nan),
-    (math.inf, -math.inf),
-], ids=["nan", "inf"])
-def test_non_finite_steps_are_rejected_until_underflow(bad):
-    # a field that turns non-finite past x = 0.5: every trial step that
-    # reaches there is rejected, the step size shrinks until it underflows,
-    # and no non-finite state is ever sampled
-    def accel(x, y):
-        return bad if x > 0.5 else (0.0, 0.0)
+def _wrap_hypot(monkeypatch, radius):
+    """Make the kernel's field read radius(x, y, calls, real) for r, calls
+    being the number of evaluations so far, this one included, and real
+    math.hypot; the calls are counted in the list returned."""
+    calls = []
 
+    def wrapped(x, y):
+        calls.append(None)
+        return radius(x, y, len(calls), math.hypot)
+
+    monkeypatch.setattr(integrator, "hypot", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("radius", [math.nan, 1e-105], ids=["nan", "inf"])
+def test_non_finite_steps_are_rejected_until_underflow(monkeypatch, radius):
+    # a field that turns non-finite past x = 0.5: there the kernel's hypot
+    # gives nan (nan accelerations) or a radius whose cube is subnormal
+    # (infinite ones), so every trial step that reaches there is rejected,
+    # the step size shrinks until it underflows, and no non-finite state is
+    # ever sampled
+    _wrap_hypot(monkeypatch,
+                lambda x, y, n, real: radius if x > 0.5 else real(x, y))
     sampled = []
+    real_energy = dyn.energy_vec
 
     def energy(v):
         sampled.append(v)
-        return 1.0
+        return real_energy(v)
 
-    s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
-    run = _Run(accel, energy, s0, IntegratorSettings(), (), (), ())
+    monkeypatch.setattr(dyn, "energy_vec", energy)
+    s0 = State(t=0.0, x=0.0, y=1.0, vx=10.0, vy=0.0)
+    run = _Run(s0, IntegratorSettings(), (), (), ())
     with pytest.raises(StepUnderflow) as exc:
         next(run.run())
     assert len(sampled) > 1
     assert all(math.isfinite(c) for v in sampled for c in v)
     # the underflow reports the run's last accepted sample, just short of
-    # x = 0.5 (the field is 0 there, so x = t)
+    # x = 0.5
     t, y = run.samples[-1]
     assert 0.49 < y[0] < 0.5
     assert exc.value.t == t
     assert exc.value.state == _vec_to_state(t, y)
-    # stopped short of x = 0.5, the run ends at its time limit, and its
-    # TIME_LIMIT event has its last sample's time and state
-    run = _Run(accel, energy, s0, IntegratorSettings(t_limit=0.25), (), (),
-               ())
+    # stopped short of x = 0.5 (x is about 10 t), the run ends at its time
+    # limit, and its TIME_LIMIT event has its last sample's time and state
+    run = _Run(s0, IntegratorSettings(t_limit=0.025), (), (), ())
     assert next(run.run()) is EventKind.TIME_LIMIT
     t, y = run.samples[-1]
-    assert t == pytest.approx(0.25, abs=1e-12)
+    assert t == pytest.approx(0.025, abs=1e-12)
+    assert y[0] < 0.5
     assert len(run.samples) > 2
     assert run.events == [(EventKind.TIME_LIMIT, t, y)]
     assert run.termination is EventKind.TIME_LIMIT
+
+
+# For each component, a state and step at which a stage made non-finite in
+# that component alone keeps the other finite, as the planar field does:
+# off the y axis (x near 0.3, y near 0.1) a radius whose cube is 1e-308
+# makes -8x/r^3 overflow, not (1 - 8y^3/r^3)/y^2 (about -8e307); on it
+# (x = 0, so ax is 0 at every stage) a radius whose cube is subnormal makes
+# ay alone overflow.  A nan radius makes both components nan.
+_ONE_COMPONENT = {
+    0: ((0.3, 0.1, -0.2, 0.5), 0.001, 1e-308 ** (1.0 / 3.0)),
+    1: ((0.0, 1.0, 0.0, 0.5), 0.01, 1e-105),
+}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("component", [0, 1], ids=["ax", "ay"])
 @pytest.mark.parametrize("stage", range(13))
-def test_a_non_finite_stage_gives_an_infinite_error_norm(stage, component,
-                                                         bad):
+def test_a_non_finite_stage_gives_an_infinite_error_norm(monkeypatch, stage,
+                                                         component, bad):
     # the error norm's finiteness test is made of comparisons, which nan
-    # fails silently: a field that is non-finite in one component at
-    # exactly one of the thirteen stages (stage 0 is k1, passed in; stage 12
-    # is the FSAL stage, which no error estimate reads) still gives ratio
-    # inf, and the same field without the bad value does not
-    def accel(x, y):
-        calls.append(None)
-        a = [-x, -y]
-        if len(calls) - 1 == bad_stage:
-            a[component] = bad
-        return tuple(a)
-
-    y = (0.3, 1.0, -0.2, 0.5)
-    for bad_stage, finite in ((stage, False), (None, True)):
-        calls = []
-        ratio = _trial(accel, y, 0.01, accel(y[0], y[1]), 1e-12, 1e-12,
-                       1e-10)[2]
-        assert len(calls) == 13
-        assert (ratio < math.inf) is finite
+    # fails silently: a stage that is non-finite in one component, at
+    # exactly one of the thirteen stages, still rejects the trial, and the
+    # same step without the bad value does not.  Stage 0 is k1, passed in;
+    # stages 1 to 12 are the kernel's own evaluations (stage 12 is the FSAL
+    # stage, which no error estimate reads), reached through its hypot.
+    # The rejection is ratio inf, or DomainError where the stage carries a
+    # later stage's position off the half plane, which the run reads as it
+    # reads ratio inf
+    y, h, tiny = _ONE_COMPONENT[component]
+    # the radius whose cube has the sign that gives `bad`
+    radius = math.nan if math.isnan(bad) else math.copysign(tiny, -bad)
+    for bad_stage in (stage, None):
+        k1 = list(dyn.acceleration(y[0], y[1]))
+        if bad_stage == 0:
+            k1[component] = bad
+        calls = _wrap_hypot(monkeypatch, lambda x, q, n, real: (
+            radius if n == bad_stage else real(x, q)))
+        try:
+            _, ks, ratio = _trial(y, h, *k1, 1e-12, 1e-12, 1e-10)
+        except DomainError:
+            # raised after the bad stage, by a stage it carried off
+            assert bad_stage is not None and len(calls) >= bad_stage
+            continue
+        assert len(calls) == 12
+        if bad_stage is None:
+            assert ratio < math.inf
+            continue
+        assert ratio == math.inf
+        got = ks[2 * stage + component]
+        assert got == bad or math.isnan(got) and math.isnan(bad)
+        if not math.isnan(bad):
+            assert math.isfinite(ks[2 * stage + 1 - component])
 
 
 @settings(max_examples=200, deadline=None)
@@ -629,7 +719,7 @@ def test_requested_samples_agree_with_an_eighth_order_step(E, u):
     for start, times in spans:
         k1 = dyn.acceleration(start.x, start.y)
         for t in times:
-            want = _advance(dyn.acceleration, _vec(start), t - start.t, k1)
+            want = _advance(_vec(start), t - start.t, *k1)
             err = max(abs(a - b) for a, b in zip(_vec(by_t[t]), want))
             assert err <= 100 * st_.rel_tol * max(map(abs, want))
 
@@ -644,8 +734,8 @@ def test_event_state_is_one_eighth_order_step(E, u):
     # calls that no event keeps)
     calls = {}
 
-    def recording(accel, y, h, k1):
-        out = _advance(accel, y, h, k1)
+    def recording(y, h, f1x, f1y):
+        out = _advance(y, h, f1x, f1y)
         calls.setdefault(_hexes(out), []).append((y, h))
         return out
 
@@ -671,8 +761,8 @@ def _record_locations(mp):
     located = []
     real = integrator._locate
 
-    def recording(accel, f, at, t0, y0, k1, h, r0, r1, event_tol):
-        t_ev, y_ev = real(accel, f, at, t0, y0, k1, h, r0, r1, event_tol)
+    def recording(f, at, t0, y0, f1x, f1y, h, r0, r1, event_tol):
+        t_ev, y_ev = real(f, at, t0, y0, f1x, f1y, h, r0, r1, event_tol)
         located.append((f, at, t0, h, r0, event_tol, t_ev))
         return t_ev, y_ev
 
@@ -733,12 +823,14 @@ def test_collision_is_located_as_bisection_locates_it():
 
 def test_event_state_off_the_half_plane_raises():
     # _advance skips the FSAL field evaluation that would have rejected a
-    # state with y <= 0, so it checks that itself
-    def falling(x, y):
-        return (0.0, 0.0)
-
+    # state with y <= 0, so it checks that itself: from this state every
+    # stage of the step of 0.4 stays in y > 0, and its eighth-order state
+    # does not
+    y = (0.65, 0.35, 1.05, -1.41)
+    k1 = dyn.acceleration(y[0], y[1])
+    assert integrator._stages(y, 0.4, *k1)[0][1] < 0.0
     with pytest.raises(DomainError):
-        _advance(falling, (0.0, 0.5, 0.0, -1.0), 1.0, (0.0, 0.0))
+        _advance(y, 0.4, *k1)
 
 
 def _state_bits(s):
@@ -885,7 +977,7 @@ def _rejected_bracket(bracket):
 # samples read from the step's interpolant).  They are deterministic, so
 # each row pins its count exactly: more is lost work, and fewer means the
 # row is stale or the count no longer sees the field (a kernel that bound
-# `dynamics.acceleration` at import would count 0).
+# `hypot` at import would count its launches alone).
 @pytest.mark.parametrize("run, count", [
     (lambda: shooting.shoot(-1.0, 1.398), 401),
     (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 19_922),
@@ -934,6 +1026,37 @@ def test_field_evaluations_do_not_grow(field_calls, run, count):
     assert field_calls[0] == count
 
 
+@pytest.mark.parametrize("run", [
+    lambda: shooting.shoot(-1.0, 1.398),
+    lambda: shooting.scan_alpha(-1.0, shooting.default_grid()),
+    lambda: shooting.find_brake_orbit(-1.0),
+], ids=["shoot", "scan_alpha", "find_brake_orbit"])
+def test_field_evaluations_follow_from_the_step_loop(field_calls,
+                                                     monkeypatch, run):
+    # an outside count of what the step loop calls, against the field
+    # evaluations observed where they happen: a trial step evaluates 12
+    # stages (11 and the FSAL stage), a located event's step 11, an
+    # interpolant 3, and a launch 1 (its first stage)
+    calls = {"_trial": 0, "_advance": 0, "_dense_output": 0, "launch": 0}
+    for name in ("_trial", "_advance", "_dense_output"):
+        def count(*args, _name=name, _real=getattr(integrator, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(integrator, name, count)
+
+    class CountingRun(integrator._Run):
+        def run(self):
+            calls["launch"] += 1
+            return super().run()
+
+    monkeypatch.setattr(integrator, "_Run", CountingRun)
+    run()
+    assert calls["_trial"] > 0
+    assert field_calls[0] == (12 * calls["_trial"] + 11 * calls["_advance"]
+                              + 3 * calls["_dense_output"] + calls["launch"])
+
+
 def test_the_suite_builds_no_records(monkeypatch):
     # the checks reduce the runs themselves: the suite makes no State
     # through _vec_to_state, and it evaluates the energy only at each run's
@@ -966,8 +1089,8 @@ def probes(monkeypatch):
     calls = [0, 0]
     real = integrator._dense_output
 
-    def counting_output(accel, y, y8, ks, h):
-        at = real(accel, y, y8, ks, h)
+    def counting_output(y, y8, ks, h):
+        at = real(y, y8, ks, h)
         calls[1] += 1
 
         def counting(tau):

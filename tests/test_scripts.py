@@ -34,3 +34,21 @@ def test_reproduce_figures_writes_five_svgs(tmp_path):
     assert len(svgs) == 5
     assert all(p.read_text().lstrip().startswith("<") for p in svgs)
 
+
+
+def test_output_digest_is_the_same_from_run_to_run(tmp_path):
+    # every command's outputs, exit codes and stderr included, are the same
+    # bytes from run to run, so a difference between two checkouts' digests
+    # is a difference between the checkouts
+    runs = [run_script("output_digest.py", cwd=tmp_path) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == lines
+    commands = {ln.split("\t")[0] for ln in lines}
+    assert len(commands) == 11
+    assert all(ln.split("\t")[2] == "exit=0" for ln in lines)
+    # each command's stdout and stderr, and the files written: a verdict,
+    # two zero-energy reports, two scan tables, four orbits' json, csv and
+    # svg, and two runs
+    assert len(lines) == 2 * 11 + 1 + 2 + 2 + 4 * 3 + 2
