@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from collections.abc import Sequence
 
@@ -199,11 +200,23 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a negative number with an exponent,
+    such as `--energy -1e5`, as an option's value: argparse's own pattern
+    for a negative number has no exponent, so it reads `-1e5` as an
+    option.  Its subcommands' parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command's parser, built at the first call and kept; parsing
     leaves it as it is."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="langmuir-lab",
         description="Planar two-electron (Langmuir) problem toolkit",
     )

@@ -468,7 +468,9 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
     e3_3 = h * (_E3_1 * f1y + _E3_6 * f6y + _E3_7 * f7y + _E3_8 * f8y
                 + _E3_9 * f9y + _E3_10 * f10y + _E3_11 * f11y + _E3_12 * f12y)
     # |e| and |y8| by comparison, not abs(); nan fails every comparison, so
-    # it stays nan, and then fails `< inf` as inf does
+    # it stays nan, and then fails `< inf` as inf does.  z1 needs no flip:
+    # the FSAL stage has raised on z1 <= 0; nor does y1 below, as a run
+    # steps only from states with y > 0
     if e5_0 < 0.0:
         e5_0 = -e5_0
     if e5_1 < 0.0:
@@ -487,8 +489,6 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
         e3_3 = -e3_3
     if z0 < 0.0:
         z0 = -z0
-    if z1 < 0.0:
-        z1 = -z1
     if z2 < 0.0:
         z2 = -z2
     if z3 < 0.0:
@@ -506,8 +506,6 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
     s = abs_q + rel_tol * (z0 if z0 > y0 else y0)
     r5 = e5_0 / s
     r3 = e3_0 / s
-    if y1 < 0.0:
-        y1 = -y1
     s = abs_q + rel_tol * (z1 if z1 > y1 else y1)
     q = e5_1 / s
     if q > r5:
@@ -907,8 +905,6 @@ class _Run:
             if not ratio <= 1.0:  # rejected, also when inf or nan
                 h *= (max(0.1, 0.9 * ratio ** shrink_expo) if ratio < math.inf
                       else 0.2)
-                if h < h_min:
-                    raise StepUnderflow(t, _vec_to_state(t, y))
                 continue
 
             # accepted

@@ -9,10 +9,11 @@ second, multi-reflection orbit.
 
 The orbit search finds a root of alpha_k to |alpha_k| <= ALPHA_TOL in two
 stages: a Brent-Dekker solve on alpha_k integrated at the fixed COARSE
-settings, then a secant polish at the given settings from the coarse root.
-The orbit record holds one arc, the root's at the given settings.  The
-brake search picks k at the first stage's settings too (see
-find_brake_orbit).
+settings, then a polish at the given settings: alpha_k at the coarse root
+and one secant step from it.  When neither meets ALPHA_TOL, Brent-Dekker
+solves at the given settings on the whole bracket.  The orbit record
+holds one arc, the root's at the given settings.  The brake search picks
+k at the first stage's settings too (see find_brake_orbit).
 
 Every launch at energy E < 0 reads its settings in E = -1 units (see
 `integrator`), as ALPHA_TOL, TOUCH_SPEED_TOL and CLASSIFY_MARGIN are
@@ -234,21 +235,15 @@ def _solve_bracketed(
     tol_f: float,
     max_iter: int,
     trace: list[tuple[float, float]],
-    f_ends: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """The orbit search's root of f on [lo, hi] by `integrator._brent`,
     from the bracket ends' values: the first point where |f| <= tol_f, so
     the result is a bracket end or the latest evaluation.  Every evaluation
-    is appended to `trace`.  `f_ends` are f(lo) and f(hi) when they are
-    already known; they are neither evaluated again nor traced.  Raises
-    BadBracket when f(lo) and f(hi) have the same sign, and NoConvergence
-    when the bracket shrinks to rounding first, or after max_iter
-    evaluations."""
-    if f_ends is None:
-        fa, fb = f(lo), f(hi)
-        trace += [(lo, fa), (hi, fb)]
-    else:
-        fa, fb = f_ends
+    is appended to `trace`.  Raises BadBracket when f(lo) and f(hi) have
+    the same sign, and NoConvergence when the bracket shrinks to rounding
+    first, or after max_iter evaluations."""
+    fa, fb = f(lo), f(hi)
+    trace += [(lo, fa), (hi, fb)]
     if abs(fa) <= tol_f:
         return lo, fa
     if abs(fb) <= tol_f:
@@ -289,11 +284,12 @@ def _find_orbit(
     in E = -1 units (alpha over sqrt(-E)), as is every tolerance below.
 
     A coarse Brent-Dekker solve on alpha_k integrated at COARSE locates
-    the root to |alpha_k| <= 1e3 * ALPHA_TOL; a secant polish at
-    `settings` then starts from that root (see _polish).  When `settings`
-    are no finer than COARSE_REL_TOL, or either stage cannot finish, the
-    root is Brent-Dekker's at `settings` on the whole bracket, the search
-    without a coarse stage.
+    the root to |alpha_k| <= 1e3 * ALPHA_TOL; the polish then reads alpha_k
+    at that root at `settings` and takes one secant step from it (see
+    _polish).  When `settings` are no finer than COARSE_REL_TOL, the coarse
+    stage fails, or neither polish point meets ALPHA_TOL, the root is
+    Brent-Dekker's at `settings` on the whole bracket, the search without
+    a coarse stage.
 
     `ends`, when given, are the settings and the runs of the two bracket
     ends stopped at their k-th rest (classification's).  The coarse stage
@@ -367,37 +363,24 @@ def _polish(
     tol_f: float,
     trace: list[tuple[float, float]],
 ) -> tuple[float, float] | None:
-    """Secant iteration on f from h0, the coarse root, to |f| <= tol_f.
-
-    The first slope is the secant through `last`, the coarse stage's last
-    two points; later slopes come from the polish's own last two points.
-    Once two points differ in sign, Brent-Dekker finishes between them.
-    Returns None, for the search on the whole bracket, when a step would
-    leave the bracket or does not shrink |f|, or after MAX_ITER steps."""
-    lo, hi = min(bracket), max(bracket)
-    h, fh = h0, f(h0)
-    trace.append((h, fh))
+    """f at h0, the coarse root, then one secant step from h0 along `last`,
+    the coarse stage's last two points: the first of the two points with
+    |f| <= tol_f, each evaluation appended to `trace`.  Returns None, for
+    the search on the whole bracket, when the secant is flat, the step
+    would leave the bracket or stand still, or it misses tol_f."""
+    fh = f(h0)
+    trace.append((h0, fh))
+    if abs(fh) <= tol_f:
+        return h0, fh
     (ha, fa), (hb, fb) = last
-    for _ in range(MAX_ITER):
-        if abs(fh) <= tol_f:
-            return h, fh
-        if fa == fb:
-            return None
-        h_new = h - fh * (hb - ha) / (fb - fa)
-        if not (lo <= h_new <= hi) or h_new == h:
-            return None
-        f_new = f(h_new)
-        trace.append((h_new, f_new))
-        if abs(f_new) <= tol_f:
-            return h_new, f_new
-        if (f_new > 0.0) != (fh > 0.0):
-            return _solve_bracketed(f, h, h_new, tol_f, MAX_ITER, trace,
-                                    (fh, f_new))
-        if abs(f_new) >= abs(fh):
-            return None
-        ha, fa, hb, fb = h, fh, h_new, f_new
-        h, fh = h_new, f_new
-    return None
+    if fa == fb:
+        return None
+    h = h0 - fh * (hb - ha) / (fb - fa)
+    if not (min(bracket) <= h <= max(bracket)) or h == h0:
+        return None
+    fh = f(h)
+    trace.append((h, fh))
+    return (h, fh) if abs(fh) <= tol_f else None
 
 
 def find_langmuir_orbit(

@@ -567,6 +567,49 @@ def test_invalid_input_exits_2(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name, message", [
+    # no alpha_k is 0 to the last bit: the search's Brent-Dekker solves
+    # shrink their brackets to rounding
+    ("ALPHA_TOL", "|residual| > 0.0"),
+    ("TOUCH_SPEED_TOL", "touch speed"),
+], ids=["alpha", "touch_speed"])
+def test_unconverged_search_exits_4(monkeypatch, capsys, name, message):
+    monkeypatch.setattr(shooting, name, 0.0)
+    assert main(["find-orbit", "--energy", "-1"]) == cli.EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["-1e5", "-2e-1", "-1.5E+3", "-.5e0",
+                                  "-1.e2", "-7", "-0.25"])
+def test_negative_number_with_an_exponent_is_an_option_value(monkeypatch,
+                                                             text):
+    # argparse's own pattern for a negative number has no exponent, so it
+    # took `-1e5` for an option, and `--energy -1e5` exited 2 with
+    # "expected one argument"
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scan",
+                        lambda args: seen.append(args.energy) or 0)
+    assert main(["scan", "--energy", text, "--grid", "1,2,2"]) == 0
+    assert seen == [float(text)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--energy", "-1", "--height", "1", "-x"],
+    ["simulate", "--energy", "-x", "--height", "1"],
+    ["simulate", "--energy", "-e5", "--height", "1"],
+    ["simulate", "--energy", "-1e", "--height", "1"],
+], ids=["unknown_option", "option_as_value", "exponent_alone",
+        "exponent_without_digits"])
+def test_unknown_options_still_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["simulate", "--energy", "-1.0", "--height", "1.0", "--t-limit", "0.1"],
      "--out"),

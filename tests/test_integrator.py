@@ -676,20 +676,75 @@ def test_magical_line_residual_of_a_state(x, y):
     assert f((x, y, 1.0, 1.0)).hex() == want
 
 
-def test_trial_steps_off_the_half_plane_are_rejected(rng):
+def test_trial_steps_off_the_half_plane_are_rejected(monkeypatch, rng):
     # fast states near the collision line y = 0: the first trial step
     # (1e-3) takes a stage of many of them below y = 0, which the field
     # rejects with DomainError; the step is rejected and shrunk instead,
     # and every run ends at the time limit or at collision proximity
-    # (without that rejection, 27 of these 100 raise DomainError)
+    # (without that rejection, 27 of these 100 raise DomainError).  Every
+    # state a trial steps from, and every sample, has y > 0, as _trial,
+    # which reads the start state's y as |y|, needs: a run steps from its
+    # launch, which _Run checks, and from accepted step ends, whose y the
+    # FSAL stage has checked
+    starts = []
+    real = integrator._trial
+
+    def trial(y, *args):
+        starts.append(y[1])
+        return real(y, *args)
+
+    monkeypatch.setattr(integrator, "_trial", trial)
     ends = set()
     for _ in range(100):
         s0 = State(t=0.0, x=rng.uniform(-1.0, 1.0),
                    y=10.0 ** rng.uniform(-4.0, 0.0),
                    vx=rng.uniform(-1.0, 1.0),
                    vy=-(10.0 ** rng.uniform(-1.0, 2.0)))
-        ends.add(integrate(s0, IntegratorSettings(t_limit=0.05)).termination)
+        traj = integrate(s0, IntegratorSettings(t_limit=0.05))
+        ends.add(traj.termination)
+        assert all(s.y > 0.0 for s in traj.samples)
     assert ends <= {EventKind.TIME_LIMIT, EventKind.COLLISION_PROXIMITY}
+    assert len(starts) > 100 and min(starts) > 0.0
+
+
+@pytest.mark.parametrize("y", [0.0, -0.0, -1e-300, -1.0])
+def test_run_rejects_a_launch_off_the_half_plane(y):
+    s0 = State(t=0.0, x=0.5, y=y, vx=0.0, vy=0.0)
+    with pytest.raises(DomainError, match="initial state must have y > 0"):
+        _Run(s0, IntegratorSettings(), (), (), ())
+
+
+def test_trial_of_a_vanishing_step_has_no_error():
+    # h = 5e-324, the smallest float: every error term underflows to 0, so
+    # the error norm is 0, not the nan of 0 / 0
+    y = (0.0, 1.0, 0.0, 0.0)
+    y8, _, ratio = _trial(y, 5e-324, *dyn.acceleration(0.0, 1.0), 1e-12,
+                          1e-12, 1e-10)
+    assert ratio == 0.0
+    assert y8[:3] == y[:3] and abs(y8[3]) <= 1e-322
+
+
+def test_event_whose_residual_is_zero_at_a_step_end(monkeypatch):
+    # a residual that falls from 1 to exactly 0 once x reaches 0.01: the
+    # event is the end of the step that gets there, taken as it is, with
+    # nothing located, and as a stop event it stops the run there
+    monkeypatch.setitem(integrator._RESIDUALS, EventKind.X_VELOCITY_ZERO,
+                        lambda y: 1.0 if y[0] < 0.01 else 0.0)
+
+    def locate(*args):
+        raise AssertionError("an event at a step end is not located")
+
+    monkeypatch.setattr(integrator, "_locate", locate)
+    s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
+    run = _Run(s0, IntegratorSettings(), (), (EventKind.X_VELOCITY_ZERO,), ())
+    assert next(run.run()) is EventKind.X_VELOCITY_ZERO
+    [(kind, t, y)] = run.events
+    assert run.samples[-1] == (t, y)
+    assert run.samples[-2][1][0] < 0.01 <= y[0]
+    # and it is a step end of the same launch's run that watches nothing
+    free = _Run(s0, IntegratorSettings(t_limit=2.0 * t), (), (), ())
+    next(free.run())
+    assert (t, y) in free.samples
 
 
 def _vec(s):
@@ -943,6 +998,20 @@ def test_resumed_run_drops_each_stop_from_its_drift(monkeypatch):
         assert cut.max_energy_drift > 0.1
         run = next(rests)
         assert run.drift == cut.max_energy_drift
+
+
+def test_the_time_limit_ends_the_run():
+    # resumed after a stop event, a run goes on to its next stop; resumed
+    # after its time limit, it ends, with one TimeLimit event.  The rest at
+    # h = 1.398 comes at t = 1.06 and the next after t = 3
+    s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.398))
+    run = _Run(s0, IntegratorSettings(t_limit=3.0), (),
+               (EventKind.X_VELOCITY_ZERO,), (), -1.0)
+    assert list(run.run()) == [EventKind.X_VELOCITY_ZERO, EventKind.TIME_LIMIT]
+    assert [kind for kind, _, _ in run.events] == [
+        EventKind.X_VELOCITY_ZERO, EventKind.TIME_LIMIT]
+    assert run.termination is EventKind.TIME_LIMIT
+    assert run.samples[-1][0] == 3.0
 
 
 @pytest.mark.parametrize("s0, settings_, stops", [

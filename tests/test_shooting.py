@@ -117,6 +117,13 @@ class TestShoot:
         with pytest.raises(ValueError):
             shooting.alpha_k(-1.0, 1.0, 0)
 
+    def test_run_ending_before_its_rest_raises_no_rest(self):
+        # the first rest at h = 1.398 comes at t = 1.06: a run stopped at
+        # its time limit before then has no alpha
+        with pytest.raises(NoRest) as exc:
+            shooting.shoot(-1.0, 1.398, IntegratorSettings(t_limit=0.5))
+        assert (exc.value.k, exc.value.termination) == (1, "TimeLimit")
+
 
 class TestLangmuirOrbit:
     def setup_method(self):
@@ -577,6 +584,35 @@ class TestTwoStageSearch:
         with pytest.raises(BadBracket, match=re.escape(f"f(lo)={alpha}")):
             shooting.find_langmuir_orbit(-1.0, bracket=(0.2, 0.3))
 
+    @pytest.mark.parametrize("kind", sorted(FINDERS))
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("E", [-2.0, -1.6, -1.0, -0.77, -0.5])
+    def test_polish_is_two_evaluations(self, monkeypatch, kind, rel_tol, E):
+        # the traffic the polish is built for: the coarse stage is the one
+        # Brent-Dekker solve, and the polish adds alpha_k at the coarse
+        # root and the secant step from it, both at the given settings,
+        # the step within ALPHA_TOL (in E = -1 units)
+        solves = []
+        real = shooting._solve_bracketed
+
+        def solve(f, lo, hi, tol_f, max_iter, trace):
+            root = real(f, lo, hi, tol_f, max_iter, trace)
+            solves.append((tol_f, len(trace), root))
+            return root
+
+        monkeypatch.setattr(shooting, "_solve_bracketed", solve)
+        settings_ = IntegratorSettings(rel_tol=rel_tol)
+        rec = FINDERS[kind](E, settings=settings_)
+        [(tol_f, n_coarse, (h0, _))] = solves
+        assert tol_f == 1e3 * (shooting.ALPHA_TOL * math.sqrt(-E))
+        assert len(rec.solver_trace) == n_coarse + 2
+        (h_first, alpha_first), last = rec.solver_trace[n_coarse:]
+        k = rec.reflection_count()
+        assert h_first == h0
+        assert alpha_first == shooting.alpha_k(E, h0, k, settings_)
+        assert last == (rec.h_star, rec.alpha_residual)
+        assert abs(rec.alpha_residual) / math.sqrt(-E) <= shooting.ALPHA_TOL
+
     def test_unconverged_brake_search_still_raises(self, monkeypatch):
         # alpha_3 that jumps from -1 to 1 across the root, so no point
         # meets ALPHA_TOL: the search on the whole bracket, which the failed
@@ -692,9 +728,10 @@ class TestRootSolver:
          1e-13),
         # flat on both sides of the root, |f| <= tol within tol**(1/3)
         (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.3, 1e-4),
-        # a root at a bracket end
+        # a root at either bracket end
         (lambda x: x - 1.0, 0.0, 1.0, 1.0, 0.0),
-    ], ids=["wallis", "flat", "at_end"])
+        (lambda x: x, 0.0, 1.0, 0.0, 0.0),
+    ], ids=["wallis", "flat", "at_end", "at_start"])
     def test_closed_form_roots(self, f, lo, hi, root, x_tol):
         tol = 1e-12
         x, fx, trace = _solve(f, lo, hi, tol)
@@ -723,6 +760,53 @@ class TestRootSolver:
                 trace,
             )
         assert len(trace) < 100
+
+
+class TestPolish:
+    """Each exit of _polish, on closed-form functions: f at the coarse
+    root h0 (0.5 unless given), then one secant step along the coarse
+    stage's last two points on the bracket [0, 1]."""
+
+    @staticmethod
+    def _polish(f, last, tol_f=1e-12, h0=0.5):
+        trace = []
+        return shooting._polish(f, h0, last, (0.0, 1.0), tol_f, trace), trace
+
+    def test_start_within_tolerance(self):
+        root, trace = self._polish(lambda x: x - 0.5, [(0.0, -0.5),
+                                                        (1.0, 0.5)])
+        assert root == (0.5, 0.0)
+        assert trace == [root]
+
+    def test_secant_step_lands(self):
+        # a line, so the step along the secant through two of its points
+        # lands on its root
+        root, trace = self._polish(lambda x: x - 0.25, [(0.0, -0.25),
+                                                         (1.0, 0.75)])
+        assert root == (0.25, 0.0)
+        assert trace == [(0.5, 0.25), root]
+
+    @pytest.mark.parametrize("f, last", [
+        # a flat secant has no step
+        (lambda x: x - 0.25, [(0.0, 2.0), (1.0, 2.0)]),
+        # a step of -0.25 / 0.01 leaves the bracket
+        (lambda x: x - 0.25, [(0.0, 0.0), (1.0, 0.01)]),
+        # a step of 1e-20 stands still at 0.5
+        (lambda x: 1e-20, [(0.0, 0.0), (1.0, 1.0)]),
+    ], ids=["flat", "off_the_bracket", "standing_still"])
+    def test_no_step_leaves_the_root_to_the_whole_bracket(self, f, last):
+        root, trace = self._polish(f, last, tol_f=1e-30)
+        assert root is None
+        assert trace == [(0.5, f(0.5))]
+
+    def test_step_that_misses(self):
+        # x^2 - 1/4 is not its secant: the step from 0.9 along the slope 1
+        # lands at 0.34, where f = -0.1344
+        f = lambda x: x * x - 0.25  # noqa: E731
+        root, trace = self._polish(f, [(0.0, -0.25), (1.0, 0.75)], h0=0.9)
+        assert root is None
+        assert [h for h, _ in trace] == [0.9, 0.9 - f(0.9)]
+        assert trace[1][1] == f(trace[1][0])
 
 
 class TestScan:
@@ -843,6 +927,14 @@ class TestAssembly:
 
     def test_samples_stay_in_upper_half_plane(self):
         assert all(s.y > 0.0 for s in self.orbit.samples)
+
+    def test_quarter_without_its_rest_fails(self):
+        # a record integrated at other settings assembles from its own
+        # quarter, which at t_limit = 0.5 ends before its rest (T = 1.06)
+        with pytest.raises(ClosureFailure,
+                           match="quarter arc terminated by TimeLimit"):
+            shooting.assemble_periodic_orbit(
+                self.rec, IntegratorSettings(t_limit=0.5))
 
 
 def _launch(rec):
