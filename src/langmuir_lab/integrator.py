@@ -22,8 +22,9 @@ energy once per accepted step, and the energy of no requested sample.
 Only where a residual changes sign does it locate the change on the
 interpolant, by the Brent-Dekker routine the orbit search also uses, from
 the residual's values at the step's ends; the state of a located event is
-then one eighth-order step from the accepted step's start to the located
-time.  Otherwise a run samples the ends of its accepted steps.
+the interpolant's at the located time, so locating costs no field
+evaluation beyond the interpolant's.  Otherwise a run samples the ends of
+its accepted steps.
 
 A run stops at the first event of any stop kind: its last sample is the
 event's state, and the events the same step holds after it are dropped.
@@ -285,14 +286,26 @@ _AA3_1 = 0.003112622984346139
 # module's namespace once per evaluation, so wrapping it counts them.
 
 
-def _stages(y: Vec, h: float, f1x: float, f1y: float):
-    """The eighth-order state and the accelerations of stages 2 to 12 of
-    one step of size h from y = (x, v), (f1x, f1y) being the acceleration
-    at x: (y8, f2x, f2y, ..., f12x, f12y).
+def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
+           abs_v: float, rel_tol: float):
+    """One trial step of size h from y = (x, v), whose first stage (f1x,
+    f1y), the acceleration at x, is already known: (y8, ks, ratio), y8
+    being the eighth-order state, ks the stages' accelerations (f1x, f1y,
+    ..., f13x, f13y), stage 13 the FSAL stage (the acceleration at y8), and
+    ratio Hairer's combined error norm r5^2 / sqrt(r5^2 + 0.01 * r3^2)
+    (Solving ODEs I, II.10) in the max norm: r5 and r3 are the largest
+    |error| / (abs_tol + rel_tol * max(|y|, |y8|)) over the components of
+    the E5 and E3 errors, abs_tol being abs_q for the positions and abs_v
+    for the velocities.  It is computed as r5 / sqrt(1 + 0.01 *
+    (r3/r5)^2), which does not overflow where r5^2 would, and is 0 where
+    r5 is.
 
     Stage i is the acceleration at x + c_i*h*v + h^2 * sum_m (A.A)_im k_m;
     the eighth-order state is (x + h*v + h^2 * sum_m (b.A)_m k_m,
-    v + h * sum_m b_m k_m).  The sums run left to right.
+    v + h * sum_m b_m k_m).  A position error is h^2 * sum_m (E.A)_m k_m
+    (sum E = 0, so no velocity term), a velocity error h * sum_m E_m k_m.
+    The sums run left to right.  A step with a non-finite error, y8
+    component or FSAL stage has ratio inf.
     """
     y0, y1, y2, y3 = y
     p0, p1, hh = h * y2, h * y3, h * h
@@ -402,41 +415,15 @@ def _stages(y: Vec, h: float, f1x: float, f1y: float):
     r = r * r * r
     f12y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f12x = -8.0 * x / r
-    y8 = (
-        y0 + p0 + hh * (_BA1 * f1x + _BA6 * f6x + _BA7 * f7x + _BA8 * f8x
-                        + _BA9 * f9x + _BA10 * f10x + _BA11 * f11x),
-        y1 + p1 + hh * (_BA1 * f1y + _BA6 * f6y + _BA7 * f7y + _BA8 * f8y
-                        + _BA9 * f9y + _BA10 * f10y + _BA11 * f11y),
-        y2 + h * (_B1 * f1x + _B6 * f6x + _B7 * f7x + _B8 * f8x + _B9 * f9x
-                  + _B10 * f10x + _B11 * f11x + _B12 * f12x),
-        y3 + h * (_B1 * f1y + _B6 * f6y + _B7 * f7y + _B8 * f8y + _B9 * f9y
-                  + _B10 * f10y + _B11 * f11y + _B12 * f12y),
-    )
-    return (y8, f2x, f2y, f3x, f3y, f4x, f4y, f5x, f5y, f6x, f6y, f7x, f7y,
-            f8x, f8y, f9x, f9y, f10x, f10y, f11x, f11y, f12x, f12y)
-
-
-def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
-           abs_v: float, rel_tol: float):
-    """One trial step of size h from y, whose first stage (f1x, f1y) is
-    already known: (y8, ks, ratio), ks being the stages' accelerations
-    (f1x, f1y, ..., f13x, f13y), stage 13 the FSAL stage (the acceleration
-    at y8), and ratio Hairer's combined error norm
-    r5^2 / sqrt(r5^2 + 0.01 * r3^2) (Solving ODEs I, II.10) in the max
-    norm: r5 and r3 are the largest |error| / (abs_tol + rel_tol *
-    max(|y|, |y8|)) over the components of the E5 and E3 errors, abs_tol
-    being abs_q for the positions and abs_v for the velocities.  It is
-    computed as r5 / sqrt(1 + 0.01 * (r3/r5)^2), which does not overflow
-    where r5^2 would, and is 0 where r5 is.
-
-    A position error is h^2 * sum_m (E.A)_m k_m (sum E = 0, so no velocity
-    term), a velocity error h * sum_m E_m k_m.  A step with a non-finite
-    error, y8 component or FSAL stage has ratio inf.
-    """
-    (y8, f2x, f2y, f3x, f3y, f4x, f4y, f5x, f5y, f6x, f6y, f7x, f7y, f8x,
-     f8y, f9x, f9y, f10x, f10y, f11x, f11y, f12x, f12y) = _stages(
-        y, h, f1x, f1y)
-    z0, z1, z2, z3 = y8
+    z0 = y0 + p0 + hh * (_BA1 * f1x + _BA6 * f6x + _BA7 * f7x + _BA8 * f8x
+                         + _BA9 * f9x + _BA10 * f10x + _BA11 * f11x)
+    z1 = y1 + p1 + hh * (_BA1 * f1y + _BA6 * f6y + _BA7 * f7y + _BA8 * f8y
+                         + _BA9 * f9y + _BA10 * f10y + _BA11 * f11y)
+    z2 = y2 + h * (_B1 * f1x + _B6 * f6x + _B7 * f7x + _B8 * f8x + _B9 * f9x
+                   + _B10 * f10x + _B11 * f11x + _B12 * f12x)
+    z3 = y3 + h * (_B1 * f1y + _B6 * f6y + _B7 * f7y + _B8 * f8y + _B9 * f9y
+                   + _B10 * f10y + _B11 * f11y + _B12 * f12y)
+    y8 = (z0, z1, z2, z3)
     if z1 <= 0.0:
         _check_upper(z1)
     r = hypot(z0, z1)
@@ -446,7 +433,6 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
     ks = (f1x, f1y, f2x, f2y, f3x, f3y, f4x, f4y, f5x, f5y, f6x, f6y, f7x,
           f7y, f8x, f8y, f9x, f9y, f10x, f10y, f11x, f11y, f12x, f12y, f13x,
           f13y)
-    hh = h * h
     e5_0 = hh * (_E5A_1 * f1x + _E5A_4 * f4x + _E5A_5 * f5x + _E5A_6 * f6x
                  + _E5A_7 * f7x + _E5A_8 * f8x + _E5A_9 * f9x + _E5A_10 * f10x
                  + _E5A_11 * f11x)
@@ -499,7 +485,6 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
             and z0 < inf and z1 < inf and z2 < inf and z3 < inf
             and -inf < f13x < inf and -inf < f13y < inf):
         return y8, ks, inf
-    y0, y1, y2, y3 = y
     # the largest quotients, each component's scale shared by both
     if y0 < 0.0:
         y0 = -y0
@@ -537,26 +522,17 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
     return y8, ks, r5 / math.sqrt(1.0 + 0.01 * (q * q))
 
 
-def _advance(y: Vec, h: float, f1x: float, f1y: float) -> Vec:
-    """The eighth-order state one step of size h > 0 from y: the state of a
-    located event.  Nothing steps on from it, so its FSAL stage is not
-    evaluated; the guard stands in for the y > 0 check that evaluation
-    would make."""
-    y8 = _stages(y, h, f1x, f1y)[0]
-    _check_upper(y8[1])
-    return y8
-
-
 def _dense_output(y: Vec, y8: Vec, ks, h: float) -> Callable[[float], Vec]:
     """The continuous extension of the step of size h from y to y8 with
     stage accelerations ks = (f1x, f1y, ..., f13x, f13y) (DOP853's CONTD8,
     Solving ODEs I, II.10):
     tau in [0, h] -> the seventh-order state at the step's start time +
     tau, y + s*(dy + s1*(b + s*(c + s1*(d4 + s*(d5 + s1*(d6 + s*d7))))))
-    with s = tau/h and s1 = 1 - s.  It evaluates the field at its own
-    stages 14 to 16.  dy, b and c are the cubic Hermite terms of the
-    step's ends; a velocity's d_n is h * sum_m Dn_m k_m, a position's h^2 *
-    sum_m (Dn.A)_m k_m (the sum of each D row is 0, so no velocity term)."""
+    with s = tau/h and s1 = 1 - s: the state of each requested sample and
+    located event in the step.  It evaluates the field at its own stages 14
+    to 16.  dy, b and c are the cubic Hermite terms of the step's ends; a
+    velocity's d_n is h * sum_m Dn_m k_m, a position's h^2 * sum_m
+    (Dn.A)_m k_m (the sum of each D row is 0, so no velocity term)."""
     (f1x, f1y, _, _, _, _, _, _, _, _, f6x, f6y, f7x, f7y, f8x, f8y, f9x, f9y,
      f10x, f10y, f11x, f11y, f12x, f12y, f13x, f13y) = ks
     y0, y1, v0, v1 = y
@@ -757,25 +733,28 @@ def _brent(
 
 
 def _locate(
-    f, at, t0: float, y0: Vec, f1x: float, f1y: float, h: float,
-    r0: float, r1: float, event_tol: float,
+    f, at, t0: float, h: float, r0: float, r1: float, event_tol: float,
 ) -> tuple[float, Vec]:
     """The time and state of the sign change of residual f over the step of
-    size h from (t0, y0), f being r0 at its start and r1, of the opposite
-    sign and nonzero, at its end.  `_brent` locates it on the step's
-    interpolant `at`, to the midpoint of a bracket within event_tol (or to
-    a probe where f is 0); r1 is the residual of the eighth-order state,
-    not of at(h), which can round away from it.  Its budget is n^2, n
-    bounding the probes in which bisection would halve the step to
-    event_tol (Brent 1973, ch. 4), read off their exponents so that no
-    quotient overflows.  The located state is one eighth-order step from
-    (t0, y0)."""
+    size h from t0, f being r0 at its start and r1, of the opposite sign
+    and nonzero, at its end.  `_brent` locates it on the step's interpolant
+    `at`, to the midpoint of a bracket within event_tol (or to a probe
+    where f is 0); r1 is the residual of the eighth-order state, not of
+    at(h), which can round away from it.  Its budget is n^2, n bounding the
+    probes in which bisection would halve the step to event_tol (Brent
+    1973, ch. 4), read off their exponents so that no quotient overflows.
+    The located state is the interpolant's at the located time t, read at
+    t - t0 as a requested sample is; no stage has checked it, so it raises
+    DomainError off the half plane y > 0."""
     n = math.frexp(h)[1] - math.frexp(event_tol)[1] + 3
     tau, r, other = _brent(lambda tau: f(at(tau)), 0.0, h, r0, r1, 0.0,
                            0.5 * event_tol, n * n)
     if r != 0.0:
         tau = 0.5 * (tau + other)
-    return t0 + tau, _advance(y0, tau, f1x, f1y)
+    t = t0 + tau
+    y = at(t - t0)
+    _check_upper(y[1])
+    return t, y
 
 
 class _Run:
@@ -932,8 +911,8 @@ class _Run:
                         continue
                     if at is None:
                         at = _dense_output(y0, y8, ks, h)
-                    found.append((*_locate(f, at, t0, y0, f1x, f1y, h, r0,
-                                           r1, event_tol), kind))
+                    found.append((*_locate(f, at, t0, h, r0, r1,
+                                           event_tol), kind))
             if found is not None:
                 if len(found) > 1:
                     found.sort(key=lambda item: item[0])

@@ -58,15 +58,18 @@ COARSE_REL_TOL = 1e-6
 COARSE = IntegratorSettings(rel_tol=COARSE_REL_TOL, abs_tol=1e-8,
                             h_max=0.1 * 10 ** 0.5)
 # |alpha_j| at or below which the brake search's classification at
-# COARSE_REL_TOL is repeated at the given settings.  Over 7,500 seeded
-# launches on [0.05, 3.4] at E = -1 (k <= 5), alpha_k at the coarse
+# COARSE_REL_TOL is repeated at the given settings.  Over seeded samples of
+# 7,500 launches on [0.05, 3.4] at E = -1 (k <= 5), alpha_k at the coarse
 # stage's settings and at the default ones differ by a median 3.9e-6 and a
-# 99th percentile 2.2e-4, but by up to 8.4e-3, 1.2 times less (k = 5 at
-# h = 0.49; the next largest at k = 4 from h above 3.3, whose runs pass
-# within 0.02 of the nucleus).  Capped at the default h_max instead, the
-# coarse stage differed by up to 7.8e-3; uncapped, by 0.27 once (k = 4 at
-# h = 3.3565)
-CLASSIFY_MARGIN = 1e-2
+# 99th percentile 2.2e-4, but by up to 0.19: k = 4 from h near 3.33, whose
+# runs pass within 0.025 of the nucleus (0.18 at h = 3.3306, 0.19 at
+# 3.3340), and 2.4e-2 at k = 5 from h = 0.375.  The margin is over twice
+# the largest, and below 0.854, the smallest |alpha_j| that classification
+# compares on the default bracket, so the default search classifies once.
+# Capped at the default h_max instead, the coarse stage differs by at most
+# 3.5e-4 at those three heights; uncapped, by 0.27 once (k = 4 at h =
+# 3.3565)
+CLASSIFY_MARGIN = 0.5
 # iteration budget of each stage of the orbit search
 MAX_ITER = 200
 # largest rest count that classification tries
@@ -406,10 +409,12 @@ def find_brake_orbit(
     When k is not given it is chosen as classify_reflection_count chooses
     it, but at the settings of the search's first stage: the coarse ones
     when `settings` are finer than COARSE_REL_TOL.  Only the signs of the
-    alphas compared matter, and the coarse alphas are off by less than
-    CLASSIFY_MARGIN (see there); so if any |alpha_j| compared, at either
-    end, is at or below CLASSIFY_MARGIN (in E = -1 units), classification
-    is repeated at `settings`, which then decides k.  The search starts
+    alphas compared matter, and the coarse alphas measured are off by at
+    most 0.19, under half of CLASSIFY_MARGIN (see there); so if any
+    |alpha_j| compared, at either end, is at or below CLASSIFY_MARGIN (in
+    E = -1 units), classification is repeated at `settings`, which then
+    decides k.  On the default bracket it is not: the smallest |alpha_j|
+    compared there is 0.854.  The search starts
     from the runs that classification stopped at the k-th rest (see
     _find_orbit).  A bracket classified as k = 1 holds the simple orbit
     and raises BadBracket."""

@@ -14,7 +14,6 @@ from langmuir_lab.errors import BadBracket, DomainError, StepUnderflow
 from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
-    _advance,
     _build_trajectory,
     _Run,
     _trial,
@@ -280,9 +279,9 @@ class TestStopRule:
     def test_watching_costs_only_event_location(self, field_calls, probes,
                                                 h):
         # no residual evaluates the field: watching every kind leaves the
-        # steps alone, and each located event costs the eleven stages of the
-        # step that gives its state, plus the three stages of each
-        # interpolant built for location alone (the run requests no sample)
+        # steps alone, and located events cost the three stages of each
+        # interpolant built for location alone (the run requests no
+        # sample), which also gives their states
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=h))
         st = IntegratorSettings(t_limit=8.0)
         kinds = set(EventKind) - {EventKind.TIME_LIMIT}
@@ -295,8 +294,7 @@ class TestStopRule:
         assert free.events == watched.events[-1:]
         located = len(watched.events) - 1
         assert 0 < n_interpolants <= located
-        assert (n_watched - field_calls[0]
-                == 11 * located + 3 * n_interpolants)
+        assert n_watched - field_calls[0] == 3 * n_interpolants
 
 
 def _first_order(accel):
@@ -340,22 +338,6 @@ def _trial_bits(trial, y, h, a):
     return [v.hex() for v in (*y8, *ks, ratio)]
 
 
-def _advance_bits(y, h, reference):
-    """The state of one event-locating step on the planar field, by the
-    kernel's `_advance` or by the tableau loop, as float.hex strings, or the
-    error it raised."""
-    try:
-        k1 = dyn.acceleration(y[0], y[1])
-        if reference:
-            y8 = nystrom_reference_step(dyn.acceleration, y, h, k1)[0]
-            dyn._check_upper(y8[1])
-        else:
-            y8 = _advance(y, h, *k1)
-    except (ArithmeticError, DomainError) as exc:
-        return repr(exc)
-    return [v.hex() for v in y8]
-
-
 def _decades(lo, hi):
     """Floats of either sign whose magnitude is 10**e, e uniform on
     [lo, hi]."""
@@ -384,13 +366,11 @@ _STEPS = dict(
 @example(x=0.0, y=2.0, vx=-0.0, vy=-0.0, h=0.1, a=1.0)
 def test_unrolled_step_matches_the_tableau_loop(x, y, vx, vy, h, a):
     # the kernel's trial step, every stage acceleration it evaluates in
-    # place included, and the event-locating _advance against the generic
-    # Nystrom loop over the exact products of the tableau on
-    # `dynamics.acceleration`, bit for bit
+    # place included, against the generic Nystrom loop over the exact
+    # products of the tableau on `dynamics.acceleration`, bit for bit
     state = (x, y, vx, vy)
     assert (_trial_bits(_kernel_trial, state, h, a)
             == _trial_bits(_reference_trial, state, h, a))
-    assert _advance_bits(state, h, False) == _advance_bits(state, h, True)
 
 
 def _dense_bits(y, h, tau, reference):
@@ -759,9 +739,9 @@ def _hexes(v):
 @given(**launches)
 def test_requested_samples_agree_with_an_eighth_order_step(E, u):
     # 10 equally spaced requests inside every step of a free run, each read
-    # from the step's interpolant, against one eighth-order step from the
-    # step's start to the same time, relative to the step's largest
-    # component; requests do not change the steps
+    # from the step's interpolant, against one eighth-order step of the
+    # tableau loop from the step's start to the same time, relative to the
+    # step's largest component; requests do not change the steps
     st_ = IntegratorSettings()
     s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
     stop = {EventKind.X_VELOCITY_ZERO}
@@ -774,40 +754,58 @@ def test_requested_samples_agree_with_an_eighth_order_step(E, u):
     for start, times in spans:
         k1 = dyn.acceleration(start.x, start.y)
         for t in times:
-            want = _advance(_vec(start), t - start.t, *k1)
+            want = nystrom_reference_step(dyn.acceleration, _vec(start),
+                                          t - start.t, k1)[0]
             err = max(abs(a - b) for a, b in zip(_vec(by_t[t]), want))
             assert err <= 100 * st_.rel_tol * max(map(abs, want))
+
+
+def _assert_event_states_are_interpolated(s0, **kw):
+    """Integrate from s0 and check each event state against its step:
+    it is the step's interpolant at the event time, read at t_ev - t0 from
+    the step's start t0, bit for bit, and it agrees with one eighth-order
+    step of the tableau loop from the step's start to the event time,
+    relative to the largest component.  Returns the trajectory."""
+    built = {}
+    real = integrator._dense_output
+
+    def recording(y, y8, ks, h):
+        built[_hexes(y)] = (y, y8, ks, h)
+        return real(y, y8, ks, h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_dense_output", recording)
+        traj = integrate(s0, **kw)
+    rel_tol = IntegratorSettings().rel_tol
+    assert traj.events
+    for ev in traj.events:
+        start = [s for s in traj.samples if s.t < ev.t][-1]
+        y, got = _vec(start), _vec(ev.state)
+        at = real(*built[_hexes(y)])
+        assert _hexes(at(ev.t - start.t)) == _hexes(got)
+        want = nystrom_reference_step(dyn.acceleration, y, ev.t - start.t,
+                                      dyn.acceleration(y[0], y[1]))[0]
+        err = max(abs(a - b) for a, b in zip(got, want))
+        assert err <= 100 * rel_tol * max(map(abs, want))
+    return traj
 
 
 @settings(max_examples=10, deadline=None)
 @given(**launches)
 @example(E=-1.0, u=0.5)  # a magical-line crossing after the rest, same step
-def test_event_state_is_one_eighth_order_step(E, u):
-    # each event state is the output of one _advance, from the start of its
-    # step to the event time, and the Nystrom reference step reproduces it
-    # bit for bit (events located past the stop event in the last step make
-    # calls that no event keeps)
-    calls = {}
-
-    def recording(y, h, f1x, f1y):
-        out = _advance(y, h, f1x, f1y)
-        calls.setdefault(_hexes(out), []).append((y, h))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrator, "_advance", recording)
-        s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
-        traj = integrate(s0, watch={EventKind.MAGICAL_LINE_CROSS},
-                         stop={EventKind.X_VELOCITY_ZERO})
+def test_event_state_is_its_steps_interpolant(E, u):
+    s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
+    traj = _assert_event_states_are_interpolated(
+        s0, watch={EventKind.MAGICAL_LINE_CROSS},
+        stop={EventKind.X_VELOCITY_ZERO})
     assert traj.termination is EventKind.X_VELOCITY_ZERO
-    for ev in traj.events:
-        [(y, tau)] = calls[_hexes(_vec(ev.state))]
-        start = [s for s in traj.samples if s.t < ev.t][-1]
-        assert _hexes(y) == _hexes(_vec(start))
-        assert start.t + tau == ev.t
-        ref = nystrom_reference_step(dyn.acceleration, y, tau,
-                                     dyn.acceleration(y[0], y[1]))[0]
-        assert _hexes(ref) == _hexes(_vec(ev.state))
+
+
+def test_collision_state_is_its_steps_interpolant():
+    # the straight fall onto the nucleus, stopped at collision proximity
+    traj = _assert_event_states_are_interpolated(
+        State(t=0.0, x=0.0, y=2.0, vx=0.0, vy=0.0))
+    assert traj.termination is EventKind.COLLISION_PROXIMITY
 
 
 def _record_locations(mp):
@@ -816,8 +814,8 @@ def _record_locations(mp):
     located = []
     real = integrator._locate
 
-    def recording(f, at, t0, y0, f1x, f1y, h, r0, r1, event_tol):
-        t_ev, y_ev = real(f, at, t0, y0, f1x, f1y, h, r0, r1, event_tol)
+    def recording(f, at, t0, h, r0, r1, event_tol):
+        t_ev, y_ev = real(f, at, t0, h, r0, r1, event_tol)
         located.append((f, at, t0, h, r0, event_tol, t_ev))
         return t_ev, y_ev
 
@@ -877,15 +875,13 @@ def test_collision_is_located_as_bisection_locates_it():
 
 
 def test_event_state_off_the_half_plane_raises():
-    # _advance skips the FSAL field evaluation that would have rejected a
-    # state with y <= 0, so it checks that itself: from this state every
-    # stage of the step of 0.4 stays in y > 0, and its eighth-order state
-    # does not
-    y = (0.65, 0.35, 1.05, -1.41)
-    k1 = dyn.acceleration(y[0], y[1])
-    assert integrator._stages(y, 0.4, *k1)[0][1] < 0.0
-    with pytest.raises(DomainError):
-        _advance(y, 0.4, *k1)
+    # no stage evaluates a located state, so _locate checks y > 0 itself:
+    # on this interpolant vx changes sign at tau = 0.5, where y is -0.25
+    def at(tau):
+        return (0.0, 0.25 - tau, 0.5 - tau, 0.0)
+
+    with pytest.raises(DomainError, match="y must be positive"):
+        integrator._locate(lambda y: y[2], at, 0.0, 1.0, 0.5, -0.5, 1e-12)
 
 
 def _state_bits(s):
@@ -1048,41 +1044,42 @@ def _rejected_bracket(bracket):
 # row is stale or the count no longer sees the field (a kernel that bound
 # `hypot` at import would count its launches alone).
 @pytest.mark.parametrize("run, count", [
-    (lambda: shooting.shoot(-1.0, 1.398), 401),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 19_922),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 2_442),
+    (lambda: shooting.shoot(-1.0, 1.398), 379),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 18_899),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 2_332),
     # classification at the coarse stage's tolerance, the coarse stage and
     # the polish
-    (lambda: shooting.find_brake_orbit(-1.0), 11_213),
+    (lambda: shooting.find_brake_orbit(-1.0), 10_862),
     # one run per bracket end, to its 3rd rest at the given settings:
-    # 1,891 + 1,639
-    (lambda: shooting.classify_reflection_count(-1.0), 3_530),
+    # 1,858 + 1,606
+    (lambda: shooting.classify_reflection_count(-1.0), 3_464),
     # a bracket no rest count separates: each end runs once, to 8 rests
-    (lambda: _rejected_bracket((0.3, 0.3)), 11_554),
+    (lambda: _rejected_bracket((0.3, 0.3)), 11_378),
     # its step capped only by its span of 50; the interpolants of its early
     # requests for inverted_concavity's differences cost 63 of these
     (lambda: analysis.check_zero_energy_monotone(analysis.zero_energy_run()),
      1_414),
     # the 50-launch default grid, launched as scan_alpha launches it
-    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 19_922),
+    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 18_899),
     # the whole suite: the grid checks reduce that one scan, and
     # zero_energy_monotone and inverted_concavity the zero-energy run
-    (lambda: analysis.run_all_checks(), 22_336),
+    (lambda: analysis.run_all_checks(), 21_313),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
         IntegratorSettings(t_limit=8.0),
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
-    ), 2_341),
-    (lambda: _find_orbit_command("langmuir"), 2_875),
-    (lambda: _find_orbit_command("brake"), 13_503),
+    ), 2_209),
+    (lambda: _find_orbit_command("langmuir"), 2_765),
+    (lambda: _find_orbit_command("brake"), 13_152),
     # far from E = -1 the searches read their knobs in E = -1 units, so
     # they do E = -1's work, up to the rounding of the rescaled knobs and
-    # heights (at E = -0.001 it costs the brake search 12 evaluations)
-    (lambda: shooting.find_langmuir_orbit(-1000.0), 2_442),
-    (lambda: shooting.find_langmuir_orbit(-0.001), 2_442),
-    (lambda: shooting.find_brake_orbit(-1000.0), 11_213),
-    (lambda: shooting.find_brake_orbit(-0.001), 11_225),
+    # heights (the brake search takes 12 evaluations fewer at either than
+    # at E = -1)
+    (lambda: shooting.find_langmuir_orbit(-1000.0), 2_332),
+    (lambda: shooting.find_langmuir_orbit(-0.001), 2_332),
+    (lambda: shooting.find_brake_orbit(-1000.0), 10_850),
+    (lambda: shooting.find_brake_orbit(-0.001), 10_850),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
         "classify_reflection_count", "classify_rejected_bracket",
         "check_zero_energy_monotone", "check_magical_prefix",
@@ -1104,10 +1101,10 @@ def test_field_evaluations_follow_from_the_step_loop(field_calls,
                                                      monkeypatch, run):
     # an outside count of what the step loop calls, against the field
     # evaluations observed where they happen: a trial step evaluates 12
-    # stages (11 and the FSAL stage), a located event's step 11, an
-    # interpolant 3, and a launch 1 (its first stage)
-    calls = {"_trial": 0, "_advance": 0, "_dense_output": 0, "launch": 0}
-    for name in ("_trial", "_advance", "_dense_output"):
+    # stages (11 and the FSAL stage), an interpolant 3, and a launch 1 (its
+    # first stage); a located event evaluates none
+    calls = {"_trial": 0, "_dense_output": 0, "launch": 0}
+    for name in ("_trial", "_dense_output"):
         def count(*args, _name=name, _real=getattr(integrator, name)):
             calls[_name] += 1
             return _real(*args)
@@ -1122,7 +1119,7 @@ def test_field_evaluations_follow_from_the_step_loop(field_calls,
     monkeypatch.setattr(integrator, "_Run", CountingRun)
     run()
     assert calls["_trial"] > 0
-    assert field_calls[0] == (12 * calls["_trial"] + 11 * calls["_advance"]
+    assert field_calls[0] == (12 * calls["_trial"]
                               + 3 * calls["_dense_output"] + calls["launch"])
 
 
@@ -1172,16 +1169,17 @@ def probes(monkeypatch):
     return calls
 
 
-# Interpolant probes at E = -1, pinned exactly as the field evaluations
-# above.  None of these runs requests samples, so every probe locates an
-# event.  The orbit searches' coarse steps are longer than their steps at
-# the given settings, so locating an event on them takes a few more probes;
-# a probe costs no field evaluation.
+# Interpolant reads at E = -1, pinned exactly as the field evaluations
+# above.  None of these runs requests samples, so every read is a probe
+# that locates an event or, one per located event, that event's state.
+# The orbit searches' coarse steps are longer than their steps at the
+# given settings, so locating an event on them takes a few more probes; a
+# read costs no field evaluation.
 @pytest.mark.parametrize("run, count", [
-    (lambda: shooting.shoot(-1.0, 1.398), 8),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 403),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 41),
-    (lambda: shooting.find_brake_orbit(-1.0), 152),
+    (lambda: shooting.shoot(-1.0, 1.398), 10),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 496),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 50),
+    (lambda: shooting.find_brake_orbit(-1.0), 186),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit"])
 def test_location_probes_do_not_grow(probes, run, count):
     run()

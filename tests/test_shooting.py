@@ -433,13 +433,17 @@ class TestBrakeClassification:
         # CLASSIFY_MARGIN; so alpha_k there and at the default settings
         # (k <= 5) may differ by less than the margin, and do, over 60
         # seeded launches on [0.05, 3.4] at E = -1 (largest 5.1e-4) and at
-        # h = 3.35651..., a launch of a larger seeded sample that passes
-        # 0.02 from the nucleus (1.5e-4), where a coarse stage without a
-        # step cap is off by 0.27 in alpha_4.  The coarse stage runs at
-        # these settings whatever the given ones (see the next test)
+        # launches of larger seeded samples with the largest differences:
+        # h = 0.37494... (2.4e-2 in alpha_5), h = 3.33062... and 3.33402...
+        # (0.18 and 0.19 in alpha_4; the latter passes 0.025 from the
+        # nucleus), and h = 3.35651..., which passes 0.02 from it (1.5e-4),
+        # where a coarse stage without a step cap is off by 0.27 in
+        # alpha_4.  The coarse stage runs at these settings whatever the
+        # given ones (see the next test)
         coarse = shooting._coarse(IntegratorSettings())
         heights = [rng.uniform(0.05, 3.4) for _ in range(60)]
-        for h in heights + [3.3565107859155803]:
+        for h in heights + [0.37494581732371746, 3.330620329714371,
+                            3.334024910547552, 3.3565107859155803]:
             full = shooting._rests(-1.0, h, IntegratorSettings())
             want = [shooting._alpha(shooting._next_rest(full, k))
                     for k in range(1, 6)]
