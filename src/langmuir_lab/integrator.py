@@ -23,8 +23,10 @@ Only where a residual changes sign does it locate the change on the
 interpolant, by the Brent-Dekker routine the orbit search also uses, from
 the residual's values at the step's ends; the state of a located event is
 the interpolant's at the located time, so locating costs no field
-evaluation beyond the interpolant's.  Otherwise a run samples the ends of
-its accepted steps.
+evaluation beyond the interpolant's.  A located x-rest is then moved to
+the rest itself by one first-order step (`_at_rest`, one field
+evaluation), so that its vy, the shooting functional alpha, is read where
+vx is 0.  Otherwise a run samples the ends of its accepted steps.
 
 A run stops at the first event of any stop kind: its last sample is the
 event's state, and the events the same step holds after it are dropped.
@@ -757,6 +759,24 @@ def _locate(
     return t, y
 
 
+def _at_rest(t: float, y: Vec) -> tuple[float, Vec]:
+    """The located x-rest (t, y) moved to the rest by one first-order step
+    of dt = -vx/ax, with a = (ax, ay) the field at y: (t + dt, (x + vx*dt
+    + ax*dt^2/2, y + vy*dt + ay*dt^2/2, vx + ax*dt, vy + ay*dt)).  A
+    located state lies up to event_tol/2 in time from the rest, so its vx
+    is off zero, and its vy off alpha by (ay/ax)*vx, which is large near
+    the collision line; after the step both errors are second order in
+    vx/ax.  It costs one field evaluation; on the axis x = 0, where ax is
+    0, dt is 0."""
+    q0, q1, v0, v1 = y
+    ax, ay = dynamics.acceleration(q0, q1)
+    dt = -v0 / ax if ax else 0.0
+    h = 0.5 * dt
+    q1 += (v1 + h * ay) * dt
+    _check_upper(q1)
+    return t + dt, (q0 + (v0 + h * ax) * dt, q1, v0 + ax * dt, v1 + ay * dt)
+
+
 class _Run:
     """One adaptive integration of the planar field from s0, launched at
     the energy level E (None: at none); collects samples and events.  The
@@ -812,6 +832,7 @@ class _Run:
         settings, E = self.settings, self.E
         energy_fn = dynamics.energy_vec
         stop, samples, events = self.stop, self.samples, self.events
+        rest = EventKind.X_VELOCITY_ZERO
         t, y = samples[0]
         a = (min(-1.0 / E, MAX_SCALE_RATIO * math.hypot(y[0], y[1])) if E
              else 1.0)
@@ -911,8 +932,10 @@ class _Run:
                         continue
                     if at is None:
                         at = _dense_output(y0, y8, ks, h)
-                    found.append((*_locate(f, at, t0, h, r0, r1,
-                                           event_tol), kind))
+                    t_ev, y_ev = _locate(f, at, t0, h, r0, r1, event_tol)
+                    if kind is rest:
+                        t_ev, y_ev = _at_rest(t_ev, y_ev)
+                    found.append((t_ev, y_ev, kind))
             if found is not None:
                 if len(found) > 1:
                     found.sort(key=lambda item: item[0])

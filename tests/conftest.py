@@ -4,7 +4,8 @@ The fixed-step classical RK4 propagator below is deliberately independent
 of the package's adaptive integrator: it hard-codes the vector field and
 the Runge-Kutta arithmetic so that agreement between the two is a real
 cross-check, not a tautology.  It also steps the circle-inverted chart
-below, which the package does not integrate.
+below, which the package does not integrate.  The Taylor-series integrator
+after it is the high-precision oracle of the shooting functional.
 """
 
 from __future__ import annotations
@@ -57,6 +58,104 @@ def rk4_fixed(x, y, vx, vy, t_end, dt, accel=None):
         vy += dt * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
         t += dt
     return x, y, vx, vy
+
+
+# A Taylor-series integrator of the planar field, in plain floats: the
+# high-precision oracle of the shooting functional.  It shares no arithmetic
+# with the package's Runge-Kutta pair, and it reproduces the 25-digit table
+# of tests/test_shooting.py to within 1e-13.
+TAYLOR_ORDER = 24
+
+
+def _taylor_series(x0, y0, vx0, vy0):
+    """The Taylor coefficients (x_n, y_n), n <= TAYLOR_ORDER + 1, of the
+    planar motion from the state, x(t) = sum x_n t^n, by the recurrences of
+    automatic differentiation: x'' = -8 x u and y'' = -8 y u + w with
+    u = s^(-3/2), s = x^2 + y^2, and w = y^(-2).  s is a Cauchy product,
+    and u and w follow from the power rule: for g = f^p,
+    g_n = sum_{j<n} (p (n - j) - j) f_{n-j} g_j / (n f_0) (Knuth, TAOCP
+    vol. 2, 4.7)."""
+    x, y = [x0, vx0], [y0, vy0]
+    s, u, w = [], [], []
+    for n in range(TAYLOR_ORDER):
+        s.append(math.fsum(x[j] * x[n - j] + y[j] * y[n - j]
+                           for j in range(n + 1)))
+        if n == 0:
+            u.append(s[0] ** -1.5)
+            w.append(1.0 / (y0 * y0))
+        else:
+            u.append(math.fsum((-1.5 * (n - j) - j) * s[n - j] * u[j]
+                               for j in range(n)) / (n * s[0]))
+            w.append(math.fsum((-2.0 * (n - j) - j) * y[n - j] * w[j]
+                               for j in range(n)) / (n * y0))
+        xu = math.fsum(x[j] * u[n - j] for j in range(n + 1))
+        yu = math.fsum(y[j] * u[n - j] for j in range(n + 1))
+        d = (n + 1) * (n + 2)
+        x.append(-8.0 * xu / d)
+        y.append((-8.0 * yu + w[n]) / d)
+    return x, y
+
+
+def _taylor_eval(c, tau, derivative=0):
+    """The series c, or its first or second derivative, at tau (Horner)."""
+    out = 0.0
+    for n in range(len(c) - 1, derivative - 1, -1):
+        factor = n if derivative == 1 else n * (n - 1) if derivative else 1
+        out = out * tau + factor * c[n]
+    return out
+
+
+def taylor_rest(E, h, k, max_steps=100_000):
+    """The time and state (x, y, vx, vy) of the k-th x-rest of the
+    horizontal launch from (0, h) at energy E < 0, by the Taylor series of
+    order TAYLOR_ORDER.  It integrates the launch rescaled to E = -1 and
+    scales back.  Each step's size is Jorba and Zou's (Exp. Math. 14
+    (2005) 99): rho / e^2 * exp(-0.7 / (p - 1)), rho the smaller of
+    |c_m|^(-1/m) at m = p - 1 and p = TAYLOR_ORDER, |c_m| the largest
+    order-m coefficient of the state.  A rest is a sign change of vx over a
+    step, located by Newton's method on the step's vx polynomial."""
+    a = -1.0 / E
+    u = 7.0 / (2.0 * h / a) - 1.0
+    if not u > 0.0:
+        raise ValueError(f"no launch speed at E={E}, h={h}")
+    t, state, rests = 0.0, (0.0, h / a, 2.0 * math.sqrt(u), 0.0), 0
+    p = TAYLOR_ORDER
+    for _ in range(max_steps):
+        x, y = _taylor_series(*state)
+
+        def norm(m):
+            return max(abs(x[m]), abs(y[m]), abs((m + 1) * x[m + 1]),
+                       abs((m + 1) * y[m + 1]))
+
+        rho = min(norm(p - 1) ** (-1.0 / (p - 1)), norm(p) ** (-1.0 / p))
+        step = rho / math.e ** 2 * math.exp(-0.7 / (p - 1))
+        vx0, vx1 = state[2], _taylor_eval(x, step, 1)
+        if (vx0 > 0.0) != (vx1 > 0.0):
+            rests += 1
+            if rests == k:
+                tau = step * vx0 / (vx0 - vx1)
+                for _ in range(50):
+                    d = _taylor_eval(x, tau, 1) / _taylor_eval(x, tau, 2)
+                    tau -= d
+                    if abs(d) <= 1e-16 * step:
+                        break
+                rest = (_taylor_eval(x, tau), _taylor_eval(y, tau),
+                        _taylor_eval(x, tau, 1), _taylor_eval(y, tau, 1))
+                return ((t + tau) * a ** 1.5,
+                        (rest[0] * a, rest[1] * a, rest[2] / math.sqrt(a),
+                         rest[3] / math.sqrt(a)))
+        t += step
+        state = (_taylor_eval(x, step), _taylor_eval(y, step), vx1,
+                 _taylor_eval(y, step, 1))
+        if not state[1] > 0.0:
+            raise ValueError(f"launch at h={h} leaves the half plane y > 0")
+    raise ValueError(f"no rest {k} in {max_steps} steps from h={h}")
+
+
+def taylor_alpha_k(E, h, k):
+    """alpha_k, vy at the k-th x-rest of the launch from (0, h) at energy
+    E, by `taylor_rest`."""
+    return taylor_rest(E, h, k)[1][3]
 
 
 # The circle-inverted chart of the zero-energy analysis, in complex notation

@@ -296,12 +296,14 @@ def test_zero_energy_step_is_capped_where_events_are_located(monkeypatch):
 
 def _rk4_steps(v0, t_end, dt=1e-4):
     """(t, (x, y, vx, vy)) after each step of the conftest RK4 from the
-    state (x, y, vx, vy) v0 to t_end, in equal steps of at most dt."""
+    state (x, y, vx, vy) v0 to t_end, in equal steps of at most dt; the
+    last step's time is t_end itself, which t_end * n / n can miss by an
+    ulp."""
     n = math.ceil(t_end / dt)
     v, out = v0, []
     for i in range(1, n + 1):
         v = rk4_fixed(*v, t_end / n, t_end / n)
-        out.append((t_end * i / n, v))
+        out.append((t_end * i / n if i < n else t_end, v))
     return out
 
 
@@ -418,15 +420,16 @@ def test_reduced_checks_agree_with_the_records_of_integrate(runs, zero_run):
 def test_zero_energy_margin_agrees_with_fixed_step_rk4():
     # over (0, 0.5] r'/t is smallest at the horizon; the fixed-step RK4 of
     # conftest, in steps of 1e-4, reproduces it within 1e-9 (measured
-    # 1.2e-12) and finds no smaller r'/t at any of its steps
+    # 1.2e-12) and finds no smaller r'/t at any of its steps.  The end
+    # state is the checked run's own last sample, at t_end
     t_end = 0.5
-    rep = analysis.check_zero_energy_monotone(analysis.zero_energy_run(t_end))
-    traj = integrate(dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0)),
-                     IntegratorSettings(t_limit=t_end))
-    end = traj.samples[-1]
+    run = analysis.zero_energy_run(t_end)
+    rep = analysis.check_zero_energy_monotone(run)
+    t, end = run.samples[-1]
+    assert t == t_end
     got = rep.details["min_radial_velocity_over_t"]
-    assert got == dyn.radial_velocity(end) / end.t
-    s0 = traj.samples[0]
+    assert got == dyn.radial_velocity(dyn.State(t, *end)) / t
+    s0 = dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0))
     steps = _rk4_steps((s0.x, s0.y, s0.vx, s0.vy), t_end)
     rdot_t = [dyn.radial_velocity(dyn.State(t, *v)) / t for t, v in steps]
     assert abs(rdot_t[-1] - got) <= 1e-9

@@ -49,6 +49,10 @@ from conftest import (
 )
 
 
+# the field, bound before any test wraps `dynamics.acceleration` to count
+_ACCELERATION = dyn.acceleration
+
+
 def shoot_raw(E, h, settings=None, **kw):
     s0 = dyn.initial_state(ProblemSpec(E=E, h=h))
     return integrate(
@@ -281,7 +285,8 @@ class TestStopRule:
         # no residual evaluates the field: watching every kind leaves the
         # steps alone, and located events cost the three stages of each
         # interpolant built for location alone (the run requests no
-        # sample), which also gives their states
+        # sample), which also gives their states, and one evaluation per
+        # x-rest, which moves its state to the rest
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=h))
         st = IntegratorSettings(t_limit=8.0)
         kinds = set(EventKind) - {EventKind.TIME_LIMIT}
@@ -293,8 +298,11 @@ class TestStopRule:
         assert watched.samples == free.samples
         assert free.events == watched.events[-1:]
         located = len(watched.events) - 1
+        rests = sum(1 for ev in watched.events
+                    if ev.kind is EventKind.X_VELOCITY_ZERO)
         assert 0 < n_interpolants <= located
-        assert n_watched - field_calls[0] == 3 * n_interpolants
+        assert rests > 0
+        assert n_watched - field_calls[0] == 3 * n_interpolants + rests
 
 
 def _first_order(accel):
@@ -760,29 +768,58 @@ def test_requested_samples_agree_with_an_eighth_order_step(E, u):
             assert err <= 100 * st_.rel_tol * max(map(abs, want))
 
 
+def _first_order_rest(t, y):
+    """The x-rest (t, y) moved by one first-order step of dt = -vx/ax, the
+    field a = (ax, ay) read at y by `dynamics.acceleration`: q + (v +
+    a*dt/2)*dt and v + a*dt, grouped as `integrator._at_rest` groups them,
+    so that the two agree bit for bit."""
+    ax, ay = dyn.acceleration(y[0], y[1])
+    dt = -y[2] / ax
+    return t + dt, (y[0] + (y[2] + 0.5 * dt * ax) * dt,
+                    y[1] + (y[3] + 0.5 * dt * ay) * dt,
+                    y[2] + ax * dt, y[3] + ay * dt)
+
+
 def _assert_event_states_are_interpolated(s0, **kw):
-    """Integrate from s0 and check each event state against its step:
-    it is the step's interpolant at the event time, read at t_ev - t0 from
-    the step's start t0, bit for bit, and it agrees with one eighth-order
-    step of the tableau loop from the step's start to the event time,
-    relative to the largest component.  Returns the trajectory."""
-    built = {}
-    real = integrator._dense_output
+    """Integrate from s0 and check each event state against its step.  An
+    event's located state is the step's interpolant at the located time,
+    read at t_ev - t0 from the step's start t0, bit for bit; an x-rest's
+    state is that state moved by one first-order step to vx = 0
+    (`_first_order_rest`), also bit for bit, and any other event's is the
+    located state.  Each agrees with one eighth-order step of the tableau
+    loop from the step's start to the event time, relative to the largest
+    component.  Returns the trajectory."""
+    built, moved = {}, {}
+    real, real_rest = integrator._dense_output, integrator._at_rest
 
     def recording(y, y8, ks, h):
         built[_hexes(y)] = (y, y8, ks, h)
         return real(y, y8, ks, h)
 
+    def recording_rest(t, y):
+        out = real_rest(t, y)
+        moved[_hexes((out[0], *out[1]))] = (t, y)
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_dense_output", recording)
+        mp.setattr(integrator, "_at_rest", recording_rest)
         traj = integrate(s0, **kw)
     rel_tol = IntegratorSettings().rel_tol
     assert traj.events
     for ev in traj.events:
-        start = [s for s in traj.samples if s.t < ev.t][-1]
-        y, got = _vec(start), _vec(ev.state)
+        got = _vec(ev.state)
+        t_loc, y_loc = ev.t, got
+        if ev.kind is EventKind.X_VELOCITY_ZERO:
+            t_loc, y_loc = moved.pop(_hexes((ev.t, *got)))
+            rest = _first_order_rest(t_loc, y_loc)
+            assert _hexes((rest[0], *rest[1])) == _hexes((ev.t, *got))
+        # the step's start: the last sample before the event, which is not
+        # the stop's own sample at ev.t
+        start = [s for s in traj.samples if s.t < min(t_loc, ev.t)][-1]
+        y = _vec(start)
         at = real(*built[_hexes(y)])
-        assert _hexes(at(ev.t - start.t)) == _hexes(got)
+        assert _hexes(at(t_loc - start.t)) == _hexes(y_loc)
         want = nystrom_reference_step(dyn.acceleration, y, ev.t - start.t,
                                       dyn.acceleration(y[0], y[1]))[0]
         err = max(abs(a - b) for a, b in zip(got, want))
@@ -799,6 +836,32 @@ def test_event_state_is_its_steps_interpolant(E, u):
         s0, watch={EventKind.MAGICAL_LINE_CROSS},
         stop={EventKind.X_VELOCITY_ZERO})
     assert traj.termination is EventKind.X_VELOCITY_ZERO
+
+
+@settings(max_examples=20, deadline=None)
+@given(**launches)
+def test_a_rest_is_moved_to_vx_zero(E, u):
+    # the first three x-rests of a free run: each reported state's |vx| is
+    # far below its located state's, which lies up to event_tol/2 in time
+    # from the rest (the first-order step leaves a second-order residue,
+    # and rounding)
+    located = []
+    real = integrator._at_rest
+
+    def recording(t, y):
+        located.append(y[2])
+        return real(t, y)
+
+    s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_at_rest", recording)
+        traj = integrate(s0, IntegratorSettings(t_limit=8.0 / (-E) ** 1.5),
+                         watch={EventKind.X_VELOCITY_ZERO})
+    rests = [ev.state.vx for ev in traj.events
+             if ev.kind is EventKind.X_VELOCITY_ZERO][:3]
+    assert rests and len(located) >= len(rests)
+    for vx, vx_located in zip(rests, located):
+        assert abs(vx) <= 1e-9 * abs(vx_located)
 
 
 def test_collision_state_is_its_steps_interpolant():
@@ -942,9 +1005,25 @@ def test_each_requested_time_is_sampled_once(E, u, fractions, with_step_ends):
 def test_request_at_the_time_limit_is_sampled_when_the_run_stops_short():
     # a step that ends within H_MIN of the time limit ends the run at it:
     # its end sample, the step's eighth-order state, is the sample at
-    # exactly t_limit, and answers a request there with no sample of its own
+    # exactly t_limit, and answers a request there with no sample of its own.
+    # `last` is the latest step end up to t = 0.5 of a run to a later limit
+    # that the run reached at the controller's first trial from the step
+    # before, so a run to last.t + H_MIN / 2 makes the same trials up to it.
+    # After a rejected trial it would not: the shorter limit caps the first
+    # trial from there, and the step ends at the limit by another path
     s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.0))
-    last = integrate(s0, IntegratorSettings(t_limit=0.5)).samples[-2]
+    starts = []
+    real = integrator._trial
+
+    def recording(y, *args):
+        starts.append(_hexes(y))
+        return real(y, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_trial", recording)
+        later = integrate(s0, IntegratorSettings(t_limit=1.0)).samples
+    last = [s for s, prev in zip(later[1:], later)
+            if s.t <= 0.5 and starts.count(_hexes(_vec(prev))) == 1][-1]
     t_limit = last.t + 0.5 * integrator.H_MIN
     assert t_limit != last.t
     free = integrate(s0, IntegratorSettings(t_limit=t_limit))
@@ -1044,42 +1123,42 @@ def _rejected_bracket(bracket):
 # row is stale or the count no longer sees the field (a kernel that bound
 # `hypot` at import would count its launches alone).
 @pytest.mark.parametrize("run, count", [
-    (lambda: shooting.shoot(-1.0, 1.398), 379),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 18_899),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 2_332),
+    (lambda: shooting.shoot(-1.0, 1.398), 380),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 18_949),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 2_342),
     # classification at the coarse stage's tolerance, the coarse stage and
     # the polish
-    (lambda: shooting.find_brake_orbit(-1.0), 10_862),
+    (lambda: shooting.find_brake_orbit(-1.0), 10_883),
     # one run per bracket end, to its 3rd rest at the given settings:
-    # 1,858 + 1,606
-    (lambda: shooting.classify_reflection_count(-1.0), 3_464),
+    # 1,861 + 1,609
+    (lambda: shooting.classify_reflection_count(-1.0), 3_470),
     # a bracket no rest count separates: each end runs once, to 8 rests
-    (lambda: _rejected_bracket((0.3, 0.3)), 11_378),
+    (lambda: _rejected_bracket((0.3, 0.3)), 11_394),
     # its step capped only by its span of 50; the interpolants of its early
     # requests for inverted_concavity's differences cost 63 of these
     (lambda: analysis.check_zero_energy_monotone(analysis.zero_energy_run()),
      1_414),
     # the 50-launch default grid, launched as scan_alpha launches it
-    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 18_899),
+    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 18_949),
     # the whole suite: the grid checks reduce that one scan, and
     # zero_energy_monotone and inverted_concavity the zero-energy run
-    (lambda: analysis.run_all_checks(), 21_313),
+    (lambda: analysis.run_all_checks(), 21_363),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
         IntegratorSettings(t_limit=8.0),
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
-    ), 2_209),
-    (lambda: _find_orbit_command("langmuir"), 2_765),
-    (lambda: _find_orbit_command("brake"), 13_152),
+    ), 2_213),
+    (lambda: _find_orbit_command("langmuir"), 2_775),
+    (lambda: _find_orbit_command("brake"), 13_173),
     # far from E = -1 the searches read their knobs in E = -1 units, so
     # they do E = -1's work, up to the rounding of the rescaled knobs and
-    # heights (the brake search takes 12 evaluations fewer at either than
-    # at E = -1)
-    (lambda: shooting.find_langmuir_orbit(-1000.0), 2_332),
-    (lambda: shooting.find_langmuir_orbit(-0.001), 2_332),
-    (lambda: shooting.find_brake_orbit(-1000.0), 10_850),
-    (lambda: shooting.find_brake_orbit(-0.001), 10_850),
+    # heights (the brake search takes 12 evaluations more at E = -1000
+    # than at E = -1 and -0.001)
+    (lambda: shooting.find_langmuir_orbit(-1000.0), 2_342),
+    (lambda: shooting.find_langmuir_orbit(-0.001), 2_342),
+    (lambda: shooting.find_brake_orbit(-1000.0), 10_895),
+    (lambda: shooting.find_brake_orbit(-0.001), 10_883),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
         "classify_reflection_count", "classify_rejected_bracket",
         "check_zero_energy_monotone", "check_magical_prefix",
@@ -1101,10 +1180,43 @@ def test_field_evaluations_follow_from_the_step_loop(field_calls,
                                                      monkeypatch, run):
     # an outside count of what the step loop calls, against the field
     # evaluations observed where they happen: a trial step evaluates 12
-    # stages (11 and the FSAL stage), an interpolant 3, and a launch 1 (its
-    # first stage); a located event evaluates none
-    calls = {"_trial": 0, "_dense_output": 0, "launch": 0}
-    for name in ("_trial", "_dense_output"):
+    # stages (11 and the FSAL stage), an interpolant 3, a launch 1 (its
+    # first stage) and a located x-rest 1 (its first-order step); a located
+    # event's state costs none.  A trial that a stage off the half plane
+    # cuts short evaluates the stages before that one, counted on the
+    # tableau loop, which gives the kernel's stages bit for bit
+    # (test_unrolled_step_matches_the_tableau_loop): stages 2 to 12 there,
+    # and the FSAL stage at its eighth-order position
+    calls = {"_trial": 0, "cut": 0, "cut_stages": 0, "_dense_output": 0,
+             "_at_rest": 0, "launch": 0}
+
+    def stages_before_the_half_plane(y, h, f1x, f1y, *_):
+        n = [0]
+
+        def accel(x, q):
+            out = _ACCELERATION(x, q)
+            n[0] += 1
+            return out
+
+        try:
+            y8 = nystrom_reference_step(accel, y, h, (f1x, f1y))[0]
+        except DomainError:
+            return n[0]
+        assert y8[1] <= 0.0  # the kernel raised at the FSAL stage
+        return n[0]
+
+    def trial(*args, _real=integrator._trial):
+        try:
+            out = _real(*args)
+        except DomainError:
+            calls["cut"] += 1
+            calls["cut_stages"] += stages_before_the_half_plane(*args)
+            raise
+        calls["_trial"] += 1
+        return out
+
+    monkeypatch.setattr(integrator, "_trial", trial)
+    for name in ("_dense_output", "_at_rest"):
         def count(*args, _name=name, _real=getattr(integrator, name)):
             calls[_name] += 1
             return _real(*args)
@@ -1119,8 +1231,9 @@ def test_field_evaluations_follow_from_the_step_loop(field_calls,
     monkeypatch.setattr(integrator, "_Run", CountingRun)
     run()
     assert calls["_trial"] > 0
-    assert field_calls[0] == (12 * calls["_trial"]
-                              + 3 * calls["_dense_output"] + calls["launch"])
+    assert field_calls[0] == (12 * calls["_trial"] + calls["cut_stages"]
+                              + 3 * calls["_dense_output"]
+                              + calls["_at_rest"] + calls["launch"])
 
 
 def test_the_suite_builds_no_records(monkeypatch):
@@ -1179,7 +1292,7 @@ def probes(monkeypatch):
     (lambda: shooting.shoot(-1.0, 1.398), 10),
     (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 496),
     (lambda: shooting.find_langmuir_orbit(-1.0), 50),
-    (lambda: shooting.find_brake_orbit(-1.0), 186),
+    (lambda: shooting.find_brake_orbit(-1.0), 183),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit"])
 def test_location_probes_do_not_grow(probes, run, count):
     run()

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -23,16 +24,24 @@ from langmuir_lab.integrator import (
     integrate,
 )
 
-from conftest import launches, rest_cuts, rk4_fixed, trajectory_bits
+from conftest import (
+    launches,
+    rest_cuts,
+    rk4_fixed,
+    taylor_alpha_k,
+    taylor_rest,
+    trajectory_bits,
+)
 
 # Reference values at E = -1 that owe nothing to this integrator: a
 # 25-digit Taylor-series integration (mpmath 1.3.0's odefun).  The zeros of
-# alpha and alpha_3, the quarter period, and alpha at the ends of
-# DEFAULT_BRACKET and alpha_3 at those of DEFAULT_BRAKE_BRACKET, keyed by
-# (h, k).
+# alpha and alpha_3, the quarter period, the time of the brake orbit's
+# third x-rest, and alpha at the ends of DEFAULT_BRACKET and alpha_3 at
+# those of DEFAULT_BRAKE_BRACKET, keyed by (h, k).
 H_STAR_E1 = 1.4070602237456081289
 T_QUARTER_E1 = 1.0619636445200052397
 H_STAR_BRAKE = 0.33125533690417354682
+T_REST_BRAKE = 5.1940972800492526947
 BRACKET_END_ALPHAS = {
     (0.5, 1): 2.63291920512661,
     (3.0, 1): -1.82706130327770,
@@ -41,18 +50,31 @@ BRACKET_END_ALPHAS = {
 }
 # Tolerances.  ALPHA_ERR bounds the integration error of alpha_k at the
 # default settings: a search that stops at |alpha_k| <= ALPHA_TOL is only
-# that good if the error is well below ALPHA_TOL, and the bracket ends
-# check the bound (their errors are 1.5e-13 to 3.4e-10).  So a root the
+# that good if the error is well below ALPHA_TOL.  The error scales with
+# rel_tol (abs_tol at most rel_tol / 100, as the CLI's --tol sets it): the
+# worst bracket-end error over h_max in {0.05, 0.1, 0.2}, against the
+# table above and the Taylor oracle of conftest, is 16.7, 13.3, 12.0 and
+# 6.0 x rel_tol at rel_tol 1e-10, 1e-11, 1e-12 and 1e-13 (each time
+# alpha_3(0.3), whose third rest lies at y = 0.016), so the bound is
+# ALPHA_ERR_RATIO = 35, over twice the largest, times rel_tol.  A root the
 # search returns is off the true one by at most (ALPHA_TOL + ALPHA_ERR) /
 # |dalpha_k/dh| to first order; |dalpha/dh| at h* is 3.62 and
 # |dalpha_3/dh| at the brake h* is 47.3 (central differences), of which
 # the bounds take 3.5 and 45.  T moves with h* at dT/dh = 0.603 (taken as
 # 0.65), plus its own error: the rest time's vx error, at most ALPHA_ERR,
 # over |ax| = 3.06 there (taken as 3).
-ALPHA_ERR = 0.1 * shooting.ALPHA_TOL
-H_STAR_TOL = (shooting.ALPHA_TOL + ALPHA_ERR) / 3.5  # 3.1e-9
-H_STAR_BRAKE_TOL = (shooting.ALPHA_TOL + ALPHA_ERR) / 45.0  # 2.4e-10
-T_QUARTER_TOL = 0.65 * H_STAR_TOL + ALPHA_ERR / 3.0  # 2.4e-9
+ALPHA_ERR_RATIO = 35.0
+ALPHA_ERR = ALPHA_ERR_RATIO * IntegratorSettings().rel_tol  # 3.5e-9
+H_STAR_TOL = (shooting.ALPHA_TOL + ALPHA_ERR) / 3.5  # 3.9e-9
+H_STAR_BRAKE_TOL = (shooting.ALPHA_TOL + ALPHA_ERR) / 45.0  # 3.0e-10
+T_QUARTER_TOL = 0.65 * H_STAR_TOL + ALPHA_ERR / 3.0  # 3.7e-9
+
+
+def _settings_at(rel_tol):
+    """The default settings at rel_tol, with abs_tol as the CLI's --tol
+    sets it: at most rel_tol / 100."""
+    return IntegratorSettings(rel_tol=rel_tol, abs_tol=min(1e-12,
+                                                           rel_tol * 1e-2))
 
 
 class TestShoot:
@@ -113,6 +135,17 @@ class TestShoot:
         alpha = shooting.alpha_k(-1.0, h, k)
         assert abs(alpha - BRACKET_END_ALPHAS[h, k]) <= ALPHA_ERR
 
+    @pytest.mark.parametrize("rel_tol", [1e-11, 1e-12, 1e-13])
+    @pytest.mark.parametrize("h, k", list(BRACKET_END_ALPHAS))
+    def test_bracket_end_alphas_follow_the_tolerance(self, h, k, rel_tol):
+        # alpha is read at the rest itself, not at the located time up to
+        # event_tol/2 away, so its error falls with rel_tol below the
+        # event tolerance of 1e-12 (at 1e-12, read at the located time,
+        # alpha_3(0.3) was off by -7.5e-10; moved to the rest, by -8.6e-12)
+        alpha = shooting.alpha_k(-1.0, h, k, _settings_at(rel_tol))
+        err = alpha - BRACKET_END_ALPHAS[h, k]
+        assert abs(err) <= ALPHA_ERR_RATIO * rel_tol
+
     def test_alpha_k_rejects_bad_count(self):
         with pytest.raises(ValueError):
             shooting.alpha_k(-1.0, 1.0, 0)
@@ -123,6 +156,53 @@ class TestShoot:
         with pytest.raises(NoRest) as exc:
             shooting.shoot(-1.0, 1.398, IntegratorSettings(t_limit=0.5))
         assert (exc.value.k, exc.value.termination) == (1, "TimeLimit")
+
+
+def _secant(f, a, b):
+    """A zero of f by secant steps from a and b, to a step of 1e-15."""
+    fa, fb = f(a), f(b)
+    for _ in range(20):
+        a, fa, b = b, fb, b - fb * (b - a) / (fb - fa)
+        fb = f(b)
+        if abs(b - a) <= 1e-15:
+            return b
+    raise AssertionError(f"no zero near {b}")
+
+
+class TestTaylorOracle:
+    """conftest's Taylor-series integrator, an oracle in plain floats that
+    shares no arithmetic with the package, against the 25-digit table, and
+    the package against it where the table has no value."""
+
+    @pytest.mark.parametrize("h, k", list(BRACKET_END_ALPHAS))
+    def test_reproduces_the_bracket_end_alphas(self, h, k):
+        assert abs(taylor_alpha_k(-1.0, h, k)
+                   - BRACKET_END_ALPHAS[h, k]) <= 1e-13
+
+    @pytest.mark.parametrize("k, h_star, t_rest, guess", [
+        (1, H_STAR_E1, T_QUARTER_E1, (1.40, 1.41)),
+        (3, H_STAR_BRAKE, T_REST_BRAKE, (0.331, 0.332)),
+    ], ids=["langmuir", "brake"])
+    def test_reproduces_the_orbits(self, k, h_star, t_rest, guess):
+        root = _secant(lambda h: taylor_alpha_k(-1.0, h, k), *guess)
+        assert abs(root - h_star) <= 1e-13
+        assert abs(taylor_rest(-1.0, root, k)[0] - t_rest) <= 1e-13
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-11, 1e-12, 1e-13])
+    def test_the_scan_agrees_with_it(self, rel_tol):
+        # alpha on the whole default grid, none of whose heights the table
+        # holds, within the same budget as the bracket ends
+        grid = shooting.default_grid()
+        rows = shooting.scan_alpha(-1.0, grid, _settings_at(rel_tol))
+        assert [r.status for r in rows] == ["ok"] * len(grid)
+        for row, want in zip(rows, _taylor_grid()):
+            assert abs(row.alpha - want) <= ALPHA_ERR_RATIO * rel_tol
+
+
+@functools.cache
+def _taylor_grid():
+    """alpha by the Taylor oracle over the default grid at E = -1."""
+    return tuple(taylor_alpha_k(-1.0, h, 1) for h in shooting.default_grid())
 
 
 class TestLangmuirOrbit:
