@@ -12,7 +12,10 @@ trial-step kernel computes the twelve stages, the FSAL stage and the error
 norm that accepts or rejects the step, Hairer's combination of the fifth-
 and third-order estimates; a step whose error, state or FSAL stage is not
 finite, or whose stage leaves the half plane y > 0, is rejected, so the
-step size shrinks until it underflows.  Inside an accepted step, states
+step size shrinks until it underflows.  A run's first trial step is its
+`h_max`: a rejection shrinks a step at once, where growth is at most
+fivefold per step, so a run that started short would climb for several
+steps.  Inside an accepted step, states
 come from the step's continuous extension (the CONTD8 of `dop853`, ibid.,
 II.10), a seventh-order interpolant that takes three field evaluations of
 its own, so it is built only for a step that reads from it.  Requested
@@ -41,8 +44,8 @@ The problem is scale-invariant (`dynamics.scale_state`), so a run launched
 at an energy level E < 0 reads its knobs in the units of the scale a = -1/E,
 where E is -1, or of MAX_SCALE_RATIO times the launch's distance from the
 nucleus when that is less (E near 0): `abs_tol` x a for positions and x
-a^-1/2 for velocities; `h_max`, `t_limit`, the first trial step, H_MIN and
-the event time tolerance x a^3/2; COLLISION_DISTANCE x a.  An a^3/2 out of
+a^-1/2 for velocities; `h_max`, `t_limit`, H_MIN and the event time
+tolerance x a^3/2; COLLISION_DISTANCE x a.  An a^3/2 out of
 the floating-point range raises DomainError.  At E = 0, and in `integrate`,
 whose states carry no energy level, a = 1.
 
@@ -840,8 +843,8 @@ class _Run:
         a15 = a * sqrt_a  # a^3/2, the unit of time
         rel_tol = settings.rel_tol
         abs_q, abs_v = settings.abs_tol * a, settings.abs_tol / sqrt_a
-        h_first, h_max, h_min, t_limit = (
-            v * a15 for v in (1e-3, settings.h_max, H_MIN, settings.t_limit))
+        h_max, h_min, t_limit = (
+            v * a15 for v in (settings.h_max, H_MIN, settings.t_limit))
         if not (0.0 < h_min and max(h_max, t_limit) < math.inf):
             raise DomainError(f"time unit {a15} out of range at E={E}")
         event_tol = min(1e-12, rel_tol) * a15
@@ -877,7 +880,7 @@ class _Run:
                 f"collision line: the field there is out of the "
                 f"floating-point range") from None
         res = [f(y) for _, _, f in residuals]
-        h = min(h_max, h_first)
+        h = h_max
         err_old = 1.0
         # the rejection's and the PI controller's exponents (ibid., II.4)
         shrink_expo = -1.0 / ORDER

@@ -60,15 +60,16 @@ COARSE = IntegratorSettings(rel_tol=COARSE_REL_TOL, abs_tol=1e-8,
 # |alpha_j| at or below which the brake search's classification at
 # COARSE_REL_TOL is repeated at the given settings.  Over seeded samples of
 # 7,500 launches on [0.05, 3.4] at E = -1 (k <= 5), alpha_k at the coarse
-# stage's settings and at the default ones differ by a median 3.9e-6 and a
-# 99th percentile 2.2e-4, but by up to 0.19: k = 4 from h near 3.33, whose
-# runs pass within 0.025 of the nucleus (0.18 at h = 3.3306, 0.19 at
-# 3.3340), and 2.4e-2 at k = 5 from h = 0.375.  The margin is over twice
-# the largest, and below 0.854, the smallest |alpha_j| that classification
-# compares on the default bracket, so the default search classifies once.
-# Capped at the default h_max instead, the coarse stage differs by at most
-# 3.5e-4 at those three heights; uncapped, by 0.27 once (k = 4 at h =
-# 3.3565)
+# stage's settings and at the default ones differ by a median 9.2e-7 and a
+# 99th percentile 1.1e-4, and by up to 9.4e-3 (k = 4 from h = 3.3906).
+# The margin was set when runs started at a trial step of 1e-3 (in E = -1
+# time units) rather than at h_max: then they differed by up to 0.19, at
+# k = 4 from h near 3.33, whose runs pass within 0.025 of the nucleus
+# (0.18 at h = 3.3306, 0.19 at 3.3340), and by 2.4e-2 at k = 5 from h =
+# 0.375; at those heights they now differ by at most 4.1e-5.  The margin
+# is over twice the largest of either, and below 0.854, the smallest
+# |alpha_j| that classification compares on the default bracket, so the
+# default search classifies once
 CLASSIFY_MARGIN = 0.5
 # iteration budget of each stage of the orbit search
 MAX_ITER = 200
@@ -410,7 +411,7 @@ def find_brake_orbit(
     it, but at the settings of the search's first stage: the coarse ones
     when `settings` are finer than COARSE_REL_TOL.  Only the signs of the
     alphas compared matter, and the coarse alphas measured are off by at
-    most 0.19, under half of CLASSIFY_MARGIN (see there); so if any
+    most 9.4e-3, far under half of CLASSIFY_MARGIN (see there); so if any
     |alpha_j| compared, at either end, is at or below CLASSIFY_MARGIN (in
     E = -1 units), classification is repeated at `settings`, which then
     decides k.  On the default bracket it is not: the smallest |alpha_j|

@@ -1123,42 +1123,41 @@ def _rejected_bracket(bracket):
 # row is stale or the count no longer sees the field (a kernel that bound
 # `hypot` at import would count its launches alone).
 @pytest.mark.parametrize("run, count", [
-    (lambda: shooting.shoot(-1.0, 1.398), 380),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 18_949),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 2_342),
+    (lambda: shooting.shoot(-1.0, 1.398), 272),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 15_836),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 1_490),
     # classification at the coarse stage's tolerance, the coarse stage and
     # the polish
-    (lambda: shooting.find_brake_orbit(-1.0), 10_883),
+    (lambda: shooting.find_brake_orbit(-1.0), 10_560),
     # one run per bracket end, to its 3rd rest at the given settings:
-    # 1,861 + 1,609
-    (lambda: shooting.classify_reflection_count(-1.0), 3_470),
+    # 1,861 + 1,585
+    (lambda: shooting.classify_reflection_count(-1.0), 3_446),
     # a bracket no rest count separates: each end runs once, to 8 rests
     (lambda: _rejected_bracket((0.3, 0.3)), 11_394),
     # its step capped only by its span of 50; the interpolants of its early
-    # requests for inverted_concavity's differences cost 63 of these
+    # requests for inverted_concavity's differences cost 45 of these
     (lambda: analysis.check_zero_energy_monotone(analysis.zero_energy_run()),
-     1_414),
+     1_321),
     # the 50-launch default grid, launched as scan_alpha launches it
-    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 18_949),
+    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 15_836),
     # the whole suite: the grid checks reduce that one scan, and
     # zero_energy_monotone and inverted_concavity the zero-energy run
-    (lambda: analysis.run_all_checks(), 21_363),
+    (lambda: analysis.run_all_checks(), 18_157),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
         IntegratorSettings(t_limit=8.0),
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
-    ), 2_213),
-    (lambda: _find_orbit_command("langmuir"), 2_775),
-    (lambda: _find_orbit_command("brake"), 13_173),
+    ), 2_141),
+    (lambda: _find_orbit_command("langmuir"), 1_830),
+    (lambda: _find_orbit_command("brake"), 12_868),
     # far from E = -1 the searches read their knobs in E = -1 units, so
     # they do E = -1's work, up to the rounding of the rescaled knobs and
-    # heights (the brake search takes 12 evaluations more at E = -1000
-    # than at E = -1 and -0.001)
-    (lambda: shooting.find_langmuir_orbit(-1000.0), 2_342),
-    (lambda: shooting.find_langmuir_orbit(-0.001), 2_342),
-    (lambda: shooting.find_brake_orbit(-1000.0), 10_895),
-    (lambda: shooting.find_brake_orbit(-0.001), 10_883),
+    # heights (here none: all three take the same count)
+    (lambda: shooting.find_langmuir_orbit(-1000.0), 1_490),
+    (lambda: shooting.find_langmuir_orbit(-0.001), 1_490),
+    (lambda: shooting.find_brake_orbit(-1000.0), 10_560),
+    (lambda: shooting.find_brake_orbit(-0.001), 10_560),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
         "classify_reflection_count", "classify_rejected_bracket",
         "check_zero_energy_monotone", "check_magical_prefix",
@@ -1257,7 +1256,7 @@ def test_the_suite_builds_no_records(monkeypatch):
         counting(module, "_vec_to_state")
     counting(dyn, "energy_vec")
     analysis.run_all_checks()
-    assert calls == {"_vec_to_state": 0, "energy_vec": 1_623}
+    assert calls == {"_vec_to_state": 0, "energy_vec": 1_320}
 
 
 @pytest.fixture
@@ -1290,9 +1289,9 @@ def probes(monkeypatch):
 # read costs no field evaluation.
 @pytest.mark.parametrize("run, count", [
     (lambda: shooting.shoot(-1.0, 1.398), 10),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 496),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 501),
     (lambda: shooting.find_langmuir_orbit(-1.0), 50),
-    (lambda: shooting.find_brake_orbit(-1.0), 183),
+    (lambda: shooting.find_brake_orbit(-1.0), 178),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit"])
 def test_location_probes_do_not_grow(probes, run, count):
     run()

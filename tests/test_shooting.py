@@ -512,14 +512,15 @@ class TestBrakeClassification:
         # and runs again at the given settings once an |alpha_j| is within
         # CLASSIFY_MARGIN; so alpha_k there and at the default settings
         # (k <= 5) may differ by less than the margin, and do, over 60
-        # seeded launches on [0.05, 3.4] at E = -1 (largest 5.1e-4) and at
-        # launches of larger seeded samples with the largest differences:
-        # h = 0.37494... (2.4e-2 in alpha_5), h = 3.33062... and 3.33402...
-        # (0.18 and 0.19 in alpha_4; the latter passes 0.025 from the
-        # nucleus), and h = 3.35651..., which passes 0.02 from it (1.5e-4),
-        # where a coarse stage without a step cap is off by 0.27 in
-        # alpha_4.  The coarse stage runs at these settings whatever the
-        # given ones (see the next test)
+        # seeded launches on [0.05, 3.4] at E = -1 (largest 1.8e-4) and at
+        # the launches of larger seeded samples with the largest differences
+        # when runs started at a trial step of 1e-3: h = 0.37494... (2.4e-2
+        # in alpha_5 then), h = 3.33062... and 3.33402... (0.18 and 0.19 in
+        # alpha_4 then; the latter passes 0.025 from the nucleus), and
+        # h = 3.35651..., which passes 0.02 from it, where a coarse stage
+        # without a step cap was off by 0.27 in alpha_4; started at h_max,
+        # they differ by at most 5.6e-5.  The coarse stage runs at these
+        # settings whatever the given ones (see the next test)
         coarse = shooting._coarse(IntegratorSettings())
         heights = [rng.uniform(0.05, 3.4) for _ in range(60)]
         for h in heights + [0.37494581732371746, 3.330620329714371,
