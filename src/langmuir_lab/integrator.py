@@ -15,10 +15,10 @@ finite, or whose stage leaves the half plane y > 0, is rejected, so the
 step size shrinks until it underflows.  A run's first trial step is its
 `h_max`: a rejection shrinks a step at once, where growth is at most
 fivefold per step, so a run that started short would climb for several
-steps.  Inside an accepted step, states
-come from the step's continuous extension (the CONTD8 of `dop853`, ibid.,
-II.10), a seventh-order interpolant that takes three field evaluations of
-its own, so it is built only for a step that reads from it.  Requested
+steps.  Inside an accepted step, states come from the step's continuous
+extension (the CONTD8 of `dop853`, ibid., II.10), a seventh-order
+interpolant that takes three field evaluations of its own, so it is built
+only for a step that reads from it.  Requested
 `sample_times` are read from it, so requests never change the step
 sequence, nor the drift: the step loop evaluates each residual and the
 energy once per accepted step, and the energy of no requested sample.
@@ -45,8 +45,8 @@ at an energy level E < 0 reads its knobs in the units of the scale a = -1/E,
 where E is -1, or of MAX_SCALE_RATIO times the launch's distance from the
 nucleus when that is less (E near 0): `abs_tol` x a for positions and x
 a^-1/2 for velocities; `h_max`, `t_limit`, H_MIN and the event time
-tolerance x a^3/2; COLLISION_DISTANCE x a.  An a^3/2 out of
-the floating-point range raises DomainError.  At E = 0, and in `integrate`,
+tolerance x a^3/2; COLLISION_DISTANCE x a.  An a^3/2 out of the
+floating-point range raises DomainError.  At E = 0, and in `integrate`,
 whose states carry no energy level, a = 1.
 
 The kernel integrates one field, the planar one: each stage evaluates its

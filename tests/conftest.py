@@ -65,6 +65,7 @@ def rk4_fixed(x, y, vx, vy, t_end, dt, accel=None):
 # with the package's Runge-Kutta pair, and it reproduces the 25-digit table
 # of tests/test_shooting.py to within 1e-13.
 TAYLOR_ORDER = 24
+TAYLOR_MAX_STEPS = 100_000
 
 
 def _taylor_series(x0, y0, vx0, vy0):
@@ -105,7 +106,7 @@ def _taylor_eval(c, tau, derivative=0):
     return out
 
 
-def taylor_rest(E, h, k, max_steps=100_000):
+def taylor_rest(E, h, k):
     """The time and state (x, y, vx, vy) of the k-th x-rest of the
     horizontal launch from (0, h) at energy E < 0, by the Taylor series of
     order TAYLOR_ORDER.  It integrates the launch rescaled to E = -1 and
@@ -120,7 +121,7 @@ def taylor_rest(E, h, k, max_steps=100_000):
         raise ValueError(f"no launch speed at E={E}, h={h}")
     t, state, rests = 0.0, (0.0, h / a, 2.0 * math.sqrt(u), 0.0), 0
     p = TAYLOR_ORDER
-    for _ in range(max_steps):
+    for _ in range(TAYLOR_MAX_STEPS):
         x, y = _taylor_series(*state)
 
         def norm(m):
@@ -149,7 +150,7 @@ def taylor_rest(E, h, k, max_steps=100_000):
                  _taylor_eval(y, step, 1))
         if not state[1] > 0.0:
             raise ValueError(f"launch at h={h} leaves the half plane y > 0")
-    raise ValueError(f"no rest {k} in {max_steps} steps from h={h}")
+    raise ValueError(f"no rest {k} in {TAYLOR_MAX_STEPS} steps from h={h}")
 
 
 def taylor_alpha_k(E, h, k):
