@@ -69,8 +69,6 @@ def _settings(args, config: dict) -> IntegratorSettings:
     values = dict(config)
     if getattr(args, "tol", None) is not None:
         values["rel_tol"] = args.tol
-        abs_tol = values.get("abs_tol", IntegratorSettings().abs_tol)
-        values["abs_tol"] = min(abs_tol, args.tol * 1e-2)
     if getattr(args, "t_limit", None) is not None:
         values["t_limit"] = args.t_limit
     return IntegratorSettings(**values)

@@ -95,7 +95,8 @@ class State(_Record):
 
 
 class ProblemSpec(_Record):
-    """Energy E <= 0 and launch height h > 0 of the horizontal-launch problem."""
+    """Energy E <= 0 and launch height h > 0 of the horizontal-launch
+    problem, at which the launch speed is positive: h < -3.5/E."""
 
     __slots__ = _fields = ("E", "h")
 
@@ -106,9 +107,9 @@ class ProblemSpec(_Record):
             raise DomainError(f"height must be positive, got {h}")
         if not (E <= 0.0):
             raise DomainError(f"energy must be <= 0, got {E}")
-        if 7.0 / (2.0 * h) + E < 0.0:
+        if not 7.0 / (2.0 * h) + E > 0.0:
             raise DomainError(
-                f"(0, {h}) lies outside the Hill region at E={E}; "
+                f"(0, {h}) is not inside the Hill region at E={E}; "
                 f"admissible heights are (0, {-3.5 / E if E < 0 else math.inf})"
             )
 
@@ -159,10 +160,6 @@ def initial_state(spec: ProblemSpec) -> State:
     """Launch state: at (0, h) moving horizontally to the right with the
     speed that puts the total energy at spec.E exactly."""
     u = 7.0 / (2.0 * spec.h) + spec.E
-    if u <= 0.0:
-        raise DomainError(
-            f"zero or imaginary launch speed at E={spec.E}, h={spec.h}"
-        )
     return State(t=0.0, x=0.0, y=spec.h, vx=2.0 * math.sqrt(u), vy=0.0)
 
 

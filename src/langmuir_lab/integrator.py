@@ -43,11 +43,12 @@ the run to the k-th, bit for bit, and one run gives both.
 The problem is scale-invariant (`dynamics.scale_state`), so a run launched
 at an energy level E < 0 reads its knobs in the units of the scale a = -1/E,
 where E is -1, or of MAX_SCALE_RATIO times the launch's distance from the
-nucleus when that is less (E near 0): `abs_tol` x a for positions and x
-a^-1/2 for velocities; `h_max`, `t_limit`, H_MIN and the event time
-tolerance x a^3/2; COLLISION_DISTANCE x a.  An a^3/2 out of the
-floating-point range raises DomainError.  At E = 0, and in `integrate`,
-whose states carry no energy level, a = 1.
+nucleus when that is less (E near 0): the error norm's absolute floor,
+`rel_tol` x FLOOR_RATIO, x a for positions and x a^-1/2 for velocities;
+`h_max`, `t_limit`, H_MIN and the event time tolerance x a^3/2;
+COLLISION_DISTANCE x a.  An a^3/2 out of the floating-point range raises
+DomainError.  At E = 0, and in `integrate`, whose states carry no energy
+level, a = 1.
 
 The kernel integrates one field, the planar one: each stage evaluates its
 acceleration in place, by the expressions of `dynamics.acceleration` in
@@ -89,21 +90,24 @@ COLLISION_DISTANCE = 1e-6
 # Largest scale of a run over its launch's distance from the nucleus (see
 # the module docstring).
 MAX_SCALE_RATIO = 100.0
+# The error norm's absolute floor over `rel_tol`, in the run's units (see
+# the module docstring), so that `rel_tol` alone sets a run's accuracy.
+FLOOR_RATIO = 1e-2
 # Order of the stepper's solution: a step's error grows as h^(ORDER + 1),
 # so the step controller scales steps by powers of the error over ORDER.
 ORDER = 8
 
 
 class IntegratorSettings(_Record):
-    """`abs_tol`, `h_max` and `t_limit` are in the units of the scale of a
+    """`rel_tol` sets the error norm, whose absolute floor follows it (see
+    FLOOR_RATIO); `h_max` and `t_limit` are in the units of the scale of a
     run launched at an energy level (see the module docstring)."""
 
-    __slots__ = _fields = ("rel_tol", "abs_tol", "h_max", "t_limit")
+    __slots__ = _fields = ("rel_tol", "h_max", "t_limit")
 
-    def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 1e-12,
-                 h_max: float = 0.1, t_limit: float = 100.0):
+    def __init__(self, rel_tol: float = 1e-10, h_max: float = 0.1,
+                 t_limit: float = 100.0):
         _set(self, "rel_tol", rel_tol)
-        _set(self, "abs_tol", abs_tol)
         _set(self, "h_max", h_max)
         _set(self, "t_limit", t_limit)
         for name in self._fields:
@@ -299,8 +303,8 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
     ..., f13x, f13y), stage 13 the FSAL stage (the acceleration at y8), and
     ratio Hairer's combined error norm r5^2 / sqrt(r5^2 + 0.01 * r3^2)
     (Solving ODEs I, II.10) in the max norm: r5 and r3 are the largest
-    |error| / (abs_tol + rel_tol * max(|y|, |y8|)) over the components of
-    the E5 and E3 errors, abs_tol being abs_q for the positions and abs_v
+    |error| / (floor + rel_tol * max(|y|, |y8|)) over the components of
+    the E5 and E3 errors, the floor being abs_q for the positions and abs_v
     for the velocities.  It is computed as r5 / sqrt(1 + 0.01 *
     (r3/r5)^2), which does not overflow where r5^2 would, and is 0 where
     r5 is.
@@ -842,7 +846,8 @@ class _Run:
         sqrt_a = math.sqrt(a)
         a15 = a * sqrt_a  # a^3/2, the unit of time
         rel_tol = settings.rel_tol
-        abs_q, abs_v = settings.abs_tol * a, settings.abs_tol / sqrt_a
+        floor = rel_tol * FLOOR_RATIO
+        abs_q, abs_v = floor * a, floor / sqrt_a
         h_max, h_min, t_limit = (
             v * a15 for v in (settings.h_max, H_MIN, settings.t_limit))
         if not (0.0 < h_min and max(h_max, t_limit) < math.inf):

@@ -282,7 +282,7 @@ def test_zero_energy_step_is_capped_where_events_are_located(monkeypatch):
     # tolerances that span holds (an event's location budget grows with the
     # step); the run requests its evenly spaced times, then the concavity
     # grid's
-    fine = IntegratorSettings(rel_tol=1e-20, abs_tol=1e-22, h_max=0.01)
+    fine = IntegratorSettings(rel_tol=1e-20, h_max=0.01)
     points = analysis.CONCAVITY_POINTS
     settings, times = _zero_energy_run_settings(monkeypatch, 1.0, fine)
     assert settings.h_max == settings.t_limit == 1.0

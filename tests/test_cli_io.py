@@ -49,10 +49,12 @@ class TestSimulate:
         assert "out of range" in capsys.readouterr().err
 
     def test_rejects_inadmissible_height(self, capsys):
-        rc = main(["simulate", "--energy", "-1.0", "--height", "4.0"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "(0, 3.5)" in err
+        # 3.5 = -3.5/E is the rest height, out of the open interval too
+        for height in ("4.0", "3.5"):
+            rc = main(["simulate", "--energy", "-1.0", "--height", height])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "admissible heights are (0, 3.5)" in err
 
     def test_rejects_negative_height(self):
         assert main(["simulate", "--energy", "-1.0", "--height", "-1.0"]) == 2
@@ -441,24 +443,14 @@ class TestConfig:
         rows = output.parse_trajectory_csv(out.read_text())
         assert rows[-1][0] == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("config, tol, abs_tol", [
-        # no config: the default abs_tol, or tol * 1e-2 when that is less
-        (None, 1e-6, IntegratorSettings().abs_tol),
-        (None, 1e-13, 1e-13 * 1e-2),
-        # a config's abs_tol above tol * 1e-2 gives way to it; one below
-        # stays
-        ("abs_tol = 1e-5\n", 1e-6, 1e-6 * 1e-2),
-        ("abs_tol = 1e-9\n", 1e-6, 1e-9),
-    ], ids=["default", "default_capped", "config_capped", "config"])
-    def test_tol_caps_abs_tol(self, tmp_path, config, tol, abs_tol):
-        argv = ["verify", "--tol", repr(tol)]
-        if config is not None:
-            cfg = tmp_path / "settings.cfg"
-            cfg.write_text(config)
-            argv += ["--config", str(cfg)]
-        args = cli._build_parser().parse_args(argv)
+    def test_tol_beats_the_config_rel_tol(self, tmp_path):
+        # --tol sets rel_tol alone; the error norm's floor follows it
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("rel_tol = 1e-3\nh_max = 0.05\n")
+        args = cli._build_parser().parse_args(
+            ["verify", "--tol", "1e-6", "--config", str(cfg)])
         settings = cli._settings(args, cli._read_config(args.config))
-        assert settings == IntegratorSettings(rel_tol=tol, abs_tol=abs_tol)
+        assert settings == IntegratorSettings(rel_tol=1e-6, h_max=0.05)
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(
@@ -491,6 +483,7 @@ class TestConfig:
         "substeps",
         # constants of the integrator, or derived from rel_tol
         "h_min", "y_collision", "r_collision", "event_tol", "brake_speed2",
+        "abs_tol",
     ])
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, key):
         cfg = tmp_path / "settings.cfg"
@@ -506,7 +499,7 @@ class TestConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"unknown config key: {key!r}" in err
-        assert "accepted keys: rel_tol, abs_tol, h_max, t_limit" in err
+        assert "accepted keys: rel_tol, h_max, t_limit" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -571,8 +564,7 @@ def test_invalid_input_exits_2(argv, message, capsys):
     # no alpha_k is 0 to the last bit: the search's Brent-Dekker solves
     # shrink their brackets to rounding
     ("ALPHA_TOL", "|residual| > 0.0"),
-    ("TOUCH_SPEED_TOL", "touch speed"),
-], ids=["alpha", "touch_speed"])
+], ids=["alpha"])
 def test_unconverged_search_exits_4(monkeypatch, capsys, name, message):
     monkeypatch.setattr(shooting, name, 0.0)
     assert main(["find-orbit", "--energy", "-1"]) == cli.EXIT_NO_CONVERGENCE

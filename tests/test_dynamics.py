@@ -138,8 +138,13 @@ class TestInitialState:
         assert s.vx == pytest.approx(2.0 * math.sqrt(3.5), rel=1e-15)
 
     def test_rest_point_rejected(self):
-        with pytest.raises(DomainError):
-            dyn.initial_state(ProblemSpec(E=-1.0, h=3.5))
+        # the launch speed is 0 where 7/(2h) + E is, at h = -3.5/E and at an
+        # infinite h at E = 0: the spec refuses it, as it does any height
+        # outside the open interval (0, -3.5/E)
+        with pytest.raises(DomainError, match=r"are \(0, 3\.5\)"):
+            ProblemSpec(E=-1.0, h=3.5)
+        with pytest.raises(DomainError, match=r"are \(0, inf\)"):
+            ProblemSpec(E=0.0, h=math.inf)
 
     def test_outside_hill_region_rejected(self):
         with pytest.raises(DomainError):

@@ -39,19 +39,18 @@ class ProblemSpec:
             raise DomainError(f"height must be positive, got {self.h}")
         if not (self.E <= 0.0):
             raise DomainError(f"energy must be <= 0, got {self.E}")
-        if 7.0 / (2.0 * self.h) + self.E < 0.0:
-            raise DomainError(f"(0, {self.h}) lies outside the Hill region")
+        if not 7.0 / (2.0 * self.h) + self.E > 0.0:
+            raise DomainError(f"(0, {self.h}) is not inside the Hill region")
 
 
 @dataclass(frozen=True)
 class IntegratorSettings:
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     h_max: float = 0.1
     t_limit: float = 100.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "h_max", "t_limit"):
+        for name in ("rel_tol", "h_max", "t_limit"):
             if not (0.0 < getattr(self, name) < math.inf):
                 raise DomainError(f"{name} must be finite and positive")
         if not self.h_max > integrator.H_MIN:
@@ -117,7 +116,7 @@ CASES = {
     "State": (dynamics.State, State, _STATE),
     "ProblemSpec": (dynamics.ProblemSpec, ProblemSpec, (-1.0, 1.398)),
     "IntegratorSettings": (integrator.IntegratorSettings, IntegratorSettings,
-                           (1e-8, 1e-10, 0.05, 7.5)),
+                           (1e-8, 0.05, 7.5)),
     "Event": (integrator.Event, Event, (_KIND, 0.5, "state")),
     "Trajectory": (integrator.Trajectory, Trajectory,
                    (("state", "state"), (), 1e-12, _KIND)),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from langmuir_lab import dynamics as dyn
-from langmuir_lab import output, shooting
+from langmuir_lab import integrator, output, shooting
 from langmuir_lab.cli import main
 from langmuir_lab.errors import (
     BadBracket,
@@ -51,14 +51,13 @@ BRACKET_END_ALPHAS = {
 # Tolerances.  ALPHA_ERR bounds the integration error of alpha_k at the
 # default settings: a search that stops at |alpha_k| <= ALPHA_TOL is only
 # that good if the error is well below ALPHA_TOL.  The error scales with
-# rel_tol (abs_tol at most rel_tol / 100, as the CLI's --tol sets it): the
-# worst bracket-end error over h_max in {0.05, 0.1, 0.2}, against the
-# table above and the Taylor oracle of conftest, is 16.7, 13.3, 12.0 and
-# 6.0 x rel_tol at rel_tol 1e-10, 1e-11, 1e-12 and 1e-13 (each time
-# alpha_3(0.3), whose third rest lies at y = 0.016), so the bound is
-# ALPHA_ERR_RATIO = 35, over twice the largest, times rel_tol.  A root the
-# search returns is off the true one by at most (ALPHA_TOL + ALPHA_ERR) /
-# |dalpha_k/dh| to first order; |dalpha/dh| at h* is 3.62 and
+# rel_tol (the error norm's floor follows it): the worst bracket-end error
+# over h_max in {0.05, 0.1, 0.2}, against the table above and the Taylor
+# oracle of conftest, is 25.2, 22.6, 21.4, 15.1, 12.9 and 10.7 x rel_tol
+# at rel_tol 1e-8 to 1e-13 (each time alpha_3(0.3), whose third rest lies
+# at y = 0.016), so the bound is ALPHA_ERR_RATIO = 35 times rel_tol.  A
+# root the search returns is off the true one by at most (ALPHA_TOL +
+# ALPHA_ERR) / |dalpha_k/dh| to first order; |dalpha/dh| at h* is 3.62 and
 # |dalpha_3/dh| at the brake h* is 47.3 (central differences), of which
 # the bounds take 3.5 and 45.  T moves with h* at dT/dh = 0.603 (taken as
 # 0.65), plus its own error: the rest time's vx error, at most ALPHA_ERR,
@@ -68,13 +67,6 @@ ALPHA_ERR = ALPHA_ERR_RATIO * IntegratorSettings().rel_tol  # 3.5e-9
 H_STAR_TOL = (shooting.ALPHA_TOL + ALPHA_ERR) / 3.5  # 3.9e-9
 H_STAR_BRAKE_TOL = (shooting.ALPHA_TOL + ALPHA_ERR) / 45.0  # 3.0e-10
 T_QUARTER_TOL = 0.65 * H_STAR_TOL + ALPHA_ERR / 3.0  # 3.7e-9
-
-
-def _settings_at(rel_tol):
-    """The default settings at rel_tol, with abs_tol as the CLI's --tol
-    sets it: at most rel_tol / 100."""
-    return IntegratorSettings(rel_tol=rel_tol, abs_tol=min(1e-12,
-                                                           rel_tol * 1e-2))
 
 
 class TestShoot:
@@ -135,14 +127,14 @@ class TestShoot:
         alpha = shooting.alpha_k(-1.0, h, k)
         assert abs(alpha - BRACKET_END_ALPHAS[h, k]) <= ALPHA_ERR
 
-    @pytest.mark.parametrize("rel_tol", [1e-11, 1e-12, 1e-13])
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-9, 1e-11, 1e-12, 1e-13])
     @pytest.mark.parametrize("h, k", list(BRACKET_END_ALPHAS))
     def test_bracket_end_alphas_follow_the_tolerance(self, h, k, rel_tol):
         # alpha is read at the rest itself, not at the located time up to
         # event_tol/2 away, so its error falls with rel_tol below the
         # event tolerance of 1e-12 (at 1e-12, read at the located time,
         # alpha_3(0.3) was off by -7.5e-10; moved to the rest, by -8.6e-12)
-        alpha = shooting.alpha_k(-1.0, h, k, _settings_at(rel_tol))
+        alpha = shooting.alpha_k(-1.0, h, k, IntegratorSettings(rel_tol))
         err = alpha - BRACKET_END_ALPHAS[h, k]
         assert abs(err) <= ALPHA_ERR_RATIO * rel_tol
 
@@ -193,7 +185,7 @@ class TestTaylorOracle:
         # alpha on the whole default grid, none of whose heights the table
         # holds, within the same budget as the bracket ends
         grid = shooting.default_grid()
-        rows = shooting.scan_alpha(-1.0, grid, _settings_at(rel_tol))
+        rows = shooting.scan_alpha(-1.0, grid, IntegratorSettings(rel_tol))
         assert [r.status for r in rows] == ["ok"] * len(grid)
         for row, want in zip(rows, _taylor_grid()):
             assert abs(row.alpha - want) <= ALPHA_ERR_RATIO * rel_tol
@@ -203,6 +195,16 @@ class TestTaylorOracle:
 def _taylor_grid():
     """alpha by the Taylor oracle over the default grid at E = -1."""
     return tuple(taylor_alpha_k(-1.0, h, 1) for h in shooting.default_grid())
+
+
+def _assert_full_stop(rec):
+    """The touch state is the rest itself: its vy is the search's residual,
+    so ALPHA_TOL bounds it, and its vx is zero but for rounding (at most
+    1.1e-26 in E = -1 units over 90 searches: both kinds, 15 energies on
+    [-2, -0.5] and rel_tol 1e-8, 1e-10 and 1e-12)."""
+    touch = rec.touch_state
+    assert touch.vy == rec.alpha_residual
+    assert abs(touch.vx) <= 1e-20 * math.sqrt(-rec.E)
 
 
 class TestLangmuirOrbit:
@@ -218,8 +220,7 @@ class TestLangmuirOrbit:
 
     def test_touch_is_a_full_stop(self):
         assert abs(self.rec.alpha_residual) <= shooting.ALPHA_TOL
-        speed = math.sqrt(self.rec.touch_state.speed2())
-        assert speed <= shooting.TOUCH_SPEED_TOL
+        _assert_full_stop(self.rec)
 
     def test_touch_lies_on_the_energy_shell(self):
         s = self.rec.touch_state
@@ -257,6 +258,61 @@ class TestScalingLaw:
             assert abs(a2 - math.sqrt(2.0) * a1) <= 1e-6
 
 
+# Bit-exact oracles.  At E = -4^k the scale a = 4^-k, its square root and
+# a^3/2 are powers of two, so every state and every knob a run reads in
+# E = -1 units (the error norm's floor, h_max, t_limit, H_MIN, the event
+# time tolerance, the collision distance) scales without rounding, and
+# the scaling law holds bit for bit at any rel_tol.  A slip in the scaling
+# of a knob these runs reach (all but the collision distance, which no
+# grid run comes near) fails these tests at once, where the E = -2 tests
+# above see only a change above their tolerances.
+EXACT_ENERGIES = [-4.0, -16.0, -0.25]
+EXACT_TOLS = [1e-10, 1e-8]
+
+
+def _scan_bits(E, heights, rel_tol):
+    """scan_alpha's rows at E, launched at the given E = -1 heights
+    rescaled to E, each rescaled back to E = -1 units as float.hex."""
+    a = -1.0 / E
+    rows = shooting.scan_alpha(E, [h * a for h in heights],
+                               IntegratorSettings(rel_tol))
+    return [((r.h / a).hex(), (r.t_h / a ** 1.5).hex(),
+             (r.alpha * a ** 0.5).hex(), r.n_magical_crossings,
+             r.energy_drift.hex(), r.status) for r in rows]
+
+
+@pytest.mark.parametrize("rel_tol", EXACT_TOLS)
+@pytest.mark.parametrize("E", EXACT_ENERGIES)
+def test_scan_scales_exactly(E, rel_tol):
+    grid = shooting.default_grid()
+    assert _scan_bits(E, grid, rel_tol) == _scan_bits(-1.0, grid, rel_tol)
+
+
+@pytest.mark.parametrize("E", EXACT_ENERGIES)
+def test_scan_scales_exactly_under_the_scale_clamp(E):
+    # launches nearer the nucleus than 1 / MAX_SCALE_RATIO in E = -1 units
+    # run at the clamped scale MAX_SCALE_RATIO x their distance from it,
+    # which scales as -1/E does, so the clamp keeps the law exact
+    heights = [0.002, 0.005, 0.0099]
+    assert all(integrator.MAX_SCALE_RATIO * h < 1.0 for h in heights)
+    assert _scan_bits(E, heights, 1e-10) == _scan_bits(-1.0, heights, 1e-10)
+
+
+@pytest.mark.parametrize("rel_tol", EXACT_TOLS)
+def test_orbits_scale_exactly(rel_tol):
+    settings = IntegratorSettings(rel_tol)
+
+    def unscaled(rec, E):
+        a = -1.0 / E
+        return (rec.kind, rec.h_star / a, rec.quarter_period / a ** 1.5,
+                [(h / a, alpha * a ** 0.5) for h, alpha in rec.solver_trace])
+
+    for kind, E in [("langmuir", -4.0), ("brake", -4.0), ("brake", -0.25)]:
+        find = FINDERS[kind]
+        assert unscaled(find(E, settings=settings), E) == unscaled(
+            find(-1.0, settings=settings), -1.0)
+
+
 class TestBrakeOrbit:
     def test_classifier_picks_three_rests(self):
         k = shooting.classify_reflection_count(-1.0)
@@ -268,7 +324,7 @@ class TestBrakeOrbit:
         assert abs(rec.h_star - H_STAR_BRAKE) <= H_STAR_BRAKE_TOL
         lo, hi = shooting.DEFAULT_BRAKE_BRACKET
         assert lo < rec.h_star < hi
-        assert math.sqrt(rec.touch_state.speed2()) <= shooting.TOUCH_SPEED_TOL
+        _assert_full_stop(rec)
 
     def test_explicit_rest_count_matches_classifier(self):
         rec = shooting.find_brake_orbit(-1.0, k=3)
@@ -313,11 +369,12 @@ def test_found_orbit_touches_under_fixed_step_rk4(kind, step, E):
     # (measured |v| / sqrt(-E): 7.4e-13 to 9.3e-12 for Langmuir's orbit,
     # 1.6e-7 for the brake orbit)
     rec = FINDERS[kind](E)
+    _assert_full_stop(rec)
     s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=rec.h_star))
     T = rec.quarter_period
     dt = T / math.ceil(T / (step * (-E) ** -1.5))
     _, _, vx, vy = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, T, dt)
-    assert math.hypot(vx, vy) / math.sqrt(-E) <= shooting.TOUCH_SPEED_TOL
+    assert math.hypot(vx, vy) / math.sqrt(-E) <= 1e-6
 
 
 @pytest.fixture
@@ -536,23 +593,19 @@ class TestBrakeClassification:
     @pytest.mark.parametrize("given", [
         IntegratorSettings(h_max=1.0),
         IntegratorSettings(h_max=0.01),
-        IntegratorSettings(abs_tol=1e-6),
-        IntegratorSettings(abs_tol=1e-20),
-        *(IntegratorSettings(rel_tol=tol, abs_tol=tol * 1e-2)
+        *(IntegratorSettings(rel_tol=tol)
           for tol in (1e-7, 1e-8, 1e-12, 1e-14, 1e-16)),
-        IntegratorSettings(rel_tol=5e-7, abs_tol=1e-3, h_max=50.0),
-    ], ids=["h_max_1", "h_max_0.01", "abs_tol_1e-6", "abs_tol_1e-20",
-            "tol_1e-7", "tol_1e-8", "tol_1e-12", "tol_1e-14", "tol_1e-16",
-            "all"])
+        IntegratorSettings(rel_tol=5e-7, h_max=50.0),
+    ], ids=["h_max_1", "h_max_0.01", "tol_1e-7", "tol_1e-8", "tol_1e-12",
+            "tol_1e-14", "tol_1e-16", "all"])
     def test_coarse_settings_are_fixed(self, given):
         # CLASSIFY_MARGIN was measured at the coarse settings of the
-        # defaults, so neither a finer --tol nor a config file's h_max or
-        # abs_tol may move them: a cap of 3.16 (from h_max = 1.0) puts
-        # alpha_4 at h = 3.3565... 0.27 off.  Only t_limit carries over
+        # defaults, so neither a finer --tol nor a config file's h_max may
+        # move them: a cap of 3.16 (from h_max = 1.0) puts alpha_4 at
+        # h = 3.3565... 0.27 off.  Only t_limit carries over
         default = shooting._coarse(IntegratorSettings())
         assert default == IntegratorSettings(
-            rel_tol=shooting.COARSE_REL_TOL, abs_tol=1e-8,
-            h_max=0.1 * 10 ** 0.5)
+            rel_tol=shooting.COARSE_REL_TOL, h_max=0.1 * 10 ** 0.5)
         assert shooting._coarse(given) == default
         assert shooting._coarse(given.replace(t_limit=7.0)) == (
             default.replace(t_limit=7.0))
@@ -1078,7 +1131,7 @@ def test_closure_tolerance_catches_a_displaced_sample(kind, tol):
     # the closure tolerance that a coarser rel_tol grows still fails a
     # quarter arc with one forward sample 10 times that far off: the search's
     # own arc, its middle sample's x moved, at the settings --tol gives
-    settings = IntegratorSettings(rel_tol=tol, abs_tol=min(1e-12, tol * 1e-2))
+    settings = IntegratorSettings(rel_tol=tol)
     closure_tol = 1e-6 * max(1.0, tol / 1e-10)
     rec = FINDERS[kind](-1.0, settings=settings)
     shooting.assemble_periodic_orbit(rec, settings)
