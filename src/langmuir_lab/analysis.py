@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from . import dynamics
 from .dynamics import ProblemSpec, _Record, _set
 from .errors import DomainError
-from .integrator import EventKind, IntegratorSettings, _first_stop, _Run
+from .integrator import EventKind, IntegratorSettings, _Run
 from .shooting import _shoot, default_grid
 
 # Deceleration bound: inside the Hill region at E=-1 both |x| and y are at
@@ -191,9 +191,9 @@ def zero_energy_run(
     settings = settings.replace(t_limit=t_end, h_max=max(cap, t_end))
     n = max(ZERO_ENERGY_SAMPLES, math.ceil(t_end / cap))
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
-    return _first_stop(s0, settings, None, sample_times=[
+    return _Run(s0, settings, (), (), [
         *(t_end * j / n for j in range(1, n + 1)),
-        *_concavity_grid(t_end)[1:]])
+        *_concavity_grid(t_end)[1:]]).advance()
 
 
 def _concavity_grid(t_end: float) -> list[float]:

@@ -115,8 +115,9 @@ class ProblemSpec(_Record):
 
 
 def _check_upper(y: float) -> None:
-    """DomainError off the half plane y > 0, the origin included; the
-    functions evaluated at every step make the same test in place."""
+    """DomainError off the half plane y > 0, the origin included.  Every
+    function that tests y makes the test y <= 0 in place and calls this
+    only where it holds, so the message is written once."""
     if y <= 0.0:
         raise DomainError(f"y must be positive, got {y}")
 
@@ -125,14 +126,14 @@ def potential(x: float, y: float) -> float:
     """V(x, y) = -4/sqrt(x^2 + y^2) + 1/(2y); attraction by the nucleus
     (charge 2, both mirrored electrons felt) plus mutual repulsion."""
     if y <= 0.0:
-        raise DomainError(f"y must be positive, got {y}")
+        _check_upper(y)
     return -4.0 / math.hypot(x, y) + 0.5 / y
 
 
 def acceleration(x: float, y: float) -> tuple[float, float]:
     """Right-hand side of the second-order equations of motion."""
     if y <= 0.0:
-        raise DomainError(f"y must be positive, got {y}")
+        _check_upper(y)
     r = math.hypot(x, y)
     rho3 = r * r * r
     # grouped so that on the y-axis 8y^3/rho^3 is exactly 1 and the vertical
@@ -147,7 +148,7 @@ def energy_vec(v: Vec) -> float:
     computes it."""
     x, y, vx, vy = v
     if y <= 0.0:
-        raise DomainError(f"y must be positive, got {y}")
+        _check_upper(y)
     return 0.25 * (vx * vx + vy * vy) + (-4.0 / math.hypot(x, y) + 0.5 / y)
 
 
@@ -167,7 +168,7 @@ def magical_line_residual(x: float, y: float) -> float:
     """Signed distance surrogate sqrt(3)*y - |x| for the line where the
     vertical force vanishes; positive above the line (where y'' < 0)."""
     if y <= 0.0:
-        raise DomainError(f"y must be positive, got {y}")
+        _check_upper(y)
     return SQRT3 * y - abs(x)
 
 

@@ -31,14 +31,15 @@ the rest itself by one first-order step (`_at_rest`, one field
 evaluation), so that its vy, the shooting functional alpha, is read where
 vx is 0.  Otherwise a run samples the ends of its accepted steps.
 
-A run stops at the first event of any stop kind: its last sample is the
-event's state, and the events the same step holds after it are dropped.
-`integrate` never goes on from there.  The orbit search does
-(`_rest_arcs`), to reach the k-th x-rest: it resumes the run, which emits
-the stop step's remaining events, appends that step's end sample and
-drift, and steps on with the same step size, controller state and first
-stage to the next stop.  So the run to the (k+1)-th x-rest passes through
-the run to the k-th, bit for bit, and one run gives both.
+A run (`_Run`) steps only in its advance(), to its next stop: the first
+event of any stop kind, whose state is the run's last sample; the events
+the same step holds after it are not yet recorded.  `integrate` advances
+a run once.  The orbit search advances it again, to reach the k-th
+x-rest: the run emits the stop step's remaining events, appends that
+step's end sample and drift, and steps on with the same step size,
+controller state and first stage to the next stop.  So the run to the
+(k+1)-th x-rest passes through the run to the k-th, bit for bit, and one
+run gives both.
 
 The problem is scale-invariant (`dynamics.scale_state`), so a run launched
 at an energy level E < 0 reads its knobs in the units of the scale a = -1/E,
@@ -47,8 +48,10 @@ nucleus when that is less (E near 0): the error norm's absolute floor,
 `rel_tol` x FLOOR_RATIO, x a for positions and x a^-1/2 for velocities;
 `h_max`, `t_limit`, H_MIN and the event time tolerance x a^3/2;
 COLLISION_DISTANCE x a.  An a^3/2 out of the floating-point range raises
-DomainError.  At E = 0, and in `integrate`, whose states carry no energy
-level, a = 1.
+DomainError, as does one so small that H_MIN x a^3/2 squares to a
+subnormal (a = -1/E below about 6e-94): the kernel's h^2 terms lose bits
+there, so runs drift from the scaling law while they still rest.  At
+E = 0, and in `integrate`, whose states carry no energy level, a = 1.
 
 The kernel integrates one field, the planar one: each stage evaluates its
 acceleration in place, by the expressions of `dynamics.acceleration` in
@@ -680,14 +683,12 @@ def _dense_output(y: Vec, y8: Vec, ks, h: float) -> Callable[[float], Vec]:
 def _brent(
     f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
     f_tol: float, x_tol: float, max_iter: int,
-    trace: list[tuple[float, float]] | None = None,
 ) -> tuple[float, float, float]:
     """Brent-Dekker root finding (Brent 1973, Algorithms for Minimization
     without Derivatives, ch. 4) between a and b, whose values fa and fb are
     given and differ in sign: inverse quadratic interpolation or secant
     steps, with bisection whenever they would not shrink the bracket fast
-    enough.  Each evaluation (x, f(x)) is appended to `trace` if one is
-    given.
+    enough.
 
     Returns (b, f(b), c).  Either b is the first evaluation where |f| <=
     f_tol, and c is not meaningful, or the bracket [b, c] (in either order)
@@ -732,8 +733,6 @@ def _brent(
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb = f(b)
-        if trace is not None:
-            trace.append((b, fb))
         if abs(fb) <= f_tol:
             return b, fb, c
     raise NoConvergence(
@@ -786,17 +785,20 @@ def _at_rest(t: float, y: Vec) -> tuple[float, Vec]:
 
 class _Run:
     """One adaptive integration of the planar field from s0, launched at
-    the energy level E (None: at none); collects samples and events.  The
-    run records the events of every kind in `watch` or `stop`, and stops at
-    the first of any kind in `stop`, at the first collision proximity, and
-    at the time limit.  At each stop, `samples` holds its (t, (x, y, vx,
-    vy)) samples in time order, `events` its (kind, t, (x, y, vx, vy))
-    events, `drift` the largest relative energy drift of its own states
-    (step ends and the stop) and `termination` the stop's kind; the checks
-    in `analysis` read these, and `_build_trajectory` makes records of
-    them.  The run calls `dynamics.acceleration` at its launch and reads
-    its drift with `dynamics.energy_vec`, both looked up when it starts;
-    its steps evaluate the field in place."""
+    the energy level E (None: at none), made before its first step; it
+    collects samples and events.  The run records the events of every kind
+    in `watch` or `stop`, and stops at the first of any kind in `stop`, at
+    the first collision proximity, and at the time limit.  advance() steps
+    it to its next stop and writes the run's figures there: `samples` holds
+    its (t, (x, y, vx, vy)) samples in time order, `events` its (kind, t,
+    (x, y, vx, vy)) events, `drift` the largest relative energy drift of
+    its own states (step ends and the stop) and `termination` the stop's
+    kind; the checks in `analysis` read these, and `_build_trajectory`
+    makes records of them.  Advanced past a stop event, the run goes on as
+    though that event had not stopped it: only the orbit search does that,
+    and its runs request no times.  The steps are `_steps`', which holds
+    the lists but not the run, so a run is freed as soon as its last
+    reference goes."""
 
     def __init__(
         self,
@@ -814,170 +816,174 @@ class _Run:
             )
         if s0.y <= 0.0:
             raise DomainError(f"initial state must have y > 0, got y={s0.y}")
-        self.settings, self.E = settings, E
-        self.stop = {*stop, EventKind.COLLISION_PROXIMITY}
-        self.watch = {*watch, *self.stop}
-        self.sample_times = sample_times
+        self.settings, self.sample_times = settings, sample_times
         self.samples: list[tuple[float, Vec]] = [
             (s0.t, (s0.x, s0.y, s0.vx, s0.vy))]
         self.events: list[tuple[EventKind, float, Vec]] = []
         self.drift = 0.0
         self.termination: EventKind | None = None
+        stop = {*stop, EventKind.COLLISION_PROXIMITY}
+        self._stops = _steps(settings, E, {*watch, *stop}, stop,
+                             sample_times, self.samples, self.events)
 
-    def run(self):
-        """Step until the run stops: yield the kind of each stop event, and
-        the time limit, which ends the run.  Resumed after a stop event, the
-        run goes on as though that event had not stopped it, to its next
-        stop; only `_rest_arcs` resumes a run, and its runs request no
-        times.  A step that ends within H_MIN of the time limit ends at it.
+    def advance(self) -> _Run:
+        """The run stepped to its next stop, its `termination` and `drift`
+        written there.  The time limit ends the run: it is not advanced
+        again."""
+        self.termination, self.drift = next(self._stops)
+        return self
 
-        The knobs, in the units of the run's scale (see the module
-        docstring), and the loop state live in locals; the run's `drift` and
-        `termination` are written at each yield, which is where they are
-        read.  A time unit out of the floating-point range raises
-        DomainError at the first step."""
-        settings, E = self.settings, self.E
-        energy_fn = dynamics.energy_vec
-        stop, samples, events = self.stop, self.samples, self.events
-        rest = EventKind.X_VELOCITY_ZERO
-        t, y = samples[0]
-        a = (min(-1.0 / E, MAX_SCALE_RATIO * math.hypot(y[0], y[1])) if E
-             else 1.0)
-        sqrt_a = math.sqrt(a)
-        a15 = a * sqrt_a  # a^3/2, the unit of time
-        rel_tol = settings.rel_tol
-        floor = rel_tol * FLOOR_RATIO
-        abs_q, abs_v = floor * a, floor / sqrt_a
-        h_max, h_min, t_limit = (
-            v * a15 for v in (settings.h_max, H_MIN, settings.t_limit))
-        if not (0.0 < h_min and max(h_max, t_limit) < math.inf):
-            raise DomainError(f"time unit {a15} out of range at E={E}")
-        event_tol = min(1e-12, rel_tol) * a15
-        distance = COLLISION_DISTANCE * a
-        residuals = tuple((i, kind, f) for i, (kind, f) in enumerate(
-            [(kind, f) for kind, f in _RESIDUALS.items() if kind in self.watch]
-            + [(EventKind.COLLISION_PROXIMITY, lambda y: y[1] - distance)]))
-        e0 = energy_fn(y)
-        # drift is relative to the launch energy, but in the unit of energy
-        # 1/a when the launch has less than half of it (at or near E = 0,
-        # or far inside -1/E)
-        e_unit = abs(e0) if abs(e0) * a > 0.5 else 1.0 / a
-        # requested times still to come, latest first, so pop() is the next
-        requests = sorted({s for s in self.sample_times if s > t},
-                          reverse=True)
 
-        def append_requests(t0, at, t_end):
-            """Sample each requested time up to t_end from the interpolant
-            `at` of the step from t0; the sample at t_end that ends the span
-            answers a request at that time.  A requested sample adds nothing
-            to the drift, which covers the run's own states."""
-            while requests and requests[-1] <= t_end:
-                t = requests.pop()
-                if t == t_end:
-                    break
-                samples.append((t, at(t - t0)))
+def _steps(settings: IntegratorSettings, E: float | None,
+           watch: set[EventKind], stop: set[EventKind],
+           sample_times: Sequence[float],
+           samples: list[tuple[float, Vec]],
+           events: list[tuple[EventKind, float, Vec]],
+           ) -> Iterator[tuple[EventKind, float]]:
+    """The step loop of a run (see `_Run`) launched from samples[0] at the
+    level E: it appends to `samples` and `events`, and yields (kind,
+    drift) at each stop, the time limit last.  Resumed after a stop event,
+    it drops that stop's sample and goes on to its next stop.  A step that
+    ends within H_MIN of the time limit ends at it.
+
+    The knobs, in the units of the run's scale, and the loop state live in
+    locals.  A time unit out of range (see the module docstring) raises
+    DomainError at the first step."""
+    energy_fn = dynamics.energy_vec
+    rest = EventKind.X_VELOCITY_ZERO
+    t, y = samples[0]
+    a = (min(-1.0 / E, MAX_SCALE_RATIO * math.hypot(y[0], y[1])) if E
+         else 1.0)
+    sqrt_a = math.sqrt(a)
+    a15 = a * sqrt_a  # a^3/2, the unit of time
+    rel_tol = settings.rel_tol
+    floor = rel_tol * FLOOR_RATIO
+    abs_q, abs_v = floor * a, floor / sqrt_a
+    h_max, h_min, t_limit = (
+        v * a15 for v in (settings.h_max, H_MIN, settings.t_limit))
+    if not (h_min * h_min >= sys.float_info.min
+            and max(h_max, t_limit) < math.inf):
+        raise DomainError(f"time unit {a15} out of range at E={E}")
+    event_tol = min(1e-12, rel_tol) * a15
+    distance = COLLISION_DISTANCE * a
+    residuals = tuple((i, kind, f) for i, (kind, f) in enumerate(
+        [(kind, f) for kind, f in _RESIDUALS.items() if kind in watch]
+        + [(EventKind.COLLISION_PROXIMITY, lambda y: y[1] - distance)]))
+    e0 = energy_fn(y)
+    # drift is relative to the launch energy, but in the unit of energy
+    # 1/a when the launch has less than half of it (at or near E = 0,
+    # or far inside -1/E)
+    e_unit = abs(e0) if abs(e0) * a > 0.5 else 1.0 / a
+    # requested times still to come, latest first, so pop() is the next
+    requests = sorted({s for s in sample_times if s > t}, reverse=True)
+
+    def append_requests(t0, at, t_end):
+        """Sample each requested time up to t_end from the interpolant `at`
+        of the step from t0; the sample at t_end that ends the span answers
+        a request at that time.  A requested sample adds nothing to the
+        drift, which covers the run's own states."""
+        while requests and requests[-1] <= t_end:
+            t = requests.pop()
+            if t == t_end:
+                break
+            samples.append((t, at(t - t0)))
+
+    try:
+        f1x, f1y = dynamics.acceleration(y[0], y[1])
+    except ZeroDivisionError:  # r^3 or y^2 underflows to 0
+        raise DomainError(
+            f"launch at ({y[0]}, {y[1]}) too near the nucleus or the "
+            f"collision line: the field there is out of the "
+            f"floating-point range") from None
+    res = [f(y) for _, _, f in residuals]
+    h = h_max
+    err_old = 1.0
+    # the rejection's and the PI controller's exponents (ibid., II.4)
+    shrink_expo = -1.0 / ORDER
+    expo_new, expo_old = -0.7 / ORDER, 0.4 / ORDER
+    drift = 0.0
+    while True:
+        if t_limit - t < h_min:
+            events.append((EventKind.TIME_LIMIT, t, y))
+            yield EventKind.TIME_LIMIT, drift
+            return
+        # min() and max() calls cost more than the comparisons here
+        if h > h_max:
+            h = h_max
+        if h > t_limit - t:
+            h = t_limit - t
+        if h < h_min:
+            raise StepUnderflow(t, _vec_to_state(t, y))
 
         try:
-            f1x, f1y = dynamics.acceleration(y[0], y[1])
-        except ZeroDivisionError:  # r^3 or y^2 underflows to 0
-            raise DomainError(
-                f"launch at ({y[0]}, {y[1]}) too near the nucleus or the "
-                f"collision line: the field there is out of the "
-                f"floating-point range") from None
-        res = [f(y) for _, _, f in residuals]
-        h = h_max
-        err_old = 1.0
-        # the rejection's and the PI controller's exponents (ibid., II.4)
-        shrink_expo = -1.0 / ORDER
-        expo_new, expo_old = -0.7 / ORDER, 0.4 / ORDER
-        drift = self.drift
-        while True:
-            if t_limit - t < h_min:
-                events.append((EventKind.TIME_LIMIT, t, y))
-                self.drift, self.termination = drift, EventKind.TIME_LIMIT
-                yield EventKind.TIME_LIMIT
-                return
-            # min() and max() calls cost more than the comparisons here
-            if h > h_max:
-                h = h_max
-            if h > t_limit - t:
-                h = t_limit - t
-            if h < h_min:
-                raise StepUnderflow(t, _vec_to_state(t, y))
+            y8, ks, ratio = _trial(y, h, f1x, f1y, abs_q, abs_v, rel_tol)
+        except DomainError:  # a stage left y > 0: the step is too long
+            ratio = math.inf
+        if not ratio <= 1.0:  # rejected, also when inf or nan
+            h *= (max(0.1, 0.9 * ratio ** shrink_expo) if ratio < math.inf
+                  else 0.2)
+            continue
 
-            try:
-                y8, ks, ratio = _trial(y, h, f1x, f1y, abs_q, abs_v,
-                                       rel_tol)
-            except DomainError:  # a stage left y > 0: the step is too long
-                ratio = math.inf
-            if not ratio <= 1.0:  # rejected, also when inf or nan
-                h *= (max(0.1, 0.9 * ratio ** shrink_expo) if ratio < math.inf
-                      else 0.2)
-                continue
+        # accepted
+        t0, y0 = t, y
+        t, y = t0 + h, y8
+        if t_limit - t < h_min:
+            t = t_limit
+        # the interpolant is built only for a step that reads from it
+        if requests and requests[-1] <= t:
+            at = _dense_output(y0, y8, ks, h)
+        else:
+            at = None
+        # events in (t0, t]: each residual's sign change, located on the
+        # interpolant unless the residual is 0 at the step's end; `found`
+        # is made only for a step that has one
+        found = None
+        for i, kind, f in residuals:
+            r0 = res[i]
+            r1 = res[i] = f(y)
+            if (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0):
+                if found is None:
+                    found = []
+                if r1 == 0.0:
+                    found.append((t, y, kind))
+                    continue
+                if at is None:
+                    at = _dense_output(y0, y8, ks, h)
+                t_ev, y_ev = _locate(f, at, t0, h, r0, r1, event_tol)
+                if kind is rest:
+                    t_ev, y_ev = _at_rest(t_ev, y_ev)
+                found.append((t_ev, y_ev, kind))
+        if found is not None:
+            if len(found) > 1:
+                found.sort(key=lambda item: item[0])
+            for t_ev, y_ev, kind in found:
+                events.append((kind, t_ev, y_ev))
+                if kind in stop:
+                    if requests and requests[-1] <= t_ev:
+                        append_requests(t0, at, t_ev)
+                    samples.append((t_ev, y_ev))
+                    d = energy_fn(y_ev) - e0
+                    d = (-d if d < 0.0 else d) / e_unit
+                    yield kind, d if d > drift else drift
+                    # resumed: the stop's sample and drift go, and the run
+                    # goes on to its next stop
+                    samples.pop()
 
-            # accepted
-            t0, y0 = t, y
-            t, y = t0 + h, y8
-            if t_limit - t < h_min:
-                t = t_limit
-            # the interpolant is built only for a step that reads from it
-            if requests and requests[-1] <= t:
-                at = _dense_output(y0, y8, ks, h)
-            else:
-                at = None
-            # events in (t0, t]: each residual's sign change, located on
-            # the interpolant unless the residual is 0 at the step's end;
-            # `found` is made only for a step that has one
-            found = None
-            for i, kind, f in residuals:
-                r0 = res[i]
-                r1 = res[i] = f(y)
-                if (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0):
-                    if found is None:
-                        found = []
-                    if r1 == 0.0:
-                        found.append((t, y, kind))
-                        continue
-                    if at is None:
-                        at = _dense_output(y0, y8, ks, h)
-                    t_ev, y_ev = _locate(f, at, t0, h, r0, r1, event_tol)
-                    if kind is rest:
-                        t_ev, y_ev = _at_rest(t_ev, y_ev)
-                    found.append((t_ev, y_ev, kind))
-            if found is not None:
-                if len(found) > 1:
-                    found.sort(key=lambda item: item[0])
-                for t_ev, y_ev, kind in found:
-                    events.append((kind, t_ev, y_ev))
-                    if kind in stop:
-                        if requests and requests[-1] <= t_ev:
-                            append_requests(t0, at, t_ev)
-                        samples.append((t_ev, y_ev))
-                        d = energy_fn(y_ev) - e0
-                        d = (-d if d < 0.0 else d) / e_unit
-                        self.drift = d if d > drift else drift
-                        self.termination = kind
-                        yield kind
-                        # resumed: the stop's sample and drift go, and the
-                        # run goes on to its next stop
-                        samples.pop()
-                        self.termination = None
+        if requests and requests[-1] <= t:
+            append_requests(t0, at, t)
+        samples.append((t, y))
+        # |drift| by comparison, not abs()
+        d = energy_fn(y) - e0
+        d = (-d if d < 0.0 else d) / e_unit
+        if d > drift:
+            drift = d
+        f1x, f1y = ks[24], ks[25]
 
-            if requests and requests[-1] <= t:
-                append_requests(t0, at, t)
-            samples.append((t, y))
-            # |drift| by comparison, not abs()
-            d = energy_fn(y) - e0
-            d = (-d if d < 0.0 else d) / e_unit
-            if d > drift:
-                drift = d
-            f1x, f1y = ks[24], ks[25]
-
-            # PI controller (accepted step)
-            e = ratio if ratio >= 1e-10 else 1e-10
-            fac = 0.9 * e ** expo_new * err_old ** expo_old
-            err_old = e
-            h *= 5.0 if fac >= 5.0 else 0.2 if fac <= 0.2 else fac
+        # PI controller (accepted step)
+        e = ratio if ratio >= 1e-10 else 1e-10
+        fac = 0.9 * e ** expo_new * err_old ** expo_old
+        err_old = e
+        h *= 5.0 if fac >= 5.0 else 0.2 if fac <= 0.2 else fac
 
 
 # State's slot setters: _vec_to_state fills a new instance through them,
@@ -1005,7 +1011,7 @@ def _magical_line_residual(y: Vec) -> float:
     checked, so it raises DomainError on y <= 0 as that does."""
     x, q = y[0], y[1]
     if q <= 0.0:
-        raise DomainError(f"y must be positive, got {q}")
+        _check_upper(q)
     return dynamics.SQRT3 * q - (-x if x < 0.0 else x)
 
 
@@ -1032,38 +1038,11 @@ def _build_trajectory(run: _Run) -> Trajectory:
     )
 
 
-def _rest_arcs(s0: State, settings: IntegratorSettings,
-               E: float | None = None, watch=()) -> Iterator[_Run]:
-    """One run of the planar field from s0, launched at the energy level E
-    (see `_Run`), yielded at each of its stops: its k-th x-rest at the
-    k-th yield, for k = 1, 2, ..., and last the stop that ends it any other
-    way (its termination says which).  Each yield's `_build_trajectory` is
-    _integrate(s0, settings, E, watch, stop={X_VELOCITY_ZERO}) resumed to
-    that stop, bit for bit.  The run goes on in place when advanced, so a
-    caller builds the arc of a stop it keeps before it advances again.  It
-    samples its step ends and stops alone: it requests no times."""
-    rest = EventKind.X_VELOCITY_ZERO
-    run = _Run(s0, settings, watch, (rest,), (), E)
-    for kind in run.run():
-        yield run
-        if kind is not rest:
-            return
-
-
-def _first_stop(s0: State, settings: IntegratorSettings, E: float | None,
-                watch=(), stop=(), sample_times=()) -> _Run:
-    """The run of the planar field from s0, launched at the level E, at its
-    first stop, never resumed, its arc not built."""
-    run = _Run(s0, settings, watch, stop, sample_times, E)
-    next(run.run())
-    return run
-
-
 def _integrate(s0: State, settings: IntegratorSettings, E: float | None,
                watch=(), stop=(), sample_times=()) -> Trajectory:
     """integrate() from s0, launched at the level E."""
     return _build_trajectory(
-        _first_stop(s0, settings, E, watch, stop, sample_times))
+        _Run(s0, settings, watch, stop, sample_times, E).advance())
 
 
 def integrate(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 from . import dynamics
 from .dynamics import ProblemSpec, State, _Record, _set
@@ -45,7 +45,6 @@ from .integrator import (
     _brent,
     _build_trajectory,
     _integrate,
-    _rest_arcs,
     _Run,
     _vec_to_state,
 )
@@ -75,6 +74,9 @@ COARSE = IntegratorSettings(rel_tol=COARSE_REL_TOL, h_max=0.1 * 10 ** 0.5)
 CLASSIFY_MARGIN = 0.5
 # iteration budget of each stage of the orbit search
 MAX_ITER = 200
+# largest retrace deviation, in E = -1 units, that assemble_periodic_orbit
+# accepts at the default rel_tol and finer; it grows with a coarser rel_tol
+CLOSURE_TOL = 1e-6
 # largest rest count that classification tries
 MAX_RESTS = 8
 # Tuned at E = -1; h* scales as 1/(-E), so _bracket_at rescales them.
@@ -149,20 +151,21 @@ def _bracket_at(
     return default[0] * a, default[1] * a
 
 
-def _rests(E: float, h: float, settings: IntegratorSettings,
-           watch=()) -> Iterator[_Run]:
-    """`_rest_arcs` of the horizontal launch from (0, h) at energy E."""
-    return _rest_arcs(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings,
-                      E, watch)
+def _launch(E: float, h: float, settings: IntegratorSettings,
+            watch=()) -> _Run:
+    """The run of the horizontal launch from (0, h) at energy E before its
+    first step, stopping at each x-rest and recording the kinds in
+    `watch`; it samples its step ends and stops alone."""
+    return _Run(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings,
+                watch, (EventKind.X_VELOCITY_ZERO,), (), E)
 
 
-def _next_rest(rests: Iterator[_Run], k: int) -> _Run:
-    """The run of `rests` (a launch's `_rest_arcs`) at its next stop, which
-    must be an x-rest; its last sample is that rest.  Raises NoRest(k, ...),
-    k being the rest count the caller is after, when the run stops any other
-    way."""
-    run = next(rests)
-    if run.termination is not EventKind.X_VELOCITY_ZERO:
+def _next_rest(run: _Run, k: int) -> _Run:
+    """`run` (a `_launch`) advanced to its next stop, which must be an
+    x-rest; its last sample is that rest.  Raises NoRest(k, ...), k being
+    the rest count the caller is after, when the run stops any other way:
+    it has no later rest."""
+    if run.advance().termination is not EventKind.X_VELOCITY_ZERO:
         raise NoRest(k, run.termination.value)
     return run
 
@@ -183,9 +186,9 @@ def _rest_run(
     any other way first."""
     if k < 1:
         raise ValueError(f"rest count must be >= 1, got {k}")
-    rests = _rests(E, h, settings)
+    run = _launch(E, h, settings)
     for _ in range(k):
-        run = _next_rest(rests, k)
+        _next_rest(run, k)
     return run
 
 
@@ -197,7 +200,7 @@ def _shoot(
     that ends without an x-rest gives a status='NoRest(...)' result, whose
     t_h and alpha are nan; its crossings and drift are the run's, whose
     samples are its step ends and its stop."""
-    run = next(_rests(E, h, settings, {EventKind.MAGICAL_LINE_CROSS}))
+    run = _launch(E, h, settings, {EventKind.MAGICAL_LINE_CROSS}).advance()
     rested = run.termination is EventKind.X_VELOCITY_ZERO
     t, rest = run.samples[-1]
     return run, ShootResult(
@@ -238,17 +241,14 @@ def _solve_bracketed(
     lo: float,
     hi: float,
     tol_f: float,
-    max_iter: int,
-    trace: list[tuple[float, float]],
 ) -> tuple[float, float]:
     """The orbit search's root of f on [lo, hi] by `integrator._brent`,
     from the bracket ends' values: the first point where |f| <= tol_f, so
-    the result is a bracket end or the latest evaluation.  Every evaluation
-    is appended to `trace`.  Raises BadBracket when f(lo) and f(hi) have
-    the same sign, and NoConvergence when the bracket shrinks to rounding
-    first, or after max_iter evaluations."""
+    the result is a bracket end or the latest evaluation.  Raises
+    BadBracket when f(lo) and f(hi) have the same sign, and NoConvergence
+    when the bracket shrinks to rounding first, or after MAX_ITER
+    evaluations."""
     fa, fb = f(lo), f(hi)
-    trace += [(lo, fa), (hi, fb)]
     if abs(fa) <= tol_f:
         return lo, fa
     if abs(fb) <= tol_f:
@@ -258,8 +258,7 @@ def _solve_bracketed(
             f"no sign change on [{lo}, {hi}]: f(lo)={fa}, f(hi)={fb}"
         )
     # the smallest float as x_tol: the bracket shrinks to rounding
-    b, fb, c = _brent(f, lo, hi, fa, fb, tol_f, sys.float_info.min, max_iter,
-                      trace)
+    b, fb, c = _brent(f, lo, hi, fa, fb, tol_f, sys.float_info.min, MAX_ITER)
     if abs(fb) > tol_f:
         raise NoConvergence(
             f"|residual| > {tol_f} on [{lo}, {hi}]: the bracket has "
@@ -300,10 +299,11 @@ def _find_orbit(
     ends stopped at their k-th rest (classification's).  The coarse stage
     takes their alphas as its bracket ends' values, whatever settings they
     were made at; the stages at `settings` take them too when they were
-    made at `settings`.  The solver trace lists every evaluation in order
-    (coarse stage, polish, then the search on the whole bracket if it
-    runs), so its last entry is the root and its residual; the root's is
-    the one arc built."""
+    made at `settings`.  The two alpha_k functions, f at `settings` and
+    f_coarse at COARSE, append each (h, alpha_k) they read to the solver
+    trace, so it lists every evaluation in order (coarse stage, polish,
+    then the search on the whole bracket if it runs), and its last entry
+    is the root and its residual; the root's is the one arc built."""
     trace: list[tuple[float, float]] = []
     tol = ALPHA_TOL * math.sqrt(-E)
     end_settings, end_pair = ends or (None, ())
@@ -317,28 +317,30 @@ def _find_orbit(
             for old in [x for x in runs if x not in bracket]:
                 del runs[old]
             runs[h] = _rest_run(E, h, k, settings)
-        return _alpha(runs[h])
+        alpha = _alpha(runs[h])
+        trace.append((h, alpha))
+        return alpha
 
     coarse = _coarse(settings)
     root = None
     if coarse is not None:
 
         def f_coarse(h: float) -> float:
-            if h in end_runs:
-                return _alpha(end_runs[h])
-            return _alpha(_rest_run(E, h, k, coarse))
+            alpha = _alpha(end_runs[h] if h in end_runs
+                           else _rest_run(E, h, k, coarse))
+            trace.append((h, alpha))
+            return alpha
 
         # any failure is left to the search on the whole bracket, which
         # raises it again if it is not the coarse tolerance's doing
         try:
-            h0, _ = _solve_bracketed(f_coarse, bracket[0], bracket[1],
-                                     1e3 * tol, MAX_ITER, trace)
-            root = _polish(f, h0, trace[-2:], bracket, tol, trace)
+            h0, _ = _solve_bracketed(f_coarse, *bracket, 1e3 * tol)
+            root = _polish(f, h0, trace[-2:], bracket, tol)
         except (NoRest, BadBracket, NoConvergence, DomainError,
                 StepUnderflow):
             pass
     if root is None:
-        root = _solve_bracketed(f, *bracket, tol, MAX_ITER, trace)
+        root = _solve_bracketed(f, *bracket, tol)
     h_star, residual = root
     arc = _build_trajectory(runs[h_star])
     touch = arc.samples[-1]
@@ -361,15 +363,13 @@ def _polish(
     last: list[tuple[float, float]],
     bracket: tuple[float, float],
     tol_f: float,
-    trace: list[tuple[float, float]],
 ) -> tuple[float, float] | None:
     """f at h0, the coarse root, then one secant step from h0 along `last`,
     the coarse stage's last two points: the first of the two points with
-    |f| <= tol_f, each evaluation appended to `trace`.  Returns None, for
-    the search on the whole bracket, when the secant is flat, the step
-    would leave the bracket or stand still, or it misses tol_f."""
+    |f| <= tol_f.  Returns None, for the search on the whole bracket, when
+    the secant is flat, the step would leave the bracket or stand still,
+    or it misses tol_f."""
     fh = f(h0)
-    trace.append((h0, fh))
     if abs(fh) <= tol_f:
         return h0, fh
     (ha, fa), (hb, fb) = last
@@ -379,7 +379,6 @@ def _polish(
     if not (min(bracket) <= h <= max(bracket)) or h == h0:
         return None
     fh = f(h)
-    trace.append((h, fh))
     return (h, fh) if abs(fh) <= tol_f else None
 
 
@@ -473,15 +472,14 @@ def _classify(
     the k-th rest exactly as _rest_run(E, h, k, settings) does.  A run that
     ends any other way has no later rest, so the bracket is rejected
     there."""
-    lo, hi = (_rests(E, h, settings) for h in bracket)
+    lo, hi = (_launch(E, h, settings) for h in bracket)
     smallest = math.inf
     try:
         for k in range(1, MAX_RESTS + 1):
-            a = _next_rest(lo, k)
-            b = _next_rest(hi, k)
-            smallest = min(smallest, abs(_alpha(a)), abs(_alpha(b)))
-            if (_alpha(a) > 0.0) != (_alpha(b) > 0.0):
-                return k, (a, b), smallest
+            a, b = _alpha(_next_rest(lo, k)), _alpha(_next_rest(hi, k))
+            smallest = min(smallest, abs(a), abs(b))
+            if (a > 0.0) != (b > 0.0):
+                return k, (lo, hi), smallest
     except NoRest:
         pass
     return None, (), smallest
@@ -518,7 +516,6 @@ def sign_change_brackets(results: Sequence[ShootResult]) -> list[tuple[float, fl
 def assemble_periodic_orbit(
     rec: OrbitRecord,
     settings: IntegratorSettings = IntegratorSettings(),
-    closure_tol: float | None = None,
 ) -> Trajectory:
     """Close the quarter arc into the full period-4T orbit.
 
@@ -536,15 +533,14 @@ def assemble_periodic_orbit(
     output.  Each is paired with the backward sample at exactly its mirror
     time, and the launch with the last one if the run ends at its time
     limit (T to rounding, as it is in E = -1 units).  An unpaired
-    forward sample, or a pair further apart than closure_tol, raises
-    ClosureFailure.  The deviation is measured in E = -1 units (positions
-    times -E, velocities over sqrt(-E)), in which every energy level's
-    orbit is the same rescaled curve.  closure_tol defaults to 1e-6 at
-    the default rel_tol of 1e-10 and finer, and grows in proportion to a
-    coarser rel_tol, as the retrace's error does.
+    forward sample, or a pair further apart than the closure tolerance,
+    raises ClosureFailure.  The deviation is measured in E = -1 units
+    (positions times -E, velocities over sqrt(-E)), in which every energy
+    level's orbit is the same rescaled curve.  The tolerance is
+    CLOSURE_TOL at the default rel_tol of 1e-10 and finer, and grows in
+    proportion to a coarser rel_tol, as the retrace's error does.
     """
-    if closure_tol is None:
-        closure_tol = 1e-6 * max(1.0, settings.rel_tol / 1e-10)
+    closure_tol = CLOSURE_TOL * max(1.0, settings.rel_tol / 1e-10)
     arc = rec._quarter_arc
     if arc is not None and arc[0] == settings:
         quarter = arc[1]

@@ -590,7 +590,7 @@ def trajectory_bits(traj):
 def rest_cuts(s0, settings, E=None):
     """The arcs from s0 to each of its x-rests, in order, cut from one
     unstopped run that watches x-rests, launched at the energy level E as
-    `_rest_arcs(s0, settings, E)` is: for each rest, the run's samples
+    a run that stops at each x-rest is: for each rest, the run's samples
     before it and its state, the run's events up to it, and the largest
     relative energy drift over those samples, recomputed with the energy
     `dynamics` holds now.  The steps do not depend on where a run stops,
@@ -637,6 +637,24 @@ def rng():
     import random
 
     return random.Random(987654321)
+
+
+@pytest.fixture
+def made_runs(monkeypatch):
+    """Record (launch state, settings) of every integrator `_Run` made, in
+    order: one entry per integration, however far it is advanced.  Every
+    run of the package is made by that class, so this counts them all."""
+    from langmuir_lab import integrator
+
+    made = []
+    real = integrator._Run.__init__
+
+    def init(self, s0, settings, *args, **kwargs):
+        made.append((s0, settings))
+        real(self, s0, settings, *args, **kwargs)
+
+    monkeypatch.setattr(integrator._Run, "__init__", init)
+    return made
 
 
 @pytest.fixture

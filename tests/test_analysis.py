@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from langmuir_lab import analysis, shooting
+from langmuir_lab import analysis, integrator, shooting
 from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
@@ -163,49 +163,38 @@ def test_check_with_nothing_to_compare_fails(check):
     assert rep.worst_violation == math.inf
 
 
-def _plant(monkeypatch, module, name, edit):
-    """Make module.<name>, a function that returns a run (or a pair whose
-    first item is a run), return it with one step-end sample's state
-    replaced by edit(state): the middle one of the samples before the run's
-    first magical-line crossing, or of all its samples if it has none.  Each
-    planted sample, as a `State`, is appended to the list returned."""
-    real = getattr(module, name)
-    planted = []
-
-    def planting(*args, **kwargs):
-        out = real(*args, **kwargs)
-        run = out[0] if isinstance(out, tuple) else out
-        end = min((t for kind, t, _ in run.events
-                   if kind is EventKind.MAGICAL_LINE_CROSS), default=math.inf)
-        i = sum(1 for t, _ in run.samples if t < end) // 2
-        t, v = run.samples[i]
-        run.samples[i] = (t, edit(v))
-        planted.append(dyn.State(t, *run.samples[i][1]))
-        return out
-
-    monkeypatch.setattr(module, name, planting)
-    return planted
+def _plant(run, edit):
+    """Replace one step-end sample's state of `run` by edit(state): the
+    middle one of the samples before the run's first magical-line crossing,
+    or of all its samples if it has none.  Returns the planted sample as a
+    `State`."""
+    end = min((t for kind, t, _ in run.events
+               if kind is EventKind.MAGICAL_LINE_CROSS), default=math.inf)
+    i = sum(1 for t, _ in run.samples if t < end) // 2
+    t, v = run.samples[i]
+    run.samples[i] = (t, edit(v))
+    return dyn.State(t, *run.samples[i][1])
 
 
-def test_magical_prefix_fails_on_a_rising_sample(monkeypatch):
+def test_magical_prefix_fails_on_a_rising_sample():
     # one step-end sample before the crossing that moves upward
-    planted = _plant(monkeypatch, analysis, "_shoot",
-                     lambda v: (*v[:3], 1e-6))
-    rep = analysis.check_magical_prefix(analysis.grid_runs([1.398]))
+    runs = analysis.grid_runs([1.398])
+    planted = _plant(runs[0][0], lambda v: (*v[:3], 1e-6))
+    rep = analysis.check_magical_prefix(runs)
     assert rep.details["n_checked"] == 1
     assert not rep.passed
-    assert rep.worst_violation == 1e-6 / planted[0].t
+    assert rep.worst_violation == 1e-6 / planted.t
 
 
-def test_zero_energy_monotone_fails_on_an_approaching_sample(monkeypatch):
+def test_zero_energy_monotone_fails_on_an_approaching_sample():
     # one step-end sample moving towards the nucleus: r' < 0
-    planted = _plant(monkeypatch, analysis, "_first_stop",
-                     lambda v: (v[0], v[1], -v[2], -v[3]))
-    rep = analysis.check_zero_energy_monotone(analysis.zero_energy_run())
-    assert dyn.radial_velocity(planted[0]) < 0.0
+    run = analysis.zero_energy_run()
+    planted = _plant(run, lambda v: (v[0], v[1], -v[2], -v[3]))
+    rep = analysis.check_zero_energy_monotone(run)
+    assert dyn.radial_velocity(planted) < 0.0
     assert not rep.passed
     assert rep.worst_violation == (
-        -dyn.radial_velocity(planted[0]) / planted[0].t
+        -dyn.radial_velocity(planted) / planted.t
     )
 
 
@@ -225,24 +214,15 @@ def test_inverted_concavity_fails_on_a_displaced_sample(zero_run):
     assert rep.worst_violation == rep.details["fd_mismatch_worst"] > 0.0
 
 
-def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
+def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4():
     # the checks' run steps as its error control allows, up to its whole
     # span; at requested times up to t = 5 its samples agree with the
     # fixed-step RK4 of conftest, in steps of 1e-3, within 1e-9 (measured
     # 3.6e-11 at t = 5, about the RK4's own error: 5.4e-10 at steps of
     # 2e-3, 4.5e-12 at 5e-4)
-    runs = []
-    real = analysis._first_stop
-
-    def first_stop(s0, settings, E, **kwargs):
-        runs.append((settings, real(s0, settings, E, **kwargs)))
-        return runs[-1][1]
-
-    monkeypatch.setattr(analysis, "_first_stop", first_stop)
-    assert analysis.check_zero_energy_monotone(
-        analysis.zero_energy_run()).passed
-    (settings, run), = runs
-    assert settings.h_max == settings.t_limit == 50.0
+    run = analysis.zero_energy_run()
+    assert analysis.check_zero_energy_monotone(run).passed
+    assert run.settings.h_max == run.settings.t_limit == 50.0
     by_time = dict(run.samples)
     _, v0 = run.samples[0]
     for t in (1.0, 2.5, 5.0):
@@ -252,20 +232,10 @@ def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
 
 def _zero_energy_run_settings(monkeypatch, t_end, settings):
     """The settings and requested times of zero_energy_run's run, which is
-    not made."""
-    seen = []
-
-    class Stop(Exception):
-        pass
-
-    def first_stop(s0, settings, E, sample_times):
-        seen.append((settings, sample_times))
-        raise Stop
-
-    monkeypatch.setattr(analysis, "_first_stop", first_stop)
-    with pytest.raises(Stop):
-        analysis.zero_energy_run(t_end, settings)
-    return seen[0]
+    made but not stepped."""
+    monkeypatch.setattr(integrator._Run, "advance", lambda run: run)
+    run = analysis.zero_energy_run(t_end, settings)
+    return run.settings, run.sample_times
 
 
 def test_zero_energy_samples_are_no_further_apart_than_h_max():

@@ -539,19 +539,25 @@ def test_kept_parser_runs_the_rebound_command(monkeypatch, argv):
      "t_end must be finite and positive, got 0.0"),
     (["zero-energy", "--t-end", "-1"],
      "t_end must be finite and positive, got -1.0"),
-    # a launch so near the collision line that r^3 and y^2 underflow to 0
-    # at the first field evaluation, though the run's time unit is in range
+    # a launch so near the collision line that its scale, 100 times its
+    # height, gives a time unit of about 1e-297, whose H_MIN step squares to
+    # a subnormal (its field, whose r^3 and y^2 underflow to 0, is never
+    # evaluated: see test_launch_whose_field_underflows_is_rejected)
     (["simulate", "--energy", "-1", "--height", "1e-200"],
-     "the field there is out of the floating-point range"),
+     "time unit 9.999999999999999e-298 out of range at E=-1.0"),
     (["scan", "--energy", "-1", "--grid", "1e-200,1,3"],
-     "the field there is out of the floating-point range"),
+     "time unit 9.999999999999999e-298 out of range at E=-1.0"),
     (["find-orbit", "--energy", "-1", "--bracket", "1e-200,3"],
-     "the field there is out of the floating-point range"),
+     "time unit 9.999999999999999e-298 out of range at E=-1.0"),
+    # deep in the well, E = -1e101: the default grid rescaled, whose runs
+    # would all rest, but off the scaling law
+    (["scan", "--energy", "-1e101", "--grid", "1e-102,3.45e-101,5"],
+     "time unit 3.1622776601683796e-152 out of range at E=-1e+101"),
 ], ids=["scan_energy_nan", "simulate_energy_nan", "scan_tol_inf",
         "simulate_t_limit_inf", "zero_energy_t_end_inf",
         "zero_energy_t_end_nan", "zero_energy_t_end_0",
         "zero_energy_t_end_negative", "simulate_tiny_height",
-        "scan_tiny_height", "find_orbit_tiny_bracket_end"])
+        "scan_tiny_height", "find_orbit_tiny_bracket_end", "scan_deep_well"])
 def test_invalid_input_exits_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import re
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -595,7 +597,7 @@ def test_non_finite_steps_are_rejected_until_underflow(monkeypatch, radius):
     s0 = State(t=0.0, x=0.0, y=1.0, vx=10.0, vy=0.0)
     run = _Run(s0, IntegratorSettings(), (), (), ())
     with pytest.raises(StepUnderflow) as exc:
-        next(run.run())
+        run.advance()
     assert len(sampled) > 1
     assert all(math.isfinite(c) for v in sampled for c in v)
     # the underflow reports the run's last accepted sample, just short of
@@ -607,7 +609,7 @@ def test_non_finite_steps_are_rejected_until_underflow(monkeypatch, radius):
     # stopped short of x = 0.5 (x is about 10 t), the run ends at its time
     # limit, and its TIME_LIMIT event has its last sample's time and state
     run = _Run(s0, IntegratorSettings(t_limit=0.025), (), (), ())
-    assert next(run.run()) is EventKind.TIME_LIMIT
+    assert run.advance().termination is EventKind.TIME_LIMIT
     t, y = run.samples[-1]
     assert t == pytest.approx(0.025, abs=1e-12)
     assert y[0] < 0.5
@@ -723,6 +725,35 @@ def test_run_rejects_a_launch_off_the_half_plane(y):
         _Run(s0, IntegratorSettings(), (), (), ())
 
 
+def test_launch_whose_field_underflows_is_rejected():
+    # a bare start state reads its knobs at a = 1, so its time unit is in
+    # range; at y = 1e-200 the launch's own field evaluation, whose y^2
+    # underflows to 0, rejects it
+    with pytest.raises(DomainError, match="out of the floating-point range"):
+        integrate(State(t=0.0, x=1.0, y=1e-200, vx=0.0, vy=0.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: shooting._shoot(-1.0, 1.398, IntegratorSettings())[0],
+    lambda: shooting._rest_run(-1.0, 0.3, 3, IntegratorSettings()),
+    lambda: analysis.zero_energy_run(1.0),
+], ids=["shoot", "rest_run", "zero_energy_run"])
+def test_a_dropped_run_is_freed_at_once(make):
+    # a run holds no reference to itself, through its step loop or
+    # otherwise, so it is freed as soon as its last reference goes, with
+    # the cycle collector off; a run in a cycle would live until a collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run = make()
+        ref = weakref.ref(run)
+        del run
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_trial_of_a_vanishing_step_has_no_error():
     # h = 5e-324, the smallest float: every error term underflows to 0, so
     # the error norm is 0, not the nan of 0 / 0
@@ -746,13 +777,12 @@ def test_event_whose_residual_is_zero_at_a_step_end(monkeypatch):
     monkeypatch.setattr(integrator, "_locate", locate)
     s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
     run = _Run(s0, IntegratorSettings(), (), (EventKind.X_VELOCITY_ZERO,), ())
-    assert next(run.run()) is EventKind.X_VELOCITY_ZERO
+    assert run.advance().termination is EventKind.X_VELOCITY_ZERO
     [(kind, t, y)] = run.events
     assert run.samples[-1] == (t, y)
     assert run.samples[-2][1][0] < 0.01 <= y[0]
     # and it is a step end of the same launch's run that watches nothing
-    free = _Run(s0, IntegratorSettings(t_limit=2.0 * t), (), (), ())
-    next(free.run())
+    free = _Run(s0, IntegratorSettings(t_limit=2.0 * t), (), (), ()).advance()
     assert (t, y) in free.samples
 
 
@@ -1089,11 +1119,10 @@ def test_resumed_run_drops_each_stop_from_its_drift(monkeypatch):
     monkeypatch.setattr(dyn, "energy_vec", energy)
     s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=0.3))
     settings_ = IntegratorSettings(t_limit=8.0)
-    rests = integrator._rest_arcs(s0, settings_)
+    run = _Run(s0, settings_, (), (EventKind.X_VELOCITY_ZERO,), ())
     for cut in rest_cuts(s0, settings_)[:3]:
         assert cut.max_energy_drift > 0.1
-        run = next(rests)
-        assert run.drift == cut.max_energy_drift
+        assert run.advance().drift == cut.max_energy_drift
 
 
 def test_the_time_limit_ends_the_run():
@@ -1103,7 +1132,10 @@ def test_the_time_limit_ends_the_run():
     s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.398))
     run = _Run(s0, IntegratorSettings(t_limit=3.0), (),
                (EventKind.X_VELOCITY_ZERO,), (), -1.0)
-    assert list(run.run()) == [EventKind.X_VELOCITY_ZERO, EventKind.TIME_LIMIT]
+    assert run.advance().termination is EventKind.X_VELOCITY_ZERO
+    assert run.advance().termination is EventKind.TIME_LIMIT
+    with pytest.raises(StopIteration):
+        run.advance()
     assert [kind for kind, _, _ in run.events] == [
         EventKind.X_VELOCITY_ZERO, EventKind.TIME_LIMIT]
     assert run.termination is EventKind.TIME_LIMIT
@@ -1119,11 +1151,11 @@ def test_the_time_limit_ends_the_run():
     (State(t=0.0, x=0.0, y=2.0, vx=0.0, vy=0.0), IntegratorSettings(),
      [EventKind.COLLISION_PROXIMITY]),
 ], ids=["time_limit", "collision"])
-def test_rest_arcs_end_at_the_stop_that_ends_the_run(s0, settings_, stops):
-    # the resumable run is yielded at each x-rest, then once at the stop
-    # that ends it, after which it is never resumed
-    rests = integrator._rest_arcs(s0, settings_)
-    assert [run.termination for run in rests] == stops
+def test_rest_runs_end_at_the_stop_that_ends_the_run(s0, settings_, stops):
+    # a run that stops at x-rests is advanced to each of them, then to the
+    # stop that ends it, where the search leaves it
+    run = _Run(s0, settings_, (), (EventKind.X_VELOCITY_ZERO,), ())
+    assert [run.advance().termination for _ in stops] == stops
 
 
 def _find_orbit_command(kind):
@@ -1196,19 +1228,19 @@ def test_field_evaluations_do_not_grow(field_calls, run, count):
     lambda: shooting.scan_alpha(-1.0, shooting.default_grid()),
     lambda: shooting.find_brake_orbit(-1.0),
 ], ids=["shoot", "scan_alpha", "find_brake_orbit"])
-def test_field_evaluations_follow_from_the_step_loop(field_calls,
+def test_field_evaluations_follow_from_the_step_loop(field_calls, made_runs,
                                                      monkeypatch, run):
     # an outside count of what the step loop calls, against the field
     # evaluations observed where they happen: a trial step evaluates 12
     # stages (11 and the FSAL stage), an interpolant 3, a launch 1 (its
-    # first stage) and a located x-rest 1 (its first-order step); a located
-    # event's state costs none.  A trial that a stage off the half plane
-    # cuts short evaluates the stages before that one, counted on the
-    # tableau loop, which gives the kernel's stages bit for bit
-    # (test_unrolled_step_matches_the_tableau_loop): stages 2 to 12 there,
-    # and the FSAL stage at its eighth-order position
+    # first stage, one per run made) and a located x-rest 1 (its
+    # first-order step); a located event's state costs none.  A trial that
+    # a stage off the half plane cuts short evaluates the stages before
+    # that one, counted on the tableau loop, which gives the kernel's
+    # stages bit for bit (test_unrolled_step_matches_the_tableau_loop):
+    # stages 2 to 12 there, and the FSAL stage at its eighth-order position
     calls = {"_trial": 0, "cut": 0, "cut_stages": 0, "_dense_output": 0,
-             "_at_rest": 0, "launch": 0}
+             "_at_rest": 0}
 
     def stages_before_the_half_plane(y, h, f1x, f1y, *_):
         n = [0]
@@ -1243,17 +1275,11 @@ def test_field_evaluations_follow_from_the_step_loop(field_calls,
 
         monkeypatch.setattr(integrator, name, count)
 
-    class CountingRun(integrator._Run):
-        def run(self):
-            calls["launch"] += 1
-            return super().run()
-
-    monkeypatch.setattr(integrator, "_Run", CountingRun)
     run()
     assert calls["_trial"] > 0
     assert field_calls[0] == (12 * calls["_trial"] + calls["cut_stages"]
                               + 3 * calls["_dense_output"]
-                              + calls["_at_rest"] + calls["launch"])
+                              + calls["_at_rest"] + len(made_runs))
 
 
 def test_the_suite_builds_no_records(monkeypatch):
@@ -1319,19 +1345,11 @@ def test_location_probes_do_not_grow(probes, run, count):
     assert probes[0] == count
 
 
-def test_the_suite_makes_one_run_per_launch(monkeypatch):
+def test_the_suite_makes_one_run_per_launch(made_runs):
     # the 50 default-grid launches and the zero-energy launch are each
     # integrated once: every check reduces one of those 51 runs
-    runs = []
-
-    class CountingRun(integrator._Run):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            runs.append(self)
-
-    monkeypatch.setattr(integrator, "_Run", CountingRun)
     analysis.run_all_checks()
-    assert len(runs) == len(shooting.default_grid()) + 1 == 51
+    assert len(made_runs) == len(shooting.default_grid()) + 1 == 51
 
 
 class TestInvertedChart:

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -298,6 +299,27 @@ def test_scan_scales_exactly_under_the_scale_clamp(E):
     assert _scan_bits(E, heights, 1e-10) == _scan_bits(-1.0, heights, 1e-10)
 
 
+def test_scan_scales_exactly_at_the_deepest_level_run():
+    # E = -4^154 is the deepest level -4^k at which a run's H_MIN step,
+    # 1e-14 x 8^-k, squares to a normal float
+    E = -(4.0 ** 154)
+    assert (integrator.H_MIN * (-1.0 / E) ** 1.5) ** 2 >= sys.float_info.min
+    grid = shooting.default_grid()
+    assert _scan_bits(E, grid, 1e-10) == _scan_bits(-1.0, grid, 1e-10)
+
+
+@pytest.mark.parametrize("k", [155, 167, 175])
+def test_scan_rejects_a_level_off_the_scaling_law(k):
+    # below -4^154 the H_MIN step squares to a subnormal.  Runs there
+    # still rest, and until E = -4^166 they still scale exactly, but from
+    # -4^167 their alphas drift off the E = -1 ones (by 8.9e-16 at k = 167
+    # and 8.8e-4 at k = 175, in E = -1 units) under an `ok` status; so
+    # every launch there is rejected
+    E = -(4.0 ** k)
+    with pytest.raises(DomainError, match=r"time unit \S+ out of range"):
+        shooting.scan_alpha(E, [h / -E for h in shooting.default_grid()])
+
+
 @pytest.mark.parametrize("rel_tol", EXACT_TOLS)
 def test_orbits_scale_exactly(rel_tol):
     settings = IntegratorSettings(rel_tol)
@@ -377,27 +399,8 @@ def test_found_orbit_touches_under_fixed_step_rk4(kind, step, E):
     assert math.hypot(vx, vy) / math.sqrt(-E) <= 1e-6
 
 
-@pytest.fixture
-def integrate_calls(monkeypatch):
-    """Record (start state, settings) of every integration made in
-    `shooting`: each `_integrate` call (the retrace), and each `_rest_arcs`
-    run, the one launch path of shoot's runs, quarter arcs and
-    classification, once however far it is advanced."""
-    calls = []
-
-    def recording(real):
-        def run(s0, settings=IntegratorSettings(), *args, **kwargs):
-            calls.append((s0, settings))
-            return real(s0, settings, *args, **kwargs)
-        return run
-
-    for name in ("_integrate", "_rest_arcs"):
-        monkeypatch.setattr(shooting, name, recording(getattr(shooting, name)))
-    return calls
-
-
 @pytest.mark.parametrize("kind", sorted(FINDERS))
-def test_each_solver_evaluation_integrates_once(integrate_calls, kind):
+def test_each_solver_evaluation_integrates_once(made_runs, kind):
     # each trace entry is one integration, coarse or at full tolerance (the
     # coarse root is integrated once more, at full tolerance, to open the
     # polish); the touch state is the last solver evaluation's rest, not a
@@ -405,11 +408,11 @@ def test_each_solver_evaluation_integrates_once(integrate_calls, kind):
     # bracket ends are solver evaluations rather than classification runs
     kwargs = {"k": 3} if kind == "brake" else {}
     rec = FINDERS[kind](-1.0, **kwargs)
-    assert len(integrate_calls) == len(rec.solver_trace)
+    assert len(made_runs) == len(rec.solver_trace)
 
 
 @pytest.mark.parametrize("kind", sorted(FINDERS))
-def test_find_orbit_integrates_each_launch_once(integrate_calls, tmp_path, kind):
+def test_find_orbit_integrates_each_launch_once(made_runs, tmp_path, kind):
     # classification integrates each bracket end once, to its k-th rest, at
     # the coarse stage's tolerance; the coarse stage starts from those
     # runs' values, and assembly from the h* arc, so beyond the retrace each
@@ -421,7 +424,7 @@ def test_find_orbit_integrates_each_launch_once(integrate_calls, tmp_path, kind)
     rec = output.parse_orbit_record(
         (tmp_path / f"{kind}.orbit.json").read_text()
     )
-    assert len(integrate_calls) == len(rec.solver_trace) + 1
+    assert len(made_runs) == len(rec.solver_trace) + 1
 
 
 class TestResumedRun:
@@ -442,16 +445,16 @@ class TestResumedRun:
         for h in shooting._bracket_at(E, None, shooting.DEFAULT_BRAKE_BRACKET):
             s0 = dyn.initial_state(dyn.ProblemSpec(E=E, h=h))
             cuts = rest_cuts(s0, settings_, E)
-            rests = shooting._rest_arcs(s0, settings_, E)
+            run = shooting._launch(E, h, settings_)
             for k in range(1, 5):
                 want = trajectory_bits(cuts[k - 1])
-                resumed = shooting._next_rest(rests, k)
+                resumed = shooting._next_rest(run, k)
                 assert trajectory_bits(_build_trajectory(resumed)) == want
                 fresh = _build_trajectory(
                     shooting._rest_run(E, h, k, settings_))
                 assert trajectory_bits(fresh) == want
 
-    def test_run_stopped_short_rejects_the_bracket(self, integrate_calls):
+    def test_run_stopped_short_rejects_the_bracket(self, made_runs):
         # both default ends rest twice before t = 4 and a third time after:
         # each end is integrated once, and the message is the one for a
         # bracket that no rest count up to MAX_RESTS separates
@@ -460,7 +463,7 @@ class TestResumedRun:
             "no rest count up to 8 separates the bracket (0.3, 0.8)"
         )):
             shooting.classify_reflection_count(-1.0, settings=short)
-        assert len(integrate_calls) == 2
+        assert len(made_runs) == 2
 
     def test_quarter_without_the_rest_raises_no_rest(self):
         # the same ends have no 3rd rest before t = 4: the error names the
@@ -470,7 +473,7 @@ class TestResumedRun:
         assert (exc.value.k, exc.value.termination) == (4, "TimeLimit")
 
 
-def test_only_kept_rests_build_an_arc(integrate_calls, monkeypatch):
+def test_only_kept_rests_build_an_arc(made_runs, monkeypatch):
     # classification and alpha_k read alpha at each rest without building
     # its arc; the brake search builds one arc, the root's at its own
     # settings, and none for its classification, coarse stage or the
@@ -486,10 +489,10 @@ def test_only_kept_rests_build_an_arc(integrate_calls, monkeypatch):
     assert shooting.classify_reflection_count(-1.0) == 3
     shooting.alpha_k(-1.0, 0.8, 3)
     assert builds == []
-    integrate_calls.clear()
+    made_runs.clear()
     rec = shooting.find_brake_orbit(-1.0)
-    full = [c for c in integrate_calls if c[1] == IntegratorSettings()]
-    assert 1 < len(full) < len(integrate_calls)
+    full = [c for c in made_runs if c[1] == IntegratorSettings()]
+    assert 1 < len(full) < len(made_runs)
     assert len(builds) == 1
     assert builds[0].settings == IntegratorSettings()
     assert builds[0].samples[-1][1][3] == rec.alpha_residual
@@ -527,7 +530,7 @@ class TestBrakeClassification:
         assert {None, 1} < outcomes
 
     def test_end_next_to_the_root_is_classified_at_full_tolerance(
-        self, integrate_calls
+        self, made_runs
     ):
         # an end a relative 1e-7 above h*, between h* and the coarse root
         # (about 6.9e-7 above it): its coarse alpha_3 has the wrong sign, and
@@ -538,7 +541,7 @@ class TestBrakeClassification:
         assert rec.kind == "Brake-3"
         assert abs(rec.h_star - H_STAR_BRAKE) <= H_STAR_BRAKE_TOL
         first = [(s0.y, settings_.rel_tol) for s0, settings_
-                 in integrate_calls[:4]]
+                 in made_runs[:4]]
         full = IntegratorSettings().rel_tol
         assert first == [
             (bracket[0], pytest.approx(shooting.COARSE_REL_TOL)),
@@ -547,14 +550,14 @@ class TestBrakeClassification:
             (bracket[1], full),
         ]
 
-    def test_work_of_a_classified_search(self, integrate_calls):
+    def test_work_of_a_classified_search(self, made_runs):
         # the default bracket's classification runs at the coarse stage's
         # tolerance; the only launches at the given settings are the
         # polish's, the trace's last entries
         rec = shooting.find_brake_orbit(-1.0)
         lo, hi = shooting.DEFAULT_BRAKE_BRACKET
-        heights = [s0.y for s0, _ in integrate_calls]
-        tols = [settings_.rel_tol for _, settings_ in integrate_calls]
+        heights = [s0.y for s0, _ in made_runs]
+        tols = [settings_.rel_tol for _, settings_ in made_runs]
         assert heights[:2] == [lo, hi]
         assert heights == [h for h, _ in rec.solver_trace]
         n_full = tols.count(IntegratorSettings().rel_tol)
@@ -582,10 +585,10 @@ class TestBrakeClassification:
         heights = [rng.uniform(0.05, 3.4) for _ in range(60)]
         for h in heights + [0.37494581732371746, 3.330620329714371,
                             3.334024910547552, 3.3565107859155803]:
-            full = shooting._rests(-1.0, h, IntegratorSettings())
+            full = shooting._launch(-1.0, h, IntegratorSettings())
             want = [shooting._alpha(shooting._next_rest(full, k))
                     for k in range(1, 6)]
-            rough = shooting._rests(-1.0, h, coarse)
+            rough = shooting._launch(-1.0, h, coarse)
             for k in range(1, 6):
                 got = shooting._alpha(shooting._next_rest(rough, k))
                 assert abs(got - want[k - 1]) <= shooting.CLASSIFY_MARGIN
@@ -621,9 +624,9 @@ class TestBrakeClassification:
         # 1.3e-6 off the full-tolerance one
         coarse = shooting._coarse(IntegratorSettings())
         s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
-        rests = shooting._rests(-1.0, h, coarse)
+        run = shooting._launch(-1.0, h, coarse)
         for k in range(1, 4):
-            t, (_, _, _, alpha) = shooting._next_rest(rests, k).samples[-1]
+            t, (_, _, _, alpha) = shooting._next_rest(run, k).samples[-1]
             dt = t / math.ceil(t / 1e-4)
             vy = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, t, dt)[3]
             assert (vy > 0.0) == (alpha > 0.0)
@@ -693,7 +696,7 @@ class TestTwoStageSearch:
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
     def test_trace_ends_at_the_root_inside_the_bracket(
-        self, integrate_calls, kind
+        self, made_runs, kind
     ):
         kwargs = {"k": 3} if kind == "brake" else {}
         rec = FINDERS[kind](-1.0, **kwargs)
@@ -703,17 +706,17 @@ class TestTwoStageSearch:
         assert all(lo <= h <= hi for h, _ in rec.solver_trace)
         # no launch is integrated twice at the same settings; both stages
         # ran, and the root is integrated at the given settings
-        assert len(set(integrate_calls)) == len(integrate_calls)
-        tols = [settings.rel_tol for _, settings in integrate_calls]
+        assert len(set(made_runs)) == len(made_runs)
+        tols = [settings.rel_tol for _, settings in made_runs]
         assert tols[0] == pytest.approx(shooting.COARSE_REL_TOL)
         assert tols[-1] == IntegratorSettings().rel_tol
-        assert integrate_calls[-1][0] == _launch(rec)
+        assert made_runs[-1][0] == _launch(rec)
 
-    def test_no_coarse_stage_at_coarse_settings(self, integrate_calls):
+    def test_no_coarse_stage_at_coarse_settings(self, made_runs):
         coarse = IntegratorSettings(rel_tol=shooting.COARSE_REL_TOL)
         rec = shooting.find_langmuir_orbit(-1.0, settings=coarse)
-        assert {settings for _, settings in integrate_calls} == {coarse}
-        assert len(integrate_calls) == len(rec.solver_trace)
+        assert {settings for _, settings in made_runs} == {coarse}
+        assert len(made_runs) == len(rec.solver_trace)
 
     def test_bracket_without_sign_change_raises_at_full_tolerance(self):
         # the error is the full-tolerance search's: its values are alpha
@@ -733,8 +736,9 @@ class TestTwoStageSearch:
         solves = []
         real = shooting._solve_bracketed
 
-        def solve(f, lo, hi, tol_f, max_iter, trace):
-            root = real(f, lo, hi, tol_f, max_iter, trace)
+        def solve(f, lo, hi, tol_f):
+            f, trace = _traced(f)
+            root = real(f, lo, hi, tol_f)
             solves.append((tol_f, len(trace), root))
             return root
 
@@ -851,9 +855,21 @@ class TestBrackets:
             search(0.0)
 
 
-def _solve(f, lo, hi, tol_f, max_iter=100):
+def _traced(f):
+    """f, and the list of its evaluations (x, f(x)) in order, as the orbit
+    search's alpha functions record them."""
     trace = []
-    x, fx = shooting._solve_bracketed(f, lo, hi, tol_f, max_iter, trace)
+
+    def traced(x):
+        trace.append((x, f(x)))
+        return trace[-1][1]
+
+    return traced, trace
+
+
+def _solve(f, lo, hi, tol_f):
+    f, trace = _traced(f)
+    x, fx = shooting._solve_bracketed(f, lo, hi, tol_f)
     return x, fx, trace
 
 
@@ -884,19 +900,17 @@ class TestRootSolver:
         with pytest.raises(BadBracket):
             _solve(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
-    def test_iteration_limit_raises_no_convergence(self):
+    def test_iteration_limit_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(shooting, "MAX_ITER", 3)
         with pytest.raises(NoConvergence, match="after 3 iterations"):
-            _solve(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 0.0, max_iter=3)
+            _solve(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 0.0)
 
     def test_collapsed_bracket_raises_no_convergence(self):
         # a jump: |f| never falls below the tolerance, and the solver stops
-        # once the bracket is down to rounding, well before max_iter
-        trace = []
+        # once the bracket is down to rounding, well before MAX_ITER
+        f, trace = _traced(lambda x: -1.0 if x < 0.5 else 1.0)
         with pytest.raises(NoConvergence, match="shrunk"):
-            shooting._solve_bracketed(
-                lambda x: -1.0 if x < 0.5 else 1.0, 0.0, 1.0, 1e-12, 200,
-                trace,
-            )
+            shooting._solve_bracketed(f, 0.0, 1.0, 1e-12)
         assert len(trace) < 100
 
 
@@ -907,8 +921,8 @@ class TestPolish:
 
     @staticmethod
     def _polish(f, last, tol_f=1e-12, h0=0.5):
-        trace = []
-        return shooting._polish(f, h0, last, (0.0, 1.0), tol_f, trace), trace
+        f, trace = _traced(f)
+        return shooting._polish(f, h0, last, (0.0, 1.0), tol_f), trace
 
     def test_start_within_tolerance(self):
         root, trace = self._polish(lambda x: x - 0.5, [(0.0, -0.5),
@@ -1052,9 +1066,10 @@ class TestAssembly:
             assert abs(mirror.x - s.x) <= 1e-9
             assert abs(mirror.vx + s.vx) <= 1e-9
 
-    def test_retrace_guard(self):
+    def test_retrace_guard(self, monkeypatch):
+        monkeypatch.setattr(shooting, "CLOSURE_TOL", 0.0)
         with pytest.raises(ClosureFailure):
-            shooting.assemble_periodic_orbit(self.rec, closure_tol=0.0)
+            shooting.assemble_periodic_orbit(self.rec)
 
     def test_unmatched_retrace_samples_fail(self, retrace_without_samples):
         # only the time limit's sample can mirror a forward one
@@ -1083,21 +1098,21 @@ class TestAssemblyArc:
     """Which quarter arc assemble_periodic_orbit closes into the orbit."""
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
-    def test_search_arc_is_reused(self, orbits_at_e1, integrate_calls, kind):
+    def test_search_arc_is_reused(self, orbits_at_e1, made_runs, kind):
         rec = orbits_at_e1[kind]
         shooting.assemble_periodic_orbit(rec)
         # only the backward retrace, which starts at the touch point
-        assert len(integrate_calls) == 1
-        assert integrate_calls[0][0].x == rec.touch_state.x
+        assert len(made_runs) == 1
+        assert made_runs[0][0].x == rec.touch_state.x
 
     def test_other_settings_integrate_their_own_quarter(
-        self, orbits_at_e1, integrate_calls
+        self, orbits_at_e1, made_runs
     ):
         rec = orbits_at_e1["langmuir"]
         finer = IntegratorSettings(rel_tol=1e-9)
         orbit = shooting.assemble_periodic_orbit(rec, finer)
-        assert len(integrate_calls) == 2
-        assert integrate_calls[0] == (_launch(rec), finer)
+        assert len(made_runs) == 2
+        assert made_runs[0] == (_launch(rec), finer)
         # the quarter is the one these settings integrate
         quarter = _build_trajectory(
             shooting._rest_run(rec.E, rec.h_star, 1, finer))
@@ -1106,22 +1121,23 @@ class TestAssemblyArc:
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
     def test_parsed_record_assembles_to_the_same_bytes(
-        self, orbits_at_e1, integrate_calls, kind
+        self, orbits_at_e1, made_runs, kind
     ):
         rec = orbits_at_e1[kind]
         parsed = output.parse_orbit_record(output.orbit_record_json(rec))
         own = output.trajectory_csv(shooting.assemble_periodic_orbit(parsed))
-        assert integrate_calls[0][0] == _launch(rec)
-        assert len(integrate_calls) == 2
+        assert made_runs[0][0] == _launch(rec)
+        assert len(made_runs) == 2
         reused = output.trajectory_csv(shooting.assemble_periodic_orbit(rec))
         assert own == reused
 
 
-def _retrace_worst(rec):
+def _retrace_worst(monkeypatch, rec):
     """The retrace deviation, in E = -1 units, that assemble_periodic_orbit
     reports when every deviation exceeds its tolerance."""
+    monkeypatch.setattr(shooting, "CLOSURE_TOL", 0.0)
     with pytest.raises(ClosureFailure) as info:
-        shooting.assemble_periodic_orbit(rec, closure_tol=0.0)
+        shooting.assemble_periodic_orbit(rec)
     return float(re.search(r"by (\S+) in E = -1 units", str(info.value))[1])
 
 
@@ -1145,11 +1161,12 @@ def test_closure_tolerance_catches_a_displaced_sample(kind, tol):
         shooting.assemble_periodic_orbit(rec, settings)
 
 
-def test_brake_retrace_deviation_follows_the_scaling_law(orbits_at_e1):
+def test_brake_retrace_deviation_follows_the_scaling_law(orbits_at_e1,
+                                                         monkeypatch):
     # the E = -4 brake orbit is the E = -1 one with positions scaled by 1/4
     # and velocities by 2; in E = -1 units only integration error differs
-    ref = _retrace_worst(orbits_at_e1["brake"])
-    worst = _retrace_worst(shooting.find_brake_orbit(-4.0))
+    ref = _retrace_worst(monkeypatch, orbits_at_e1["brake"])
+    worst = _retrace_worst(monkeypatch, shooting.find_brake_orbit(-4.0))
     assert ref <= 1e-6
     assert abs(worst / ref - 1.0) <= 0.1
 
