@@ -42,7 +42,7 @@ def main() -> int:
         ("langmuir", shooting.find_langmuir_orbit(ENERGY)),
         ("brake", shooting.find_brake_orbit(ENERGY)),
     ):
-        orbit = shooting.assemble_periodic_orbit(rec, settings)
+        orbit = shooting.assemble_periodic_orbit(rec)
         path = out_dir / f"orbit_{name}.svg"
         path.write_text(
             output.trajectory_svg(

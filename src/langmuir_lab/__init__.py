@@ -10,9 +10,6 @@ from .dynamics import (
     energy,
     hill_boundary_sample,
     initial_state,
-    magical_line_residual,
-    potential,
-    scale_state,
 )
 from .errors import (
     BadBracket,
@@ -32,9 +29,7 @@ from .integrator import (
 from .shooting import (
     OrbitRecord,
     ShootResult,
-    alpha_k,
     assemble_periodic_orbit,
-    classify_reflection_count,
     find_brake_orbit,
     find_langmuir_orbit,
     scan_alpha,

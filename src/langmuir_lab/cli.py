@@ -120,7 +120,7 @@ def cmd_find_orbit(args) -> int:
         )
     else:
         rec = shooting.find_langmuir_orbit(args.energy, args.bracket, settings)
-    orbit = shooting.assemble_periodic_orbit(rec, settings)
+    orbit = shooting.assemble_periodic_orbit(rec)
     rec_json = output.orbit_record_json(rec)
     if args.out:
         _write(args.out + ".orbit.json", rec_json)
@@ -139,7 +139,7 @@ def cmd_scan(args) -> int:
     if not (0.0 < lo < hi and n >= 1):
         raise DomainError(f"invalid grid {args.grid}")
     settings = _settings(args, _read_config(args.config))
-    grid = [lo] if n == 1 else shooting.default_grid(lo, hi, n)
+    grid = shooting.default_grid(lo, hi, n)
     results = shooting.scan_alpha(args.energy, grid, settings)
     _write(args.out, output.scan_csv(results))
     brackets = shooting.sign_change_brackets(results)

@@ -3,10 +3,11 @@
 Two electrons mirror each other across the x-axis around a fixed nucleus at
 the origin; the reduced configuration is the upper-half-plane position
 (x, y) of one electron, with y = 0 the electron-electron collision and the
-origin the electron-nucleus collision.  Everything here is a pure function:
-the potential, the force field, energy, the admissible initial conditions,
-the zero-velocity (Hill) boundary, the line where the vertical force
-vanishes and the conformal rescaling between energy levels.
+origin the electron-nucleus collision.  The potential is
+V(x, y) = -4/sqrt(x^2 + y^2) + 1/(2y): attraction by the nucleus (charge 2,
+both mirrored electrons felt) plus mutual repulsion.  Everything here is a
+pure function: the force field, energy, the admissible initial conditions
+and the zero-velocity (Hill) boundary.
 
 Velocities are stored, not momenta: the equations of motion come in the
 second-order form x'' = -8x/rho^3, y'' = -8y/rho^3 + 1/y^2 with q' = 2p,
@@ -90,9 +91,6 @@ class State(_Record):
         _set(self, "vx", vx)
         _set(self, "vy", vy)
 
-    def speed2(self) -> float:
-        return self.vx * self.vx + self.vy * self.vy
-
 
 class ProblemSpec(_Record):
     """Energy E <= 0 and launch height h > 0 of the horizontal-launch
@@ -122,14 +120,6 @@ def _check_upper(y: float) -> None:
         raise DomainError(f"y must be positive, got {y}")
 
 
-def potential(x: float, y: float) -> float:
-    """V(x, y) = -4/sqrt(x^2 + y^2) + 1/(2y); attraction by the nucleus
-    (charge 2, both mirrored electrons felt) plus mutual repulsion."""
-    if y <= 0.0:
-        _check_upper(y)
-    return -4.0 / math.hypot(x, y) + 0.5 / y
-
-
 def acceleration(x: float, y: float) -> tuple[float, float]:
     """Right-hand side of the second-order equations of motion."""
     if y <= 0.0:
@@ -144,8 +134,8 @@ def acceleration(x: float, y: float) -> tuple[float, float]:
 
 def energy_vec(v: Vec) -> float:
     """Total energy |v|^2/4 + V(x, y) of the state tuple (x, y, vx, vy);
-    conserved by the exact flow.  V is computed inline, as potential()
-    computes it."""
+    conserved by the exact flow; with zero velocity it is V(x, y) itself
+    (see the module docstring)."""
     x, y, vx, vy = v
     if y <= 0.0:
         _check_upper(y)
@@ -162,14 +152,6 @@ def initial_state(spec: ProblemSpec) -> State:
     speed that puts the total energy at spec.E exactly."""
     u = 7.0 / (2.0 * spec.h) + spec.E
     return State(t=0.0, x=0.0, y=spec.h, vx=2.0 * math.sqrt(u), vy=0.0)
-
-
-def magical_line_residual(x: float, y: float) -> float:
-    """Signed distance surrogate sqrt(3)*y - |x| for the line where the
-    vertical force vanishes; positive above the line (where y'' < 0)."""
-    if y <= 0.0:
-        _check_upper(y)
-    return SQRT3 * y - abs(x)
 
 
 def hill_boundary_sample(E: float, n: int) -> list[tuple[float, float]]:
@@ -194,19 +176,3 @@ def hill_boundary_sample(E: float, n: int) -> list[tuple[float, float]]:
         r = (4.0 - 0.5 / math.sin(phi)) / -E
         pts.append((r * math.cos(phi), r * math.sin(phi)))
     return pts
-
-
-def scale_state(s: State, a: float) -> State:
-    """Conformal rescaling between energy levels: positions x a,
-    velocities x 1/sqrt(a), time x a^(3/2); energy maps to E/a."""
-    if not (a > 0.0):
-        raise DomainError(f"scale factor must be positive, got {a}")
-    ra = math.sqrt(a)
-    return State(
-        t=a * ra * s.t, x=a * s.x, y=a * s.y, vx=s.vx / ra, vy=s.vy / ra
-    )
-
-
-def radial_velocity(s: State) -> float:
-    """r' = (x vx + y vy)/r."""
-    return (s.x * s.vx + s.y * s.vy) / math.hypot(s.x, s.y)

@@ -41,17 +41,18 @@ controller state and first stage to the next stop.  So the run to the
 (k+1)-th x-rest passes through the run to the k-th, bit for bit, and one
 run gives both.
 
-The problem is scale-invariant (`dynamics.scale_state`), so a run launched
-at an energy level E < 0 reads its knobs in the units of the scale a = -1/E,
-where E is -1, or of MAX_SCALE_RATIO times the launch's distance from the
-nucleus when that is less (E near 0): the error norm's absolute floor,
+The problem is scale-invariant: lengths scale by a, velocities by a^-1/2
+and durations by a^3/2 (README, "Units of the knobs").  So a run launched
+at an energy level E < 0 reads its knobs in the units of the scale
+a = -1/E, where E is -1, or of MAX_SCALE_RATIO times the launch's distance
+from the nucleus when that is less (E near 0): the error norm's absolute floor,
 `rel_tol` x FLOOR_RATIO, x a for positions and x a^-1/2 for velocities;
 `h_max`, `t_limit`, H_MIN and the event time tolerance x a^3/2;
 COLLISION_DISTANCE x a.  An a^3/2 out of the floating-point range raises
-DomainError, as does one so small that H_MIN x a^3/2 squares to a
-subnormal (a = -1/E below about 6e-94): the kernel's h^2 terms lose bits
-there, so runs drift from the scaling law while they still rest.  At
-E = 0, and in `integrate`, whose states carry no energy level, a = 1.
+DomainError, as does one so small that H_MIN x a^3/2 squares to a subnormal
+(a = -1/E below about 6e-94): the kernel's h^2 terms lose bits there, so
+runs drift from the scaling law while they still rest.  At E = 0, and in
+`integrate`, whose states carry no energy level, a = 1.
 
 The kernel integrates one field, the planar one: each stage evaluates its
 acceleration in place, by the expressions of `dynamics.acceleration` in
@@ -145,12 +146,6 @@ class Trajectory(_Record):
         _set(self, "events", events)
         _set(self, "max_energy_drift", max_energy_drift)
         _set(self, "termination", termination)
-
-    def first_event(self, kind: EventKind) -> Event | None:
-        for ev in self.events:
-            if ev.kind is kind:
-                return ev
-        return None
 
 
 # The Dormand-Prince 8(5,3) pair DOP853 (Prince & Dormand 1981; Hairer,
@@ -1006,9 +1001,11 @@ def _vec_to_state(t: float, y: Vec) -> State:
 
 
 def _magical_line_residual(y: Vec) -> float:
-    """dynamics.magical_line_residual of the state y in one call, |x| by
-    comparison.  Location probes are interpolated states, which nothing has
-    checked, so it raises DomainError on y <= 0 as that does."""
+    """sqrt(3)*y - |x| of the state y, |x| by comparison: a signed
+    distance surrogate for the line where the vertical force vanishes,
+    positive above it (where y'' < 0).  Location probes are interpolated
+    states, which nothing has checked, so it raises DomainError on
+    y <= 0."""
     x, q = y[0], y[1]
     if q <= 0.0:
         _check_upper(q)

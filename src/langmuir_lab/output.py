@@ -38,15 +38,6 @@ def trajectory_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trajectory_csv(text: str) -> list[tuple[float, ...]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty trajectory CSV")
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-    return [tuple(float(c) for c in ln.split(",")) for ln in lines[1:]]
-
-
 def scan_csv(results: Sequence[ShootResult]) -> str:
     lines = [SCAN_HEADER]
     for r in results:
@@ -71,10 +62,6 @@ def _state_dict(s: State) -> dict:
     return {"t": s.t, "x": s.x, "y": s.y, "vx": s.vx, "vy": s.vy}
 
 
-def _state_from_dict(d: dict) -> State:
-    return State(t=d["t"], x=d["x"], y=d["y"], vx=d["vx"], vy=d["vy"])
-
-
 def orbit_record_json(rec: OrbitRecord) -> str:
     doc = {
         "E": rec.E,
@@ -87,19 +74,6 @@ def orbit_record_json(rec: OrbitRecord) -> str:
         "solver_trace": [[h, a] for h, a in rec.solver_trace],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_orbit_record(text: str) -> OrbitRecord:
-    doc = json.loads(text)
-    return OrbitRecord(
-        E=doc["E"],
-        h_star=doc["h_star"],
-        quarter_period=doc["quarter_period"],
-        touch_state=_state_from_dict(doc["touch_state"]),
-        alpha_residual=doc["alpha_residual"],
-        kind=doc["kind"],
-        solver_trace=tuple((h, a) for h, a in doc["solver_trace"]),
-    )
 
 
 def trajectory_json(traj: Trajectory) -> str:

@@ -116,7 +116,7 @@ class OrbitRecord(_Record):
     # made it, (IntegratorSettings, Trajectory), for assemble_periodic_orbit;
     # None but in the search's own record, which sets it after building it.
     # It is no field: never serialized, compared, pickled or copied by
-    # replace, so any other record integrates its own quarter.
+    # replace, so no other record can be assembled.
     __slots__ = (*_fields, "_quarter_arc")
 
     def __init__(self, E: float, h_star: float, quarter_period: float,
@@ -130,11 +130,6 @@ class OrbitRecord(_Record):
         _set(self, "kind", kind)
         _set(self, "solver_trace", solver_trace)
         _set(self, "_quarter_arc", None)
-
-    def reflection_count(self) -> int:
-        if self.kind == "Langmuir":
-            return 1
-        return int(self.kind.split("-", 1)[1])
 
 
 def _bracket_at(
@@ -224,16 +219,6 @@ def shoot(
     if run.termination is not EventKind.X_VELOCITY_ZERO:
         raise NoRest(1, run.termination.value)
     return res
-
-
-def alpha_k(
-    E: float,
-    h: float,
-    k: int,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> float:
-    """Vertical velocity at the k-th x-rest; alpha_1 is shoot(...).alpha."""
-    return _alpha(_rest_run(E, h, k, settings))
 
 
 def _solve_bracketed(
@@ -402,18 +387,17 @@ def find_brake_orbit(
     """Root of alpha_k on the bracket: the multi-reflection orbit.  The
     default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E.
 
-    When k is not given it is chosen as classify_reflection_count chooses
-    it, but at the settings of the search's first stage: the coarse ones
-    when `settings` are finer than COARSE_REL_TOL.  Only the signs of the
-    alphas compared matter, and the coarse alphas measured are off by at
-    most 9.4e-3, far under half of CLASSIFY_MARGIN (see there); so if any
-    |alpha_j| compared, at either end, is at or below CLASSIFY_MARGIN (in
-    E = -1 units), classification is repeated at `settings`, which then
-    decides k.  On the default bracket it is not: the smallest |alpha_j|
-    compared there is 0.854.  The search starts
-    from the runs that classification stopped at the k-th rest (see
-    _find_orbit).  A bracket classified as k = 1 holds the simple orbit
-    and raises BadBracket."""
+    When k is not given it is chosen by _classify, at the settings of the
+    search's first stage: the coarse ones when `settings` are finer than
+    COARSE_REL_TOL.  Only the signs of the alphas compared matter, and the
+    coarse alphas measured are off by at most 9.4e-3, far under half of
+    CLASSIFY_MARGIN (see there); so if any |alpha_j| compared, at either
+    end, is at or below CLASSIFY_MARGIN (in E = -1 units), classification
+    is repeated at `settings`, which then decides k.  On the default
+    bracket it is not: the smallest |alpha_j| compared there is 0.854.  The
+    search starts from the runs that classification stopped at the k-th
+    rest (see _find_orbit).  A bracket classified as k = 1 holds the simple
+    orbit and raises BadBracket."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
     if k is not None:
         return _find_orbit(E, bracket, k, f"Brake-{k}", settings)
@@ -423,7 +407,9 @@ def find_brake_orbit(
         at = settings
         found, runs, _ = _classify(E, bracket, at)
     if found is None:
-        raise _unseparated(bracket)
+        raise BadBracket(
+            f"no rest count up to {MAX_RESTS} separates the bracket {bracket}"
+        )
     if found == 1:
         raise BadBracket(
             f"the bracket {bracket} holds the simple orbit, not a brake orbit"
@@ -432,39 +418,17 @@ def find_brake_orbit(
                        (at, runs))
 
 
-def classify_reflection_count(
-    E: float,
-    bracket: tuple[float, float] | None = None,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> int:
-    """Smallest rest count k <= MAX_RESTS at which alpha_k differs in sign
-    between the bracket endpoints (the trajectory end is reflected on
-    opposite sides), with each endpoint integrated at the given settings.
-    The default bracket is DEFAULT_BRAKE_BRACKET rescaled to energy E.  Each
-    endpoint is integrated once, to its k-th rest (see _classify).  Raises
-    BadBracket when no k <= MAX_RESTS separates the ends."""
-    bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
-    k = _classify(E, bracket, settings)[0]
-    if k is None:
-        raise _unseparated(bracket)
-    return k
-
-
-def _unseparated(bracket: tuple[float, float]) -> BadBracket:
-    return BadBracket(
-        f"no rest count up to {MAX_RESTS} separates the bracket {bracket}"
-    )
-
-
 def _classify(
     E: float,
     bracket: tuple[float, float],
     settings: IntegratorSettings,
 ) -> tuple[int | None, tuple[_Run, ...], float]:
-    """classify_reflection_count at `settings`, returning the rest count
-    found (None when no k <= MAX_RESTS separates the ends), the runs of the
-    two bracket ends stopped there, whose arcs are not built (none when
-    rejected), and the smallest |alpha_j| compared, over both ends and
+    """The smallest rest count k <= MAX_RESTS at which alpha_k differs in
+    sign between the bracket ends (the trajectory end is reflected on
+    opposite sides), with each end integrated at `settings`.  Returns that
+    rest count (None when no k <= MAX_RESTS separates the ends), the runs
+    of the two bracket ends stopped there, whose arcs are not built (none
+    when rejected), and the smallest |alpha_j| compared, over both ends and
     every j.
 
     Each bracket end is integrated once, to its k-th rest and no further:
@@ -500,6 +464,9 @@ def default_grid(
     hi: float = DEFAULT_GRID_RANGE[1],
     n: int = DEFAULT_GRID_SIZE,
 ) -> list[float]:
+    """n heights evenly spaced from lo to hi; one point is [lo]."""
+    if n == 1:
+        return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -513,45 +480,38 @@ def sign_change_brackets(results: Sequence[ShootResult]) -> list[tuple[float, fl
     return out
 
 
-def assemble_periodic_orbit(
-    rec: OrbitRecord,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> Trajectory:
+def assemble_periodic_orbit(rec: OrbitRecord) -> Trajectory:
     """Close the quarter arc into the full period-4T orbit.
 
     [0, T]   the quarter arc,
     [T, 2T]  its time reversal (velocities negated),
     [2T, 4T] the x-reflection of the first half.
 
-    The quarter arc is the one the orbit search integrated at h_star, when
-    `rec` comes straight from find_langmuir_orbit or find_brake_orbit and
-    `settings` equal the search's; any other record (a parsed one, say)
-    integrates its own.  Before assembling, the quarter is re-integrated
-    backwards from the touch point with negated velocities, over [0, T]
-    with its own steps, requesting the mirror time T - t of every forward
-    sample after the launch; the integrator reads each from its dense
-    output.  Each is paired with the backward sample at exactly its mirror
-    time, and the launch with the last one if the run ends at its time
-    limit (T to rounding, as it is in E = -1 units).  An unpaired
-    forward sample, or a pair further apart than the closure tolerance,
-    raises ClosureFailure.  The deviation is measured in E = -1 units
-    (positions times -E, velocities over sqrt(-E)), in which every energy
-    level's orbit is the same rescaled curve.  The tolerance is
-    CLOSURE_TOL at the default rel_tol of 1e-10 and finer, and grows in
-    proportion to a coarser rel_tol, as the retrace's error does.
+    The quarter arc is the one the orbit search integrated at h_star, so
+    `rec` must come straight from find_langmuir_orbit or find_brake_orbit;
+    any other record (made by replace, by pickling or by hand) carries no
+    arc and raises ValueError.  Before assembling, the quarter is
+    re-integrated backwards from the touch point with negated velocities,
+    at the search's settings, over [0, T] with its own steps, requesting
+    the mirror time T - t of every forward sample after the launch; the
+    integrator reads each from its dense output.  Each is paired with the
+    backward sample at exactly its mirror time, and the launch with the
+    last one if the run ends at its time limit (T to rounding, as it is in
+    E = -1 units).  An unpaired forward sample, or a pair further apart
+    than the closure tolerance, raises ClosureFailure.  The deviation is
+    measured in E = -1 units (positions times -E, velocities over
+    sqrt(-E)), in which every energy level's orbit is the same rescaled
+    curve.  The tolerance is CLOSURE_TOL at the default rel_tol of 1e-10
+    and finer, and grows in proportion to a coarser rel_tol, as the
+    retrace's error does.
     """
+    if rec._quarter_arc is None:
+        raise ValueError(
+            "the record carries no quarter arc: only a record that "
+            "find_langmuir_orbit or find_brake_orbit returned can be assembled"
+        )
+    settings, quarter = rec._quarter_arc
     closure_tol = CLOSURE_TOL * max(1.0, settings.rel_tol / 1e-10)
-    arc = rec._quarter_arc
-    if arc is not None and arc[0] == settings:
-        quarter = arc[1]
-    else:
-        try:
-            quarter = _build_trajectory(_rest_run(
-                rec.E, rec.h_star, rec.reflection_count(), settings))
-        except NoRest as exc:
-            raise ClosureFailure(
-                f"quarter arc terminated by {exc.termination}"
-            ) from exc
     touch = quarter.samples[-1]
     T = touch.t
 

@@ -10,6 +10,7 @@ after it is the high-precision oracle of the shooting functional.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -157,6 +158,58 @@ def taylor_alpha_k(E, h, k):
     """alpha_k, vy at the k-th x-rest of the launch from (0, h) at energy
     E, by `taylor_rest`."""
     return taylor_rest(E, h, k)[1][3]
+
+
+# Outside definitions of quantities the package does not compute as such:
+# the scaling map between energy levels, r', and readers of the trajectory
+# CSV and orbit JSON that `output` writes.
+
+
+def scale_state(s, a):
+    """The state s mapped to the energy level E/a: positions times a,
+    velocities over sqrt(a), time times a^(3/2)."""
+    ra = math.sqrt(a)
+    return s.replace(t=a * ra * s.t, x=a * s.x, y=a * s.y, vx=s.vx / ra,
+                     vy=s.vy / ra)
+
+
+def radial_velocity(s):
+    """r' = (x vx + y vy)/r of the state s."""
+    return (s.x * s.vx + s.y * s.vy) / math.hypot(s.x, s.y)
+
+
+def first_event(traj, kind):
+    """The first event of the given kind in the trajectory, or None."""
+    return next((ev for ev in traj.events if ev.kind is kind), None)
+
+
+def parse_trajectory_csv(text):
+    """The rows of a trajectory CSV as float tuples, after its header;
+    ValueError for a text that does not open with that header."""
+    from langmuir_lab.output import CSV_HEADER
+
+    lines = text.splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"not a trajectory CSV: {text[:40]!r}")
+    return [tuple(float(c) for c in ln.split(",")) for ln in lines[1:]]
+
+
+def parse_orbit_record(text):
+    """The OrbitRecord an orbit JSON holds; its derived `period` is not
+    read back."""
+    from langmuir_lab.dynamics import State
+    from langmuir_lab.shooting import OrbitRecord
+
+    doc = json.loads(text)
+    return OrbitRecord(
+        E=doc["E"],
+        h_star=doc["h_star"],
+        quarter_period=doc["quarter_period"],
+        touch_state=State(**doc["touch_state"]),
+        alpha_residual=doc["alpha_residual"],
+        kind=doc["kind"],
+        solver_trace=tuple((h, a) for h, a in doc["solver_trace"]),
+    )
 
 
 # The circle-inverted chart of the zero-energy analysis, in complex notation

@@ -12,7 +12,7 @@ from langmuir_lab import analysis, dynamics as dyn, output, shooting
 from langmuir_lab.cli import main
 from langmuir_lab.integrator import EventKind, IntegratorSettings, integrate
 
-from conftest import rk4_fixed
+from conftest import rk4_fixed, scale_state
 
 
 def _verdict(name, ok, detail):
@@ -24,7 +24,7 @@ def test_01_langmuir_orbit_found():
     start = time.perf_counter()
     rec = shooting.find_langmuir_orbit(-1.0)
     elapsed = time.perf_counter() - start
-    speed = math.sqrt(rec.touch_state.speed2())
+    speed = math.hypot(rec.touch_state.vx, rec.touch_state.vy)
     ok = (
         abs(rec.h_star - 1.398) <= 0.02
         and abs(rec.alpha_residual) <= 1e-8
@@ -61,7 +61,7 @@ def test_02_scaling_law():
     for s in t1.samples:
         if not any(abs(s.t - t) < 1e-12 for t in times):
             continue
-        m = dyn.scale_state(s, a)
+        m = scale_state(s, a)
         o = by_t[round(m.t, 9)]
         point_err = max(
             point_err,
@@ -76,10 +76,11 @@ def test_02_scaling_law():
 
 
 def test_03_brake_orbit_found():
-    k = shooting.classify_reflection_count(-1.0)
+    k, _, _ = shooting._classify(-1.0, shooting.DEFAULT_BRAKE_BRACKET,
+                                 IntegratorSettings())
     rec = shooting.find_brake_orbit(-1.0)
     lo, hi = shooting.DEFAULT_BRAKE_BRACKET
-    speed = math.sqrt(rec.touch_state.speed2())
+    speed = math.hypot(rec.touch_state.vx, rec.touch_state.vy)
     ok = (
         rec.kind == f"Brake-{k}"
         and lo < rec.h_star < hi

@@ -12,7 +12,7 @@ from langmuir_lab.integrator import (
 from langmuir_lab import dynamics as dyn
 from langmuir_lab.errors import DomainError
 
-from conftest import rk4_fixed
+from conftest import first_event, radial_velocity, rk4_fixed
 
 
 class TestConstants:
@@ -191,10 +191,10 @@ def test_zero_energy_monotone_fails_on_an_approaching_sample():
     run = analysis.zero_energy_run()
     planted = _plant(run, lambda v: (v[0], v[1], -v[2], -v[3]))
     rep = analysis.check_zero_energy_monotone(run)
-    assert dyn.radial_velocity(planted) < 0.0
+    assert radial_velocity(planted) < 0.0
     assert not rep.passed
     assert rep.worst_violation == (
-        -dyn.radial_velocity(planted) / planted.t
+        -radial_velocity(planted) / planted.t
     )
 
 
@@ -295,7 +295,7 @@ def test_magical_prefix_margin_agrees_with_fixed_step_rk4(runs):
         if cross is None:
             steps = _rk4_steps(v0, res.t_h, 1e-4 * res.h**1.5)
             assert abs(steps[-1][1][2]) <= 1e-9
-            assert all(dyn.magical_line_residual(v[0], v[1]) > 0.0
+            assert all(integrator._magical_line_residual(v) > 0.0
                        for _, v in steps)
             continue
         t_cross, v_cross = cross
@@ -333,7 +333,7 @@ def test_reduced_checks_agree_with_the_records_of_integrate(runs, zero_run):
     taus = [h**-1.5 * t for h, t in zip(grid, t_rest)]
     prefix = []
     for traj in trajs:
-        cross = traj.first_event(crossing)
+        cross = first_event(traj, crossing)
         if cross is not None:
             prefix += [cross.state.vy / cross.t] + [
                 s.vy / s.t for s in traj.samples if 0.0 < s.t < cross.t]
@@ -346,15 +346,15 @@ def test_reduced_checks_agree_with_the_records_of_integrate(runs, zero_run):
         + [span * j / 300 for j in range(1, 301)])
     samples = zero.samples
     monotone = max(
-        -min(dyn.radial_velocity(s) / s.t for s in samples if s.t > 0.0),
+        -min(radial_velocity(s) / s.t for s in samples if s.t > 0.0),
         max(abs(s.x) / math.sqrt(63.0) - s.y for s in samples))
 
     def minus_r2_rdot(s):
         r = math.hypot(s.x, s.y)
-        return -r * r * dyn.radial_velocity(s)
+        return -r * r * radial_velocity(s)
 
     def closed_form(s):  # d(-r^2 r')/dt
-        r, rdot = math.hypot(s.x, s.y), dyn.radial_velocity(s)
+        r, rdot = math.hypot(s.x, s.y), radial_velocity(s)
         pphi = 0.5 * (s.x * s.vy - s.y * s.vx)
         return -1.5 * r * rdot * rdot - 2.0 * pphi * pphi / r
 
@@ -398,10 +398,10 @@ def test_zero_energy_margin_agrees_with_fixed_step_rk4():
     t, end = run.samples[-1]
     assert t == t_end
     got = rep.details["min_radial_velocity_over_t"]
-    assert got == dyn.radial_velocity(dyn.State(t, *end)) / t
+    assert got == radial_velocity(dyn.State(t, *end)) / t
     s0 = dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0))
     steps = _rk4_steps((s0.x, s0.y, s0.vx, s0.vy), t_end)
-    rdot_t = [dyn.radial_velocity(dyn.State(t, *v)) / t for t, v in steps]
+    rdot_t = [radial_velocity(dyn.State(t, *v)) / t for t, v in steps]
     assert abs(rdot_t[-1] - got) <= 1e-9
     assert min(rdot_t) == rdot_t[-1]
 
@@ -425,14 +425,14 @@ class TestTauValues:
                 IntegratorSettings(t_limit=100.0),
                 stop={EventKind.X_VELOCITY_ZERO},
             )
-            tau = traj.first_event(EventKind.X_VELOCITY_ZERO).t
+            tau = first_event(traj, EventKind.X_VELOCITY_ZERO).t
 
             s1 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
-            ref = integrate(
+            ref = first_event(integrate(
                 s1,
                 IntegratorSettings(),
                 stop={EventKind.X_VELOCITY_ZERO},
-            ).first_event(EventKind.X_VELOCITY_ZERO).t
+            ), EventKind.X_VELOCITY_ZERO).t
             assert abs(tau - h**-1.5 * ref) <= 1e-6
 
 

@@ -11,6 +11,8 @@ from langmuir_lab import cli, output, shooting
 from langmuir_lab.cli import main
 from langmuir_lab.integrator import EventKind, IntegratorSettings, Trajectory
 
+from conftest import parse_orbit_record, parse_trajectory_csv
+
 
 class TestSimulate:
     def test_csv_schema_and_energy_column(self, tmp_path):
@@ -24,7 +26,7 @@ class TestSimulate:
             ]
         )
         assert rc == 0
-        rows = output.parse_trajectory_csv(out.read_text())
+        rows = parse_trajectory_csv(out.read_text())
         assert len(rows) > 10
         for t, x, y, vx, vy, e in rows:
             s = dyn.State(t=t, x=x, y=y, vx=vx, vy=vy)
@@ -36,7 +38,7 @@ class TestSimulate:
         out = tmp_path / "run.csv"
         argv = ["simulate", "--energy", "-100", "--height", "0.01"]
         assert main(argv + ["--out", str(out)]) == 0
-        rows = output.parse_trajectory_csv(out.read_text())
+        rows = parse_trajectory_csv(out.read_text())
         assert rows[-1][0] == 100.0 * (0.01 * math.sqrt(0.01))
 
     @pytest.mark.parametrize("energy, height", [
@@ -130,7 +132,7 @@ class TestFindOrbit:
         )
         assert rc == 0
         text = (tmp_path / "orbit.orbit.json").read_text()
-        rec = output.parse_orbit_record(text)
+        rec = parse_orbit_record(text)
         assert rec == shooting.find_langmuir_orbit(-1.0)
         assert (tmp_path / "orbit.orbit.csv").exists()
         assert (tmp_path / "orbit.orbit.svg").exists()
@@ -138,7 +140,7 @@ class TestFindOrbit:
     def test_orbit_csv_is_periodic(self, tmp_path):
         prefix = tmp_path / "orbit"
         main(["find-orbit", "--energy", "-1.0", "--out", str(prefix)])
-        rows = output.parse_trajectory_csv(
+        rows = parse_trajectory_csv(
             (tmp_path / "orbit.orbit.csv").read_text()
         )
         first, last = rows[0], rows[-1]
@@ -297,6 +299,14 @@ class TestScan:
                                                          rel=1e-9)
             assert 0.0 < float(near[4]) <= 1e-8
 
+    def test_scan_of_one_point_is_its_low_end(self, capsys):
+        # a one-point grid is its low end, as shooting.default_grid gives it
+        assert main(["scan", "--energy", "-1", "--grid", "0.5,1,1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "0.5,0.43552664186627044,2.6329192051341446,1,"
+            "1.1872280936131563e-11,ok"
+        ]
+
     def test_scan_invalid_grid(self):
         assert main(["scan", "--energy", "-1.0", "--grid", "3.0,0.5,6"]) == 2
 
@@ -422,7 +432,7 @@ class TestConfig:
             ]
         )
         assert rc == 0
-        rows = output.parse_trajectory_csv(out.read_text())
+        rows = parse_trajectory_csv(out.read_text())
         assert rows[-1][0] == pytest.approx(0.25, abs=1e-12)
 
     def test_cli_flag_beats_config_file(self, tmp_path):
@@ -440,7 +450,7 @@ class TestConfig:
             ]
         )
         assert rc == 0
-        rows = output.parse_trajectory_csv(out.read_text())
+        rows = parse_trajectory_csv(out.read_text())
         assert rows[-1][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_tol_beats_the_config_rel_tol(self, tmp_path):
@@ -649,9 +659,11 @@ class TestSerializationHelpers:
         assert text == "\n".join(want) + "\n"
 
     def test_csv_rejects_bad_header(self):
+        # the tests' reader of the CSV output refuses a text that is not
+        # one, so no test reads a foreign or empty file as rows
         for text in ("a,b,c\n1,2,3\n", ""):
             with pytest.raises(ValueError):
-                output.parse_trajectory_csv(text)
+                parse_trajectory_csv(text)
 
     def test_verdict_json_is_sorted(self):
         from langmuir_lab.analysis import CheckReport

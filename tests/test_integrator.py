@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from langmuir_lab import analysis, cli, integrator, shooting
 from langmuir_lab import dynamics as dyn
 from langmuir_lab.dynamics import ProblemSpec, State
-from langmuir_lab.errors import BadBracket, DomainError, StepUnderflow
+from langmuir_lab.errors import DomainError, StepUnderflow
 from langmuir_lab.integrator import (
     EventKind,
     IntegratorSettings,
@@ -35,6 +35,7 @@ from conftest import (
     DOP853_E5,
     DOP853_E5A,
     ZERO,
+    first_event,
     first_order_reference_step,
     invert_state,
     inverted_acceleration,
@@ -47,6 +48,7 @@ from conftest import (
     polar,
     rest_cuts,
     rk4_fixed,
+    scale_state,
     trajectory_bits,
 )
 
@@ -105,7 +107,7 @@ class TestBasicRuns:
     def test_first_rest_is_bounded(self):
         traj = shoot_raw(-1.0, 1.398)
         assert traj.termination is EventKind.X_VELOCITY_ZERO
-        ev = traj.first_event(EventKind.X_VELOCITY_ZERO)
+        ev = first_event(traj, EventKind.X_VELOCITY_ZERO)
         assert ev.t <= 6.116
         assert abs(ev.state.vx) <= 1e-10
 
@@ -159,11 +161,10 @@ class TestAccuracy:
 
     @pytest.mark.parametrize("h", [0.5, 1.0, 1.398, 3.0])
     def test_rest_time_stable_under_tolerance_halving(self, h):
-        t1 = shoot_raw(-1.0, h).first_event(EventKind.X_VELOCITY_ZERO).t
+        rest = EventKind.X_VELOCITY_ZERO
+        t1 = first_event(shoot_raw(-1.0, h), rest).t
         tighter = IntegratorSettings(rel_tol=5e-11)
-        t2 = shoot_raw(-1.0, h, tighter).first_event(
-            EventKind.X_VELOCITY_ZERO
-        ).t
+        t2 = first_event(shoot_raw(-1.0, h, tighter), rest).t
         assert abs(t1 - t2) <= 1e-9
 
     def test_scaled_reintegration_oracle(self):
@@ -186,7 +187,7 @@ class TestAccuracy:
         for s in t1.samples:
             if not any(abs(s.t - t) < 1e-12 for t in times):
                 continue
-            mapped = dyn.scale_state(s, a)
+            mapped = scale_state(s, a)
             other = by_t[round(mapped.t, 9)]
             assert abs(other.x - mapped.x) <= 1e-6
             assert abs(other.y - mapped.y) <= 1e-6
@@ -218,7 +219,7 @@ class TestAccuracy:
 class TestEvents:
     def test_x_rest_residual(self):
         traj = shoot_raw(-1.0, 1.0)
-        ev = traj.first_event(EventKind.X_VELOCITY_ZERO)
+        ev = first_event(traj, EventKind.X_VELOCITY_ZERO)
         assert abs(ev.state.vx) <= 1e-10
 
     def test_magical_crossing_residual(self):
@@ -228,7 +229,7 @@ class TestEvents:
             IntegratorSettings(),
             stop={EventKind.MAGICAL_LINE_CROSS},
         )
-        ev = traj.first_event(EventKind.MAGICAL_LINE_CROSS)
+        ev = first_event(traj, EventKind.MAGICAL_LINE_CROSS)
         assert abs(math.sqrt(3.0) * ev.state.y - abs(ev.state.x)) <= 1e-9
 
     def test_events_strictly_ordered(self):
@@ -675,15 +676,14 @@ def test_a_non_finite_stage_gives_an_infinite_error_norm(monkeypatch, stage,
 @given(x=st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]),
        y=st.floats(-1.0, 10.0))
 def test_magical_line_residual_of_a_state(x, y):
-    # the integrator's one-call residual is dynamics.magical_line_residual
-    # bit for bit, and raises DomainError where it does (y <= 0)
+    # the integrator's one-call residual is sqrt(3)*y - abs(x) bit for bit,
+    # and raises DomainError off the half plane (y <= 0)
     f = integrator._RESIDUALS[EventKind.MAGICAL_LINE_CROSS]
-    try:
-        want = dyn.magical_line_residual(x, y).hex()
-    except DomainError:
+    if y <= 0.0:
         with pytest.raises(DomainError):
             f((x, y, 1.0, 1.0))
         return
+    want = (math.sqrt(3.0) * y - abs(x)).hex()
     assert f((x, y, 1.0, 1.0)).hex() == want
 
 
@@ -1165,9 +1165,12 @@ def _find_orbit_command(kind):
     assert rc == 0
 
 
+def _classify(bracket):
+    return shooting._classify(-1.0, bracket, IntegratorSettings())
+
+
 def _rejected_bracket(bracket):
-    with pytest.raises(BadBracket):
-        shooting.classify_reflection_count(-1.0, bracket)
+    assert _classify(bracket)[:2] == (None, ())
 
 
 # Field evaluations at E = -1 with dense output (events and requested
@@ -1184,7 +1187,7 @@ def _rejected_bracket(bracket):
     (lambda: shooting.find_brake_orbit(-1.0), 10_560),
     # one run per bracket end, to its 3rd rest at the given settings:
     # 1,861 + 1,585
-    (lambda: shooting.classify_reflection_count(-1.0), 3_446),
+    (lambda: _classify(shooting.DEFAULT_BRAKE_BRACKET), 3_446),
     # a bracket no rest count separates: each end runs once, to 8 rests
     (lambda: _rejected_bracket((0.3, 0.3)), 11_394),
     # its step capped only by its span of 50; the interpolants of its early

@@ -300,6 +300,26 @@ def test_quarter_arc_is_no_field():
     with pytest.raises(AttributeError):
         rec._quarter_arc = None
     assert rec._quarter_arc is arc
+    # so a record made by hand, by replace or by pickling has no arc to
+    # assemble, and says so
+    for other in (plain, rec.replace(), pickle.loads(pickle.dumps(rec))):
+        with pytest.raises(ValueError, match="carries no quarter arc"):
+            shooting.assemble_periodic_orbit(other)
+
+
+def test_public_surface_is_pinned():
+    # what the CLI, the scripts and the README use, and the five modules;
+    # a new export is a reviewed edit of this list
+    assert sorted(langmuir_lab.__all__) == [
+        "BadBracket", "CheckReport", "ClosureFailure", "DomainError", "Event",
+        "EventKind", "IntegratorSettings", "NoConvergence", "NoRest",
+        "OrbitRecord", "ProblemSpec", "ShootResult", "State",
+        "StepUnderflow", "Trajectory", "acceleration", "analysis",
+        "assemble_periodic_orbit", "dynamics", "energy", "errors",
+        "find_brake_orbit", "find_langmuir_orbit", "hill_boundary_sample",
+        "initial_state", "integrate", "integrator", "run_all_checks",
+        "scan_alpha", "shoot", "shooting",
+    ]
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from langmuir_lab import dynamics as dyn
-from langmuir_lab import integrator, output, shooting
+from langmuir_lab import integrator, shooting
 from langmuir_lab.cli import main
 from langmuir_lab.errors import (
     BadBracket,
@@ -27,8 +27,10 @@ from langmuir_lab.integrator import (
 
 from conftest import (
     launches,
+    parse_orbit_record,
     rest_cuts,
     rk4_fixed,
+    scale_state,
     taylor_alpha_k,
     taylor_rest,
     trajectory_bits,
@@ -70,6 +72,20 @@ H_STAR_BRAKE_TOL = (shooting.ALPHA_TOL + ALPHA_ERR) / 45.0  # 3.0e-10
 T_QUARTER_TOL = 0.65 * H_STAR_TOL + ALPHA_ERR / 3.0  # 3.7e-9
 
 
+def _alpha_k(E, h, k, settings_=IntegratorSettings()):
+    """alpha_k as the orbit search reads it: vy at the k-th x-rest of the
+    run that `_rest_run` stops there."""
+    return shooting._alpha(shooting._rest_run(E, h, k, settings_))
+
+
+def _classified(E, bracket=None, settings_=IntegratorSettings()):
+    """The rest count that classification finds on the bracket (the default
+    brake bracket rescaled to E when None) at `settings_`, or None when no
+    count up to MAX_RESTS separates its ends."""
+    bracket = shooting._bracket_at(E, bracket, shooting.DEFAULT_BRAKE_BRACKET)
+    return shooting._classify(E, bracket, settings_)[0]
+
+
 class TestShoot:
     def test_alpha_negative_for_large_height(self):
         assert shooting.shoot(-1.0, 3.4).alpha < 0.0
@@ -91,7 +107,7 @@ class TestShoot:
         assert res.n_magical_crossings >= 1
 
     def test_alpha_1_matches_shoot(self):
-        a = shooting.alpha_k(-1.0, 1.2, 1)
+        a = _alpha_k(-1.0, 1.2, 1)
         assert a == pytest.approx(shooting.shoot(-1.0, 1.2).alpha, abs=1e-12)
 
     def test_zero_energy_launch(self):
@@ -110,7 +126,7 @@ class TestShoot:
                 == (rest.t.hex(), rest.vy.hex(),
                     traj.max_energy_drift.hex()))
         assert res.n_magical_crossings == len(crossings) == 2
-        assert shooting.alpha_k(0.0, 1.0, 1).hex() == res.alpha.hex()
+        assert _alpha_k(0.0, 1.0, 1).hex() == res.alpha.hex()
         # and the fixed-step RK4 comes to the same rest at t_h
         n = math.ceil(res.t_h / 1e-4)
         x, y, vx, vy = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, res.t_h,
@@ -125,7 +141,7 @@ class TestShoot:
         ends = {(h_, 1) for h_ in shooting.DEFAULT_BRACKET}
         ends |= {(h_, 3) for h_ in shooting.DEFAULT_BRAKE_BRACKET}
         assert set(BRACKET_END_ALPHAS) == ends
-        alpha = shooting.alpha_k(-1.0, h, k)
+        alpha = _alpha_k(-1.0, h, k)
         assert abs(alpha - BRACKET_END_ALPHAS[h, k]) <= ALPHA_ERR
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-9, 1e-11, 1e-12, 1e-13])
@@ -135,13 +151,13 @@ class TestShoot:
         # event_tol/2 away, so its error falls with rel_tol below the
         # event tolerance of 1e-12 (at 1e-12, read at the located time,
         # alpha_3(0.3) was off by -7.5e-10; moved to the rest, by -8.6e-12)
-        alpha = shooting.alpha_k(-1.0, h, k, IntegratorSettings(rel_tol))
+        alpha = _alpha_k(-1.0, h, k, IntegratorSettings(rel_tol))
         err = alpha - BRACKET_END_ALPHAS[h, k]
         assert abs(err) <= ALPHA_ERR_RATIO * rel_tol
 
     def test_alpha_k_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            shooting.alpha_k(-1.0, 1.0, 0)
+        with pytest.raises(ValueError, match="rest count must be >= 1"):
+            shooting._rest_run(-1.0, 1.0, 0, IntegratorSettings())
 
     def test_run_ending_before_its_rest_raises_no_rest(self):
         # the first rest at h = 1.398 comes at t = 1.06: a run stopped at
@@ -225,7 +241,7 @@ class TestLangmuirOrbit:
 
     def test_touch_lies_on_the_energy_shell(self):
         s = self.rec.touch_state
-        assert abs(dyn.potential(s.x, s.y) - (-1.0)) <= 1e-5
+        assert abs(dyn.energy_vec((s.x, s.y, 0.0, 0.0)) - (-1.0)) <= 1e-5
 
     def test_solver_trace_recorded(self):
         assert len(self.rec.solver_trace) >= 3
@@ -233,8 +249,10 @@ class TestLangmuirOrbit:
         assert all(0.5 <= h <= 3.0 for h in hs)
 
     def test_kind_and_reflection_count(self):
+        # the quarter arc ends at the orbit's first x-rest
         assert self.rec.kind == "Langmuir"
-        assert self.rec.reflection_count() == 1
+        events = self.rec._quarter_arc[1].events
+        assert [e.kind for e in events] == [EventKind.X_VELOCITY_ZERO]
 
 
 class TestScalingLaw:
@@ -246,7 +264,7 @@ class TestScalingLaw:
     def test_touch_state_scales(self):
         rec1 = shooting.find_langmuir_orbit(-1.0)
         rec2 = shooting.find_langmuir_orbit(-2.0, bracket=(0.25, 1.5))
-        mapped = dyn.scale_state(rec1.touch_state, 0.5)
+        mapped = scale_state(rec1.touch_state, 0.5)
         assert abs(rec2.touch_state.x - mapped.x) <= 1e-5
         assert abs(rec2.touch_state.y - mapped.y) <= 1e-5
         assert abs(rec2.quarter_period - 0.5**1.5 * rec1.quarter_period) <= 1e-5
@@ -337,8 +355,7 @@ def test_orbits_scale_exactly(rel_tol):
 
 class TestBrakeOrbit:
     def test_classifier_picks_three_rests(self):
-        k = shooting.classify_reflection_count(-1.0)
-        assert k == 3
+        assert _classified(-1.0) == 3
 
     def test_brake_orbit_found(self):
         rec = shooting.find_brake_orbit(-1.0)
@@ -361,6 +378,8 @@ FINDERS = {
     "langmuir": shooting.find_langmuir_orbit,
     "brake": shooting.find_brake_orbit,
 }
+# the rest count of each default search's orbit: Langmuir and Brake-3
+REST_COUNTS = {"langmuir": 1, "brake": 3}
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +440,7 @@ def test_find_orbit_integrates_each_launch_once(made_runs, tmp_path, kind):
     prefix = tmp_path / kind
     argv = ["find-orbit", "--energy", "-1.0", "--kind", kind]
     assert main(argv + ["--out", str(prefix)]) == 0
-    rec = output.parse_orbit_record(
+    rec = parse_orbit_record(
         (tmp_path / f"{kind}.orbit.json").read_text()
     )
     assert len(made_runs) == len(rec.solver_trace) + 1
@@ -456,13 +475,14 @@ class TestResumedRun:
 
     def test_run_stopped_short_rejects_the_bracket(self, made_runs):
         # both default ends rest twice before t = 4 and a third time after:
-        # each end is integrated once, and the message is the one for a
-        # bracket that no rest count up to MAX_RESTS separates
+        # the brake search's classification integrates each end once, and
+        # the message is the one for a bracket that no rest count up to
+        # MAX_RESTS separates
         short = IntegratorSettings(t_limit=4.0)
         with pytest.raises(BadBracket, match=re.escape(
             "no rest count up to 8 separates the bracket (0.3, 0.8)"
         )):
-            shooting.classify_reflection_count(-1.0, settings=short)
+            shooting.find_brake_orbit(-1.0, settings=short)
         assert len(made_runs) == 2
 
     def test_quarter_without_the_rest_raises_no_rest(self):
@@ -486,8 +506,8 @@ def test_only_kept_rests_build_an_arc(made_runs, monkeypatch):
         return real(run)
 
     monkeypatch.setattr(shooting, "_build_trajectory", build)
-    assert shooting.classify_reflection_count(-1.0) == 3
-    shooting.alpha_k(-1.0, 0.8, 3)
+    assert _classified(-1.0) == 3
+    _alpha_k(-1.0, 0.8, 3)
     assert builds == []
     made_runs.clear()
     rec = shooting.find_brake_orbit(-1.0)
@@ -507,16 +527,13 @@ class TestBrakeClassification:
         self, rng, monkeypatch
     ):
         # find_brake_orbit's k, or its BadBracket, on random brackets is the
-        # one classify_reflection_count finds at the default settings
+        # one classification finds at the default settings
         monkeypatch.setattr(shooting, "_find_orbit",
                             lambda E, bracket, k, *args: k)
         outcomes = set()
         for _ in range(10):
             bracket = tuple(sorted(rng.uniform(0.05, 3.3) for _ in "lh"))
-            try:
-                want = shooting.classify_reflection_count(-1.0, bracket)
-            except BadBracket:
-                want = None
+            want = _classified(-1.0, bracket)
             outcomes.add(want)
             if want in (None, 1):
                 with pytest.raises(BadBracket, match=(
@@ -659,7 +676,7 @@ class TestTwoStageSearch:
         settings, arc = rec._quarter_arc
         assert settings == IntegratorSettings()
         fresh = _build_trajectory(shooting._rest_run(
-            rec.E, rec.h_star, rec.reflection_count(), settings))
+            rec.E, rec.h_star, REST_COUNTS[kind], settings))
         assert trajectory_bits(arc) == trajectory_bits(fresh)
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
@@ -691,7 +708,7 @@ class TestTwoStageSearch:
     def test_root_holds_at_a_finer_tolerance(self, kind, E):
         rec = FINDERS[kind](E)
         fine = IntegratorSettings(rel_tol=1e-12)
-        alpha = shooting.alpha_k(E, rec.h_star, rec.reflection_count(), fine)
+        alpha = _alpha_k(E, rec.h_star, REST_COUNTS[kind], fine)
         assert abs(alpha) <= 1e-7
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
@@ -749,9 +766,9 @@ class TestTwoStageSearch:
         assert tol_f == 1e3 * (shooting.ALPHA_TOL * math.sqrt(-E))
         assert len(rec.solver_trace) == n_coarse + 2
         (h_first, alpha_first), last = rec.solver_trace[n_coarse:]
-        k = rec.reflection_count()
+        k = REST_COUNTS[kind]
         assert h_first == h0
-        assert alpha_first == shooting.alpha_k(E, h0, k, settings_)
+        assert alpha_first == _alpha_k(E, h0, k, settings_)
         assert last == (rec.h_star, rec.alpha_residual)
         assert abs(rec.alpha_residual) / math.sqrt(-E) <= shooting.ALPHA_TOL
 
@@ -838,15 +855,16 @@ class TestBrackets:
             shooting.find_langmuir_orbit(-1.0, bracket=(0.2, 0.3))
 
     def test_classifier_bad_bracket(self):
-        with pytest.raises(BadBracket):
-            shooting.classify_reflection_count(-1.0, (0.31, 0.315))
+        assert _classified(-1.0, (0.31, 0.315)) is None
+        with pytest.raises(BadBracket, match="separates"):
+            shooting.find_brake_orbit(-1.0, (0.31, 0.315))
 
     def test_positive_energy_rejected(self):
         with pytest.raises(ValueError):
             shooting.find_langmuir_orbit(0.0)
 
     @pytest.mark.parametrize("search", [
-        shooting.classify_reflection_count, shooting.find_brake_orbit,
+        shooting.find_langmuir_orbit, shooting.find_brake_orbit,
     ])
     def test_zero_energy_rejected_before_the_bracket_is_rescaled(
         self, search
@@ -1027,6 +1045,10 @@ class TestScan:
         lo, hi = brackets[0]
         assert lo < H_STAR_E1 < hi
 
+    def test_grid_of_one_point_is_its_low_end(self):
+        assert shooting.default_grid(0.5, 1.0, 1) == [0.5]
+        assert shooting.default_grid(0.5, 1.0, 2) == [0.5, 1.0]
+
     def test_scan_single_point(self):
         results = shooting.scan_alpha(-1.0, [1.0])
         assert len(results) == 1
@@ -1081,14 +1103,6 @@ class TestAssembly:
     def test_samples_stay_in_upper_half_plane(self):
         assert all(s.y > 0.0 for s in self.orbit.samples)
 
-    def test_quarter_without_its_rest_fails(self):
-        # a record integrated at other settings assembles from its own
-        # quarter, which at t_limit = 0.5 ends before its rest (T = 1.06)
-        with pytest.raises(ClosureFailure,
-                           match="quarter arc terminated by TimeLimit"):
-            shooting.assemble_periodic_orbit(
-                self.rec, IntegratorSettings(t_limit=0.5))
-
 
 def _launch(rec):
     return dyn.initial_state(dyn.ProblemSpec(E=rec.E, h=rec.h_star))
@@ -1105,31 +1119,17 @@ class TestAssemblyArc:
         assert len(made_runs) == 1
         assert made_runs[0][0].x == rec.touch_state.x
 
-    def test_other_settings_integrate_their_own_quarter(
-        self, orbits_at_e1, made_runs
-    ):
-        rec = orbits_at_e1["langmuir"]
-        finer = IntegratorSettings(rel_tol=1e-9)
-        orbit = shooting.assemble_periodic_orbit(rec, finer)
-        assert len(made_runs) == 2
-        assert made_runs[0] == (_launch(rec), finer)
-        # the quarter is the one these settings integrate
-        quarter = _build_trajectory(
-            shooting._rest_run(rec.E, rec.h_star, 1, finer))
-        n = len(quarter.samples)
-        assert orbit.samples[:n] == quarter.samples
-
     @pytest.mark.parametrize("kind", sorted(FINDERS))
-    def test_parsed_record_assembles_to_the_same_bytes(
-        self, orbits_at_e1, made_runs, kind
-    ):
-        rec = orbits_at_e1[kind]
-        parsed = output.parse_orbit_record(output.orbit_record_json(rec))
-        own = output.trajectory_csv(shooting.assemble_periodic_orbit(parsed))
-        assert made_runs[0][0] == _launch(rec)
-        assert len(made_runs) == 2
-        reused = output.trajectory_csv(shooting.assemble_periodic_orbit(rec))
-        assert own == reused
+    def test_retrace_runs_at_the_search_settings(self, made_runs, kind):
+        # the record carries the settings its arc was made at, and the
+        # retrace reads them: only its time limit is its own
+        given = IntegratorSettings(rel_tol=1e-9, h_max=0.05)
+        rec = FINDERS[kind](-1.0, settings=given)
+        made_runs.clear()
+        shooting.assemble_periodic_orbit(rec)
+        [(_, retrace)] = made_runs
+        assert retrace.replace(t_limit=given.t_limit) == given
+        assert retrace.t_limit == rec.quarter_period
 
 
 def _retrace_worst(monkeypatch, rec):
@@ -1150,7 +1150,7 @@ def test_closure_tolerance_catches_a_displaced_sample(kind, tol):
     settings = IntegratorSettings(rel_tol=tol)
     closure_tol = 1e-6 * max(1.0, tol / 1e-10)
     rec = FINDERS[kind](-1.0, settings=settings)
-    shooting.assemble_periodic_orbit(rec, settings)
+    shooting.assemble_periodic_orbit(rec)
     arc_settings, arc = rec._quarter_arc
     samples = list(arc.samples)
     i = len(samples) // 2
@@ -1158,7 +1158,7 @@ def test_closure_tolerance_catches_a_displaced_sample(kind, tol):
     object.__setattr__(rec, "_quarter_arc",
                        (arc_settings, arc.replace(samples=tuple(samples))))
     with pytest.raises(ClosureFailure, match="deviates"):
-        shooting.assemble_periodic_orbit(rec, settings)
+        shooting.assemble_periodic_orbit(rec)
 
 
 def test_brake_retrace_deviation_follows_the_scaling_law(orbits_at_e1,
@@ -1192,6 +1192,6 @@ class TestQuarterArcInvariants:
             IntegratorSettings(),
             stop={EventKind.X_VELOCITY_ZERO},
         )
-        speeds = [s.speed2() for s in traj.samples]
+        speeds = [s.vx * s.vx + s.vy * s.vy for s in traj.samples]
         for a, b in zip(speeds, speeds[1:]):
             assert b <= a + 1e-10
