@@ -149,143 +149,25 @@ class Trajectory(_Record):
 
 
 # The Dormand-Prince 8(5,3) pair DOP853 (Prince & Dormand 1981; Hairer,
-# Norsett & Wanner, Solving ODEs I, II.5 and II.10) in Nystrom form.  Its
-# coefficients are the published decimal tableau (c, b, the error weights
-# E5 and E3, and the rows D4 to D7 of the continuous extension) and its
-# exact products: A.A for the stage positions, b.A for the eighth-order
-# position, E5.A and E3.A for the position errors, and D.A for the
-# interpolant's positions.  Stage 13 is FSAL: its input is the eighth-order
-# state, as b is row 13 of A; stages 14 to 16 are the interpolant's own.
-# Zero entries are left out: stage 2's position has no acceleration term,
-# stage 2 is read only by the positions of stages 4 and 5, stages 2 and 3
-# by no weight but A.A's, and the products that the 30-digit decimals leave
-# below 1e-25 (up to 3e-26: exact zeros of the rational tableau, as sum(E5),
-# sum(E3) and the sum of each D row are) are zeros.  Each literal is the
-# product computed exactly from the decimals and rounded once; the tests
-# derive every one from the tableau (in `fractions`, which the package does
-# not import, for start-up time).
-(_C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C14, _C15, _C16) = (
-    0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 0.1, 0.2, 0.7777777777777778)
-_AA3_1 = 0.003112622984346139
-(_AA4_1, _AA4_2) = (
-    0.0017508504286947032, 0.00525255128608411)
-(_AA5_1, _AA5_2, _AA5_3) = (
-    0.009915816237971964, -0.05234336665618131, 0.0820908153700972)
-(_AA6_1, _AA6_3, _AA6_4) = (
-    0.035337931304886355, -0.09581915952175495, 0.11603678377242416)
-(_AA7_1, _AA7_3, _AA7_4, _AA7_5) = (
-    0.018920483189113914, -0.03815245266364541, 0.05268745617004205,
-    -0.0022054866955105506)
-(_AA8_1, _AA8_3, _AA8_4, _AA8_5, _AA8_6) = (
-    0.03067021189623757, -0.07975482628537983, 0.09799120567724122,
-    -0.0014238754814449106, -0.00014543770014516837)
-(_AA9_1, _AA9_3, _AA9_4, _AA9_5, _AA9_6, _AA9_7) = (
-    -0.15229089727622042, 0.46966087733519885, -0.0681414047027942,
-    0.010711857531715373, 0.3119698547460421, -0.3598261324728635)
-(_AA10_1, _AA10_3, _AA10_4, _AA10_5, _AA10_6, _AA10_7, _AA10_8) = (
-    -0.11020716722377502, 0.30128953154727944, 0.07865735349516378,
-    0.030838873981239478, -0.319604147551303, -0.6851760518136165,
-    0.8842016075650119)
-(_AA11_1, _AA11_3, _AA11_4, _AA11_5, _AA11_6, _AA11_7, _AA11_8, _AA11_9) = (
-    0.3721894995071434, -0.5050736261155677, -0.46149874648558276,
-    -0.06518509348541916, 4.09803840386656, 3.8922102844072395,
-    -7.025278165955343, 0.06194438303648046)
-(_AA12_1, _AA12_3, _AA12_4, _AA12_5, _AA12_6, _AA12_7, _AA12_8, _AA12_9,
- _AA12_10) = (
-    -0.7650750098382328, 0.8347994820739503, 1.755944144193115,
-    0.23253698859550603, 11.90371935788187, -1.9034949405460306,
-    -10.951226401858388, 1.3530625395360725, -1.960266160037863)
-(_AA14_1, _AA14_6, _AA14_7, _AA14_8, _AA14_9, _AA14_10, _AA14_11, _AA14_12) = (
-    0.005054351963776225, -0.41267006753617186, -0.11888400830261149,
-    0.511250400071805, -0.05239733207549386, 0.06981946420649213,
-    0.0031982003615129264, -0.000371008689309057)
-(_AA15_1, _AA15_6, _AA15_7, _AA15_8, _AA15_9, _AA15_10, _AA15_11, _AA15_12,
- _AA15_13) = (
-    0.009887781381457055, -0.007602503134799441, 0.04742334588757416,
-    -0.03637906592918709, -0.021320408140087014, 0.026772748548590856,
-    0.0013364963323445063, 0.001054215711719072, -0.0011726106576121006)
-(_AA16_1, _AA16_6, _AA16_7, _AA16_8, _AA16_9, _AA16_10, _AA16_11, _AA16_12,
- _AA16_13, _AA16_14) = (
-    0.3588663399722558, 9.38025080291835, 7.477758624830405,
-    -15.729096304440624, -0.3664913832247408, 0.4520427193280568,
-    0.024882489771726926, 0.018743046880517162, -0.02134289656466091,
-    -1.293144303668819)
-(_BA1, _BA6, _BA7, _BA8, _BA9, _BA10, _BA11) = (
-    0.054293734116568765, 2.9668752618349394, 1.4186384244858752,
-    -4.016218126161174, 0.10850859975965002, -0.06086437986500643,
-    0.028766485829147193)
-(_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12) = (
-    0.054293734116568765, 4.450312892752409, 1.8915178993145003,
-    -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
-    0.20136540080403034, 0.04471061572777259)
-(_E5A_1, _E5A_4, _E5A_5, _E5A_6, _E5A_7, _E5A_8, _E5A_9, _E5A_10, _E5A_11) = (
-    -0.18865188001798797, 0.9962151331241325, 0.23599761577747436,
-    -2.854630682350911, -4.0828088279337065, 6.038341535948958,
-    0.39584534789657555, -0.5259249995299615, -0.014383242914573597)
-(_E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12) = (
-    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
-    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
-    0.08192320648511571, -0.022355307863886294)
-(_E3A_1, _E3A_4, _E3A_5, _E3A_6, _E3A_7, _E3A_8, _E3A_9, _E3A_10, _E3A_11) = (
-    -0.4538545734291735, 2.6987585022618616, 0.6812767760191379,
-    -16.885342816594818, -13.987876814514605, 27.96175549233409,
-    0.3042333850581198, -0.3335239499192925, 0.01457399878468182)
-(_E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12) = (
-    -0.18980075407240762, 4.450312892752409, 1.8915178993145003,
-    -5.801203960010585, -0.42268232132379197, -0.1521609496625161,
-    0.20136540080403034, 0.022651792198360825)
-(_DA4_1, _DA4_6, _DA4_7, _DA4_8, _DA4_9, _DA4_10, _DA4_11, _DA4_12, _DA4_13,
- _DA4_14, _DA4_15) = (
-    2.8611698796830125, 30.51215583852884, -24.61264508865549,
-    -35.41960917471137, -3.863458628138401, 3.7761446592257837,
-    0.5382666867527854, 0.12984961919289312, -0.14125972611089993,
-    -14.374598829726839, 40.59398476395968)
-(_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14,
- _D4_15, _D4_16) = (
-    -8.428938276109013, 0.5667149535193777, -3.0689499459498917,
-    2.38466765651207, 2.117034582445028, -0.871391583777973,
-    2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
-    18.148505520854727, -9.194632392478356, -4.436036387594894)
-(_DA5_1, _DA5_6, _DA5_7, _DA5_8, _DA5_9, _DA5_10, _DA5_11, _DA5_12, _DA5_13,
- _DA5_14, _DA5_15) = (
-    -17.921210306702967, -124.2260787072285, 273.13795938281214,
-    96.31318087284055, 27.684870153300384, -29.05563647508469,
-    -3.0977069495595075, 0.4625952063992359, 0.21147048462990323,
-    104.24898538523482, -327.75842904664137)
-(_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14,
- _D5_15, _D5_16) = (
-    10.427508642579134, 242.28349177525817, 165.20045171727028,
-    -374.5467547226902, -22.113666853125306, 7.733432668472264,
-    -30.674084731089398, -9.332130526430229, 15.697238121770845,
-    -31.139403219565178, -9.35292435884448, 35.81684148639408)
-(_DA6_1, _DA6_6, _DA6_7, _DA6_8, _DA6_9, _DA6_10, _DA6_11, _DA6_12, _DA6_13,
- _DA6_14, _DA6_15) = (
-    -8.999411590110814, -250.14465065648488, -7.345168174338206,
-    324.4120585596325, 1.3538496519789445, 3.8566662410202324,
-    -0.5618712467427652, -0.5475191693050367, 0.45402652434053137,
-    47.262978033508965, -109.74095817349945)
-(_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14,
- _D6_15, _D6_16) = (
-    19.985053242002433, -387.0373087493518, -189.17813819516758,
-    527.8081592054236, -11.57390253995963, 6.8812326946963,
-    -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
-    -60.19669523126412, 84.32040550667716, 11.99229113618279)
-(_DA7_1, _DA7_6, _DA7_7, _DA7_8, _DA7_9, _DA7_10, _DA7_11, _DA7_12, _DA7_13,
- _DA7_14, _DA7_15) = (
-    75.66260800528795, 904.821881520238, -991.2456491432964,
-    -911.6644928639352, -83.34399475607842, 73.06569397631904,
-    11.227103851084003, -1.2324213700720028, -0.5764911999188784,
-    -446.85829878732994, 1370.1440607677016)
-(_D7_1, _D7_6, _D7_7, _D7_8, _D7_9, _D7_10, _D7_11, _D7_12, _D7_13, _D7_14,
- _D7_15, _D7_16) = (
-    -25.69393346270375, -154.18974869023643, -231.5293791760455,
-    357.6391179106141, 93.40532418362432, -37.45832313645163,
-    104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
-    -39.17726167561544, -149.72683625798564)
-
-
+# Norsett & Wanner, Solving ODEs I, II.5 and II.10) in Nystrom form.  The
+# two kernels below hold its coefficients in place, as float literals, so
+# that each is a constant of the code and not a global lookup: the
+# published decimal tableau (c, b, the error weights E5 and E3, and the rows
+# D4 to D7 of the continuous extension) and its exact products: A.A for the
+# stage positions, b.A for the eighth-order position, E5.A and E3.A for the
+# position errors, and D.A for the interpolant's positions.  Stage 13 is
+# FSAL: its input is the eighth-order state, as b is row 13 of A; stages 14
+# to 16 are the interpolant's own.  Zero entries are left out: stage 2's
+# position has no acceleration term, stage 2 is read only by the positions
+# of stages 4 and 5, stages 2 and 3 by no weight but A.A's, and the
+# products that the 30-digit decimals leave below 1e-25 (up to 3e-26: exact
+# zeros of the rational tableau, as sum(E5), sum(E3) and the sum of each D
+# row are) are zeros.  Each literal is the product computed exactly from
+# the decimals and rounded once, and a negative weight after the first is
+# written as a subtraction; the tests read every literal from the kernels'
+# source and derive it from the tableau (in `fractions`, which the package
+# does not import, for start-up time).
+#
 # Each stage of the kernel evaluates the planar field at its position
 # (x, q) in place, as dynamics.acceleration(x, q) does: DomainError where
 # q <= 0 (raised by dynamics._check_upper), then r = hypot(x, q), r^3, ay
@@ -316,120 +198,166 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
     """
     y0, y1, y2, y3 = y
     p0, p1, hh = h * y2, h * y3, h * h
-    x = y0 + _C2 * p0
-    q = y1 + _C2 * p1
+    x = y0 + 0.05260015195876773 * p0
+    q = y1 + 0.05260015195876773 * p1
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f2y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f2x = -8.0 * x / r
-    x = y0 + _C3 * p0 + hh * (_AA3_1 * f1x)
-    q = y1 + _C3 * p1 + hh * (_AA3_1 * f1y)
+    x = y0 + 0.0789002279381516 * p0 + hh * (0.003112622984346139 * f1x)
+    q = y1 + 0.0789002279381516 * p1 + hh * (0.003112622984346139 * f1y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f3y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f3x = -8.0 * x / r
-    x = y0 + _C4 * p0 + hh * (_AA4_1 * f1x + _AA4_2 * f2x)
-    q = y1 + _C4 * p1 + hh * (_AA4_1 * f1y + _AA4_2 * f2y)
+    x = y0 + 0.1183503419072274 * p0 + hh * (
+        0.0017508504286947032 * f1x + 0.00525255128608411 * f2x)
+    q = y1 + 0.1183503419072274 * p1 + hh * (
+        0.0017508504286947032 * f1y + 0.00525255128608411 * f2y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f4y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f4x = -8.0 * x / r
-    x = y0 + _C5 * p0 + hh * (_AA5_1 * f1x + _AA5_2 * f2x + _AA5_3 * f3x)
-    q = y1 + _C5 * p1 + hh * (_AA5_1 * f1y + _AA5_2 * f2y + _AA5_3 * f3y)
+    x = y0 + 0.2816496580927726 * p0 + hh * (
+        0.009915816237971964 * f1x - 0.05234336665618131 * f2x
+        + 0.0820908153700972 * f3x)
+    q = y1 + 0.2816496580927726 * p1 + hh * (
+        0.009915816237971964 * f1y - 0.05234336665618131 * f2y
+        + 0.0820908153700972 * f3y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f5y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f5x = -8.0 * x / r
-    x = y0 + _C6 * p0 + hh * (_AA6_1 * f1x + _AA6_3 * f3x + _AA6_4 * f4x)
-    q = y1 + _C6 * p1 + hh * (_AA6_1 * f1y + _AA6_3 * f3y + _AA6_4 * f4y)
+    x = y0 + 0.3333333333333333 * p0 + hh * (
+        0.035337931304886355 * f1x - 0.09581915952175495 * f3x
+        + 0.11603678377242416 * f4x)
+    q = y1 + 0.3333333333333333 * p1 + hh * (
+        0.035337931304886355 * f1y - 0.09581915952175495 * f3y
+        + 0.11603678377242416 * f4y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f6y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f6x = -8.0 * x / r
-    x = y0 + _C7 * p0 + hh * (_AA7_1 * f1x + _AA7_3 * f3x + _AA7_4 * f4x
-                              + _AA7_5 * f5x)
-    q = y1 + _C7 * p1 + hh * (_AA7_1 * f1y + _AA7_3 * f3y + _AA7_4 * f4y
-                              + _AA7_5 * f5y)
+    x = y0 + 0.25 * p0 + hh * (
+        0.018920483189113914 * f1x - 0.03815245266364541 * f3x
+        + 0.05268745617004205 * f4x - 0.0022054866955105506 * f5x)
+    q = y1 + 0.25 * p1 + hh * (
+        0.018920483189113914 * f1y - 0.03815245266364541 * f3y
+        + 0.05268745617004205 * f4y - 0.0022054866955105506 * f5y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f7y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f7x = -8.0 * x / r
-    x = y0 + _C8 * p0 + hh * (_AA8_1 * f1x + _AA8_3 * f3x + _AA8_4 * f4x
-                              + _AA8_5 * f5x + _AA8_6 * f6x)
-    q = y1 + _C8 * p1 + hh * (_AA8_1 * f1y + _AA8_3 * f3y + _AA8_4 * f4y
-                              + _AA8_5 * f5y + _AA8_6 * f6y)
+    x = y0 + 0.3076923076923077 * p0 + hh * (
+        0.03067021189623757 * f1x - 0.07975482628537983 * f3x
+        + 0.09799120567724122 * f4x - 0.0014238754814449106 * f5x
+        - 0.00014543770014516837 * f6x)
+    q = y1 + 0.3076923076923077 * p1 + hh * (
+        0.03067021189623757 * f1y - 0.07975482628537983 * f3y
+        + 0.09799120567724122 * f4y - 0.0014238754814449106 * f5y
+        - 0.00014543770014516837 * f6y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f8y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f8x = -8.0 * x / r
-    x = y0 + _C9 * p0 + hh * (_AA9_1 * f1x + _AA9_3 * f3x + _AA9_4 * f4x
-                              + _AA9_5 * f5x + _AA9_6 * f6x + _AA9_7 * f7x)
-    q = y1 + _C9 * p1 + hh * (_AA9_1 * f1y + _AA9_3 * f3y + _AA9_4 * f4y
-                              + _AA9_5 * f5y + _AA9_6 * f6y + _AA9_7 * f7y)
+    x = y0 + 0.6512820512820513 * p0 + hh * (
+        -0.15229089727622042 * f1x + 0.46966087733519885 * f3x
+        - 0.0681414047027942 * f4x + 0.010711857531715373 * f5x
+        + 0.3119698547460421 * f6x - 0.3598261324728635 * f7x)
+    q = y1 + 0.6512820512820513 * p1 + hh * (
+        -0.15229089727622042 * f1y + 0.46966087733519885 * f3y
+        - 0.0681414047027942 * f4y + 0.010711857531715373 * f5y
+        + 0.3119698547460421 * f6y - 0.3598261324728635 * f7y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f9y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f9x = -8.0 * x / r
-    x = y0 + _C10 * p0 + hh * (_AA10_1 * f1x + _AA10_3 * f3x + _AA10_4 * f4x
-                               + _AA10_5 * f5x + _AA10_6 * f6x + _AA10_7 * f7x
-                               + _AA10_8 * f8x)
-    q = y1 + _C10 * p1 + hh * (_AA10_1 * f1y + _AA10_3 * f3y + _AA10_4 * f4y
-                               + _AA10_5 * f5y + _AA10_6 * f6y + _AA10_7 * f7y
-                               + _AA10_8 * f8y)
+    x = y0 + 0.6 * p0 + hh * (
+        -0.11020716722377502 * f1x + 0.30128953154727944 * f3x
+        + 0.07865735349516378 * f4x + 0.030838873981239478 * f5x
+        - 0.319604147551303 * f6x - 0.6851760518136165 * f7x
+        + 0.8842016075650119 * f8x)
+    q = y1 + 0.6 * p1 + hh * (
+        -0.11020716722377502 * f1y + 0.30128953154727944 * f3y
+        + 0.07865735349516378 * f4y + 0.030838873981239478 * f5y
+        - 0.319604147551303 * f6y - 0.6851760518136165 * f7y
+        + 0.8842016075650119 * f8y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f10y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f10x = -8.0 * x / r
-    x = y0 + _C11 * p0 + hh * (_AA11_1 * f1x + _AA11_3 * f3x + _AA11_4 * f4x
-                               + _AA11_5 * f5x + _AA11_6 * f6x + _AA11_7 * f7x
-                               + _AA11_8 * f8x + _AA11_9 * f9x)
-    q = y1 + _C11 * p1 + hh * (_AA11_1 * f1y + _AA11_3 * f3y + _AA11_4 * f4y
-                               + _AA11_5 * f5y + _AA11_6 * f6y + _AA11_7 * f7y
-                               + _AA11_8 * f8y + _AA11_9 * f9y)
+    x = y0 + 0.8571428571428571 * p0 + hh * (
+        0.3721894995071434 * f1x - 0.5050736261155677 * f3x
+        - 0.46149874648558276 * f4x - 0.06518509348541916 * f5x
+        + 4.09803840386656 * f6x + 3.8922102844072395 * f7x
+        - 7.025278165955343 * f8x + 0.06194438303648046 * f9x)
+    q = y1 + 0.8571428571428571 * p1 + hh * (
+        0.3721894995071434 * f1y - 0.5050736261155677 * f3y
+        - 0.46149874648558276 * f4y - 0.06518509348541916 * f5y
+        + 4.09803840386656 * f6y + 3.8922102844072395 * f7y
+        - 7.025278165955343 * f8y + 0.06194438303648046 * f9y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f11y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f11x = -8.0 * x / r
-    x = y0 + p0 + hh * (_AA12_1 * f1x + _AA12_3 * f3x + _AA12_4 * f4x
-                        + _AA12_5 * f5x + _AA12_6 * f6x + _AA12_7 * f7x
-                        + _AA12_8 * f8x + _AA12_9 * f9x + _AA12_10 * f10x)
-    q = y1 + p1 + hh * (_AA12_1 * f1y + _AA12_3 * f3y + _AA12_4 * f4y
-                        + _AA12_5 * f5y + _AA12_6 * f6y + _AA12_7 * f7y
-                        + _AA12_8 * f8y + _AA12_9 * f9y + _AA12_10 * f10y)
+    x = y0 + p0 + hh * (
+        -0.7650750098382328 * f1x + 0.8347994820739503 * f3x
+        + 1.755944144193115 * f4x + 0.23253698859550603 * f5x
+        + 11.90371935788187 * f6x - 1.9034949405460306 * f7x
+        - 10.951226401858388 * f8x + 1.3530625395360725 * f9x
+        - 1.960266160037863 * f10x)
+    q = y1 + p1 + hh * (
+        -0.7650750098382328 * f1y + 0.8347994820739503 * f3y
+        + 1.755944144193115 * f4y + 0.23253698859550603 * f5y
+        + 11.90371935788187 * f6y - 1.9034949405460306 * f7y
+        - 10.951226401858388 * f8y + 1.3530625395360725 * f9y
+        - 1.960266160037863 * f10y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f12y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f12x = -8.0 * x / r
-    z0 = y0 + p0 + hh * (_BA1 * f1x + _BA6 * f6x + _BA7 * f7x + _BA8 * f8x
-                         + _BA9 * f9x + _BA10 * f10x + _BA11 * f11x)
-    z1 = y1 + p1 + hh * (_BA1 * f1y + _BA6 * f6y + _BA7 * f7y + _BA8 * f8y
-                         + _BA9 * f9y + _BA10 * f10y + _BA11 * f11y)
-    z2 = y2 + h * (_B1 * f1x + _B6 * f6x + _B7 * f7x + _B8 * f8x + _B9 * f9x
-                   + _B10 * f10x + _B11 * f11x + _B12 * f12x)
-    z3 = y3 + h * (_B1 * f1y + _B6 * f6y + _B7 * f7y + _B8 * f8y + _B9 * f9y
-                   + _B10 * f10y + _B11 * f11y + _B12 * f12y)
+    z0 = y0 + p0 + hh * (
+        0.054293734116568765 * f1x + 2.9668752618349394 * f6x
+        + 1.4186384244858752 * f7x - 4.016218126161174 * f8x
+        + 0.10850859975965002 * f9x - 0.06086437986500643 * f10x
+        + 0.028766485829147193 * f11x)
+    z1 = y1 + p1 + hh * (
+        0.054293734116568765 * f1y + 2.9668752618349394 * f6y
+        + 1.4186384244858752 * f7y - 4.016218126161174 * f8y
+        + 0.10850859975965002 * f9y - 0.06086437986500643 * f10y
+        + 0.028766485829147193 * f11y)
+    z2 = y2 + h * (
+        0.054293734116568765 * f1x + 4.450312892752409 * f6x
+        + 1.8915178993145003 * f7x - 5.801203960010585 * f8x
+        + 0.3111643669578199 * f9x - 0.1521609496625161 * f10x
+        + 0.20136540080403034 * f11x + 0.04471061572777259 * f12x)
+    z3 = y3 + h * (
+        0.054293734116568765 * f1y + 4.450312892752409 * f6y
+        + 1.8915178993145003 * f7y - 5.801203960010585 * f8y
+        + 0.3111643669578199 * f9y - 0.1521609496625161 * f10y
+        + 0.20136540080403034 * f11y + 0.04471061572777259 * f12y)
     y8 = (z0, z1, z2, z3)
     if z1 <= 0.0:
         _check_upper(z1)
@@ -440,26 +368,50 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
     ks = (f1x, f1y, f2x, f2y, f3x, f3y, f4x, f4y, f5x, f5y, f6x, f6y, f7x,
           f7y, f8x, f8y, f9x, f9y, f10x, f10y, f11x, f11y, f12x, f12y, f13x,
           f13y)
-    e5_0 = hh * (_E5A_1 * f1x + _E5A_4 * f4x + _E5A_5 * f5x + _E5A_6 * f6x
-                 + _E5A_7 * f7x + _E5A_8 * f8x + _E5A_9 * f9x + _E5A_10 * f10x
-                 + _E5A_11 * f11x)
-    e5_1 = hh * (_E5A_1 * f1y + _E5A_4 * f4y + _E5A_5 * f5y + _E5A_6 * f6y
-                 + _E5A_7 * f7y + _E5A_8 * f8y + _E5A_9 * f9y + _E5A_10 * f10y
-                 + _E5A_11 * f11y)
-    e5_2 = h * (_E5_1 * f1x + _E5_6 * f6x + _E5_7 * f7x + _E5_8 * f8x
-                + _E5_9 * f9x + _E5_10 * f10x + _E5_11 * f11x + _E5_12 * f12x)
-    e5_3 = h * (_E5_1 * f1y + _E5_6 * f6y + _E5_7 * f7y + _E5_8 * f8y
-                + _E5_9 * f9y + _E5_10 * f10y + _E5_11 * f11y + _E5_12 * f12y)
-    e3_0 = hh * (_E3A_1 * f1x + _E3A_4 * f4x + _E3A_5 * f5x + _E3A_6 * f6x
-                 + _E3A_7 * f7x + _E3A_8 * f8x + _E3A_9 * f9x + _E3A_10 * f10x
-                 + _E3A_11 * f11x)
-    e3_1 = hh * (_E3A_1 * f1y + _E3A_4 * f4y + _E3A_5 * f5y + _E3A_6 * f6y
-                 + _E3A_7 * f7y + _E3A_8 * f8y + _E3A_9 * f9y + _E3A_10 * f10y
-                 + _E3A_11 * f11y)
-    e3_2 = h * (_E3_1 * f1x + _E3_6 * f6x + _E3_7 * f7x + _E3_8 * f8x
-                + _E3_9 * f9x + _E3_10 * f10x + _E3_11 * f11x + _E3_12 * f12x)
-    e3_3 = h * (_E3_1 * f1y + _E3_6 * f6y + _E3_7 * f7y + _E3_8 * f8y
-                + _E3_9 * f9y + _E3_10 * f10y + _E3_11 * f11y + _E3_12 * f12y)
+    e5_0 = hh * (
+        -0.18865188001798797 * f1x + 0.9962151331241325 * f4x
+        + 0.23599761577747436 * f5x - 2.854630682350911 * f6x
+        - 4.0828088279337065 * f7x + 6.038341535948958 * f8x
+        + 0.39584534789657555 * f9x - 0.5259249995299615 * f10x
+        - 0.014383242914573597 * f11x)
+    e5_1 = hh * (
+        -0.18865188001798797 * f1y + 0.9962151331241325 * f4y
+        + 0.23599761577747436 * f5y - 2.854630682350911 * f6y
+        - 4.0828088279337065 * f7y + 6.038341535948958 * f8y
+        + 0.39584534789657555 * f9y - 0.5259249995299615 * f10y
+        - 0.014383242914573597 * f11y)
+    e5_2 = h * (
+        0.01312004499419488 * f1x - 1.2251564463762044 * f6x
+        - 0.4957589496572502 * f7x + 1.6643771824549864 * f8x
+        - 0.35032884874997366 * f9x + 0.3341791187130175 * f10x
+        + 0.08192320648511571 * f11x - 0.022355307863886294 * f12x)
+    e5_3 = h * (
+        0.01312004499419488 * f1y - 1.2251564463762044 * f6y
+        - 0.4957589496572502 * f7y + 1.6643771824549864 * f8y
+        - 0.35032884874997366 * f9y + 0.3341791187130175 * f10y
+        + 0.08192320648511571 * f11y - 0.022355307863886294 * f12y)
+    e3_0 = hh * (
+        -0.4538545734291735 * f1x + 2.6987585022618616 * f4x
+        + 0.6812767760191379 * f5x - 16.885342816594818 * f6x
+        - 13.987876814514605 * f7x + 27.96175549233409 * f8x
+        + 0.3042333850581198 * f9x - 0.3335239499192925 * f10x
+        + 0.01457399878468182 * f11x)
+    e3_1 = hh * (
+        -0.4538545734291735 * f1y + 2.6987585022618616 * f4y
+        + 0.6812767760191379 * f5y - 16.885342816594818 * f6y
+        - 13.987876814514605 * f7y + 27.96175549233409 * f8y
+        + 0.3042333850581198 * f9y - 0.3335239499192925 * f10y
+        + 0.01457399878468182 * f11y)
+    e3_2 = h * (
+        -0.18980075407240762 * f1x + 4.450312892752409 * f6x
+        + 1.8915178993145003 * f7x - 5.801203960010585 * f8x
+        - 0.42268232132379197 * f9x - 0.1521609496625161 * f10x
+        + 0.20136540080403034 * f11x + 0.022651792198360825 * f12x)
+    e3_3 = h * (
+        -0.18980075407240762 * f1y + 4.450312892752409 * f6y
+        + 1.8915178993145003 * f7y - 5.801203960010585 * f8y
+        - 0.42268232132379197 * f9y - 0.1521609496625161 * f10y
+        + 0.20136540080403034 * f11y + 0.022651792198360825 * f12y)
     # |e| and |y8| by comparison, not abs(); nan fails every comparison, so
     # it stays nan, and then fails `< inf` as inf does.  z1 needs no flip:
     # the FSAL stage has raised on z1 <= 0; nor does y1 below, as a run
@@ -545,114 +497,170 @@ def _dense_output(y: Vec, y8: Vec, ks, h: float) -> Callable[[float], Vec]:
     y0, y1, v0, v1 = y
     z0, z1, w0, w1 = y8
     p0, p1, hh = h * v0, h * v1, h * h
-    x = y0 + _C14 * p0 + hh * (_AA14_1 * f1x + _AA14_6 * f6x + _AA14_7 * f7x
-                               + _AA14_8 * f8x + _AA14_9 * f9x
-                               + _AA14_10 * f10x + _AA14_11 * f11x
-                               + _AA14_12 * f12x)
-    q = y1 + _C14 * p1 + hh * (_AA14_1 * f1y + _AA14_6 * f6y + _AA14_7 * f7y
-                               + _AA14_8 * f8y + _AA14_9 * f9y
-                               + _AA14_10 * f10y + _AA14_11 * f11y
-                               + _AA14_12 * f12y)
+    x = y0 + 0.1 * p0 + hh * (
+        0.005054351963776225 * f1x - 0.41267006753617186 * f6x
+        - 0.11888400830261149 * f7x + 0.511250400071805 * f8x
+        - 0.05239733207549386 * f9x + 0.06981946420649213 * f10x
+        + 0.0031982003615129264 * f11x - 0.000371008689309057 * f12x)
+    q = y1 + 0.1 * p1 + hh * (
+        0.005054351963776225 * f1y - 0.41267006753617186 * f6y
+        - 0.11888400830261149 * f7y + 0.511250400071805 * f8y
+        - 0.05239733207549386 * f9y + 0.06981946420649213 * f10y
+        + 0.0031982003615129264 * f11y - 0.000371008689309057 * f12y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f14y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f14x = -8.0 * x / r
-    x = y0 + _C15 * p0 + hh * (_AA15_1 * f1x + _AA15_6 * f6x + _AA15_7 * f7x
-                               + _AA15_8 * f8x + _AA15_9 * f9x
-                               + _AA15_10 * f10x + _AA15_11 * f11x
-                               + _AA15_12 * f12x + _AA15_13 * f13x)
-    q = y1 + _C15 * p1 + hh * (_AA15_1 * f1y + _AA15_6 * f6y + _AA15_7 * f7y
-                               + _AA15_8 * f8y + _AA15_9 * f9y
-                               + _AA15_10 * f10y + _AA15_11 * f11y
-                               + _AA15_12 * f12y + _AA15_13 * f13y)
+    x = y0 + 0.2 * p0 + hh * (
+        0.009887781381457055 * f1x - 0.007602503134799441 * f6x
+        + 0.04742334588757416 * f7x - 0.03637906592918709 * f8x
+        - 0.021320408140087014 * f9x + 0.026772748548590856 * f10x
+        + 0.0013364963323445063 * f11x + 0.001054215711719072 * f12x
+        - 0.0011726106576121006 * f13x)
+    q = y1 + 0.2 * p1 + hh * (
+        0.009887781381457055 * f1y - 0.007602503134799441 * f6y
+        + 0.04742334588757416 * f7y - 0.03637906592918709 * f8y
+        - 0.021320408140087014 * f9y + 0.026772748548590856 * f10y
+        + 0.0013364963323445063 * f11y + 0.001054215711719072 * f12y
+        - 0.0011726106576121006 * f13y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f15y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f15x = -8.0 * x / r
-    x = y0 + _C16 * p0 + hh * (_AA16_1 * f1x + _AA16_6 * f6x + _AA16_7 * f7x
-                               + _AA16_8 * f8x + _AA16_9 * f9x
-                               + _AA16_10 * f10x + _AA16_11 * f11x
-                               + _AA16_12 * f12x + _AA16_13 * f13x
-                               + _AA16_14 * f14x)
-    q = y1 + _C16 * p1 + hh * (_AA16_1 * f1y + _AA16_6 * f6y + _AA16_7 * f7y
-                               + _AA16_8 * f8y + _AA16_9 * f9y
-                               + _AA16_10 * f10y + _AA16_11 * f11y
-                               + _AA16_12 * f12y + _AA16_13 * f13y
-                               + _AA16_14 * f14y)
+    x = y0 + 0.7777777777777778 * p0 + hh * (
+        0.3588663399722558 * f1x + 9.38025080291835 * f6x
+        + 7.477758624830405 * f7x - 15.729096304440624 * f8x
+        - 0.3664913832247408 * f9x + 0.4520427193280568 * f10x
+        + 0.024882489771726926 * f11x + 0.018743046880517162 * f12x
+        - 0.02134289656466091 * f13x - 1.293144303668819 * f14x)
+    q = y1 + 0.7777777777777778 * p1 + hh * (
+        0.3588663399722558 * f1y + 9.38025080291835 * f6y
+        + 7.477758624830405 * f7y - 15.729096304440624 * f8y
+        - 0.3664913832247408 * f9y + 0.4520427193280568 * f10y
+        + 0.024882489771726926 * f11y + 0.018743046880517162 * f12y
+        - 0.02134289656466091 * f13y - 1.293144303668819 * f14y)
     if q <= 0.0:
         _check_upper(q)
     r = hypot(x, q)
     r = r * r * r
     f16y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
     f16x = -8.0 * x / r
-    d4_0 = hh * (_DA4_1 * f1x + _DA4_6 * f6x + _DA4_7 * f7x + _DA4_8 * f8x
-                 + _DA4_9 * f9x + _DA4_10 * f10x + _DA4_11 * f11x
-                 + _DA4_12 * f12x + _DA4_13 * f13x + _DA4_14 * f14x
-                 + _DA4_15 * f15x)
-    d4_1 = hh * (_DA4_1 * f1y + _DA4_6 * f6y + _DA4_7 * f7y + _DA4_8 * f8y
-                 + _DA4_9 * f9y + _DA4_10 * f10y + _DA4_11 * f11y
-                 + _DA4_12 * f12y + _DA4_13 * f13y + _DA4_14 * f14y
-                 + _DA4_15 * f15y)
-    d4_2 = h * (_D4_1 * f1x + _D4_6 * f6x + _D4_7 * f7x + _D4_8 * f8x
-                + _D4_9 * f9x + _D4_10 * f10x + _D4_11 * f11x + _D4_12 * f12x
-                + _D4_13 * f13x + _D4_14 * f14x + _D4_15 * f15x
-                + _D4_16 * f16x)
-    d4_3 = h * (_D4_1 * f1y + _D4_6 * f6y + _D4_7 * f7y + _D4_8 * f8y
-                + _D4_9 * f9y + _D4_10 * f10y + _D4_11 * f11y + _D4_12 * f12y
-                + _D4_13 * f13y + _D4_14 * f14y + _D4_15 * f15y
-                + _D4_16 * f16y)
-    d5_0 = hh * (_DA5_1 * f1x + _DA5_6 * f6x + _DA5_7 * f7x + _DA5_8 * f8x
-                 + _DA5_9 * f9x + _DA5_10 * f10x + _DA5_11 * f11x
-                 + _DA5_12 * f12x + _DA5_13 * f13x + _DA5_14 * f14x
-                 + _DA5_15 * f15x)
-    d5_1 = hh * (_DA5_1 * f1y + _DA5_6 * f6y + _DA5_7 * f7y + _DA5_8 * f8y
-                 + _DA5_9 * f9y + _DA5_10 * f10y + _DA5_11 * f11y
-                 + _DA5_12 * f12y + _DA5_13 * f13y + _DA5_14 * f14y
-                 + _DA5_15 * f15y)
-    d5_2 = h * (_D5_1 * f1x + _D5_6 * f6x + _D5_7 * f7x + _D5_8 * f8x
-                + _D5_9 * f9x + _D5_10 * f10x + _D5_11 * f11x + _D5_12 * f12x
-                + _D5_13 * f13x + _D5_14 * f14x + _D5_15 * f15x
-                + _D5_16 * f16x)
-    d5_3 = h * (_D5_1 * f1y + _D5_6 * f6y + _D5_7 * f7y + _D5_8 * f8y
-                + _D5_9 * f9y + _D5_10 * f10y + _D5_11 * f11y + _D5_12 * f12y
-                + _D5_13 * f13y + _D5_14 * f14y + _D5_15 * f15y
-                + _D5_16 * f16y)
-    d6_0 = hh * (_DA6_1 * f1x + _DA6_6 * f6x + _DA6_7 * f7x + _DA6_8 * f8x
-                 + _DA6_9 * f9x + _DA6_10 * f10x + _DA6_11 * f11x
-                 + _DA6_12 * f12x + _DA6_13 * f13x + _DA6_14 * f14x
-                 + _DA6_15 * f15x)
-    d6_1 = hh * (_DA6_1 * f1y + _DA6_6 * f6y + _DA6_7 * f7y + _DA6_8 * f8y
-                 + _DA6_9 * f9y + _DA6_10 * f10y + _DA6_11 * f11y
-                 + _DA6_12 * f12y + _DA6_13 * f13y + _DA6_14 * f14y
-                 + _DA6_15 * f15y)
-    d6_2 = h * (_D6_1 * f1x + _D6_6 * f6x + _D6_7 * f7x + _D6_8 * f8x
-                + _D6_9 * f9x + _D6_10 * f10x + _D6_11 * f11x + _D6_12 * f12x
-                + _D6_13 * f13x + _D6_14 * f14x + _D6_15 * f15x
-                + _D6_16 * f16x)
-    d6_3 = h * (_D6_1 * f1y + _D6_6 * f6y + _D6_7 * f7y + _D6_8 * f8y
-                + _D6_9 * f9y + _D6_10 * f10y + _D6_11 * f11y + _D6_12 * f12y
-                + _D6_13 * f13y + _D6_14 * f14y + _D6_15 * f15y
-                + _D6_16 * f16y)
-    d7_0 = hh * (_DA7_1 * f1x + _DA7_6 * f6x + _DA7_7 * f7x + _DA7_8 * f8x
-                 + _DA7_9 * f9x + _DA7_10 * f10x + _DA7_11 * f11x
-                 + _DA7_12 * f12x + _DA7_13 * f13x + _DA7_14 * f14x
-                 + _DA7_15 * f15x)
-    d7_1 = hh * (_DA7_1 * f1y + _DA7_6 * f6y + _DA7_7 * f7y + _DA7_8 * f8y
-                 + _DA7_9 * f9y + _DA7_10 * f10y + _DA7_11 * f11y
-                 + _DA7_12 * f12y + _DA7_13 * f13y + _DA7_14 * f14y
-                 + _DA7_15 * f15y)
-    d7_2 = h * (_D7_1 * f1x + _D7_6 * f6x + _D7_7 * f7x + _D7_8 * f8x
-                + _D7_9 * f9x + _D7_10 * f10x + _D7_11 * f11x + _D7_12 * f12x
-                + _D7_13 * f13x + _D7_14 * f14x + _D7_15 * f15x
-                + _D7_16 * f16x)
-    d7_3 = h * (_D7_1 * f1y + _D7_6 * f6y + _D7_7 * f7y + _D7_8 * f8y
-                + _D7_9 * f9y + _D7_10 * f10y + _D7_11 * f11y + _D7_12 * f12y
-                + _D7_13 * f13y + _D7_14 * f14y + _D7_15 * f15y
-                + _D7_16 * f16y)
+    d4_0 = hh * (
+        2.8611698796830125 * f1x + 30.51215583852884 * f6x
+        - 24.61264508865549 * f7x - 35.41960917471137 * f8x
+        - 3.863458628138401 * f9x + 3.7761446592257837 * f10x
+        + 0.5382666867527854 * f11x + 0.12984961919289312 * f12x
+        - 0.14125972611089993 * f13x - 14.374598829726839 * f14x
+        + 40.59398476395968 * f15x)
+    d4_1 = hh * (
+        2.8611698796830125 * f1y + 30.51215583852884 * f6y
+        - 24.61264508865549 * f7y - 35.41960917471137 * f8y
+        - 3.863458628138401 * f9y + 3.7761446592257837 * f10y
+        + 0.5382666867527854 * f11y + 0.12984961919289312 * f12y
+        - 0.14125972611089993 * f13y - 14.374598829726839 * f14y
+        + 40.59398476395968 * f15y)
+    d4_2 = h * (
+        -8.428938276109013 * f1x + 0.5667149535193777 * f6x
+        - 3.0689499459498917 * f7x + 2.38466765651207 * f8x
+        + 2.117034582445028 * f9x - 0.871391583777973 * f10x
+        + 2.2404374302607883 * f11x + 0.6315787787694688 * f12x
+        - 0.08899033645133331 * f13x + 18.148505520854727 * f14x
+        - 9.194632392478356 * f15x - 4.436036387594894 * f16x)
+    d4_3 = h * (
+        -8.428938276109013 * f1y + 0.5667149535193777 * f6y
+        - 3.0689499459498917 * f7y + 2.38466765651207 * f8y
+        + 2.117034582445028 * f9y - 0.871391583777973 * f10y
+        + 2.2404374302607883 * f11y + 0.6315787787694688 * f12y
+        - 0.08899033645133331 * f13y + 18.148505520854727 * f14y
+        - 9.194632392478356 * f15y - 4.436036387594894 * f16y)
+    d5_0 = hh * (
+        -17.921210306702967 * f1x - 124.2260787072285 * f6x
+        + 273.13795938281214 * f7x + 96.31318087284055 * f8x
+        + 27.684870153300384 * f9x - 29.05563647508469 * f10x
+        - 3.0977069495595075 * f11x + 0.4625952063992359 * f12x
+        + 0.21147048462990323 * f13x + 104.24898538523482 * f14x
+        - 327.75842904664137 * f15x)
+    d5_1 = hh * (
+        -17.921210306702967 * f1y - 124.2260787072285 * f6y
+        + 273.13795938281214 * f7y + 96.31318087284055 * f8y
+        + 27.684870153300384 * f9y - 29.05563647508469 * f10y
+        - 3.0977069495595075 * f11y + 0.4625952063992359 * f12y
+        + 0.21147048462990323 * f13y + 104.24898538523482 * f14y
+        - 327.75842904664137 * f15y)
+    d5_2 = h * (
+        10.427508642579134 * f1x + 242.28349177525817 * f6x
+        + 165.20045171727028 * f7x - 374.5467547226902 * f8x
+        - 22.113666853125306 * f9x + 7.733432668472264 * f10x
+        - 30.674084731089398 * f11x - 9.332130526430229 * f12x
+        + 15.697238121770845 * f13x - 31.139403219565178 * f14x
+        - 9.35292435884448 * f15x + 35.81684148639408 * f16x)
+    d5_3 = h * (
+        10.427508642579134 * f1y + 242.28349177525817 * f6y
+        + 165.20045171727028 * f7y - 374.5467547226902 * f8y
+        - 22.113666853125306 * f9y + 7.733432668472264 * f10y
+        - 30.674084731089398 * f11y - 9.332130526430229 * f12y
+        + 15.697238121770845 * f13y - 31.139403219565178 * f14y
+        - 9.35292435884448 * f15y + 35.81684148639408 * f16y)
+    d6_0 = hh * (
+        -8.999411590110814 * f1x - 250.14465065648488 * f6x
+        - 7.345168174338206 * f7x + 324.4120585596325 * f8x
+        + 1.3538496519789445 * f9x + 3.8566662410202324 * f10x
+        - 0.5618712467427652 * f11x - 0.5475191693050367 * f12x
+        + 0.45402652434053137 * f13x + 47.262978033508965 * f14x
+        - 109.74095817349945 * f15x)
+    d6_1 = hh * (
+        -8.999411590110814 * f1y - 250.14465065648488 * f6y
+        - 7.345168174338206 * f7y + 324.4120585596325 * f8y
+        + 1.3538496519789445 * f9y + 3.8566662410202324 * f10y
+        - 0.5618712467427652 * f11y - 0.5475191693050367 * f12y
+        + 0.45402652434053137 * f13y + 47.262978033508965 * f14y
+        - 109.74095817349945 * f15y)
+    d6_2 = h * (
+        19.985053242002433 * f1x - 387.0373087493518 * f6x
+        - 189.17813819516758 * f7x + 527.8081592054236 * f8x
+        - 11.57390253995963 * f9x + 6.8812326946963 * f10x
+        - 1.0006050966910838 * f11x + 0.7777137798053443 * f12x
+        - 2.778205752353508 * f13x - 60.19669523126412 * f14x
+        + 84.32040550667716 * f15x + 11.99229113618279 * f16x)
+    d6_3 = h * (
+        19.985053242002433 * f1y - 387.0373087493518 * f6y
+        - 189.17813819516758 * f7y + 527.8081592054236 * f8y
+        - 11.57390253995963 * f9y + 6.8812326946963 * f10y
+        - 1.0006050966910838 * f11y + 0.7777137798053443 * f12y
+        - 2.778205752353508 * f13y - 60.19669523126412 * f14y
+        + 84.32040550667716 * f15y + 11.99229113618279 * f16y)
+    d7_0 = hh * (
+        75.66260800528795 * f1x + 904.821881520238 * f6x
+        - 991.2456491432964 * f7x - 911.6644928639352 * f8x
+        - 83.34399475607842 * f9x + 73.06569397631904 * f10x
+        + 11.227103851084003 * f11x - 1.2324213700720028 * f12x
+        - 0.5764911999188784 * f13x - 446.85829878732994 * f14x
+        + 1370.1440607677016 * f15x)
+    d7_1 = hh * (
+        75.66260800528795 * f1y + 904.821881520238 * f6y
+        - 991.2456491432964 * f7y - 911.6644928639352 * f8y
+        - 83.34399475607842 * f9y + 73.06569397631904 * f10y
+        + 11.227103851084003 * f11y - 1.2324213700720028 * f12y
+        - 0.5764911999188784 * f13y - 446.85829878732994 * f14y
+        + 1370.1440607677016 * f15y)
+    d7_2 = h * (
+        -25.69393346270375 * f1x - 154.18974869023643 * f6x
+        - 231.5293791760455 * f7x + 357.6391179106141 * f8x
+        + 93.40532418362432 * f9x - 37.45832313645163 * f10x
+        + 104.0996495089623 * f11x + 29.8402934266605 * f12x
+        - 43.53345659001114 * f13x + 96.32455395918828 * f14x
+        - 39.17726167561544 * f15x - 149.72683625798564 * f16x)
+    d7_3 = h * (
+        -25.69393346270375 * f1y - 154.18974869023643 * f6y
+        - 231.5293791760455 * f7y + 357.6391179106141 * f8y
+        + 93.40532418362432 * f9y - 37.45832313645163 * f10y
+        + 104.0996495089623 * f11y + 29.8402934266605 * f12y
+        - 43.53345659001114 * f13y + 96.32455395918828 * f14y
+        - 39.17726167561544 * f15y - 149.72683625798564 * f16y)
     dy_0, dy_1, dy_2, dy_3 = z0 - y0, z1 - y1, w0 - v0, w1 - v1
     b_0, b_1, b_2, b_3 = p0 - dy_0, p1 - dy_1, h * f1x - dy_2, h * f1y - dy_3
     c_0, c_1 = dy_0 - h * w0 - b_0, dy_1 - h * w1 - b_1

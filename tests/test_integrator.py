@@ -1,4 +1,6 @@
+import ast
 import gc
+import inspect
 import math
 import os
 import re
@@ -481,30 +483,80 @@ def test_the_nystrom_step_agrees_with_the_first_order_step(E, u):
         dyn.acceleration, [(s.t, _vec(s)) for s in traj.samples])
 
 
-def _nonzero(prefix, ws):
-    """{prefix + 1-based index: w} for the weights w above ZERO."""
-    return {f"{prefix}{m + 1}": w for m, w in enumerate(ws) if abs(w) > ZERO}
+def _combination(node):
+    """{variable: coefficient} of one of the kernels' sums, read off its
+    syntax tree: terms added or subtracted, each a variable (coefficient
+    1), a literal times a variable, or a variable `scale` times a
+    parenthesized sum, whose terms are keyed "scale*variable"."""
+    if isinstance(node, ast.Name):
+        return {node.id: 1.0}
+    assert isinstance(node, ast.BinOp), ast.dump(node)
+    if isinstance(node.op, (ast.Add, ast.Sub)):
+        left, right = _combination(node.left), _combination(node.right)
+        assert not left.keys() & right.keys()
+        sign = -1.0 if isinstance(node.op, ast.Sub) else 1.0
+        return {**left, **{k: sign * w for k, w in right.items()}}
+    assert isinstance(node.op, ast.Mult), ast.dump(node)
+    if isinstance(node.left, ast.Name):
+        return {f"{node.left.id}*{k}": w
+                for k, w in _combination(node.right).items()}
+    return {node.right.id: ast.literal_eval(node.left)}
+
+
+def _kernel_sums(fn):
+    """[(target, combination)] of the assignments in the body of the kernel
+    fn that hold a literal and assign a stage position (x, q), a state
+    component (z0 to z3), an error (e5_j, e3_j) or an interpolant term
+    (dn_j), in source order."""
+    body = ast.parse(inspect.getsource(fn)).body[0].body
+    return [(st.targets[0].id, _combination(st.value)) for st in body
+            if isinstance(st, ast.Assign)
+            and isinstance(st.targets[0], ast.Name)
+            and re.fullmatch(r"x|q|z\d|e[35]_\d|d\d_\d", st.targets[0].id)
+            and any(isinstance(n, ast.Constant) for n in ast.walk(st.value))]
+
+
+def _weights(scale, ws, axis):
+    """{"scale*f{m}{axis}": w_m} for the weights w_m above ZERO."""
+    return {f"{scale}*f{m + 1}{axis}": float(w)
+            for m, w in enumerate(ws) if abs(w) > ZERO}
+
+
+def _positions(stages):
+    """The sums of the x and q positions of each 0-based stage i:
+    y_j + c_i * p_j + hh * sum_m (A.A)_im f_m."""
+    return [(target, {f"y{j}": 1.0, f"p{j}": float(DOP853_C[i]),
+                      **_weights("hh", DOP853_AA[i], axis)})
+            for i in stages for j, (target, axis) in enumerate(
+                (("x", "x"), ("q", "y")))]
 
 
 def test_coefficients_are_the_exact_products_of_the_tableau():
-    # every coefficient literal of the kernel is the float of its exact
-    # product, and every product above ZERO has its literal
-    want = {f"_C{i + 1}": c for i, c in enumerate(DOP853_C) if 0 < c < 1}
-    want.update(_nonzero("_BA", DOP853_AA[12]))
-    want.update(_nonzero("_B", DOP853_B))
-    for name, ws in (("_E5", DOP853_E5), ("_E3", DOP853_E3),
-                     ("_E5A", DOP853_E5A), ("_E3A", DOP853_E3A)):
-        want.update(_nonzero(f"{name}_", ws))
+    # every coefficient literal of the two kernels, read from their source,
+    # is the float of its exact product (c_i, of p), the y component's sum
+    # has the x component's literals, and every product above ZERO has its
+    # literal
+    trial = _positions(range(1, 12))
+    for j, axis in enumerate("xy"):
+        trial.append((f"z{j}", {f"y{j}": 1.0, f"p{j}": 1.0,
+                                **_weights("hh", DOP853_AA[12], axis)}))
+    for j, axis in enumerate("xy"):
+        trial.append((f"z{j + 2}", {f"y{j + 2}": 1.0,
+                                    **_weights("h", DOP853_B, axis)}))
+    for name, wa, w in (("e5", DOP853_E5A, DOP853_E5),
+                        ("e3", DOP853_E3A, DOP853_E3)):
+        trial += [(f"{name}_{j}", _weights("hh", wa, axis))
+                  for j, axis in enumerate("xy")]
+        trial += [(f"{name}_{j + 2}", _weights("h", w, axis))
+                  for j, axis in enumerate("xy")]
+    assert _kernel_sums(integrator._trial) == trial
+    dense = _positions(range(13, 16))
     for n, (d, da) in enumerate(zip(DOP853_D, DOP853_DA), start=4):
-        want.update(_nonzero(f"_D{n}_", d))
-        want.update(_nonzero(f"_DA{n}_", da))
-    for i in (*range(2, 12), *range(13, 16)):
-        want.update(_nonzero(f"_AA{i + 1}_", DOP853_AA[i]))
-    names = {n for n in vars(integrator) if re.fullmatch(
-        r"_(C|BA|B)\d+|_(E5A?|E3A?|DA?\d|AA\d+)_\d+", n)}
-    assert names == set(want)
-    for name, w in want.items():
-        assert getattr(integrator, name) == float(w), name
+        dense += [(f"d{n}_{j}", _weights("hh", da, axis))
+                  for j, axis in enumerate("xy")]
+        dense += [(f"d{n}_{j + 2}", _weights("h", d, axis))
+                  for j, axis in enumerate("xy")]
+    assert _kernel_sums(integrator._dense_output) == dense
     # c_i is the sum of row i of A; stage 2 has no acceleration term, and
     # stages 12 and 13 have c = 1
     for row, c in zip(DOP853_A, DOP853_C):
