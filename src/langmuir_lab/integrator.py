@@ -2,12 +2,17 @@
 
 The stepper is the Dormand-Prince 8(5,3) pair DOP853 (Prince & Dormand
 1981; Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10) with PI
-step-size control, written out by hand for the 4-component state
-(x, v) = (x, y, vx, vy) of a second-order field x'' = f(x), in Nystrom form
-(ibid., II.14): stage i is the acceleration f_i at the position
-x + c_i*h*v + h^2 * sum_m (A.A)_im f_m, and no stage velocity is formed.
-The eighth-order state, the two error estimates and the interpolant read
-the same accelerations through the exact products of the tableau.  One
+step-size control, capped after an accepted step by Gustafsson's
+predictive step (Gustafsson 1994, ACM TOMS 20:496; Solving ODEs II,
+IV.8), which extrapolates the error's growth over the last two accepted
+steps, so that where the error grows from step to step the next step
+shrinks before it is rejected.  It is written out by hand for the
+4-component state (x, v) = (x, y, vx, vy) of a second-order field
+x'' = f(x), in Nystrom form (ibid., II.14): stage i is the acceleration
+f_i at the position x + c_i*h*v + h^2 * sum_m (A.A)_im f_m, and no stage
+velocity is formed.  The eighth-order state, the two error estimates and
+the interpolant read the same accelerations through the exact products of
+the tableau, each written in place as a float literal.  One
 trial-step kernel computes the twelve stages, the FSAL stage and the error
 norm that accepts or rejects the step, Hairer's combination of the fifth-
 and third-order estimates; a step whose error, state or FSAL stage is not
@@ -901,9 +906,12 @@ def _steps(settings: IntegratorSettings, E: float | None,
     res = [f(y) for _, _, f in residuals]
     h = h_max
     err_old = 1.0
-    # the rejection's and the PI controller's exponents (ibid., II.4)
+    h_old = 0.0  # the last accepted step's size; 0 before the first
+    # the rejection's and the PI controller's exponents (ibid., II.4), and
+    # the predictive step's
     shrink_expo = -1.0 / ORDER
     expo_new, expo_old = -0.7 / ORDER, 0.4 / ORDER
+    expo_pred = 1.0 / ORDER
     drift = 0.0
     while True:
         if t_limit - t < h_min:
@@ -982,10 +990,18 @@ def _steps(settings: IntegratorSettings, E: float | None,
             drift = d
         f1x, f1y = ks[24], ks[25]
 
-        # PI controller (accepted step)
+        # PI controller (accepted step), and from the second accepted step
+        # on the predictive step where it is smaller: it extrapolates the
+        # error's growth over the last two steps, so it shrinks a step
+        # before the error overshoots (Gustafsson 1994, ACM TOMS 20:496;
+        # Solving ODEs II, IV.8)
         e = ratio if ratio >= 1e-10 else 1e-10
         fac = 0.9 * e ** expo_new * err_old ** expo_old
-        err_old = e
+        if h_old:
+            pred = 0.9 * (h / h_old) * (err_old / (e * e)) ** expo_pred
+            if pred < fac:
+                fac = pred
+        h_old, err_old = h, e
         h *= 5.0 if fac >= 5.0 else 0.2 if fac <= 0.2 else fac
 
 

@@ -303,7 +303,7 @@ class TestScan:
         # a one-point grid is its low end, as shooting.default_grid gives it
         assert main(["scan", "--energy", "-1", "--grid", "0.5,1,1"]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == [
-            "0.5,0.43552664186627044,2.6329192051341446,1,"
+            "0.5,0.43552664186616646,2.6329192051356536,1,"
             "1.1872280936131563e-11,ok"
         ]
 
