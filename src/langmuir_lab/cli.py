@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from collections.abc import Sequence
@@ -136,7 +137,7 @@ def cmd_find_orbit(args) -> int:
 
 def cmd_scan(args) -> int:
     lo, hi, n = args.grid
-    if not (0.0 < lo < hi and n >= 1):
+    if not (0.0 < lo < hi < math.inf and n >= 1):
         raise DomainError(f"invalid grid {args.grid}")
     settings = _settings(args, _read_config(args.config))
     grid = shooting.default_grid(lo, hi, n)

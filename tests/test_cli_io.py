@@ -310,6 +310,11 @@ class TestScan:
     def test_scan_invalid_grid(self):
         assert main(["scan", "--energy", "-1.0", "--grid", "3.0,0.5,6"]) == 2
 
+    def test_scan_grid_with_an_infinite_end_is_invalid(self, capsys):
+        # an infinite end is no grid: its first height would be inf * 0
+        assert main(["scan", "--energy", "-1.0", "--grid", "0.5,inf,3"]) == 2
+        assert capsys.readouterr().err == "error: invalid grid (0.5, inf, 3)\n"
+
     def test_scan_writes_table_and_bracket(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         argv = ["scan", "--energy", "-1.0", "--grid", "0.05,3.45,50"]
