@@ -40,9 +40,10 @@ GAMMA = (49.0 / 4.0 + 49.0 / 4.0) ** -1.5
 T_MAX = math.pi / (2.0 * math.sqrt(8.0 * GAMMA))
 # Step ends fall far apart at eighth order, so the zero-energy checks, which
 # read a run's samples, also request their own: at least ZERO_ENERGY_SAMPLES
-# evenly spaced ones of zero_energy_run, whose step is capped only by its
-# span, 800 at the default span of 50
+# evenly spaced ones of zero_energy_run, 800 at the default span of 50, and
+# on a longer span enough that they lie at most ZERO_ENERGY_SPACING apart
 ZERO_ENERGY_SAMPLES = 800
+ZERO_ENERGY_SPACING = 0.1
 # inverted_concavity's central differences read CONCAVITY_POINTS + 1 evenly
 # spaced samples from launch to CONCAVITY_SPAN (or to the run's end, if
 # sooner): on the ZERO_ENERGY_SAMPLES alone they miss their tolerance 9.5
@@ -178,18 +179,15 @@ def zero_energy_run(
     """The E=0 launch from height 1, which escapes to infinity, integrated
     once to t_end, which must be finite and positive: its run (an
     integrator `_Run`), which zero_energy_monotone and inverted_concavity
-    each reduce.  The checks read samples from the dense output, so the
-    run's step is capped only by t_end (or by settings.h_max, when that is
-    longer).  It samples ZERO_ENERGY_SAMPLES evenly spaced times over (0,
+    each reduce; its time limit is t_end.  The checks read samples from
+    the dense output: ZERO_ENERGY_SAMPLES evenly spaced times over (0,
     t_end], or more on a long span, so that they lie no further than
-    settings.h_max apart, as capped steps' ends would; and the
-    CONCAVITY_POINTS evenly spaced times of _concavity_grid(t_end) after
-    launch."""
+    ZERO_ENERGY_SPACING apart; and the CONCAVITY_POINTS evenly spaced times
+    of _concavity_grid(t_end) after launch."""
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and positive, got {t_end}")
-    cap = settings.h_max
-    settings = settings.replace(t_limit=t_end, h_max=max(cap, t_end))
-    n = max(ZERO_ENERGY_SAMPLES, math.ceil(t_end / cap))
+    settings = settings.replace(t_limit=t_end)
+    n = max(ZERO_ENERGY_SAMPLES, math.ceil(t_end / ZERO_ENERGY_SPACING))
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
     return _Run(s0, settings, (), (), [
         *(t_end * j / n for j in range(1, n + 1)),

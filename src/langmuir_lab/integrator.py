@@ -17,10 +17,11 @@ trial-step kernel computes the twelve stages, the FSAL stage and the error
 norm that accepts or rejects the step, Hairer's combination of the fifth-
 and third-order estimates; a step whose error, state or FSAL stage is not
 finite, or whose stage leaves the half plane y > 0, is rejected, so the
-step size shrinks until it underflows.  A run's first trial step is its
-`h_max`: a rejection shrinks a step at once, where growth is at most
-fivefold per step, so a run that started short would climb for several
-steps.  Inside an accepted step, states come from the step's continuous
+step size shrinks until it underflows.  No cap bounds a step but the
+time limit.  A run's first trial step is H_FIRST: a rejection shrinks a
+step at once, where growth is at most fivefold per step, so a run that
+started short would climb for several steps.  Inside an accepted step,
+states come from the step's continuous
 extension (the CONTD8 of `dop853`, ibid., II.10), a seventh-order
 interpolant that takes three field evaluations of its own, so it is built
 only for a step that reads from it.  Requested
@@ -52,7 +53,7 @@ at an energy level E < 0 reads its knobs in the units of the scale
 a = -1/E, where E is -1, or of MAX_SCALE_RATIO times the launch's distance
 from the nucleus when that is less (E near 0): the error norm's absolute floor,
 `rel_tol` x FLOOR_RATIO, x a for positions and x a^-1/2 for velocities;
-`h_max`, `t_limit`, H_MIN and the event time tolerance x a^3/2;
+`t_limit`, H_FIRST, H_MIN and the event time tolerance x a^3/2;
 COLLISION_DISTANCE x a.  An a^3/2 out of the floating-point range raises
 DomainError, as does one so small that H_MIN x a^3/2 squares to a subnormal
 (a = -1/E below about 6e-94): the kernel's h^2 terms lose bits there, so
@@ -91,6 +92,9 @@ class EventKind(str, enum.Enum):
 
 # Smallest step size; a run that needs a smaller one raises StepUnderflow.
 H_MIN = 1e-14
+# First trial step of a run, read in E = -1 units as H_MIN is (see the
+# module docstring).
+H_FIRST = 0.1
 # Distance from the collision line y = 0 at which a run stops with
 # COLLISION_PROXIMITY, read in E = -1 units.  It needs no nucleus half: the
 # nucleus lies on that line, so a state within the distance of it is within
@@ -109,21 +113,17 @@ ORDER = 8
 
 class IntegratorSettings(_Record):
     """`rel_tol` sets the error norm, whose absolute floor follows it (see
-    FLOOR_RATIO); `h_max` and `t_limit` are in the units of the scale of a
-    run launched at an energy level (see the module docstring)."""
+    FLOOR_RATIO), and so every step; `t_limit` is in the units of the scale
+    of a run launched at an energy level (see the module docstring)."""
 
-    __slots__ = _fields = ("rel_tol", "h_max", "t_limit")
+    __slots__ = _fields = ("rel_tol", "t_limit")
 
-    def __init__(self, rel_tol: float = 1e-10, h_max: float = 0.1,
-                 t_limit: float = 100.0):
+    def __init__(self, rel_tol: float = 1e-10, t_limit: float = 100.0):
         _set(self, "rel_tol", rel_tol)
-        _set(self, "h_max", h_max)
         _set(self, "t_limit", t_limit)
         for name in self._fields:
             if not (0.0 < getattr(self, name) < math.inf):
                 raise DomainError(f"{name} must be finite and positive")
-        if not h_max > H_MIN:
-            raise DomainError(f"h_max must exceed H_MIN = {H_MIN}")
 
 
 class Event(_Record):
@@ -867,10 +867,8 @@ def _steps(settings: IntegratorSettings, E: float | None,
     rel_tol = settings.rel_tol
     floor = rel_tol * FLOOR_RATIO
     abs_q, abs_v = floor * a, floor / sqrt_a
-    h_max, h_min, t_limit = (
-        v * a15 for v in (settings.h_max, H_MIN, settings.t_limit))
-    if not (h_min * h_min >= sys.float_info.min
-            and max(h_max, t_limit) < math.inf):
+    h_min, t_limit = H_MIN * a15, settings.t_limit * a15
+    if not (h_min * h_min >= sys.float_info.min and t_limit < math.inf):
         raise DomainError(f"time unit {a15} out of range at E={E}")
     event_tol = min(1e-12, rel_tol) * a15
     distance = COLLISION_DISTANCE * a
@@ -904,7 +902,7 @@ def _steps(settings: IntegratorSettings, E: float | None,
             f"collision line: the field there is out of the "
             f"floating-point range") from None
     res = [f(y) for _, _, f in residuals]
-    h = h_max
+    h = H_FIRST * a15
     err_old = 1.0
     h_old = 0.0  # the last accepted step's size; 0 before the first
     # the rejection's and the PI controller's exponents (ibid., II.4), and
@@ -918,9 +916,7 @@ def _steps(settings: IntegratorSettings, E: float | None,
             events.append((EventKind.TIME_LIMIT, t, y))
             yield EventKind.TIME_LIMIT, drift
             return
-        # min() and max() calls cost more than the comparisons here
-        if h > h_max:
-            h = h_max
+        # min() calls cost more than the comparison here
         if h > t_limit - t:
             h = t_limit - t
         if h < h_min:

@@ -52,31 +52,29 @@ from .integrator import (
 ALPHA_TOL = 1e-8
 # relative tolerance of the orbit search's coarse stage (see _find_orbit)
 COARSE_REL_TOL = 1e-6
-# the coarse stage's settings, whatever the given ones but their t_limit:
-# the default rel_tol scaled to COARSE_REL_TOL (the error norm's floor
-# follows it), and h_max grown by the eighth root of that scale, as an
-# eighth-order step grows; the settings at which CLASSIFY_MARGIN was
-# measured
-COARSE = IntegratorSettings(rel_tol=COARSE_REL_TOL, h_max=0.1 * 10 ** 0.5)
+# the coarse stage's settings, whatever the given ones but their t_limit
+# (the error norm's floor follows rel_tol); the settings at which
+# CLASSIFY_MARGIN was measured
+COARSE = IntegratorSettings(rel_tol=COARSE_REL_TOL)
 # |alpha_j| at or below which the brake search's classification at
-# COARSE_REL_TOL is repeated at the given settings.  Over seeded samples of
-# 7,500 launches on [0.05, 3.4] at E = -1 (k <= 5), alpha_k at the coarse
-# stage's settings and at the default ones differ by a median 9.2e-7 and a
-# 99th percentile 1.1e-4, and by up to 9.4e-3 (k = 4 from h = 3.3906).
-# The margin was set when runs started at a trial step of 1e-3 (in E = -1
-# time units) rather than at h_max: then they differed by up to 0.19, at
-# k = 4 from h near 3.33, whose runs pass within 0.025 of the nucleus
-# (0.18 at h = 3.3306, 0.19 at 3.3340), and by 2.4e-2 at k = 5 from h =
-# 0.375; at those heights they now differ by at most 4.1e-5.  The margin
-# is over twice the largest of either, and below 0.854, the smallest
+# COARSE_REL_TOL is repeated at the given settings.  Over 1,504 seeded
+# launches on [0.05, 3.4] at E = -1 (7,520 alpha_k, k <= 5), alpha_k at the
+# coarse stage's settings and at the default ones differ by a median 3.8e-7
+# and a 99th percentile 3.6e-5, and by up to 3.4e-3 (k = 5 from h =
+# 0.0946).  Runs that started at a trial step of 1e-3 (in E = -1 time
+# units) differed by up to 0.19, at k = 4 from h near 3.33, whose runs pass
+# within 0.025 of the nucleus, and by 2.4e-2 at k = 5 from h = 0.375; a
+# coarse stage whose steps were capped at 0.316 differed by 0.27 at k = 4
+# from h = 3.3187.  At those heights they now differ by at most 2.8e-5.
+# The margin is over twice the largest gap, and below 0.854, the smallest
 # |alpha_j| that classification compares on the default bracket, so the
 # default search classifies once
 CLASSIFY_MARGIN = 0.5
 # iteration budget of each stage of the orbit search
 MAX_ITER = 200
-# largest retrace deviation, in E = -1 units, that assemble_periodic_orbit
-# accepts at the default rel_tol and finer; it grows with a coarser rel_tol
-CLOSURE_TOL = 1e-6
+# largest retrace deviation, in E = -1 units, over rel_tol that
+# assemble_periodic_orbit accepts: 1e-6 at the default rel_tol
+CLOSURE_RATIO = 1e4
 # largest rest count that classification tries
 MAX_RESTS = 8
 # Tuned at E = -1; h* scales as 1/(-E), so _bracket_at rescales them.
@@ -390,16 +388,22 @@ def find_brake_orbit(
     When k is not given it is chosen by _classify, at the settings of the
     search's first stage: the coarse ones when `settings` are finer than
     COARSE_REL_TOL.  Only the signs of the alphas compared matter, and the
-    coarse alphas measured are off by at most 9.4e-3, far under half of
+    coarse alphas measured are off by at most 3.4e-3, far under half of
     CLASSIFY_MARGIN (see there); so if any |alpha_j| compared, at either
     end, is at or below CLASSIFY_MARGIN (in E = -1 units), classification
     is repeated at `settings`, which then decides k.  On the default
     bracket it is not: the smallest |alpha_j| compared there is 0.854.  The
     search starts from the runs that classification stopped at the k-th
     rest (see _find_orbit).  A bracket classified as k = 1 holds the simple
-    orbit and raises BadBracket."""
+    orbit and raises BadBracket, and a given k below 2 raises ValueError:
+    that orbit is find_langmuir_orbit's."""
     bracket = _bracket_at(E, bracket, DEFAULT_BRAKE_BRACKET)
     if k is not None:
+        if k < 2:
+            raise ValueError(
+                f"a brake orbit's rest count must be >= 2, got {k}: the "
+                f"orbit that stops at its first rest is the simple one "
+                f"(find_langmuir_orbit)")
         return _find_orbit(E, bracket, k, f"Brake-{k}", settings)
     at = _coarse(settings) or settings
     found, runs, smallest = _classify(E, bracket, at)
@@ -501,9 +505,8 @@ def assemble_periodic_orbit(rec: OrbitRecord) -> Trajectory:
     than the closure tolerance, raises ClosureFailure.  The deviation is
     measured in E = -1 units (positions times -E, velocities over
     sqrt(-E)), in which every energy level's orbit is the same rescaled
-    curve.  The tolerance is CLOSURE_TOL at the default rel_tol of 1e-10
-    and finer, and grows in proportion to a coarser rel_tol, as the
-    retrace's error does.
+    curve.  The tolerance is CLOSURE_RATIO x rel_tol, as the retrace's
+    error follows rel_tol.
     """
     if rec._quarter_arc is None:
         raise ValueError(
@@ -511,7 +514,7 @@ def assemble_periodic_orbit(rec: OrbitRecord) -> Trajectory:
             "find_langmuir_orbit or find_brake_orbit returned can be assembled"
         )
     settings, quarter = rec._quarter_arc
-    closure_tol = CLOSURE_TOL * max(1.0, settings.rel_tol / 1e-10)
+    closure_tol = CLOSURE_RATIO * settings.rel_tol
     touch = quarter.samples[-1]
     T = touch.t
 

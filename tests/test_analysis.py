@@ -63,12 +63,12 @@ class TestIndividualChecks:
         assert rep.details["min_radial_velocity_over_t"] > 0.0
         assert rep.details["max_energy_drift"] <= 1e-8
         # no fewer points than the 771 the run read when its step was
-        # capped at the default h_max
+        # capped at 0.1
         assert rep.details["n_samples"] >= 771
 
     def test_zero_energy_rejects_bad_horizon(self):
         # the run names its own span, before it replaces the settings'
-        # t_limit and h_max with it
+        # t_limit with it
         with pytest.raises(ValueError):
             analysis.zero_energy_run(t_end=-1.0)
         for t_end in (math.inf, math.nan, 0.0, -1.0):
@@ -215,14 +215,14 @@ def test_inverted_concavity_fails_on_a_displaced_sample(zero_run):
 
 
 def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4():
-    # the checks' run steps as its error control allows, up to its whole
-    # span; at requested times up to t = 5 its samples agree with the
-    # fixed-step RK4 of conftest, in steps of 1e-3, within 1e-9 (measured
-    # 3.6e-11 at t = 5, about the RK4's own error: 5.4e-10 at steps of
-    # 2e-3, 4.5e-12 at 5e-4)
+    # the checks' run steps as its error control allows, up to its time
+    # limit, its span; at requested times up to t = 5 its samples agree
+    # with the fixed-step RK4 of conftest, in steps of 1e-3, within 1e-9
+    # (measured 4.0e-11 at t = 5, about the RK4's own error: 5.4e-10 at
+    # steps of 2e-3, 4.5e-12 at 5e-4)
     run = analysis.zero_energy_run()
     assert analysis.check_zero_energy_monotone(run).passed
-    assert run.settings.h_max == run.settings.t_limit == 50.0
+    assert run.settings.t_limit == 50.0
     by_time = dict(run.samples)
     _, v0 = run.samples[0]
     for t in (1.0, 2.5, 5.0):
@@ -239,8 +239,9 @@ def _zero_energy_run_settings(monkeypatch, t_end, settings):
 
 
 def test_zero_energy_samples_are_no_further_apart_than_h_max():
-    # a long span reads its samples at least as densely as capped steps'
-    # ends would lie: 5,000 points or more over t = 500
+    # a long span reads its samples ZERO_ENERGY_SPACING (0.1) apart or
+    # closer, as densely as the ends of steps capped there once lay: 5,000
+    # points or more over t = 500
     rep = analysis.check_zero_energy_monotone(
         analysis.zero_energy_run(t_end=500.0))
     assert rep.passed
@@ -248,19 +249,21 @@ def test_zero_energy_samples_are_no_further_apart_than_h_max():
 
 
 def test_zero_energy_step_is_capped_where_events_are_located(monkeypatch):
-    # the run's h_max is its span at any tolerance, however many event
-    # tolerances that span holds (an event's location budget grows with the
-    # step); the run requests its evenly spaced times, then the concavity
+    # only the run's span caps its step, at any tolerance, however many
+    # event tolerances that span holds (an event's location budget grows
+    # with the step); the run requests its evenly spaced times, at least
+    # 800 and no further than ZERO_ENERGY_SPACING apart, then the concavity
     # grid's
-    fine = IntegratorSettings(rel_tol=1e-20, h_max=0.01)
+    fine = IntegratorSettings(rel_tol=1e-20)
     points = analysis.CONCAVITY_POINTS
     settings, times = _zero_energy_run_settings(monkeypatch, 1.0, fine)
-    assert settings.h_max == settings.t_limit == 1.0
+    assert settings == fine.replace(t_limit=1.0)
     assert len(times) == 800 + points and times[799] == 1.0
     assert times[800:] == [j / points for j in range(1, points + 1)]
-    settings, times = _zero_energy_run_settings(monkeypatch, 20.0, fine)
-    assert settings.h_max == settings.t_limit == 20.0
-    assert len(times) == 2000 + points and times[1999] == 20.0
+    assert analysis.ZERO_ENERGY_SPACING == 0.1
+    settings, times = _zero_energy_run_settings(monkeypatch, 200.0, fine)
+    assert settings == fine.replace(t_limit=200.0)
+    assert len(times) == 2000 + points and times[1999] == 200.0
     assert times[-1] == analysis.CONCAVITY_SPAN
 
 
@@ -341,7 +344,7 @@ def test_reduced_checks_agree_with_the_records_of_integrate(runs, zero_run):
     t_end, span = 50.0, analysis.CONCAVITY_SPAN
     zero = integrate(
         dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0)),
-        IntegratorSettings(h_max=t_end, t_limit=t_end),
+        IntegratorSettings(t_limit=t_end),
         sample_times=[t_end * j / 800 for j in range(1, 801)]
         + [span * j / 300 for j in range(1, 301)])
     samples = zero.samples

@@ -204,9 +204,9 @@ class TestFindOrbit:
     @pytest.mark.parametrize("energy", ["-1.0", "-0.77"])
     def test_orbit_closes_at_a_coarser_tolerance(self, energy, tol, kind,
                                                  tmp_path):
-        # the retrace's closure tolerance grows with a coarser --tol, as
-        # the retrace's error does: at --tol 1e-6 the brake retrace
-        # deviates by 2.1e-3 in E = -1 units, 1e-8 by 4.3e-5
+        # the retrace's closure tolerance follows --tol, as the retrace's
+        # error does: at --tol 1e-6 the brake retrace deviates by 2.1e-4
+        # in E = -1 units, 1e-8 by 6.9e-6
         prefix = tmp_path / "orbit"
         rc = main(["find-orbit", "--energy", energy, "--kind", kind,
                    "--tol", tol, "--out", str(prefix)])
@@ -227,6 +227,18 @@ class TestFindOrbit:
         )
         assert rc == 2
         assert "rest count" in capsys.readouterr().err
+
+    def test_brake_rest_count_of_one_is_the_simple_orbit(self, capsys):
+        # alpha_1's root on this bracket is Langmuir's orbit; named as a
+        # brake orbit it would come back mislabelled as Brake-1
+        rc = main(
+            ["find-orbit", "--energy", "-1.0", "--kind", "brake", "--k", "1",
+             "--bracket", "0.5,3"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "find_langmuir_orbit" in captured.err
+        assert captured.out == ""
 
     def test_rest_count_without_brake_kind(self, capsys):
         rc = main(["find-orbit", "--energy", "-1.0", "--k", "3"])
@@ -425,7 +437,7 @@ class TestVerify:
 class TestConfig:
     def test_config_file_applied(self, tmp_path):
         cfg = tmp_path / "settings.cfg"
-        cfg.write_text("t_limit = 0.25\n# a comment\n\nh_max = 0.05\n")
+        cfg.write_text("t_limit = 0.25\n# a comment\n\nrel_tol = 1e-9\n")
         out = tmp_path / "run.csv"
         rc = main(
             [
@@ -461,11 +473,11 @@ class TestConfig:
     def test_tol_beats_the_config_rel_tol(self, tmp_path):
         # --tol sets rel_tol alone; the error norm's floor follows it
         cfg = tmp_path / "settings.cfg"
-        cfg.write_text("rel_tol = 1e-3\nh_max = 0.05\n")
+        cfg.write_text("rel_tol = 1e-3\nt_limit = 50\n")
         args = cli._build_parser().parse_args(
             ["verify", "--tol", "1e-6", "--config", str(cfg)])
         settings = cli._settings(args, cli._read_config(args.config))
-        assert settings == IntegratorSettings(rel_tol=1e-6, h_max=0.05)
+        assert settings == IntegratorSettings(rel_tol=1e-6, t_limit=50.0)
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(
@@ -499,6 +511,8 @@ class TestConfig:
         # constants of the integrator, or derived from rel_tol
         "h_min", "y_collision", "r_collision", "event_tol", "brake_speed2",
         "abs_tol",
+        # error control and the time limit bound every step
+        "h_max",
     ])
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, key):
         cfg = tmp_path / "settings.cfg"
@@ -514,7 +528,7 @@ class TestConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"unknown config key: {key!r}" in err
-        assert "accepted keys: rel_tol, h_max, t_limit" in err
+        assert "accepted keys: rel_tol, t_limit" in err
 
 
 @pytest.mark.parametrize("argv", [

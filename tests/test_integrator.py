@@ -93,16 +93,22 @@ def field_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["rel_tol", "h_max", "t_limit"])
+@pytest.mark.parametrize("name", ["rel_tol", "t_limit"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_settings_must_be_finite_and_positive(name, value):
     with pytest.raises(DomainError, match=name):
         IntegratorSettings(**{name: value})
 
 
-def test_largest_step_must_exceed_the_smallest():
-    with pytest.raises(DomainError, match="h_max"):
-        IntegratorSettings(h_max=integrator.H_MIN)
+def test_no_setting_caps_the_step():
+    # error control and the time limit bound every step: steps of the
+    # launch from h = 3 at E = -1 grow past the first trial step, which was
+    # once also the cap
+    assert IntegratorSettings._fields == ("rel_tol", "t_limit")
+    with pytest.raises(TypeError):
+        IntegratorSettings(h_max=0.1)
+    times = [s.t for s in shoot_raw(-1.0, 3.0).samples]
+    assert max(b - a for a, b in zip(times, times[1:])) > integrator.H_FIRST
 
 
 class TestBasicRuns:
@@ -1232,40 +1238,40 @@ def _rejected_bracket(bracket):
 # `hypot` at import would count its launches alone).
 @pytest.mark.parametrize("run, count", [
     (lambda: shooting.shoot(-1.0, 1.398), 248),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 15_599),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 1_490),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 13_859),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 1_406),
     # classification at the coarse stage's tolerance, the coarse stage and
     # the polish
-    (lambda: shooting.find_brake_orbit(-1.0), 9_672),
+    (lambda: shooting.find_brake_orbit(-1.0), 9_155),
     # one run per bracket end, to its 3rd rest at the given settings:
-    # 1,753 + 1,573
-    (lambda: _classify(shooting.DEFAULT_BRAKE_BRACKET), 3_326),
+    # 1,597 + 1,537
+    (lambda: _classify(shooting.DEFAULT_BRAKE_BRACKET), 3_134),
     # a bracket no rest count separates: each end runs once, to 8 rests
-    (lambda: _rejected_bracket((0.3, 0.3)), 10_770),
+    (lambda: _rejected_bracket((0.3, 0.3)), 9_930),
     # its step capped only by its span of 50; the interpolants of its early
-    # requests for inverted_concavity's differences cost 48 of these
+    # requests for inverted_concavity's differences cost 45 of these
     (lambda: analysis.check_zero_energy_monotone(analysis.zero_energy_run()),
-     1_324),
+     1_303),
     # the 50-launch default grid, launched as scan_alpha launches it
-    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 15_599),
+    (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 13_859),
     # the whole suite: the grid checks reduce that one scan, and
     # zero_energy_monotone and inverted_concavity the zero-energy run
-    (lambda: analysis.run_all_checks(), 17_923),
+    (lambda: analysis.run_all_checks(), 16_162),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
         IntegratorSettings(t_limit=8.0),
         watch={EventKind.X_VELOCITY_ZERO, EventKind.MAGICAL_LINE_CROSS},
     ), 2_129),
-    (lambda: _find_orbit_command("langmuir"), 1_833),
-    (lambda: _find_orbit_command("brake"), 11_944),
+    (lambda: _find_orbit_command("langmuir"), 1_749),
+    (lambda: _find_orbit_command("brake"), 11_247),
     # far from E = -1 the searches read their knobs in E = -1 units, so
     # they do E = -1's work, up to the rounding of the rescaled knobs and
     # heights (here none: all three take the same count)
-    (lambda: shooting.find_langmuir_orbit(-1000.0), 1_490),
-    (lambda: shooting.find_langmuir_orbit(-0.001), 1_490),
-    (lambda: shooting.find_brake_orbit(-1000.0), 9_672),
-    (lambda: shooting.find_brake_orbit(-0.001), 9_672),
+    (lambda: shooting.find_langmuir_orbit(-1000.0), 1_406),
+    (lambda: shooting.find_langmuir_orbit(-0.001), 1_406),
+    (lambda: shooting.find_brake_orbit(-1000.0), 9_155),
+    (lambda: shooting.find_brake_orbit(-0.001), 9_155),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit",
         "classify_reflection_count", "classify_rejected_bracket",
         "check_zero_energy_monotone", "check_magical_prefix",
@@ -1358,7 +1364,7 @@ def test_the_suite_builds_no_records(monkeypatch):
         counting(module, "_vec_to_state")
     counting(dyn, "energy_vec")
     analysis.run_all_checks()
-    assert calls == {"_vec_to_state": 0, "energy_vec": 1_347}
+    assert calls == {"_vec_to_state": 0, "energy_vec": 1_202}
 
 
 @pytest.fixture
@@ -1391,9 +1397,9 @@ def probes(monkeypatch):
 # read costs no field evaluation.
 @pytest.mark.parametrize("run, count", [
     (lambda: shooting.shoot(-1.0, 1.398), 11),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 500),
-    (lambda: shooting.find_langmuir_orbit(-1.0), 48),
-    (lambda: shooting.find_brake_orbit(-1.0), 180),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 506),
+    (lambda: shooting.find_langmuir_orbit(-1.0), 49),
+    (lambda: shooting.find_brake_orbit(-1.0), 183),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit"])
 def test_location_probes_do_not_grow(probes, run, count):
     run()
@@ -1408,12 +1414,12 @@ def test_location_probes_do_not_grow(probes, run, count):
 # as on the brake orbit's close approaches to the collision line.
 @pytest.mark.parametrize("run, count", [
     (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 61),
-    (lambda: analysis.run_all_checks(), 66),
+    (lambda: analysis.run_all_checks(), 62),
     # each search and its retrace
     (lambda: shooting.assemble_periodic_orbit(
-        shooting.find_langmuir_orbit(-1.0)), 23),
+        shooting.find_langmuir_orbit(-1.0)), 11),
     (lambda: shooting.assemble_periodic_orbit(
-        shooting.find_brake_orbit(-1.0)), 88),
+        shooting.find_brake_orbit(-1.0)), 91),
 ], ids=["scan_alpha", "run_all_checks", "langmuir_orbit", "brake_orbit"])
 def test_rejected_trials_do_not_grow(monkeypatch, run, count):
     rejected = [0]

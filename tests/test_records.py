@@ -46,15 +46,12 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class IntegratorSettings:
     rel_tol: float = 1e-10
-    h_max: float = 0.1
     t_limit: float = 100.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "h_max", "t_limit"):
+        for name in ("rel_tol", "t_limit"):
             if not (0.0 < getattr(self, name) < math.inf):
                 raise DomainError(f"{name} must be finite and positive")
-        if not self.h_max > integrator.H_MIN:
-            raise DomainError("h_max must exceed H_MIN")
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ CASES = {
     "State": (dynamics.State, State, _STATE),
     "ProblemSpec": (dynamics.ProblemSpec, ProblemSpec, (-1.0, 1.398)),
     "IntegratorSettings": (integrator.IntegratorSettings, IntegratorSettings,
-                           (1e-8, 0.05, 7.5)),
+                           (1e-8, 7.5)),
     "Event": (integrator.Event, Event, (_KIND, 0.5, "state")),
     "Trajectory": (integrator.Trajectory, Trajectory,
                    (("state", "state"), (), 1e-12, _KIND)),
@@ -255,8 +252,8 @@ def test_replace_is_the_twin(name):
 def test_replace_validates_again():
     with pytest.raises(DomainError, match="t_limit"):
         integrator.IntegratorSettings().replace(t_limit=math.inf)
-    with pytest.raises(DomainError, match="h_max"):
-        integrator.IntegratorSettings().replace(h_max=integrator.H_MIN)
+    with pytest.raises(DomainError, match="rel_tol"):
+        integrator.IntegratorSettings().replace(rel_tol=0.0)
     with pytest.raises(DomainError, match="height"):
         dynamics.ProblemSpec(-1.0, 1.0).replace(h=0.0)
     with pytest.raises(DomainError, match="Hill region"):

@@ -54,11 +54,12 @@ BRACKET_END_ALPHAS = {
 # Tolerances.  ALPHA_ERR bounds the integration error of alpha_k at the
 # default settings: a search that stops at |alpha_k| <= ALPHA_TOL is only
 # that good if the error is well below ALPHA_TOL.  The error scales with
-# rel_tol (the error norm's floor follows it): the worst bracket-end error
-# over h_max in {0.05, 0.1, 0.2}, against the table above and the Taylor
-# oracle of conftest, is 25.2, 22.6, 21.4, 15.1, 12.9 and 10.7 x rel_tol
-# at rel_tol 1e-8 to 1e-13 (each time alpha_3(0.3), whose third rest lies
-# at y = 0.016), so the bound is ALPHA_ERR_RATIO = 35 times rel_tol.  A
+# rel_tol (the error norm's floor follows it): the worst bracket-end error,
+# against the table above and the Taylor oracle of conftest, is 14.7,
+# 11.6, 13.5, 12.1, 11.1 and 12.5 x rel_tol at rel_tol 1e-8 to 1e-13 (each
+# time alpha_3(0.3), whose third rest lies at y = 0.016; up to 25.2 x when
+# steps were capped at 0.05 to 0.2 and the PI controller ran alone), so the
+# bound is ALPHA_ERR_RATIO = 35 times rel_tol.  A
 # root the search returns is off the true one by at most (ALPHA_TOL +
 # ALPHA_ERR) / |dalpha_k/dh| to first order; |dalpha/dh| at h* is 3.62 and
 # |dalpha_3/dh| at the brake h* is 47.3 (central differences), of which
@@ -279,7 +280,7 @@ class TestScalingLaw:
 
 # Bit-exact oracles.  At E = -4^k the scale a = 4^-k, its square root and
 # a^3/2 are powers of two, so every state and every knob a run reads in
-# E = -1 units (the error norm's floor, h_max, t_limit, H_MIN, the event
+# E = -1 units (the error norm's floor, t_limit, H_FIRST, H_MIN, the event
 # time tolerance, the collision distance) scales without rounding, and
 # the scaling law holds bit for bit at any rel_tol.  A slip in the scaling
 # of a knob these runs reach (all but the collision distance, which no
@@ -587,46 +588,46 @@ class TestBrakeClassification:
     def test_coarse_alphas_stay_within_the_margin(self, rng):
         # classification at the coarse stage's settings reads only signs,
         # and runs again at the given settings once an |alpha_j| is within
-        # CLASSIFY_MARGIN; so alpha_k there and at the default settings
-        # (k <= 5) may differ by less than the margin, and do, over 60
-        # seeded launches on [0.05, 3.4] at E = -1 (largest 1.8e-4) and at
-        # the launches of larger seeded samples with the largest differences
-        # when runs started at a trial step of 1e-3: h = 0.37494... (2.4e-2
-        # in alpha_5 then), h = 3.33062... and 3.33402... (0.18 and 0.19 in
-        # alpha_4 then; the latter passes 0.025 from the nucleus), and
-        # h = 3.35651..., which passes 0.02 from it, where a coarse stage
-        # without a step cap was off by 0.27 in alpha_4; started at h_max,
-        # they differ by at most 5.6e-5.  The coarse stage runs at these
-        # settings whatever the given ones (see the next test)
+        # CLASSIFY_MARGIN, which is over twice the largest gap measured; so
+        # alpha_k there and at the default settings (k <= 5) may differ by
+        # at most half the margin, and do, over 60 seeded launches on
+        # [0.05, 3.4] at E = -1 and at the launches of larger seeded
+        # samples with the largest differences at earlier settings: when
+        # runs started at a trial step of 1e-3, h = 0.37494... (2.4e-2 in
+        # alpha_5), h = 3.33062... and 3.33402... (0.18 and 0.19 in alpha_4;
+        # the latter passes 0.025 from the nucleus), and h = 3.35651...,
+        # which passes 0.02 from it; and h = 3.31871..., where the coarse
+        # stage, its steps capped at 0.316, was off by 0.27 in alpha_4.
+        # With no cap, they differ by at most 2.8e-5.  The coarse stage runs
+        # at these settings whatever the given ones (see the next test)
         coarse = shooting._coarse(IntegratorSettings())
         heights = [rng.uniform(0.05, 3.4) for _ in range(60)]
         for h in heights + [0.37494581732371746, 3.330620329714371,
-                            3.334024910547552, 3.3565107859155803]:
+                            3.334024910547552, 3.3565107859155803,
+                            3.318712565244281]:
             full = shooting._launch(-1.0, h, IntegratorSettings())
             want = [shooting._alpha(shooting._next_rest(full, k))
                     for k in range(1, 6)]
             rough = shooting._launch(-1.0, h, coarse)
             for k in range(1, 6):
                 got = shooting._alpha(shooting._next_rest(rough, k))
-                assert abs(got - want[k - 1]) <= shooting.CLASSIFY_MARGIN
+                assert (abs(got - want[k - 1])
+                        <= shooting.CLASSIFY_MARGIN / 2)
 
     @pytest.mark.parametrize("given", [
-        IntegratorSettings(h_max=1.0),
-        IntegratorSettings(h_max=0.01),
         *(IntegratorSettings(rel_tol=tol)
           for tol in (1e-7, 1e-8, 1e-12, 1e-14, 1e-16)),
-        IntegratorSettings(rel_tol=5e-7, h_max=50.0),
-    ], ids=["h_max_1", "h_max_0.01", "tol_1e-7", "tol_1e-8", "tol_1e-12",
-            "tol_1e-14", "tol_1e-16", "all"])
+        IntegratorSettings(rel_tol=5e-7, t_limit=50.0),
+    ], ids=["tol_1e-7", "tol_1e-8", "tol_1e-12", "tol_1e-14", "tol_1e-16",
+            "all"])
     def test_coarse_settings_are_fixed(self, given):
         # CLASSIFY_MARGIN was measured at the coarse settings of the
-        # defaults, so neither a finer --tol nor a config file's h_max may
-        # move them: a cap of 3.16 (from h_max = 1.0) puts alpha_4 at
-        # h = 3.3565... 0.27 off.  Only t_limit carries over
+        # defaults, so a finer --tol may not move them.  Only t_limit
+        # carries over
         default = shooting._coarse(IntegratorSettings())
-        assert default == IntegratorSettings(
-            rel_tol=shooting.COARSE_REL_TOL, h_max=0.1 * 10 ** 0.5)
-        assert shooting._coarse(given) == default
+        assert default == IntegratorSettings(rel_tol=shooting.COARSE_REL_TOL)
+        assert shooting._coarse(given) == default.replace(
+            t_limit=given.t_limit)
         assert shooting._coarse(given.replace(t_limit=7.0)) == (
             default.replace(t_limit=7.0))
         assert shooting._coarse(given.replace(rel_tol=1e-6)) is None
@@ -1089,7 +1090,7 @@ class TestAssembly:
             assert abs(mirror.vx + s.vx) <= 1e-9
 
     def test_retrace_guard(self, monkeypatch):
-        monkeypatch.setattr(shooting, "CLOSURE_TOL", 0.0)
+        monkeypatch.setattr(shooting, "CLOSURE_RATIO", 0.0)
         with pytest.raises(ClosureFailure):
             shooting.assemble_periodic_orbit(self.rec)
 
@@ -1123,7 +1124,7 @@ class TestAssemblyArc:
     def test_retrace_runs_at_the_search_settings(self, made_runs, kind):
         # the record carries the settings its arc was made at, and the
         # retrace reads them: only its time limit is its own
-        given = IntegratorSettings(rel_tol=1e-9, h_max=0.05)
+        given = IntegratorSettings(rel_tol=1e-9, t_limit=50.0)
         rec = FINDERS[kind](-1.0, settings=given)
         made_runs.clear()
         shooting.assemble_periodic_orbit(rec)
@@ -1135,20 +1136,21 @@ class TestAssemblyArc:
 def _retrace_worst(monkeypatch, rec):
     """The retrace deviation, in E = -1 units, that assemble_periodic_orbit
     reports when every deviation exceeds its tolerance."""
-    monkeypatch.setattr(shooting, "CLOSURE_TOL", 0.0)
+    monkeypatch.setattr(shooting, "CLOSURE_RATIO", 0.0)
     with pytest.raises(ClosureFailure) as info:
         shooting.assemble_periodic_orbit(rec)
     return float(re.search(r"by (\S+) in E = -1 units", str(info.value))[1])
 
 
 @pytest.mark.parametrize("kind", sorted(FINDERS))
-@pytest.mark.parametrize("tol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+@pytest.mark.parametrize("tol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12])
 def test_closure_tolerance_catches_a_displaced_sample(kind, tol):
-    # the closure tolerance that a coarser rel_tol grows still fails a
-    # quarter arc with one forward sample 10 times that far off: the search's
-    # own arc, its middle sample's x moved, at the settings --tol gives
+    # the closure tolerance, 1e4 x rel_tol, fails a quarter arc with one
+    # forward sample 10 times that far off: the search's own arc, its middle
+    # sample's x moved, at the settings --tol gives.  At 1e-12 that is
+    # 1e-7, under the fixed floor of 1e-6 that finer tolerances once kept
     settings = IntegratorSettings(rel_tol=tol)
-    closure_tol = 1e-6 * max(1.0, tol / 1e-10)
+    closure_tol = 1e4 * tol
     rec = FINDERS[kind](-1.0, settings=settings)
     shooting.assemble_periodic_orbit(rec)
     arc_settings, arc = rec._quarter_arc
