@@ -42,11 +42,13 @@ def main() -> int:
         ("langmuir", shooting.find_langmuir_orbit(ENERGY)),
         ("brake", shooting.find_brake_orbit(ENERGY)),
     ):
-        orbit = shooting.assemble_periodic_orbit(rec)
+        # the retrace check of assemble_periodic_orbit, then the 4T orbit
+        # drawn from the quarter arc
+        quarter = shooting._closed_quarter_arc(rec)
         path = out_dir / f"orbit_{name}.svg"
         path.write_text(
-            output.trajectory_svg(
-                orbit, ENERGY, f"kind={rec.kind} h*={rec.h_star:.10f}"
+            output.orbit_svg(
+                quarter, ENERGY, f"kind={rec.kind} h*={rec.h_star:.10f}"
             )
         )
         print(f"wrote {path} (h*={rec.h_star:.10f}, T={rec.quarter_period:.10f})")

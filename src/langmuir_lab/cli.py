@@ -121,14 +121,16 @@ def cmd_find_orbit(args) -> int:
         )
     else:
         rec = shooting.find_langmuir_orbit(args.energy, args.bracket, settings)
-    orbit = shooting.assemble_periodic_orbit(rec)
+    # the retrace runs before any file is written, and the files are
+    # written from the quarter arc: no 4T orbit is assembled
+    quarter = shooting._closed_quarter_arc(rec)
     rec_json = output.orbit_record_json(rec)
     if args.out:
         _write(args.out + ".orbit.json", rec_json)
-        _write(args.out + ".orbit.csv", output.trajectory_csv(orbit))
+        _write(args.out + ".orbit.csv", output.orbit_csv(quarter))
         _write(
             args.out + ".orbit.svg",
-            output.trajectory_svg(orbit, args.energy, _config_comment(args)),
+            output.orbit_svg(quarter, args.energy, _config_comment(args)),
         )
     else:
         sys.stdout.write(rec_json)

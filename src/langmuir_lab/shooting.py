@@ -44,7 +44,6 @@ from .integrator import (
     Trajectory,
     _brent,
     _build_trajectory,
-    _integrate,
     _Run,
     _vec_to_state,
 )
@@ -484,6 +483,88 @@ def sign_change_brackets(results: Sequence[ShootResult]) -> list[tuple[float, fl
     return out
 
 
+# The symmetries that carry a quarter-arc sample onto the 4T orbit, each as
+# the signs it gives x, vx and vy; y and the energy keep theirs
+_IDENTITY = (1.0, 1.0, 1.0)
+_REVERSAL = (1.0, -1.0, -1.0)  # time reversal
+_REFLECTION = (-1.0, -1.0, 1.0)  # x-reflection
+_BOTH = (-1.0, 1.0, -1.0)  # x-reflection of the time reversal
+
+
+def _periodic_layout(
+    times: Sequence[float],
+) -> list[tuple[float, int, tuple[float, float, float]]]:
+    """The samples of the 4T orbit closed from a quarter arc whose samples
+    lie at `times` (the launch at 0 first, the touch at T last), in time
+    order: for each, its time, the index of its quarter sample and the
+    symmetry that carries that sample there.
+
+    [0, T]   the quarter arc,
+    (T, 2T]  its time reversal, at 2T - t,
+    (2T, 4T] the x-reflection of [0, 2T] but the launch, at 2T + t."""
+    T = times[-1]
+    half = [(t, i, _IDENTITY) for i, t in enumerate(times)]
+    half += [(2.0 * T - times[i], i, _REVERSAL)
+             for i in range(len(times) - 2, -1, -1)]
+    return half + [
+        (2.0 * T + t, i, _REFLECTION if sym is _IDENTITY else _BOTH)
+        for t, i, sym in half[1:]
+    ]
+
+
+def _closed_quarter_arc(rec: OrbitRecord) -> Trajectory:
+    """The quarter arc of `rec` once its retrace has closed it: the
+    closure check of assemble_periodic_orbit (see there), which raises
+    ValueError for a record without its arc and ClosureFailure for an arc
+    that does not retrace.  The backward run's own (t, vec) samples are
+    keyed by time; no record is built of them."""
+    if rec._quarter_arc is None:
+        raise ValueError(
+            "the record carries no quarter arc: only a record that "
+            "find_langmuir_orbit or find_brake_orbit returned can be assembled"
+        )
+    settings, quarter = rec._quarter_arc
+    closure_tol = CLOSURE_RATIO * settings.rel_tol
+    touch = quarter.samples[-1]
+    T = touch.t
+
+    back_start = State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx, vy=-touch.vy)
+    fwd = quarter.samples[:-1]
+    back = _Run(back_start, settings.replace(t_limit=T * (-rec.E) ** 1.5),
+                (), (), [T - s.t for s in fwd[1:]], rec.E).advance()
+    # each request yields one sample at exactly its time
+    by_time = dict(back.samples)
+    if back.termination is EventKind.TIME_LIMIT:
+        by_time[T] = back.samples[-1][1]
+    q_unit, v_unit = -rec.E, math.sqrt(-rec.E)
+    worst = 0.0
+    matched = 0
+    for s in fwd:
+        mirror = by_time.get(T - s.t)
+        if mirror is None:
+            continue
+        matched += 1
+        x, y, vx, vy = mirror
+        worst = max(
+            worst,
+            q_unit * abs(x - s.x),
+            q_unit * abs(y - s.y),
+            abs(vx + s.vx) / v_unit,
+            abs(vy + s.vy) / v_unit,
+        )
+    if matched < len(fwd):
+        raise ClosureFailure(
+            f"reversed arc matched {matched} of {len(fwd)} forward samples: "
+            f"no sample mirroring {len(fwd) - matched} of them"
+        )
+    if worst > closure_tol:
+        raise ClosureFailure(
+            f"reversed arc deviates from the forward arc by {worst} "
+            f"in E = -1 units"
+        )
+    return quarter
+
+
 def assemble_periodic_orbit(rec: OrbitRecord) -> Trajectory:
     """Close the quarter arc into the full period-4T orbit.
 
@@ -508,61 +589,14 @@ def assemble_periodic_orbit(rec: OrbitRecord) -> Trajectory:
     curve.  The tolerance is CLOSURE_RATIO x rel_tol, as the retrace's
     error follows rel_tol.
     """
-    if rec._quarter_arc is None:
-        raise ValueError(
-            "the record carries no quarter arc: only a record that "
-            "find_langmuir_orbit or find_brake_orbit returned can be assembled"
-        )
-    settings, quarter = rec._quarter_arc
-    closure_tol = CLOSURE_RATIO * settings.rel_tol
-    touch = quarter.samples[-1]
-    T = touch.t
-
-    back_start = State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx, vy=-touch.vy)
-    fwd = quarter.samples[:-1]
-    back = _integrate(
-        back_start, settings.replace(t_limit=T * (-rec.E) ** 1.5), rec.E,
-        sample_times=[T - s.t for s in fwd[1:]],
-    )
-    # each request yields one sample at exactly its time
-    by_time = {s.t: s for s in back.samples}
-    if back.termination is EventKind.TIME_LIMIT:
-        by_time[T] = back.samples[-1]
-    q_unit, v_unit = -rec.E, math.sqrt(-rec.E)
-    worst = 0.0
-    matched = 0
-    for s in fwd:
-        mirror = by_time.get(T - s.t)
-        if mirror is None:
-            continue
-        matched += 1
-        worst = max(
-            worst,
-            q_unit * abs(mirror.x - s.x),
-            q_unit * abs(mirror.y - s.y),
-            abs(mirror.vx + s.vx) / v_unit,
-            abs(mirror.vy + s.vy) / v_unit,
-        )
-    if matched < len(fwd):
-        raise ClosureFailure(
-            f"reversed arc matched {matched} of {len(fwd)} forward samples: "
-            f"no sample mirroring {len(fwd) - matched} of them"
-        )
-    if worst > closure_tol:
-        raise ClosureFailure(
-            f"reversed arc deviates from the forward arc by {worst} "
-            f"in E = -1 units"
-        )
-
-    samples: list[State] = list(quarter.samples)
-    # time reversal: t in (T, 2T]
-    for s in reversed(fwd):
-        samples.append(
-            _vec_to_state(2.0 * T - s.t, (s.x, s.y, -s.vx, -s.vy))
-        )
-    # x-reflection of the first half: t in (2T, 4T]
-    for s in samples[1:]:
-        samples.append(_vec_to_state(2.0 * T + s.t, (-s.x, s.y, -s.vx, s.vy)))
+    quarter = _closed_quarter_arc(rec)
+    q = quarter.samples
+    layout = _periodic_layout([s.t for s in q])
+    # the quarter's own samples first, then their mirror images
+    samples = list(q) + [
+        _vec_to_state(t, (sx * q[i].x, q[i].y, svx * q[i].vx, svy * q[i].vy))
+        for t, i, (sx, svx, svy) in layout[len(q):]
+    ]
     return Trajectory(
         samples=tuple(samples),
         events=quarter.events,

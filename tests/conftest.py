@@ -712,14 +712,14 @@ def made_runs(monkeypatch):
 
 @pytest.fixture
 def retrace_without_samples(monkeypatch):
-    """Make every `_integrate` run in `shooting` drop its requested sample
-    times, so the backward retrace run yields no sample mirroring the
-    forward arc."""
+    """Make every `_Run` that `shooting` makes drop its requested sample
+    times, so the backward run of the closure check yields no sample
+    mirroring the forward arc (the searches' runs request none)."""
     from langmuir_lab import shooting
 
-    real = shooting._integrate
+    real = shooting._Run
 
-    def integrate(*args, sample_times=(), **kwargs):
-        return real(*args, **kwargs)
+    def run(s0, settings, watch, stop, sample_times, E=None):
+        return real(s0, settings, watch, stop, (), E)
 
-    monkeypatch.setattr(shooting, "_integrate", integrate)
+    monkeypatch.setattr(shooting, "_Run", run)

@@ -252,6 +252,55 @@ class TestFindOrbit:
         assert rc == 5
         assert "mirroring" in capsys.readouterr().err
 
+    def test_retrace_failure_writes_no_file(self, retrace_without_samples,
+                                            tmp_path, capsys):
+        # the retrace runs before any file is written
+        rc = main(["find-orbit", "--energy", "-1.0",
+                   "--out", str(tmp_path / "orbit")])
+        assert rc == 5
+        assert "mirroring" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["langmuir", "brake"])
+    @pytest.mark.parametrize("options", [
+        ["--energy", "-1.0", "--tol", "1e-8"],
+        ["--energy", "-1.0", "--tol", "1e-12"],
+        ["--energy", "-1.6", "--tol", "1e-8"],
+        ["--energy", "-1.6", "--tol", "1e-12"],
+        ["--energy", "-1.0", "--bracket"],
+    ], ids=["e-1_tol1e-8", "e-1_tol1e-12", "e-1.6_tol1e-8", "e-1.6_tol1e-12",
+            "e-1_bracket"])
+    def test_orbit_files_are_those_of_the_assembled_orbit(self, kind, options,
+                                                          tmp_path):
+        # the command writes the 4T orbit from the quarter arc; its files
+        # are, byte for byte, the CSV and SVG of the orbit that
+        # assemble_periodic_orbit builds sample by sample
+        if options[-1] == "--bracket":
+            options = options + [{"langmuir": "1.2,1.6",
+                                  "brake": "0.32,0.36"}[kind]]
+        argv = ["find-orbit", "--kind", kind, *options,
+                "--out", str(tmp_path / "orbit")]
+        assert main(argv) == 0
+        args = cli._build_parser().parse_args(argv)
+        settings = cli._settings(args, {})
+        if kind == "brake":
+            rec = shooting.find_brake_orbit(args.energy, args.bracket,
+                                            settings=settings)
+        else:
+            rec = shooting.find_langmuir_orbit(args.energy, args.bracket,
+                                               settings)
+        orbit = shooting.assemble_periodic_orbit(rec)
+        csv = (tmp_path / "orbit.orbit.csv").read_bytes()
+        svg = (tmp_path / "orbit.orbit.svg").read_bytes()
+        assert csv == output.trajectory_csv(orbit).encode()
+        assert svg == output.trajectory_svg(
+            orbit, args.energy, cli._config_comment(args)).encode()
+        # the launch's x and vy are 0, so the mirror rows at 2T (vy) and
+        # 4T (x) hold a negative zero, which the text must keep
+        rows = [row.split(",") for row in csv.decode().splitlines()[1:]]
+        assert rows[-1][1] == "-0"
+        assert any(row[4] == "-0" for row in rows)
+
 
 class TestScan:
     def test_scan_table(self, tmp_path):
@@ -424,7 +473,22 @@ class TestVerify:
         assert rc == 1
         doc = json.loads(report.read_text())
         assert not doc["inverted_concavity"]["passed"]
-        assert doc["zero_energy_monotone"]["worst_violation"] == math.inf
+        assert doc["zero_energy_monotone"]["worst_violation"] is None
+
+    def test_reports_are_strict_json(self, tmp_path):
+        # a check that compared nothing reports an infinite worst
+        # violation, written as null: the file holds no Infinity or NaN,
+        # which JSON does not have
+        def reject(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        report = tmp_path / "zero.json"
+        rc = main(["zero-energy", "--t-end", "1e-300", "--report",
+                   str(report)])
+        assert rc == 1
+        doc = json.loads(report.read_text(), parse_constant=reject)
+        assert {v["worst_violation"] for v in doc.values()} == {None}
+        assert not any(v["passed"] for v in doc.values())
 
     def test_zero_energy_subcommand(self, tmp_path):
         report = tmp_path / "zero.json"
@@ -693,3 +757,28 @@ class TestSerializationHelpers:
         ]
         doc = json.loads(output.verdict_json(reports))
         assert list(doc) == ["alpha", "zeta"]
+
+    def test_verdict_json_writes_no_finite_number_as_null(self):
+        from langmuir_lab.analysis import CheckReport
+
+        reports = [
+            CheckReport("nan", False, math.nan, math.inf, {}),
+            CheckReport("finite", True, -0.0, 1e-300, {}),
+        ]
+        doc = json.loads(output.verdict_json(reports))
+        assert doc["nan"] == {"passed": False, "worst_violation": None,
+                              "tolerance": None}
+        assert doc["finite"] == {"passed": True, "worst_violation": -0.0,
+                                 "tolerance": 1e-300}
+
+    def test_other_non_finite_fields_are_refused(self):
+        # no writer emits a token outside JSON: a non-finite field it does
+        # not expect raises ValueError, which the CLI reports with exit 2
+        rec = shooting.find_langmuir_orbit(-1.0)
+        with pytest.raises(ValueError, match="JSON"):
+            output.orbit_record_json(rec.replace(alpha_residual=math.nan))
+        traj = Trajectory(samples=(rec.touch_state,), events=(),
+                          max_energy_drift=math.inf,
+                          termination=EventKind.TIME_LIMIT)
+        with pytest.raises(ValueError, match="JSON"):
+            output.trajectory_json(traj)

@@ -447,6 +447,34 @@ def test_find_orbit_integrates_each_launch_once(made_runs, tmp_path, kind):
     assert len(made_runs) == len(rec.solver_trace) + 1
 
 
+@pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("kind, count", [("langmuir", 32), ("brake", 142)])
+def test_find_orbit_builds_no_orbit_records(monkeypatch, tmp_path, kind,
+                                            count, out):
+    # the States a `find-orbit` command builds, with or without --out: its
+    # quarter arc's samples and events (20 + 1 for Langmuir, 127 + 3 for
+    # the brake orbit), one launch per solver evaluation (10 and 11) and
+    # the retrace's backward start.  None of the 4T orbit and none of the
+    # retrace's samples.  Pinned exactly as the field evaluations are
+    built = [0]
+
+    def counting(real):
+        def count_built(*args, **kwargs):
+            built[0] += 1
+            return real(*args, **kwargs)
+        return count_built
+
+    for module in (integrator, shooting):
+        monkeypatch.setattr(module, "_vec_to_state",
+                            counting(module._vec_to_state))
+    monkeypatch.setattr(dyn.State, "__init__", counting(dyn.State.__init__))
+    argv = ["find-orbit", "--energy", "-1.0", "--kind", kind]
+    if out:
+        argv += ["--out", str(tmp_path / kind)]
+    assert main(argv) == 0
+    assert built[0] == count
+
+
 class TestResumedRun:
     """The run of one launch, advanced rest by rest, against the unstopped
     run of that launch cut at each rest."""
@@ -1103,6 +1131,24 @@ class TestAssembly:
 
     def test_samples_stay_in_upper_half_plane(self):
         assert all(s.y > 0.0 for s in self.orbit.samples)
+
+
+@pytest.mark.parametrize("kind", sorted(FINDERS))
+def test_assembly_is_the_quarter_and_its_mirror_images(orbits_at_e1, kind):
+    # the 4T orbit written out from its definition, sample by sample: the
+    # quarter, its time reversal, then the x-reflection of that half but
+    # its launch; bit for bit, signed zeros included
+    rec = orbits_at_e1[kind]
+    quarter = rec._quarter_arc[1]
+    q = quarter.samples
+    T = q[-1].t
+    half = list(q) + [dyn.State(t=2.0 * T - s.t, x=s.x, y=s.y, vx=-s.vx,
+                                vy=-s.vy) for s in reversed(q[:-1])]
+    want = half + [dyn.State(t=2.0 * T + s.t, x=-s.x, y=s.y, vx=-s.vx,
+                             vy=s.vy) for s in half[1:]]
+    got = shooting.assemble_periodic_orbit(rec)
+    assert trajectory_bits(got) == trajectory_bits(
+        quarter.replace(samples=tuple(want)))
 
 
 def _launch(rec):
