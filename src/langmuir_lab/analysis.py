@@ -103,14 +103,17 @@ def grid_runs(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[tuple]:
     """The E=-1 horizontal launches from the heights h_grid, by default the
-    default grid, each integrated once as shoot() and scan_alpha integrate
-    it: its (run, ShootResult) pair, the run (an integrator `_Run`)
-    recording the magical-line crossings up to its first x-rest, sampled at
-    its step ends and its stop.  tmax_bound, magical_prefix, energy_drift
+    default grid, each integrated once, with the steps that shoot() and
+    scan_alpha make: its (run, ShootResult) pair, the run (an integrator
+    `_Run`) sampled at its step ends and its stop.  Unlike theirs, it
+    watches the magical-line crossings up to its first x-rest and locates
+    each, as magical_prefix reads the first one's time and state; the
+    result counts those events.  tmax_bound, magical_prefix, energy_drift
     and tau_growth each reduce this one list."""
     if h_grid is None:
         h_grid = default_grid()
-    return [_shoot(-1.0, h, settings) for h in h_grid]
+    watch = (EventKind.MAGICAL_LINE_CROSS,)
+    return [_shoot(-1.0, h, settings, watch) for h in h_grid]
 
 
 def check_tmax_bound(runs) -> CheckReport:

@@ -29,7 +29,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 from . import dynamics
-from .dynamics import ProblemSpec, State, _Record, _set
+from .dynamics import ProblemSpec, State, Vec, _Record, _set
 from .errors import (
     BadBracket,
     ClosureFailure,
@@ -44,6 +44,7 @@ from .integrator import (
     Trajectory,
     _brent,
     _build_trajectory,
+    _RESIDUALS,
     _Run,
     _vec_to_state,
 )
@@ -84,6 +85,12 @@ DEFAULT_GRID_SIZE = 50
 
 
 class ShootResult(_Record):
+    """One launch's run to its first x-rest (see _shoot).  `status` is "ok"
+    when the run rested, and says only that: the accuracy of t_h and alpha
+    shows in `energy_drift`, the run's largest relative energy drift.
+    `n_magical_crossings` counts the magical line's crossings before the
+    stop, as the sign changes of its residual between step ends."""
+
     __slots__ = _fields = ("h", "t_h", "alpha", "n_magical_crossings",
                            "energy_drift", "status")
 
@@ -184,23 +191,43 @@ def _rest_run(
     return run
 
 
+def _crossings(samples: Sequence[tuple[float, Vec]]) -> int:
+    """The magical-line crossings between consecutive samples of a run:
+    the sign changes of the line's residual, by the rule that `_steps`
+    applies between step ends, so a residual of exactly 0 at a sample
+    counts once."""
+    f = _RESIDUALS[EventKind.MAGICAL_LINE_CROSS]
+    rs = [f(y) for _, y in samples]
+    return sum(1 for r0, r1 in zip(rs, rs[1:])
+               if (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0))
+
+
 def _shoot(
-    E: float, h: float, settings: IntegratorSettings
+    E: float, h: float, settings: IntegratorSettings, watch=()
 ) -> tuple[_Run, ShootResult]:
     """shoot()'s run and result: the launch of _rest_run, recording the
-    magical-line crossings, to its first stop, its arc not built.  A run
-    that ends without an x-rest gives a status='NoRest(...)' result, whose
-    t_h and alpha are nan; its crossings and drift are the run's, whose
-    samples are its step ends and its stop."""
-    run = _launch(E, h, settings, {EventKind.MAGICAL_LINE_CROSS}).advance()
+    kinds in `watch`, to its first stop, its arc not built.  A run that
+    ends without an x-rest gives a status='NoRest(...)' result, whose t_h
+    and alpha are nan; its crossings and drift are the run's, whose
+    samples are its step ends and its stop.  The crossings are the located
+    MAGICAL_LINE_CROSS events when `watch` holds that kind, and otherwise
+    the sign changes between the samples (see _crossings): the same
+    count, as a crossing is detected between step ends either way, and
+    one in the stop's step after the stop is in neither.  Watching changes
+    no step, as events are located on the step's interpolant."""
+    run = _launch(E, h, settings, watch).advance()
     rested = run.termination is EventKind.X_VELOCITY_ZERO
     t, rest = run.samples[-1]
+    if EventKind.MAGICAL_LINE_CROSS in watch:
+        crossings = sum(1 for kind, _, _ in run.events
+                        if kind is EventKind.MAGICAL_LINE_CROSS)
+    else:
+        crossings = _crossings(run.samples)
     return run, ShootResult(
         h=h,
         t_h=t if rested else math.nan,
         alpha=rest[3] if rested else math.nan,
-        n_magical_crossings=sum(1 for kind, _, _ in run.events
-                                if kind is EventKind.MAGICAL_LINE_CROSS),
+        n_magical_crossings=crossings,
         energy_drift=run.drift,
         status="ok" if rested else f"NoRest({run.termination.value})",
     )
@@ -211,7 +238,9 @@ def shoot(
     h: float,
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> ShootResult:
-    """Integrate the horizontal-launch problem to its first x-rest."""
+    """Integrate the horizontal-launch problem to its first x-rest; the
+    magical-line crossings are counted at the step ends, not located (see
+    _shoot)."""
     run, res = _shoot(E, h, settings)
     if run.termination is not EventKind.X_VELOCITY_ZERO:
         raise NoRest(1, run.termination.value)
@@ -458,7 +487,9 @@ def scan_alpha(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[ShootResult]:
     """shoot() over a grid, results in grid order; a launch without an
-    x-rest gives a status='NoRest(...)' row (see _shoot)."""
+    x-rest gives a status='NoRest(...)' row (see _shoot).  A row's status
+    says only whether its run rested; its energy_drift is its accuracy
+    signal."""
     return [_shoot(E, h, settings)[1] for h in h_grid]
 
 
@@ -467,10 +498,11 @@ def default_grid(
     hi: float = DEFAULT_GRID_RANGE[1],
     n: int = DEFAULT_GRID_SIZE,
 ) -> list[float]:
-    """n heights evenly spaced from lo to hi; one point is [lo]."""
+    """n heights evenly spaced from lo to hi; one point is [lo].  The last
+    point is hi itself, which the spacing's rounding could overshoot."""
     if n == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
 
 
 def sign_change_brackets(results: Sequence[ShootResult]) -> list[tuple[float, float]]:

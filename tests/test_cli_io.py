@@ -360,6 +360,16 @@ class TestScan:
                                                          rel=1e-9)
             assert 0.0 < float(near[4]) <= 1e-8
 
+    def test_scan_grid_ends_at_its_high_end(self, capsys):
+        # 0.7 + (3.4999999999999996 - 0.7) rounds to 3.5, the Hill boundary
+        # at E = -1; the grid's last height is its high end itself
+        grid = "0.7,3.4999999999999996,2"
+        assert main(["scan", "--energy", "-1", "--grid", grid]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [float(row[0]) for row in rows] == [0.7, 3.4999999999999996]
+        assert [row[5] for row in rows] == ["ok", "ok"]
+
     def test_scan_of_one_point_is_its_low_end(self, capsys):
         # a one-point grid is its low end, as shooting.default_grid gives it
         assert main(["scan", "--energy", "-1", "--grid", "0.5,1,1"]) == 0

@@ -1237,8 +1237,10 @@ def _rejected_bracket(bracket):
 # row is stale or the count no longer sees the field (a kernel that bound
 # `hypot` at import would count its launches alone).
 @pytest.mark.parametrize("run, count", [
-    (lambda: shooting.shoot(-1.0, 1.398), 248),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 13_859),
+    # shoot and scan_alpha count the magical-line crossings at step ends
+    # and locate none: no interpolant is built for a crossing alone
+    (lambda: shooting.shoot(-1.0, 1.398), 245),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 13_736),
     (lambda: shooting.find_langmuir_orbit(-1.0), 1_406),
     # classification at the coarse stage's tolerance, the coarse stage and
     # the polish
@@ -1252,7 +1254,8 @@ def _rejected_bracket(bracket):
     # requests for inverted_concavity's differences cost 45 of these
     (lambda: analysis.check_zero_energy_monotone(analysis.zero_energy_run()),
      1_303),
-    # the 50-launch default grid, launched as scan_alpha launches it
+    # the 50-launch default grid, launched as scan_alpha launches it but
+    # locating each magical-line crossing, which magical_prefix reads
     (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 13_859),
     # the whole suite: the grid checks reduce that one scan, and
     # zero_energy_monotone and inverted_concavity the zero-energy run
@@ -1394,10 +1397,11 @@ def probes(monkeypatch):
 # that locates an event or, one per located event, that event's state.
 # The orbit searches' coarse steps are longer than their steps at the
 # given settings, so locating an event on them takes a few more probes; a
-# read costs no field evaluation.
+# read costs no field evaluation.  shoot and scan_alpha locate the x-rest
+# alone: they count the magical-line crossings at step ends.
 @pytest.mark.parametrize("run, count", [
-    (lambda: shooting.shoot(-1.0, 1.398), 11),
-    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 506),
+    (lambda: shooting.shoot(-1.0, 1.398), 5),
+    (lambda: shooting.scan_alpha(-1.0, shooting.default_grid()), 273),
     (lambda: shooting.find_langmuir_orbit(-1.0), 49),
     (lambda: shooting.find_brake_orbit(-1.0), 183),
 ], ids=["shoot", "scan_alpha", "find_langmuir_orbit", "find_brake_orbit"])

@@ -1011,9 +1011,13 @@ class TestPolish:
 class TestScan:
     # scan_alpha reads its results off the runs, as _shoot does; every
     # field of every row agrees with _shoot's and with the result read off
-    # the trajectory built from _shoot's run, the NoRest rows' too, whose
-    # t_h and alpha are nan and whose crossings and drift are the run's
-    # (t_limit = 1 stops the upper half of the grid before its first rest)
+    # the trajectory of the same launch run by `_integrate` watching the
+    # magical-line crossings, whose count is that of its located crossing
+    # events, the NoRest rows' too, whose t_h and alpha are nan and whose
+    # crossings and drift are the run's (t_limit = 1 stops the upper half
+    # of the grid before its first rest).  _shoot's run, which watches no
+    # crossing, has the watched run's samples bit for bit: watching
+    # changes no step
     @pytest.mark.parametrize("E, settings_", [
         (-1.0, IntegratorSettings()),
         (-1000.0, IntegratorSettings()),
@@ -1022,11 +1026,15 @@ class TestScan:
     def test_scan_rows_equal_the_shoot_run_results(self, E, settings_):
         grid = [h / -E for h in shooting.default_grid()]
         rows = shooting.scan_alpha(E, grid, settings_)
-        runs = [(_build_trajectory(run), res)
-                for run, res in (shooting._shoot(E, h, settings_)
-                                 for h in grid)]
+        runs = [shooting._shoot(E, h, settings_) for h in grid]
         assert len(rows) == len(runs) == len(grid)
-        for h, row, (traj, res) in zip(grid, rows, runs):
+        for h, row, (run, res) in zip(grid, rows, runs):
+            traj = _integrate(dyn.initial_state(dyn.ProblemSpec(E=E, h=h)),
+                              settings_, E,
+                              watch={EventKind.MAGICAL_LINE_CROSS},
+                              stop={EventKind.X_VELOCITY_ZERO})
+            assert repr([(t, *y) for t, y in run.samples]) == repr(
+                [(s.t, s.x, s.y, s.vx, s.vy) for s in traj.samples])
             crossings = sum(1 for e in traj.events
                             if e.kind is EventKind.MAGICAL_LINE_CROSS)
             if traj.termination is EventKind.X_VELOCITY_ZERO:
@@ -1047,6 +1055,31 @@ class TestScan:
             assert statuses == {"ok", "NoRest(TimeLimit)"}
         else:
             assert statuses == {"ok"}
+
+    # _shoot counts the crossings as the sign changes between its run's
+    # samples, watching none; the oracle is the same launch run watching
+    # them, whose located MAGICAL_LINE_CROSS events are counted.  The time
+    # limit, log-uniform on [0.3, 100], stops about a third of the launches
+    # before their first rest (at t <= 2.2 in E = -1 units): NoRest rows
+    @settings(max_examples=40, deadline=None)
+    @given(E=st.floats(min_value=-31.0, max_value=-0.03),
+           u=st.floats(min_value=0.05, max_value=3.45),
+           rel_tol=st.floats(min_value=-12.0, max_value=-5.0).map(
+               lambda p: 10.0 ** p),
+           t_limit=st.floats(min_value=math.log10(0.3), max_value=2.0).map(
+               lambda p: 10.0 ** p))
+    # a magical-line crossing after the rest, in the rest's step
+    @example(E=-1.0, u=0.5, rel_tol=1e-10, t_limit=100.0)
+    def test_crossings_counted_at_samples_are_the_located_ones(
+            self, E, u, rel_tol, t_limit):
+        h = u / -E
+        settings_ = IntegratorSettings(rel_tol=rel_tol, t_limit=t_limit)
+        _, res = shooting._shoot(E, h, settings_)
+        traj = _integrate(dyn.initial_state(dyn.ProblemSpec(E=E, h=h)),
+                          settings_, E, watch={EventKind.MAGICAL_LINE_CROSS},
+                          stop={EventKind.X_VELOCITY_ZERO})
+        assert res.n_magical_crossings == sum(
+            1 for e in traj.events if e.kind is EventKind.MAGICAL_LINE_CROSS)
 
     def test_no_rest_row_holds_the_run_crossings_and_drift(self):
         # the launch from h = 1 crosses the magical line at t = 0.384 and
@@ -1077,6 +1110,18 @@ class TestScan:
     def test_grid_of_one_point_is_its_low_end(self):
         assert shooting.default_grid(0.5, 1.0, 1) == [0.5]
         assert shooting.default_grid(0.5, 1.0, 2) == [0.5, 1.0]
+
+    def test_grid_ends_exactly_at_its_ends(self, rng):
+        # lo + (hi - lo) * i / (n - 1) rounds above hi at i = n - 1 for
+        # about 2% of these grids, so the last point is hi itself
+        for _ in range(2_000):
+            lo = rng.uniform(0.01, 3.0)
+            hi = lo + rng.uniform(0.01, 3.0)
+            n = rng.randint(2, 100)
+            grid = shooting.default_grid(lo, hi, n)
+            assert len(grid) == n
+            assert grid[0] == lo and grid[-1] == hi
+            assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_scan_single_point(self):
         results = shooting.scan_alpha(-1.0, [1.0])
