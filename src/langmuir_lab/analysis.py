@@ -104,12 +104,12 @@ def grid_runs(
 ) -> list[tuple]:
     """The E=-1 horizontal launches from the heights h_grid, by default the
     default grid, each integrated once, with the steps that shoot() and
-    scan_alpha make: its (run, ShootResult) pair, the run (an integrator
-    `_Run`) sampled at its step ends and its stop.  Unlike theirs, it
-    watches the magical-line crossings up to its first x-rest and locates
-    each, as magical_prefix reads the first one's time and state; the
-    result counts those events.  tmax_bound, magical_prefix, energy_drift
-    and tau_growth each reduce this one list."""
+    scan_alpha make and the same ShootResult: its (run, ShootResult) pair,
+    the run (an integrator `_Run`) sampled at its step ends and its stop.
+    Unlike theirs, it watches the magical-line crossings up to its first
+    x-rest and locates each, as magical_prefix reads the first one's time
+    and state.  tmax_bound, magical_prefix, energy_drift and tau_growth
+    each reduce this one list."""
     if h_grid is None:
         h_grid = default_grid()
     watch = (EventKind.MAGICAL_LINE_CROSS,)

@@ -1041,6 +1041,22 @@ _RESIDUALS: dict[EventKind, Callable[[Vec], float]] = {
 }
 
 
+def _magical_crossings(samples: Sequence[tuple[float, Vec]]) -> int:
+    """The magical-line crossings between consecutive samples of a run:
+    the sign changes of the line's residual, by the rule that `_steps`
+    applies between step ends, so a residual of exactly 0 at a sample
+    counts once."""
+    f = _RESIDUALS[EventKind.MAGICAL_LINE_CROSS]
+    n = 0
+    r0 = f(samples[0][1])
+    for _, y in samples[1:]:
+        r1 = f(y)
+        if (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0):
+            n += 1
+        r0 = r1
+    return n
+
+
 def _build_trajectory(run: _Run) -> Trajectory:
     samples = tuple(_vec_to_state(t, y) for t, y in run.samples)
     events = tuple(

@@ -29,7 +29,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 from . import dynamics
-from .dynamics import ProblemSpec, State, Vec, _Record, _set
+from .dynamics import ProblemSpec, State, _Record, _set
 from .errors import (
     BadBracket,
     ClosureFailure,
@@ -44,7 +44,7 @@ from .integrator import (
     Trajectory,
     _brent,
     _build_trajectory,
-    _RESIDUALS,
+    _magical_crossings,
     _Run,
     _vec_to_state,
 )
@@ -89,7 +89,8 @@ class ShootResult(_Record):
     when the run rested, and says only that: the accuracy of t_h and alpha
     shows in `energy_drift`, the run's largest relative energy drift.
     `n_magical_crossings` counts the magical line's crossings before the
-    stop, as the sign changes of its residual between step ends."""
+    stop, as the sign changes of its residual between the run's step ends
+    and its stop."""
 
     __slots__ = _fields = ("h", "t_h", "alpha", "n_magical_crossings",
                            "energy_drift", "status")
@@ -191,17 +192,6 @@ def _rest_run(
     return run
 
 
-def _crossings(samples: Sequence[tuple[float, Vec]]) -> int:
-    """The magical-line crossings between consecutive samples of a run:
-    the sign changes of the line's residual, by the rule that `_steps`
-    applies between step ends, so a residual of exactly 0 at a sample
-    counts once."""
-    f = _RESIDUALS[EventKind.MAGICAL_LINE_CROSS]
-    rs = [f(y) for _, y in samples]
-    return sum(1 for r0, r1 in zip(rs, rs[1:])
-               if (r0 > 0.0 and r1 <= 0.0) or (r0 < 0.0 and r1 >= 0.0))
-
-
 def _shoot(
     E: float, h: float, settings: IntegratorSettings, watch=()
 ) -> tuple[_Run, ShootResult]:
@@ -209,25 +199,21 @@ def _shoot(
     kinds in `watch`, to its first stop, its arc not built.  A run that
     ends without an x-rest gives a status='NoRest(...)' result, whose t_h
     and alpha are nan; its crossings and drift are the run's, whose
-    samples are its step ends and its stop.  The crossings are the located
-    MAGICAL_LINE_CROSS events when `watch` holds that kind, and otherwise
-    the sign changes between the samples (see _crossings): the same
-    count, as a crossing is detected between step ends either way, and
-    one in the stop's step after the stop is in neither.  Watching changes
-    no step, as events are located on the step's interpolant."""
+    samples are its step ends and its stop.  The crossings are the sign
+    changes between the samples (see integrator._magical_crossings),
+    watched or not: watching changes no step, as events are located on
+    the step's interpolant.  A located crossing is a sign change between
+    step ends, so the two counts differ only in the stop's step: a
+    crossing before the stop that the residual undoes after it, in that
+    step, is counted here and missed by the watch."""
     run = _launch(E, h, settings, watch).advance()
     rested = run.termination is EventKind.X_VELOCITY_ZERO
     t, rest = run.samples[-1]
-    if EventKind.MAGICAL_LINE_CROSS in watch:
-        crossings = sum(1 for kind, _, _ in run.events
-                        if kind is EventKind.MAGICAL_LINE_CROSS)
-    else:
-        crossings = _crossings(run.samples)
     return run, ShootResult(
         h=h,
         t_h=t if rested else math.nan,
         alpha=rest[3] if rested else math.nan,
-        n_magical_crossings=crossings,
+        n_magical_crossings=_magical_crossings(run.samples),
         energy_drift=run.drift,
         status="ok" if rested else f"NoRest({run.termination.value})",
     )
