@@ -7,13 +7,14 @@ periodic orbit of period 4T by time reversal and x-reflection.  A
 generalized alpha_k (vertical velocity at the k-th x-rest) captures the
 second, multi-reflection orbit.
 
-The orbit search finds a root of alpha_k to |alpha_k| <= ALPHA_TOL in two
-stages: a Brent-Dekker solve on alpha_k integrated at the fixed COARSE
-settings, then a polish at the given settings: alpha_k at the coarse root
-and one secant step from it.  When neither meets ALPHA_TOL, Brent-Dekker
-solves at the given settings on the whole bracket.  The orbit record
-holds one arc, the root's at the given settings.  The brake search picks
-k at the first stage's settings too (see find_brake_orbit).
+The orbit search finds a root of alpha_k to |alpha_k| <= ALPHA_TOL, a
+ceiling that shrinks with rel_tol below rel_tol's default, in two stages: a
+Brent-Dekker solve on alpha_k integrated at the fixed COARSE settings,
+then a polish at the given settings: chord steps from the coarse root
+along the coarse stage's last secant, or, when it stalls, Brent-Dekker at
+the given settings on the whole bracket.  The orbit record holds one arc,
+the root's at the given settings.  The brake search picks k at the first
+stage's settings too (see find_brake_orbit).
 
 Every launch at energy E < 0 reads its settings in E = -1 units (see
 `integrator`), as ALPHA_TOL and CLASSIFY_MARGIN are velocities in them.
@@ -240,14 +241,15 @@ def _solve_bracketed(
     tol_f: float,
 ) -> tuple[float, float]:
     """The orbit search's root of f on [lo, hi] by `integrator._brent`,
-    from the bracket ends' values: the first point where |f| <= tol_f, so
-    the result is a bracket end or the latest evaluation.  Raises
+    from the bracket ends' values: the first point where |f| <= tol_f, f(lo)
+    read before f(hi), so the result is the latest evaluation.  Raises
     BadBracket when f(lo) and f(hi) have the same sign, and NoConvergence
     when the bracket shrinks to rounding first, or after MAX_ITER
     evaluations."""
-    fa, fb = f(lo), f(hi)
+    fa = f(lo)
     if abs(fa) <= tol_f:
         return lo, fa
+    fb = f(hi)
     if abs(fb) <= tol_f:
         return hi, fb
     if (fa > 0.0) == (fb > 0.0):
@@ -281,16 +283,17 @@ def _find_orbit(
     settings: IntegratorSettings,
     ends: tuple[IntegratorSettings, tuple[_Run, _Run]] | None = None,
 ) -> OrbitRecord:
-    """Root of alpha_k on the bracket, |alpha_k| <= ALPHA_TOL at `settings`,
-    in E = -1 units (alpha over sqrt(-E)), as is every tolerance below.
+    """Root of alpha_k on the bracket, |alpha_k| <= tol at `settings`, in
+    E = -1 units (alpha over sqrt(-E)), as is every tolerance below.  tol
+    is ALPHA_TOL at or above the default rel_tol, and shrinks in proportion
+    to rel_tol below it, as alpha_k's own error does.
 
     A coarse Brent-Dekker solve on alpha_k integrated at COARSE locates
-    the root to |alpha_k| <= 1e3 * ALPHA_TOL; the polish then reads alpha_k
-    at that root at `settings` and takes one secant step from it (see
-    _polish).  When `settings` are no finer than COARSE_REL_TOL, the coarse
-    stage fails, or neither polish point meets ALPHA_TOL, the root is
-    Brent-Dekker's at `settings` on the whole bracket, the search without
-    a coarse stage.
+    the root to |alpha_k| <= 1e3 * ALPHA_TOL, whatever rel_tol; the polish
+    then takes chord steps from that root at `settings` (see _polish).
+    When `settings` are no finer than COARSE_REL_TOL, the coarse stage
+    fails, or the polish stalls, the root is Brent-Dekker's at `settings`
+    on the whole bracket, the search without a coarse stage.
 
     `ends`, when given, are the settings and the runs of the two bracket
     ends stopped at their k-th rest (classification's).  The coarse stage
@@ -300,21 +303,20 @@ def _find_orbit(
     f_coarse at COARSE, append each (h, alpha_k) they read to the solver
     trace, so it lists every evaluation in order (coarse stage, polish,
     then the search on the whole bracket if it runs), and its last entry
-    is the root and its residual; the root's is the one arc built."""
+    is the root and its residual.  The root is the latest evaluation at
+    `settings`, whose run is the one kept and the one arc built."""
     trace: list[tuple[float, float]] = []
-    tol = ALPHA_TOL * math.sqrt(-E)
+    ceiling = ALPHA_TOL * math.sqrt(-E)
+    tol = ceiling * min(1.0, settings.rel_tol / IntegratorSettings().rel_tol)
     end_settings, end_pair = ends or (None, ())
     end_runs = dict(zip(bracket, end_pair))
-    # runs at `settings`: the bracket ends and the latest evaluation, so the
-    # root is one of them
-    runs = dict(end_runs) if end_settings == settings else {}
+    reused = end_runs if end_settings == settings else {}
+    run = None
 
     def f(h: float) -> float:
-        if h not in runs:
-            for old in [x for x in runs if x not in bracket]:
-                del runs[old]
-            runs[h] = _rest_run(E, h, k, settings)
-        alpha = _alpha(runs[h])
+        nonlocal run
+        run = reused[h] if h in reused else _rest_run(E, h, k, settings)
+        alpha = _alpha(run)
         trace.append((h, alpha))
         return alpha
 
@@ -331,7 +333,7 @@ def _find_orbit(
         # any failure is left to the search on the whole bracket, which
         # raises it again if it is not the coarse tolerance's doing
         try:
-            h0, _ = _solve_bracketed(f_coarse, *bracket, 1e3 * tol)
+            h0, _ = _solve_bracketed(f_coarse, *bracket, 1e3 * ceiling)
             root = _polish(f, h0, trace[-2:], bracket, tol)
         except (NoRest, BadBracket, NoConvergence, DomainError,
                 StepUnderflow):
@@ -339,7 +341,7 @@ def _find_orbit(
     if root is None:
         root = _solve_bracketed(f, *bracket, tol)
     h_star, residual = root
-    arc = _build_trajectory(runs[h_star])
+    arc = _build_trajectory(run)
     touch = arc.samples[-1]
     rec = OrbitRecord(
         E=E,
@@ -361,22 +363,25 @@ def _polish(
     bracket: tuple[float, float],
     tol_f: float,
 ) -> tuple[float, float] | None:
-    """f at h0, the coarse root, then one secant step from h0 along `last`,
-    the coarse stage's last two points: the first of the two points with
-    |f| <= tol_f.  Returns None, for the search on the whole bracket, when
-    the secant is flat, the step would leave the bracket or stand still,
-    or it misses tol_f."""
-    fh = f(h0)
-    if abs(fh) <= tol_f:
-        return h0, fh
-    (ha, fa), (hb, fb) = last
-    if fa == fb:
-        return None
-    h = h0 - fh * (hb - ha) / (fb - fa)
-    if not (min(bracket) <= h <= max(bracket)) or h == h0:
-        return None
-    fh = f(h)
-    return (h, fh) if abs(fh) <= tol_f else None
+    """Chord steps from h0, the coarse root, each along the slope of `last`,
+    the coarse stage's last two points (one point is a flat secant): the
+    first point with |f| <= tol_f.  Returns None, for the search on the
+    whole bracket, when the secant is flat, a step would leave the bracket
+    or stand still, |f| fails to shrink, or MAX_ITER steps have passed."""
+    (ha, fa), (hb, fb) = last[0], last[-1]
+    h, before = h0, math.inf
+    for _ in range(MAX_ITER + 1):
+        fh = f(h)
+        if abs(fh) <= tol_f:
+            return h, fh
+        if fa == fb or abs(fh) >= before:
+            return None
+        before = abs(fh)
+        step = h - fh * (hb - ha) / (fb - fa)
+        if not (min(bracket) <= step <= max(bracket)) or step == h:
+            return None
+        h = step
+    return None
 
 
 def find_langmuir_orbit(

@@ -52,16 +52,19 @@ BRACKET_END_ALPHAS = {
     (0.8, 3): 1.98550663029369,
 }
 # Tolerances.  ALPHA_ERR bounds the integration error of alpha_k at the
-# default settings: a search that stops at |alpha_k| <= ALPHA_TOL is only
-# that good if the error is well below ALPHA_TOL.  The error scales with
-# rel_tol (the error norm's floor follows it): the worst bracket-end error,
-# against the table above and the Taylor oracle of conftest, is 14.7,
-# 11.6, 13.5, 12.1, 11.1 and 12.5 x rel_tol at rel_tol 1e-8 to 1e-13 (each
-# time alpha_3(0.3), whose third rest lies at y = 0.016; up to 25.2 x when
-# steps were capped at 0.05 to 0.2 and the PI controller ran alone), so the
-# bound is ALPHA_ERR_RATIO = 35 times rel_tol.  A
-# root the search returns is off the true one by at most (ALPHA_TOL +
-# ALPHA_ERR) / |dalpha_k/dh| to first order; |dalpha/dh| at h* is 3.62 and
+# default settings: a search that stops at |alpha_k| <= ALPHA_TOL, its stop
+# at the default rel_tol, is only that good if the error is well below
+# ALPHA_TOL.  The error scales with rel_tol (the error norm's floor follows
+# it): the worst bracket-end error, against the table above and the Taylor
+# oracle of conftest, is 14.7, 11.6, 13.5, 12.1, 11.1 and 12.5 x rel_tol at
+# rel_tol 1e-8 to 1e-13 (each time alpha_3(0.3), whose third rest lies at
+# y = 0.016; up to 25.2 x when steps were capped at 0.05 to 0.2 and the PI
+# controller ran alone), so the bound is ALPHA_ERR_RATIO = 35 times
+# rel_tol.  Below the default rel_tol the stop shrinks in proportion to
+# rel_tol, as ALPHA_ERR does, so the bounds below shrink with both (see
+# test_h_star_converges_with_rel_tol); these are the default's.  A root the
+# search returns is off the true one by at most (ALPHA_TOL + ALPHA_ERR) /
+# |dalpha_k/dh| to first order; |dalpha/dh| at h* is 3.62 and
 # |dalpha_3/dh| at the brake h* is 47.3 (central differences), of which
 # the bounds take 3.5 and 45.  T moves with h* at dT/dh = 0.603 (taken as
 # 0.65), plus its own error: the rest time's vx error, at most ALPHA_ERR,
@@ -772,13 +775,16 @@ class TestTwoStageSearch:
             shooting.find_langmuir_orbit(-1.0, bracket=(0.2, 0.3))
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
-    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12, 1e-13])
     @pytest.mark.parametrize("E", [-2.0, -1.6, -1.0, -0.77, -0.5])
     def test_polish_is_two_evaluations(self, monkeypatch, kind, rel_tol, E):
         # the traffic the polish is built for: the coarse stage is the one
         # Brent-Dekker solve, and the polish adds alpha_k at the coarse
-        # root and the secant step from it, both at the given settings,
-        # the step within ALPHA_TOL (in E = -1 units)
+        # root and chord steps from it, all at the given settings, the last
+        # within the stop (in E = -1 units): ALPHA_TOL, scaled by rel_tol
+        # below the default.  One step, two evaluations, at and above the
+        # default rel_tol; below it the brake search takes a second step
+        # (measured: 3 evaluations at 1e-12 and 1e-13, Langmuir's 2)
         solves = []
         real = shooting._solve_bracketed
 
@@ -793,13 +799,34 @@ class TestTwoStageSearch:
         rec = FINDERS[kind](E, settings=settings_)
         [(tol_f, n_coarse, (h0, _))] = solves
         assert tol_f == 1e3 * (shooting.ALPHA_TOL * math.sqrt(-E))
-        assert len(rec.solver_trace) == n_coarse + 2
-        (h_first, alpha_first), last = rec.solver_trace[n_coarse:]
+        polish = rec.solver_trace[n_coarse:]
+        default = IntegratorSettings().rel_tol
+        assert len(polish) == 2 or (rel_tol < default and len(polish) == 3)
+        (h_first, alpha_first), last = polish[0], polish[-1]
         k = REST_COUNTS[kind]
         assert h_first == h0
         assert alpha_first == _alpha_k(E, h0, k, settings_)
         assert last == (rec.h_star, rec.alpha_residual)
-        assert abs(rec.alpha_residual) / math.sqrt(-E) <= shooting.ALPHA_TOL
+        stop = shooting.ALPHA_TOL * min(1.0, rel_tol / default)
+        assert abs(rec.alpha_residual) / math.sqrt(-E) <= stop
+
+    @pytest.mark.parametrize("kind", sorted(FINDERS))
+    def test_h_star_converges_with_rel_tol(self, kind):
+        # the search's stop follows rel_tol below the default, so h*
+        # improves with the integration: against the 25-digit table, its
+        # error at rel_tol 1e-12 is over 10 times smaller than at 1e-10
+        # (measured: 77 times for the brake orbit, 1.7e-11 to 2.2e-13, and
+        # 13.8 times for Langmuir's), and so is Langmuir's quarter
+        # period's (measured 24.8 times)
+        recs = [FINDERS[kind](-1.0, settings=IntegratorSettings(rel_tol))
+                for rel_tol in (1e-10, 1e-12)]
+        h_star = {"langmuir": H_STAR_E1, "brake": H_STAR_BRAKE}[kind]
+        coarse, fine = (abs(rec.h_star - h_star) for rec in recs)
+        assert fine * 10.0 <= coarse
+        if kind == "langmuir":
+            coarse, fine = (abs(rec.quarter_period - T_QUARTER_E1)
+                            for rec in recs)
+            assert fine * 10.0 <= coarse
 
     def test_unconverged_brake_search_still_raises(self, monkeypatch):
         # alpha_3 that jumps from -1 to 1 across the root, so no point
@@ -940,8 +967,9 @@ class TestRootSolver:
         assert abs(fx) <= tol
         assert lo <= x <= hi
         assert abs(x - root) <= x_tol
-        # the answer is an evaluated point the orbit search has the arc of
-        assert (x, fx) == trace[-1] or x in (lo, hi)
+        # the answer is the latest evaluation, whose run the orbit search
+        # keeps: f(hi) is not read when f(lo) is within the tolerance
+        assert (x, fx) == trace[-1]
 
     def test_same_signs_raise_bad_bracket(self):
         with pytest.raises(BadBracket):
@@ -962,9 +990,9 @@ class TestRootSolver:
 
 
 class TestPolish:
-    """Each exit of _polish, on closed-form functions: f at the coarse
-    root h0 (0.5 unless given), then one secant step along the coarse
-    stage's last two points on the bracket [0, 1]."""
+    """Each exit of _polish, on closed-form functions: chord steps from the
+    coarse root h0 (0.5 unless given), each along the slope of the coarse
+    stage's last two points, on the bracket [0, 1]."""
 
     @staticmethod
     def _polish(f, last, tol_f=1e-12, h0=0.5):
@@ -985,6 +1013,31 @@ class TestPolish:
         assert root == (0.25, 0.0)
         assert trace == [(0.5, 0.25), root]
 
+    @pytest.mark.parametrize("slope, steps", [(1.0, 5), (2.0, 38)])
+    def test_chord_steps_land(self, slope, steps):
+        # x^2 - 1/4 is not its secant, so each step from 0.9 misses 1/2 and
+        # the next one starts there.  Along the slope 1, f' at the root,
+        # the error squares at each step (0.4, 0.16, 0.026, 6.6e-4, 4.3e-7,
+        # 1.8e-13); along the slope 2 it halves, so 1e-12 takes 38 steps
+        f = lambda x: x * x - 0.25  # noqa: E731
+        root, trace = self._polish(f, [(0.0, -0.25), (1.0, slope - 0.25)],
+                                   h0=0.9)
+        assert root == trace[-1]
+        assert abs(root[1]) <= 1e-12
+        assert abs(root[0] - 0.5) <= 1e-12
+        assert len(trace) == steps + 1
+        for (h, fh), (step, f_step) in zip(trace, trace[1:]):
+            assert step == h - fh / slope
+            assert abs(f_step) < abs(fh)
+
+    def test_step_budget(self, monkeypatch):
+        # the slope-2 chord steps above, cut after MAX_ITER steps
+        monkeypatch.setattr(shooting, "MAX_ITER", 3)
+        root, trace = self._polish(lambda x: x * x - 0.25,
+                                   [(0.0, -0.25), (1.0, 1.75)], h0=0.9)
+        assert root is None
+        assert len(trace) == 4
+
     @pytest.mark.parametrize("f, last", [
         # a flat secant has no step
         (lambda x: x - 0.25, [(0.0, 2.0), (1.0, 2.0)]),
@@ -992,20 +1045,24 @@ class TestPolish:
         (lambda x: x - 0.25, [(0.0, 0.0), (1.0, 0.01)]),
         # a step of 1e-20 stands still at 0.5
         (lambda x: 1e-20, [(0.0, 0.0), (1.0, 1.0)]),
-    ], ids=["flat", "off_the_bracket", "standing_still"])
+        # a coarse stage that read one point (its root, the bracket's lower
+        # end) has no secant
+        (lambda x: x - 0.25, [(0.0, 2.0)]),
+    ], ids=["flat", "off_the_bracket", "standing_still", "one_point"])
     def test_no_step_leaves_the_root_to_the_whole_bracket(self, f, last):
         root, trace = self._polish(f, last, tol_f=1e-30)
         assert root is None
         assert trace == [(0.5, f(0.5))]
 
     def test_step_that_misses(self):
-        # x^2 - 1/4 is not its secant: the step from 0.9 along the slope 1
-        # lands at 0.34, where f = -0.1344
-        f = lambda x: x * x - 0.25  # noqa: E731
-        root, trace = self._polish(f, [(0.0, -0.25), (1.0, 0.75)], h0=0.9)
+        # a step that does not shrink |f| returns None: along the slope
+        # 0.4, the step from 0.4 overshoots the root of x - 1/4 to 0.025,
+        # where |f| = 0.225 > 0.15
+        f = lambda x: x - 0.25  # noqa: E731
+        root, trace = self._polish(f, [(0.0, 0.0), (1.0, 0.4)], h0=0.4)
         assert root is None
-        assert [h for h, _ in trace] == [0.9, 0.9 - f(0.9)]
-        assert trace[1][1] == f(trace[1][0])
+        assert [h for h, _ in trace] == [0.4, 0.4 - f(0.4) / 0.4]
+        assert abs(trace[1][1]) > abs(trace[0][1])
 
 
 class TestScan:
