@@ -45,7 +45,9 @@ x-rest: the run emits the stop step's remaining events, appends that
 step's end sample and drift, and steps on with the same step size,
 controller state and first stage to the next stop.  So the run to the
 (k+1)-th x-rest passes through the run to the k-th, bit for bit, and one
-run gives both.
+run gives both.  The orbit's closure check steps a run's arc backward on
+that run's own steps (`_retrace`), which no error ratio accepts or
+rejects; it locates nothing and builds no interpolant.
 
 The problem is scale-invariant: lengths scale by a, velocities by a^-1/2
 and durations by a^3/2 (README, "Units of the knobs").  So a run launched
@@ -842,6 +844,18 @@ class _Run:
         return self
 
 
+def _units(E: float | None, y: Vec, rel_tol: float,
+           ) -> tuple[float, float, float, float]:
+    """The units of a run launched from y at the level E (see the module
+    docstring): (a, a^3/2, abs_q, abs_v), its scale, its unit of time and
+    the error norm's absolute floors for positions and velocities."""
+    a = (min(-1.0 / E, MAX_SCALE_RATIO * math.hypot(y[0], y[1])) if E
+         else 1.0)
+    sqrt_a = math.sqrt(a)
+    floor = rel_tol * FLOOR_RATIO
+    return a, a * sqrt_a, floor * a, floor / sqrt_a
+
+
 def _steps(settings: IntegratorSettings, E: float | None,
            watch: set[EventKind], stop: set[EventKind],
            sample_times: Sequence[float],
@@ -860,13 +874,8 @@ def _steps(settings: IntegratorSettings, E: float | None,
     energy_fn = dynamics.energy_vec
     rest = EventKind.X_VELOCITY_ZERO
     t, y = samples[0]
-    a = (min(-1.0 / E, MAX_SCALE_RATIO * math.hypot(y[0], y[1])) if E
-         else 1.0)
-    sqrt_a = math.sqrt(a)
-    a15 = a * sqrt_a  # a^3/2, the unit of time
     rel_tol = settings.rel_tol
-    floor = rel_tol * FLOOR_RATIO
-    abs_q, abs_v = floor * a, floor / sqrt_a
+    a, a15, abs_q, abs_v = _units(E, y, rel_tol)
     h_min, t_limit = H_MIN * a15, settings.t_limit * a15
     if not (h_min * h_min >= sys.float_info.min and t_limit < math.inf):
         raise DomainError(f"time unit {a15} out of range at E={E}")
@@ -999,6 +1008,34 @@ def _steps(settings: IntegratorSettings, E: float | None,
                 fac = pred
         h_old, err_old = h, e
         h *= 5.0 if fac >= 5.0 else 0.2 if fac <= 0.2 else fac
+
+
+def _retrace(settings: IntegratorSettings, E: float, times: Sequence[float],
+             y: Vec) -> Iterator[Vec]:
+    """The arc of a run whose samples lie at `times` (its launch first),
+    traced back from y, the state of its last sample with the velocities
+    negated, on the run's own step mesh: one trial step per step of the
+    run, their sizes the differences of `times` in reverse (the partial
+    step to the last sample first), each step's first stage the FSAL stage
+    of the one before.  It yields the eighth-order state at the end of each
+    step, which lies at the mirror time of the sample before it: times[-2],
+    then times[-3], down to the launch.  The knobs are those of a run
+    launched from y at the level E (`_units`); no error ratio accepts or
+    rejects a step, as the steps are the run's.  A stage that leaves the
+    half plane y > 0 raises DomainError, as does a step whose state, FSAL
+    stage or error estimate is not finite (its ratio is inf)."""
+    rel_tol = settings.rel_tol
+    _, _, abs_q, abs_v = _units(E, y, rel_tol)
+    f1x, f1y = dynamics.acceleration(y[0], y[1])
+    t = times[-1]
+    for t0 in times[-2::-1]:
+        y, ks, ratio = _trial(y, t - t0, f1x, f1y, abs_q, abs_v, rel_tol)
+        if ratio == math.inf:
+            raise DomainError(
+                f"the backward step to the mirror of t={t0} is not finite")
+        yield y
+        f1x, f1y = ks[24], ks[25]
+        t = t0
 
 
 # State's slot setters: _vec_to_state fills a new instance through them,

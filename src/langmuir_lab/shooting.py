@@ -46,6 +46,7 @@ from .integrator import (
     _brent,
     _build_trajectory,
     _magical_crossings,
+    _retrace,
     _Run,
     _vec_to_state,
 )
@@ -304,7 +305,9 @@ def _find_orbit(
     trace, so it lists every evaluation in order (coarse stage, polish,
     then the search on the whole bracket if it runs), and its last entry
     is the root and its residual.  The root is the latest evaluation at
-    `settings`, whose run is the one kept and the one arc built."""
+    `settings`, whose run is the one kept and the one arc built; an
+    evaluation at the kept run's height reads that run again, so each
+    height is integrated once at `settings`."""
     trace: list[tuple[float, float]] = []
     ceiling = ALPHA_TOL * math.sqrt(-E)
     tol = ceiling * min(1.0, settings.rel_tol / IntegratorSettings().rel_tol)
@@ -315,7 +318,13 @@ def _find_orbit(
 
     def f(h: float) -> float:
         nonlocal run
-        run = reused[h] if h in reused else _rest_run(E, h, k, settings)
+        # the search on the whole bracket opens at lo, which the polish has
+        # just read when the coarse root is lo; the kept run's first sample
+        # is its launch, from (0, h)
+        if h in reused:
+            run = reused[h]
+        elif run is None or run.samples[0][1][1] != h:
+            run = _rest_run(E, h, k, settings)
         alpha = _alpha(run)
         trace.append((h, alpha))
         return alpha
@@ -539,8 +548,8 @@ def _closed_quarter_arc(rec: OrbitRecord) -> Trajectory:
     """The quarter arc of `rec` once its retrace has closed it: the
     closure check of assemble_periodic_orbit (see there), which raises
     ValueError for a record without its arc and ClosureFailure for an arc
-    that does not retrace.  The backward run's own (t, vec) samples are
-    keyed by time; no record is built of them."""
+    that does not retrace.  The backward steps' states are compared as the
+    stepper yields them; no record is built of them."""
     if rec._quarter_arc is None:
         raise ValueError(
             "the record carries no quarter arc: only a record that "
@@ -549,38 +558,22 @@ def _closed_quarter_arc(rec: OrbitRecord) -> Trajectory:
     settings, quarter = rec._quarter_arc
     closure_tol = CLOSURE_RATIO * settings.rel_tol
     touch = quarter.samples[-1]
-    T = touch.t
-
-    back_start = State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx, vy=-touch.vy)
-    fwd = quarter.samples[:-1]
-    back = _Run(back_start, settings.replace(t_limit=T * (-rec.E) ** 1.5),
-                (), (), [T - s.t for s in fwd[1:]], rec.E).advance()
-    # each request yields one sample at exactly its time
-    by_time = dict(back.samples)
-    if back.termination is EventKind.TIME_LIMIT:
-        by_time[T] = back.samples[-1][1]
+    back = _retrace(settings, rec.E, [s.t for s in quarter.samples],
+                    (touch.x, touch.y, -touch.vx, -touch.vy))
     q_unit, v_unit = -rec.E, math.sqrt(-rec.E)
     worst = 0.0
-    matched = 0
-    for s in fwd:
-        mirror = by_time.get(T - s.t)
-        if mirror is None:
-            continue
-        matched += 1
-        x, y, vx, vy = mirror
-        worst = max(
-            worst,
-            q_unit * abs(x - s.x),
-            q_unit * abs(y - s.y),
-            abs(vx + s.vx) / v_unit,
-            abs(vy + s.vy) / v_unit,
-        )
-    if matched < len(fwd):
-        raise ClosureFailure(
-            f"reversed arc matched {matched} of {len(fwd)} forward samples: "
-            f"no sample mirroring {len(fwd) - matched} of them"
-        )
-    if worst > closure_tol:
+    try:
+        for s, (x, y, vx, vy) in zip(quarter.samples[-2::-1], back):
+            worst = max(
+                worst,
+                q_unit * abs(x - s.x),
+                q_unit * abs(y - s.y),
+                abs(vx + s.vx) / v_unit,
+                abs(vy + s.vy) / v_unit,
+            )
+    except DomainError as exc:
+        raise ClosureFailure(f"reversed arc failed: {exc}") from None
+    if not worst <= closure_tol:
         raise ClosureFailure(
             f"reversed arc deviates from the forward arc by {worst} "
             f"in E = -1 units"
@@ -599,15 +592,16 @@ def assemble_periodic_orbit(rec: OrbitRecord) -> Trajectory:
     `rec` must come straight from find_langmuir_orbit or find_brake_orbit;
     any other record (made by replace, by pickling or by hand) carries no
     arc and raises ValueError.  Before assembling, the quarter is
-    re-integrated backwards from the touch point with negated velocities,
-    at the search's settings, over [0, T] with its own steps, requesting
-    the mirror time T - t of every forward sample after the launch; the
-    integrator reads each from its dense output.  Each is paired with the
-    backward sample at exactly its mirror time, and the launch with the
-    last one if the run ends at its time limit (T to rounding, as it is in
-    E = -1 units).  An unpaired forward sample, or a pair further apart
-    than the closure tolerance, raises ClosureFailure.  The deviation is
-    measured in E = -1 units (positions times -E, velocities over
+    retraced backwards from the touch point with negated velocities, at
+    the search's settings, on the quarter's own step mesh (see
+    `integrator._retrace`): one step per forward step, the forward step
+    sizes in reverse, the partial step to the touch first, so each
+    backward step ends at exactly the mirror time of one forward sample,
+    the launch last.  Each backward state is compared with its forward
+    sample, velocities negated; a pair further apart than the closure
+    tolerance, a backward stage that leaves the half plane y > 0 or a
+    backward step that is not finite raises ClosureFailure.  The deviation
+    is measured in E = -1 units (positions times -E, velocities over
     sqrt(-E)), in which every energy level's orbit is the same rescaled
     curve.  The tolerance is CLOSURE_RATIO x rel_tol, as the retrace's
     error follows rel_tol.

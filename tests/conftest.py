@@ -709,17 +709,3 @@ def made_runs(monkeypatch):
     monkeypatch.setattr(integrator._Run, "__init__", init)
     return made
 
-
-@pytest.fixture
-def retrace_without_samples(monkeypatch):
-    """Make every `_Run` that `shooting` makes drop its requested sample
-    times, so the backward run of the closure check yields no sample
-    mirroring the forward arc (the searches' runs request none)."""
-    from langmuir_lab import shooting
-
-    real = shooting._Run
-
-    def run(s0, settings, watch, stop, sample_times, E=None):
-        return real(s0, settings, watch, stop, (), E)
-
-    monkeypatch.setattr(shooting, "_Run", run)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langmuir_lab import dynamics as dyn
-from langmuir_lab import cli, output, shooting
+from langmuir_lab import cli, integrator, output, shooting
 from langmuir_lab.cli import main
+from langmuir_lab.errors import DomainError
 from langmuir_lab.integrator import EventKind, IntegratorSettings, Trajectory
 
 from conftest import parse_orbit_record, parse_trajectory_csv
@@ -205,8 +206,8 @@ class TestFindOrbit:
     def test_orbit_closes_at_a_coarser_tolerance(self, energy, tol, kind,
                                                  tmp_path):
         # the retrace's closure tolerance follows --tol, as the retrace's
-        # error does: at --tol 1e-6 the brake retrace deviates by 2.1e-4
-        # in E = -1 units, 1e-8 by 6.9e-6
+        # error does: at --tol 1e-6 the brake retrace deviates by 3.9e-4
+        # in E = -1 units, 1e-8 by 5.8e-6
         prefix = tmp_path / "orbit"
         rc = main(["find-orbit", "--energy", energy, "--kind", kind,
                    "--tol", tol, "--out", str(prefix)])
@@ -247,18 +248,55 @@ class TestFindOrbit:
         assert "--k" in captured.err
         assert captured.out == ""
 
-    def test_retrace_failure_exit_code(self, retrace_without_samples, capsys):
+    def test_retrace_failure_exit_code(self, monkeypatch, capsys):
+        # a closure tolerance of 0 fails every retrace that deviates at all
+        monkeypatch.setattr(shooting, "CLOSURE_RATIO", 0.0)
         rc = main(["find-orbit", "--energy", "-1.0"])
         assert rc == 5
-        assert "mirroring" in capsys.readouterr().err
+        assert "deviates" in capsys.readouterr().err
 
-    def test_retrace_failure_writes_no_file(self, retrace_without_samples,
-                                            tmp_path, capsys):
+    def test_retrace_failure_writes_no_file(self, monkeypatch, tmp_path,
+                                            capsys):
         # the retrace runs before any file is written
+        monkeypatch.setattr(shooting, "CLOSURE_RATIO", 0.0)
         rc = main(["find-orbit", "--energy", "-1.0",
                    "--out", str(tmp_path / "orbit")])
         assert rc == 5
-        assert "mirroring" in capsys.readouterr().err
+        assert "deviates" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fault", ["domain", "nan"])
+    @pytest.mark.parametrize("kind", ["langmuir", "brake"])
+    def test_failed_backward_step_exits_5(self, monkeypatch, tmp_path,
+                                          capsys, kind, fault):
+        # once the retrace starts, its stages leave the half plane (a
+        # DomainError, which alone would exit 2) or read a nan field, whose
+        # step has no finite state: either way the orbit fails its retrace
+        started = [False]
+
+        def retrace(*args, _real=shooting._retrace):
+            started[0] = True
+            return _real(*args)
+
+        def trial(*args, _real=integrator._trial):
+            if started[0] and fault == "domain":
+                raise DomainError("stage off the half plane")
+            return _real(*args)
+
+        def hypot(x, q, _real=integrator.hypot):
+            return math.nan if started[0] else _real(x, q)
+
+        monkeypatch.setattr(shooting, "_retrace", retrace)
+        monkeypatch.setattr(integrator, "_trial", trial)
+        if fault == "nan":
+            monkeypatch.setattr(integrator, "hypot", hypot)
+        rc = main(["find-orbit", "--energy", "-1.0", "--kind", kind,
+                   "--out", str(tmp_path / "orbit")])
+        assert started[0]
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "reversed arc failed" in err
+        assert ("not finite" in err) == (fault == "nan")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["langmuir", "brake"])

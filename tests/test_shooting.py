@@ -434,31 +434,49 @@ def test_each_solver_evaluation_integrates_once(made_runs, kind):
     assert len(made_runs) == len(rec.solver_trace)
 
 
+def test_whole_bracket_search_reuses_the_polish_run(made_runs):
+    # a coarse root at the bracket's lower end leaves the polish no secant,
+    # so the search on the whole bracket opens at the height the polish has
+    # just read at the given settings: it reads that run again, and each
+    # distinct launch is integrated once
+    lo = H_STAR_E1 - 1e-7
+    rec = shooting.find_langmuir_orbit(-1.0, bracket=(lo, 3.0))
+    heights = [h for h, _ in rec.solver_trace]
+    assert heights[:3] == [lo, lo, lo]  # coarse, polish, whole bracket
+    launches = {(s0.y, settings_) for s0, settings_ in made_runs}
+    assert len(made_runs) == len(launches) == len(rec.solver_trace) - 1
+    # every value at the given settings is a fresh integration's, bit for
+    # bit, the root and its residual included
+    assert rec.solver_trace[-1] == (rec.h_star, rec.alpha_residual)
+    for h, alpha in rec.solver_trace[1:]:
+        assert alpha.hex() == _alpha_k(-1.0, h, 1).hex()
+
+
 @pytest.mark.parametrize("kind", sorted(FINDERS))
 def test_find_orbit_integrates_each_launch_once(made_runs, tmp_path, kind):
     # classification integrates each bracket end once, to its k-th rest, at
     # the coarse stage's tolerance; the coarse stage starts from those
-    # runs' values, and assembly from the h* arc, so beyond the retrace each
-    # integration is one trace entry (the coarse root is one entry at each
-    # tolerance)
+    # runs' values, and assembly from the h* arc, whose retrace steps on the
+    # arc's own mesh and makes no run, so each integration is one trace
+    # entry (the coarse root is one entry at each tolerance)
     prefix = tmp_path / kind
     argv = ["find-orbit", "--energy", "-1.0", "--kind", kind]
     assert main(argv + ["--out", str(prefix)]) == 0
     rec = parse_orbit_record(
         (tmp_path / f"{kind}.orbit.json").read_text()
     )
-    assert len(made_runs) == len(rec.solver_trace) + 1
+    assert len(made_runs) == len(rec.solver_trace)
 
 
 @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
-@pytest.mark.parametrize("kind, count", [("langmuir", 32), ("brake", 142)])
+@pytest.mark.parametrize("kind, count", [("langmuir", 31), ("brake", 141)])
 def test_find_orbit_builds_no_orbit_records(monkeypatch, tmp_path, kind,
                                             count, out):
     # the States a `find-orbit` command builds, with or without --out: its
     # quarter arc's samples and events (20 + 1 for Langmuir, 127 + 3 for
-    # the brake orbit), one launch per solver evaluation (10 and 11) and
-    # the retrace's backward start.  None of the 4T orbit and none of the
-    # retrace's samples.  Pinned exactly as the field evaluations are
+    # the brake orbit) and one launch per solver evaluation (10 and 11).
+    # None of the 4T orbit and none of the retrace's states.  Pinned
+    # exactly as the field evaluations are
     built = [0]
 
     def counting(real):
@@ -1234,13 +1252,6 @@ class TestAssembly:
         with pytest.raises(ClosureFailure):
             shooting.assemble_periodic_orbit(self.rec)
 
-    def test_unmatched_retrace_samples_fail(self, retrace_without_samples):
-        # only the time limit's sample can mirror a forward one
-        with pytest.raises(
-            ClosureFailure, match=r"matched [01] of \d+ forward samples"
-        ):
-            shooting.assemble_periodic_orbit(self.rec)
-
     def test_samples_stay_in_upper_half_plane(self):
         assert all(s.y > 0.0 for s in self.orbit.samples)
 
@@ -1272,23 +1283,51 @@ class TestAssemblyArc:
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
     def test_search_arc_is_reused(self, orbits_at_e1, made_runs, kind):
+        # the retrace steps back on the search's own arc: no run is made
         rec = orbits_at_e1[kind]
         shooting.assemble_periodic_orbit(rec)
-        # only the backward retrace, which starts at the touch point
-        assert len(made_runs) == 1
-        assert made_runs[0][0].x == rec.touch_state.x
+        assert made_runs == []
 
     @pytest.mark.parametrize("kind", sorted(FINDERS))
-    def test_retrace_runs_at_the_search_settings(self, made_runs, kind):
+    def test_retrace_runs_at_the_search_settings(self, monkeypatch,
+                                                 made_runs, kind):
         # the record carries the settings its arc was made at, and the
-        # retrace reads them: only its time limit is its own
+        # retrace's stepper reads them, from the touch point with its
+        # velocities negated, over the arc's sample times
         given = IntegratorSettings(rel_tol=1e-9, t_limit=50.0)
         rec = FINDERS[kind](-1.0, settings=given)
         made_runs.clear()
+        calls = []
+
+        def retrace(settings_, E, times, y, _real=shooting._retrace):
+            calls.append((settings_, E, list(times), y))
+            return _real(settings_, E, times, y)
+
+        monkeypatch.setattr(shooting, "_retrace", retrace)
         shooting.assemble_periodic_orbit(rec)
-        [(_, retrace)] = made_runs
-        assert retrace.replace(t_limit=given.t_limit) == given
-        assert retrace.t_limit == rec.quarter_period
+        touch = rec.touch_state
+        arc = rec._quarter_arc[1]
+        assert calls == [(given, rec.E, [s.t for s in arc.samples],
+                          (touch.x, touch.y, -touch.vx, -touch.vy))]
+        assert made_runs == []
+
+    @pytest.mark.parametrize("kind", sorted(FINDERS))
+    def test_one_backward_step_per_forward_step(self, orbits_at_e1,
+                                                monkeypatch, kind):
+        # every forward sample but the touch, where the retrace starts, is
+        # the end of one backward step; none is rejected or skipped
+        rec = orbits_at_e1[kind]
+        sizes = []
+
+        def trial(y, h, *args, _real=integrator._trial):
+            sizes.append(h)
+            return _real(y, h, *args)
+
+        monkeypatch.setattr(integrator, "_trial", trial)
+        shooting.assemble_periodic_orbit(rec)
+        times = [s.t for s in rec._quarter_arc[1].samples]
+        assert len(sizes) == len(times) - 1
+        assert sizes == [b - a for a, b in zip(times[-2::-1], times[::-1])]
 
 
 def _retrace_worst(monkeypatch, rec):
@@ -1304,21 +1343,85 @@ def _retrace_worst(monkeypatch, rec):
 @pytest.mark.parametrize("tol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12])
 def test_closure_tolerance_catches_a_displaced_sample(kind, tol):
     # the closure tolerance, 1e4 x rel_tol, fails a quarter arc with one
-    # forward sample 10 times that far off: the search's own arc, its middle
-    # sample's x moved, at the settings --tol gives.  At 1e-12 that is
-    # 1e-7, under the fixed floor of 1e-6 that finer tolerances once kept
+    # forward sample 10 times that far off: the search's own arc, at the
+    # settings --tol gives, with the x of its launch, of the sample after
+    # it, of its middle sample or of the last sample before the touch
+    # moved.  At 1e-12 that is 1e-7, under the fixed floor of 1e-6 that
+    # finer tolerances once kept
     settings = IntegratorSettings(rel_tol=tol)
     closure_tol = 1e4 * tol
     rec = FINDERS[kind](-1.0, settings=settings)
     shooting.assemble_periodic_orbit(rec)
     arc_settings, arc = rec._quarter_arc
-    samples = list(arc.samples)
-    i = len(samples) // 2
-    samples[i] = samples[i].replace(x=samples[i].x + 10.0 * closure_tol)
-    object.__setattr__(rec, "_quarter_arc",
-                       (arc_settings, arc.replace(samples=tuple(samples))))
-    with pytest.raises(ClosureFailure, match="deviates"):
-        shooting.assemble_periodic_orbit(rec)
+    n = len(arc.samples)
+    for i in (0, 1, n // 2, n - 2):
+        samples = list(arc.samples)
+        samples[i] = samples[i].replace(x=samples[i].x + 10.0 * closure_tol)
+        object.__setattr__(
+            rec, "_quarter_arc",
+            (arc_settings, arc.replace(samples=tuple(samples))))
+        with pytest.raises(ClosureFailure, match="deviates"):
+            shooting.assemble_periodic_orbit(rec)
+
+
+def _closes_by_requests(rec):
+    """Whether the quarter arc of `rec` retraces by an independent method:
+    an adaptive backward run from the touch state with negated velocities,
+    at the arc's settings over [0, T], that requests the mirror time T - t
+    of every forward sample after the launch and reads each from its dense
+    output; the launch pairs with the run's end at its time limit.  Every
+    forward sample must have a backward sample at exactly its mirror time,
+    within CLOSURE_RATIO x rel_tol in E = -1 units."""
+    settings_, quarter = rec._quarter_arc
+    touch = quarter.samples[-1]
+    T = touch.t
+    fwd = quarter.samples[:-1]
+    start = dyn.State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx,
+                      vy=-touch.vy)
+    back = integrator._Run(
+        start, settings_.replace(t_limit=T * (-rec.E) ** 1.5), (), (),
+        [T - s.t for s in fwd[1:]], rec.E).advance()
+    by_time = dict(back.samples)
+    if back.termination is EventKind.TIME_LIMIT:
+        by_time[T] = back.samples[-1][1]
+    q_unit, v_unit = -rec.E, math.sqrt(-rec.E)
+    for s in fwd:
+        mirror = by_time.get(T - s.t)
+        if mirror is None:
+            return False
+        x, y, vx, vy = mirror
+        if not max(q_unit * abs(x - s.x), q_unit * abs(y - s.y),
+                   abs(vx + s.vx) / v_unit,
+                   abs(vy + s.vy) / v_unit) <= 1e4 * settings_.rel_tol:
+            return False
+    return True
+
+
+def _closes(rec):
+    try:
+        shooting._closed_quarter_arc(rec)
+    except ClosureFailure:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(FINDERS))
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("E", [-1.0, -1.6])
+def test_retrace_agrees_with_a_run_that_requests_the_mirror_times(E, tol,
+                                                                 kind):
+    # the retrace on the arc's own steps and the adaptive backward run
+    # give the same verdict, and both close these orbits
+    rec = FINDERS[kind](E, settings=IntegratorSettings(rel_tol=tol))
+    assert _closes(rec) is _closes_by_requests(rec) is True
+
+
+@pytest.mark.parametrize("E", [-1.0, -1.6])
+def test_both_retraces_fail_the_brake_orbit_at_a_coarse_tolerance(E):
+    # the brake orbit is unstable: at rel_tol 1e-5 either retrace deviates
+    # from its quarter arc by more than 1e4 x rel_tol
+    rec = shooting.find_brake_orbit(E, settings=IntegratorSettings(1e-5))
+    assert _closes(rec) is _closes_by_requests(rec) is False
 
 
 def test_brake_retrace_deviation_follows_the_scaling_law(orbits_at_e1,
