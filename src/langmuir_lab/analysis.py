@@ -24,7 +24,6 @@ states, its step ends and its stop: requested samples add none.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Sequence
 
 from . import dynamics
@@ -44,6 +43,10 @@ T_MAX = math.pi / (2.0 * math.sqrt(8.0 * GAMMA))
 # on a longer span enough that they lie at most ZERO_ENERGY_SPACING apart
 ZERO_ENERGY_SAMPLES = 800
 ZERO_ENERGY_SPACING = 0.1
+# and at most ZERO_ENERGY_MAX_SAMPLES, a span of t_end = 1e4: the times are
+# listed before the first step (a run of 1e5 peaks at about 46 MiB), and a
+# longer span is refused (at t_end = 1e9 the list would hold 1e10)
+ZERO_ENERGY_MAX_SAMPLES = 100_000
 # inverted_concavity's central differences read CONCAVITY_POINTS + 1 evenly
 # spaced samples from launch to CONCAVITY_SPAN (or to the run's end, if
 # sooner): on the ZERO_ENERGY_SAMPLES alone they miss their tolerance 9.5
@@ -81,6 +84,8 @@ def check_initial_acceleration(
 ) -> CheckReport:
     """Vertical force at the launch point (0, h) equals -7/h^2 exactly."""
     if h_samples is None:
+        import random  # not at the top, for start-up: its only use is here
+
         rng = random.Random(20210703)
         h_samples = [rng.uniform(1e-3, 100.0) for _ in range(1000)]
     worst = 0.0 if h_samples else math.inf
@@ -186,9 +191,17 @@ def zero_energy_run(
     the dense output: ZERO_ENERGY_SAMPLES evenly spaced times over (0,
     t_end], or more on a long span, so that they lie no further than
     ZERO_ENERGY_SPACING apart; and the CONCAVITY_POINTS evenly spaced times
-    of _concavity_grid(t_end) after launch."""
+    of _concavity_grid(t_end) after launch.  A span longer than
+    t_end = 1e4, which would need more than ZERO_ENERGY_MAX_SAMPLES (1e5)
+    of those times, is refused with DomainError."""
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and positive, got {t_end}")
+    if t_end / ZERO_ENERGY_SPACING > ZERO_ENERGY_MAX_SAMPLES:
+        raise DomainError(
+            "t_end must be at most "
+            f"{ZERO_ENERGY_MAX_SAMPLES * ZERO_ENERGY_SPACING:g} "
+            f"({ZERO_ENERGY_MAX_SAMPLES} samples {ZERO_ENERGY_SPACING} "
+            f"apart), got {t_end}")
     settings = settings.replace(t_limit=t_end)
     n = max(ZERO_ENERGY_SAMPLES, math.ceil(t_end / ZERO_ENERGY_SPACING))
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))

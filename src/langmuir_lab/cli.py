@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -76,6 +75,8 @@ def _settings(args, config: dict) -> IntegratorSettings:
 
 
 def _config_comment(args) -> str:
+    import json  # not at the top, for start-up: only SVG output calls this
+
     skip = {"config"}
     items = {
         k: v for k, v in sorted(vars(args).items())

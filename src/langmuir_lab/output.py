@@ -13,7 +13,6 @@ null, and any other field that is not finite raises ValueError.
 from __future__ import annotations
 
 import io
-import json
 import math
 from collections.abc import Iterable, Sequence
 
@@ -95,6 +94,8 @@ def _state_dict(s: State) -> dict:
 
 
 def orbit_record_json(rec: OrbitRecord) -> str:
+    import json  # not at the top, for start-up: scan and CSV never write JSON
+
     doc = {
         "E": rec.E,
         "h_star": rec.h_star,
@@ -109,6 +110,8 @@ def orbit_record_json(rec: OrbitRecord) -> str:
 
 
 def trajectory_json(traj: Trajectory) -> str:
+    import json  # not at the top, for start-up: scan and CSV never write JSON
+
     doc = {
         "termination": traj.termination.value,
         "max_energy_drift": traj.max_energy_drift,
@@ -129,6 +132,8 @@ def verdict_json(reports: Iterable[CheckReport]) -> str:
     """Each check's verdict; a worst violation or tolerance that is not
     finite (a check that compared nothing has an infinite worst) is
     written as null, which JSON has, where inf and nan are not JSON."""
+    import json  # not at the top, for start-up: scan and CSV never write JSON
+
     doc = {
         r.name: {
             "passed": r.passed,

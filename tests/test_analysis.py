@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import pytest
 
@@ -74,6 +75,15 @@ class TestIndividualChecks:
         for t_end in (math.inf, math.nan, 0.0, -1.0):
             with pytest.raises(DomainError,
                                match="t_end must be finite and positive"):
+                analysis.zero_energy_run(t_end)
+        # the requested times are listed before the first step: a span past
+        # 1e4 (ZERO_ENERGY_MAX_SAMPLES of them, 0.1 apart) is refused before
+        # any is, and 1e308, whose count is inf, with it
+        assert analysis.ZERO_ENERGY_MAX_SAMPLES == 100_000
+        for t_end in (math.nextafter(1e4, math.inf), 1e9, 1e308):
+            with pytest.raises(DomainError, match=re.escape(
+                    "t_end must be at most 10000 (100000 samples 0.1 "
+                    f"apart), got {t_end!r}")):
                 analysis.zero_energy_run(t_end)
 
     def test_inverted_concavity_passes(self, zero_run):
@@ -265,6 +275,10 @@ def test_zero_energy_step_is_capped_where_events_are_located(monkeypatch):
     assert settings == fine.replace(t_limit=200.0)
     assert len(times) == 2000 + points and times[1999] == 200.0
     assert times[-1] == analysis.CONCAVITY_SPAN
+    # the longest span allowed lists its bound's worth of times
+    _, times = _zero_energy_run_settings(monkeypatch, 1e4, fine)
+    assert len(times) == analysis.ZERO_ENERGY_MAX_SAMPLES + points
+    assert times[analysis.ZERO_ENERGY_MAX_SAMPLES - 1] == 1e4
 
 
 def _rk4_steps(v0, t_end, dt=1e-4):

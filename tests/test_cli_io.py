@@ -680,6 +680,12 @@ def test_kept_parser_runs_the_rebound_command(monkeypatch, argv):
      "t_end must be finite and positive, got 0.0"),
     (["zero-energy", "--t-end", "-1"],
      "t_end must be finite and positive, got -1.0"),
+    # a span whose requested times would not fit the bound, listed before
+    # the first step; at 1e308 their count is inf
+    (["zero-energy", "--t-end", "1e308"],
+     "t_end must be at most 10000 (100000 samples 0.1 apart), got 1e+308"),
+    (["zero-energy", "--t-end", "10000.1"],
+     "t_end must be at most 10000 (100000 samples 0.1 apart), got 10000.1"),
     # a launch so near the collision line that its scale, 100 times its
     # height, gives a time unit of about 1e-297, whose H_MIN step squares to
     # a subnormal (its field, whose r^3 and y^2 underflow to 0, is never
@@ -697,7 +703,8 @@ def test_kept_parser_runs_the_rebound_command(monkeypatch, argv):
 ], ids=["scan_energy_nan", "simulate_energy_nan", "scan_tol_inf",
         "simulate_t_limit_inf", "zero_energy_t_end_inf",
         "zero_energy_t_end_nan", "zero_energy_t_end_0",
-        "zero_energy_t_end_negative", "simulate_tiny_height",
+        "zero_energy_t_end_negative", "zero_energy_t_end_1e308",
+        "zero_energy_t_end_past_bound", "simulate_tiny_height",
         "scan_tiny_height", "find_orbit_tiny_bracket_end", "scan_deep_well"])
 def test_invalid_input_exits_2(argv, message, capsys):
     assert main(argv) == 2

@@ -319,17 +319,47 @@ def test_public_surface_is_pinned():
     ]
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
-    # a fresh interpreter without site hooks (-S), which would load typing
-    # themselves on some installations
-    src = str(Path(langmuir_lab.__file__).resolve().parents[1])
+SRC = str(Path(langmuir_lab.__file__).resolve().parents[1])
+
+
+def _fresh_probe(body: str, argv=(), cwd=None) -> str:
+    """stdout of `body`, run with sys.argv[1:] = argv after the package's
+    import in a fresh interpreter without site hooks (-S), which would load
+    typing or random themselves on some installations."""
     probe = (
         "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
+        f"sys.path.insert(0, {SRC!r})\n"
         "import langmuir_lab, langmuir_lab.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        + body
     )
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
-                          capture_output=True, text=True, timeout=60,
-                          check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          check=True, cwd=cwd)
+    return done.stdout.strip()
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # nor json nor random, which only the commands that use them load
+    assert _fresh_probe(
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'json', 'random'}"
+        " & set(sys.modules)))") == "[]"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["scan", "--energy", "-1", "--grid", "0.5,1,1", "--out", "scan.csv"],
+     []),
+    (["simulate", "--energy", "-1", "--height", "1", "--format", "csv",
+      "--out", "run.csv"], []),
+    (["find-orbit", "--energy", "-1", "--out", "orbit"], ["json"]),
+    (["verify", "--report", "verdict.json"], ["json", "random"]),
+], ids=["scan_one_point", "simulate_csv", "find_orbit_out", "verify"])
+def test_command_loads_json_and_random_only_where_it_uses_them(
+        tmp_path, argv, loaded):
+    # the import defers both: a command that writes JSON loads json with
+    # its first document, and verify's initial_acceleration heights load
+    # random; scan and CSV output load neither
+    out = _fresh_probe(
+        "rc = langmuir_lab.cli.main(sys.argv[1:])\n"
+        "print(rc, sorted({'json', 'random'} & set(sys.modules)))",
+        argv, cwd=tmp_path)
+    assert out == f"0 {loaded}"
