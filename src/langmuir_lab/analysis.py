@@ -84,10 +84,8 @@ def check_initial_acceleration(
 ) -> CheckReport:
     """Vertical force at the launch point (0, h) equals -7/h^2 exactly."""
     if h_samples is None:
-        import random  # not at the top, for start-up: its only use is here
-
-        rng = random.Random(20210703)
-        h_samples = [rng.uniform(1e-3, 100.0) for _ in range(1000)]
+        # log-spaced on [1e-3, 100], so each decade holds as many heights
+        h_samples = [1e-3 * 1e5 ** (j / 999) for j in range(1000)]
     worst = 0.0 if h_samples else math.inf
     worst_h = None
     for h in h_samples:

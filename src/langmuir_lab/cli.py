@@ -10,12 +10,10 @@ orbit that fails its retrace check).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
-import re
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import analysis, dynamics, output, shooting
 from .dynamics import ProblemSpec
@@ -190,7 +188,7 @@ def cmd_zero_energy(args) -> int:
 def _parse_bracket(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError("bracket must be LO,HI")
+        raise ValueError("bracket must be LO,HI")
     lo, hi = float(parts[0]), float(parts[1])
     return lo, hi
 
@@ -198,76 +196,179 @@ def _parse_bracket(text: str) -> tuple[float, float]:
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be LO,HI,N")
+        raise ValueError("grid must be LO,HI,N")
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes a negative number with an exponent,
-    such as `--energy -1e5`, as an option's value: argparse's own pattern
-    for a negative number has no exponent, so it reads `-1e5` as an
-    option.  Its subcommands' parsers are of this class too."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+def _option(flag, convert=str, default=None, required=False, choices=None,
+            text=""):
+    """One row of the option table: flag, dest, converter, default,
+    required, choices and help text.  The dest is the flag's name with
+    `_` for `-`, as argparse derived it."""
+    dest = flag[2:].replace("-", "_")
+    return flag, dest, convert, default, required, choices, text
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command's parser, built at the first call and kept; parsing
-    leaves it as it is."""
-    parser = _Parser(
-        prog="langmuir-lab",
-        description="Planar two-electron (Langmuir) problem toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_PROG = "langmuir-lab"
+_DESCRIPTION = "Planar two-electron (Langmuir) problem toolkit"
+_COMMON = (
+    _option("--config", text="flat key=value settings file"),
+    _option("--tol", float, text="relative tolerance override"),
+)
+_ENERGY = _option("--energy", float, required=True)
+_REPORT = _option("--report", text="verdict JSON path")
+# each command's help line and its options, in the order --help lists them
+_COMMANDS = {
+    "simulate": ("integrate one launch and export it", (
+        *_COMMON, _ENERGY,
+        _option("--height", float, required=True),
+        _option("--t-limit", float, text="time limit in the units of the "
+                "run's scale (see README)"),
+        _option("--out"),
+        _option("--format", default="csv", choices=("csv", "json", "svg")),
+    )),
+    "find-orbit": ("locate a periodic orbit", (
+        *_COMMON, _ENERGY,
+        _option("--bracket", _parse_bracket, text="LO,HI height bracket"),
+        _option("--kind", default="langmuir", choices=("langmuir", "brake")),
+        _option("--k", int, text="rest count for brake orbits"),
+        _option("--out", text="output prefix for .orbit.{json,csv,svg}"),
+    )),
+    "scan": ("tabulate the shooting functional; its sign changes go to "
+             "stderr", (
+        *_COMMON, _ENERGY,
+        _option("--grid", _parse_grid, required=True,
+                text="LO,HI,N uniform height grid"),
+        _option("--out"),
+    )),
+    "verify": ("run the full verification suite", (*_COMMON, _REPORT)),
+    "zero-energy": ("zero-energy monotonicity checks", (
+        *_COMMON,
+        _option("--t-end", float, default=50.0),
+        _REPORT,
+    )),
+}
+_HELP = ("-h", "--help")
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value settings file")
-        p.add_argument("--tol", type=float, help="relative tolerance override")
 
-    p = sub.add_parser("simulate", help="integrate one launch and export it")
-    common(p)
-    p.add_argument("--energy", type=float, required=True)
-    p.add_argument("--height", type=float, required=True)
-    p.add_argument("--t-limit", type=float, dest="t_limit", help="time "
-                   "limit in the units of the run's scale (see README)")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+def _metavar(row) -> str:
+    _, dest, _, _, _, choices, _ = row
+    return "{" + ",".join(choices) + "}" if choices else dest.upper()
 
-    p = sub.add_parser("find-orbit", help="locate a periodic orbit")
-    common(p)
-    p.add_argument("--energy", type=float, required=True)
-    p.add_argument("--bracket", type=_parse_bracket)
-    p.add_argument("--kind", choices=("langmuir", "brake"), default="langmuir")
-    p.add_argument("--k", type=int, help="rest count for brake orbits")
-    p.add_argument("--out", help="output prefix for .orbit.{json,csv,svg}")
 
-    p = sub.add_parser("scan", help="tabulate the shooting functional; "
-                       "its sign changes go to stderr")
-    common(p)
-    p.add_argument("--energy", type=float, required=True)
-    p.add_argument("--grid", type=_parse_grid, required=True,
-                   help="LO,HI,N uniform height grid")
-    p.add_argument("--out")
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
+    head = f"usage: {_PROG} {command}"
+    lines = [head + " [-h]"]
+    for row in _COMMANDS[command][1]:
+        word = f"{row[0]} {_metavar(row)}"
+        if not row[4]:
+            word = f"[{word}]"
+        if len(lines[-1]) + 1 + len(word) > 79:
+            lines.append(" " * len(head))
+        lines[-1] += " " + word
+    return "\n".join(lines)
 
-    p = sub.add_parser("verify", help="run the full verification suite")
-    common(p)
-    p.add_argument("--report", help="verdict JSON path")
 
-    p = sub.add_parser("zero-energy", help="zero-energy monotonicity checks")
-    common(p)
-    p.add_argument("--t-end", type=float, dest="t_end", default=50.0)
-    p.add_argument("--report", help="verdict JSON path")
+def _fail(command: str | None, message: str):
+    """Report a usage error as argparse did, and exit 2."""
+    prog = _PROG if command is None else f"{_PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_INVALID_INPUT)
 
-    return parser
+
+def _help(command: str | None):
+    """Print the command list, or one command's options, and exit 0."""
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += [_DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<13}{about}"
+                  for name, (about, _) in _COMMANDS.items()]
+    else:
+        about, options = _COMMANDS[command]
+        lines += [about, "", "options:",
+                  f"  {'-h, --help':<25}show this help message and exit"]
+        for row in options:
+            flag, _, _, default, required, _, text = row
+            notes = [text] if text else []
+            if required:
+                notes.append("(required)")
+            elif default is not None:
+                notes.append(f"(default: {default})")
+            lines.append(f"  {flag + ' ' + _metavar(row):<25}"
+                         f"{' '.join(notes)}".rstrip())
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(EXIT_OK)
+
+
+def _resolve(command: str | None, name: str, names) -> str | None:
+    """The option of names that name spells: itself, or the one option it
+    is a prefix of, as argparse matched abbreviations; None for none."""
+    if name in names:
+        return name
+    hits = ([n for n in names if n.startswith(name)]
+            if name.startswith("--") and len(name) > 2 else [])
+    if len(hits) > 1:
+        _fail(command, f"ambiguous option: {name} could match "
+              f"{', '.join(hits)}")
+    return hits[0] if hits else None
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command named by argv[0] and its options, read by the table.
+
+    An option takes `--opt value` or `--opt=value`, under its full name or
+    a unique prefix, and the token after a value option is always its
+    value, so that `--energy -1e5` needs no rule for negative numbers.
+    The namespace holds `command` and every dest of the command, as
+    argparse's did.  A usage error exits 2 and `-h` exits 0.
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, *rest = argv
+    if command not in _COMMANDS:
+        if command.startswith("-") and _resolve(None, command, _HELP):
+            _help(None)
+        _fail(None, f"argument command: invalid choice: {command!r} (choose "
+              f"from {', '.join(map(repr, _COMMANDS))})")
+    options = {row[0]: row for row in _COMMANDS[command][1]}
+    names = (*_HELP, *options)
+    values = {row[1]: row[3] for row in options.values()}
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        flag = _resolve(command, name, names)
+        if flag is None:
+            _fail(command, f"unrecognized arguments: {token}")
+        if flag in _HELP:
+            _help(command)
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                _fail(command, f"argument {flag}: expected one argument")
+        _, dest, convert, _, _, choices, _ = options[flag]
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            reason = (f"invalid {convert.__name__} value: {text!r}"
+                      if convert in (float, int) else exc)
+            _fail(command, f"argument {flag}: {reason}")
+        if choices and value not in choices:
+            _fail(command, f"argument {flag}: invalid choice: {value!r} "
+                  f"(choose from {', '.join(map(repr, choices))})")
+        values[dest] = value
+    missing = [row[0] for row in options.values()
+               if row[4] and values[row[1]] is None]
+    if missing:
+        _fail(command, "the following arguments are required: "
+              + ", ".join(missing))
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    # looked up at each call, not kept in the parser, so that a rebound
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    # looked up at each call, not kept in a table, so that a rebound
     # cmd_* function (a test's or a tracer's) is the one that runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -319,7 +319,7 @@ class TestFindOrbit:
         argv = ["find-orbit", "--kind", kind, *options,
                 "--out", str(tmp_path / "orbit")]
         assert main(argv) == 0
-        args = cli._build_parser().parse_args(argv)
+        args = cli._parse_args(argv)
         settings = cli._settings(args, {})
         if kind == "brake":
             rec = shooting.find_brake_orbit(args.energy, args.bracket,
@@ -586,7 +586,7 @@ class TestConfig:
         # --tol sets rel_tol alone; the error norm's floor follows it
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("rel_tol = 1e-3\nt_limit = 50\n")
-        args = cli._build_parser().parse_args(
+        args = cli._parse_args(
             ["verify", "--tol", "1e-6", "--config", str(cfg)])
         settings = cli._settings(args, cli._read_config(args.config))
         assert settings == IntegratorSettings(rel_tol=1e-6, t_limit=50.0)
@@ -651,9 +651,8 @@ class TestConfig:
     ["zero-energy"],
 ], ids=lambda argv: argv[0])
 def test_kept_parser_runs_the_rebound_command(monkeypatch, argv):
-    # the parser is built once and kept, but each call runs the cmd_*
-    # function the module holds then, as a test or a tracer rebinds it
-    assert cli._build_parser() is cli._build_parser()
+    # each call runs the cmd_* function the module holds then, as a test or
+    # a tracer rebinds it
     monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"),
                         lambda args: 42)
     assert main(argv) == 42
@@ -732,9 +731,9 @@ def test_unconverged_search_exits_4(monkeypatch, capsys, name, message):
                                   "-1.e2", "-7", "-0.25"])
 def test_negative_number_with_an_exponent_is_an_option_value(monkeypatch,
                                                              text):
-    # argparse's own pattern for a negative number has no exponent, so it
-    # took `-1e5` for an option, and `--energy -1e5` exited 2 with
-    # "expected one argument"
+    # the token after a value option is its value: argparse's pattern for
+    # a negative number had no exponent, so it took `-1e5` for an option,
+    # and `--energy -1e5` exited 2 with "expected one argument"
     seen = []
     monkeypatch.setattr(cli, "cmd_scan",
                         lambda args: seen.append(args.energy) or 0)
@@ -754,6 +753,116 @@ def test_unknown_options_still_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == cli.EXIT_INVALID_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+# each command's options as its argparse parser declared them
+COMMAND_OPTIONS = {
+    "simulate": ["--config", "--tol", "--energy", "--height", "--t-limit",
+                 "--out", "--format"],
+    "find-orbit": ["--config", "--tol", "--energy", "--bracket", "--kind",
+                   "--k", "--out"],
+    "scan": ["--config", "--tol", "--energy", "--grid", "--out"],
+    "verify": ["--config", "--tol", "--report"],
+    "zero-energy": ["--config", "--tol", "--t-end", "--report"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_OPTIONS],
+                         ids=lambda c: c or "bare")
+def test_help_lists_every_option(command, capsys):
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    listed = (COMMAND_OPTIONS if command is None
+              else ["-h, --help", *COMMAND_OPTIONS[command]])
+    for name in listed:
+        # one line of its own per command or option, after its usage line
+        assert re.search(rf"^  {re.escape(name)} ", captured.out, re.M), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--energy=-1", "--height", "1"],
+    ["simulate", "--ener", "-1", "--height", "1"],
+    ["simulate", "--ener=-1", "--hei", "1"],
+    ["simulate", "--energy", "-1", "--height", "1", "--energy", "-1"],
+], ids=["equals", "prefix", "prefix_equals", "repeated"])
+def test_options_parse_as_argparse_parsed_them(argv):
+    # the namespace holds the command and every dest of it, defaults
+    # included; a later repeat of an option wins
+    args = cli._parse_args(argv)
+    assert vars(args) == {
+        "command": "simulate", "config": None, "tol": None, "energy": -1.0,
+        "height": 1.0, "t_limit": None, "out": None, "format": "csv",
+    }
+
+
+def test_exact_option_beats_a_longer_one_it_prefixes():
+    # --k is find-orbit's own option, though --kind starts with it
+    args = cli._parse_args(["find-orbit", "--energy", "-1", "--k", "3"])
+    assert (args.k, args.kind) == (3, "langmuir")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--t", "1", "--energy", "-1", "--height", "1"],
+     "ambiguous option: --t could match --tol, --t-limit"),
+    (["simulate", "--h", "1", "--energy", "-1"],
+     "ambiguous option: --h could match --help, --height"),
+    (["simulate", "--energy", "-1"],
+     "the following arguments are required: --height"),
+    (["scan", "--grid", "1,2,2"],
+     "the following arguments are required: --energy"),
+    (["find-orbit", "--energy", "-1", "--kind", "other"],
+     "argument --kind: invalid choice: 'other' (choose from 'langmuir', "
+     "'brake')"),
+    (["simulate", "--energy", "-1", "--height", "1", "--format", "png"],
+     "argument --format: invalid choice: 'png'"),
+    ([], "the following arguments are required: command"),
+    (["orbit"], "argument command: invalid choice: 'orbit'"),
+    (["simulate", "--energy", "-1", "--height", "1", "--out"],
+     "argument --out: expected one argument"),
+    (["verify", "extra"], "unrecognized arguments: extra"),
+    (["simulate", "--energy", "abc", "--height", "1"],
+     "argument --energy: invalid float value: 'abc'"),
+    (["find-orbit", "--energy", "-1", "--k", "2.5"],
+     "argument --k: invalid int value: '2.5'"),
+    (["find-orbit", "--energy", "-1", "--bracket", "1"],
+     "argument --bracket: bracket must be LO,HI"),
+    (["scan", "--energy", "-1", "--grid", "1,2"],
+     "argument --grid: grid must be LO,HI,N"),
+], ids=["ambiguous", "ambiguous_with_help", "missing_required",
+        "missing_energy", "bad_kind", "bad_format", "no_command",
+        "unknown_command", "trailing_option", "stray_argument",
+        "bad_float", "bad_int", "bad_bracket", "bad_grid"])
+def test_usage_errors_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, _, error = captured.err.rstrip("\n").rpartition("\n")
+    assert usage.startswith("usage: langmuir-lab")
+    assert error.startswith("langmuir-lab") and ": error: " in error
+    assert message in error
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["simulate", "--energy", "-1", "--height", "1.398", "--format", "svg",
+      "--tol", "1e-9", "--config", "settings.cfg"],
+     {"command": "simulate", "energy": -1.0, "format": "svg",
+      "height": 1.398, "tol": 1e-9}),
+    (["find-orbit", "--kind", "brake", "--k", "3", "--energy", "-1.6",
+      "--bracket", "0.3,0.4", "--out", "orbit"],
+     {"bracket": [0.3, 0.4], "command": "find-orbit", "energy": -1.6,
+      "k": 3, "kind": "brake", "out": "orbit"}),
+], ids=["simulate_svg", "find_orbit_brake"])
+def test_config_comment_is_the_json_of_the_given_values(argv, values):
+    # the SVG's comment: every value set, by default or by argv, in key
+    # order, without the config path and the unset options
+    assert list(values) == sorted(values)
+    assert cli._config_comment(cli._parse_args(argv)) == json.dumps(values)
 
 
 @pytest.mark.parametrize("argv, flag", [
