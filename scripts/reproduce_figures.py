@@ -42,13 +42,12 @@ def main() -> int:
         ("langmuir", shooting.find_langmuir_orbit(ENERGY)),
         ("brake", shooting.find_brake_orbit(ENERGY)),
     ):
-        # the retrace check of assemble_periodic_orbit, then the 4T orbit
-        # drawn from the quarter arc
-        quarter = shooting._closed_quarter_arc(rec)
+        # the 4T orbit, closed and checked by its retrace
+        orbit = shooting.assemble_periodic_orbit(rec)
         path = out_dir / f"orbit_{name}.svg"
         path.write_text(
-            output.orbit_svg(
-                quarter, ENERGY, f"kind={rec.kind} h*={rec.h_star:.10f}"
+            output.trajectory_svg(
+                orbit, ENERGY, f"kind={rec.kind} h*={rec.h_star:.10f}"
             )
         )
         print(f"wrote {path} (h*={rec.h_star:.10f}, T={rec.quarter_period:.10f})")

@@ -105,6 +105,8 @@ class ProblemSpec(_Record):
             raise DomainError(f"height must be positive, got {h}")
         if not (E <= 0.0):
             raise DomainError(f"energy must be <= 0, got {E}")
+        if E == -math.inf:
+            raise DomainError(f"energy must be finite, got {E}")
         if not 7.0 / (2.0 * h) + E > 0.0:
             raise DomainError(
                 f"(0, {h}) is not inside the Hill region at E={E}; "

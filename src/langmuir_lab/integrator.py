@@ -824,9 +824,6 @@ class _Run:
                 f"stop takes event kinds, each ending the run at its first "
                 f"event, not a mapping: {stop!r}"
             )
-        if s0.y <= 0.0:
-            raise DomainError(f"initial state must have y > 0, got y={s0.y}")
-        self.settings, self.sample_times = settings, sample_times
         self.samples: list[tuple[float, Vec]] = [
             (s0.t, (s0.x, s0.y, s0.vx, s0.vy))]
         self.events: list[tuple[EventKind, float, Vec]] = []
@@ -1038,23 +1035,9 @@ def _retrace(settings: IntegratorSettings, E: float, times: Sequence[float],
         t = t0
 
 
-# State's slot setters: _vec_to_state fills a new instance through them,
-# which skips State.__init__ (one object.__setattr__ per field)
-_new_state = State.__new__
-_set_t, _set_x, _set_y, _set_vx, _set_vy = (
-    State.__dict__[name].__set__ for name in ("t", "x", "y", "vx", "vy")
-)
-
-
 def _vec_to_state(t: float, y: Vec) -> State:
     """State(t=t, x=y[0], y=y[1], vx=y[2], vy=y[3])."""
-    s = _new_state(State)
-    _set_t(s, t)
-    _set_x(s, y[0])
-    _set_y(s, y[1])
-    _set_vx(s, y[2])
-    _set_vy(s, y[3])
-    return s
+    return State(t, *y)
 
 
 def _magical_line_residual(y: Vec) -> float:

@@ -26,17 +26,12 @@ CSV_HEADER = "t,x,y,vx,vy,energy"
 SCAN_HEADER = "h,t_h,alpha,n_magical_crossings,energy_drift,status"
 
 
-def fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 # ---------------------------------------------------------------- CSV
 
 def trajectory_csv(traj: Trajectory) -> str:
     lines = [CSV_HEADER]
     for s in traj.samples:
         e = dynamics.energy(s)
-        # one format per row; "%.17g" prints each value as fmt does
         lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
                      % (s.t, s.x, s.y, s.vx, s.vy, e))
     return "\n".join(lines) + "\n"
@@ -72,18 +67,9 @@ def orbit_csv(quarter: Trajectory) -> str:
 def scan_csv(results: Sequence[ShootResult]) -> str:
     lines = [SCAN_HEADER]
     for r in results:
-        lines.append(
-            ",".join(
-                (
-                    fmt(r.h),
-                    fmt(r.t_h),
-                    fmt(r.alpha),
-                    str(r.n_magical_crossings),
-                    fmt(r.energy_drift),
-                    r.status,
-                )
-            )
-        )
+        lines.append("%.17g,%.17g,%.17g,%s,%.17g,%s"
+                     % (r.h, r.t_h, r.alpha, r.n_magical_crossings,
+                        r.energy_drift, r.status))
     return "\n".join(lines) + "\n"
 
 
@@ -162,16 +148,9 @@ class _Frame:
         self.x_lo, self.x_hi = x_lo - pad_x, x_hi + pad_x
         self.y_lo, self.y_hi = y_lo - pad_y, y_hi + pad_y
 
-    def px(self, x: float) -> float:
-        return _WIDTH * (x - self.x_lo) / (self.x_hi - self.x_lo)
-
-    def py(self, y: float) -> float:
-        return _HEIGHT * (self.y_hi - y) / (self.y_hi - self.y_lo)
-
 
 def _pixels(frame: _Frame, pts: Iterable[tuple[float, float]]) -> list[str]:
-    """The pixel pair "X,Y" of each point, to 2 decimals: frame.px(x) and
-    frame.py(y), each written out inline."""
+    """The pixel pair "X,Y" of each point in `frame`, to 2 decimals."""
     x_lo, x_span = frame.x_lo, frame.x_hi - frame.x_lo
     y_hi, y_span = frame.y_hi, frame.y_hi - frame.y_lo
     return ["%.2f,%.2f" % (_WIDTH * (x - x_lo) / x_span,
@@ -223,10 +202,8 @@ def _figure(frame: _Frame, boundary: list[tuple[float, float]],
     if boundary:
         out.write(_path(_pixels(frame, boundary), "#1f77b4", 1.5) + "\n")
     out.write(_path(curve, "#d62728", 1.5) + "\n")
-    out.write(
-        f'<circle cx="{frame.px(start.x):.2f}" cy="{frame.py(start.y):.2f}" '
-        f'r="4" fill="green"/>\n'
-    )
+    cx, cy = _pixels(frame, [(start.x, start.y)])[0].split(",")
+    out.write(f'<circle cx="{cx}" cy="{cy}" r="4" fill="green"/>\n')
     out.write("</svg>\n")
     return out.getvalue()
 

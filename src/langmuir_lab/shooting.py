@@ -9,7 +9,7 @@ second, multi-reflection orbit.
 
 The orbit search finds a root of alpha_k to |alpha_k| <= ALPHA_TOL, a
 ceiling that shrinks with rel_tol below rel_tol's default, in two stages: a
-Brent-Dekker solve on alpha_k integrated at the fixed COARSE settings,
+Brent-Dekker solve on alpha_k integrated at the fixed COARSE_REL_TOL,
 then a polish at the given settings: chord steps from the coarse root
 along the coarse stage's last secant, or, when it stalls, Brent-Dekker at
 the given settings on the whole bracket.  The orbit record holds one arc,
@@ -52,22 +52,18 @@ from .integrator import (
 )
 
 ALPHA_TOL = 1e-8
-# relative tolerance of the orbit search's coarse stage (see _find_orbit)
+# relative tolerance of the orbit search's coarse stage (see _find_orbit),
+# whatever the given one (the error norm's floor follows rel_tol); the
+# tolerance at which CLASSIFY_MARGIN was measured
 COARSE_REL_TOL = 1e-6
-# the coarse stage's settings, whatever the given ones but their t_limit
-# (the error norm's floor follows rel_tol); the settings at which
-# CLASSIFY_MARGIN was measured
-COARSE = IntegratorSettings(rel_tol=COARSE_REL_TOL)
 # |alpha_j| at or below which the brake search's classification at
 # COARSE_REL_TOL is repeated at the given settings.  Over 1,504 seeded
 # launches on [0.05, 3.4] at E = -1 (7,520 alpha_k, k <= 5), alpha_k at the
 # coarse stage's settings and at the default ones differ by a median 3.8e-7
 # and a 99th percentile 3.6e-5, and by up to 3.4e-3 (k = 5 from h =
-# 0.0946).  Runs that started at a trial step of 1e-3 (in E = -1 time
-# units) differed by up to 0.19, at k = 4 from h near 3.33, whose runs pass
-# within 0.025 of the nucleus, and by 2.4e-2 at k = 5 from h = 0.375; a
-# coarse stage whose steps were capped at 0.316 differed by 0.27 at k = 4
-# from h = 3.3187.  At those heights they now differ by at most 2.8e-5.
+# 0.0946).  At k = 4 from h near 3.33, whose runs pass within 0.025 of the
+# nucleus, and from h = 3.3187, and at k = 5 from h = 0.375, they differ by
+# at most 2.8e-5.
 # The margin is over twice the largest gap, and below 0.854, the smallest
 # |alpha_j| that classification compares on the default bracket, so the
 # default search classifies once
@@ -144,12 +140,17 @@ def _bracket_at(
     bracket: tuple[float, float] | None,
     default: tuple[float, float],
 ) -> tuple[float, float]:
-    """The given bracket, or the E = -1 default rescaled to energy E."""
+    """The given bracket, or the E = -1 default rescaled to energy E by
+    its scale -1/E, which must be finite and positive."""
     if not (E < 0.0):
         raise ValueError(f"orbit search requires E < 0, got {E}")
     if bracket is not None:
         return bracket
     a = -1.0 / E
+    if not (0.0 < a < math.inf):
+        raise ValueError(
+            f"the default bracket does not scale to E={E}, whose scale -1/E "
+            f"is {a}; give a bracket (--bracket)")
     return default[0] * a, default[1] * a
 
 
@@ -186,8 +187,6 @@ def _rest_run(
     """The run of the horizontal launch from (0, h) at energy E, stopped at
     its k-th x-rest, without its arc built.  Raises NoRest if the run ends
     any other way first."""
-    if k < 1:
-        raise ValueError(f"rest count must be >= 1, got {k}")
     run = _launch(E, h, settings)
     for _ in range(k):
         _next_rest(run, k)
@@ -268,12 +267,12 @@ def _solve_bracketed(
 
 
 def _coarse(settings: IntegratorSettings) -> IntegratorSettings | None:
-    """The orbit search's coarse-stage settings: COARSE with the time limit
-    of `settings`, or None when `settings` are no finer than COARSE_REL_TOL
-    and the search has no coarse stage."""
+    """The orbit search's coarse-stage settings: COARSE_REL_TOL with the
+    time limit of `settings`, or None when `settings` are no finer than
+    COARSE_REL_TOL and the search has no coarse stage."""
     if settings.rel_tol >= COARSE_REL_TOL:
         return None
-    return COARSE.replace(t_limit=settings.t_limit)
+    return IntegratorSettings(COARSE_REL_TOL, settings.t_limit)
 
 
 def _find_orbit(
@@ -289,9 +288,10 @@ def _find_orbit(
     is ALPHA_TOL at or above the default rel_tol, and shrinks in proportion
     to rel_tol below it, as alpha_k's own error does.
 
-    A coarse Brent-Dekker solve on alpha_k integrated at COARSE locates
-    the root to |alpha_k| <= 1e3 * ALPHA_TOL, whatever rel_tol; the polish
-    then takes chord steps from that root at `settings` (see _polish).
+    A coarse Brent-Dekker solve on alpha_k integrated at COARSE_REL_TOL
+    locates the root to |alpha_k| <= 1e3 * ALPHA_TOL, whatever rel_tol;
+    the polish then takes chord steps from that root at `settings` (see
+    _polish).
     When `settings` are no finer than COARSE_REL_TOL, the coarse stage
     fails, or the polish stalls, the root is Brent-Dekker's at `settings`
     on the whole bracket, the search without a coarse stage.
@@ -301,8 +301,8 @@ def _find_orbit(
     takes their alphas as its bracket ends' values, whatever settings they
     were made at; the stages at `settings` take them too when they were
     made at `settings`.  The two alpha_k functions, f at `settings` and
-    f_coarse at COARSE, append each (h, alpha_k) they read to the solver
-    trace, so it lists every evaluation in order (coarse stage, polish,
+    f_coarse at COARSE_REL_TOL, append each (h, alpha_k) they read to the
+    solver trace, so it lists every evaluation in order (coarse stage, polish,
     then the search on the whole bracket if it runs), and its last entry
     is the root and its residual.  The root is the latest evaluation at
     `settings`, whose run is the one kept and the one arc built; an

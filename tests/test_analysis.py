@@ -13,7 +13,7 @@ from langmuir_lab.integrator import (
 from langmuir_lab import dynamics as dyn
 from langmuir_lab.errors import DomainError
 
-from conftest import first_event, radial_velocity, rk4_fixed
+from conftest import first_event, radial_velocity, rk4_fixed, taylor_rest
 
 
 class TestConstants:
@@ -224,15 +224,32 @@ def test_inverted_concavity_fails_on_a_displaced_sample(zero_run):
     assert rep.worst_violation == rep.details["fd_mismatch_worst"] > 0.0
 
 
-def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4():
+def _made_runs(monkeypatch):
+    """The (settings, requested times) of each integrator `_Run` made from
+    now on, in order, read by wrapping its __init__ as the made_runs
+    fixture does."""
+    made = []
+    real = integrator._Run.__init__
+
+    def init(self, s0, settings, watch, stop, sample_times, *args):
+        made.append((settings, sample_times))
+        real(self, s0, settings, watch, stop, sample_times, *args)
+
+    monkeypatch.setattr(integrator._Run, "__init__", init)
+    return made
+
+
+def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
     # the checks' run steps as its error control allows, up to its time
     # limit, its span; at requested times up to t = 5 its samples agree
     # with the fixed-step RK4 of conftest, in steps of 1e-3, within 1e-9
     # (measured 4.0e-11 at t = 5, about the RK4's own error: 5.4e-10 at
     # steps of 2e-3, 4.5e-12 at 5e-4)
+    made = _made_runs(monkeypatch)
     run = analysis.zero_energy_run()
     assert analysis.check_zero_energy_monotone(run).passed
-    assert run.settings.t_limit == 50.0
+    [(settings, _)] = made
+    assert settings.t_limit == 50.0
     by_time = dict(run.samples)
     _, v0 = run.samples[0]
     for t in (1.0, 2.5, 5.0):
@@ -243,9 +260,11 @@ def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4():
 def _zero_energy_run_settings(monkeypatch, t_end, settings):
     """The settings and requested times of zero_energy_run's run, which is
     made but not stepped."""
+    made = _made_runs(monkeypatch)
     monkeypatch.setattr(integrator._Run, "advance", lambda run: run)
-    run = analysis.zero_energy_run(t_end, settings)
-    return run.settings, run.sample_times
+    analysis.zero_energy_run(t_end, settings)
+    [got] = made
+    return got
 
 
 def test_zero_energy_samples_are_no_further_apart_than_h_max():
@@ -424,13 +443,14 @@ def test_zero_energy_margin_agrees_with_fixed_step_rk4():
 
 
 class TestTauValues:
-    # first rest times of the height-1 launch at shrinking |E|, frozen
-    # from converged adaptive runs
-    FROZEN = {0.5: 1.2319, 0.2: 1.9169, 0.1: 2.4083, 0.05: 2.7839}
+    # first rest times of the height-1 launch at shrinking |E|, against the
+    # Taylor oracle of conftest (measured within 1.3e-11)
+    HEIGHTS = (0.5, 0.2, 0.1, 0.05)
 
     def test_frozen_values(self):
-        for h, tau in self.FROZEN.items():
-            assert abs(shooting.shoot(-h, 1.0).t_h - tau) <= 5e-4
+        for h in self.HEIGHTS:
+            tau = taylor_rest(-h, 1.0, 1)[0]
+            assert abs(shooting.shoot(-h, 1.0).t_h - tau) <= 1e-9
 
     def test_rescaled_rest_time_recovers_tau(self):
         # the E=-h launch from height 1 is the E=-1 launch from height h,

@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from langmuir_lab import dynamics as dyn
@@ -12,7 +12,7 @@ from langmuir_lab.cli import main
 from langmuir_lab.errors import DomainError
 from langmuir_lab.integrator import EventKind, IntegratorSettings, Trajectory
 
-from conftest import parse_orbit_record, parse_trajectory_csv
+from conftest import parse_orbit_record, parse_trajectory_csv, taylor_alpha_k
 
 
 class TestSimulate:
@@ -409,12 +409,17 @@ class TestScan:
         assert [row[5] for row in rows] == ["ok", "ok"]
 
     def test_scan_of_one_point_is_its_low_end(self, capsys):
-        # a one-point grid is its low end, as shooting.default_grid gives it
+        # a one-point grid is its low end, as shooting.default_grid gives
+        # it: the row of the launch from 0.5, whose alpha agrees with the
+        # Taylor oracle of conftest within ALPHA_ERR_RATIO (35) x rel_tol
         assert main(["scan", "--energy", "-1", "--grid", "0.5,1,1"]) == 0
-        assert capsys.readouterr().out.splitlines()[1:] == [
-            "0.5,0.43552664186616646,2.6329192051356536,1,"
-            "1.1872280936131563e-11,ok"
-        ]
+        [row] = capsys.readouterr().out.splitlines()[1:]
+        fields = row.split(",")
+        assert fields[0] == "0.5"
+        want = output.scan_csv(shooting.scan_alpha(-1.0, [0.5]))
+        assert row == want.splitlines()[1]
+        alpha = float(fields[2])
+        assert abs(alpha - taylor_alpha_k(-1.0, 0.5, 1)) <= 35 * 1e-10
 
     def test_scan_invalid_grid(self):
         assert main(["scan", "--energy", "-1.0", "--grid", "3.0,0.5,6"]) == 2
@@ -663,6 +668,17 @@ def test_kept_parser_runs_the_rebound_command(monkeypatch, argv):
      "energy must be <= 0, got nan"),
     (["simulate", "--energy", "nan", "--height", "1.0"],
      "energy must be <= 0, got nan"),
+    # an infinite energy has no launch, and the default bracket rescales
+    # to a finite one only where -1/E is finite and positive: not at -inf,
+    # where it is 0, nor at -1e-320, where it overflows
+    (["simulate", "--energy", "-inf", "--height", "1"],
+     "energy must be finite, got -inf"),
+    (["find-orbit", "--energy", "-inf"],
+     "the default bracket does not scale to E=-inf, whose scale -1/E is "
+     "0.0; give a bracket (--bracket)"),
+    (["find-orbit", "--energy", "-1e-320"],
+     "the default bracket does not scale to E=-1e-320, whose scale -1/E is "
+     "inf; give a bracket (--bracket)"),
     # an infinite tolerance or horizon is not a setting: the run would be
     # unchecked or never end
     (["scan", "--energy", "-1.0", "--grid", "0.5,3.0,3", "--tol", "inf"],
@@ -699,7 +715,8 @@ def test_kept_parser_runs_the_rebound_command(monkeypatch, argv):
     # would all rest, but off the scaling law
     (["scan", "--energy", "-1e101", "--grid", "1e-102,3.45e-101,5"],
      "time unit 3.1622776601683796e-152 out of range at E=-1e+101"),
-], ids=["scan_energy_nan", "simulate_energy_nan", "scan_tol_inf",
+], ids=["scan_energy_nan", "simulate_energy_nan", "simulate_energy_inf",
+        "find_orbit_energy_inf", "find_orbit_energy_underflow", "scan_tol_inf",
         "simulate_t_limit_inf", "zero_energy_t_end_inf",
         "zero_energy_t_end_nan", "zero_energy_t_end_0",
         "zero_energy_t_end_negative", "zero_energy_t_end_1e308",
@@ -882,18 +899,35 @@ def test_unwritable_output_exits_2(argv, flag, tmp_path, capsys):
 
 class TestSerializationHelpers:
     def test_number_formatting_round_trips(self):
+        # both CSV writers print 17 significant digits, which parse back to
+        # the very float
         for v in (math.pi, 1.0 / 3.0, 6.123233995736766e-17, -2.5e300):
-            assert float(output.fmt(v)) == v
+            traj = Trajectory(samples=(dyn.State(v, v, v, v, v),), events=(),
+                              max_energy_drift=0.0,
+                              termination=EventKind.TIME_LIMIT)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dyn, "energy", lambda s: v)
+                row = output.trajectory_csv(traj).split("\n")[1]
+            assert [float(f) for f in row.split(",")] == [v] * 6
+            res = shooting.ShootResult(v, v, v, 0, v)
+            row = output.scan_csv([res]).split("\n")[1]
+            assert [float(f) for f in row.split(",")[:3]] == [v] * 3
+            assert float(row.split(",")[4]) == v
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.tuples(*[st.floats()] * 6), min_size=1,
-                         max_size=5))
-    def test_csv_rows_are_fmt_joined(self, rows):
+    @given(rows=st.lists(st.tuples(*[st.floats()] * 6,
+                                   st.integers(min_value=0)),
+                         min_size=1, max_size=5))
+    @example(rows=[(math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0),
+                   (-5e-324, 2.2250738585072009e-308, math.nan, math.inf,
+                    -0.0, 1.0, 7)])
+    def test_csv_rows_are_17g_joined(self, rows):
         # any float, nan, infinities, signed zeros and subnormals included,
-        # prints as fmt prints it; the energy column is drawn too, so the
-        # samples need not be admissible states
+        # prints as format(v, ".17g") prints it, in trajectory rows and scan
+        # rows; the energy column is drawn too, so the samples need not be
+        # admissible states, nor the scan rows a launch's
         samples = tuple(dyn.State(t=t, x=x, y=y, vx=vx, vy=vy)
-                        for t, x, y, vx, vy, _ in rows)
+                        for t, x, y, vx, vy, _, _ in rows)
         energies = iter(row[5] for row in rows)
         traj = Trajectory(samples=samples, events=(), max_energy_drift=0.0,
                           termination=EventKind.TIME_LIMIT)
@@ -901,9 +935,17 @@ class TestSerializationHelpers:
             mp.setattr(dyn, "energy", lambda s: next(energies))
             text = output.trajectory_csv(traj)
         want = [output.CSV_HEADER] + [
-            ",".join(output.fmt(v) for v in row) for row in rows
+            ",".join(format(v, ".17g") for v in row[:6]) for row in rows
         ]
         assert text == "\n".join(want) + "\n"
+        results = [shooting.ShootResult(h, t_h, alpha, n, drift, "ok")
+                   for h, t_h, alpha, drift, _, _, n in rows]
+        want = [output.SCAN_HEADER] + [
+            ",".join([*(format(v, ".17g") for v in row[:3]), str(row[6]),
+                      format(row[3], ".17g"), "ok"])
+            for row in rows
+        ]
+        assert output.scan_csv(results) == "\n".join(want) + "\n"
 
     def test_csv_rejects_bad_header(self):
         # the tests' reader of the CSV output refuses a text that is not

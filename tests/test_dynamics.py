@@ -44,7 +44,8 @@ class TestState:
     @given(st.floats(allow_nan=False), any_x, pos_y, vel, vel)
     @settings(max_examples=100)
     def test_integrator_builds_the_same_state(self, t, x, y, vx, vy):
-        # _vec_to_state fills the slots directly, skipping __init__
+        # _vec_to_state builds the State from the integrator's state tuple,
+        # its fields in order
         got = _vec_to_state(t, (x, y, vx, vy))
         want = State(t=t, x=x, y=y, vx=vx, vy=vy)
         assert type(got) is State

@@ -753,8 +753,8 @@ def test_trial_steps_off_the_half_plane_are_rejected(monkeypatch, rng):
     # (without that rejection, 27 of these 100 raise DomainError).  Every
     # state a trial steps from, and every sample, has y > 0, as _trial,
     # which reads the start state's y as |y|, needs: a run steps from its
-    # launch, which _Run checks, and from accepted step ends, whose y the
-    # FSAL stage has checked
+    # launch, which the launch's energy evaluation checks, and from
+    # accepted step ends, whose y the FSAL stage has checked
     starts = []
     real = integrator._trial
 
@@ -778,9 +778,12 @@ def test_trial_steps_off_the_half_plane_are_rejected(monkeypatch, rng):
 
 @pytest.mark.parametrize("y", [0.0, -0.0, -1e-300, -1.0])
 def test_run_rejects_a_launch_off_the_half_plane(y):
-    s0 = State(t=0.0, x=0.5, y=y, vx=0.0, vy=0.0)
-    with pytest.raises(DomainError, match="initial state must have y > 0"):
-        _Run(s0, IntegratorSettings(), (), (), ())
+    # the launch's own energy evaluation, before any step, rejects it, off
+    # the axis and on it
+    for x in (0.5, 0.0):
+        s0 = State(t=0.0, x=x, y=y, vx=0.0, vy=0.0)
+        with pytest.raises(DomainError, match="y must be positive"):
+            integrate(s0)
 
 
 def test_launch_whose_field_underflows_is_rejected():

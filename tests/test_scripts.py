@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+from langmuir_lab import output, shooting
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -33,7 +35,15 @@ def test_reproduce_figures_writes_five_svgs(tmp_path):
     svgs = sorted(out_dir.glob("*.svg"))
     assert len(svgs) == 5
     assert all(p.read_text().lstrip().startswith("<") for p in svgs)
-
+    # each orbit figure, drawn through the public API, is the one that
+    # orbit_svg draws from the orbit's quarter arc with the same comment
+    for name, rec in (
+        ("langmuir", shooting.find_langmuir_orbit(-1.0)),
+        ("brake", shooting.find_brake_orbit(-1.0)),
+    ):
+        want = output.orbit_svg(shooting._closed_quarter_arc(rec), -1.0,
+                                f"kind={rec.kind} h*={rec.h_star:.10f}")
+        assert (out_dir / f"orbit_{name}.svg").read_text() == want
 
 
 def test_output_digest_is_the_same_from_run_to_run(tmp_path):

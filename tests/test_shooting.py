@@ -58,10 +58,9 @@ BRACKET_END_ALPHAS = {
 # it): the worst bracket-end error, against the table above and the Taylor
 # oracle of conftest, is 14.7, 11.6, 13.5, 12.1, 11.1 and 12.5 x rel_tol at
 # rel_tol 1e-8 to 1e-13 (each time alpha_3(0.3), whose third rest lies at
-# y = 0.016; up to 25.2 x when steps were capped at 0.05 to 0.2 and the PI
-# controller ran alone), so the bound is ALPHA_ERR_RATIO = 35 times
-# rel_tol.  Below the default rel_tol the stop shrinks in proportion to
-# rel_tol, as ALPHA_ERR does, so the bounds below shrink with both (see
+# y = 0.016), so the bound is ALPHA_ERR_RATIO = 35 times rel_tol.  Below
+# the default rel_tol the stop shrinks in proportion to rel_tol, as
+# ALPHA_ERR does, so the bounds below shrink with both (see
 # test_h_star_converges_with_rel_tol); these are the default's.  A root the
 # search returns is off the true one by at most (ALPHA_TOL + ALPHA_ERR) /
 # |dalpha_k/dh| to first order; |dalpha/dh| at h* is 3.62 and
@@ -158,10 +157,6 @@ class TestShoot:
         alpha = _alpha_k(-1.0, h, k, IntegratorSettings(rel_tol))
         err = alpha - BRACKET_END_ALPHAS[h, k]
         assert abs(err) <= ALPHA_ERR_RATIO * rel_tol
-
-    def test_alpha_k_rejects_bad_count(self):
-        with pytest.raises(ValueError, match="rest count must be >= 1"):
-            shooting._rest_run(-1.0, 1.0, 0, IntegratorSettings())
 
     def test_run_ending_before_its_rest_raises_no_rest(self):
         # the first rest at h = 1.398 comes at t = 1.06: a run stopped at
@@ -475,20 +470,17 @@ def test_find_orbit_builds_no_orbit_records(monkeypatch, tmp_path, kind,
     # the States a `find-orbit` command builds, with or without --out: its
     # quarter arc's samples and events (20 + 1 for Langmuir, 127 + 3 for
     # the brake orbit) and one launch per solver evaluation (10 and 11).
-    # None of the 4T orbit and none of the retrace's states.  Pinned
-    # exactly as the field evaluations are
+    # None of the 4T orbit and none of the retrace's states.  Every State
+    # goes through State.__init__.  Pinned exactly as the field evaluations
+    # are
     built = [0]
+    real = dyn.State.__init__
 
-    def counting(real):
-        def count_built(*args, **kwargs):
-            built[0] += 1
-            return real(*args, **kwargs)
-        return count_built
+    def count_built(*args, **kwargs):
+        built[0] += 1
+        real(*args, **kwargs)
 
-    for module in (integrator, shooting):
-        monkeypatch.setattr(module, "_vec_to_state",
-                            counting(module._vec_to_state))
-    monkeypatch.setattr(dyn.State, "__init__", counting(dyn.State.__init__))
+    monkeypatch.setattr(dyn.State, "__init__", count_built)
     argv = ["find-orbit", "--energy", "-1.0", "--kind", kind]
     if out:
         argv += ["--out", str(tmp_path / kind)]
@@ -550,12 +542,19 @@ def test_only_kept_rests_build_an_arc(made_runs, monkeypatch):
     # polish's other evaluations
     builds = []
     real = shooting._build_trajectory
+    settings_of = {}
+    real_init = integrator._Run.__init__
 
     def build(run):
         builds.append(run)
         return real(run)
 
+    def init(self, s0, settings_, *args, **kwargs):
+        settings_of[self] = settings_
+        real_init(self, s0, settings_, *args, **kwargs)
+
     monkeypatch.setattr(shooting, "_build_trajectory", build)
+    monkeypatch.setattr(integrator._Run, "__init__", init)
     assert _classified(-1.0) == 3
     _alpha_k(-1.0, 0.8, 3)
     assert builds == []
@@ -564,7 +563,7 @@ def test_only_kept_rests_build_an_arc(made_runs, monkeypatch):
     full = [c for c in made_runs if c[1] == IntegratorSettings()]
     assert 1 < len(full) < len(made_runs)
     assert len(builds) == 1
-    assert builds[0].settings == IntegratorSettings()
+    assert settings_of[builds[0]] == IntegratorSettings()
     assert builds[0].samples[-1][1][3] == rec.alpha_residual
 
 
