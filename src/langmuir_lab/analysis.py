@@ -4,9 +4,12 @@ existence argument for the periodic orbit.
 Each check reduces integrations to a single worst-case violation number;
 a check passes iff that number is at or below its tolerance.  Sign checks
 use tolerance 0 with the convention that negative worst_violation means
-"safely on the right side".  A check with nothing to compare (an empty
-input, or no run that reaches the compared event) reports
-worst_violation = inf and fails.
+"safely on the right side"; zero_energy_monotone, whose facts are strict
+inequalities, passes only below 0.  The two tolerances on integration
+error, energy_drift's and inverted_concavity's, are fixed multiples of
+the settings' rel_tol.  A check with nothing to compare (an empty input,
+a run that took no step, or no run that reaches the compared event)
+reports worst_violation = inf and fails.
 
 The four checks on the E=-1 horizontal launches (tmax_bound,
 magical_prefix, energy_drift and tau_growth) integrate nothing: each
@@ -17,8 +20,9 @@ zero_energy_run makes.
 
 The checks reduce runs, not records: each reads a run's (t, (x, y, vx,
 vy)) samples, (kind, t, (x, y, vx, vy)) events and drift in one pass, and
-no `State` or `Trajectory` is built for them.  A run's drift covers its own
-states, its step ends and its stop: requested samples add none.
+no `State` or `Trajectory` is built for them.  No run requests a sample:
+a run's samples are its own states, its launch, its step ends and its
+stop, which its drift covers too.
 """
 
 from __future__ import annotations
@@ -37,23 +41,20 @@ from .shooting import _shoot, default_grid
 # harmonic oscillator with that stiffness rests at pi/(2*sqrt(8*gamma)).
 GAMMA = (49.0 / 4.0 + 49.0 / 4.0) ** -1.5
 T_MAX = math.pi / (2.0 * math.sqrt(8.0 * GAMMA))
-# Step ends fall far apart at eighth order, so the zero-energy checks, which
-# read a run's samples, also request their own: at least ZERO_ENERGY_SAMPLES
-# evenly spaced ones of zero_energy_run, 800 at the default span of 50, and
-# on a longer span enough that they lie at most ZERO_ENERGY_SPACING apart
-ZERO_ENERGY_SAMPLES = 800
-ZERO_ENERGY_SPACING = 0.1
-# and at most ZERO_ENERGY_MAX_SAMPLES, a span of t_end = 1e4: the times are
-# listed before the first step (a run of 1e5 peaks at about 46 MiB), and a
-# longer span is refused (at t_end = 1e9 the list would hold 1e10)
-ZERO_ENERGY_MAX_SAMPLES = 100_000
-# inverted_concavity's central differences read CONCAVITY_POINTS + 1 evenly
-# spaced samples from launch to CONCAVITY_SPAN (or to the run's end, if
-# sooner): on the ZERO_ENERGY_SAMPLES alone they miss their tolerance 9.5
-# times over near t = 0.75, and they are within 1e-4 relative only past t = 2
-CONCAVITY_POINTS = 300
-CONCAVITY_SPAN = 2.0
-SQRT63 = math.sqrt(63.0)
+# zero_energy_run's span is at most T_END_MAX.  At the default rel_tol a run
+# to 1e4 takes 143 steps (about 1.3 ms) and one to 1e100 takes 794, but one
+# to 1e150 never ends: past t = 9.5e107, where r = 2.8e102 and r^3 = 2.2e307
+# is near the float range, its accepted steps no longer advance t
+T_END_MAX = 1e4
+# energy_drift's tolerance is DRIFT_RATIO x rel_tol: the grid runs' worst
+# drift measured 0.72 to 4.3 x rel_tol from 1e-6 to 1e-14, and at most 35 x
+# at coarser ones; 100 x the default rel_tol is 1e-8 exactly
+DRIFT_RATIO = 100.0
+# inverted_concavity's tolerance is CONCAVITY_RATIO x rel_tol: its chain-rule
+# residual on zero_energy_run measured 0.04 to 0.51 x rel_tol from 1e-4 to
+# 1e-14 (0.09 x at the default), two to three times the run's drift, while
+# a closed form with a wrong term reads O(1)
+CONCAVITY_RATIO = 100.0
 
 
 class CheckReport(_Record):
@@ -183,125 +184,96 @@ def zero_energy_run(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> _Run:
     """The E=0 launch from height 1, which escapes to infinity, integrated
-    once to t_end, which must be finite and positive: its run (an
-    integrator `_Run`), which zero_energy_monotone and inverted_concavity
-    each reduce; its time limit is t_end.  The checks read samples from
-    the dense output: ZERO_ENERGY_SAMPLES evenly spaced times over (0,
-    t_end], or more on a long span, so that they lie no further than
-    ZERO_ENERGY_SPACING apart; and the CONCAVITY_POINTS evenly spaced times
-    of _concavity_grid(t_end) after launch.  A span longer than
-    t_end = 1e4, which would need more than ZERO_ENERGY_MAX_SAMPLES (1e5)
-    of those times, is refused with DomainError."""
+    once to t_end, its time limit: its run (an integrator `_Run`), which
+    zero_energy_monotone and inverted_concavity each reduce.  It requests
+    no samples: the checks read its launch, its step ends and its stop, 87
+    at the default span and tolerance.  t_end must be finite, positive and
+    at most T_END_MAX, or DomainError is raised."""
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and positive, got {t_end}")
-    if t_end / ZERO_ENERGY_SPACING > ZERO_ENERGY_MAX_SAMPLES:
+    if t_end > T_END_MAX:
         raise DomainError(
-            "t_end must be at most "
-            f"{ZERO_ENERGY_MAX_SAMPLES * ZERO_ENERGY_SPACING:g} "
-            f"({ZERO_ENERGY_MAX_SAMPLES} samples {ZERO_ENERGY_SPACING} "
-            f"apart), got {t_end}")
-    settings = settings.replace(t_limit=t_end)
-    n = max(ZERO_ENERGY_SAMPLES, math.ceil(t_end / ZERO_ENERGY_SPACING))
+            f"t_end must be at most {T_END_MAX:g}, got {t_end}: a far "
+            f"longer escape run may never end (one to 1e150 stalls at "
+            f"r = 2.8e102)")
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
-    return _Run(s0, settings, (), (), [
-        *(t_end * j / n for j in range(1, n + 1)),
-        *_concavity_grid(t_end)[1:]]).advance()
-
-
-def _concavity_grid(t_end: float) -> list[float]:
-    """CONCAVITY_POINTS + 1 evenly spaced times from launch to
-    min(t_end, CONCAVITY_SPAN)."""
-    span = min(t_end, CONCAVITY_SPAN)
-    return [span * j / CONCAVITY_POINTS for j in range(CONCAVITY_POINTS + 1)]
+    return _Run(s0, settings.replace(t_limit=t_end), (), (), ()).advance()
 
 
 def check_zero_energy_monotone(run: _Run) -> CheckReport:
     """On the zero_energy_run `run` the distance from the nucleus grows
-    monotonically and the orbit stays inside the unbounded zero-energy Hill
-    region y >= |x|/sqrt(63).  Growth is judged by r'/t > 0 at every
-    sample after launch, the step ends and requested times: r' = 0 at
-    launch, but r'/t tends to 7 there, so its minimum does not depend on
-    where the first step ends."""
-    samples = run.samples
-    min_rdot_t = math.inf
-    hill_worst = -math.inf
-    y_above_one = 0  # diagnostic only; see details
-    for t, (x, y, vx, vy) in samples:
-        q = abs(x) / SQRT63 - y
-        if q > hill_worst:
-            hill_worst = q
-        if t > 0.0:
-            # r'/t, r' = (x vx + y vy)/r
-            q = (x * vx + y * vy) / math.hypot(x, y) / t
-            if q < min_rdot_t:
-                min_rdot_t = q
-            if y > 1.0:
-                y_above_one += 1
-    # with no sample after launch (the samples are in time order) nothing is
-    # compared: worst is inf
-    if not samples[-1][0] > 0.0:
-        min_rdot_t = -math.inf
-    worst = max(-min_rdot_t, hill_worst)
-    return CheckReport.from_violation(
+    monotonically.  V = -4/r + 1/(2y) is homogeneous of degree -1 and the
+    field is -2 grad V, so the Lagrange-Jacobi identity reads
+    (q.v)' = 4E - 2V: at E = 0, r r' = q.v grows wherever V < 0, which
+    there is also the Hill region and a nonzero speed.  So the check reads
+    the run's samples, its launch, step ends and stop: V < 0 at every one,
+    and q.v rising strictly from each to the next.  Its worst is the
+    larger of the largest V and the smallest rise negated, and it passes
+    only below 0.  A run that took no step compares nothing."""
+    states = [v for _, v in run.samples]
+    max_v = max(-4.0 / math.hypot(x, y) + 0.5 / y for x, y, _, _ in states)
+    qv = [x * vx + y * vy for x, y, vx, vy in states]
+    min_rise = min((b - a for a, b in zip(qv, qv[1:])), default=-math.inf)
+    worst = max(max_v, -min_rise)
+    return CheckReport(
         "zero_energy_monotone",
+        worst < 0.0,
         worst,
         0.0,
         {
-            "t_end": samples[-1][0],
-            "min_radial_velocity_over_t": min_rdot_t,
-            "hill_worst": hill_worst,
-            "n_samples": len(samples),
+            "t_end": run.samples[-1][0],
+            "max_potential": max_v,
+            "min_qv_rise": min_rise,
+            "n_samples": len(states),
             "max_energy_drift": run.drift,
             # descent of the zero-energy orbit (y <= 1 after launch) is a
             # diagnostic, not a gate
-            "samples_with_y_above_1": y_above_one,
+            "samples_with_y_above_1": sum(1 for v in states if v[1] > 1.0),
         },
     )
 
 
-def check_inverted_concavity(run: _Run) -> CheckReport:
+def _inverted_rdd(r: float, rdot: float, pphi: float) -> float:
+    """rho^4 rho'' of the circle-inverted chart, in planar terms at E = 0
+    (see check_inverted_concavity): -(3/2) r r'^2 - 2 p_phi^2/r."""
+    return -1.5 * r * rdot * rdot - 2.0 * pphi * pphi / r
+
+
+def check_inverted_concavity(
+    run: _Run,
+    settings: IntegratorSettings = IntegratorSettings(),
+) -> CheckReport:
     """On the zero-energy orbit the radius rho = 1/r of the circle-inverted
     chart (q -> 1/conj(q), p -> -q^2 conj(p), with time tau, dt/dtau = r^4)
     is strictly concave: rho'' = (2/rho)(-3 p_rho^2 - p_phi^2/rho^2) < 0.
     The chart's momenta are 2 p_rho = -r^2 r' and p_phi = (x vy - y vx)/2
     of the planar state, so in planar time this reads
-    d(-r^2 r')/dt = rho^4 rho'' = -(3/2) r r'^2 - 2 p_phi^2/r, which the
-    zero_energy_run `run` gives without a run in the chart.  The closed
-    form must be negative at every sample and agree with a central
-    difference of -r^2 r' on the _concavity_grid of the run's last sample
-    time t_end: from launch to min(t_end, CONCAVITY_SPAN), which is
-    tau = 0.321 when t_end >= CONCAVITY_SPAN."""
+    d(-r^2 r')/dt = rho^4 rho'' = -(3/2) r r'^2 - 2 p_phi^2/r, negative by
+    its form.  What the check tests is that form.  By the chain rule
+    d(-r^2 r')/dt is also -(2 r r'^2 + r^2 r''), with
+    r'' = (|v|^2 + q.a - r'^2)/r and the field a from
+    dynamics.acceleration; the two agree where E = 0 and differ by the
+    energy error elsewhere.  The check's worst is their largest mismatch
+    relative to the closed form over the samples of the zero_energy_run
+    `run` (its launch, step ends and stop), against CONCAVITY_RATIO times
+    the settings' rel_tol.  A run that took no step compares nothing."""
     samples = run.samples
-    grid = set(_concavity_grid(samples[-1][0]))
-    concavity_worst = -math.inf
-    on_grid = []  # (t, -r^2 r', closed form) at the grid's times
+    worst, worst_t = (-math.inf if len(samples) > 1 else math.inf), None
     for t, (x, y, vx, vy) in samples:
         r = math.hypot(x, y)
         rdot = (x * vx + y * vy) / r
-        pphi = 0.5 * (x * vy - y * vx)
-        rdd = -1.5 * r * rdot * rdot - 2.0 * pphi * pphi / r
-        if rdd > concavity_worst:
-            concavity_worst = rdd
-        if t in grid:
-            on_grid.append((t, -r * r * rdot, rdd))
-    # with no interior grid point nothing is compared: worst is inf
-    fd_worst = -math.inf if len(on_grid) > 2 else math.inf
-    for (tm, fm, _), (_, _, rdd), (tp, fp, _) in zip(
-            on_grid, on_grid[1:], on_grid[2:]):
-        fd_worst = max(
-            fd_worst,
-            abs(rdd - (fp - fm) / (tp - tm)) - max(1e-6, 1e-3 * abs(rdd)),
-        )
-    worst = max(concavity_worst, fd_worst)
+        ax, ay = dynamics.acceleration(x, y)
+        rdd = (vx * vx + vy * vy + x * ax + y * ay - rdot * rdot) / r
+        closed = _inverted_rdd(r, rdot, 0.5 * (x * vy - y * vx))
+        q = abs(-(2.0 * r * rdot * rdot + r * r * rdd) - closed) / abs(closed)
+        if q > worst:
+            worst, worst_t = q, t
     return CheckReport.from_violation(
         "inverted_concavity",
         worst,
-        0.0,
-        {
-            "t_end": max(grid),
-            "max_closed_form_rdd": concavity_worst,
-            "fd_mismatch_worst": fd_worst,
-        },
+        CONCAVITY_RATIO * settings.rel_tol,
+        {"t_end": samples[-1][0], "n_samples": len(samples),
+         "worst_t": worst_t},
     )
 
 
@@ -325,14 +297,18 @@ def check_tau_growth(runs) -> CheckReport:
     )
 
 
-def check_energy_drift(runs) -> CheckReport:
+def check_energy_drift(
+    runs,
+    settings: IntegratorSettings = IntegratorSettings(),
+) -> CheckReport:
     """Relative energy drift of each of the grid_runs pairs `runs`, with or
-    without an x-rest, stays within 1e-8."""
+    without an x-rest, stays within DRIFT_RATIO times the settings'
+    rel_tol, the tolerance the runs were made with."""
     drifts = {r.h: run.drift for run, r in runs}
     return CheckReport.from_violation(
         "energy_drift",
         max(drifts.values(), default=math.inf),
-        1e-8,
+        DRIFT_RATIO * settings.rel_tol,
         {"drift_by_h": drifts},
     )
 
@@ -347,9 +323,9 @@ def run_all_checks(
     runs = grid_runs(None, settings)
     zero = zero_energy_run(settings=settings)
     return [
-        check_energy_drift(runs),
+        check_energy_drift(runs, settings),
         check_initial_acceleration(),
-        check_inverted_concavity(zero),
+        check_inverted_concavity(zero, settings),
         check_magical_prefix(runs),
         check_tau_growth(runs),
         check_tmax_bound(runs),

@@ -178,7 +178,7 @@ def cmd_zero_energy(args) -> int:
     run = analysis.zero_energy_run(args.t_end, settings)
     reports = [
         analysis.check_zero_energy_monotone(run),
-        analysis.check_inverted_concavity(run),
+        analysis.check_inverted_concavity(run, settings),
     ]
     text = output.verdict_json(reports)
     _write(args.report, text)

@@ -59,13 +59,19 @@ class TestIndividualChecks:
         assert rep.details["n_checked"] > 0
 
     def test_zero_energy_monotone_passes(self, zero_run):
+        # V < 0 at every sample of the run and q.v rising across every
+        # step, by the margins measured on the run: its largest V is
+        # -0.0851, at its end, and its smallest rise 2.7e-2.  It reads each
+        # of the run's own samples, and those alone
         rep = analysis.check_zero_energy_monotone(zero_run)
         assert rep.passed
-        assert rep.details["min_radial_velocity_over_t"] > 0.0
+        assert rep.details["max_potential"] == pytest.approx(-0.0851,
+                                                             abs=1e-4)
+        assert rep.details["min_qv_rise"] >= 0.02
+        assert rep.worst_violation == -rep.details["min_qv_rise"]
         assert rep.details["max_energy_drift"] <= 1e-8
-        # no fewer points than the 771 the run read when its step was
-        # capped at 0.1
-        assert rep.details["n_samples"] >= 771
+        assert rep.details["n_samples"] == len(zero_run.samples)
+        assert rep.details["t_end"] == 50.0
 
     def test_zero_energy_rejects_bad_horizon(self):
         # the run names its own span, before it replaces the settings'
@@ -76,24 +82,31 @@ class TestIndividualChecks:
             with pytest.raises(DomainError,
                                match="t_end must be finite and positive"):
                 analysis.zero_energy_run(t_end)
-        # the requested times are listed before the first step: a span past
-        # 1e4 (ZERO_ENERGY_MAX_SAMPLES of them, 0.1 apart) is refused before
-        # any is, and 1e308, whose count is inf, with it
-        assert analysis.ZERO_ENERGY_MAX_SAMPLES == 100_000
+        # a span past T_END_MAX (1e4) is refused before the first step,
+        # 1e308 with it: a run to 1e150 would not end
+        assert analysis.T_END_MAX == 1e4
         for t_end in (math.nextafter(1e4, math.inf), 1e9, 1e308):
             with pytest.raises(DomainError, match=re.escape(
-                    "t_end must be at most 10000 (100000 samples 0.1 "
-                    f"apart), got {t_end!r}")):
+                    f"t_end must be at most 10000, got {t_end!r}: ")):
                 analysis.zero_energy_run(t_end)
 
+    def test_longest_zero_energy_span_passes(self):
+        # the bound itself is a span the run ends, in 143 samples
+        run = analysis.zero_energy_run(1e4)
+        assert len(run.samples) == 143 and run.samples[-1][0] == 1e4
+        assert analysis.check_zero_energy_monotone(run).passed
+        assert analysis.check_inverted_concavity(run).passed
+
     def test_inverted_concavity_passes(self, zero_run):
-        # the closed form is largest at launch, -7 = -2 p_phi^2 there, and
-        # the differences cover t <= 2, which is tau = 0.321 in the chart
+        # the chain rule's d(-r^2 r')/dt and the closed form agree at every
+        # sample of the whole run, t <= 50, within 0.09 x rel_tol as
+        # measured (at most 1e-2 x the tolerance of 100 x rel_tol)
         rep = analysis.check_inverted_concavity(zero_run)
         assert rep.passed
-        assert rep.details["max_closed_form_rdd"] == pytest.approx(-7.0)
-        assert rep.details["fd_mismatch_worst"] <= 0.0
-        assert rep.details["t_end"] == analysis.CONCAVITY_SPAN
+        assert rep.tolerance == analysis.CONCAVITY_RATIO * 1e-10 == 1e-8
+        assert 0.0 < rep.worst_violation <= 1e-2 * rep.tolerance
+        assert rep.details["t_end"] == 50.0
+        assert rep.details["n_samples"] == len(zero_run.samples)
 
     def test_tau_growth_passes(self, runs):
         # tau grows strictly as h falls, over the whole default grid
@@ -107,6 +120,8 @@ class TestIndividualChecks:
     def test_energy_drift_passes(self, runs):
         rep = analysis.check_energy_drift(runs)
         assert rep.passed
+        # DRIFT_RATIO x the default rel_tol is 1e-8, bit for bit
+        assert rep.tolerance == analysis.DRIFT_RATIO * 1e-10 == 1e-8
         assert rep.worst_violation <= 1e-8
         assert len(rep.details["drift_by_h"]) == len(runs)
 
@@ -130,6 +145,19 @@ def test_energy_drift_fails_on_a_drifting_run(runs):
     rep = analysis.check_energy_drift(bad)
     assert not rep.passed
     assert rep.worst_violation == 1e-6
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-13])
+def test_energy_drift_tolerance_follows_rel_tol(runs, rel_tol):
+    # a run whose drift is DRIFT_RATIO (100) x rel_tol passes, and one at
+    # 101 x fails, at any tolerance
+    settings = IntegratorSettings(rel_tol=rel_tol)
+    planted = copy.copy(runs[0][0])
+    for ratio, passed in ((100.0, True), (101.0, False)):
+        planted.drift = ratio * rel_tol
+        rep = analysis.check_energy_drift([(planted, runs[0][1])], settings)
+        assert rep.tolerance == analysis.DRIFT_RATIO * rel_tol
+        assert rep.passed is passed
 
 
 def test_runs_without_a_rest_fail_the_rest_time_checks():
@@ -158,11 +186,10 @@ def test_runs_without_a_rest_fail_the_rest_time_checks():
             id="tau_growth"),
         pytest.param(lambda: analysis.check_energy_drift([]),
                      id="energy_drift"),
-        # a horizon shorter than h_min: the run has no sample after launch
+        # a horizon shorter than h_min: the run takes no step, so its one
+        # sample is its launch
         pytest.param(lambda: analysis.check_zero_energy_monotone(
             analysis.zero_energy_run(1e-15)), id="zero_energy_monotone"),
-        # a horizon shorter than h_min: the run has no sample after launch,
-        # so no interior one for the central difference
         pytest.param(lambda: analysis.check_inverted_concavity(
             analysis.zero_energy_run(1e-15)), id="inverted_concavity"),
     ],
@@ -196,43 +223,98 @@ def test_magical_prefix_fails_on_a_rising_sample():
     assert rep.worst_violation == 1e-6 / planted.t
 
 
+def _qv(v):
+    """q.v = x vx + y vy of the state tuple v, which is r r'."""
+    return v[0] * v[2] + v[1] * v[3]
+
+
 def test_zero_energy_monotone_fails_on_an_approaching_sample():
-    # one step-end sample moving towards the nucleus: r' < 0
+    # one step-end sample moving towards the nucleus: r' < 0, so q.v falls
+    # in the step to it
     run = analysis.zero_energy_run()
     planted = _plant(run, lambda v: (v[0], v[1], -v[2], -v[3]))
+    i = [t for t, _ in run.samples].index(planted.t)
     rep = analysis.check_zero_energy_monotone(run)
     assert radial_velocity(planted) < 0.0
     assert not rep.passed
     assert rep.worst_violation == (
-        -radial_velocity(planted) / planted.t
-    )
+        _qv(run.samples[i - 1][1]) - _qv(run.samples[i][1]))
+
+
+def test_zero_energy_monotone_fails_on_a_step_that_does_not_rise():
+    # a step end whose state is the previous one's: q.v does not rise in
+    # that step (it rises in the next), and every V stays negative.  The
+    # rise must be strict, so a worst of exactly 0 fails
+    run = analysis.zero_energy_run()
+    i = len(run.samples) // 2
+    run.samples[i] = (run.samples[i][0], run.samples[i - 1][1])
+    rep = analysis.check_zero_energy_monotone(run)
+    assert rep.details["max_potential"] < 0.0
+    assert rep.details["min_qv_rise"] == 0.0
+    assert rep.worst_violation == 0.0
+    assert not rep.passed
+
+
+def test_zero_energy_monotone_fails_on_a_sample_outside_the_hill_region():
+    # one step-end sample moved onto the zero-energy Hill boundary
+    # |x| = sqrt(63) y, where V = -4/(8y) + 1/(2y) = 0 (exactly, at a y
+    # that is a power of two), its velocity scaled so that q.v, and so
+    # every rise, is as before.  V must be negative, so 0 fails
+    run = analysis.zero_energy_run()
+
+    def onto_the_boundary(v):
+        y = 2.0 ** round(math.log2(v[1]))
+        x = math.copysign(math.sqrt(63.0) * y, v[0])
+        k = _qv(v) / (x * v[2] + y * v[3])
+        return x, y, k * v[2], k * v[3]
+
+    planted = _plant(run, onto_the_boundary)
+    rep = analysis.check_zero_energy_monotone(run)
+    assert dyn.energy_vec((planted.x, planted.y, 0.0, 0.0)) == 0.0
+    assert rep.details["max_potential"] == 0.0
+    assert rep.details["min_qv_rise"] > 0.0
+    assert rep.worst_violation == 0.0
+    assert not rep.passed
 
 
 def test_inverted_concavity_fails_on_a_displaced_sample(zero_run):
-    # the sample at t = 1, on the concavity grid, with its velocity 1e-3
-    # too long: the closed form stays negative, but the central
-    # differences beside it miss it
-    samples = list(zero_run.samples)
-    i = next(i for i, (t, _) in enumerate(samples) if t == 1.0)
-    t, (x, y, vx, vy) = samples[i]
-    samples[i] = (t, (x, y, 1.001 * vx, 1.001 * vy))
+    # a step-end sample with its velocity 1e-3 too long, off E = 0 by
+    # about 2e-3 of its kinetic energy: the closed form, which assumes
+    # E = 0, misses the chain rule's value there by about 1e-3 relative,
+    # 1e5 x the tolerance
     displaced = copy.copy(zero_run)
-    displaced.samples = samples
+    displaced.samples = list(zero_run.samples)
+    planted = _plant(displaced, lambda v: (v[0], v[1], 1.001 * v[2],
+                                           1.001 * v[3]))
     rep = analysis.check_inverted_concavity(displaced)
-    assert rep.details["max_closed_form_rdd"] < 0.0
     assert not rep.passed
-    assert rep.worst_violation == rep.details["fd_mismatch_worst"] > 0.0
+    assert rep.details["worst_t"] == planted.t
+    assert rep.worst_violation > 1e4 * rep.tolerance
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda r, rdot, pphi: 1.5 * r * rdot * rdot - 2.0 * pphi * pphi / r,
+    lambda r, rdot, pphi: -1.5 * r * rdot * rdot + 2.0 * pphi * pphi / r,
+], ids=["radial_term", "angular_term"])
+def test_inverted_concavity_fails_on_a_wrong_closed_form(monkeypatch,
+                                                         zero_run, wrong):
+    # the closed form with one term's sign flipped misses the chain rule's
+    # value by O(1) relative, where the true one misses it by 1e-11
+    monkeypatch.setattr(analysis, "_inverted_rdd", wrong)
+    rep = analysis.check_inverted_concavity(zero_run)
+    assert not rep.passed
+    assert rep.worst_violation > 0.1
 
 
 def _made_runs(monkeypatch):
-    """The (settings, requested times) of each integrator `_Run` made from
-    now on, in order, read by wrapping its __init__ as the made_runs
-    fixture does."""
+    """The (settings, watch, stop, requested times) of each integrator
+    `_Run` made from now on, in order, read by wrapping its __init__ as
+    the made_runs fixture does."""
     made = []
     real = integrator._Run.__init__
 
     def init(self, s0, settings, watch, stop, sample_times, *args):
-        made.append((settings, sample_times))
+        made.append((settings, watch, stop, sample_times))
         real(self, s0, settings, watch, stop, sample_times, *args)
 
     monkeypatch.setattr(integrator._Run, "__init__", init)
@@ -241,63 +323,57 @@ def _made_runs(monkeypatch):
 
 def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
     # the checks' run steps as its error control allows, up to its time
-    # limit, its span; at requested times up to t = 5 its samples agree
-    # with the fixed-step RK4 of conftest, in steps of 1e-3, within 1e-9
-    # (measured 4.0e-11 at t = 5, about the RK4's own error: 5.4e-10 at
-    # steps of 2e-3, 4.5e-12 at 5e-4)
+    # limit, its span; at each of its step ends up to t = 5 its state
+    # agrees with the fixed-step RK4 of conftest, stepped from one step end
+    # to the next in steps of at most 1e-3, within 1e-9 (measured 3.8e-11
+    # at worst, at the last of the 56 step ends, about the RK4's own error
+    # at t = 5: 5.4e-10 at steps of 2e-3, 4.5e-12 at 5e-4)
     made = _made_runs(monkeypatch)
     run = analysis.zero_energy_run()
     assert analysis.check_zero_energy_monotone(run).passed
-    [(settings, _)] = made
+    [(settings, _, _, _)] = made
     assert settings.t_limit == 50.0
-    by_time = dict(run.samples)
-    _, v0 = run.samples[0]
-    for t in (1.0, 2.5, 5.0):
-        want = rk4_fixed(*v0, t, 1e-3)
-        assert max(abs(a - b) for a, b in zip(want, by_time[t])) <= 1e-9
+    (t0, v), *ends = [(t, v) for t, v in run.samples if t <= 5.0]
+    assert t0 == 0.0 and len(ends) >= 10
+    for t, got in ends:
+        n = math.ceil((t - t0) / 1e-3)
+        v = rk4_fixed(*v, t - t0, (t - t0) / n)
+        assert max(abs(a - b) for a, b in zip(v, got)) <= 1e-9
+        t0 = t
 
 
-def _zero_energy_run_settings(monkeypatch, t_end, settings):
-    """The settings and requested times of zero_energy_run's run, which is
-    made but not stepped."""
+def test_zero_energy_samples_are_the_run_s_step_ends(monkeypatch):
+    # over a long span, t = 500, the checks read the run's launch and one
+    # sample per accepted trial step, the last of them at the span
+    accepted = [0]
+
+    def trial(*args, _real=integrator._trial):
+        out = _real(*args)
+        accepted[0] += out[2] <= 1.0
+        return out
+
+    monkeypatch.setattr(integrator, "_trial", trial)
+    run = analysis.zero_energy_run(t_end=500.0)
+    rep = analysis.check_zero_energy_monotone(run)
+    assert rep.passed
+    assert rep.details["n_samples"] == accepted[0] + 1
+    times = [t for t, _ in run.samples]
+    assert times[0] == 0.0 and times[-1] == 500.0
+    assert all(a < b for a, b in zip(times, times[1:]))
+
+
+def test_zero_energy_run_requests_nothing(monkeypatch):
+    # at any tolerance, however long its span, the run is made with the
+    # given settings at t_limit = t_end, so only its span caps its step; it
+    # watches and stops at no kind of its own (collision proximity and the
+    # time limit end every run) and requests no time
+    fine = IntegratorSettings(rel_tol=1e-20)
     made = _made_runs(monkeypatch)
     monkeypatch.setattr(integrator._Run, "advance", lambda run: run)
-    analysis.zero_energy_run(t_end, settings)
-    [got] = made
-    return got
-
-
-def test_zero_energy_samples_are_no_further_apart_than_h_max():
-    # a long span reads its samples ZERO_ENERGY_SPACING (0.1) apart or
-    # closer, as densely as the ends of steps capped there once lay: 5,000
-    # points or more over t = 500
-    rep = analysis.check_zero_energy_monotone(
-        analysis.zero_energy_run(t_end=500.0))
-    assert rep.passed
-    assert rep.details["n_samples"] >= 5000
-
-
-def test_zero_energy_step_is_capped_where_events_are_located(monkeypatch):
-    # only the run's span caps its step, at any tolerance, however many
-    # event tolerances that span holds (an event's location budget grows
-    # with the step); the run requests its evenly spaced times, at least
-    # 800 and no further than ZERO_ENERGY_SPACING apart, then the concavity
-    # grid's
-    fine = IntegratorSettings(rel_tol=1e-20)
-    points = analysis.CONCAVITY_POINTS
-    settings, times = _zero_energy_run_settings(monkeypatch, 1.0, fine)
-    assert settings == fine.replace(t_limit=1.0)
-    assert len(times) == 800 + points and times[799] == 1.0
-    assert times[800:] == [j / points for j in range(1, points + 1)]
-    assert analysis.ZERO_ENERGY_SPACING == 0.1
-    settings, times = _zero_energy_run_settings(monkeypatch, 200.0, fine)
-    assert settings == fine.replace(t_limit=200.0)
-    assert len(times) == 2000 + points and times[1999] == 200.0
-    assert times[-1] == analysis.CONCAVITY_SPAN
-    # the longest span allowed lists its bound's worth of times
-    _, times = _zero_energy_run_settings(monkeypatch, 1e4, fine)
-    assert len(times) == analysis.ZERO_ENERGY_MAX_SAMPLES + points
-    assert times[analysis.ZERO_ENERGY_MAX_SAMPLES - 1] == 1e4
+    for t_end in (1.0, 200.0, 1e4):
+        analysis.zero_energy_run(t_end, fine)
+    assert made == [(fine.replace(t_limit=t_end), (), (), ())
+                    for t_end in (1.0, 200.0, 1e4)]
 
 
 def _rk4_steps(v0, t_end, dt=1e-4):
@@ -374,34 +450,25 @@ def test_reduced_checks_agree_with_the_records_of_integrate(runs, zero_run):
             prefix += [cross.state.vy / cross.t] + [
                 s.vy / s.t for s in traj.samples if 0.0 < s.t < cross.t]
 
-    t_end, span = 50.0, analysis.CONCAVITY_SPAN
-    zero = integrate(
-        dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0)),
-        IntegratorSettings(t_limit=t_end),
-        sample_times=[t_end * j / 800 for j in range(1, 801)]
-        + [span * j / 300 for j in range(1, 301)])
-    samples = zero.samples
+    zero = integrate(dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0)),
+                     IntegratorSettings(t_limit=50.0)).samples
+    qv = [s.x * s.vx + s.y * s.vy for s in zero]
     monotone = max(
-        -min(radial_velocity(s) / s.t for s in samples if s.t > 0.0),
-        max(abs(s.x) / math.sqrt(63.0) - s.y for s in samples))
+        max(-4.0 / math.hypot(s.x, s.y) + 0.5 / s.y for s in zero),
+        -min(b - a for a, b in zip(qv, qv[1:])))
 
-    def minus_r2_rdot(s):
-        r = math.hypot(s.x, s.y)
-        return -r * r * radial_velocity(s)
-
-    def closed_form(s):  # d(-r^2 r')/dt
+    def concavity_mismatch(s):
+        # the chain rule's d(-r^2 r')/dt against the closed form, relative
         r, rdot = math.hypot(s.x, s.y), radial_velocity(s)
+        ax, ay = dyn.acceleration(s.x, s.y)
+        rdd = (s.vx * s.vx + s.vy * s.vy + s.x * ax + s.y * ay
+               - rdot * rdot) / r
         pphi = 0.5 * (s.x * s.vy - s.y * s.vx)
-        return -1.5 * r * rdot * rdot - 2.0 * pphi * pphi / r
+        closed = -1.5 * r * rdot * rdot - 2.0 * pphi * pphi / r
+        return abs(-(2.0 * r * rdot * rdot + r * r * rdd) - closed) / abs(
+            closed)
 
-    by_time = {s.t: s for s in samples}
-    on_grid = [by_time[span * j / 300] for j in range(301)]
-    mismatch = []
-    for sm, s, sp in zip(on_grid, on_grid[1:], on_grid[2:]):
-        rdd = closed_form(s)
-        fd = (minus_r2_rdot(sp) - minus_r2_rdot(sm)) / (sp.t - sm.t)
-        mismatch.append(abs(rdd - fd) - max(1e-6, 1e-3 * abs(rdd)))
-    concavity = max(max(map(closed_form, samples)), max(mismatch))
+    concavity = max(map(concavity_mismatch, zero))
 
     want = {
         "energy_drift": max(traj.max_energy_drift for traj in trajs),
@@ -424,22 +491,26 @@ def test_reduced_checks_agree_with_the_records_of_integrate(runs, zero_run):
 
 
 def test_zero_energy_margin_agrees_with_fixed_step_rk4():
-    # over (0, 0.5] r'/t is smallest at the horizon; the fixed-step RK4 of
-    # conftest, in steps of 1e-4, reproduces it within 1e-9 (measured
-    # 1.2e-12) and finds no smaller r'/t at any of its steps.  The end
-    # state is the checked run's own last sample, at t_end
+    # over (0, 0.5] V is largest at the horizon and q.v rises throughout:
+    # the fixed-step RK4 of conftest, in steps of 1e-4, reproduces the
+    # check's largest V within 1e-9 (measured 3.0e-12) and finds no larger
+    # V and no fall of q.v at any of its steps, between the run's step ends
+    # too.  The end state is the checked run's own last sample, at t_end
     t_end = 0.5
     run = analysis.zero_energy_run(t_end)
     rep = analysis.check_zero_energy_monotone(run)
-    t, end = run.samples[-1]
+    assert rep.passed
+    t, (x, y, _, _) = run.samples[-1]
     assert t == t_end
-    got = rep.details["min_radial_velocity_over_t"]
-    assert got == radial_velocity(dyn.State(t, *end)) / t
+    got = rep.details["max_potential"]
+    assert got == -4.0 / math.hypot(x, y) + 0.5 / y
     s0 = dyn.initial_state(dyn.ProblemSpec(E=0.0, h=1.0))
     steps = _rk4_steps((s0.x, s0.y, s0.vx, s0.vy), t_end)
-    rdot_t = [radial_velocity(dyn.State(t, *v)) / t for t, v in steps]
-    assert abs(rdot_t[-1] - got) <= 1e-9
-    assert min(rdot_t) == rdot_t[-1]
+    pot = [-4.0 / math.hypot(x, y) + 0.5 / y for _, (x, y, _, _) in steps]
+    assert abs(pot[-1] - got) <= 1e-9
+    assert max(pot) == pot[-1] < 0.0
+    qv = [0.0] + [x * vx + y * vy for _, (x, y, vx, vy) in steps]
+    assert all(a < b for a, b in zip(qv, qv[1:]))
 
 
 class TestTauValues:

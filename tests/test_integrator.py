@@ -1253,16 +1253,19 @@ def _rejected_bracket(bracket):
     (lambda: _classify(shooting.DEFAULT_BRAKE_BRACKET), 3_134),
     # a bracket no rest count separates: each end runs once, to 8 rests
     (lambda: _rejected_bracket((0.3, 0.3)), 9_930),
-    # its step capped only by its span of 50; the interpolants of its early
-    # requests for inverted_concavity's differences cost 45 of these
+    # its step capped only by its span of 50, requesting no sample and
+    # building no interpolant: 87 trial steps (86 accepted) x 12, plus its
+    # launch
     (lambda: analysis.check_zero_energy_monotone(analysis.zero_energy_run()),
-     1_303),
+     1_045),
     # the 50-launch default grid, launched as scan_alpha launches it but
     # locating each magical-line crossing, which magical_prefix reads
     (lambda: analysis.check_magical_prefix(analysis.grid_runs()), 13_859),
     # the whole suite: the grid checks reduce that one scan, and
-    # zero_energy_monotone and inverted_concavity the zero-energy run
-    (lambda: analysis.run_all_checks(), 16_162),
+    # zero_energy_monotone and inverted_concavity the zero-energy run:
+    # 13,859 + 1,000 (check_initial_acceleration) + 1,045, plus the 87
+    # dynamics.acceleration calls of inverted_concavity, one per sample
+    (lambda: analysis.run_all_checks(), 15_991),
     # the run `simulate` makes, which watches every kind it can emit
     (lambda: integrate(
         dyn.initial_state(ProblemSpec(E=-1.0, h=1.398)),
@@ -1354,9 +1357,9 @@ def test_field_evaluations_follow_from_the_step_loop(field_calls, made_runs,
 def test_the_suite_builds_no_records(monkeypatch):
     # the checks reduce the runs themselves: the suite makes no State
     # through _vec_to_state, and it evaluates the energy only at each run's
-    # launch, step ends and stop (50 grid runs and the zero-energy run), at
-    # none of the zero-energy run's 1,095 requested samples.  Pinned exactly,
-    # as the field evaluations are
+    # launch, step ends and stop (50 grid runs and the zero-energy run),
+    # and no check evaluates it again.  Pinned exactly, as the field
+    # evaluations are
     calls = {"_vec_to_state": 0, "energy_vec": 0}
 
     def counting(module, name):
