@@ -7,9 +7,9 @@ use tolerance 0 with the convention that negative worst_violation means
 "safely on the right side"; zero_energy_monotone, whose facts are strict
 inequalities, passes only below 0.  The two tolerances on integration
 error, energy_drift's and inverted_concavity's, are fixed multiples of
-the settings' rel_tol.  A check with nothing to compare (an empty input,
-a run that took no step, or no run that reaches the compared event)
-reports worst_violation = inf and fails.
+the settings' rel_tol, capped at TOL_CEILING.  A check with nothing to
+compare (an empty input, a run that took no step, or no run that reaches
+the compared event) reports worst_violation = inf and fails.
 
 The four checks on the E=-1 horizontal launches (tmax_bound,
 magical_prefix, energy_drift and tau_growth) integrate nothing: each
@@ -20,9 +20,8 @@ zero_energy_run makes.
 
 The checks reduce runs, not records: each reads a run's (t, (x, y, vx,
 vy)) samples, (kind, t, (x, y, vx, vy)) events and drift in one pass, and
-no `State` or `Trajectory` is built for them.  No run requests a sample:
-a run's samples are its own states, its launch, its step ends and its
-stop, which its drift covers too.
+no `State` or `Trajectory` is built for them.  A run's samples, its
+launch, its step ends and its stop, are what its drift covers too.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ GAMMA = (49.0 / 4.0 + 49.0 / 4.0) ** -1.5
 T_MAX = math.pi / (2.0 * math.sqrt(8.0 * GAMMA))
 # zero_energy_run's span is at most T_END_MAX.  At the default rel_tol a run
 # to 1e4 takes 143 steps (about 1.3 ms) and one to 1e100 takes 794, but one
-# to 1e150 never ends: past t = 9.5e107, where r = 2.8e102 and r^3 = 2.2e307
-# is near the float range, its accepted steps no longer advance t
+# to 1e150 raises StepUnderflow at t = 9.5e107, where r = 2.8e102 and
+# r^3 = 2.2e307 nears the float range: its step no longer advances t
 T_END_MAX = 1e4
 # energy_drift's tolerance is DRIFT_RATIO x rel_tol: the grid runs' worst
 # drift measured 0.72 to 4.3 x rel_tol from 1e-6 to 1e-14, and at most 35 x
@@ -55,6 +54,10 @@ DRIFT_RATIO = 100.0
 # 1e-14 (0.09 x at the default), two to three times the run's drift, while
 # a closed form with a wrong term reads O(1)
 CONCAVITY_RATIO = 100.0
+# Both tolerances above are at most TOL_CEILING, their value at rel_tol
+# 1e-6, so that a coarse rel_tol passes no inaccurate run: the grid runs'
+# worst drift measured 7.9e-5 at rel_tol 1e-5, 1.0e-3 at 1e-4, 1.26 at 0.5
+TOL_CEILING = 1e-4
 
 
 class CheckReport(_Record):
@@ -185,19 +188,19 @@ def zero_energy_run(
 ) -> _Run:
     """The E=0 launch from height 1, which escapes to infinity, integrated
     once to t_end, its time limit: its run (an integrator `_Run`), which
-    zero_energy_monotone and inverted_concavity each reduce.  It requests
-    no samples: the checks read its launch, its step ends and its stop, 87
-    at the default span and tolerance.  t_end must be finite, positive and
-    at most T_END_MAX, or DomainError is raised."""
+    zero_energy_monotone and inverted_concavity each reduce: they read its
+    launch, its step ends and its stop, 87 samples at the default span and
+    tolerance.  t_end must be finite, positive and at most T_END_MAX, or
+    DomainError is raised."""
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and positive, got {t_end}")
     if t_end > T_END_MAX:
         raise DomainError(
             f"t_end must be at most {T_END_MAX:g}, got {t_end}: a far "
-            f"longer escape run may never end (one to 1e150 stalls at "
-            f"r = 2.8e102)")
+            f"longer escape run may not reach its span (one to 1e150 "
+            f"underflows its step at r = 2.8e102)")
     s0 = dynamics.initial_state(ProblemSpec(E=0.0, h=1.0))
-    return _Run(s0, settings.replace(t_limit=t_end), (), (), ()).advance()
+    return _Run(s0, settings.replace(t_limit=t_end), (), ()).advance()
 
 
 def check_zero_energy_monotone(run: _Run) -> CheckReport:
@@ -256,7 +259,8 @@ def check_inverted_concavity(
     energy error elsewhere.  The check's worst is their largest mismatch
     relative to the closed form over the samples of the zero_energy_run
     `run` (its launch, step ends and stop), against CONCAVITY_RATIO times
-    the settings' rel_tol.  A run that took no step compares nothing."""
+    the settings' rel_tol, at most TOL_CEILING.  A run that took no step
+    compares nothing."""
     samples = run.samples
     worst, worst_t = (-math.inf if len(samples) > 1 else math.inf), None
     for t, (x, y, vx, vy) in samples:
@@ -271,7 +275,7 @@ def check_inverted_concavity(
     return CheckReport.from_violation(
         "inverted_concavity",
         worst,
-        CONCAVITY_RATIO * settings.rel_tol,
+        min(CONCAVITY_RATIO * settings.rel_tol, TOL_CEILING),
         {"t_end": samples[-1][0], "n_samples": len(samples),
          "worst_t": worst_t},
     )
@@ -303,12 +307,12 @@ def check_energy_drift(
 ) -> CheckReport:
     """Relative energy drift of each of the grid_runs pairs `runs`, with or
     without an x-rest, stays within DRIFT_RATIO times the settings'
-    rel_tol, the tolerance the runs were made with."""
+    rel_tol, the tolerance the runs were made with, at most TOL_CEILING."""
     drifts = {r.h: run.drift for run, r in runs}
     return CheckReport.from_violation(
         "energy_drift",
         max(drifts.values(), default=math.inf),
-        DRIFT_RATIO * settings.rel_tol,
+        min(DRIFT_RATIO * settings.rel_tol, TOL_CEILING),
         {"drift_by_h": drifts},
     )
 

@@ -20,22 +20,21 @@ finite, or whose stage leaves the half plane y > 0, is rejected, so the
 step size shrinks until it underflows.  No cap bounds a step but the
 time limit.  A run's first trial step is H_FIRST: a rejection shrinks a
 step at once, where growth is at most fivefold per step, so a run that
-started short would climb for several steps.  Inside an accepted step,
-states come from the step's continuous
+started short would climb for several steps.  A step below H_MIN, or too
+short to advance the time, raises StepUnderflow.  A run samples its own
+states alone, its launch, step ends and stop: the state at a time t is
+the last sample of a run whose time limit is t, as a step that ends
+within H_MIN of the limit ends at it.  The step loop evaluates each
+residual and the energy once per accepted step, and only where a
+residual changes sign locates the change, on the step's continuous
 extension (the CONTD8 of `dop853`, ibid., II.10), a seventh-order
-interpolant that takes three field evaluations of its own, so it is built
-only for a step that reads from it.  Requested
-`sample_times` are read from it, so requests never change the step
-sequence, nor the drift: the step loop evaluates each residual and the
-energy once per accepted step, and the energy of no requested sample.
-Only where a residual changes sign does it locate the change on the
-interpolant, by the Brent-Dekker routine the orbit search also uses, from
-the residual's values at the step's ends; the state of a located event is
-the interpolant's at the located time, so locating costs no field
-evaluation beyond the interpolant's.  A located x-rest is then moved to
-the rest itself by one first-order step (`_at_rest`, one field
-evaluation), so that its vy, the shooting functional alpha, is read where
-vx is 0.  Otherwise a run samples the ends of its accepted steps.
+interpolant with three field evaluations of its own, built only for such
+a step, by the Brent-Dekker routine the orbit search also uses, from the
+residual's values at the step's ends; a located event's state is the
+interpolant's at the located time, which costs no further field
+evaluation.  A located x-rest is then moved to the rest itself by one
+first-order step (`_at_rest`, one field evaluation), so that its vy, the
+shooting functional alpha, is read where vx is 0.
 
 A run (`_Run`) steps only in its advance(), to its next stop: the first
 event of any stop kind, whose state is the run's last sample; the events
@@ -138,11 +137,11 @@ class Event(_Record):
 
 
 class Trajectory(_Record):
-    """A run as records: its samples and events as `State`s, in time
-    order, its largest relative energy drift over its own states (the step
-    ends and the stop; requested samples add none) and the kind of event
-    that ended it.  Only the functions that return one build it; the checks
-    in `analysis` read the runs themselves."""
+    """A run as records: its samples (its launch, step ends and stop) and
+    events as `State`s, in time order, its largest relative energy drift
+    over those samples and the kind of event that ended it.  Only the
+    functions that return one build it; the checks in `analysis` read the
+    runs themselves."""
 
     __slots__ = _fields = ("samples", "events", "max_energy_drift",
                            "termination")
@@ -494,9 +493,9 @@ def _dense_output(y: Vec, y8: Vec, ks, h: float) -> Callable[[float], Vec]:
     Solving ODEs I, II.10):
     tau in [0, h] -> the seventh-order state at the step's start time +
     tau, y + s*(dy + s1*(b + s*(c + s1*(d4 + s*(d5 + s1*(d6 + s*d7))))))
-    with s = tau/h and s1 = 1 - s: the state of each requested sample and
-    located event in the step.  It evaluates the field at its own stages 14
-    to 16.  dy, b and c are the cubic Hermite terms of the step's ends; a
+    with s = tau/h and s1 = 1 - s: the state of each location probe and
+    located event in the step.  It evaluates the field at its own stages
+    14 to 16.  dy, b and c are the cubic Hermite terms of the step's ends; a
     velocity's d_n is h * sum_m Dn_m k_m, a position's h^2 * sum_m
     (Dn.A)_m k_m (the sum of each D row is 0, so no velocity term)."""
     (f1x, f1y, _, _, _, _, _, _, _, _, f6x, f6y, f7x, f7y, f8x, f8y, f9x, f9y,
@@ -762,8 +761,8 @@ def _locate(
     probes in which bisection would halve the step to event_tol (Brent
     1973, ch. 4), read off their exponents so that no quotient overflows.
     The located state is the interpolant's at the located time t, read at
-    t - t0 as a requested sample is; no stage has checked it, so it raises
-    DomainError off the half plane y > 0."""
+    t - t0; no stage has checked it, so it raises DomainError off the half
+    plane y > 0."""
     n = math.frexp(h)[1] - math.frexp(event_tol)[1] + 3
     tau, r, other = _brent(lambda tau: f(at(tau)), 0.0, h, r0, r1, 0.0,
                            0.5 * event_tol, n * n)
@@ -802,13 +801,12 @@ class _Run:
     it to its next stop and writes the run's figures there: `samples` holds
     its (t, (x, y, vx, vy)) samples in time order, `events` its (kind, t,
     (x, y, vx, vy)) events, `drift` the largest relative energy drift of
-    its own states (step ends and the stop) and `termination` the stop's
-    kind; the checks in `analysis` read these, and `_build_trajectory`
-    makes records of them.  Advanced past a stop event, the run goes on as
-    though that event had not stopped it: only the orbit search does that,
-    and its runs request no times.  The steps are `_steps`', which holds
-    the lists but not the run, so a run is freed as soon as its last
-    reference goes."""
+    its own states (its launch, step ends and stop, its only samples) and
+    `termination` the stop's kind; the checks in `analysis` read these, and
+    `_build_trajectory` makes records of them.  Advanced past a stop event,
+    the run goes on as though that event had not stopped it: only the orbit
+    search does that.  The steps are `_steps`', which holds the lists but
+    not the run, so a run is freed as soon as its last reference goes."""
 
     def __init__(
         self,
@@ -816,7 +814,6 @@ class _Run:
         settings: IntegratorSettings,
         watch: Iterable[EventKind],
         stop: Iterable[EventKind],
-        sample_times: Sequence[float],
         E: float | None = None,
     ):
         if isinstance(stop, Mapping):
@@ -831,7 +828,7 @@ class _Run:
         self.termination: EventKind | None = None
         stop = {*stop, EventKind.COLLISION_PROXIMITY}
         self._stops = _steps(settings, E, {*watch, *stop}, stop,
-                             sample_times, self.samples, self.events)
+                             self.samples, self.events)
 
     def advance(self) -> _Run:
         """The run stepped to its next stop, its `termination` and `drift`
@@ -855,7 +852,6 @@ def _units(E: float | None, y: Vec, rel_tol: float,
 
 def _steps(settings: IntegratorSettings, E: float | None,
            watch: set[EventKind], stop: set[EventKind],
-           sample_times: Sequence[float],
            samples: list[tuple[float, Vec]],
            events: list[tuple[EventKind, float, Vec]],
            ) -> Iterator[tuple[EventKind, float]]:
@@ -886,20 +882,6 @@ def _steps(settings: IntegratorSettings, E: float | None,
     # 1/a when the launch has less than half of it (at or near E = 0,
     # or far inside -1/E)
     e_unit = abs(e0) if abs(e0) * a > 0.5 else 1.0 / a
-    # requested times still to come, latest first, so pop() is the next
-    requests = sorted({s for s in sample_times if s > t}, reverse=True)
-
-    def append_requests(t0, at, t_end):
-        """Sample each requested time up to t_end from the interpolant `at`
-        of the step from t0; the sample at t_end that ends the span answers
-        a request at that time.  A requested sample adds nothing to the
-        drift, which covers the run's own states."""
-        while requests and requests[-1] <= t_end:
-            t = requests.pop()
-            if t == t_end:
-                break
-            samples.append((t, at(t - t0)))
-
     try:
         f1x, f1y = dynamics.acceleration(y[0], y[1])
     except ZeroDivisionError:  # r^3 or y^2 underflows to 0
@@ -925,7 +907,7 @@ def _steps(settings: IntegratorSettings, E: float | None,
         # min() calls cost more than the comparison here
         if h > t_limit - t:
             h = t_limit - t
-        if h < h_min:
+        if h < h_min or t + h == t:
             raise StepUnderflow(t, _vec_to_state(t, y))
 
         try:
@@ -942,15 +924,10 @@ def _steps(settings: IntegratorSettings, E: float | None,
         t, y = t0 + h, y8
         if t_limit - t < h_min:
             t = t_limit
-        # the interpolant is built only for a step that reads from it
-        if requests and requests[-1] <= t:
-            at = _dense_output(y0, y8, ks, h)
-        else:
-            at = None
         # events in (t0, t]: each residual's sign change, located on the
         # interpolant unless the residual is 0 at the step's end; `found`
-        # is made only for a step that has one
-        found = None
+        # and the interpolant are made only for a step that has one
+        found = at = None
         for i, kind, f in residuals:
             r0 = res[i]
             r1 = res[i] = f(y)
@@ -972,8 +949,6 @@ def _steps(settings: IntegratorSettings, E: float | None,
             for t_ev, y_ev, kind in found:
                 events.append((kind, t_ev, y_ev))
                 if kind in stop:
-                    if requests and requests[-1] <= t_ev:
-                        append_requests(t0, at, t_ev)
                     samples.append((t_ev, y_ev))
                     d = energy_fn(y_ev) - e0
                     d = (-d if d < 0.0 else d) / e_unit
@@ -982,8 +957,6 @@ def _steps(settings: IntegratorSettings, E: float | None,
                     # goes on to its next stop
                     samples.pop()
 
-        if requests and requests[-1] <= t:
-            append_requests(t0, at, t)
         samples.append((t, y))
         # |drift| by comparison, not abs()
         d = energy_fn(y) - e0
@@ -1092,10 +1065,9 @@ def _build_trajectory(run: _Run) -> Trajectory:
 
 
 def _integrate(s0: State, settings: IntegratorSettings, E: float | None,
-               watch=(), stop=(), sample_times=()) -> Trajectory:
+               watch=(), stop=()) -> Trajectory:
     """integrate() from s0, launched at the level E."""
-    return _build_trajectory(
-        _Run(s0, settings, watch, stop, sample_times, E).advance())
+    return _build_trajectory(_Run(s0, settings, watch, stop, E).advance())
 
 
 def integrate(
@@ -1103,21 +1075,15 @@ def integrate(
     settings: IntegratorSettings = IntegratorSettings(),
     watch: Iterable[EventKind] = (),
     stop: Iterable[EventKind] = (),
-    sample_times: Sequence[float] = (),
 ) -> Trajectory:
     """Integrate the planar two-electron field forward from s0, recording
     the events of every kind in `watch` or `stop`.  The run ends at the
     first event of any kind in `stop`, at the first collision proximity,
     and at the time limit.  A mapping as `stop` raises TypeError.
 
-    Each of the `sample_times` that the run reaches (the time limit
-    included: a step that ends within H_MIN of it ends at it) adds one
-    sample at exactly that time, read from the seventh-order dense output
-    of the step that holds it, which costs that step three field
-    evaluations; a sample already at that very time (a step's end or the
-    final event) stands for it.  The steps, their end samples, the events
-    and the drift are the same with or without requests: the drift, the
-    largest relative energy error, covers the run's own states, its step
-    ends and its stop, and no requested sample.  s0 carries no energy
-    level, so the settings are read as given."""
-    return _integrate(s0, settings, None, watch, stop, sample_times)
+    The samples are the run's own states: s0, the end of each accepted
+    step and the stop; the drift, the largest relative energy error, is
+    over them.  The state at a time t is the last sample of the run whose
+    time limit is t, as a step that ends within H_MIN of the limit ends at
+    it.  s0 carries no energy level, so the settings are read as given."""
+    return _integrate(s0, settings, None, watch, stop)

@@ -160,7 +160,7 @@ def _launch(E: float, h: float, settings: IntegratorSettings,
     first step, stopping at each x-rest and recording the kinds in
     `watch`; it samples its step ends and stops alone."""
     return _Run(dynamics.initial_state(ProblemSpec(E=E, h=h)), settings,
-                watch, (EventKind.X_VELOCITY_ZERO,), (), E)
+                watch, (EventKind.X_VELOCITY_ZERO,), E)
 
 
 def _next_rest(run: _Run, k: int) -> _Run:

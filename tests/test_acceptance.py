@@ -44,25 +44,15 @@ def test_02_scaling_law():
     rec2 = shooting.find_langmuir_orbit(-2.0, bracket=(0.25, 1.5))
     h_err = abs(rec2.h_star - 0.5 * rec1.h_star)
 
-    times = [0.05 * i for i in range(1, 21)]
-    t1 = integrate(
-        dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=rec1.h_star)),
-        IntegratorSettings(t_limit=1.0 + 1e-9),
-        sample_times=times,
-    )
+    # the state at each time is the last sample of the run to it
     a = 0.5
-    t2 = integrate(
-        dyn.initial_state(dyn.ProblemSpec(E=-2.0, h=a * rec1.h_star)),
-        IntegratorSettings(t_limit=a**1.5 * 1.0 + 1e-9),
-        sample_times=[a**1.5 * t for t in times],
-    )
-    by_t = {round(s.t, 9): s for s in t2.samples}
+    s1 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=rec1.h_star))
+    s2 = dyn.initial_state(dyn.ProblemSpec(E=-2.0, h=a * rec1.h_star))
     point_err = 0.0
-    for s in t1.samples:
-        if not any(abs(s.t - t) < 1e-12 for t in times):
-            continue
+    for t in [0.05 * i for i in range(1, 21)]:
+        s = integrate(s1, IntegratorSettings(t_limit=t)).samples[-1]
         m = scale_state(s, a)
-        o = by_t[round(m.t, 9)]
+        o = integrate(s2, IntegratorSettings(t_limit=m.t)).samples[-1]
         point_err = max(
             point_err,
             abs(o.x - m.x), abs(o.y - m.y),
@@ -144,11 +134,7 @@ def test_08_integrator_fidelity():
     for _ in range(5):
         h = rng.uniform(0.3, 3.2)
         s0 = dyn.initial_state(dyn.ProblemSpec(E=-1.0, h=h))
-        traj = integrate(
-            s0,
-            IntegratorSettings(t_limit=1.0),
-            sample_times=[1.0],
-        )
+        traj = integrate(s0, IntegratorSettings(t_limit=1.0))
         drift_worst = max(drift_worst, traj.max_energy_drift)
         s = traj.samples[-1]
         ox, oy, ovx, ovy = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, 1.0, 1e-5)

@@ -83,7 +83,8 @@ class TestIndividualChecks:
                                match="t_end must be finite and positive"):
                 analysis.zero_energy_run(t_end)
         # a span past T_END_MAX (1e4) is refused before the first step,
-        # 1e308 with it: a run to 1e150 would not end
+        # 1e308 with it: a run to 1e150 underflows its step before it
+        # gets there
         assert analysis.T_END_MAX == 1e4
         for t_end in (math.nextafter(1e4, math.inf), 1e9, 1e308):
             with pytest.raises(DomainError, match=re.escape(
@@ -158,6 +159,23 @@ def test_energy_drift_tolerance_follows_rel_tol(runs, rel_tol):
         rep = analysis.check_energy_drift([(planted, runs[0][1])], settings)
         assert rep.tolerance == analysis.DRIFT_RATIO * rel_tol
         assert rep.passed is passed
+
+
+@pytest.mark.parametrize("rel_tol", [3e-6, 1e-3, 0.5])
+def test_integration_error_tolerances_stop_at_the_ceiling(runs, zero_run,
+                                                          rel_tol):
+    # above rel_tol 1e-6 both tolerances on integration error are
+    # TOL_CEILING, 1e-4, not 100 x rel_tol: a drift of 1e-4 passes and the
+    # next float above it fails
+    settings = IntegratorSettings(rel_tol=rel_tol)
+    planted = copy.copy(runs[0][0])
+    for drift, passed in ((1e-4, True), (math.nextafter(1e-4, 1.0), False)):
+        planted.drift = drift
+        rep = analysis.check_energy_drift([(planted, runs[0][1])], settings)
+        assert rep.tolerance == analysis.TOL_CEILING == 1e-4
+        assert rep.passed is passed
+    rep = analysis.check_inverted_concavity(zero_run, settings)
+    assert rep.tolerance == 1e-4
 
 
 def test_runs_without_a_rest_fail_the_rest_time_checks():
@@ -307,15 +325,15 @@ def test_inverted_concavity_fails_on_a_wrong_closed_form(monkeypatch,
 
 
 def _made_runs(monkeypatch):
-    """The (settings, watch, stop, requested times) of each integrator
-    `_Run` made from now on, in order, read by wrapping its __init__ as
-    the made_runs fixture does."""
+    """The (settings, watch, stop) of each integrator `_Run` made from now
+    on, in order, read by wrapping its __init__ as the made_runs fixture
+    does."""
     made = []
     real = integrator._Run.__init__
 
-    def init(self, s0, settings, watch, stop, sample_times, *args):
-        made.append((settings, watch, stop, sample_times))
-        real(self, s0, settings, watch, stop, sample_times, *args)
+    def init(self, s0, settings, watch, stop, *args):
+        made.append((settings, watch, stop))
+        real(self, s0, settings, watch, stop, *args)
 
     monkeypatch.setattr(integrator._Run, "__init__", init)
     return made
@@ -331,7 +349,7 @@ def test_uncapped_zero_energy_run_agrees_with_fixed_step_rk4(monkeypatch):
     made = _made_runs(monkeypatch)
     run = analysis.zero_energy_run()
     assert analysis.check_zero_energy_monotone(run).passed
-    [(settings, _, _, _)] = made
+    [(settings, _, _)] = made
     assert settings.t_limit == 50.0
     (t0, v), *ends = [(t, v) for t, v in run.samples if t <= 5.0]
     assert t0 == 0.0 and len(ends) >= 10
@@ -366,13 +384,13 @@ def test_zero_energy_run_requests_nothing(monkeypatch):
     # at any tolerance, however long its span, the run is made with the
     # given settings at t_limit = t_end, so only its span caps its step; it
     # watches and stops at no kind of its own (collision proximity and the
-    # time limit end every run) and requests no time
+    # time limit end every run)
     fine = IntegratorSettings(rel_tol=1e-20)
     made = _made_runs(monkeypatch)
     monkeypatch.setattr(integrator._Run, "advance", lambda run: run)
     for t_end in (1.0, 200.0, 1e4):
         analysis.zero_energy_run(t_end, fine)
-    assert made == [(fine.replace(t_limit=t_end), (), (), ())
+    assert made == [(fine.replace(t_limit=t_end), (), ())
                     for t_end in (1.0, 200.0, 1e4)]
 
 

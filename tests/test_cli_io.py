@@ -62,6 +62,19 @@ class TestSimulate:
     def test_rejects_negative_height(self):
         assert main(["simulate", "--energy", "-1.0", "--height", "-1.0"]) == 2
 
+    def test_escape_whose_step_stops_advancing_time_exits_5(self, tmp_path,
+                                                            capsys):
+        # the E = 0 escape to t = 1e150 underflows its step at t = 9.5e107,
+        # where a step no longer advances t, and writes no file
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--energy", "0", "--height", "1", "--t-limit",
+                "1e150", "--out", str(out)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: step size underflow at t=9.5")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
         rc = main(
@@ -509,6 +522,19 @@ class TestVerify:
         for name in ("energy_drift", "inverted_concavity"):
             assert doc[name]["tolerance"] == 100.0 * float(tol)
 
+    @pytest.mark.parametrize("tol", ["1e-3", "0.5"])
+    def test_verify_fails_energy_drift_at_a_coarse_tol(self, tmp_path, tol):
+        # both tolerances on integration error stop at 1e-4, their value at
+        # --tol 1e-6, so the grid runs' worst drift, 3.5e-2 at 1e-3 and 1.26
+        # at 0.5, fails energy_drift
+        report = tmp_path / "verdict.json"
+        assert main(["verify", "--tol", tol, "--report", str(report)]) == 1
+        doc = json.loads(report.read_text())
+        assert not doc["energy_drift"]["passed"]
+        assert doc["energy_drift"]["worst_violation"] > 1e-2
+        for name in ("energy_drift", "inverted_concavity"):
+            assert doc[name]["tolerance"] == 1e-4
+
     def test_verify_fails_when_launches_do_not_rest(self, tmp_path, capsys):
         # at t_limit = 1 most grid launches end before their first x-rest:
         # the checks that need their rest times fail, nothing raises
@@ -626,8 +652,8 @@ class TestConfig:
         assert rc == 2
 
     @pytest.mark.parametrize("key", [
-        # samples are step ends and requested times; there is no setting
-        # that forces interior samples
+        # a run samples its launch, its step ends and its stop alone;
+        # there is no setting that forces interior samples
         "substeps",
         # constants of the integrator, or derived from rel_tol
         "h_min", "y_collision", "r_collision", "event_tol", "brake_speed2",
@@ -700,13 +726,13 @@ def test_kept_parser_runs_the_rebound_command(monkeypatch, argv):
     (["zero-energy", "--t-end", "-1"],
      "t_end must be finite and positive, got -1.0"),
     # a span past the bound of 1e4, refused before the first step: a run
-    # to 1e150 would not end
+    # to 1e150 underflows its step before it gets there
     (["zero-energy", "--t-end", "1e308"],
      "t_end must be at most 10000, got 1e+308: a far longer escape run may "
-     "never end"),
+     "not reach its span"),
     (["zero-energy", "--t-end", "10000.1"],
      "t_end must be at most 10000, got 10000.1: a far longer escape run may "
-     "never end"),
+     "not reach its span"),
     # a launch so near the collision line that its scale, 100 times its
     # height, gives a time unit of about 1e-297, whose H_MIN step squares to
     # a subnormal (its field, whose r^3 and y^2 underflow to 0, is never

@@ -139,15 +139,12 @@ class TestBasicRuns:
 
 class TestAccuracy:
     def test_fixed_step_oracle(self):
+        # the state at each time t is the last sample of the run to t
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=0.5))
-        times = [0.1 * i for i in range(1, 11)]
-        traj = integrate(
-            s0, IntegratorSettings(t_limit=1.0), sample_times=times
-        )
-        by_t = {round(s.t, 9): s for s in traj.samples}
-        for t in times:
+        for t in [0.1 * i for i in range(1, 11)]:
+            s = integrate(s0, IntegratorSettings(t_limit=t)).samples[-1]
+            assert s.t == t
             ox, oy, ovx, ovy = rk4_fixed(s0.x, s0.y, s0.vx, s0.vy, t, 1e-5)
-            s = by_t[round(t, 9)]
             assert abs(s.x - ox) <= 1e-7
             assert abs(s.y - oy) <= 1e-7
             assert abs(s.vx - ovx) <= 1e-7
@@ -176,27 +173,19 @@ class TestAccuracy:
         assert abs(t1 - t2) <= 1e-9
 
     def test_scaled_reintegration_oracle(self):
-        # integrating at E=-1 and rescaling must reproduce the E=-1/a run
+        # integrating at E=-1 and rescaling must reproduce the E=-1/a run:
+        # the state at each time is the last sample of the run to it, and
+        # both runs read their knobs as given
         a = 2.0
         h = 1.0
-        times = [0.05 * i for i in range(1, 21)]
-        t1 = integrate(
-            dyn.initial_state(ProblemSpec(E=-1.0, h=h)),
-            IntegratorSettings(t_limit=1.0 + 1e-9),
-            sample_times=times,
-        )
-        scaled_times = [a**1.5 * t for t in times]
-        t2 = integrate(
-            dyn.initial_state(ProblemSpec(E=-1.0 / a, h=a * h)),
-            IntegratorSettings(t_limit=a**1.5 * 1.0 + 1e-9),
-            sample_times=scaled_times,
-        )
-        by_t = {round(s.t, 9): s for s in t2.samples}
-        for s in t1.samples:
-            if not any(abs(s.t - t) < 1e-12 for t in times):
-                continue
+        s1 = dyn.initial_state(ProblemSpec(E=-1.0, h=h))
+        s2 = dyn.initial_state(ProblemSpec(E=-1.0 / a, h=a * h))
+        for t in [0.05 * i for i in range(1, 21)]:
+            s = integrate(s1, IntegratorSettings(t_limit=t)).samples[-1]
             mapped = scale_state(s, a)
-            other = by_t[round(mapped.t, 9)]
+            other = integrate(
+                s2, IntegratorSettings(t_limit=mapped.t)).samples[-1]
+            assert other.t == mapped.t
             assert abs(other.x - mapped.x) <= 1e-6
             assert abs(other.y - mapped.y) <= 1e-6
             assert abs(other.vx - mapped.vx) <= 1e-6
@@ -316,9 +305,9 @@ class TestStopRule:
                                                 h):
         # no residual evaluates the field: watching every kind leaves the
         # steps alone, and located events cost the three stages of each
-        # interpolant built for location alone (the run requests no
-        # sample), which also gives their states, and one evaluation per
-        # x-rest, which moves its state to the rest
+        # interpolant, built for location alone, which also gives their
+        # states, and one evaluation per x-rest, which moves its state to
+        # the rest
         s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=h))
         st = IntegratorSettings(t_limit=8.0)
         kinds = set(EventKind) - {EventKind.TIME_LIMIT}
@@ -654,7 +643,7 @@ def test_non_finite_steps_are_rejected_until_underflow(monkeypatch, radius):
 
     monkeypatch.setattr(dyn, "energy_vec", energy)
     s0 = State(t=0.0, x=0.0, y=1.0, vx=10.0, vy=0.0)
-    run = _Run(s0, IntegratorSettings(), (), (), ())
+    run = _Run(s0, IntegratorSettings(), (), ())
     with pytest.raises(StepUnderflow) as exc:
         run.advance()
     assert len(sampled) > 1
@@ -667,7 +656,7 @@ def test_non_finite_steps_are_rejected_until_underflow(monkeypatch, radius):
     assert exc.value.state == _vec_to_state(t, y)
     # stopped short of x = 0.5 (x is about 10 t), the run ends at its time
     # limit, and its TIME_LIMIT event has its last sample's time and state
-    run = _Run(s0, IntegratorSettings(t_limit=0.025), (), (), ())
+    run = _Run(s0, IntegratorSettings(t_limit=0.025), (), ())
     assert run.advance().termination is EventKind.TIME_LIMIT
     t, y = run.samples[-1]
     assert t == pytest.approx(0.025, abs=1e-12)
@@ -837,13 +826,13 @@ def test_event_whose_residual_is_zero_at_a_step_end(monkeypatch):
 
     monkeypatch.setattr(integrator, "_locate", locate)
     s0 = State(t=0.0, x=0.0, y=1.0, vx=1.0, vy=0.0)
-    run = _Run(s0, IntegratorSettings(), (), (EventKind.X_VELOCITY_ZERO,), ())
+    run = _Run(s0, IntegratorSettings(), (), (EventKind.X_VELOCITY_ZERO,))
     assert run.advance().termination is EventKind.X_VELOCITY_ZERO
     [(kind, t, y)] = run.events
     assert run.samples[-1] == (t, y)
     assert run.samples[-2][1][0] < 0.01 <= y[0]
     # and it is a step end of the same launch's run that watches nothing
-    free = _Run(s0, IntegratorSettings(t_limit=2.0 * t), (), (), ()).advance()
+    free = _Run(s0, IntegratorSettings(t_limit=2.0 * t), (), ()).advance()
     assert (t, y) in free.samples
 
 
@@ -857,26 +846,24 @@ def _hexes(v):
 
 @settings(max_examples=10, deadline=None)
 @given(**launches)
-def test_requested_samples_agree_with_an_eighth_order_step(E, u):
-    # 10 equally spaced requests inside every step of a free run, each read
-    # from the step's interpolant, against one eighth-order step of the
-    # tableau loop from the step's start to the same time, relative to the
-    # step's largest component; requests do not change the steps
+def test_dense_output_agrees_with_an_eighth_order_step(E, u):
+    # the interpolant of a trial step over each span between two samples of
+    # a free run, read at 10 equally spaced times inside the span, against
+    # one eighth-order step of the tableau loop from the span's start to
+    # the same time, relative to the step's largest component (the error
+    # norm's floors, which set the trial's ratio alone, are not read)
     st_ = IntegratorSettings()
     s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
-    stop = {EventKind.X_VELOCITY_ZERO}
-    ends = integrate(s0, st_, stop=stop).samples
-    spans = [(a, [a.t + (b.t - a.t) * j / 11 for j in range(1, 11)])
-             for a, b in zip(ends, ends[1:])]
-    asked = integrate(s0, st_, stop=stop,
-                      sample_times=[t for _, ts in spans for t in ts])
-    by_t = {s.t: s for s in asked.samples}
-    for start, times in spans:
+    ends = integrate(s0, st_, stop={EventKind.X_VELOCITY_ZERO}).samples
+    for start, end in zip(ends, ends[1:]):
+        y, h = _vec(start), end.t - start.t
         k1 = dyn.acceleration(start.x, start.y)
-        for t in times:
-            want = nystrom_reference_step(dyn.acceleration, _vec(start),
-                                          t - start.t, k1)[0]
-            err = max(abs(a - b) for a, b in zip(_vec(by_t[t]), want))
+        y8, ks, _ = _trial(y, h, *k1, 1e-12, 1e-12, st_.rel_tol)
+        at = integrator._dense_output(y, y8, ks, h)
+        for j in range(1, 11):
+            tau = h * j / 11
+            want = nystrom_reference_step(dyn.acceleration, y, tau, k1)[0]
+            err = max(abs(a - b) for a, b in zip(at(tau), want))
             assert err <= 100 * st_.rel_tol * max(map(abs, want))
 
 
@@ -1063,61 +1050,60 @@ def _state_bits(s):
     return _hexes((s.t, *_vec(s)))
 
 
-def _event_bits(ev):
-    return ev.kind, ev.t.hex(), _state_bits(ev.state)
-
-
-@settings(max_examples=10, deadline=None)
-@given(**launches, fractions=st.lists(
-    st.floats(min_value=0.0, max_value=1.2, exclude_min=True), max_size=30
-))
-def test_sample_times_do_not_change_the_steps(E, u, fractions):
-    # requested times are read from the interpolant of the step holding
-    # them: every other sample, every event and the drift, which covers
-    # the run's own states, are those of the same run without requests,
-    # bit for bit
-    s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
-    kw = dict(watch={EventKind.MAGICAL_LINE_CROSS},
-              stop={EventKind.X_VELOCITY_ZERO})
-    free = integrate(s0, **kw)
-    times = {f * free.samples[-1].t for f in fractions}
-    asked = integrate(s0, sample_times=sorted(times), **kw)
-
-    def steps(traj):
-        return [_state_bits(s) for s in traj.samples if s.t not in times]
-
-    assert steps(asked) == steps(free)
-    assert ([_event_bits(ev) for ev in asked.events]
-            == [_event_bits(ev) for ev in free.events])
-    assert asked.max_energy_drift == free.max_energy_drift
-
-
-@settings(max_examples=10, deadline=None)
-@given(**launches, fractions=st.lists(
-    st.floats(min_value=0.0, max_value=1.2, exclude_min=True), max_size=30
-), with_step_ends=st.booleans())
-def test_each_requested_time_is_sampled_once(E, u, fractions, with_step_ends):
-    # a run to the time limit: requests up to it (the limit itself among
-    # them, and step ends if drawn) each give exactly one sample at exactly
-    # that time; later ones give none
-    t_limit = 1.0 / (-E) ** 1.5
-    st_ = IntegratorSettings(t_limit=t_limit)
-    s0 = dyn.initial_state(ProblemSpec(E=E, h=u / -E))
-    times = {f * t_limit for f in fractions} | {t_limit}
-    if with_step_ends:
-        times |= {s.t for s in integrate(s0, st_).samples[1::5]}
-    traj = integrate(s0, st_, sample_times=sorted(times))
+@settings(max_examples=60, deadline=None)
+@given(E=st.sampled_from([None, -1.0, -1.6]), u=launches["u"],
+       limit=st.one_of(
+           st.floats(1e-12, integrator.H_FIRST),
+           st.floats(integrator.H_FIRST, 4.0),
+           st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0))))
+@example(E=None, u=1.0, limit=1e-12)
+@example(E=-1.6, u=3.45, limit=(1.0, 1.0))
+def test_a_run_ends_exactly_at_its_time_limit(E, u, limit):
+    # a run that reaches its time limit ends at it exactly, with its last
+    # sample and its TimeLimit event: t_limit for a bare state (E = None),
+    # t_limit x a^3/2 for a launch at the level E, a = -1/E.  A drawn pair
+    # (f, d) is a limit d x H_MIN from the step end a fraction f along the
+    # run to t_limit = 4 (in E = -1 units): within H_MIN of where a step of
+    # that run ends.  The other limits span the first trial step, H_FIRST,
+    # and up to 4
+    level = -1.0 if E is None else E
+    s0 = dyn.initial_state(ProblemSpec(E=level, h=u / -level))
+    a = -1.0 / level
+    unit = 1.0 if E is None else a * math.sqrt(a)
+    if isinstance(limit, tuple):
+        f, d = limit
+        ends = integrator._integrate(
+            s0, IntegratorSettings(t_limit=4.0), E).samples[1:]
+        end = ends[round(f * (len(ends) - 1))]
+        limit = end.t / unit + d * integrator.H_MIN
+    traj = integrator._integrate(s0, IntegratorSettings(t_limit=limit), E)
     assert traj.termination is EventKind.TIME_LIMIT
-    ts = [s.t for s in traj.samples]
-    assert all(b > a for a, b in zip(ts, ts[1:]))
-    for t in times:
-        assert ts.count(t) == (1 if t <= t_limit else 0)
+    assert traj.samples[-1].t == traj.events[-1].t == limit * unit
+
+
+def test_an_escape_whose_step_stops_advancing_time_underflows():
+    # the E = 0 escape from height 1 to t = 1e150: at t = 9.5e107, where
+    # r = 2.8e102 and r^3 nears the float range, a step no longer advances
+    # t; the run raises StepUnderflow with its last sample there, after
+    # fewer than a thousand samples, and does not sample that time without
+    # end
+    s0 = dyn.initial_state(ProblemSpec(E=0.0, h=1.0))
+    with pytest.raises(StepUnderflow):
+        integrate(s0, IntegratorSettings(t_limit=1e150))
+    run = _Run(s0, IntegratorSettings(t_limit=1e150), (), ())
+    with pytest.raises(StepUnderflow) as exc:
+        run.advance()
+    t, y = run.samples[-1]
+    assert len(run.samples) < 1000
+    assert 9e107 < t < 1e108 and 2e102 < y[1] < 3e102
+    assert exc.value.t == t
+    assert exc.value.state == _vec_to_state(t, y)
 
 
 def test_request_at_the_time_limit_is_sampled_when_the_run_stops_short():
     # a step that ends within H_MIN of the time limit ends the run at it:
     # its end sample, the step's eighth-order state, is the sample at
-    # exactly t_limit, and answers a request there with no sample of its own.
+    # exactly t_limit, the state at that time that a caller reads.
     # `last` is the latest step end up to t = 0.5 of a run to a later limit
     # that the run reached at the controller's first trial from the step
     # before, so a run to last.t + H_MIN / 2 makes the same trials up to it.
@@ -1138,11 +1124,9 @@ def test_request_at_the_time_limit_is_sampled_when_the_run_stops_short():
             if s.t <= 0.5 and starts.count(_hexes(_vec(prev))) == 1][-1]
     t_limit = last.t + 0.5 * integrator.H_MIN
     assert t_limit != last.t
-    free = integrate(s0, IntegratorSettings(t_limit=t_limit))
-    traj = integrate(s0, IntegratorSettings(t_limit=t_limit),
-                     sample_times=[t_limit])
-    assert ([_state_bits(s) for s in traj.samples]
-            == [_state_bits(s) for s in free.samples])
+    traj = integrate(s0, IntegratorSettings(t_limit=t_limit))
+    assert ([_state_bits(s) for s in traj.samples[:-1]]
+            == [_state_bits(s) for s in later if s.t < last.t])
     asked = traj.samples[-1]
     assert asked.t == traj.events[-1].t == t_limit
     assert traj.termination is EventKind.TIME_LIMIT
@@ -1152,18 +1136,19 @@ def test_request_at_the_time_limit_is_sampled_when_the_run_stops_short():
 
 
 def test_requested_samples_agree_with_fixed_step_rk4():
-    # the fixed-step RK4 of conftest, chained from request to request with
-    # steps of at most 1e-4, against every requested sample
+    # the fixed-step RK4 of conftest, chained from requested time to
+    # requested time with steps of at most 1e-4, against the state at each,
+    # the last sample of the run whose time limit it is
     s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=0.5))
     times = [0.0137 * i for i in range(1, 73)] + [1.0]
-    traj = integrate(s0, IntegratorSettings(t_limit=1.0), sample_times=times)
-    by_t = {s.t: s for s in traj.samples}
     oracle, t = _vec(s0), 0.0
     for t_req in times:
         n = math.ceil((t_req - t) / 1e-4)
         oracle = rk4_fixed(*oracle, t_req - t, (t_req - t) / n)
         t = t_req
-        err = max(abs(a - b) for a, b in zip(_vec(by_t[t_req]), oracle))
+        got = integrate(s0, IntegratorSettings(t_limit=t_req)).samples[-1]
+        assert got.t == t_req
+        err = max(abs(a - b) for a, b in zip(_vec(got), oracle))
         assert err <= 1e-8
 
 
@@ -1180,7 +1165,7 @@ def test_resumed_run_drops_each_stop_from_its_drift(monkeypatch):
     monkeypatch.setattr(dyn, "energy_vec", energy)
     s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=0.3))
     settings_ = IntegratorSettings(t_limit=8.0)
-    run = _Run(s0, settings_, (), (EventKind.X_VELOCITY_ZERO,), ())
+    run = _Run(s0, settings_, (), (EventKind.X_VELOCITY_ZERO,))
     for cut in rest_cuts(s0, settings_)[:3]:
         assert cut.max_energy_drift > 0.1
         assert run.advance().drift == cut.max_energy_drift
@@ -1192,7 +1177,7 @@ def test_the_time_limit_ends_the_run():
     # h = 1.398 comes at t = 1.06 and the next after t = 3
     s0 = dyn.initial_state(ProblemSpec(E=-1.0, h=1.398))
     run = _Run(s0, IntegratorSettings(t_limit=3.0), (),
-               (EventKind.X_VELOCITY_ZERO,), (), -1.0)
+               (EventKind.X_VELOCITY_ZERO,), -1.0)
     assert run.advance().termination is EventKind.X_VELOCITY_ZERO
     assert run.advance().termination is EventKind.TIME_LIMIT
     with pytest.raises(StopIteration):
@@ -1215,7 +1200,7 @@ def test_the_time_limit_ends_the_run():
 def test_rest_runs_end_at_the_stop_that_ends_the_run(s0, settings_, stops):
     # a run that stops at x-rests is advanced to each of them, then to the
     # stop that ends it, where the search leaves it
-    run = _Run(s0, settings_, (), (EventKind.X_VELOCITY_ZERO,), ())
+    run = _Run(s0, settings_, (), (EventKind.X_VELOCITY_ZERO,))
     assert [run.advance().termination for _ in stops] == stops
 
 
@@ -1234,8 +1219,8 @@ def _rejected_bracket(bracket):
     assert _classify(bracket)[:2] == (None, ())
 
 
-# Field evaluations at E = -1 with dense output (events and requested
-# samples read from the step's interpolant).  They are deterministic, so
+# Field evaluations at E = -1 with dense output (event states and location
+# probes read from the step's interpolant).  They are deterministic, so
 # each row pins its count exactly: more is lost work, and fewer means the
 # row is stale or the count no longer sees the field (a kernel that bound
 # `hypot` at import would count its launches alone).
@@ -1253,8 +1238,7 @@ def _rejected_bracket(bracket):
     (lambda: _classify(shooting.DEFAULT_BRAKE_BRACKET), 3_134),
     # a bracket no rest count separates: each end runs once, to 8 rests
     (lambda: _rejected_bracket((0.3, 0.3)), 9_930),
-    # its step capped only by its span of 50, requesting no sample and
-    # building no interpolant: 87 trial steps (86 accepted) x 12, plus its
+    # its step capped only by its span of 50, building no interpolant: 87 trial steps (86 accepted) x 12, plus its
     # launch
     (lambda: analysis.check_zero_energy_monotone(analysis.zero_energy_run()),
      1_045),
@@ -1381,7 +1365,7 @@ def test_the_suite_builds_no_records(monkeypatch):
 @pytest.fixture
 def probes(monkeypatch):
     """Count the states read from step interpolants (event location probes
-    and requested samples) by wrapping integrator._dense_output; the count
+    and located states) by wrapping integrator._dense_output; the count
     is probes[0], and the count of interpolants built probes[1]."""
     calls = [0, 0]
     real = integrator._dense_output
@@ -1401,8 +1385,7 @@ def probes(monkeypatch):
 
 
 # Interpolant reads at E = -1, pinned exactly as the field evaluations
-# above.  None of these runs requests samples, so every read is a probe
-# that locates an event or, one per located event, that event's state.
+# above.  Every read is a probe that locates an event or, one per located event, that event's state.
 # The orbit searches' coarse steps are longer than their steps at the
 # given settings, so locating an event on them takes a few more probes; a
 # read costs no field evaluation.  shoot and scan_alpha locate the x-rest
@@ -1521,11 +1504,10 @@ class TestInvertedChart:
                  for tau in (0.1, 0.2, 0.3)]
         assert picks[-1][1] == pytest.approx(0.8031, abs=1e-4)
         s0 = dyn.initial_state(ProblemSpec(E=0.0, h=1.0))
-        traj = integrate(s0, IntegratorSettings(t_limit=1.0),
-                         sample_times=[t for _, t in picks])
-        by_time = {s.t: s for s in traj.samples}
         for j, t in picks:
-            got = invert_state(*_vec(by_time[t]))
+            at_t = integrate(s0, IntegratorSettings(t_limit=t)).samples[-1]
+            assert at_t.t == t
+            got = invert_state(*_vec(at_t))
             want = self.states[j]
             assert max(abs(a - b) for a, b in zip(got[:2], want[:2])) <= 1e-11
             assert max(abs(a - b) for a, b in zip(got[2:], want[2:])) <= 1e-9

@@ -1365,33 +1365,30 @@ def test_closure_tolerance_catches_a_displaced_sample(kind, tol):
 
 def _closes_by_requests(rec):
     """Whether the quarter arc of `rec` retraces by an independent method:
-    an adaptive backward run from the touch state with negated velocities,
-    at the arc's settings over [0, T], that requests the mirror time T - t
-    of every forward sample after the launch and reads each from its dense
-    output; the launch pairs with the run's end at its time limit.  Every
-    forward sample must have a backward sample at exactly its mirror time,
-    within CLOSURE_RATIO x rel_tol in E = -1 units."""
+    a chain of adaptive backward runs from the touch state with negated
+    velocities, at the arc's settings and launched at the arc's level,
+    each from the last one's end to the mirror time T - t of the next
+    forward sample back, its time limit, where its last sample lies; the
+    launch pairs with the chain's end at T.  Every forward sample must lie
+    within CLOSURE_RATIO x rel_tol of its mirror state, in E = -1 units."""
     settings_, quarter = rec._quarter_arc
     touch = quarter.samples[-1]
     T = touch.t
-    fwd = quarter.samples[:-1]
-    start = dyn.State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx,
+    state = dyn.State(t=0.0, x=touch.x, y=touch.y, vx=-touch.vx,
                       vy=-touch.vy)
-    back = integrator._Run(
-        start, settings_.replace(t_limit=T * (-rec.E) ** 1.5), (), (),
-        [T - s.t for s in fwd[1:]], rec.E).advance()
-    by_time = dict(back.samples)
-    if back.termination is EventKind.TIME_LIMIT:
-        by_time[T] = back.samples[-1][1]
-    q_unit, v_unit = -rec.E, math.sqrt(-rec.E)
-    for s in fwd:
-        mirror = by_time.get(T - s.t)
-        if mirror is None:
+    time_unit, q_unit, v_unit = (-rec.E) ** 1.5, -rec.E, math.sqrt(-rec.E)
+    mirror_t = 0.0
+    for s in reversed(quarter.samples[:-1]):
+        span, mirror_t = T - s.t - mirror_t, T - s.t
+        back = integrator._Run(
+            state, settings_.replace(t_limit=span * time_unit), (), (),
+            rec.E).advance()
+        if back.termination is not EventKind.TIME_LIMIT:
             return False
-        x, y, vx, vy = mirror
-        if not max(q_unit * abs(x - s.x), q_unit * abs(y - s.y),
-                   abs(vx + s.vx) / v_unit,
-                   abs(vy + s.vy) / v_unit) <= 1e4 * settings_.rel_tol:
+        state = dyn.State(0.0, *back.samples[-1][1])
+        if not max(q_unit * abs(state.x - s.x), q_unit * abs(state.y - s.y),
+                   abs(state.vx + s.vx) / v_unit,
+                   abs(state.vy + s.vy) / v_unit) <= 1e4 * settings_.rel_tol:
             return False
     return True
 
@@ -1409,8 +1406,9 @@ def _closes(rec):
 @pytest.mark.parametrize("E", [-1.0, -1.6])
 def test_retrace_agrees_with_a_run_that_requests_the_mirror_times(E, tol,
                                                                  kind):
-    # the retrace on the arc's own steps and the adaptive backward run
-    # give the same verdict, and both close these orbits
+    # the retrace on the arc's own steps and the adaptive backward runs,
+    # each ending at the mirror time it asks for, give the same verdict,
+    # and both close these orbits
     rec = FINDERS[kind](E, settings=IntegratorSettings(rel_tol=tol))
     assert _closes(rec) is _closes_by_requests(rec) is True
 
