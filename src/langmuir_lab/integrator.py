@@ -65,10 +65,11 @@ The kernel integrates one field, the planar one: each stage evaluates its
 acceleration in place, by the expressions of `dynamics.acceleration` in
 their order and after its y <= 0 test, so that it gives that function's
 values bit for bit, with no call and no (ax, ay) pair.  A run calls
-`dynamics.acceleration` once, for its launch's first stage, and looks up
-`dynamics.energy_vec`, which gives the run's drift, at its start.  The
-tableau loop in `tests/conftest.py` is the reference step for any other
-field.
+`dynamics.acceleration` itself for its launch's first stage, for each
+interpolant's three stages and for each located x-rest, and a retrace for
+its first stage; a run looks up `dynamics.energy_vec`, which gives its
+drift, at its start.  The tableau loop in `tests/conftest.py` is the
+reference step for any other field.
 """
 
 from __future__ import annotations
@@ -156,29 +157,31 @@ class Trajectory(_Record):
 
 # The Dormand-Prince 8(5,3) pair DOP853 (Prince & Dormand 1981; Hairer,
 # Norsett & Wanner, Solving ODEs I, II.5 and II.10) in Nystrom form.  The
-# two kernels below hold its coefficients in place, as float literals, so
-# that each is a constant of the code and not a global lookup: the
-# published decimal tableau (c, b, the error weights E5 and E3, and the rows
-# D4 to D7 of the continuous extension) and its exact products: A.A for the
-# stage positions, b.A for the eighth-order position, E5.A and E3.A for the
-# position errors, and D.A for the interpolant's positions.  Stage 13 is
-# FSAL: its input is the eighth-order state, as b is row 13 of A; stages 14
-# to 16 are the interpolant's own.  Zero entries are left out: stage 2's
-# position has no acceleration term, stage 2 is read only by the positions
-# of stages 4 and 5, stages 2 and 3 by no weight but A.A's, and the
-# products that the 30-digit decimals leave below 1e-25 (up to 3e-26: exact
-# zeros of the rational tableau, as sum(E5), sum(E3) and the sum of each D
-# row are) are zeros.  Each literal is the product computed exactly from
-# the decimals and rounded once, and a negative weight after the first is
-# written as a subtraction; the tests read every literal from the kernels'
-# source and derive it from the tableau (in `fractions`, which the package
-# does not import, for start-up time).
+# trial kernel and the interpolant's rows below hold its coefficients in
+# place, as float literals, so that each is a constant of the code and not a
+# global lookup: the published decimal tableau (c, b, the error weights E5
+# and E3, and the rows D4 to D7 of the continuous extension) and its exact
+# products: A.A for the stage positions, b.A for the eighth-order position,
+# E5.A and E3.A for the position errors, and D.A for the interpolant's
+# positions.  Stage 13 is FSAL: its input is the eighth-order state, as b is
+# row 13 of A; stages 14 to 16 are the interpolant's own.  Zero entries are
+# left out: stage 2's position has no acceleration term, stage 2 is read only
+# by the positions of stages 4 and 5, stages 2 and 3 by no weight but A.A's,
+# and the products that the 30-digit decimals leave below 1e-25 (up to 3e-26:
+# exact zeros of the rational tableau, as sum(E5), sum(E3) and the sum of
+# each D row are) are zeros.  Each literal is the product computed exactly
+# from the decimals and rounded once, and a negative weight after the first
+# is written as a subtraction; the tests read every literal from the source
+# and derive it from the tableau (in `fractions`, which the package does not
+# import, for start-up time).
 #
-# Each stage of the kernel evaluates the planar field at its position
+# Each stage of the trial kernel evaluates the planar field at its position
 # (x, q) in place, as dynamics.acceleration(x, q) does: DomainError where
 # q <= 0 (raised by dynamics._check_upper), then r = hypot(x, q), r^3, ay
 # and ax by that function's expressions.  `hypot` is read from this
-# module's namespace once per evaluation, so wrapping it counts them.
+# module's namespace once per evaluation, so wrapping it counts them.  The
+# interpolant's stages, a run's launch, each located x-rest and a
+# retrace's first stage call dynamics.acceleration.
 
 
 def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
@@ -487,6 +490,92 @@ def _trial(y: Vec, h: float, f1x: float, f1y: float, abs_q: float,
     return y8, ks, r5 / math.sqrt(1.0 + 0.01 * (q * q))
 
 
+# The interpolant's rows (see _dense_output), each written once as an
+# expression in one axis's stage accelerations f1, f6, f7, ..., f16 and
+# evaluated for x and then for y: the position of each of stages 14 to 16,
+# y + c_i*p + hh * sum_m (A.A)_im f_m, and the terms d4 to d7 of the
+# position, hh * sum_m (Dn.A)_m f_m, and of the velocity, h * sum_m Dn_m f_m
+# (the sum of each D row is 0, so a position's term has no velocity term).
+
+
+def _stage14(y, p, hh, f1, f6, f7, f8, f9, f10, f11, f12):
+    return y + 0.1 * p + hh * (
+        0.005054351963776225 * f1 - 0.41267006753617186 * f6
+        - 0.11888400830261149 * f7 + 0.511250400071805 * f8
+        - 0.05239733207549386 * f9 + 0.06981946420649213 * f10
+        + 0.0031982003615129264 * f11 - 0.000371008689309057 * f12)
+
+
+def _stage15(y, p, hh, f1, f6, f7, f8, f9, f10, f11, f12, f13):
+    return y + 0.2 * p + hh * (
+        0.009887781381457055 * f1 - 0.007602503134799441 * f6
+        + 0.04742334588757416 * f7 - 0.03637906592918709 * f8
+        - 0.021320408140087014 * f9 + 0.026772748548590856 * f10
+        + 0.0013364963323445063 * f11 + 0.001054215711719072 * f12
+        - 0.0011726106576121006 * f13)
+
+
+def _stage16(y, p, hh, f1, f6, f7, f8, f9, f10, f11, f12, f13, f14):
+    return y + 0.7777777777777778 * p + hh * (
+        0.3588663399722558 * f1 + 9.38025080291835 * f6
+        + 7.477758624830405 * f7 - 15.729096304440624 * f8
+        - 0.3664913832247408 * f9 + 0.4520427193280568 * f10
+        + 0.024882489771726926 * f11 + 0.018743046880517162 * f12
+        - 0.02134289656466091 * f13 - 1.293144303668819 * f14)
+
+
+def _d_terms(h, hh, f1, f6, f7, f8, f9, f10, f11, f12, f13, f14, f15, f16):
+    return (hh * (
+        2.8611698796830125 * f1 + 30.51215583852884 * f6
+        - 24.61264508865549 * f7 - 35.41960917471137 * f8
+        - 3.863458628138401 * f9 + 3.7761446592257837 * f10
+        + 0.5382666867527854 * f11 + 0.12984961919289312 * f12
+        - 0.14125972611089993 * f13 - 14.374598829726839 * f14
+        + 40.59398476395968 * f15), hh * (
+        -17.921210306702967 * f1 - 124.2260787072285 * f6
+        + 273.13795938281214 * f7 + 96.31318087284055 * f8
+        + 27.684870153300384 * f9 - 29.05563647508469 * f10
+        - 3.0977069495595075 * f11 + 0.4625952063992359 * f12
+        + 0.21147048462990323 * f13 + 104.24898538523482 * f14
+        - 327.75842904664137 * f15), hh * (
+        -8.999411590110814 * f1 - 250.14465065648488 * f6
+        - 7.345168174338206 * f7 + 324.4120585596325 * f8
+        + 1.3538496519789445 * f9 + 3.8566662410202324 * f10
+        - 0.5618712467427652 * f11 - 0.5475191693050367 * f12
+        + 0.45402652434053137 * f13 + 47.262978033508965 * f14
+        - 109.74095817349945 * f15), hh * (
+        75.66260800528795 * f1 + 904.821881520238 * f6
+        - 991.2456491432964 * f7 - 911.6644928639352 * f8
+        - 83.34399475607842 * f9 + 73.06569397631904 * f10
+        + 11.227103851084003 * f11 - 1.2324213700720028 * f12
+        - 0.5764911999188784 * f13 - 446.85829878732994 * f14
+        + 1370.1440607677016 * f15), h * (
+        -8.428938276109013 * f1 + 0.5667149535193777 * f6
+        - 3.0689499459498917 * f7 + 2.38466765651207 * f8
+        + 2.117034582445028 * f9 - 0.871391583777973 * f10
+        + 2.2404374302607883 * f11 + 0.6315787787694688 * f12
+        - 0.08899033645133331 * f13 + 18.148505520854727 * f14
+        - 9.194632392478356 * f15 - 4.436036387594894 * f16), h * (
+        10.427508642579134 * f1 + 242.28349177525817 * f6
+        + 165.20045171727028 * f7 - 374.5467547226902 * f8
+        - 22.113666853125306 * f9 + 7.733432668472264 * f10
+        - 30.674084731089398 * f11 - 9.332130526430229 * f12
+        + 15.697238121770845 * f13 - 31.139403219565178 * f14
+        - 9.35292435884448 * f15 + 35.81684148639408 * f16), h * (
+        19.985053242002433 * f1 - 387.0373087493518 * f6
+        - 189.17813819516758 * f7 + 527.8081592054236 * f8
+        - 11.57390253995963 * f9 + 6.8812326946963 * f10
+        - 1.0006050966910838 * f11 + 0.7777137798053443 * f12
+        - 2.778205752353508 * f13 - 60.19669523126412 * f14
+        + 84.32040550667716 * f15 + 11.99229113618279 * f16), h * (
+        -25.69393346270375 * f1 - 154.18974869023643 * f6
+        - 231.5293791760455 * f7 + 357.6391179106141 * f8
+        + 93.40532418362432 * f9 - 37.45832313645163 * f10
+        + 104.0996495089623 * f11 + 29.8402934266605 * f12
+        - 43.53345659001114 * f13 + 96.32455395918828 * f14
+        - 39.17726167561544 * f15 - 149.72683625798564 * f16))
+
+
 def _dense_output(y: Vec, y8: Vec, ks, h: float) -> Callable[[float], Vec]:
     """The continuous extension of the step of size h from y to y8 with
     stage accelerations ks = (f1x, f1y, ..., f13x, f13y) (DOP853's CONTD8,
@@ -494,179 +583,27 @@ def _dense_output(y: Vec, y8: Vec, ks, h: float) -> Callable[[float], Vec]:
     tau in [0, h] -> the seventh-order state at the step's start time +
     tau, y + s*(dy + s1*(b + s*(c + s1*(d4 + s*(d5 + s1*(d6 + s*d7))))))
     with s = tau/h and s1 = 1 - s: the state of each location probe and
-    located event in the step.  It evaluates the field at its own stages
-    14 to 16.  dy, b and c are the cubic Hermite terms of the step's ends; a
-    velocity's d_n is h * sum_m Dn_m k_m, a position's h^2 * sum_m
-    (Dn.A)_m k_m (the sum of each D row is 0, so no velocity term)."""
-    (f1x, f1y, _, _, _, _, _, _, _, _, f6x, f6y, f7x, f7y, f8x, f8y, f9x, f9y,
-     f10x, f10y, f11x, f11y, f12x, f12y, f13x, f13y) = ks
+    located event in the step.  dy, b and c are the cubic Hermite terms of
+    the step's ends, and d4 to d7 the rows above.  Its own stages 14 to 16
+    call `dynamics.acceleration`, looked up at each call, so that wrapping
+    it counts them."""
+    acceleration = dynamics.acceleration
+    f1x, f1y, f13x, f13y = ks[0], ks[1], ks[24], ks[25]
     y0, y1, v0, v1 = y
     z0, z1, w0, w1 = y8
     p0, p1, hh = h * v0, h * v1, h * h
-    x = y0 + 0.1 * p0 + hh * (
-        0.005054351963776225 * f1x - 0.41267006753617186 * f6x
-        - 0.11888400830261149 * f7x + 0.511250400071805 * f8x
-        - 0.05239733207549386 * f9x + 0.06981946420649213 * f10x
-        + 0.0031982003615129264 * f11x - 0.000371008689309057 * f12x)
-    q = y1 + 0.1 * p1 + hh * (
-        0.005054351963776225 * f1y - 0.41267006753617186 * f6y
-        - 0.11888400830261149 * f7y + 0.511250400071805 * f8y
-        - 0.05239733207549386 * f9y + 0.06981946420649213 * f10y
-        + 0.0031982003615129264 * f11y - 0.000371008689309057 * f12y)
-    if q <= 0.0:
-        _check_upper(q)
-    r = hypot(x, q)
-    r = r * r * r
-    f14y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
-    f14x = -8.0 * x / r
-    x = y0 + 0.2 * p0 + hh * (
-        0.009887781381457055 * f1x - 0.007602503134799441 * f6x
-        + 0.04742334588757416 * f7x - 0.03637906592918709 * f8x
-        - 0.021320408140087014 * f9x + 0.026772748548590856 * f10x
-        + 0.0013364963323445063 * f11x + 0.001054215711719072 * f12x
-        - 0.0011726106576121006 * f13x)
-    q = y1 + 0.2 * p1 + hh * (
-        0.009887781381457055 * f1y - 0.007602503134799441 * f6y
-        + 0.04742334588757416 * f7y - 0.03637906592918709 * f8y
-        - 0.021320408140087014 * f9y + 0.026772748548590856 * f10y
-        + 0.0013364963323445063 * f11y + 0.001054215711719072 * f12y
-        - 0.0011726106576121006 * f13y)
-    if q <= 0.0:
-        _check_upper(q)
-    r = hypot(x, q)
-    r = r * r * r
-    f15y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
-    f15x = -8.0 * x / r
-    x = y0 + 0.7777777777777778 * p0 + hh * (
-        0.3588663399722558 * f1x + 9.38025080291835 * f6x
-        + 7.477758624830405 * f7x - 15.729096304440624 * f8x
-        - 0.3664913832247408 * f9x + 0.4520427193280568 * f10x
-        + 0.024882489771726926 * f11x + 0.018743046880517162 * f12x
-        - 0.02134289656466091 * f13x - 1.293144303668819 * f14x)
-    q = y1 + 0.7777777777777778 * p1 + hh * (
-        0.3588663399722558 * f1y + 9.38025080291835 * f6y
-        + 7.477758624830405 * f7y - 15.729096304440624 * f8y
-        - 0.3664913832247408 * f9y + 0.4520427193280568 * f10y
-        + 0.024882489771726926 * f11y + 0.018743046880517162 * f12y
-        - 0.02134289656466091 * f13y - 1.293144303668819 * f14y)
-    if q <= 0.0:
-        _check_upper(q)
-    r = hypot(x, q)
-    r = r * r * r
-    f16y = (1.0 - 8.0 * (q * q * q) / r) / (q * q)
-    f16x = -8.0 * x / r
-    d4_0 = hh * (
-        2.8611698796830125 * f1x + 30.51215583852884 * f6x
-        - 24.61264508865549 * f7x - 35.41960917471137 * f8x
-        - 3.863458628138401 * f9x + 3.7761446592257837 * f10x
-        + 0.5382666867527854 * f11x + 0.12984961919289312 * f12x
-        - 0.14125972611089993 * f13x - 14.374598829726839 * f14x
-        + 40.59398476395968 * f15x)
-    d4_1 = hh * (
-        2.8611698796830125 * f1y + 30.51215583852884 * f6y
-        - 24.61264508865549 * f7y - 35.41960917471137 * f8y
-        - 3.863458628138401 * f9y + 3.7761446592257837 * f10y
-        + 0.5382666867527854 * f11y + 0.12984961919289312 * f12y
-        - 0.14125972611089993 * f13y - 14.374598829726839 * f14y
-        + 40.59398476395968 * f15y)
-    d4_2 = h * (
-        -8.428938276109013 * f1x + 0.5667149535193777 * f6x
-        - 3.0689499459498917 * f7x + 2.38466765651207 * f8x
-        + 2.117034582445028 * f9x - 0.871391583777973 * f10x
-        + 2.2404374302607883 * f11x + 0.6315787787694688 * f12x
-        - 0.08899033645133331 * f13x + 18.148505520854727 * f14x
-        - 9.194632392478356 * f15x - 4.436036387594894 * f16x)
-    d4_3 = h * (
-        -8.428938276109013 * f1y + 0.5667149535193777 * f6y
-        - 3.0689499459498917 * f7y + 2.38466765651207 * f8y
-        + 2.117034582445028 * f9y - 0.871391583777973 * f10y
-        + 2.2404374302607883 * f11y + 0.6315787787694688 * f12y
-        - 0.08899033645133331 * f13y + 18.148505520854727 * f14y
-        - 9.194632392478356 * f15y - 4.436036387594894 * f16y)
-    d5_0 = hh * (
-        -17.921210306702967 * f1x - 124.2260787072285 * f6x
-        + 273.13795938281214 * f7x + 96.31318087284055 * f8x
-        + 27.684870153300384 * f9x - 29.05563647508469 * f10x
-        - 3.0977069495595075 * f11x + 0.4625952063992359 * f12x
-        + 0.21147048462990323 * f13x + 104.24898538523482 * f14x
-        - 327.75842904664137 * f15x)
-    d5_1 = hh * (
-        -17.921210306702967 * f1y - 124.2260787072285 * f6y
-        + 273.13795938281214 * f7y + 96.31318087284055 * f8y
-        + 27.684870153300384 * f9y - 29.05563647508469 * f10y
-        - 3.0977069495595075 * f11y + 0.4625952063992359 * f12y
-        + 0.21147048462990323 * f13y + 104.24898538523482 * f14y
-        - 327.75842904664137 * f15y)
-    d5_2 = h * (
-        10.427508642579134 * f1x + 242.28349177525817 * f6x
-        + 165.20045171727028 * f7x - 374.5467547226902 * f8x
-        - 22.113666853125306 * f9x + 7.733432668472264 * f10x
-        - 30.674084731089398 * f11x - 9.332130526430229 * f12x
-        + 15.697238121770845 * f13x - 31.139403219565178 * f14x
-        - 9.35292435884448 * f15x + 35.81684148639408 * f16x)
-    d5_3 = h * (
-        10.427508642579134 * f1y + 242.28349177525817 * f6y
-        + 165.20045171727028 * f7y - 374.5467547226902 * f8y
-        - 22.113666853125306 * f9y + 7.733432668472264 * f10y
-        - 30.674084731089398 * f11y - 9.332130526430229 * f12y
-        + 15.697238121770845 * f13y - 31.139403219565178 * f14y
-        - 9.35292435884448 * f15y + 35.81684148639408 * f16y)
-    d6_0 = hh * (
-        -8.999411590110814 * f1x - 250.14465065648488 * f6x
-        - 7.345168174338206 * f7x + 324.4120585596325 * f8x
-        + 1.3538496519789445 * f9x + 3.8566662410202324 * f10x
-        - 0.5618712467427652 * f11x - 0.5475191693050367 * f12x
-        + 0.45402652434053137 * f13x + 47.262978033508965 * f14x
-        - 109.74095817349945 * f15x)
-    d6_1 = hh * (
-        -8.999411590110814 * f1y - 250.14465065648488 * f6y
-        - 7.345168174338206 * f7y + 324.4120585596325 * f8y
-        + 1.3538496519789445 * f9y + 3.8566662410202324 * f10y
-        - 0.5618712467427652 * f11y - 0.5475191693050367 * f12y
-        + 0.45402652434053137 * f13y + 47.262978033508965 * f14y
-        - 109.74095817349945 * f15y)
-    d6_2 = h * (
-        19.985053242002433 * f1x - 387.0373087493518 * f6x
-        - 189.17813819516758 * f7x + 527.8081592054236 * f8x
-        - 11.57390253995963 * f9x + 6.8812326946963 * f10x
-        - 1.0006050966910838 * f11x + 0.7777137798053443 * f12x
-        - 2.778205752353508 * f13x - 60.19669523126412 * f14x
-        + 84.32040550667716 * f15x + 11.99229113618279 * f16x)
-    d6_3 = h * (
-        19.985053242002433 * f1y - 387.0373087493518 * f6y
-        - 189.17813819516758 * f7y + 527.8081592054236 * f8y
-        - 11.57390253995963 * f9y + 6.8812326946963 * f10y
-        - 1.0006050966910838 * f11y + 0.7777137798053443 * f12y
-        - 2.778205752353508 * f13y - 60.19669523126412 * f14y
-        + 84.32040550667716 * f15y + 11.99229113618279 * f16y)
-    d7_0 = hh * (
-        75.66260800528795 * f1x + 904.821881520238 * f6x
-        - 991.2456491432964 * f7x - 911.6644928639352 * f8x
-        - 83.34399475607842 * f9x + 73.06569397631904 * f10x
-        + 11.227103851084003 * f11x - 1.2324213700720028 * f12x
-        - 0.5764911999188784 * f13x - 446.85829878732994 * f14x
-        + 1370.1440607677016 * f15x)
-    d7_1 = hh * (
-        75.66260800528795 * f1y + 904.821881520238 * f6y
-        - 991.2456491432964 * f7y - 911.6644928639352 * f8y
-        - 83.34399475607842 * f9y + 73.06569397631904 * f10y
-        + 11.227103851084003 * f11y - 1.2324213700720028 * f12y
-        - 0.5764911999188784 * f13y - 446.85829878732994 * f14y
-        + 1370.1440607677016 * f15y)
-    d7_2 = h * (
-        -25.69393346270375 * f1x - 154.18974869023643 * f6x
-        - 231.5293791760455 * f7x + 357.6391179106141 * f8x
-        + 93.40532418362432 * f9x - 37.45832313645163 * f10x
-        + 104.0996495089623 * f11x + 29.8402934266605 * f12x
-        - 43.53345659001114 * f13x + 96.32455395918828 * f14x
-        - 39.17726167561544 * f15x - 149.72683625798564 * f16x)
-    d7_3 = h * (
-        -25.69393346270375 * f1y - 154.18974869023643 * f6y
-        - 231.5293791760455 * f7y + 357.6391179106141 * f8y
-        + 93.40532418362432 * f9y - 37.45832313645163 * f10y
-        + 104.0996495089623 * f11y + 29.8402934266605 * f12y
-        - 43.53345659001114 * f13y + 96.32455395918828 * f14y
-        - 39.17726167561544 * f15y - 149.72683625798564 * f16y)
+    # each axis's f1, f6 to f12
+    kx, ky = (f1x, *ks[10:24:2]), (f1y, *ks[11:24:2])
+    f14x, f14y = acceleration(_stage14(y0, p0, hh, *kx),
+                              _stage14(y1, p1, hh, *ky))
+    f15x, f15y = acceleration(_stage15(y0, p0, hh, *kx, f13x),
+                              _stage15(y1, p1, hh, *ky, f13y))
+    f16x, f16y = acceleration(_stage16(y0, p0, hh, *kx, f13x, f14x),
+                              _stage16(y1, p1, hh, *ky, f13y, f14y))
+    d4_0, d5_0, d6_0, d7_0, d4_2, d5_2, d6_2, d7_2 = _d_terms(
+        h, hh, *kx, f13x, f14x, f15x, f16x)
+    d4_1, d5_1, d6_1, d7_1, d4_3, d5_3, d6_3, d7_3 = _d_terms(
+        h, hh, *ky, f13y, f14y, f15y, f16y)
     dy_0, dy_1, dy_2, dy_3 = z0 - y0, z1 - y1, w0 - v0, w1 - v1
     b_0, b_1, b_2, b_3 = p0 - dy_0, p1 - dy_1, h * f1x - dy_2, h * f1y - dy_3
     c_0, c_1 = dy_0 - h * w0 - b_0, dy_1 - h * w1 - b_1
@@ -759,13 +696,15 @@ def _locate(
     where f is 0); r1 is the residual of the eighth-order state, not of
     at(h), which can round away from it.  Its budget is n^2, n bounding the
     probes in which bisection would halve the step to event_tol (Brent
-    1973, ch. 4), read off their exponents so that no quotient overflows.
+    1973, ch. 4), read off their exponents so that no quotient overflows,
+    and at least 1: n is 0 for a step between event_tol/8 and event_tol/4,
+    which `_brent` brackets in its first iteration.
     The located state is the interpolant's at the located time t, read at
     t - t0; no stage has checked it, so it raises DomainError off the half
     plane y > 0."""
     n = math.frexp(h)[1] - math.frexp(event_tol)[1] + 3
     tau, r, other = _brent(lambda tau: f(at(tau)), 0.0, h, r0, r1, 0.0,
-                           0.5 * event_tol, n * n)
+                           0.5 * event_tol, n * n or 1)
     if r != 0.0:
         tau = 0.5 * (tau + other)
     t = t0 + tau

@@ -46,6 +46,22 @@ class TestIndividualChecks:
         assert rep.worst_violation <= 1e-12
         assert rep.details["n_samples"] == 1000
 
+    def test_initial_acceleration_fails_on_the_ungrouped_field(
+            self, monkeypatch):
+        # ay = 1/y^2 - 8y/rho^3 rounds its two terms apart, so on the axis
+        # it misses -7/y^2 by 9.3e-10 at the second height, 1.0116e-3:
+        # the check fails there and names that height
+        def ungrouped(x, y):
+            r = math.hypot(x, y)
+            rho3 = r * r * r
+            return -8.0 * x / rho3, 1.0 / (y * y) - 8.0 * y / rho3
+
+        monkeypatch.setattr(dyn, "acceleration", ungrouped)
+        rep = analysis.check_initial_acceleration()
+        assert not rep.passed
+        assert rep.worst_violation == pytest.approx(9.3e-10, rel=0.01)
+        assert rep.details["worst_h"] == 1e-3 * 1e5 ** (1 / 999)
+
     def test_tmax_bound_passes_with_margin(self, runs):
         rep = analysis.check_tmax_bound(runs)
         assert rep.passed

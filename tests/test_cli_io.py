@@ -434,6 +434,20 @@ class TestScan:
         alpha = float(fields[2])
         assert abs(alpha - taylor_alpha_k(-1.0, 0.5, 1)) <= 35 * 1e-10
 
+    def test_scan_where_no_grid_point_rests_exits_5(self, tmp_path,
+                                                    capsys):
+        # no launch rests before t_limit = 0.01: the table holds a NoRest
+        # row for each, and the scan reports no bracket and exits 5
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("t_limit = 0.01\n")
+        rc = main(["scan", "--energy", "-1", "--grid", "0.5,3,3",
+                   "--config", str(cfg)])
+        assert rc == 5
+        out, err = capsys.readouterr()
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert [row[5] for row in rows] == ["NoRest(TimeLimit)"] * 3
+        assert "no sign change on this grid" in err.splitlines()
+
     def test_scan_invalid_grid(self):
         assert main(["scan", "--energy", "-1.0", "--grid", "3.0,0.5,6"]) == 2
 
@@ -637,6 +651,13 @@ class TestConfig:
         )
         assert rc == 2
         assert "config file" in capsys.readouterr().err
+
+    def test_config_line_without_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("rel_tol 1e-9\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed config line: 'rel_tol 1e-9'\n")
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "settings.cfg"

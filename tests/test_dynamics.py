@@ -245,6 +245,10 @@ class TestHillBoundary:
         with pytest.raises(DomainError):
             dyn.hill_boundary_sample(0.0, 10)
 
+    def test_requires_two_points(self):
+        with pytest.raises(DomainError, match="at least 2"):
+            dyn.hill_boundary_sample(-1.0, 1)
+
 
 class TestScaling:
     def test_identity(self):

@@ -73,10 +73,11 @@ def shoot_raw(E, h, settings=None, **kw):
 def field_calls(monkeypatch):
     """Count field evaluations where they happen; the count is
     field_calls[0].  The step kernel evaluates the field in place, reading
-    `integrator.hypot` once per evaluation, and the launches and
-    `check_initial_acceleration` call `dynamics.acceleration`; both are
-    wrapped.  (`dynamics.acceleration` calls `math.hypot`, so no evaluation
-    counts twice.)"""
+    `integrator.hypot` once per evaluation; the launches, each
+    interpolant's three stages, each located x-rest, each retrace's first
+    stage and `check_initial_acceleration` call `dynamics.acceleration`.
+    Both are wrapped.  (`dynamics.acceleration` calls `math.hypot`, so no
+    evaluation counts twice.)"""
     calls = [0]
 
     def counting(module, name):
@@ -501,14 +502,22 @@ def _combination(node):
 def _kernel_sums(fn):
     """[(target, combination)] of the assignments in the body of the kernel
     fn that hold a literal and assign a stage position (x, q), a state
-    component (z0 to z3), an error (e5_j, e3_j) or an interpolant term
-    (dn_j), in source order."""
+    component (z0 to z3) or an error (e5_j, e3_j), in source order."""
     body = ast.parse(inspect.getsource(fn)).body[0].body
     return [(st.targets[0].id, _combination(st.value)) for st in body
             if isinstance(st, ast.Assign)
             and isinstance(st.targets[0], ast.Name)
-            and re.fullmatch(r"x|q|z\d|e[35]_\d|d\d_\d", st.targets[0].id)
+            and re.fullmatch(r"x|q|z\d|e[35]_\d", st.targets[0].id)
             and any(isinstance(n, ast.Constant) for n in ast.walk(st.value))]
+
+
+def _row_sums(fn):
+    """[combination] of the sums that the interpolant row fn returns, one
+    expression or a tuple of them, in source order: a row is written once,
+    in one axis's stage accelerations f1, f6, ..., f16."""
+    [ret] = ast.parse(inspect.getsource(fn)).body[0].body
+    sums = ret.value.elts if isinstance(ret.value, ast.Tuple) else [ret.value]
+    return [_combination(node) for node in sums]
 
 
 def _weights(scale, ws, axis):
@@ -527,10 +536,10 @@ def _positions(stages):
 
 
 def test_coefficients_are_the_exact_products_of_the_tableau():
-    # every coefficient literal of the two kernels, read from their source,
-    # is the float of its exact product (c_i, of p), the y component's sum
-    # has the x component's literals, and every product above ZERO has its
-    # literal
+    # every coefficient literal of the trial kernel and of the interpolant's
+    # rows, read from their source, is the float of its exact product (c_i,
+    # of p), the kernel's y component's sum has the x component's literals,
+    # and every product above ZERO has its literal
     trial = _positions(range(1, 12))
     for j, axis in enumerate("xy"):
         trial.append((f"z{j}", {f"y{j}": 1.0, f"p{j}": 1.0,
@@ -545,13 +554,16 @@ def test_coefficients_are_the_exact_products_of_the_tableau():
         trial += [(f"{name}_{j + 2}", _weights("h", w, axis))
                   for j, axis in enumerate("xy")]
     assert _kernel_sums(integrator._trial) == trial
-    dense = _positions(range(13, 16))
-    for n, (d, da) in enumerate(zip(DOP853_D, DOP853_DA), start=4):
-        dense += [(f"d{n}_{j}", _weights("hh", da, axis))
-                  for j, axis in enumerate("xy")]
-        dense += [(f"d{n}_{j + 2}", _weights("h", d, axis))
-                  for j, axis in enumerate("xy")]
-    assert _kernel_sums(integrator._dense_output) == dense
+    # the interpolant's rows: the positions of stages 14 to 16, then the
+    # terms d4 to d7 of the position and of the velocity
+    for i, row in zip(range(13, 16), (integrator._stage14,
+                                      integrator._stage15,
+                                      integrator._stage16)):
+        assert _row_sums(row) == [{"y": 1.0, "p": float(DOP853_C[i]),
+                                   **_weights("hh", DOP853_AA[i], "")}]
+    assert _row_sums(integrator._d_terms) == (
+        [_weights("hh", da, "") for da in DOP853_DA]
+        + [_weights("h", d, "") for d in DOP853_D])
     # c_i is the sum of row i of A; stage 2 has no acceleration term, and
     # stages 12 and 13 have c = 1
     for row, c in zip(DOP853_A, DOP853_C):
@@ -1044,6 +1056,22 @@ def test_event_state_off_the_half_plane_raises():
 
     with pytest.raises(DomainError, match="y must be positive"):
         integrator._locate(lambda y: y[2], at, 0.0, 1.0, 0.5, -0.5, 1e-12)
+
+
+@pytest.mark.parametrize("parts", [4, 8, 16])
+def test_a_step_within_the_event_tolerance_is_located(parts):
+    # Brent-Dekker's budget counts the halvings of the step down to the
+    # event tolerance, none for a step of event_tol/8; with its floor of
+    # one iteration each such step is one bracket, located at its midpoint
+    event_tol = 1e-12
+    h = event_tol / parts
+
+    def at(tau):
+        return (0.0, 1.0, 1.0 - 2.0 * tau / h, 0.0)
+
+    t, y = integrator._locate(lambda y: y[2], at, 0.0, h, 1.0, -1.0,
+                              event_tol)
+    assert (t, y) == (0.5 * h, at(0.5 * h))
 
 
 def _state_bits(s):
